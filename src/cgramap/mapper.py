@@ -3,12 +3,16 @@
 For each neighbour-count target in the schedule: screen with the
 placement-only model, enumerate relaxed placements (3 paths per
 connection, overuse up to 2), and check each placement with the exact
-routing-only model over the full path cache. The first routable
+routing-only model over all k cached paths. The first routable
 placement wins; growing the neighbourhood only happens when the cheap
 stages say the current one cannot work.
 
-The path cache is built once at the largest target and sliced per
-neighbourhood, since a smaller neighbour map only drops pairs.
+Routes are built on demand: only after a screen passes, and only for
+the (driver unit, sink unit) pairs the screen model declares edge
+variables for, which are the only pairs the relaxed and routing models
+read. A pair's k shortest routes do not depend on the neighbour count,
+so pairs an earlier, smaller target of the same call already produced
+are reused rather than rebuilt.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from .dfg import Dfg, cover_set, fanin_cone
-from .ilp import InfeasibleModel, build_variant
+from .ilp import InfeasibleModel, build_variant, used_pairs
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import NeighborMap, build_neighbor_map
 from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
@@ -76,16 +80,6 @@ def _check_schedule(schedule) -> tuple[int, ...]:
     return sched
 
 
-def _cache_view(full: PathCache, nmap: NeighborMap) -> PathCache:
-    pairs = {}
-    for u in sorted(nmap.neighbors):
-        for w in sorted(nmap[u]):
-            got = full.get(u, w)
-            if got:
-                pairs[u, w] = got
-    return PathCache(full.k, pairs)
-
-
 def _placement_of(assignment) -> dict[str, NodeKey]:
     return {var.idx[0]: var.idx[1]
             for var, value in assignment.items()
@@ -118,16 +112,15 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
     sched = _check_schedule(schedule)
     deadline = time.monotonic() + limits.total_time
     attempts: list[NnAttempt] = []
-    full_nmap = build_neighbor_map(mrrg, sched[-1])
-    full_cache = build_path_cache(mrrg, full_nmap, k_paths)
+    # routes of every pair built so far in this call, across targets
+    routes: dict[tuple[NodeKey, NodeKey], tuple[RoutePath, ...]] = {}
 
     for nn in sched:
         start = time.monotonic()
         if start >= deadline:
             return MapOutcome(TIMED_OUT, None, tuple(attempts))
         remaining = deadline - start
-        nmap = full_nmap if nn == sched[-1] \
-            else build_neighbor_map(mrrg, nn)
+        nmap = build_neighbor_map(mrrg, nn)
         try:
             screen_model = build_variant("placement_only", dfg, mrrg, nmap)
         except InfeasibleModel:
@@ -146,7 +139,15 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
                                       time.monotonic() - start))
             continue
 
-        cache = _cache_view(full_cache, nmap)
+        pairs = used_pairs(screen_model)
+        fresh: dict[NodeKey, list[NodeKey]] = {}
+        for u, w in pairs:
+            if (u, w) not in routes:
+                fresh.setdefault(u, []).append(w)
+        routes.update(build_path_cache(
+            mrrg, NeighborMap(nn, {u: tuple(ws) for u, ws in fresh.items()}),
+            k_paths).paths)
+        cache = PathCache(k_paths, {pair: routes[pair] for pair in pairs})
         relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap, cache)
         enum_cfg = SolveConfig(seed=seed,
                                time_limit=max(deadline - time.monotonic(),

@@ -4,10 +4,13 @@ Depth-first branch and bound with incremental slack propagation: every
 row is normalised to sum(c_i x_i) <= b, a row's slack is b minus the
 smallest value its fixed and free terms can still take, and a negative
 slack is a conflict. Free variables whose coefficient exceeds the slack
-are forced. The decision order shuffles within each variable class under
-the configured seed, which perturbs runtime but never the verdict; value
-1 is tried before 0. Optimisation keeps searching past incumbents with a
-strictly-better bound on the objective row.
+are forced, so a row is only rescanned once its slack falls below its
+widest coefficient. The decision order shuffles within each variable
+class under the configured seed, which perturbs runtime but never the
+verdict; value 1 is tried before 0. Optimisation keeps searching past
+incumbents with a strictly-better bound on the objective row. The clock
+is read at every search node, so a time limit holds to within one
+node's propagation.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ from dataclasses import dataclass
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
-
-_TIME_CHECK_MASK = 0x1FF
-
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -86,7 +86,12 @@ class _Search:
         self.val = [-1] * len(self.vars)
         self.coefs: list[list[tuple[int, int]]] = []
         self.slack: list[int] = []
+        # widest |coefficient| per row: while a row's slack is at least
+        # this it can neither conflict nor force a variable
+        self.width: list[int] = []
+        # per variable, the rows it occurs in and its coefficient in each
         self.occurs: list[list[int]] = [[] for _ in self.vars]
+        self.occ_coef: list[list[int]] = [[] for _ in self.vars]
         for con in list(model.constraints) + list(extra_rows):
             if con.relation in ("<=", "="):
                 self._add_row([(c, self.index[v]) for c, v in con.terms],
@@ -100,6 +105,9 @@ class _Search:
         # objective handled as one more <= row whose bound tightens as
         # incumbents arrive; inactive until the first one
         self.obj = [(c, self.index[v]) for c, v in model.objective or ()]
+        self.obj_coef = [0] * len(self.vars)
+        for c, i in self.obj:
+            self.obj_coef[i] += c
         self.obj_lo = sum(min(c, 0) for c, _ in self.obj)
         self.obj_bound = None
 
@@ -107,41 +115,44 @@ class _Search:
         row = len(self.coefs)
         self.coefs.append(terms)
         self.slack.append(rhs - sum(min(c, 0) for c, _ in terms))
-        for _, i in terms:
+        self.width.append(max((abs(c) for c, _ in terms), default=0))
+        for c, i in terms:
             self.occurs[i].append(row)
+            self.occ_coef[i].append(c)
 
     def fix(self, i, value) -> bool:
         if self.val[i] >= 0:
             return self.val[i] == value
         self.val[i] = value
         self.trail.append(i)
-        for row in self.occurs[i]:
-            delta = 0
-            for c, j in self.coefs[row]:
-                if j == i:
-                    delta += (c * value) - min(c, 0)
-            if delta:
-                self.slack[row] -= delta
-                self.queue.append(row)
-        for c, j in self.obj:
-            if j == i:
-                self.obj_lo += (c * value) - min(c, 0)
+        # fixing to 1 uses up the slack of a positive coefficient, fixing
+        # to 0 that of a negative one
+        sign = 1 if value else -1
+        slack, width = self.slack, self.width
+        for row, c in zip(self.occurs[i], self.occ_coef[i]):
+            c *= sign
+            if c > 0:
+                slack[row] -= c
+                if slack[row] < width[row]:
+                    self.queue.append(row)
+        c = self.obj_coef[i] * sign
+        if c > 0:
+            self.obj_lo += c
         return True
 
     def undo_to(self, mark):
+        slack = self.slack
         while len(self.trail) > mark:
             i = self.trail.pop()
-            value = self.val[i]
+            sign = 1 if self.val[i] else -1
             self.val[i] = -1
-            for row in self.occurs[i]:
-                delta = 0
-                for c, j in self.coefs[row]:
-                    if j == i:
-                        delta += (c * value) - min(c, 0)
-                self.slack[row] += delta
-            for c, j in self.obj:
-                if j == i:
-                    self.obj_lo -= (c * value) - min(c, 0)
+            for row, c in zip(self.occurs[i], self.occ_coef[i]):
+                c *= sign
+                if c > 0:
+                    slack[row] += c
+            c = self.obj_coef[i] * sign
+            if c > 0:
+                self.obj_lo -= c
         self.queue.clear()
 
     def propagate(self) -> bool:
@@ -152,6 +163,8 @@ class _Search:
                 s = self.slack[row]
                 if s < 0:
                     return False
+                if s >= self.width[row]:
+                    continue
                 for c, j in self.coefs[row]:
                     if self.val[j] >= 0:
                         continue
@@ -213,8 +226,7 @@ def solve(model, cfg: SolveConfig, _extra_rows=(), _deadline=None) -> SolveResul
     stack: list[tuple[int, int, int]] = []  # (var, next value, trail mark)
     exploring = True
     while True:
-        if search.nodes & _TIME_CHECK_MASK == 0 \
-                and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             return SolveResult(TIMEOUT, None, search.nodes,
                                time.monotonic() - t0)
         ok = search.propagate() if exploring else False

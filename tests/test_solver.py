@@ -2,11 +2,13 @@
 
 import random
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from cgramap.baseline import build_baseline
 from cgramap.dfg import parse_dfg
 from cgramap.ilp import (IlpModel, LinearConstraint, VarId, build_variant,
                          evar, fvar, pvar, set_cost_function)
@@ -177,10 +179,48 @@ def test_pigeonhole_and_timeout():
     small = _pigeonhole(4, 3)
     assert solve(small, SolveConfig()).status == "infeasible"
     big = _pigeonhole(12, 11)
+    t0 = time.monotonic()
     res = solve(big, SolveConfig(time_limit=0.15))
+    wall = time.monotonic() - t0
     assert res.status == "timeout"
     assert res.assignment is None
     assert res.nodes > 0
+    # the clock is read on every node, so the limit holds to within one
+    # node's propagation
+    assert res.wall_time <= wall <= 0.15 + 0.1
+
+
+FIVE_ADD = ("op a add\nop b add\nop c add\nop d add\nop e add\n"
+            "edge a -> b:0, c:0\nedge b -> d:0\nedge c -> d:1\n"
+            "edge d -> e:0\n")
+TREE5 = ("op a add\nop b add\nop c add\nop d add\nop e add\n"
+         "edge a -> b:0\nedge b -> c:0, d:0\nedge c -> e:0\n")
+
+
+def test_pinned_node_counts():
+    # any change to the decision order or to what propagation forces
+    # shows up here rather than as a silent runtime shift
+    five_add = build_baseline(parse_dfg(FIVE_ADD),
+                              build_mrrg(ArchSpec("ortho", 2, 2), 1))
+    got = [(r.status, r.nodes) for r in
+           (solve(five_add, SolveConfig(seed=s)) for s in (2, 3))]
+    assert got == [("infeasible", 204), ("infeasible", 170)]
+    res = solve(_pigeonhole(6, 5), SolveConfig(seed=2))
+    assert (res.status, res.nodes) == ("infeasible", 294)
+    mrrg = build_mrrg(ArchSpec("ortho", 1, 4, route_through=False), 2)
+    dfg = parse_dfg(TREE5)
+    nmap = build_neighbor_map(mrrg, 4)
+    relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap,
+                            build_path_cache(mrrg, nmap))
+    got = [(r.status, r.nodes) for r in
+           (solve(relaxed, SolveConfig(seed=s)) for s in (2, 3))]
+    assert got == [("feasible", 72), ("feasible", 94)]
+    nmap = build_neighbor_map(mrrg, 2)
+    relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap,
+                            build_path_cache(mrrg, nmap))
+    sols = enumerate_solutions(relaxed, SolveConfig(seed=3,
+                                                    solution_limit=4))
+    assert [r.nodes for r in sols] == [35, 839, 90, 367]
 
 
 def test_enumerate_two_placements():
