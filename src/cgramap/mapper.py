@@ -10,9 +10,7 @@ stages say the current one cannot work.
 Routes are built on demand: only after a screen passes, and only for
 the (driver unit, sink unit) pairs the screen model declares edge
 variables for, which are the only pairs the relaxed and routing models
-read. A pair's k shortest routes do not depend on the neighbour count,
-so pairs an earlier, smaller target of the same call already produced
-are reused rather than rebuilt.
+read.
 """
 
 from __future__ import annotations
@@ -112,8 +110,6 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
     sched = _check_schedule(schedule)
     deadline = time.monotonic() + limits.total_time
     attempts: list[NnAttempt] = []
-    # routes of every pair built so far in this call, across targets
-    routes: dict[tuple[NodeKey, NodeKey], tuple[RoutePath, ...]] = {}
 
     for nn in sched:
         start = time.monotonic()
@@ -139,15 +135,12 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
                                       time.monotonic() - start))
             continue
 
-        pairs = used_pairs(screen_model)
-        fresh: dict[NodeKey, list[NodeKey]] = {}
-        for u, w in pairs:
-            if (u, w) not in routes:
-                fresh.setdefault(u, []).append(w)
-        routes.update(build_path_cache(
-            mrrg, NeighborMap(nn, {u: tuple(ws) for u, ws in fresh.items()}),
-            k_paths).paths)
-        cache = PathCache(k_paths, {pair: routes[pair] for pair in pairs})
+        used: dict[NodeKey, list[NodeKey]] = {}
+        for u, w in used_pairs(screen_model):
+            used.setdefault(u, []).append(w)
+        cache = build_path_cache(
+            mrrg, NeighborMap(nn, {u: tuple(ws) for u, ws in used.items()}),
+            k_paths)
         relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap, cache)
         enum_cfg = SolveConfig(seed=seed,
                                time_limit=max(deadline - time.monotonic(),

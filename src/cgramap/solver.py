@@ -4,13 +4,11 @@ Depth-first branch and bound with incremental slack propagation: every
 row is normalised to sum(c_i x_i) <= b, a row's slack is b minus the
 smallest value its fixed and free terms can still take, and a negative
 slack is a conflict. Free variables whose coefficient exceeds the slack
-are forced, so a row is only rescanned once its slack falls below its
-widest coefficient. The decision order shuffles within each variable
-class under the configured seed, which perturbs runtime but never the
-verdict; value 1 is tried before 0. Optimisation keeps searching past
-incumbents with a strictly-better bound on the objective row. The clock
-is read at every search node, so a time limit holds to within one
-node's propagation.
+are forced. The decision order shuffles within each variable class under
+the configured seed, which perturbs runtime but never the verdict; value
+1 is tried before 0. Optimisation keeps searching past incumbents with a
+strictly-better bound on the objective row. The clock is read at every
+search node, so a time limit holds to within one node's propagation.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from dataclasses import dataclass
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -86,9 +85,6 @@ class _Search:
         self.val = [-1] * len(self.vars)
         self.coefs: list[list[tuple[int, int]]] = []
         self.slack: list[int] = []
-        # widest |coefficient| per row: while a row's slack is at least
-        # this it can neither conflict nor force a variable
-        self.width: list[int] = []
         # per variable, the rows it occurs in and its coefficient in each
         self.occurs: list[list[int]] = [[] for _ in self.vars]
         self.occ_coef: list[list[int]] = [[] for _ in self.vars]
@@ -115,7 +111,6 @@ class _Search:
         row = len(self.coefs)
         self.coefs.append(terms)
         self.slack.append(rhs - sum(min(c, 0) for c, _ in terms))
-        self.width.append(max((abs(c) for c, _ in terms), default=0))
         for c, i in terms:
             self.occurs[i].append(row)
             self.occ_coef[i].append(c)
@@ -128,13 +123,12 @@ class _Search:
         # fixing to 1 uses up the slack of a positive coefficient, fixing
         # to 0 that of a negative one
         sign = 1 if value else -1
-        slack, width = self.slack, self.width
+        slack = self.slack
         for row, c in zip(self.occurs[i], self.occ_coef[i]):
             c *= sign
             if c > 0:
                 slack[row] -= c
-                if slack[row] < width[row]:
-                    self.queue.append(row)
+                self.queue.append(row)
         c = self.obj_coef[i] * sign
         if c > 0:
             self.obj_lo += c
@@ -163,8 +157,6 @@ class _Search:
                 s = self.slack[row]
                 if s < 0:
                     return False
-                if s >= self.width[row]:
-                    continue
                 for c, j in self.coefs[row]:
                     if self.val[j] >= 0:
                         continue
