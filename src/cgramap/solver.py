@@ -6,7 +6,11 @@ smallest value its fixed and free terms can still take, and a negative
 slack is a conflict. Free variables whose coefficient exceeds the slack
 are forced. The decision order shuffles within each variable class under
 the configured seed, which perturbs runtime but never the verdict; value
-1 is tried before 0. Optimisation keeps searching past incumbents with a
+1 is tried before 0 for placements, and 0 before 1 for edge and path
+variables (classes e and p): the rows that need an edge or a path force
+it once its alternatives are gone, while one switched on that nothing
+needs still claims routing, and undoing it deep in the tree can take
+exponential time. Optimisation keeps searching past incumbents with a
 strictly-better bound on the objective row. The clock is read at every
 search node, so a time limit holds to within one node's propagation.
 """
@@ -211,11 +215,13 @@ def solve(model, cfg: SolveConfig, _extra_rows=(), _deadline=None) -> SolveResul
     deadline = _deadline if _deadline is not None else t0 + cfg.time_limit
     search = _Search(model, _extra_rows)
     order = _branch_order(model, cfg.seed)
+    first = [0 if v.cls in ("e", "p") else 1 for v in search.vars]
     optimize = cfg.mode == "optimize" and model.objective
     best = None
     best_value = None
 
-    stack: list[tuple[int, int, int]] = []  # (var, next value, trail mark)
+    # (var, 1 once its second value is on, trail mark)
+    stack: list[tuple[int, int, int]] = []
     exploring = True
     while True:
         if time.monotonic() > deadline:
@@ -242,7 +248,7 @@ def solve(model, cfg: SolveConfig, _extra_rows=(), _deadline=None) -> SolveResul
             mark = len(search.trail)
             search.nodes += 1
             stack.append((free, 0, mark))
-            search.fix(free, 1)
+            search.fix(free, first[free])
             continue
         exploring = True
         while stack:
@@ -251,7 +257,7 @@ def solve(model, cfg: SolveConfig, _extra_rows=(), _deadline=None) -> SolveResul
             if tried == 0:
                 stack.append((var, 1, mark))
                 search.nodes += 1
-                search.fix(var, 0)
+                search.fix(var, 1 - first[var])
                 break
         else:
             wall = time.monotonic() - t0
@@ -281,7 +287,11 @@ def enumerate_solutions(model, cfg: SolveConfig, projection=("f",)):
         if res.status != FEASIBLE:
             return res
         yield res
-        ones = tuple((1, v) for v in model.variables
-                     if v.cls in projection and res.assignment[v] == 1)
-        extra.append(_Cut(ones, "<=", len(ones) - 1))
+        # sum(ones) - sum(zeros) <= |ones| - 1 excludes exactly this
+        # projection; leaving the zeros out would also exclude every
+        # projection that switches on more of them
+        terms = tuple((1 if res.assignment[v] else -1, v)
+                      for v in model.variables if v.cls in projection)
+        ones = sum(c > 0 for c, _ in terms)
+        extra.append(_Cut(terms, "<=", ones - 1))
     return None

@@ -222,13 +222,31 @@ def test_pinned_node_counts():
                             build_path_cache(mrrg, nmap))
     got = [(r.status, r.nodes) for r in
            (solve(relaxed, SolveConfig(seed=s)) for s in (2, 3))]
-    assert got == [("feasible", 72), ("feasible", 94)]
+    assert got == [("feasible", 86), ("feasible", 54)]
     nmap = build_neighbor_map(mrrg, 2)
     relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap,
                             build_path_cache(mrrg, nmap))
     sols = enumerate_solutions(relaxed, SolveConfig(seed=3,
                                                     solution_limit=4))
-    assert [r.nodes for r in sols] == [35, 839, 90, 367]
+    assert [r.nodes for r in sols] == [39, 42, 47, 50]
+
+
+LDST = ("op ld load\nop k const const=1\nop inc add\nop st store\n"
+        "edge ld -> inc:0\nedge k -> inc:1\nedge inc -> st:0\n")
+
+
+def test_relaxed_search_steady_across_seeds():
+    # with value 1 tried first on edge and path variables, five of these
+    # eight seeds ran out a 5 s limit at over 40k nodes: an edge or path
+    # switched on that no placed sink needs is undone only after the
+    # whole subtree below it fails
+    mrrg = build_mrrg(ArchSpec("adres", 4, 4), 2)
+    nmap = build_neighbor_map(mrrg, 4)
+    relaxed = build_variant("relaxed_placement", parse_dfg(LDST), mrrg, nmap,
+                            build_path_cache(mrrg, nmap))
+    for seed in range(1, 9):
+        res = solve(relaxed, SolveConfig(seed=seed, time_limit=5))
+        assert (res.status, res.nodes < 2000) == ("feasible", True), seed
 
 
 def test_enumerate_two_placements():
