@@ -1,20 +1,23 @@
 """0/1 model construction for placement and routing.
 
-Three variable classes: f (operation o sits on unit u), e (DFG edge from
-o on u to p on v), p (path q between units u and v is switched on). The
-constraint families:
+Four variable classes: f (operation o sits on unit u), e (DFG edge from
+o on u to p on v), p (path q between units u and v is switched on), y
+(routing vertex n carries the signal of driver unit u). The constraint
+families:
 
   con1  unit exclusivity: each FU hosts at most one operation
   con2  must map: cover ops placed exactly once, all others at most once
   con3  fanin required: a placed sink needs an incoming edge assignment
   con4  fanout implies usage: an edge assignment claims its driver unit
   con5  path required: an assigned edge needs a switched-on path
-  con6  path exclusivity: overlapping paths with distinct drivers
+  con6  path exclusivity: a routing vertex carries at most `limit`
+        signals; a path switched on claims its driver's y at every
+        interior vertex
 
 Four variants are built from these: placement_only (con1-4),
-relaxed_placement (con1-5 plus a per-vertex overuse form of con6),
-routing_only (con5-6 with edge assignments fixed by a given placement)
-and combined (con1-6 exact).
+relaxed_placement (con1-5, con6 at 2 signals per vertex), routing_only
+(con5-6 with edge assignments fixed by a given placement) and combined
+(con1-6 exact, con6 at 1 signal per vertex).
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ def pvar(u: NodeKey, v: NodeKey, q: int) -> VarId:
     return VarId("p", (u, v, q))
 
 
+def yvar(n: NodeKey, u: NodeKey) -> VarId:
+    return VarId("y", (n, u))
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     terms: tuple[tuple[int, VarId], ...]
@@ -76,7 +83,6 @@ class IlpModel:
         self._declared: dict[VarId, int] = {}
         self.constraints: list[LinearConstraint] = []
         self.objective: tuple[tuple[int, VarId], ...] | None = None
-        self._con6_seen: set = set()
 
     def add_var(self, var: VarId) -> VarId:
         if var not in self._declared:
@@ -87,9 +93,7 @@ class IlpModel:
     def has_var(self, var: VarId) -> bool:
         return var in self._declared
 
-    def add_constraint(self, terms, relation: str, rhs: int, tag: str) -> bool:
-        """Append one row; returns False when a duplicate con6 row was
-        dropped instead."""
+    def add_constraint(self, terms, relation: str, rhs: int, tag: str) -> None:
         if relation not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {relation!r}")
         canon = tuple(sorted(((c, v) for c, v in terms), key=lambda t: t[1]))
@@ -100,21 +104,7 @@ class IlpModel:
             if v not in self._declared:
                 raise ValueError(f"constraint references undeclared {v}")
             seen.add(v)
-        if tag == "con6":
-            key = self._con6_key(canon, relation, rhs)
-            if key in self._con6_seen:
-                return False
-            self._con6_seen.add(key)
         self.constraints.append(LinearConstraint(canon, relation, rhs, tag))
-        return True
-
-    def _con6_key(self, canon, relation, rhs):
-        # pairwise rows are keyed by compact variable ids; they dominate
-        # the exact models by far
-        if relation == "<=" and rhs == 1 and len(canon) == 2 \
-                and canon[0][0] == 1 and canon[1][0] == 1:
-            return (self._declared[canon[0][1]], self._declared[canon[1][1]])
-        return (canon, relation, rhs)
 
     def vars_by_class(self) -> dict[str, list[VarId]]:
         out: dict[str, list[VarId]] = {}
@@ -195,19 +185,14 @@ def add_fu_exclusivity(model: IlpModel, dfg: Dfg, fus) -> None:
             model.add_constraint([(1, v) for v in terms], "<=", 1, "con1")
 
 
-def add_must_map(model: IlpModel, dfg: Dfg,
-                 allow_duplication: bool = False) -> None:
+def add_must_map(model: IlpModel, dfg: Dfg) -> None:
     cover = cover_set(dfg)
     index = _f_index(model)
     for op in dfg.operations:
         terms = [(1, v) for v in index.get(op.id, ())]
         if not terms:
             raise InfeasibleModel(f"operation {op.id} has no compatible unit")
-        if op.id in cover:
-            model.add_constraint(terms, ">=" if allow_duplication else "=",
-                                 1, "con2")
-        elif not allow_duplication:
-            model.add_constraint(terms, "<=", 1, "con2")
+        model.add_constraint(terms, "=" if op.id in cover else "<=", 1, "con2")
 
 
 def add_fanin_required(model: IlpModel, dfg: Dfg) -> None:
@@ -244,56 +229,43 @@ def add_path_required(model: IlpModel, cache: PathCache,
 
 
 def _interior_buckets(model: IlpModel, cache: PathCache):
-    # vertex -> path vars whose interior crosses it (the driver is the
-    # first index of each path var)
-    buckets: dict[NodeKey, list[VarId]] = {}
+    # vertex -> driver unit -> path vars of that driver whose interior
+    # crosses the vertex
+    buckets: dict[NodeKey, dict[NodeKey, list[VarId]]] = {}
     for var in model.variables:
         if var.cls != "p":
             continue
         u, v, q = var.idx
         for n in cache[(u, v)][q].interior():
-            buckets.setdefault(n, []).append(var)
+            buckets.setdefault(n, {}).setdefault(u, []).append(var)
     return buckets
 
 
 def add_path_exclusivity(model: IlpModel, cache: PathCache,
                          overuse_limit: int) -> None:
-    """Exact pairwise rows at limit 1; at higher limits one row per
-    (vertex, path) bounding how many foreign-driver paths may share the
-    vertex once that path is on."""
+    """At most overuse_limit signals (distinct driver units) per routing
+    vertex. For each vertex crossed by paths of more drivers than that:
+    one y[n,u] per driver u, p - y[n,u] <= 0 for each such path p, and
+    sum_u y[n,u] <= overuse_limit.
+
+    At limit 1 this admits exactly the path sets in which no two paths
+    of distinct drivers share an interior vertex. Above 1 it counts
+    signals, not paths: paths of one driver stack on a vertex as one
+    signal, so two of them plus one foreign path fit under limit 2."""
     if overuse_limit < 1:
         raise ValueError("overuse_limit must be positive")
     buckets = _interior_buckets(model, cache)
-    if overuse_limit == 1:
-        # the pairwise rows repeat across every shared vertex, so dedup
-        # on compact ids first and append rows directly
-        ids = model._declared
-        pairs = set()
-        for ents in buckets.values():
-            ents = sorted(ents)
-            for i in range(len(ents)):
-                pi, di = ents[i], ents[i].idx[0]
-                for j in range(i + 1, len(ents)):
-                    if ents[j].idx[0] != di:
-                        pairs.add((ids[pi], ids[ents[j]]))
-        for key in sorted(pairs):
-            if key in model._con6_seen:
-                continue
-            model._con6_seen.add(key)
-            a, b = model.variables[key[0]], model.variables[key[1]]
-            model.constraints.append(
-                LinearConstraint(((1, a), (1, b)), "<=", 1, "con6"))
-        return
     for n in sorted(buckets):
-        ents = buckets[n]
-        for pv in ents:
-            u = pv.idx[0]
-            others = sorted({ov for ov in ents if ov.idx[0] != u})
-            if not others:
-                continue
-            big = len(others)
-            terms = [(1, ov) for ov in others] + [(big, pv)]
-            model.add_constraint(terms, "<=", overuse_limit - 1 + big, "con6")
+        by_driver = buckets[n]
+        if len(by_driver) <= overuse_limit:
+            continue
+        ys = []
+        for u in sorted(by_driver):
+            y = model.add_var(yvar(n, u))
+            ys.append((1, y))
+            for pv in by_driver[u]:
+                model.add_constraint([(1, pv), (-1, y)], "<=", 0, "con6")
+        model.add_constraint(ys, "<=", overuse_limit, "con6")
 
 
 def set_cost_function(model: IlpModel, k_coeffs=None, l_coeffs=None,
@@ -313,8 +285,7 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
                   cache: PathCache | None = None, *,
                   paths_per_connection: int | None = None,
                   overuse_limit: int | None = None,
-                  placement: dict[str, NodeKey] | None = None,
-                  allow_duplication: bool = False) -> IlpModel:
+                  placement: dict[str, NodeKey] | None = None) -> IlpModel:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "routing_only":
@@ -325,7 +296,7 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
     declare_f(model, dfg, mrrg)
     declare_e(model, dfg, mrrg, nmap)
     add_fu_exclusivity(model, dfg, fu_nodes(mrrg))
-    add_must_map(model, dfg, allow_duplication)
+    add_must_map(model, dfg)
     add_fanin_required(model, dfg)
     add_fanout_implies_usage(model)
     if variant == "placement_only":
@@ -388,6 +359,8 @@ def audit(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
     problems = []
     ops = dfg.ops_by_id
     edges = set(dfg.point_edges())
+    crossed = set()  # (vertex, driver) of every in-domain path's interior
+    ys = []
     for var in model.variables:
         if var.cls == "f":
             o, u = var.idx
@@ -405,8 +378,15 @@ def audit(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
             u, v, q = var.idx
             if cache is None or q >= len(cache.get((u, v))):
                 problems.append(f"p out of domain: {var}")
+            else:
+                crossed.update((n, u) for n in cache[(u, v)][q].interior())
+        elif var.cls == "y":
+            ys.append(var)
         else:
             problems.append(f"unknown class: {var}")
+    for var in ys:
+        if var.idx not in crossed:
+            problems.append(f"y out of domain: {var}")
     declared = set(model.variables)
     if len(declared) != len(model.variables):
         problems.append("duplicate variable declaration")

@@ -37,7 +37,7 @@ def var_name(var: VarId) -> str:
 
 
 def parse_var_name(name: str) -> VarId:
-    """Rebuild the structured id; the canonical f/e/p shapes regain
+    """Rebuild the structured id; the canonical f/e/p/y shapes regain
     their nested node keys."""
     parts = name.split("!")
     cls = parts[0]
@@ -49,6 +49,8 @@ def parse_var_name(name: str) -> VarId:
                            vals[3], (vals[4], vals[5])))
     if cls == "p" and len(vals) == 5:
         return VarId("p", ((vals[0], vals[1]), (vals[2], vals[3]), vals[4]))
+    if cls == "y" and len(vals) == 4:
+        return VarId("y", ((vals[0], vals[1]), (vals[2], vals[3])))
     return VarId(cls, vals)
 
 

@@ -2,7 +2,7 @@
 
 For each neighbour-count target in the schedule: screen with the
 placement-only model, enumerate relaxed placements (3 paths per
-connection, overuse up to 2), and check each placement with the exact
+connection, at most 2 signals per vertex), and check each placement with the exact
 routing-only model over all k cached paths. The first routable
 placement wins; growing the neighbourhood only happens when the cheap
 stages say the current one cannot work.

@@ -21,22 +21,13 @@ from dataclasses import dataclass
 from .mrrg import Mrrg, NodeKey, fu_nodes
 
 
-def find_neighbors(mrrg: Mrrg, source: NodeKey, target_nn: int,
-                   bidirectional: bool = False) -> tuple[NodeKey, ...]:
-    """Sorted FU keys discovered from source under the wave stop rule.
-
-    bidirectional additionally walks fanin edges; off by default, kept for
-    experiments with symmetric reachability.
-    """
+def find_neighbors(mrrg: Mrrg, source: NodeKey,
+                   target_nn: int) -> tuple[NodeKey, ...]:
+    """Sorted FU keys discovered from source under the wave stop rule."""
     if source not in mrrg.nodes:
         raise KeyError(f"unknown node {source}")
     if not mrrg.is_fu(source):
         raise ValueError(f"{source} is not an FU node")
-
-    def succ(k: NodeKey):
-        if not bidirectional:
-            return mrrg.fanout(k)
-        return tuple(sorted(set(mrrg.fanout(k)) | set(mrrg.fanin(k))))
 
     found: set[NodeKey] = set()
     visited: set[NodeKey] = {source}
@@ -44,7 +35,7 @@ def find_neighbors(mrrg: Mrrg, source: NodeKey, target_nn: int,
     while frontier and len(found) < target_nn:
         nxt: list[NodeKey] = []
         for n in frontier:
-            for m in succ(n):
+            for m in mrrg.fanout(n):
                 if m == source:
                     found.add(source)  # re-reached via a cycle
                     continue
@@ -68,13 +59,11 @@ class NeighborMap:
         return self.neighbors[key]
 
 
-def build_neighbor_map(mrrg: Mrrg, target_nn: int,
-                       bidirectional: bool = False) -> NeighborMap:
+def build_neighbor_map(mrrg: Mrrg, target_nn: int) -> NeighborMap:
     """find_neighbors for every FU vertex."""
     if target_nn < 1:
         raise ValueError(f"target_nn must be >= 1, got {target_nn}")
     return NeighborMap(
         target_nn,
-        {u: find_neighbors(mrrg, u, target_nn, bidirectional)
-         for u in fu_nodes(mrrg)},
+        {u: find_neighbors(mrrg, u, target_nn) for u in fu_nodes(mrrg)},
     )

@@ -6,13 +6,14 @@ smallest value its fixed and free terms can still take, and a negative
 slack is a conflict. Free variables whose coefficient exceeds the slack
 are forced. The decision order shuffles within each variable class under
 the configured seed, which perturbs runtime but never the verdict; value
-1 is tried before 0 for placements, and 0 before 1 for edge and path
-variables (classes e and p): the rows that need an edge or a path force
-it once its alternatives are gone, while one switched on that nothing
-needs still claims routing, and undoing it deep in the tree can take
-exponential time. Optimisation keeps searching past incumbents with a
-strictly-better bound on the objective row. The clock is read at every
-search node, so a time limit holds to within one node's propagation.
+1 is tried before 0 for placements, and 0 before 1 for edge, path and
+vertex-signal variables (classes e, p and y): the rows that need an edge,
+a path or a signal force it once its alternatives are gone, while one
+switched on that nothing needs still claims routing, and undoing it deep
+in the tree can take exponential time. Optimisation keeps searching past
+incumbents with a strictly-better bound on the objective row. The clock
+is read at every search node, so a time limit holds to within one node's
+propagation.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def solve(model, cfg: SolveConfig, _extra_rows=(), _deadline=None) -> SolveResul
     deadline = _deadline if _deadline is not None else t0 + cfg.time_limit
     search = _Search(model, _extra_rows)
     order = _branch_order(model, cfg.seed)
-    first = [0 if v.cls in ("e", "p") else 1 for v in search.vars]
+    first = [0 if v.cls in ("e", "p", "y") else 1 for v in search.vars]
     optimize = cfg.mode == "optimize" and model.objective
     best = None
     best_value = None

@@ -5,7 +5,8 @@ import pytest
 from cgramap.dfg import parse_dfg
 from cgramap.ilp import (IlpModel, InfeasibleModel, add_fu_exclusivity,
                          add_must_map, add_path_exclusivity, audit,
-                         build_variant, evar, fvar, pvar, set_cost_function)
+                         build_variant, evar, fvar, pvar, set_cost_function,
+                         yvar)
 from cgramap.mrrg import ArchSpec, build_mrrg, compatible_nodes, fu_nodes
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import PathCache, RoutePath, build_path_cache
@@ -58,6 +59,34 @@ def count(model, tag):
     return sum(1 for c in model.constraints if c.tag == tag)
 
 
+def signal_rows(cons):
+    """Split the con6 rows into path -> signals it claims (rows
+    p - y <= 0) and signal sum rows (rows of +1 y terms <= limit); fails
+    on any other shape, since admits() relies on these two."""
+    claims, sums = {}, []
+    for c in cons:
+        if c.tag != "con6":
+            continue
+        cls = [(k, v.cls) for k, v in c.terms]
+        if cls == [(1, "p"), (-1, "y")] and (c.relation, c.rhs) == ("<=", 0):
+            claims.setdefault(c.terms[0][1], set()).add(c.terms[1][1])
+        else:
+            assert c.relation == "<=" and c.rhs >= 1
+            assert all(k == 1 and v.cls == "y" for k, v in c.terms)
+            sums.append(c)
+    return claims, sums
+
+
+def admits(cons, on_paths):
+    """Whether the rows hold with the given paths on, all other paths
+    off, and some choice of signal variables. A y occurs with -1 only in
+    its claim rows and with +1 elsewhere, so the claimed signals are the
+    choice to try."""
+    claims, _ = signal_rows(cons)
+    on = set(on_paths)
+    return satisfies(cons, on.union(*(claims.get(p, ()) for p in on)))
+
+
 def test_variable_domains_and_counts(inst, combined):
     dfg, m, nmap, cache = inst
     model = combined
@@ -88,23 +117,41 @@ def test_constraint_family_recounts(inst, combined):
     assert count(model, "con5") == n_e
 
 
-def test_exact_con6_matches_pairwise_recount(inst, combined):
+def test_exact_con6_admits_exactly_the_pairwise_sets(inst, combined):
+    # two paths may both be on, with some signal variables, iff they are
+    # not a pairwise conflict: distinct drivers and a shared interior
+    # vertex
     dfg, m, nmap, cache = inst
     model = combined
     pvars = model.vars_by_class()["p"]
-    want = set()
+    claims, sums = signal_rows(model.constraints)
+    row_of = {}
+    for r, row in enumerate(sums):
+        assert row.rhs == 1
+        for _, y in row.terms:
+            row_of.setdefault(y, []).append(r)
+    # per path: its interior, and the signal it claims in each sum row;
+    # with rhs 1 two paths fit iff no sum row gets two distinct claims
+    interior, seats = {}, {}
+    for pv in pvars:
+        u, v, q = pv.idx
+        interior[pv] = frozenset(cache[(u, v)][q].interior())
+        seats[pv] = {}
+        for y in claims.get(pv, ()):
+            for r in row_of.get(y, ()):
+                assert r not in seats[pv]  # one path alone always fits
+                seats[pv][r] = y
+    conflicts = 0
     for a, b in combinations(pvars, 2):
-        (u1, v1, q1), (u2, v2, q2) = a.idx, b.idx
-        if u1 == u2:
-            continue
-        i1 = set(cache[(u1, v1)][q1].vertices[1:-1])
-        i2 = cache[(u2, v2)][q2].vertices[1:-1]
-        if any(x in i1 for x in i2):
-            want.add(frozenset((a, b)))
-    got = {frozenset(v for _, v in c.terms)
-           for c in model.constraints if c.tag == "con6"}
-    assert got == want
-    assert count(model, "con6") == len(want)
+        conflict = (a.idx[0] != b.idx[0]
+                    and not interior[a].isdisjoint(interior[b]))
+        conflicts += conflict
+        sb = seats[b]
+        fits = all(sb.get(r, y) == y for r, y in seats[a].items())
+        assert fits != conflict, (a, b)
+    assert conflicts > 0
+    # one claim row per (vertex, path) and one sum row per contested vertex
+    assert count(model, "con6") == sum(map(len, claims.values())) + len(sums)
 
 
 def test_relaxed_sits_strictly_between(inst, combined):
@@ -143,42 +190,35 @@ def shared_vertex_fixture():
 def test_exact_exclusivity_rows_and_dedup():
     model, cache, va1, va2, vb, vc = shared_vertex_fixture()
     add_path_exclusivity(model, cache, 1)
-    got = {frozenset(v for _, v in c.terms) for c in model.constraints}
-    assert got == {frozenset((va1, vb)), frozenset((va1, vc)),
-                   frozenset((va2, vb)), frozenset((va2, vc)),
-                   frozenset((vb, vc))}
-    before = len(model.constraints)
-    add_path_exclusivity(model, cache, 1)  # every row already present
-    assert len(model.constraints) == before
+    x = ("x", 0)
+    ya, yb, yc = (yvar(x, (d, 0)) for d in "ABC")
+    got = {(c.terms, c.rhs) for c in model.constraints}
+    # only x is contested; y carries A alone and gets no rows
+    assert got == {(((1, va1), (-1, ya)), 0), (((1, va2), (-1, ya)), 0),
+                   (((1, vb), (-1, yb)), 0), (((1, vc), (-1, yc)), 0),
+                   (((1, ya), (1, yb), (1, yc)), 1)}
+    assert len(model.constraints) == len(got)
+    assert model.vars_by_class()["y"] == [ya, yb, yc]
     cons = model.constraints
-    assert satisfies(cons, {va1, va2})     # same driver may stack
-    assert satisfies(cons, {va1})
-    assert not satisfies(cons, {va1, vb})  # two signals on x
-    assert not satisfies(cons, {vb, vc})
+    assert admits(cons, {va1, va2})     # same driver may stack
+    assert admits(cons, {va1})
+    assert not admits(cons, {va1, vb})  # two signals on x
+    assert not admits(cons, {vb, vc})
 
 
 def test_relaxed_exclusivity_allows_one_short():
     model, cache, va1, va2, vb, vc = shared_vertex_fixture()
     add_path_exclusivity(model, cache, 2)
     cons = model.constraints
-    assert satisfies(cons, {va1, vb})       # two signals may share x
-    assert satisfies(cons, {va1, va2})      # same driver never counts
-    assert satisfies(cons, {va1, va2, va1}) is True
-    assert not satisfies(cons, {va1, vb, vc})   # three signals
-    assert not satisfies(cons, {va1, va2, vb})  # stacked signal plus one more
+    assert admits(cons, {va1, vb})       # two signals may share x
+    assert admits(cons, {va1, va2})      # same driver never counts
+    assert admits(cons, {va1, va2, va1}) is True
+    assert not admits(cons, {va1, vb, vc})  # three signals
+    assert admits(cons, {va1, va2, vb})  # two stacked paths are one signal
 
 
 def test_must_map_variants():
     dfg = parse_dfg(EXPR_TEXT)
-    m = build_mrrg(ArchSpec("ortho", 2, 2), ii=1)
-    model = IlpModel("combined")
-    for op in dfg.operations:
-        for u in compatible_nodes(m, op):
-            model.add_var(fvar(op.id, u))
-    add_must_map(model, dfg, allow_duplication=True)
-    rels = {c.relation for c in model.constraints}
-    assert rels == {">="}
-    assert count(model, "con2") == 1  # only the cover op constrained
     bare = IlpModel("combined")
     with pytest.raises(InfeasibleModel):
         add_must_map(bare, dfg)
@@ -215,7 +255,7 @@ def test_routing_only_variant(inst):
     }
     model = build_variant("routing_only", dfg, m, nmap, cache,
                           placement=placement)
-    assert set(model.vars_by_class()) == {"p"}
+    assert set(model.vars_by_class()) == {"p", "y"}
     assert count(model, "con5") == 5
     for c in model.constraints:
         if c.tag == "con5":
@@ -275,6 +315,25 @@ def test_audit_flags_out_of_domain(inst):
     problems = audit(model, dfg, m, nmap)
     assert any(p.startswith("f out of domain") for p in problems)
     assert any(p.startswith("e out of domain") for p in problems)
+
+
+def test_audit_flags_stray_signal_and_duplicate_con6(inst):
+    dfg, m, nmap, cache = inst
+    placement = {
+        "add0": ("pe_1_1.alu", 0), "c": ("pe_1_0.alu", 0),
+        "d": ("pe_0_1.alu", 0), "mul0": ("pe_2_1.alu", 0),
+        "b": ("pe_2_0.alu", 0), "a": ("pe_2_2.alu", 0),
+    }
+    model = build_variant("routing_only", dfg, m, nmap, cache,
+                          placement=placement)
+    assert audit(model, dfg, m, nmap, cache) == []
+    # a's unit drives no path, so no vertex carries its signal
+    stray = model.add_var(yvar(("pe_1_1.out", 0), placement["a"]))
+    assert audit(model, dfg, m, nmap, cache) == [
+        f"y out of domain: {stray}"]
+    row = next(c for c in model.constraints if c.tag == "con6")
+    model.add_constraint(row.terms, row.relation, row.rhs, "con6")
+    assert "duplicate con6 row" in audit(model, dfg, m, nmap, cache)
 
 
 def test_stats_shape(inst):

@@ -1,6 +1,7 @@
 """Staged driver checks: routes built on demand give the same models as
-the full neighbourhood cache, verdicts agree with brute force, reports
-are stable, and the survey entry points run."""
+the full neighbourhood cache, verdicts of the driver and of the combined
+model agree with brute force, reports are stable, and the survey entry
+points run."""
 
 import json
 
@@ -8,12 +9,14 @@ import pytest
 
 from cgramap import mapper
 from cgramap.dfg import parse_dfg
+from cgramap.ilp import InfeasibleModel, build_variant
 from cgramap.mapper import (MAPPED, NOT_MAPPABLE, MapLimits, characterize,
                             map_dfg, map_min_ii, outcome_to_dict,
                             validate_mapping)
-from cgramap.mrrg import ArchSpec, build_mrrg
+from cgramap.mrrg import ArchSpec, build_mrrg, fu_nodes
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import build_path_cache
+from cgramap.solver import FEASIBLE, SolveConfig, solve
 from helpers import brute_force_mappable
 
 KERNELS = {
@@ -118,6 +121,16 @@ def test_agreement_with_brute_force(family, ii, kernel, mappable):
         assert validate_mapping(dfg, mrrg, out.solution) == []
     if not mappable:
         assert out.status == NOT_MAPPABLE
+    # the combined model at full neighbour count decides alone
+    nmap = build_neighbor_map(mrrg, len(fu_nodes(mrrg)))
+    try:
+        model = build_variant("combined", dfg, mrrg, nmap,
+                              build_path_cache(mrrg, nmap))
+    except InfeasibleModel:
+        assert not mappable
+        return
+    res = solve(model, SolveConfig(seed=1, time_limit=30))
+    assert res.status == (FEASIBLE if mappable else "infeasible")
 
 
 def test_report_is_byte_stable():

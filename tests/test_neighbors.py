@@ -61,15 +61,6 @@ def test_const_feeds_only_its_own_alu():
     assert find_neighbors(m, ("pe_1_1.const", 0), 99) == (("pe_1_1.alu", 0),)
 
 
-def test_bidirectional_flag():
-    m = build_mrrg(ArchSpec("ortho", 1, 1), ii=1)
-    # walking fanins from the ALU reaches its const generator, and the
-    # out wire points straight back at the source
-    assert find_neighbors(m, ("pe_0_0.alu", 0), 8, bidirectional=True) == (
-        ("pe_0_0.alu", 0), ("pe_0_0.const", 0),
-    )
-
-
 def test_clustered_wave_ordering():
     # waves ripple outward per FU kind: the home cluster's io/mem come
     # first of all, and every intra-cluster ALU is found before any ALU
