@@ -25,39 +25,17 @@ from .mrrg import Mrrg, NodeKey, compatible_nodes, fu_nodes
 from .paths import RoutePath
 
 
-def _forward_dists(mrrg: Mrrg, sources) -> dict[NodeKey, int]:
-    """Hop counts from any source FU to each routing node."""
+def _hop_dists(mrrg: Mrrg, ends, step) -> dict[NodeKey, int]:
+    """Hop counts between any of the end FUs and each routing node, one
+    step (mrrg.fanout from drivers, mrrg.fanin from sinks) per hop."""
     dist: dict[NodeKey, int] = {}
-    queue = deque()
-    for u in sources:
-        for n in mrrg.fanout(u):
-            if not mrrg.is_fu(n) and n not in dist:
-                dist[n] = 1
-                queue.append(n)
-    while queue:
-        n = queue.popleft()
-        for m in mrrg.fanout(n):
+    frontier = deque((u, 0) for u in ends)
+    while frontier:
+        n, d = frontier.popleft()
+        for m in step(n):
             if not mrrg.is_fu(m) and m not in dist:
-                dist[m] = dist[n] + 1
-                queue.append(m)
-    return dist
-
-
-def _backward_dists(mrrg: Mrrg, sinks) -> dict[NodeKey, int]:
-    """Hop counts from each routing node to any sink FU."""
-    dist: dict[NodeKey, int] = {}
-    queue = deque()
-    for v in sinks:
-        for n in mrrg.fanin(v):
-            if not mrrg.is_fu(n) and n not in dist:
-                dist[n] = 1
-                queue.append(n)
-    while queue:
-        n = queue.popleft()
-        for m in mrrg.fanin(n):
-            if not mrrg.is_fu(m) and m not in dist:
-                dist[m] = dist[n] + 1
-                queue.append(m)
+                dist[m] = d + 1
+                frontier.append((m, d + 1))
     return dist
 
 
@@ -73,8 +51,8 @@ class _Window:
         self.sink_cands = {p: compatible_nodes(mrrg, ops[p]) for p in sinks}
         all_sinks = sorted({v for cands in self.sink_cands.values()
                             for v in cands})
-        self.fwd = _forward_dists(mrrg, self.driver_cands)
-        self.bwd = _backward_dists(mrrg, all_sinks)
+        self.fwd = _hop_dists(mrrg, self.driver_cands, mrrg.fanout)
+        self.bwd = _hop_dists(mrrg, all_sinks, mrrg.fanin)
         spread = [self.fwd[n] + self.bwd[n] for n in self.fwd
                   if n in self.bwd]
         self.lmax = min(route_count + 1, (max(spread) if spread else 0) + slack)

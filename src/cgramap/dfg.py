@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 ALU_OPCODES = frozenset(
     {"add", "sub", "mul", "div", "and", "or", "xor", "shl", "shr", "cmp"}
@@ -60,41 +60,42 @@ class Edge:
 class Dfg:
     """Immutable-by-convention operation/edge container with lookups."""
 
-    def __init__(self, operations: Iterable[Operation], edges: Iterable[Edge]):
+    def __init__(self, operations: Iterable[Operation], edges: Iterable[Edge],
+                 lines: Sequence[int] = ()):
+        """lines, when given, is the source line of each operation and then
+        of each edge, in order; an error names the line at fault."""
+        operations, edges = tuple(operations), tuple(edges)
+
+        def line(item):
+            return lines[item] if lines else 0
+
+        self.ops_by_id: dict[str, Operation] = {}
+        for item, op in enumerate(operations):
+            if op.id in self.ops_by_id:
+                raise DfgError("duplicate-op", f"operation '{op.id}' defined twice", line(item))
+            self.ops_by_id[op.id] = op
         self.operations: tuple[Operation, ...] = tuple(
             sorted(operations, key=lambda o: o.id)
         )
-        self.ops_by_id: dict[str, Operation] = {}
-        for op in self.operations:
-            if op.id in self.ops_by_id:
-                raise DfgError("duplicate-op", f"operation '{op.id}' defined twice")
-            self.ops_by_id[op.id] = op
         merged: dict[str, list[tuple[str, int]]] = {}
-        for e in edges:
+        slot_owner: dict[tuple[str, int], str] = {}
+        for item, e in enumerate(edges, start=len(operations)):
+            if e.driver not in self.ops_by_id:
+                raise DfgError("dangling", f"edge driver '{e.driver}' is not an op", line(item))
+            for sink, idx in e.sinks:
+                if sink not in self.ops_by_id:
+                    raise DfgError("dangling", f"edge sink '{sink}' is not an op", line(item))
+                owner = slot_owner.setdefault((sink, idx), e.driver)
+                if owner != e.driver:
+                    raise DfgError(
+                        "duplicate-driver",
+                        f"operand {sink}:{idx} driven by both '{owner}' and '{e.driver}'",
+                        line(item),
+                    )
             merged.setdefault(e.driver, []).extend(e.sinks)
         self.edges: tuple[Edge, ...] = tuple(
             Edge(d, tuple(sorted(set(sk)))) for d, sk in sorted(merged.items())
         )
-        seen_slots: dict[tuple[str, int], str] = {}
-        for e in self.edges:
-            if e.driver not in self.ops_by_id:
-                raise DfgError("dangling", f"edge driver '{e.driver}' is not an op")
-            for sink, idx in e.sinks:
-                if sink not in self.ops_by_id:
-                    raise DfgError("dangling", f"edge sink '{sink}' is not an op")
-                if (sink, idx) in seen_slots:
-                    raise DfgError(
-                        "duplicate-driver",
-                        f"operand {sink}:{idx} driven by both "
-                        f"'{seen_slots[(sink, idx)]}' and '{e.driver}'",
-                    )
-                seen_slots[(sink, idx)] = e.driver
-
-    def fanout(self, op_id: str) -> tuple[tuple[str, int], ...]:
-        for e in self.edges:
-            if e.driver == op_id:
-                return e.sinks
-        return ()
 
     def point_edges(self) -> tuple[tuple[str, str], ...]:
         """Deduplicated (driver, sink) pairs, hyperedges flattened."""
@@ -121,7 +122,7 @@ class Dfg:
 def parse_dfg(text: str) -> Dfg:
     """Parse the text format. Raises DfgError with a 1-based line number."""
     ops: list[Operation] = []
-    seen_ids: set[str] = set()
+    op_lines: list[int] = []
     edges: list[Edge] = []
     edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -147,10 +148,8 @@ def parse_dfg(text: str) -> Dfg:
                         raise DfgError("syntax", f"bad const payload '{extra}'", lineno)
                 else:
                     raise DfgError("syntax", f"unexpected token '{extra}'", lineno)
-            if op_id in seen_ids:
-                raise DfgError("duplicate-op", f"operation '{op_id}' defined twice", lineno)
-            seen_ids.add(op_id)
             ops.append(Operation(op_id, opcode, const_value))
+            op_lines.append(lineno)
         elif fields[0] == "edge":
             m = re.match(r"^(\S+)\s*->\s*(.+)$", fields[1] if len(fields) > 1 else "")
             if not m:
@@ -167,22 +166,7 @@ def parse_dfg(text: str) -> Dfg:
             edge_lines.append(lineno)
         else:
             raise DfgError("syntax", f"unknown directive '{fields[0]}'", lineno)
-    slot_owner: dict[tuple[str, int], str] = {}
-    for e, lineno in zip(edges, edge_lines):
-        if e.driver not in seen_ids:
-            raise DfgError("dangling", f"edge driver '{e.driver}' is not an op", lineno)
-        for sink, idx in e.sinks:
-            if sink not in seen_ids:
-                raise DfgError("dangling", f"edge sink '{sink}' is not an op", lineno)
-            if (sink, idx) in slot_owner and slot_owner[(sink, idx)] != e.driver:
-                raise DfgError(
-                    "duplicate-driver",
-                    f"operand {sink}:{idx} driven by both "
-                    f"'{slot_owner[(sink, idx)]}' and '{e.driver}'",
-                    lineno,
-                )
-            slot_owner[(sink, idx)] = e.driver
-    return Dfg(ops, edges)
+    return Dfg(ops, edges, op_lines + edge_lines)
 
 
 def serialize_dfg(dfg: Dfg) -> str:

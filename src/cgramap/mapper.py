@@ -84,8 +84,8 @@ def _placement_of(assignment) -> dict[str, NodeKey]:
             if var.cls == "f" and value == 1}
 
 
-def _routes_of(model, assignment, cache: PathCache,
-               placement: dict[str, NodeKey], dfg: Dfg):
+def _routes_of(assignment, cache: PathCache, placement: dict[str, NodeKey],
+               dfg: Dfg):
     chosen: dict[tuple[NodeKey, NodeKey], int] = {}
     for var, value in assignment.items():
         if var.cls != "p" or value != 1:
@@ -162,8 +162,8 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
                                    deadline - time.monotonic()), 0.001))
             routed = solve(routing_model, route_cfg)
             if routed.status == "feasible":
-                routing = _routes_of(routing_model, routed.assignment,
-                                     cache, placement, dfg)
+                routing = _routes_of(routed.assignment, cache, placement,
+                                     dfg)
                 elapsed = time.monotonic() - start
                 solution = MappingSolution(
                     placement=placement, routing=routing, nn=nn,

@@ -1,19 +1,23 @@
 """Exact 0/1 search over the model rows.
 
-Depth-first branch and bound with incremental slack propagation: every
-row is normalised to sum(c_i x_i) <= b, a row's slack is b minus the
-smallest value its fixed and free terms can still take, and a negative
-slack is a conflict. Free variables whose coefficient exceeds the slack
-are forced. The decision order shuffles within each variable class under
+One depth-first search with incremental slack propagation: every row is
+normalised to sum(c_i x_i) <= b, a row's slack is b minus the smallest
+value its fixed and free terms can still take, and a negative slack is
+a conflict. Free variables whose coefficient exceeds the slack are
+forced. The decision order shuffles within each variable class under
 the configured seed, which perturbs runtime but never the verdict; value
 1 is tried before 0 for placements, and 0 before 1 for edge, path and
 vertex-signal variables (classes e, p and y): the rows that need an edge,
 a path or a signal force it once its alternatives are gone, while one
 switched on that nothing needs still claims routing, and undoing it deep
-in the tree can take exponential time. Optimisation keeps searching past
-incumbents with a strictly-better bound on the objective row. The clock
-is read at every search node, so a time limit holds to within one node's
-propagation.
+in the tree can take exponential time. The search yields each leaf; to
+go on past it, one row the leaf violates joins the live search (the
+no-good cut over the projection when enumerating, objective <= value - 1
+when optimising) and the search resumes above the deepest decision that
+row depends on, so no subtree is explored twice and leaves come in the
+order separate searches with all cuts so far would find them. The clock
+is read at every search node, so a time limit holds to within one
+node's propagation.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ def _reject_malformed(model):
 
 
 class _Search:
-    def __init__(self, model, extra_rows=()):
+    def __init__(self, model):
         self.vars = list(model.variables)
         self.index = {v: i for i, v in enumerate(self.vars)}
         self.val = [-1] * len(self.vars)
@@ -93,32 +97,32 @@ class _Search:
         # per variable, the rows it occurs in and its coefficient in each
         self.occurs: list[list[int]] = [[] for _ in self.vars]
         self.occ_coef: list[list[int]] = [[] for _ in self.vars]
-        for con in list(model.constraints) + list(extra_rows):
-            if con.relation in ("<=", "="):
-                self._add_row([(c, self.index[v]) for c, v in con.terms],
-                              con.rhs)
-            if con.relation in (">=", "="):
-                self._add_row([(-c, self.index[v]) for c, v in con.terms],
-                              -con.rhs)
         self.trail: list[int] = []
-        self.queue: deque[int] = deque(range(len(self.coefs)))
+        self.queue: deque[int] = deque()
         self.nodes = 0
-        # objective handled as one more <= row whose bound tightens as
-        # incumbents arrive; inactive until the first one
-        self.obj = [(c, self.index[v]) for c, v in model.objective or ()]
-        self.obj_coef = [0] * len(self.vars)
-        for c, i in self.obj:
-            self.obj_coef[i] += c
-        self.obj_lo = sum(min(c, 0) for c, _ in self.obj)
-        self.obj_bound = None
+        # every row a leaf is re-checked against: the model's and the cuts
+        self.rows = list(model.constraints)
+        for con in self.rows:
+            if con.relation in ("<=", "="):
+                self.add_row([(c, self.index[v]) for c, v in con.terms],
+                             con.rhs)
+            if con.relation in (">=", "="):
+                self.add_row([(-c, self.index[v]) for c, v in con.terms],
+                             -con.rhs)
 
-    def _add_row(self, terms, rhs):
+    def add_row(self, terms, rhs) -> int:
+        """Add sum(c x) <= rhs with its slack under the current fixes and
+        queue it; a fixed term counts c*val and a free one min(c, 0), as
+        undo_to assumes."""
         row = len(self.coefs)
         self.coefs.append(terms)
-        self.slack.append(rhs - sum(min(c, 0) for c, _ in terms))
+        self.slack.append(rhs - sum(c * self.val[i] if self.val[i] >= 0
+                                    else min(c, 0) for c, i in terms))
         for c, i in terms:
             self.occurs[i].append(row)
             self.occ_coef[i].append(c)
+        self.queue.append(row)
+        return row
 
     def fix(self, i, value) -> bool:
         if self.val[i] >= 0:
@@ -134,9 +138,6 @@ class _Search:
             if c > 0:
                 slack[row] -= c
                 self.queue.append(row)
-        c = self.obj_coef[i] * sign
-        if c > 0:
-            self.obj_lo += c
         return True
 
     def undo_to(self, mark):
@@ -149,53 +150,73 @@ class _Search:
                 c *= sign
                 if c > 0:
                     slack[row] += c
-            c = self.obj_coef[i] * sign
-            if c > 0:
-                self.obj_lo -= c
         self.queue.clear()
 
-    def propagate(self) -> bool:
-        """Run forcing to fixpoint; False on conflict."""
-        while True:
-            while self.queue:
-                row = self.queue.popleft()
-                s = self.slack[row]
-                if s < 0:
-                    return False
-                for c, j in self.coefs[row]:
-                    if self.val[j] >= 0:
-                        continue
-                    if c > s:
-                        if not self.fix(j, 0):
-                            return False
-                    elif -c > s:
-                        if not self.fix(j, 1):
-                            return False
-            if self.obj_bound is None:
-                return True
-            s = self.obj_bound - self.obj_lo
+    def propagate(self) -> int | None:
+        """Run forcing to fixpoint; the violated row on conflict."""
+        while self.queue:
+            row = self.queue.popleft()
+            s = self.slack[row]
             if s < 0:
-                return False
-            forced = False
-            for c, j in self.obj:
+                return row
+            for c, j in self.coefs[row]:
                 if self.val[j] >= 0:
                     continue
                 if c > s:
                     if not self.fix(j, 0):
-                        return False
-                    forced = True
+                        return row
                 elif -c > s:
                     if not self.fix(j, 1):
-                        return False
-                    forced = True
-            if not forced:
-                return True
+                        return row
+        return None
+
+    def leaves(self, seed, deadline):
+        """Yield the assignment at each leaf. The caller sends back a
+        _Cut the leaf violates; it joins the search, which resumes at the
+        deepest untried decision above which the cut has slack. Returns
+        INFEASIBLE once the tree is exhausted, or TIMEOUT."""
+        order = _branch_order(self.vars, seed)
+        first = [0 if v.cls in ("e", "p", "y") else 1 for v in self.vars]
+        # (var, 1 once its second value is on, trail mark)
+        stack: list[tuple[int, int, int]] = []
+        while True:
+            if time.monotonic() > deadline:
+                return TIMEOUT
+            conflict = self.propagate()
+            if conflict is None:
+                free = next((i for i in order if self.val[i] < 0), None)
+                if free is not None:
+                    stack.append((free, 0, len(self.trail)))
+                    self.nodes += 1
+                    self.fix(free, first[free])
+                    continue
+                assignment = dict(zip(self.vars, self.val))
+                bad = check_assignment(self.rows, assignment)
+                if bad:
+                    raise AssertionError(f"solution fails re-check: {bad[0]}")
+                cut = yield assignment
+                self.rows.append(cut)
+                conflict = self.add_row(
+                    [(c, self.index[v]) for c, v in cut.terms], cut.rhs)
+            # every decision the conflict row stays violated without is
+            # popped with both its branches
+            while stack:
+                var, tried, mark = stack.pop()
+                self.undo_to(mark)
+                if tried == 0 and self.slack[conflict] >= 0:
+                    stack.append((var, 1, mark))
+                    self.nodes += 1
+                    self.fix(var, 1 - first[var])
+                    self.queue.append(conflict)
+                    break
+            else:
+                return INFEASIBLE
 
 
-def _branch_order(model, seed):
+def _branch_order(variables, seed):
     rng = random.Random(seed)
     groups: dict[str, list[int]] = {}
-    for i, v in enumerate(model.variables):
+    for i, v in enumerate(variables):
         groups.setdefault(v.cls, []).append(i)
     names = sorted(groups)
     if "f" in groups:
@@ -209,90 +230,64 @@ def _branch_order(model, seed):
     return order
 
 
-def solve(model, cfg: SolveConfig, _extra_rows=(), _deadline=None) -> SolveResult:
-    """Decide the model exactly; deterministic for a fixed (model, seed)."""
-    _reject_malformed(model)
-    t0 = time.monotonic()
-    deadline = _deadline if _deadline is not None else t0 + cfg.time_limit
-    search = _Search(model, _extra_rows)
-    order = _branch_order(model, cfg.seed)
-    first = [0 if v.cls in ("e", "p", "y") else 1 for v in search.vars]
-    optimize = cfg.mode == "optimize" and model.objective
-    best = None
-    best_value = None
-
-    # (var, 1 once its second value is on, trail mark)
-    stack: list[tuple[int, int, int]] = []
-    exploring = True
-    while True:
-        if time.monotonic() > deadline:
-            return SolveResult(TIMEOUT, None, search.nodes,
-                               time.monotonic() - t0)
-        ok = search.propagate() if exploring else False
-        if ok:
-            free = next((i for i in order if search.val[i] < 0), None)
-            if free is None:
-                assignment = {v: search.val[i] if search.val[i] >= 0 else 0
-                              for i, v in enumerate(search.vars)}
-                rows = list(model.constraints) + list(_extra_rows)
-                bad = check_assignment(rows, assignment)
-                if bad:
-                    raise AssertionError(f"solution fails re-check: {bad[0]}")
-                if not optimize:
-                    return SolveResult(FEASIBLE, assignment, search.nodes,
-                                       time.monotonic() - t0)
-                value = sum(c * assignment[v] for c, v in model.objective)
-                best, best_value = assignment, value
-                search.obj_bound = value - 1
-                exploring = False  # force a backtrack, keep searching
-                continue
-            mark = len(search.trail)
-            search.nodes += 1
-            stack.append((free, 0, mark))
-            search.fix(free, first[free])
-            continue
-        exploring = True
-        while stack:
-            var, tried, mark = stack.pop()
-            search.undo_to(mark)
-            if tried == 0:
-                stack.append((var, 1, mark))
-                search.nodes += 1
-                search.fix(var, 1 - first[var])
-                break
-        else:
-            wall = time.monotonic() - t0
-            if best is not None:
-                return SolveResult(FEASIBLE, best, search.nodes, wall,
-                                   best_value)
-            return SolveResult(INFEASIBLE, None, search.nodes, wall)
-
-
 @dataclass(frozen=True)
 class _Cut:
     terms: tuple
-    relation: str
     rhs: int
+    relation: str = "<="
     tag: str = "cut"
+
+
+def solve(model, cfg: SolveConfig) -> SolveResult:
+    """Decide the model exactly; deterministic for a fixed (model, seed).
+    Optimisation cuts each leaf with objective <= value - 1 and returns
+    the last one once the tree is exhausted."""
+    _reject_malformed(model)
+    t0 = time.monotonic()
+    search = _Search(model)
+    leaves = search.leaves(cfg.seed, t0 + cfg.time_limit)
+    optimize = cfg.mode == "optimize" and model.objective
+    status, best, value, cut = FEASIBLE, None, None, None
+    try:
+        while True:
+            best = leaves.send(cut)
+            if not optimize:
+                break
+            value = sum(c * best[v] for c, v in model.objective)
+            cut = _Cut(tuple(model.objective), value - 1)
+    except StopIteration as stop:
+        status = stop.value
+    wall = time.monotonic() - t0
+    if status == TIMEOUT or best is None:
+        return SolveResult(status, None, search.nodes, wall)
+    return SolveResult(FEASIBLE, best, search.nodes, wall, value)
 
 
 def enumerate_solutions(model, cfg: SolveConfig, projection=("f",)):
     """Yield feasible results, excluding each one's projection onto the
-    given variable classes before continuing. Ends after solution_limit
-    yields, on exhaustion, or at the deadline; infeasible models yield
-    an empty stream."""
-    deadline = time.monotonic() + cfg.time_limit
-    extra: list[_Cut] = []
+    given variable classes before continuing; each result counts the
+    nodes and seconds since the previous one. Ends after solution_limit
+    yields (returning None), on exhaustion, or at the deadline;
+    infeasible models yield an empty stream."""
+    _reject_malformed(model)
+    since = time.monotonic()
+    search = _Search(model)
+    leaves = search.leaves(cfg.seed, since + cfg.time_limit)
+    projected = [v for v in model.variables if v.cls in projection]
+    counted, cut = 0, None
     for _ in range(cfg.solution_limit):
-        res = solve(model, cfg, _extra_rows=tuple(extra), _deadline=deadline)
-        if res.status != FEASIBLE:
-            return res
-        yield res
+        try:
+            assignment = leaves.send(cut)
+        except StopIteration as stop:
+            return SolveResult(stop.value, None, search.nodes - counted,
+                               time.monotonic() - since)
+        now = time.monotonic()
+        yield SolveResult(FEASIBLE, assignment, search.nodes - counted,
+                          now - since)
+        counted, since = search.nodes, now
         # sum(ones) - sum(zeros) <= |ones| - 1 excludes exactly this
         # projection; leaving the zeros out would also exclude every
         # projection that switches on more of them
-        terms = tuple((1 if res.assignment[v] else -1, v)
-                      for v in model.variables if v.cls in projection)
-        ones = sum(c > 0 for c, _ in terms)
-        extra.append(_Cut(terms, "<=", ones - 1))
+        terms = tuple((1 if assignment[v] else -1, v) for v in projected)
+        cut = _Cut(terms, sum(c > 0 for c, _ in terms) - 1)
     return None

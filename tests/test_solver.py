@@ -2,6 +2,7 @@
 
 import random
 import sys
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,14 +21,17 @@ from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import build_path_cache
 from cgramap.solver import (SolveConfig, check_assignment,
                             enumerate_solutions, solve)
-from helpers import exhaustive
+from helpers import exhaustive, satisfies
 
 STUB = Path(__file__).parent / "external_stub.py"
 
 
 def mk_model(names, rows, objective=None, cls="f"):
+    """cls is one class for every name, or a class per name."""
     model = IlpModel("combined")
-    by_name = {n: model.add_var(VarId(cls, (n,))) for n in names}
+    by_name = {n: model.add_var(VarId(cls if isinstance(cls, str) else cls[n],
+                                      (n,)))
+               for n in names}
     for terms, rel, rhs in rows:
         model.add_constraint([(c, by_name[n]) for c, n in terms],
                              rel, rhs, "row")
@@ -36,7 +40,17 @@ def mk_model(names, rows, objective=None, cls="f"):
     return model, by_name
 
 
-def random_model(rng, max_vars=10):
+def drain(gen):
+    """Every result a generator yields, and its return value."""
+    results = []
+    while True:
+        try:
+            results.append(next(gen))
+        except StopIteration as stop:
+            return results, stop.value
+
+
+def random_model(rng, max_vars=10, classes=None):
     n = rng.randint(1, max_vars)
     names = [f"x{i}" for i in range(n)]
     rows = []
@@ -49,7 +63,8 @@ def random_model(rng, max_vars=10):
     objective = None
     if rng.random() < 0.5:
         objective = {nm: rng.randint(-4, 4) for nm in names}
-    return mk_model(names, rows, objective)[0]
+    cls = {nm: rng.choice(classes) for nm in names} if classes else "f"
+    return mk_model(names, rows, objective, cls)[0]
 
 
 def test_forced_assignment():
@@ -131,6 +146,29 @@ def test_random_agreement_with_exhaustive():
             assert (opt.status == "feasible") == feasible, f"trial {trial}"
             if feasible:
                 assert opt.objective_value == best, f"trial {trial}"
+    # mixed classes change the value tried first; enumeration over the
+    # f and p projection must list each feasible projection exactly once
+    # and then prove there is no other
+    for trial in range(200):
+        model = random_model(rng, max_vars=8, classes=("f", "p", "e", "y"))
+        proj = [v for v in model.variables if v.cls in ("f", "p")]
+        want = set()
+        for bits in product((0, 1), repeat=len(model.variables)):
+            on = [v for v, b in zip(model.variables, bits) if b]
+            if satisfies(model.constraints, on):
+                want.add(tuple(v in on for v in proj))
+        cfg = SolveConfig(seed=trial % 5, solution_limit=2 ** len(proj) + 1)
+        results, final = drain(enumerate_solutions(model, cfg,
+                                                   projection=("f", "p")))
+        got = [tuple(r.assignment[v] == 1 for v in proj) for r in results]
+        assert len(got) == len(set(got)), f"trial {trial}"
+        assert set(got) == want, f"trial {trial}"
+        assert final.status == "infeasible", f"trial {trial}"
+        if model.objective:
+            opt = solve(model, SolveConfig(mode="optimize", seed=trial % 5))
+            feasible, best = exhaustive(model)
+            assert (opt.status == "feasible") == feasible, f"trial {trial}"
+            assert opt.objective_value == best, f"trial {trial}"
 
 
 def test_optimize_small():
@@ -205,6 +243,13 @@ TREE5 = ("op a add\nop b add\nop c add\nop d add\nop e add\n"
          "edge a -> b:0\nedge b -> c:0, d:0\nedge c -> e:0\n")
 
 
+def tree5_relaxed(nn):
+    mrrg = build_mrrg(ArchSpec("ortho", 1, 4, route_through=False), 2)
+    nmap = build_neighbor_map(mrrg, nn)
+    return build_variant("relaxed_placement", parse_dfg(TREE5), mrrg, nmap,
+                         build_path_cache(mrrg, nmap))
+
+
 def test_pinned_node_counts():
     # any change to the decision order or to what propagation forces
     # shows up here rather than as a silent runtime shift
@@ -215,20 +260,64 @@ def test_pinned_node_counts():
     assert got == [("infeasible", 204), ("infeasible", 170)]
     res = solve(_pigeonhole(6, 5), SolveConfig(seed=2))
     assert (res.status, res.nodes) == ("infeasible", 294)
-    mrrg = build_mrrg(ArchSpec("ortho", 1, 4, route_through=False), 2)
-    dfg = parse_dfg(TREE5)
-    nmap = build_neighbor_map(mrrg, 4)
-    relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap,
-                            build_path_cache(mrrg, nmap))
+    # the objective bound is a row added at each incumbent; it must keep
+    # forcing as the row on the objective did
+    got = []
+    for n in (4, 6):
+        costly = _pigeonhole(n, n)
+        rng = random.Random(n)
+        set_cost_function(costly, {v: rng.randint(1, 9)
+                                   for v in costly.variables})
+        res = solve(costly, SolveConfig(mode="optimize", seed=2))
+        got.append((res.status, res.objective_value, res.nodes))
+    assert got == [("feasible", 9, 14), ("feasible", 13, 410)]
     got = [(r.status, r.nodes) for r in
-           (solve(relaxed, SolveConfig(seed=s)) for s in (2, 3))]
+           (solve(tree5_relaxed(4), SolveConfig(seed=s)) for s in (2, 3))]
     assert got == [("feasible", 119), ("feasible", 90)]
-    nmap = build_neighbor_map(mrrg, 2)
-    relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap,
-                            build_path_cache(mrrg, nmap))
-    sols = enumerate_solutions(relaxed, SolveConfig(seed=3,
-                                                    solution_limit=4))
-    assert [r.nodes for r in sols] == [61, 66, 69, 74]
+    sols = enumerate_solutions(tree5_relaxed(2),
+                               SolveConfig(seed=3, solution_limit=4))
+    # each count covers only the nodes since the previous placement
+    assert [r.nodes for r in sols] == [61, 59, 56, 59]
+
+
+@pytest.mark.parametrize("nn", [2, 4])
+def test_enumeration_order_matches_fresh_solves(nn):
+    # a cut joins the live search at a leaf; the leaves must come in the
+    # order that solving from the root, with every earlier cut as an
+    # ordinary row, finds them (NN 2 has 8 placements, NN 4 192)
+    relaxed = tree5_relaxed(nn)
+    results, final = drain(enumerate_solutions(
+        relaxed, SolveConfig(seed=3, solution_limit=20)))
+    rows = list(relaxed.constraints)
+
+    def fresh_solve():
+        fresh = SimpleNamespace(variables=relaxed.variables,
+                                constraints=list(rows), objective=None)
+        return solve(fresh, SolveConfig(seed=3))
+
+    for res in results:
+        assert fresh_solve().assignment == res.assignment, len(rows)
+        terms = tuple((1 if res.assignment[v] else -1, v)
+                      for v in relaxed.variables if v.cls == "f")
+        rows.append(LinearConstraint(terms, "<=",
+                                     sum(c > 0 for c, _ in terms) - 1, "cut"))
+    if final is not None:
+        assert final.status == fresh_solve().status == "infeasible"
+    assert len(results) == {2: 8, 4: 20}[nn]
+
+
+def test_enumeration_exhausts_placements():
+    # restarting from the root for each placement ran out the 10 s limit
+    # here; resuming the live search lists all 192 and proves there is
+    # no other
+    relaxed = tree5_relaxed(4)
+    for seed in (2, 3):
+        cfg = SolveConfig(seed=seed, time_limit=10, solution_limit=1000)
+        results, final = drain(enumerate_solutions(relaxed, cfg))
+        placed = {frozenset(v for v, b in r.assignment.items()
+                            if v.cls == "f" and b) for r in results}
+        assert (len(results), len(placed)) == (192, 192), seed
+        assert final.status == "infeasible", seed
 
 
 LDST = ("op ld load\nop k const const=1\nop inc add\nop st store\n"
