@@ -16,27 +16,11 @@ still reachable within the per-signal hop budget.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .dfg import Dfg
 from .ilp import (IlpModel, VarId, add_fu_exclusivity, add_must_map,
                   declare_f, fvar)
-from .mrrg import Mrrg, NodeKey, compatible_nodes, fu_nodes
+from .mrrg import Mrrg, NodeKey, compatible_nodes, fu_nodes, hop_dists
 from .paths import RoutePath
-
-
-def _hop_dists(mrrg: Mrrg, ends, step) -> dict[NodeKey, int]:
-    """Hop counts between any of the end FUs and each routing node, one
-    step (mrrg.fanout from drivers, mrrg.fanin from sinks) per hop."""
-    dist: dict[NodeKey, int] = {}
-    frontier = deque((u, 0) for u in ends)
-    while frontier:
-        n, d = frontier.popleft()
-        for m in step(n):
-            if not mrrg.is_fu(m) and m not in dist:
-                dist[m] = d + 1
-                frontier.append((m, d + 1))
-    return dist
 
 
 class _Window:
@@ -51,14 +35,19 @@ class _Window:
         self.sink_cands = {p: compatible_nodes(mrrg, ops[p]) for p in sinks}
         all_sinks = sorted({v for cands in self.sink_cands.values()
                             for v in cands})
-        self.fwd = _hop_dists(mrrg, self.driver_cands, mrrg.fanout)
-        self.bwd = _hop_dists(mrrg, all_sinks, mrrg.fanin)
+        self.fwd = self._routing(mrrg, self.driver_cands, mrrg.fanout)
+        self.bwd = self._routing(mrrg, all_sinks, mrrg.fanin)
         spread = [self.fwd[n] + self.bwd[n] for n in self.fwd
                   if n in self.bwd]
         self.lmax = min(route_count + 1, (max(spread) if spread else 0) + slack)
         self.nodes = sorted(n for n in self.fwd if n in self.bwd
                             and self.fwd[n] + self.bwd[n] <= self.lmax)
         self._member = set(self.nodes)
+
+    @staticmethod
+    def _routing(mrrg: Mrrg, ends, step) -> dict[NodeKey, int]:
+        return {n: d for n, d in hop_dists(mrrg, ends, step).items()
+                if not mrrg.is_fu(n)}
 
     def layers(self, n: NodeKey) -> range:
         if n not in self._member:

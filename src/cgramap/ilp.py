@@ -268,23 +268,20 @@ def add_path_exclusivity(model: IlpModel, cache: PathCache,
         model.add_constraint(ys, "<=", overuse_limit, "con6")
 
 
-def set_cost_function(model: IlpModel, k_coeffs=None, l_coeffs=None,
-                      m_coeffs=None) -> None:
-    merged: dict[VarId, int] = {}
-    for coeffs in (k_coeffs, l_coeffs, m_coeffs):
-        for var, c in (coeffs or {}).items():
-            if not model.has_var(var):
-                raise ValueError(f"cost on undeclared variable {var}")
-            merged[var] = merged.get(var, 0) + c
+def set_cost_function(model: IlpModel, coeffs=None) -> None:
+    """Minimise sum(c * var) over the coeffs mapping of var -> c."""
+    coeffs = coeffs or {}
+    for var in coeffs:
+        if not model.has_var(var):
+            raise ValueError(f"cost on undeclared variable {var}")
     model.objective = tuple(sorted(
-        ((c, v) for v, c in merged.items() if c != 0),
+        ((c, v) for v, c in coeffs.items() if c != 0),
         key=lambda t: t[1])) or None
 
 
 def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
                   cache: PathCache | None = None, *,
                   paths_per_connection: int | None = None,
-                  overuse_limit: int | None = None,
                   placement: dict[str, NodeKey] | None = None) -> IlpModel:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -305,10 +302,10 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
         raise ValueError(f"{variant} needs a path cache")
     if variant == "relaxed_placement":
         ppc = 3 if paths_per_connection is None else paths_per_connection
-        limit = 2 if overuse_limit is None else overuse_limit
+        limit = 2
     else:
         ppc = cache.k if paths_per_connection is None else paths_per_connection
-        limit = 1 if overuse_limit is None else overuse_limit
+        limit = 1
     model.metadata.update(paths_per_connection=ppc, overuse_limit=limit)
     declare_p(model, cache, used_pairs(model), ppc)
     add_path_required(model, cache, ppc)

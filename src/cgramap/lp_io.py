@@ -1,11 +1,12 @@
-"""LP-format export, import, and the external solver bridge.
+"""LP-format export and the external solver bridge.
 
 Variable names flatten the structured id with '!' separators, so
 f!add0!pe_1_1.alu!0 is the placement var for op add0 on that unit.
 Export is canonical: terms sorted by declaration index, fixed sign and
 spacing rules, rows named r<i>_<tag>, lines wrapped below 200 columns.
-Equal models therefore export byte-identical text, and import_lp
-reverses the mapping exactly.
+Equal models therefore export byte-identical text. The bridge writes
+that text, runs the solver and reads back a solution file by variable
+name; nothing reads LP text back.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from .ilp import VARIANTS, IlpModel, VarId
+from .ilp import VarId
 from .solver import FEASIBLE, INFEASIBLE, TIMEOUT, SolveResult, check_assignment
 
 _MAX_LINE = 200
@@ -95,132 +96,6 @@ def export_lp(model) -> str:
     out.extend(_wrap([var_name(v) for v in model.variables]))
     out.append("End")
     return "\n".join(out) + "\n"
-
-
-def _tokens(text: str):
-    for line in text.splitlines():
-        body = line.split("\\", 1)[0]
-        yield from body.split()
-
-
-_SECTIONS = {"minimize", "subject", "to", "st", "s.t.", "binaries",
-             "binary", "bin", "bounds", "end", "maximize", "generals"}
-
-
-def import_lp(text: str) -> IlpModel:
-    """Rebuild a model from LP text produced by export_lp."""
-    variant = "combined"
-    for line in text.splitlines():
-        if line.startswith("\\ variant ") and line.split()[-1] in VARIANTS:
-            variant = line.split()[-1]
-            break
-    toks = list(_tokens(text))
-    pos = 0
-
-    def peek():
-        return toks[pos].lower() if pos < len(toks) else None
-
-    if peek() == "maximize":
-        raise ValueError("only minimize objectives are supported")
-    if peek() != "minimize":
-        raise ValueError("expected Minimize section")
-    pos += 1
-
-    def read_terms(stop):
-        nonlocal pos
-        terms = []
-        sign, coef = 1, None
-        while pos < len(toks):
-            tok = toks[pos]
-            low = tok.lower()
-            if low in stop and coef is None and sign == 1:
-                break
-            if tok in ("<=", ">=", "=", "<", ">"):
-                break
-            pos += 1
-            if tok == "+":
-                continue
-            if tok == "-":
-                sign = -sign
-                continue
-            if tok.lstrip("+-").isdigit():
-                coef = int(tok)
-                continue
-            name = tok.rstrip(":")
-            if tok.endswith(":") and not terms and coef is None:
-                continue  # row label
-            terms.append((sign * (1 if coef is None else coef),
-                          parse_var_name(name)))
-            sign, coef = 1, None
-        if coef is not None or sign != 1:
-            raise ValueError("dangling coefficient in LP text")
-        return terms
-
-    objective = read_terms({"subject", "st", "s.t."})
-    if peek() == "subject":
-        pos += 2
-    elif peek() in ("st", "s.t."):
-        pos += 1
-    else:
-        raise ValueError("expected Subject To section")
-
-    rows = []
-    while pos < len(toks) and peek() not in ("binaries", "binary", "bin",
-                                             "bounds", "end"):
-        label = None
-        if toks[pos].endswith(":"):
-            label = toks[pos].rstrip(":")
-            pos += 1
-        terms = read_terms({"binaries", "binary", "bin", "bounds", "end"})
-        if not terms:
-            break
-        if pos >= len(toks) or toks[pos] not in ("<=", ">=", "=", "<", ">"):
-            raise ValueError(f"row {label or len(rows)} has no relation")
-        relation = {"<": "<=", ">": ">="}.get(toks[pos], toks[pos])
-        pos += 1
-        rhs_tok = toks[pos]
-        pos += 1
-        if not rhs_tok.lstrip("+-").isdigit():
-            raise ValueError(f"non-integer rhs {rhs_tok!r}")
-        tag = "row"
-        if label and "_" in label:
-            tag = label.split("_", 1)[1]
-        rows.append((terms, relation, int(rhs_tok), tag))
-
-    binaries = []
-    while pos < len(toks):
-        low = peek()
-        if low in ("binaries", "binary", "bin"):
-            pos += 1
-            while pos < len(toks) and peek() != "end":
-                binaries.append(parse_var_name(toks[pos]))
-                pos += 1
-        elif low == "bounds":
-            pos += 1
-            while pos < len(toks) and peek() not in ("binaries", "binary",
-                                                     "bin", "end"):
-                pos += 1
-        elif low == "end":
-            pos += 1
-        else:
-            raise ValueError(f"unexpected token {toks[pos]!r}")
-
-    model = IlpModel(variant)
-    for var in binaries:
-        model.add_var(var)
-    declared = set(binaries)
-    for terms, _, _, _ in rows:
-        for _, var in terms:
-            if var not in declared:
-                raise ValueError(f"{var_name(var)} is not declared binary")
-    for _, var in objective:
-        if var not in declared:
-            raise ValueError(f"{var_name(var)} is not declared binary")
-    for terms, relation, rhs, tag in rows:
-        model.add_constraint(terms, relation, rhs, tag)
-    if objective:
-        model.objective = tuple(sorted(objective, key=lambda t: t[1]))
-    return model
 
 
 def parse_solution(text: str):

@@ -22,7 +22,7 @@ from .dfg import Dfg, cover_set, fanin_cone
 from .ilp import InfeasibleModel, build_variant, used_pairs
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import NeighborMap, build_neighbor_map
-from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
+from .paths import PathCache, RoutePath, build_path_cache
 from .solver import SolveConfig, enumerate_solutions, solve
 
 MAPPED = "mapped"
@@ -41,7 +41,8 @@ class MapLimits:
     def __post_init__(self):
         if self.placement_limit < 1:
             raise ValueError("placement limit must be at least 1")
-        if self.solve_time <= 0 or self.total_time <= 0:
+        # written so that NaN, which compares false, is rejected too
+        if not (self.solve_time > 0 and self.total_time > 0):
             raise ValueError("time limits must be positive")
 
 
@@ -104,8 +105,7 @@ def _routes_of(assignment, cache: PathCache, placement: dict[str, NodeKey],
 
 
 def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
-            limits: MapLimits = MapLimits(), seed: int = 0,
-            k_paths: int = DEFAULT_K) -> MapOutcome:
+            limits: MapLimits = MapLimits(), seed: int = 0) -> MapOutcome:
     """Run the staged search over the neighbour-count schedule."""
     sched = _check_schedule(schedule)
     deadline = time.monotonic() + limits.total_time
@@ -139,8 +139,7 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
         for u, w in used_pairs(screen_model):
             used.setdefault(u, []).append(w)
         cache = build_path_cache(
-            mrrg, NeighborMap(nn, {u: tuple(ws) for u, ws in used.items()}),
-            k_paths)
+            mrrg, NeighborMap(nn, {u: tuple(ws) for u, ws in used.items()}))
         relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap, cache)
         enum_cfg = SolveConfig(seed=seed,
                                time_limit=max(deadline - time.monotonic(),

@@ -31,7 +31,7 @@ Families:
 
 from __future__ import annotations
 
-import hashlib
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -144,10 +144,6 @@ def serialize_arch(spec: ArchSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def arch_hash(spec: ArchSpec) -> str:
-    return hashlib.sha256(serialize_arch(spec).encode()).hexdigest()[:16]
-
-
 class Mrrg:
     """Frozen graph: nodes keyed by (s, t), sorted adjacency."""
 
@@ -159,15 +155,14 @@ class Mrrg:
         self._fanin: dict[NodeKey, tuple[NodeKey, ...]] = {k: () for k in nodes}
         fo: dict[NodeKey, list[NodeKey]] = {}
         fi: dict[NodeKey, list[NodeKey]] = {}
-        self.edge_count = 0
         for a, b in edges:
             fo.setdefault(a, []).append(b)
             fi.setdefault(b, []).append(a)
-            self.edge_count += 1
         for k, lst in fo.items():
             self._fanout[k] = tuple(sorted(set(lst)))
         for k, lst in fi.items():
             self._fanin[k] = tuple(sorted(set(lst)))
+        self.edge_count = sum(map(len, self._fanout.values()))
 
     def fanout(self, key: NodeKey) -> tuple[NodeKey, ...]:
         return self._fanout[key]
@@ -425,6 +420,24 @@ def build_mrrg(spec: ArchSpec, ii: int) -> Mrrg:
 
 def fu_nodes(mrrg: Mrrg) -> tuple[NodeKey, ...]:
     return tuple(sorted(k for k, n in mrrg.nodes.items() if n.kind == FU))
+
+
+def hop_dists(mrrg: Mrrg, ends, step) -> dict[NodeKey, int]:
+    """Breadth-first hop counts from any of the end units, one step
+    (mrrg.fanout forwards, mrrg.fanin backwards) per hop. Records every
+    vertex reached, the ends at 0, but passes through no FU except the
+    ends, as a route may only leave or enter a unit, never cross one."""
+    dist = {u: 0 for u in ends}
+    frontier = deque(dist)
+    while frontier:
+        n = frontier.popleft()
+        if dist[n] and mrrg.is_fu(n):
+            continue
+        for m in step(n):
+            if m not in dist:
+                dist[m] = dist[n] + 1
+                frontier.append(m)
+    return dist
 
 
 def compatible_nodes(mrrg: Mrrg, op: Operation) -> tuple[NodeKey, ...]:

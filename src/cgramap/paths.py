@@ -12,14 +12,12 @@ time-extended graph make well-defined.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
-from .mrrg import Mrrg, NodeKey
+from .mrrg import Mrrg, NodeKey, hop_dists
 from .neighbors import NeighborMap
 
 DEFAULT_K = 20
-CACHE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -55,45 +53,21 @@ def is_valid_path(mrrg: Mrrg, rp: RoutePath) -> bool:
     return len(set(body)) == len(body)
 
 
-def _dist_to_sink(mrrg: Mrrg, sink: NodeKey, weight: str) -> dict[NodeKey, int]:
-    # exact remaining cost to the sink, walking edges backwards; FUs are
-    # recorded but never expanded, mirroring how forward search may only
-    # leave from a unit, not travel through one
-    lat = weight == "latency"
-    dist = {sink: 0}
-    heap: list[tuple[int, NodeKey]] = [(0, sink)]
-    while heap:
-        d, n = heapq.heappop(heap)
-        if d > dist[n]:
-            continue
-        if n != sink and mrrg.is_fu(n):
-            continue
-        for p in mrrg.fanin(n):
-            nd = d + (mrrg.nodes[p].latency if lat else 1)
-            if p not in dist or nd < dist[p]:
-                dist[p] = nd
-                heapq.heappush(heap, (nd, p))
-    return dist
+def k_shortest_paths(mrrg: Mrrg, u: NodeKey, v: NodeKey,
+                     k: int = DEFAULT_K) -> tuple[RoutePath, ...]:
+    """The k shortest simple routes from FU u to FU v, by hop count.
 
-
-def k_shortest_paths(mrrg: Mrrg, u: NodeKey, v: NodeKey, k: int = DEFAULT_K,
-                     weight: str = "hops") -> tuple[RoutePath, ...]:
-    """The k shortest simple routes from FU u to FU v.
-
-    Length is hop count by default; weight="latency" counts the context
-    advance of each hop instead. Equal lengths tie-break on the vertex
-    sequence, so the result is a strict prefix of the fully sorted path
-    set. u == v enumerates cycles through u. Returns fewer than k paths
-    when fewer exist, empty when v is unreachable.
+    Equal lengths tie-break on the vertex sequence, so the result is a
+    strict prefix of the fully sorted path set. u == v enumerates cycles
+    through u. Returns fewer than k paths when fewer exist, empty when v
+    is unreachable.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if weight not in ("hops", "latency"):
-        raise ValueError(f"unknown weight {weight!r}")
     if not (mrrg.is_fu(u) and mrrg.is_fu(v)):
         raise ValueError("path endpoints must be functional units")
-    lat = weight == "latency"
-    dist = _dist_to_sink(mrrg, v, weight)
+    # exact remaining hops to the sink, walking edges backwards
+    dist = hop_dists(mrrg, (v,), mrrg.fanin)
     if u not in dist:
         return ()
     found: list[RoutePath] = []
@@ -105,35 +79,21 @@ def k_shortest_paths(mrrg: Mrrg, u: NodeKey, v: NodeKey, k: int = DEFAULT_K,
             found.append(RoutePath(u, v, path))
             continue
         g = f - dist[cur]
-        step = mrrg.nodes[cur].latency if lat else 1
         for nxt in mrrg.fanout(cur):
             if nxt != v and (mrrg.is_fu(nxt) or nxt in path):
                 continue
             rem = dist.get(nxt)
             if rem is None:
                 continue
-            heapq.heappush(heap, (g + step + rem, path + (nxt,)))
+            heapq.heappush(heap, (g + 1 + rem, path + (nxt,)))
     return tuple(found)
-
-
-def paths_compatible(u: NodeKey, q: RoutePath, w: NodeKey, z: RoutePath) -> bool:
-    """Whether routes q (driven by u) and z (driven by w) can coexist.
-
-    Same driver always coexists: the signal is identical, so shared wires
-    carry one value. Otherwise the routes must claim disjoint routing
-    nodes. Endpoints are owned by placement rather than by the route, so
-    only path interiors count; two operands converging on one unit, or a
-    chain reusing a unit as the next driver, are not overlaps.
-    """
-    if u == w:
-        return True
-    qi = set(q.vertices[1:-1])
-    return not any(n in qi for n in z.vertices[1:-1])
 
 
 @dataclass(frozen=True)
 class PathCache:
-    """Routes for every neighboring FU pair, each list sorted and <= k long."""
+    """Routes for the FU pairs a neighbor map lists, each list sorted and
+    <= k long. map_dfg builds one per passed screen, holding only the
+    pairs that screen's model declares edge variables for."""
 
     k: int
     paths: dict[tuple[NodeKey, NodeKey], tuple[RoutePath, ...]]
@@ -145,8 +105,8 @@ class PathCache:
         return self.paths.get(pair, ())
 
 
-def build_path_cache(mrrg: Mrrg, nmap: NeighborMap, k: int = DEFAULT_K,
-                     weight: str = "hops") -> PathCache:
+def build_path_cache(mrrg: Mrrg, nmap: NeighborMap,
+                     k: int = DEFAULT_K) -> PathCache:
     """Enumerate routes for every (source, neighbor) pair in the map.
 
     A cache built for some neighbor count serves any smaller count too,
@@ -155,41 +115,5 @@ def build_path_cache(mrrg: Mrrg, nmap: NeighborMap, k: int = DEFAULT_K,
     entries = {}
     for src in sorted(nmap.neighbors):
         for dst in nmap.neighbors[src]:
-            entries[(src, dst)] = k_shortest_paths(mrrg, src, dst, k, weight)
+            entries[(src, dst)] = k_shortest_paths(mrrg, src, dst, k)
     return PathCache(k, entries)
-
-
-def serialize_path_cache(cache: PathCache, arch_key: str, ii: int) -> str:
-    """Stable JSON form of a cache, stamped with the fabric it was built
-    for so a stale file cannot be loaded against the wrong graph."""
-    doc = {
-        "format": CACHE_FORMAT,
-        "arch": arch_key,
-        "ii": ii,
-        "k": cache.k,
-        "pairs": [
-            {
-                "driver": list(d),
-                "sink": list(s),
-                "paths": [[list(nk) for nk in rp.vertices] for rp in ps],
-            }
-            for (d, s), ps in sorted(cache.paths.items())
-        ],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def parse_path_cache(text: str, arch_key: str, ii: int) -> PathCache:
-    doc = json.loads(text)
-    if doc.get("format") != CACHE_FORMAT:
-        raise ValueError("unsupported path cache format")
-    if doc.get("arch") != arch_key or doc.get("ii") != ii:
-        raise ValueError("path cache was built for a different fabric")
-    entries = {}
-    for ent in doc["pairs"]:
-        d = (ent["driver"][0], int(ent["driver"][1]))
-        s = (ent["sink"][0], int(ent["sink"][1]))
-        entries[(d, s)] = tuple(
-            RoutePath(d, s, tuple((a, int(t)) for a, t in vs))
-            for vs in ent["paths"])
-    return PathCache(int(doc["k"]), entries)

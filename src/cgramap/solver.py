@@ -40,7 +40,8 @@ class SolveConfig:
     solution_limit: int = 1
 
     def __post_init__(self):
-        if self.time_limit <= 0:
+        # written so that NaN, which compares false, is rejected too
+        if not self.time_limit > 0:
             raise ValueError("time limit must be positive")
         if self.solution_limit < 1:
             raise ValueError("solution limit must be at least 1")

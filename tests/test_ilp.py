@@ -301,10 +301,10 @@ def test_cost_function(inst):
     assert model.objective is None
     f1 = fvar("b", ("pe_0_0.alu", 0))
     f2 = fvar("c", ("pe_1_0.alu", 0))
-    set_cost_function(model, k_coeffs={f1: 2, f2: 0}, l_coeffs={f1: 1})
+    set_cost_function(model, {f1: 3, f2: 0})
     assert model.objective == ((3, f1),)
     with pytest.raises(ValueError):
-        set_cost_function(model, k_coeffs={pvar(("q", 0), ("r", 0), 0): 1})
+        set_cost_function(model, {pvar(("q", 0), ("r", 0), 0): 1})
 
 
 def test_audit_flags_out_of_domain(inst):

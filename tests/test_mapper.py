@@ -40,6 +40,18 @@ LIMITS = MapLimits(placement_limit=20, solve_time=5, total_time=10)
 SCHEDULE = (2, 4, 8, 16)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SolveConfig(time_limit=float("nan")),
+    lambda: MapLimits(solve_time=float("nan")),
+    lambda: MapLimits(total_time=float("nan")),
+], ids=["solve_config", "solve_time", "total_time"])
+def test_nan_time_limit_rejected(make):
+    # NaN compares false against everything, so a deadline made from it
+    # would never pass
+    with pytest.raises(ValueError):
+        make()
+
+
 def fabric(family, ii):
     return build_mrrg(ArchSpec(family, 2, 2), ii)
 

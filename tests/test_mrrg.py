@@ -3,8 +3,11 @@ import pytest
 from cgramap.dfg import Operation
 from cgramap.mrrg import (
     ArchError,
+    FU,
+    ROUTE,
     ArchSpec,
-    arch_hash,
+    Mrrg,
+    MrrgNode,
     build_mrrg,
     compatible_nodes,
     fu_nodes,
@@ -47,6 +50,14 @@ def test_contexts_scale_linearly():
     m2 = build_mrrg(ortho(3, 3), ii=2)
     assert len(m2.nodes) == 2 * len(m1.nodes)
     assert m2.edge_count == 2 * m1.edge_count
+
+
+def test_repeated_edge_counts_once():
+    a, b = ("a", 0), ("b", 0)
+    nodes = {a: MrrgNode("a", 0, FU, 1), b: MrrgNode("b", 0, ROUTE, 0)}
+    m = Mrrg(1, nodes, [(a, b), (a, b)])
+    assert list(m.edges()) == [(a, b)]
+    assert m.edge_count == 1
 
 
 def test_ii1_edges_stay_in_context_zero():
@@ -159,7 +170,6 @@ def test_parse_arch_round_trip():
     for spec in (ortho(3, 3), ArchSpec("adres", 4, 4, skip_distance=2),
                  ArchSpec("clustered", 4, 4), ArchSpec("hycube", 4, 4, False)):
         assert parse_arch(serialize_arch(spec)) == spec
-        assert arch_hash(spec) == arch_hash(parse_arch(serialize_arch(spec)))
 
 
 @pytest.mark.parametrize(
