@@ -22,7 +22,7 @@ relaxed_placement (con1-5, con6 at 2 signals per vertex), routing_only
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dfg import Dfg, cover_set
 from .mrrg import Mrrg, NodeKey, compatible_nodes, fu_nodes
@@ -41,10 +41,21 @@ class InfeasibleModel(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class VarId:
+    """A model variable: its class letter and the tuple naming it. The
+    hash is the one the generated __hash__ would give, computed once,
+    since every row and index lookup hashes the nested idx tuple."""
+
     cls: str
     idx: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.cls, self.idx)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def fvar(op: str, u: NodeKey) -> VarId:
@@ -141,9 +152,10 @@ def declare_f(model: IlpModel, dfg: Dfg, mrrg: Mrrg) -> None:
 def declare_e(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap) -> None:
     ops = dfg.ops_by_id
     for o, p in dfg.point_edges():
+        sinks = compatible_nodes(mrrg, ops[p])
         for u in compatible_nodes(mrrg, ops[o]):
             reach = set(nmap[u])
-            for v in compatible_nodes(mrrg, ops[p]):
+            for v in sinks:
                 if v not in reach:
                     continue
                 # a loop edge can only close on the unit hosting the op

@@ -11,6 +11,7 @@ name; nothing reads LP text back.
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 import tempfile
@@ -131,9 +132,11 @@ def solve_external(model, command: str, cfg) -> SolveResult:
         sol_path = Path(tmp) / "model.sol"
         lp_path.write_text(export_lp(model))
         argv = shlex.split(command.format(lp=lp_path, sol=sol_path))
+        # subprocess takes None, not inf, for no limit
+        timeout = None if math.isinf(cfg.time_limit) else cfg.time_limit
         try:
             proc = subprocess.run(argv, capture_output=True, text=True,
-                                  timeout=cfg.time_limit)
+                                  timeout=timeout)
         except subprocess.TimeoutExpired:
             return SolveResult(TIMEOUT, None, 0, time.monotonic() - t0)
         except OSError as exc:

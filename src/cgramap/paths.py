@@ -4,9 +4,11 @@ Routes start and end at functional units but never pass through one; the
 interior of every path is routing nodes only. Enumeration is best-first
 over partial paths with an exact distance-to-sink table as the heuristic,
 so paths are produced directly in (length, lexicographic vertex sequence)
-order without materialising the full path set first. A pair with equal
-endpoints asks for cycles through that unit, which the wrap edges of the
-time-extended graph make well-defined.
+order without materialising the full path set first. The table depends
+on the sink alone, so a cache computes one per distinct sink and shares
+it among every driver routed there. A pair with equal endpoints asks for
+cycles through that unit, which the wrap edges of the time-extended
+graph make well-defined.
 """
 
 from __future__ import annotations
@@ -62,12 +64,17 @@ def k_shortest_paths(mrrg: Mrrg, u: NodeKey, v: NodeKey,
     through u. Returns fewer than k paths when fewer exist, empty when v
     is unreachable.
     """
+    return _routes(mrrg, u, v, k, hop_dists(mrrg, (v,), mrrg.fanin))
+
+
+def _routes(mrrg: Mrrg, u: NodeKey, v: NodeKey, k: int,
+            dist: dict[NodeKey, int]) -> tuple[RoutePath, ...]:
+    """k_shortest_paths given dist, the exact remaining hops to v from
+    every vertex that reaches it (a backward BFS from v)."""
     if k < 1:
         raise ValueError("k must be positive")
     if not (mrrg.is_fu(u) and mrrg.is_fu(v)):
         raise ValueError("path endpoints must be functional units")
-    # exact remaining hops to the sink, walking edges backwards
-    dist = hop_dists(mrrg, (v,), mrrg.fanin)
     if u not in dist:
         return ()
     found: list[RoutePath] = []
@@ -107,13 +114,22 @@ class PathCache:
 
 def build_path_cache(mrrg: Mrrg, nmap: NeighborMap,
                      k: int = DEFAULT_K) -> PathCache:
-    """Enumerate routes for every (source, neighbor) pair in the map.
+    """Enumerate routes for every (source, neighbor) pair in the map,
+    each equal to k_shortest_paths for that pair.
 
-    A cache built for some neighbor count serves any smaller count too,
+    The distance-to-sink table is computed once per distinct sink and
+    serves every source routed to it; one table is held at a time. A
+    cache built for some neighbor count serves any smaller count too,
     since shrinking the target only drops pairs.
     """
-    entries = {}
-    for src in sorted(nmap.neighbors):
-        for dst in nmap.neighbors[src]:
-            entries[(src, dst)] = k_shortest_paths(mrrg, src, dst, k)
-    return PathCache(k, entries)
+    pairs = [(src, dst) for src in sorted(nmap.neighbors)
+             for dst in nmap.neighbors[src]]
+    by_sink: dict[NodeKey, list[NodeKey]] = {}
+    for src, dst in pairs:
+        by_sink.setdefault(dst, []).append(src)
+    found = {}
+    for dst, srcs in by_sink.items():
+        dist = hop_dists(mrrg, (dst,), mrrg.fanin)
+        for src in srcs:
+            found[(src, dst)] = _routes(mrrg, src, dst, k, dist)
+    return PathCache(k, {pair: found[pair] for pair in pairs})

@@ -5,19 +5,22 @@ normalised to sum(c_i x_i) <= b, a row's slack is b minus the smallest
 value its fixed and free terms can still take, and a negative slack is
 a conflict. Free variables whose coefficient exceeds the slack are
 forced. The decision order shuffles within each variable class under
-the configured seed, which perturbs runtime but never the verdict; value
-1 is tried before 0 for placements, and 0 before 1 for edge, path and
-vertex-signal variables (classes e, p and y): the rows that need an edge,
-a path or a signal force it once its alternatives are gone, while one
-switched on that nothing needs still claims routing, and undoing it deep
-in the tree can take exponential time. The search yields each leaf; to
-go on past it, one row the leaf violates joins the live search (the
-no-good cut over the projection when enumerating, objective <= value - 1
-when optimising) and the search resumes above the deepest decision that
-row depends on, so no subtree is explored twice and leaves come in the
-order separate searches with all cuts so far would find them. The clock
-is read at every search node, so a time limit holds to within one
-node's propagation.
+the configured seed, which perturbs runtime but never the verdict. A
+cursor into that order has only fixed variables before it; each
+decision records it and a backtrack restores it, so no node rescans
+the order from the front. Value 1 is tried before 0 for placements,
+and 0 before 1 for edge, path and vertex-signal variables (classes e,
+p and y): the rows that need an edge, a path or a signal force it once
+its alternatives are gone, while one switched on that nothing needs
+still claims routing, and undoing it deep in the tree can take
+exponential time. The search yields each leaf; to go on past it, one
+row the leaf violates joins the live search (the no-good cut over the
+projection when enumerating, objective <= value - 1 when optimising)
+and the search resumes above the deepest decision that row depends on,
+so no subtree is explored twice and leaves come in the order separate
+searches with all cuts so far would find them. The clock is read at
+every search node, so a time limit holds to within one node's
+propagation.
 """
 
 from __future__ import annotations
@@ -178,16 +181,22 @@ class _Search:
         INFEASIBLE once the tree is exhausted, or TIMEOUT."""
         order = _branch_order(self.vars, seed)
         first = [0 if v.cls in ("e", "p", "y") else 1 for v in self.vars]
-        # (var, 1 once its second value is on, trail mark)
+        val = self.val
+        # every variable in order[:pos] is fixed
+        pos = 0
+        # (pos of the decision variable, 1 once its second value is on,
+        # trail mark)
         stack: list[tuple[int, int, int]] = []
         while True:
             if time.monotonic() > deadline:
                 return TIMEOUT
             conflict = self.propagate()
             if conflict is None:
-                free = next((i for i in order if self.val[i] < 0), None)
-                if free is not None:
-                    stack.append((free, 0, len(self.trail)))
+                while pos < len(order) and val[order[pos]] >= 0:
+                    pos += 1
+                if pos < len(order):
+                    free = order[pos]
+                    stack.append((pos, 0, len(self.trail)))
                     self.nodes += 1
                     self.fix(free, first[free])
                     continue
@@ -200,13 +209,15 @@ class _Search:
                 conflict = self.add_row(
                     [(c, self.index[v]) for c, v in cut.terms], cut.rhs)
             # every decision the conflict row stays violated without is
-            # popped with both its branches
+            # popped with both its branches; order[:pos] at a decision was
+            # fixed below its trail mark, so undoing to the mark keeps it
             while stack:
-                var, tried, mark = stack.pop()
+                pos, tried, mark = stack.pop()
                 self.undo_to(mark)
                 if tried == 0 and self.slack[conflict] >= 0:
-                    stack.append((var, 1, mark))
+                    stack.append((pos, 1, mark))
                     self.nodes += 1
+                    var = order[pos]
                     self.fix(var, 1 - first[var])
                     self.queue.append(conflict)
                     break

@@ -1,9 +1,10 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
 
 from cgramap.dfg import parse_dfg
-from cgramap.ilp import (IlpModel, InfeasibleModel, add_fu_exclusivity,
+from cgramap.ilp import (IlpModel, InfeasibleModel, VarId, add_fu_exclusivity,
                          add_must_map, add_path_exclusivity, audit,
                          build_variant, evar, fvar, pvar, set_cost_function,
                          yvar)
@@ -27,6 +28,22 @@ edge b -> mul0:0
 edge add0 -> mul0:1
 edge mul0 -> a:0
 """
+
+
+def test_varid_hash_is_cached_and_invisible():
+    a, b = fvar("add0", ("pe_0_0.alu", 0)), pvar(("x", 0), ("y", 1), 2)
+    for var in (a, b):
+        assert hash(var) == hash((var.cls, var.idx))
+    assert repr(a) == "VarId(cls='f', idx=('add0', ('pe_0_0.alu', 0)))"
+    assert a == VarId("f", ("add0", ("pe_0_0.alu", 0)))
+    assert sorted([b, a]) == [a, b] and a < b
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.cls = "e"
+    # a stale cached hash must change neither equality nor order
+    twin = VarId(a.cls, a.idx)
+    object.__setattr__(twin, "_hash", hash(a) + 1)
+    assert twin == a and not twin < a and not a < twin
+    assert (twin < b) == (a < b)
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from cgramap.mrrg import FU, ROUTE, ArchSpec, Mrrg, MrrgNode, build_mrrg
+from cgramap.mrrg import (FU, ROUTE, ArchSpec, Mrrg, MrrgNode, build_mrrg,
+                          fu_nodes)
 from cgramap.neighbors import NeighborMap, build_neighbor_map
 from cgramap.paths import (RoutePath, build_path_cache, is_valid_path,
                            k_shortest_paths)
@@ -120,6 +121,19 @@ def test_matches_exhaustive_enumeration_on_random_graphs():
             assert [p.vertices for p in got] == [tuple(p) for p in want[:k]]
             for rp in got:
                 assert is_valid_path(m, rp)
+        # the cache shares one distance table per sink among all its
+        # drivers; every pair, self and unreachable ones included, must
+        # still get its own routes
+        fus = fu_nodes(m)
+        every = {(a, b): [tuple(p) for p in sorted_paths(m, a, b)]
+                 for a in fus for b in fus}
+        for k in (1, 3):
+            cache = build_path_cache(m, NeighborMap(len(fus),
+                                                    {a: fus for a in fus}), k)
+            assert set(cache.paths) == {(a, b) for a in fus for b in fus}
+            for (a, b), ps in cache.paths.items():
+                assert ps == k_shortest_paths(m, a, b, k)
+                assert [p.vertices for p in ps] == every[a, b][:k]
 
 
 def test_cache_on_ortho_grid():

@@ -457,6 +457,15 @@ def test_solve_external_stub():
                           SolveConfig(time_limit=30)).status == "infeasible"
 
 
+def test_solve_external_without_time_limit():
+    # subprocess.run rejects an infinite timeout with OverflowError
+    model, vs = mk_model(["x"], [([(1, "x")], "=", 1)])
+    cfg = SolveConfig(time_limit=float("inf"))
+    res = solve_external(model, stub_command(), cfg)
+    assert res.status == solve(model, cfg).status == "feasible"
+    assert res.assignment == {vs["x"]: 1}
+
+
 def test_solve_external_agreement():
     rng = random.Random(41)
     cfg = SolveConfig(time_limit=30)
