@@ -98,9 +98,12 @@ class _Search:
         self.val = [-1] * len(self.vars)
         self.coefs: list[list[tuple[int, int]]] = []
         self.slack: list[int] = []
-        # per variable, the rows it occurs in and its coefficient in each
-        self.occurs: list[list[int]] = [[] for _ in self.vars]
-        self.occ_coef: list[list[int]] = [[] for _ in self.vars]
+        # per row, its widest |coefficient|: a row with at least that much
+        # slack can neither force a variable nor conflict
+        self.width: list[int] = []
+        # at 2 * i + value, the rows where variable i at that value uses
+        # up slack, flat as row, amount, row, amount, ...
+        self.spends: list[list[int]] = [[] for _ in range(2 * len(self.vars))]
         self.trail: list[int] = []
         self.queue: deque[int] = deque()
         self.nodes = 0
@@ -120,11 +123,26 @@ class _Search:
         undo_to assumes."""
         row = len(self.coefs)
         self.coefs.append(terms)
-        self.slack.append(rhs - sum(c * self.val[i] if self.val[i] >= 0
-                                    else min(c, 0) for c, i in terms))
+        val = self.val
+        spends = self.spends
+        slack, width = rhs, 0
+        # fixing to 1 uses up the slack of a positive coefficient, fixing
+        # to 0 that of a negative one
         for c, i in terms:
-            self.occurs[i].append(row)
-            self.occ_coef[i].append(c)
+            if c > 0:
+                spends[2 * i + 1] += (row, c)
+                if c > width:
+                    width = c
+                if val[i] == 1:
+                    slack -= c
+            elif c < 0:
+                spends[2 * i] += (row, -c)
+                if -c > width:
+                    width = -c
+                if val[i] != 0:
+                    slack -= c
+        self.slack.append(slack)
+        self.width.append(width)
         self.queue.append(row)
         return row
 
@@ -133,38 +151,39 @@ class _Search:
             return self.val[i] == value
         self.val[i] = value
         self.trail.append(i)
-        # fixing to 1 uses up the slack of a positive coefficient, fixing
-        # to 0 that of a negative one
-        sign = 1 if value else -1
         slack = self.slack
-        for row, c in zip(self.occurs[i], self.occ_coef[i]):
-            c *= sign
-            if c > 0:
-                slack[row] -= c
-                self.queue.append(row)
+        queue = self.queue
+        spend = iter(self.spends[2 * i + value])
+        for row, amount in zip(spend, spend):
+            slack[row] -= amount
+            queue.append(row)
         return True
 
     def undo_to(self, mark):
         slack = self.slack
-        while len(self.trail) > mark:
-            i = self.trail.pop()
-            sign = 1 if self.val[i] else -1
-            self.val[i] = -1
-            for row, c in zip(self.occurs[i], self.occ_coef[i]):
-                c *= sign
-                if c > 0:
-                    slack[row] += c
+        val = self.val
+        trail = self.trail
+        while len(trail) > mark:
+            i = trail.pop()
+            spend = iter(self.spends[2 * i + val[i]])
+            val[i] = -1
+            for row, amount in zip(spend, spend):
+                slack[row] += amount
         self.queue.clear()
 
     def propagate(self) -> int | None:
         """Run forcing to fixpoint; the violated row on conflict."""
-        while self.queue:
-            row = self.queue.popleft()
+        queue = self.queue
+        val = self.val
+        while queue:
+            row = queue.popleft()
             s = self.slack[row]
+            if s >= self.width[row]:
+                continue
             if s < 0:
                 return row
             for c, j in self.coefs[row]:
-                if self.val[j] >= 0:
+                if val[j] >= 0:
                     continue
                 if c > s:
                     if not self.fix(j, 0):
