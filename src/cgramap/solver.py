@@ -4,20 +4,35 @@ One depth-first search with incremental slack propagation: every row is
 normalised to sum(c_i x_i) <= b, a row's slack is b minus the smallest
 value its fixed and free terms can still take, and a negative slack is
 a conflict. Free variables whose coefficient exceeds the slack are
-forced. The decision order shuffles within each variable class under
-the configured seed, which perturbs runtime but never the verdict. A
-cursor into that order has only fixed variables before it; each
-decision records it and a backtrack restores it, so no node rescans
-the order from the front. Value 1 is tried before 0 for placements,
-and 0 before 1 for edge, path and vertex-signal variables (classes e,
-p and y): the rows that need an edge, a path or a signal force it once
-its alternatives are gone, while one switched on that nothing needs
-still claims routing, and undoing it deep in the tree can take
-exponential time. The search yields each leaf; to go on past it, one
-row the leaf violates joins the live search (the no-good cut over the
-projection when enumerating, objective <= value - 1 when optimising)
-and the search resumes above the deepest decision that row depends on,
-so no subtree is explored twice and leaves come in the order separate
+forced; a row whose slack is at least its widest coefficient can do
+neither and is skipped.
+
+The search branches on choices first. A choice group is an operation's
+candidate placements (f variables sharing an operation) or a row that
+needs at least one of its variables (all coefficients 1, such as the
+con5 row of each connection in a routing-only model). At each node the
+open group (no member at 1, some member free) with the fewest free
+members is taken, fail-first, ties going to the group declared first;
+its first free member in branch order is tried at 1, then at 0. So a
+connection picks its path, and an operation is placed once few of its
+units are left, instead of in a fixed order that can place every sink
+before its driver. Once no group is open, none is below that node, and
+the search falls back to the branch order: a shuffle within each
+variable class under the configured seed, which perturbs runtime but
+never the verdict. A cursor into it has only fixed variables before
+it; each decision records it and a backtrack restores it, so no node
+rescans the order from the front. There value 1 is tried before 0 for
+placements, and 0 before 1 for edge, path and vertex-signal variables
+(classes e, p and y): the rows that need an edge, a path or a signal
+force it once its alternatives are gone, while one switched on that
+nothing needs still claims routing, and undoing it deep in the tree
+can take exponential time.
+
+The search yields each leaf; to go on past it, one row the leaf
+violates joins the live search (the no-good cut over the projection
+when enumerating, objective <= value - 1 when optimising) and the
+search resumes above the deepest decision that row depends on, so no
+subtree is explored twice and leaves come in the order separate
 searches with all cuts so far would find them. The clock is read at
 every search node, so a time limit holds to within one node's
 propagation.
@@ -199,23 +214,37 @@ class _Search:
         deepest untried decision above which the cut has slack. Returns
         INFEASIBLE once the tree is exhausted, or TIMEOUT."""
         order = _branch_order(self.vars, seed)
+        rank = [0] * len(order)
+        for at, i in enumerate(order):
+            rank[i] = at
+        groups = _choice_groups(self.vars, self.rows, self.index, rank)
         first = [0 if v.cls in ("e", "p", "y") else 1 for v in self.vars]
         val = self.val
         # every variable in order[:pos] is fixed
         pos = 0
-        # (pos of the decision variable, 1 once its second value is on,
-        # trail mark)
-        stack: list[tuple[int, int, int]] = []
+        # (decision variable, value tried first, cursor pos, 1 once the
+        # other value is on, trail mark, 1 if taken from a choice group)
+        stack: list[tuple[int, int, int, int, int, int]] = []
         while True:
             if time.monotonic() > deadline:
                 return TIMEOUT
             conflict = self.propagate()
             if conflict is None:
+                # a node below a cursor decision has every group settled
+                # too: fixing more variables never reopens one
+                chosen = _open_choice(groups, val) if (
+                    not stack or stack[-1][5]) else None
+                if chosen is not None:
+                    stack.append((chosen, 1, pos, 0, len(self.trail), 1))
+                    self.nodes += 1
+                    self.fix(chosen, 1)
+                    continue
                 while pos < len(order) and val[order[pos]] >= 0:
                     pos += 1
                 if pos < len(order):
                     free = order[pos]
-                    stack.append((pos, 0, len(self.trail)))
+                    stack.append((free, first[free], pos, 0,
+                                  len(self.trail), 0))
                     self.nodes += 1
                     self.fix(free, first[free])
                     continue
@@ -231,17 +260,63 @@ class _Search:
             # popped with both its branches; order[:pos] at a decision was
             # fixed below its trail mark, so undoing to the mark keeps it
             while stack:
-                pos, tried, mark = stack.pop()
+                var, value, pos, tried, mark, grouped = stack.pop()
                 self.undo_to(mark)
                 if tried == 0 and self.slack[conflict] >= 0:
-                    stack.append((pos, 1, mark))
+                    stack.append((var, value, pos, 1, mark, grouped))
                     self.nodes += 1
-                    var = order[pos]
-                    self.fix(var, 1 - first[var])
+                    self.fix(var, 1 - value)
                     self.queue.append(conflict)
                     break
             else:
                 return INFEASIBLE
+
+
+def _choice_groups(variables, rows, index, rank):
+    """The choices the search branches on first: each operation's
+    candidate placements (f variables sharing idx[0]) and each row that
+    needs at least one of its variables (all coefficients 1, relation >=
+    or =, right-hand side at least 1). Members come in branch order,
+    groups in declaration order, which breaks ties between them; a group
+    listed twice (a cover row over an operation's placements) is kept
+    once."""
+    by_op: dict = {}
+    for i, v in enumerate(variables):
+        if v.cls == "f":
+            by_op.setdefault(v.idx[0], []).append(i)
+    groups = list(by_op.values())
+    for con in rows:
+        if (con.relation != "<=" and con.rhs >= 1 and con.terms
+                and all(c == 1 for c, _ in con.terms)):
+            groups.append([index[v] for _, v in con.terms])
+    # dict keys keep the first occurrence and its position
+    return list(dict.fromkeys(tuple(sorted(g, key=rank.__getitem__))
+                              for g in groups))
+
+
+def _open_choice(groups, val):
+    """Fail-first: the first free member of the open group (no member at
+    1, some free) with the fewest free members; None once every group is
+    settled."""
+    best, fewest = None, len(val) + 1
+    for members in groups:
+        free = 0
+        for i in members:
+            x = val[i]
+            if x == 1:
+                break
+            if x < 0:
+                free += 1
+                if free >= fewest:
+                    break
+        else:
+            if free:
+                best, fewest = members, free
+                if free == 1:
+                    break
+    if best is None:
+        return None
+    return next(i for i in best if val[i] < 0)
 
 
 def _branch_order(variables, seed):

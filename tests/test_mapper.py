@@ -8,11 +8,12 @@ import json
 import pytest
 
 from cgramap import mapper
+from cgramap.baseline import build_baseline, extract_mapping
 from cgramap.dfg import parse_dfg
 from cgramap.ilp import InfeasibleModel, build_variant
-from cgramap.mapper import (MAPPED, NOT_MAPPABLE, MapLimits, characterize,
-                            map_dfg, map_min_ii, outcome_to_dict,
-                            validate_mapping)
+from cgramap.mapper import (MAPPED, NOT_MAPPABLE, MappingSolution, MapLimits,
+                            characterize, map_dfg, map_min_ii,
+                            outcome_to_dict, validate_mapping)
 from cgramap.mrrg import ArchSpec, build_mrrg, fu_nodes
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import build_path_cache
@@ -67,6 +68,9 @@ SAME_MODELS = [
     ("join", ArchSpec("adres", 2, 2), 2, SCHEDULE, 20,
      [(2, "infeasible", False), (4, "feasible", True)]),
 ]
+# seed 1 unless listed: tree5 passes two screens under seeds 3 and 5, and
+# at seed 1 its first placement already routes at NN 2
+SAME_MODELS_SEED = {"tree5": 3}
 
 
 @pytest.mark.parametrize("kernel,spec,ii,schedule,placements,attempts",
@@ -86,7 +90,8 @@ def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
     dfg = parse_dfg(KERNELS[kernel])
     mrrg = build_mrrg(spec, ii)
     out = map_dfg(dfg, mrrg, schedule,
-                  MapLimits(placement_limit=placements), seed=1)
+                  MapLimits(placement_limit=placements),
+                  seed=SAME_MODELS_SEED.get(kernel, 1))
     assert out.status == MAPPED
     assert [(a.nn, a.screen, a.routed) for a in out.attempts] == attempts
 
@@ -133,6 +138,23 @@ def test_agreement_with_brute_force(family, ii, kernel, mappable):
         assert validate_mapping(dfg, mrrg, out.solution) == []
     if not mappable:
         assert out.status == NOT_MAPPABLE
+    # so does the per-node baseline, and its mapping passes the traversal
+    try:
+        base = build_baseline(dfg, mrrg)
+    except InfeasibleModel:
+        assert not mappable
+    else:
+        res = solve(base, SolveConfig(seed=1, time_limit=30))
+        assert res.status == (FEASIBLE if mappable else "infeasible")
+        if res.status == FEASIBLE:
+            placement, routes = extract_mapping(base, dfg, mrrg,
+                                                res.assignment)
+            routing = {}
+            for (driver, _), route in sorted(routes.items()):
+                routing.setdefault(driver, []).append(route)
+            sol = MappingSolution(placement, {o: tuple(rs) for o, rs
+                                              in routing.items()}, 0)
+            assert validate_mapping(dfg, mrrg, sol) == []
     # the combined model at full neighbour count decides alone
     nmap = build_neighbor_map(mrrg, len(fu_nodes(mrrg)))
     try:
