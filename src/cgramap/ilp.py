@@ -32,6 +32,9 @@ from .paths import PathCache
 VARIANTS = ("placement_only", "relaxed_placement", "routing_only", "combined")
 MODEL_KINDS = VARIANTS + ("baseline",)
 
+# cached paths per connection the relaxed placement model reads
+RELAXED_PATHS = 3
+
 
 class InfeasibleModel(Exception):
     """Construction already proves there is no solution."""
@@ -295,6 +298,12 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
                   cache: PathCache | None = None, *,
                   paths_per_connection: int | None = None,
                   placement: dict[str, NodeKey] | None = None) -> IlpModel:
+    """One model variant over the neighbour map and, past the screen,
+    the path cache. The relaxed model reads RELAXED_PATHS paths per
+    connection and the others all k, unless paths_per_connection is
+    given. Metadata records nn and the cache's k, which reads 3 on the
+    relaxed model map_dfg builds (its cache is RELAXED_PATHS deep) and
+    DEFAULT_K on its routing-only models."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "routing_only":
@@ -313,7 +322,8 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
     if cache is None:
         raise ValueError(f"{variant} needs a path cache")
     if variant == "relaxed_placement":
-        ppc = 3 if paths_per_connection is None else paths_per_connection
+        ppc = (RELAXED_PATHS if paths_per_connection is None
+               else paths_per_connection)
         limit = 2
     else:
         ppc = cache.k if paths_per_connection is None else paths_per_connection

@@ -7,10 +7,15 @@ routing-only model over all k cached paths. The first routable
 placement wins; growing the neighbourhood only happens when the cheap
 stages say the current one cannot work.
 
-Routes are built on demand: only after a screen passes, and only for
-the (driver unit, sink unit) pairs the screen model declares edge
-variables for, which are the only pairs the relaxed and routing models
-read.
+Routes are built on demand, each list only as deep as the model that
+reads it. Once a screen passes, one cache holds RELAXED_PATHS routes
+for every (driver unit, sink unit) pair the screen model declares edge
+variables for, which are the only pairs the relaxed model reads. Each
+relaxed placement tried then gets its own cache of DEFAULT_K routes over
+just its own pairs, which the routing-only model and the reported
+routing read. Enumeration is best-first, so a shallow list is the
+prefix of a deep one and both models are the same as over one deep
+cache.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ import time
 from dataclasses import dataclass, field
 
 from .dfg import Dfg, cover_set, fanin_cone
-from .ilp import InfeasibleModel, build_variant, used_pairs
+from .ilp import RELAXED_PATHS, InfeasibleModel, build_variant, used_pairs
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import NeighborMap, build_neighbor_map
-from .paths import PathCache, RoutePath, build_path_cache
+from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
 from .solver import SolveConfig, enumerate_solutions, solve
 
 MAPPED = "mapped"
@@ -85,6 +90,15 @@ def _placement_of(assignment) -> dict[str, NodeKey]:
             if var.cls == "f" and value == 1}
 
 
+def _cache_over(mrrg: Mrrg, nn: int, pairs, k: int) -> PathCache:
+    """k routes for each (driver unit, sink unit) pair given."""
+    sinks: dict[NodeKey, list[NodeKey]] = {}
+    for u, w in sorted(pairs):
+        sinks.setdefault(u, []).append(w)
+    return build_path_cache(
+        mrrg, NeighborMap(nn, {u: tuple(ws) for u, ws in sinks.items()}), k)
+
+
 def _routes_of(assignment, cache: PathCache, placement: dict[str, NodeKey],
                dfg: Dfg):
     chosen: dict[tuple[NodeKey, NodeKey], int] = {}
@@ -135,12 +149,10 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
                                       time.monotonic() - start))
             continue
 
-        used: dict[NodeKey, list[NodeKey]] = {}
-        for u, w in used_pairs(screen_model):
-            used.setdefault(u, []).append(w)
-        cache = build_path_cache(
-            mrrg, NeighborMap(nn, {u: tuple(ws) for u, ws in used.items()}))
-        relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap, cache)
+        shallow = _cache_over(mrrg, nn, used_pairs(screen_model),
+                              RELAXED_PATHS)
+        relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap,
+                                shallow)
         enum_cfg = SolveConfig(seed=seed,
                                time_limit=max(deadline - time.monotonic(),
                                               0.001),
@@ -149,6 +161,11 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
         for candidate in enumerate_solutions(relaxed, enum_cfg):
             tried += 1
             placement = _placement_of(candidate.assignment)
+            cache = _cache_over(mrrg, nn,
+                                {(placement[o], placement[p])
+                                 for o, p in dfg.point_edges()
+                                 if o in placement and p in placement},
+                                DEFAULT_K)
             try:
                 routing_model = build_variant("routing_only", dfg, mrrg,
                                               nmap, cache,

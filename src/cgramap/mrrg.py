@@ -151,6 +151,7 @@ class Mrrg:
                  edges: Iterable[tuple[NodeKey, NodeKey]]):
         self.ii = ii
         self.nodes = nodes
+        self.fus = frozenset(k for k, n in nodes.items() if n.kind == FU)
         self._fanout: dict[NodeKey, tuple[NodeKey, ...]] = {k: () for k in nodes}
         self._fanin: dict[NodeKey, tuple[NodeKey, ...]] = {k: () for k in nodes}
         fo: dict[NodeKey, list[NodeKey]] = {}
@@ -419,7 +420,7 @@ def build_mrrg(spec: ArchSpec, ii: int) -> Mrrg:
 
 
 def fu_nodes(mrrg: Mrrg) -> tuple[NodeKey, ...]:
-    return tuple(sorted(k for k, n in mrrg.nodes.items() if n.kind == FU))
+    return tuple(sorted(mrrg.fus))
 
 
 def hop_dists(mrrg: Mrrg, ends, step) -> dict[NodeKey, int]:
@@ -427,11 +428,12 @@ def hop_dists(mrrg: Mrrg, ends, step) -> dict[NodeKey, int]:
     (mrrg.fanout forwards, mrrg.fanin backwards) per hop. Records every
     vertex reached, the ends at 0, but passes through no FU except the
     ends, as a route may only leave or enter a unit, never cross one."""
+    fus = mrrg.fus
     dist = {u: 0 for u in ends}
     frontier = deque(dist)
     while frontier:
         n = frontier.popleft()
-        if dist[n] and mrrg.is_fu(n):
+        if dist[n] and n in fus:
             continue
         for m in step(n):
             if m not in dist:

@@ -29,6 +29,7 @@ def find_neighbors(mrrg: Mrrg, source: NodeKey,
     if not mrrg.is_fu(source):
         raise ValueError(f"{source} is not an FU node")
 
+    fus = mrrg.fus
     found: set[NodeKey] = set()
     visited: set[NodeKey] = {source}
     frontier: list[NodeKey] = [source]
@@ -42,7 +43,7 @@ def find_neighbors(mrrg: Mrrg, source: NodeKey,
                 if m in visited:
                     continue
                 visited.add(m)
-                if mrrg.is_fu(m):
+                if m in fus:
                     found.add(m)
                 else:
                     nxt.append(m)

@@ -77,6 +77,7 @@ def _routes(mrrg: Mrrg, u: NodeKey, v: NodeKey, k: int,
         raise ValueError("path endpoints must be functional units")
     if u not in dist:
         return ()
+    fus = mrrg.fus
     found: list[RoutePath] = []
     heap: list[tuple[int, tuple[NodeKey, ...]]] = [(dist[u], (u,))]
     while heap and len(found) < k:
@@ -87,7 +88,7 @@ def _routes(mrrg: Mrrg, u: NodeKey, v: NodeKey, k: int,
             continue
         g = f - dist[cur]
         for nxt in mrrg.fanout(cur):
-            if nxt != v and (mrrg.is_fu(nxt) or nxt in path):
+            if nxt != v and (nxt in fus or nxt in path):
                 continue
             rem = dist.get(nxt)
             if rem is None:
@@ -99,8 +100,9 @@ def _routes(mrrg: Mrrg, u: NodeKey, v: NodeKey, k: int,
 @dataclass(frozen=True)
 class PathCache:
     """Routes for the FU pairs a neighbor map lists, each list sorted and
-    <= k long. map_dfg builds one per passed screen, holding only the
-    pairs that screen's model declares edge variables for."""
+    <= k long. map_dfg builds two depths: ilp.RELAXED_PATHS routes for
+    the pairs a passed screen's model declares edge variables for, and
+    DEFAULT_K routes for the pairs of each relaxed placement it tries."""
 
     k: int
     paths: dict[tuple[NodeKey, NodeKey], tuple[RoutePath, ...]]

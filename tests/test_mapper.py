@@ -10,13 +10,14 @@ import pytest
 from cgramap import mapper
 from cgramap.baseline import build_baseline, extract_mapping
 from cgramap.dfg import parse_dfg
-from cgramap.ilp import InfeasibleModel, build_variant
+from cgramap.ilp import (RELAXED_PATHS, InfeasibleModel, build_variant,
+                         used_pairs)
 from cgramap.mapper import (MAPPED, NOT_MAPPABLE, MappingSolution, MapLimits,
                             characterize, map_dfg, map_min_ii,
                             outcome_to_dict, validate_mapping)
 from cgramap.mrrg import ArchSpec, build_mrrg, fu_nodes
 from cgramap.neighbors import build_neighbor_map
-from cgramap.paths import build_path_cache
+from cgramap.paths import DEFAULT_K, build_path_cache
 from cgramap.solver import FEASIBLE, SolveConfig, solve
 from helpers import brute_force_mappable
 
@@ -26,6 +27,8 @@ KERNELS = {
     "chain5": "op a add\nop b add\nop c add\nop d add\nop e add\n"
               "edge a -> b:0\nedge b -> c:0\nedge c -> d:0\nedge d -> e:0\n",
     "fan2": "op a add\nop b add\nop c add\nedge a -> b:0, c:0\n",
+    "fan3": "op a add\nop b add\nop c add\nop d add\n"
+            "edge a -> b:0, c:0, d:0\n",
     "join": "op a add\nop b add\nop c add\nedge a -> c:0\nedge b -> c:1\n",
     "loop": "op a add\nedge a -> a:0\n",
     "acc": "op ld load\nop acc add\nedge ld -> acc:1\nedge acc -> acc:0\n",
@@ -110,6 +113,63 @@ def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
     routed = [nn for nn, screen, _ in attempts if screen == "feasible"]
     assert checked == [(v, nn) for nn in routed
                        for v in ("relaxed_placement", "routing_only")]
+
+
+@pytest.mark.parametrize("kernel,spec,ii,schedule,placements", [
+    ("fan3", ArchSpec("adres", 4, 4), 2, SCHEDULE, 20),
+    SAME_MODELS[0][:5],
+], ids=["fan3", "tree5"])
+def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements):
+    # per NN: one RELAXED_PATHS-deep cache over the screen's pairs, then
+    # one DEFAULT_K-deep cache over each tried placement's own pairs
+    real_cache, real_variant = mapper.build_path_cache, mapper.build_variant
+    events = []
+
+    def recording_cache(mrrg, nmap, k=DEFAULT_K):
+        cache = real_cache(mrrg, nmap, k)
+        events.append(("cache", nmap.target_nn, cache))
+        return cache
+
+    def recording_variant(variant, dfg, mrrg, nmap, cache=None, **kw):
+        events.append((variant, nmap.target_nn, cache, kw))
+        model = real_variant(variant, dfg, mrrg, nmap, cache, **kw)
+        events[-1] += (model,)
+        return model
+
+    monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
+    monkeypatch.setattr(mapper, "build_variant", recording_variant)
+    dfg = parse_dfg(KERNELS[kernel])
+    out = map_dfg(dfg, build_mrrg(spec, ii), schedule,
+                  MapLimits(placement_limit=placements),
+                  seed=SAME_MODELS_SEED.get(kernel, 1))
+    assert out.status == MAPPED
+
+    tried = {}
+    for i, event in enumerate(events):
+        kind, nn = event[:2]
+        if kind != "cache":
+            continue
+        cache = event[2]
+        user, user_nn, user_cache, kw = events[i + 1][:4]
+        assert user_nn == nn and user_cache is cache
+        if user == "relaxed_placement":
+            # the screen model came just before and has passed
+            screen = events[i - 1]
+            assert screen[0] == "placement_only"
+            assert cache.k == RELAXED_PATHS
+            assert list(cache.paths) == used_pairs(screen[4])
+            assert nn not in tried
+            tried[nn] = 0
+        else:
+            assert user == "routing_only"
+            assert cache.k == DEFAULT_K
+            place = kw["placement"]
+            assert set(cache.paths) == {(place[o], place[p])
+                                        for o, p in dfg.point_edges()}
+            tried[nn] += 1
+    assert tried == {a.nn: a.placements_tried for a in out.attempts
+                     if a.screen == "feasible"}
+    assert tried
 
 
 # (family, II, kernel, brute-force verdict). Brute force takes seconds or

@@ -102,6 +102,16 @@ def test_fu_nodes_single_pe():
     )
 
 
+@pytest.mark.parametrize("fam", ["ortho", "adres", "clustered", "hycube"])
+def test_fus_is_the_fu_key_set(fam):
+    for ii in (1, 2):
+        m = build_mrrg(ArchSpec(fam, 4, 4), ii)
+        assert isinstance(m.fus, frozenset)
+        assert m.fus == {k for k in m.nodes if m.is_fu(k)}
+    with pytest.raises(KeyError):
+        m.is_fu(("nowhere", 0))
+
+
 def test_compatible_nodes_homogeneous_ortho():
     m = build_mrrg(ortho(3, 3), ii=1)
     adds = compatible_nodes(m, Operation("x", "add"))

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from cgramap.ilp import RELAXED_PATHS
 from cgramap.mrrg import (FU, ROUTE, ArchSpec, Mrrg, MrrgNode, build_mrrg,
                           fu_nodes)
 from cgramap.neighbors import NeighborMap, build_neighbor_map
-from cgramap.paths import (RoutePath, build_path_cache, is_valid_path,
-                           k_shortest_paths)
+from cgramap.paths import (DEFAULT_K, RoutePath, build_path_cache,
+                           is_valid_path, k_shortest_paths)
 
 from helpers import all_simple_paths
 
@@ -172,6 +173,21 @@ def test_cache_determinism_and_reuse():
     assert set(small.paths) <= set(big.paths)
     for pair, ps in small.paths.items():
         assert big[pair] == ps
+
+
+@pytest.mark.parametrize("family", ["adres", "hycube"])
+def test_shallow_cache_is_prefix_of_deep_one(family):
+    # map_dfg builds the relaxed model over a RELAXED_PATHS-deep cache and
+    # the routing model over a DEFAULT_K-deep one; both read the same
+    # routes only because the shallow list is the deep list's prefix
+    m = build_mrrg(ArchSpec(family, 4, 4), ii=2)
+    nmap = build_neighbor_map(m, 8)
+    shallow = build_path_cache(m, nmap, RELAXED_PATHS)
+    deep = build_path_cache(m, nmap, DEFAULT_K)
+    assert list(shallow.paths) == list(deep.paths)
+    assert any(len(ps) > RELAXED_PATHS for ps in deep.paths.values())
+    for pair, ps in deep.paths.items():
+        assert shallow[pair] == ps[:RELAXED_PATHS]
 
 
 def test_empty_neighbor_map_gives_empty_cache():
