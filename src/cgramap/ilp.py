@@ -17,12 +17,15 @@ families:
 Four variants are built from these: placement_only (con1-4),
 relaxed_placement (con1-5, con6 at 2 signals per vertex), routing_only
 (con5-6 with edge assignments fixed by a given placement) and combined
-(con1-6 exact, con6 at 1 signal per vertex).
+(con1-6 exact, con6 at 1 signal per vertex); a relaxed model can copy
+con1-4 from the screen that passed before it. Variables and rows are
+named tuples, which are built, hashed and sorted without Python code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from .dfg import Dfg, cover_set
 from .mrrg import Mrrg, NodeKey, compatible_nodes, fu_nodes
@@ -44,21 +47,13 @@ class InfeasibleModel(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class VarId:
-    """A model variable: its class letter and the tuple naming it. The
-    hash is the one the generated __hash__ would give, computed once,
-    since every row and index lookup hashes the nested idx tuple."""
+class VarId(NamedTuple):
+    """A model variable: its class letter and the tuple naming it. As a
+    tuple it hashes as hash((cls, idx)), orders by (cls, idx) and is
+    built, compared and looked up without running Python code."""
 
     cls: str
     idx: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.cls, self.idx)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def fvar(op: str, u: NodeKey) -> VarId:
@@ -77,8 +72,7 @@ def yvar(n: NodeKey, u: NodeKey) -> VarId:
     return VarId("y", (n, u))
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     terms: tuple[tuple[int, VarId], ...]
     relation: str
     rhs: int
@@ -110,14 +104,15 @@ class IlpModel:
     def add_constraint(self, terms, relation: str, rhs: int, tag: str) -> None:
         if relation not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {relation!r}")
-        canon = tuple(sorted(((c, v) for c, v in terms), key=lambda t: t[1]))
-        seen = set()
+        canon = tuple(sorted(terms, key=itemgetter(1)))
+        prev = None
+        # sorted, a repeated variable sits next to itself
         for _, v in canon:
-            if v in seen:
+            if v == prev:
                 raise ValueError(f"duplicate variable {v} in constraint")
             if v not in self._declared:
                 raise ValueError(f"constraint references undeclared {v}")
-            seen.add(v)
+            prev = v
         self.constraints.append(LinearConstraint(canon, relation, rhs, tag))
 
     def vars_by_class(self) -> dict[str, list[VarId]]:
@@ -168,9 +163,8 @@ def declare_e(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap) -> None:
 
 
 def used_pairs(model: IlpModel) -> list[tuple[NodeKey, NodeKey]]:
-    pairs = {(var.idx[1], var.idx[3]) for var in model.variables
-             if var.cls == "e"}
-    return sorted(pairs)
+    return sorted({(var.idx[1], var.idx[3]) for var in model.variables
+                   if var.cls == "e"})
 
 
 def declare_p(model: IlpModel, cache: PathCache,
@@ -181,19 +175,17 @@ def declare_p(model: IlpModel, cache: PathCache,
             model.add_var(pvar(u, v, q))
 
 
-def _f_index(model: IlpModel) -> dict[str, list[VarId]]:
-    out: dict[str, list[VarId]] = {}
+def _f_index(model: IlpModel, by: int = 0) -> dict:
+    """The f variables grouped by operation (by=0) or by unit (by=1)."""
+    out: dict = {}
     for var in model.variables:
         if var.cls == "f":
-            out.setdefault(var.idx[0], []).append(var)
+            out.setdefault(var.idx[by], []).append(var)
     return out
 
 
 def add_fu_exclusivity(model: IlpModel, dfg: Dfg, fus) -> None:
-    by_u: dict[NodeKey, list[VarId]] = {}
-    for var in model.variables:
-        if var.cls == "f":
-            by_u.setdefault(var.idx[1], []).append(var)
+    by_u = _f_index(model, 1)
     for u in sorted(fus):
         terms = by_u.get(u)
         if terms:
@@ -291,32 +283,46 @@ def set_cost_function(model: IlpModel, coeffs=None) -> None:
             raise ValueError(f"cost on undeclared variable {var}")
     model.objective = tuple(sorted(
         ((c, v) for v, c in coeffs.items() if c != 0),
-        key=lambda t: t[1])) or None
+        key=itemgetter(1))) or None
 
 
 def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
                   cache: PathCache | None = None, *,
                   paths_per_connection: int | None = None,
-                  placement: dict[str, NodeKey] | None = None) -> IlpModel:
+                  placement: dict[str, NodeKey] | None = None,
+                  screen: IlpModel | None = None) -> IlpModel:
     """One model variant over the neighbour map and, past the screen,
     the path cache. The relaxed model reads RELAXED_PATHS paths per
     connection and the others all k, unless paths_per_connection is
     given. Metadata records nn and the cache's k, which reads 3 on the
     relaxed model map_dfg builds (its cache is RELAXED_PATHS deep) and
-    DEFAULT_K on its routing-only models."""
+    DEFAULT_K on its routing-only models. Given screen, the placement_only
+    model over the same dfg, mrrg and nmap, the relaxed model copies its
+    variables and con1-4 rows instead of building them again."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if screen is not None and (
+            variant != "relaxed_placement"
+            or screen.variant != "placement_only"
+            or screen.metadata.get("nn") != nmap.target_nn):
+        raise ValueError(f"{variant} at NN {nmap.target_nn} cannot extend a "
+                         f"{screen.variant} at NN {screen.metadata.get('nn')}")
     if variant == "routing_only":
         return _build_routing_only(dfg, mrrg, nmap, cache, placement,
                                    paths_per_connection)
     model = IlpModel(variant, nn=nmap.target_nn,
                      k=cache.k if cache else None)
-    declare_f(model, dfg, mrrg)
-    declare_e(model, dfg, mrrg, nmap)
-    add_fu_exclusivity(model, dfg, fu_nodes(mrrg))
-    add_must_map(model, dfg)
-    add_fanin_required(model, dfg)
-    add_fanout_implies_usage(model)
+    if screen is None:
+        declare_f(model, dfg, mrrg)
+        declare_e(model, dfg, mrrg, nmap)
+        add_fu_exclusivity(model, dfg, fu_nodes(mrrg))
+        add_must_map(model, dfg)
+        add_fanin_required(model, dfg)
+        add_fanout_implies_usage(model)
+    else:
+        model.variables = list(screen.variables)
+        model._declared = dict(screen._declared)
+        model.constraints = list(screen.constraints)
     if variant == "placement_only":
         return model
     if cache is None:

@@ -2,10 +2,11 @@
 
 For each neighbour-count target in the schedule: screen with the
 placement-only model, enumerate relaxed placements (3 paths per
-connection, at most 2 signals per vertex), and check each placement with the exact
-routing-only model over all k cached paths. The first routable
-placement wins; growing the neighbourhood only happens when the cheap
-stages say the current one cannot work.
+connection, at most 2 signals per vertex; it extends the screen's model
+with path rows), and check each placement with the exact routing-only
+model over all k cached paths. The first routable placement wins;
+growing the neighbourhood only happens when the cheap stages say the
+current one cannot work.
 
 Routes are built on demand, each list only as deep as the model that
 reads it. Once a screen passes, one cache holds RELAXED_PATHS routes
@@ -44,8 +45,9 @@ class MapLimits:
     total_time: float = 1800.0
 
     def __post_init__(self):
-        if self.placement_limit < 1:
-            raise ValueError("placement limit must be at least 1")
+        if not (isinstance(self.placement_limit, int)
+                and self.placement_limit >= 1):
+            raise ValueError("placement limit must be an int of at least 1")
         # written so that NaN, which compares false, is rejected too
         if not (self.solve_time > 0 and self.total_time > 0):
             raise ValueError("time limits must be positive")
@@ -79,8 +81,9 @@ def _check_schedule(schedule) -> tuple[int, ...]:
     sched = tuple(schedule)
     if not sched:
         raise ValueError("schedule is empty")
-    if any(b <= a for a, b in zip(sched, sched[1:])) or sched[0] < 1:
-        raise ValueError("schedule must be strictly increasing and positive")
+    if (not all(isinstance(nn, int) for nn in sched) or sched[0] < 1
+            or any(b <= a for a, b in zip(sched, sched[1:]))):
+        raise ValueError("schedule must be strictly increasing positive ints")
     return sched
 
 
@@ -129,30 +132,25 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
         start = time.monotonic()
         if start >= deadline:
             return MapOutcome(TIMED_OUT, None, tuple(attempts))
-        remaining = deadline - start
+        cfg = SolveConfig(seed=seed,
+                          time_limit=min(limits.solve_time, deadline - start))
         nmap = build_neighbor_map(mrrg, nn)
         try:
             screen_model = build_variant("placement_only", dfg, mrrg, nmap)
+            screen = solve(screen_model, cfg).status
         except InfeasibleModel:
-            attempts.append(NnAttempt(nn, "infeasible", 0, False,
+            screen = "infeasible"
+        if screen != "feasible":
+            attempts.append(NnAttempt(nn, screen, 0, False,
                                       time.monotonic() - start))
-            continue
-        cfg = SolveConfig(seed=seed,
-                          time_limit=min(limits.solve_time, remaining))
-        screen = solve(screen_model, cfg)
-        if screen.status == "timeout":
-            attempts.append(NnAttempt(nn, "timeout", 0, False,
-                                      time.monotonic() - start))
-            return MapOutcome(TIMED_OUT, None, tuple(attempts))
-        if screen.status == "infeasible":
-            attempts.append(NnAttempt(nn, "infeasible", 0, False,
-                                      time.monotonic() - start))
+            if screen == "timeout":
+                return MapOutcome(TIMED_OUT, None, tuple(attempts))
             continue
 
         shallow = _cache_over(mrrg, nn, used_pairs(screen_model),
                               RELAXED_PATHS)
         relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap,
-                                shallow)
+                                shallow, screen=screen_model)
         enum_cfg = SolveConfig(seed=seed,
                                time_limit=max(deadline - time.monotonic(),
                                               0.001),
@@ -193,9 +191,7 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
                                           elapsed))
                 return MapOutcome(MAPPED, solution, tuple(attempts))
             if time.monotonic() >= deadline:
-                attempts.append(NnAttempt(nn, "feasible", tried, False,
-                                          time.monotonic() - start))
-                return MapOutcome(TIMED_OUT, None, tuple(attempts))
+                break
         attempts.append(NnAttempt(nn, "feasible", tried, False,
                                   time.monotonic() - start))
         if time.monotonic() >= deadline:

@@ -1,11 +1,13 @@
 """Exact 0/1 search over the model rows.
 
-One depth-first search with incremental slack propagation: every row is
-normalised to sum(c_i x_i) <= b, a row's slack is b minus the smallest
-value its fixed and free terms can still take, and a negative slack is
-a conflict. Free variables whose coefficient exceeds the slack are
-forced; a row whose slack is at least its widest coefficient can do
-neither and is skipped.
+One depth-first search with incremental slack propagation. It reads the
+model in one pass that normalises every row to sum(c_i x_i) <= b over
+variable indices and rejects a malformed model (a bad relation, a
+non-int coefficient, an undeclared or twice-declared variable) with
+ValueError. A row's slack is b minus the smallest value its fixed and
+free terms can still take, and a negative slack is a conflict. Free
+variables whose coefficient exceeds the slack are forced; a row whose
+slack is at least its widest coefficient can do neither and is skipped.
 
 The search branches on choices first. A choice group is an operation's
 candidate placements (f variables sharing an operation) or a row that
@@ -61,8 +63,9 @@ class SolveConfig:
         # written so that NaN, which compares false, is rejected too
         if not self.time_limit > 0:
             raise ValueError("time limit must be positive")
-        if self.solution_limit < 1:
-            raise ValueError("solution limit must be at least 1")
+        if not (isinstance(self.solution_limit, int)
+                and self.solution_limit >= 1):
+            raise ValueError("solution limit must be an int of at least 1")
         if self.mode not in ("feasibility", "optimize"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -89,27 +92,12 @@ def check_assignment(constraints, assignment) -> list[str]:
     return bad
 
 
-def _reject_malformed(model):
-    declared = set(model.variables)
-    if len(declared) != len(model.variables):
-        raise ValueError("duplicate variable declaration")
-    for con in model.constraints:
-        if con.relation not in ("<=", ">=", "="):
-            raise ValueError(f"bad relation {con.relation!r}")
-        for c, v in con.terms:
-            if not isinstance(c, int):
-                raise ValueError(f"non-integer coefficient {c!r}")
-            if v not in declared:
-                raise ValueError(f"row references undeclared {v}")
-    for c, v in model.objective or ():
-        if v not in declared:
-            raise ValueError(f"objective references undeclared {v}")
-
-
 class _Search:
     def __init__(self, model):
         self.vars = list(model.variables)
-        self.index = {v: i for i, v in enumerate(self.vars)}
+        self.index = index = {v: i for i, v in enumerate(self.vars)}
+        if len(index) != len(self.vars):
+            raise ValueError("duplicate variable declaration")
         self.val = [-1] * len(self.vars)
         self.coefs: list[list[tuple[int, int]]] = []
         self.slack: list[int] = []
@@ -125,12 +113,24 @@ class _Search:
         # every row a leaf is re-checked against: the model's and the cuts
         self.rows = list(model.constraints)
         for con in self.rows:
-            if con.relation in ("<=", "="):
-                self.add_row([(c, self.index[v]) for c, v in con.terms],
-                             con.rhs)
-            if con.relation in (">=", "="):
-                self.add_row([(-c, self.index[v]) for c, v in con.terms],
-                             -con.rhs)
+            relation = con.relation
+            if relation not in ("<=", ">=", "="):
+                raise ValueError(f"bad relation {relation!r}")
+            terms = []
+            for c, v in con.terms:
+                if not isinstance(c, int):
+                    raise ValueError(f"non-integer coefficient {c!r}")
+                i = index.get(v)
+                if i is None:
+                    raise ValueError(f"row references undeclared {v}")
+                terms.append((c, i))
+            if relation != ">=":
+                self.add_row(terms, con.rhs)
+            if relation != "<=":
+                self.add_row([(-c, i) for c, i in terms], -con.rhs)
+        for _, v in model.objective or ():
+            if v not in index:
+                raise ValueError(f"objective references undeclared {v}")
 
     def add_row(self, terms, rhs) -> int:
         """Add sum(c x) <= rhs with its slack under the current fixes and
@@ -348,7 +348,6 @@ def solve(model, cfg: SolveConfig) -> SolveResult:
     """Decide the model exactly; deterministic for a fixed (model, seed).
     Optimisation cuts each leaf with objective <= value - 1 and returns
     the last one once the tree is exhausted."""
-    _reject_malformed(model)
     t0 = time.monotonic()
     search = _Search(model)
     leaves = search.leaves(cfg.seed, t0 + cfg.time_limit)
@@ -375,7 +374,6 @@ def enumerate_solutions(model, cfg: SolveConfig, projection=("f",)):
     nodes and seconds since the previous one. Ends after solution_limit
     yields (returning None), on exhaustion, or at the deadline;
     infeasible models yield an empty stream."""
-    _reject_malformed(model)
     since = time.monotonic()
     search = _Search(model)
     leaves = search.leaves(cfg.seed, since + cfg.time_limit)

@@ -56,6 +56,16 @@ def test_nan_time_limit_rejected(make):
         make()
 
 
+def test_non_int_counts_rejected():
+    # a float would reach range() in enumerate_solutions or the report
+    with pytest.raises(ValueError, match="placement limit"):
+        MapLimits(placement_limit=2.5)
+    dfg, mrrg = parse_dfg(KERNELS["chain2"]), fabric("ortho", 1)
+    for schedule in [(4.5,), (2, 4.0)]:
+        with pytest.raises(ValueError, match="positive ints"):
+            map_dfg(dfg, mrrg, schedule, LIMITS, seed=1)
+
+
 def fabric(family, ii):
     return build_mrrg(ArchSpec(family, 2, 2), ii)
 
@@ -170,6 +180,50 @@ def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements):
     assert tried == {a.nn: a.placements_tried for a in out.attempts
                      if a.screen == "feasible"}
     assert tried
+
+
+@pytest.mark.parametrize("kernel,spec,ii,schedule", [
+    ("fan3", ArchSpec("adres", 4, 4), 2, SCHEDULE),
+    *(case[:4] for case in SAME_MODELS),
+], ids=["fan3", "tree5", "join"])
+def test_relaxed_model_extends_screen(kernel, spec, ii, schedule):
+    # at every target whose screen builds, the relaxed model built over
+    # the screen equals a fresh build, and the screen is left as it was
+    dfg = parse_dfg(KERNELS[kernel])
+    mrrg = build_mrrg(spec, ii)
+    screens = {}
+    for nn in schedule:
+        nmap = build_neighbor_map(mrrg, nn)
+        try:
+            screen = build_variant("placement_only", dfg, mrrg, nmap)
+        except InfeasibleModel:
+            continue
+        screens[nn] = screen
+        before = (list(screen.variables), list(screen.constraints),
+                  dict(screen.metadata))
+        cache = build_path_cache(mrrg, build_neighbor_map(mrrg, nn),
+                                 RELAXED_PATHS)
+        fresh = build_variant("relaxed_placement", dfg, mrrg, nmap, cache)
+        grown = build_variant("relaxed_placement", dfg, mrrg, nmap, cache,
+                              screen=screen)
+        assert grown.variables == fresh.variables
+        assert grown.constraints == fresh.constraints
+        assert grown.metadata == fresh.metadata
+        assert (screen.variables, screen.constraints,
+                screen.metadata) == before
+        # a relaxed model is no screen, and neither is one at another NN;
+        # only the relaxed model extends one
+        with pytest.raises(ValueError):
+            build_variant("relaxed_placement", dfg, mrrg, nmap, cache,
+                          screen=grown)
+        with pytest.raises(ValueError):
+            build_variant("combined", dfg, mrrg, nmap, cache, screen=screen)
+        for other, model in screens.items():
+            if other != nn:
+                with pytest.raises(ValueError):
+                    build_variant("relaxed_placement", dfg, mrrg, nmap,
+                                  cache, screen=model)
+    assert len(screens) >= 2
 
 
 # (family, II, kernel, brute-force verdict). Brute force takes seconds or

@@ -99,27 +99,25 @@ def test_empty_model():
 def test_malformed_rejected():
     v = VarId("f", ("x",))
     ghost = VarId("f", ("ghost",))
-    bad_ref = SimpleNamespace(
-        variables=[v],
-        constraints=[LinearConstraint(((1, ghost),), "<=", 1, "t")],
-        objective=None)
-    with pytest.raises(ValueError, match="undeclared"):
-        solve(bad_ref, SolveConfig())
-    bad_rel = SimpleNamespace(
-        variables=[v],
-        constraints=[LinearConstraint(((1, v),), "<", 1, "t")],
-        objective=None)
-    with pytest.raises(ValueError, match="relation"):
-        solve(bad_rel, SolveConfig())
-    bad_coef = SimpleNamespace(
-        variables=[v],
-        constraints=[LinearConstraint(((1.5, v),), "<=", 1, "t")],
-        objective=None)
-    with pytest.raises(ValueError, match="coefficient"):
-        solve(bad_coef, SolveConfig())
-    dup = SimpleNamespace(variables=[v, v], constraints=[], objective=None)
-    with pytest.raises(ValueError, match="duplicate"):
-        solve(dup, SolveConfig())
+
+    def model(variables=(v,), rows=(), objective=None):
+        return SimpleNamespace(variables=list(variables),
+                               constraints=list(rows), objective=objective)
+
+    cases = [
+        (model(rows=[LinearConstraint(((1, ghost),), "<=", 1, "t")]),
+         "row references undeclared"),
+        (model(rows=[LinearConstraint(((1, v),), "<", 1, "t")]), "relation"),
+        (model(rows=[LinearConstraint(((1.5, v),), "<=", 1, "t")]),
+         "coefficient"),
+        (model(variables=(v, v)), "duplicate"),
+        (model(objective=((1, ghost),)), "objective references undeclared"),
+    ]
+    # enumerate_solutions is a generator: it raises on the first next()
+    for run in (solve, lambda m, cfg: next(enumerate_solutions(m, cfg))):
+        for bad, words in cases:
+            with pytest.raises(ValueError, match=words):
+                run(bad, SolveConfig(mode="optimize"))
 
 
 def test_config_validation():
@@ -127,6 +125,9 @@ def test_config_validation():
         SolveConfig(time_limit=0)
     with pytest.raises(ValueError):
         SolveConfig(solution_limit=0)
+    # a float limit would reach range() inside enumerate_solutions
+    with pytest.raises(ValueError, match="solution limit"):
+        SolveConfig(solution_limit=2.5)
     with pytest.raises(ValueError):
         SolveConfig(mode="anneal")
 
