@@ -90,7 +90,6 @@ class IlpModel:
         self.variables: list[VarId] = []
         self._declared: dict[VarId, int] = {}
         self.constraints: list[LinearConstraint] = []
-        self.objective: tuple[tuple[int, VarId], ...] | None = None
 
     def add_var(self, var: VarId) -> VarId:
         if var not in self._declared:
@@ -133,8 +132,6 @@ class IlpModel:
         lines.append(f"variables total={len(self.variables)} {parts}".rstrip())
         parts = " ".join(f"{t}={n}" for t, n in sorted(by_tag.items()))
         lines.append(f"constraints total={len(self.constraints)} {parts}".rstrip())
-        if self.objective is not None:
-            lines.append(f"objective terms={len(self.objective)}")
         return "\n".join(lines)
 
 
@@ -273,17 +270,6 @@ def add_path_exclusivity(model: IlpModel, cache: PathCache,
             for pv in by_driver[u]:
                 model.add_constraint([(1, pv), (-1, y)], "<=", 0, "con6")
         model.add_constraint(ys, "<=", overuse_limit, "con6")
-
-
-def set_cost_function(model: IlpModel, coeffs=None) -> None:
-    """Minimise sum(c * var) over the coeffs mapping of var -> c."""
-    coeffs = coeffs or {}
-    for var in coeffs:
-        if not model.has_var(var):
-            raise ValueError(f"cost on undeclared variable {var}")
-    model.objective = tuple(sorted(
-        ((c, v) for v, c in coeffs.items() if c != 0),
-        key=itemgetter(1))) or None
 
 
 def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,

@@ -298,8 +298,9 @@ def map_min_ii(dfg: Dfg, spec: ArchSpec, max_ii: int,
                schedule=GENERIC_SCHEDULE, limits: MapLimits = MapLimits(),
                seed: int = 0) -> tuple[int, MapOutcome]:
     """Smallest II that maps, else the last outcome at max_ii."""
-    if max_ii < 1:
-        raise ValueError("max II must be at least 1")
+    if not isinstance(max_ii, int) or max_ii < 1:
+        raise ValueError(
+            f"max II must be an int of at least 1, got {max_ii!r}")
     outcome = None
     for ii in range(1, max_ii + 1):
         outcome = map_dfg(dfg, build_mrrg(spec, ii), schedule, limits, seed)

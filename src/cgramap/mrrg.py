@@ -76,6 +76,11 @@ class ArchSpec:
     def validate(self) -> None:
         if self.family not in _FAMILIES:
             raise ArchError(f"unknown family '{self.family}'")
+        for key in ("rows", "cols", "skip_distance", "cluster_rows",
+                    "cluster_cols"):
+            value = getattr(self, key)
+            if not isinstance(value, int):
+                raise ArchError(f"{key} must be an int, got {value!r}")
         if self.rows < 1 or self.cols < 1:
             raise ArchError("rows and cols must be >= 1")
         if self.family == "adres" and self.skip_distance < 2:
@@ -414,8 +419,8 @@ _GENERATORS = {
 
 def build_mrrg(spec: ArchSpec, ii: int) -> Mrrg:
     spec.validate()
-    if ii < 1:
-        raise ArchError(f"II must be >= 1, got {ii}")
+    if not isinstance(ii, int) or ii < 1:
+        raise ArchError(f"II must be an int of at least 1, got {ii!r}")
     return _GENERATORS[spec.family](spec, ii)
 
 

@@ -32,12 +32,11 @@ can take exponential time.
 
 The search yields each leaf; to go on past it, one row the leaf
 violates joins the live search (the no-good cut over the projection
-when enumerating, objective <= value - 1 when optimising) and the
-search resumes above the deepest decision that row depends on, so no
-subtree is explored twice and leaves come in the order separate
-searches with all cuts so far would find them. The clock is read at
-every search node, so a time limit holds to within one node's
-propagation.
+when enumerating) and the search resumes above the deepest decision
+that row depends on, so no subtree is explored twice and leaves come in
+the order separate searches with all cuts so far would find them. The
+clock is read at every search node, so a time limit holds to within one
+node's propagation.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ TIMEOUT = "timeout"
 class SolveConfig:
     seed: int = 0
     time_limit: float = 60.0
-    mode: str = "feasibility"
     solution_limit: int = 1
 
     def __post_init__(self):
@@ -66,8 +64,6 @@ class SolveConfig:
         if not (isinstance(self.solution_limit, int)
                 and self.solution_limit >= 1):
             raise ValueError("solution limit must be an int of at least 1")
-        if self.mode not in ("feasibility", "optimize"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,6 @@ class SolveResult:
     assignment: dict | None
     nodes: int
     wall_time: float
-    objective_value: int | None = None
 
 
 def check_assignment(constraints, assignment) -> list[str]:
@@ -128,9 +123,6 @@ class _Search:
                 self.add_row(terms, con.rhs)
             if relation != "<=":
                 self.add_row([(-c, i) for c, i in terms], -con.rhs)
-        for _, v in model.objective or ():
-            if v not in index:
-                raise ValueError(f"objective references undeclared {v}")
 
     def add_row(self, terms, rhs) -> int:
         """Add sum(c x) <= rhs with its slack under the current fixes and
@@ -345,27 +337,17 @@ class _Cut:
 
 
 def solve(model, cfg: SolveConfig) -> SolveResult:
-    """Decide the model exactly; deterministic for a fixed (model, seed).
-    Optimisation cuts each leaf with objective <= value - 1 and returns
-    the last one once the tree is exhausted."""
+    """Decide the model exactly: its first leaf, or the proof that there
+    is none; deterministic for a fixed (model, seed)."""
     t0 = time.monotonic()
     search = _Search(model)
     leaves = search.leaves(cfg.seed, t0 + cfg.time_limit)
-    optimize = cfg.mode == "optimize" and model.objective
-    status, best, value, cut = FEASIBLE, None, None, None
     try:
-        while True:
-            best = leaves.send(cut)
-            if not optimize:
-                break
-            value = sum(c * best[v] for c, v in model.objective)
-            cut = _Cut(tuple(model.objective), value - 1)
+        status, assignment = FEASIBLE, next(leaves)
     except StopIteration as stop:
-        status = stop.value
-    wall = time.monotonic() - t0
-    if status == TIMEOUT or best is None:
-        return SolveResult(status, None, search.nodes, wall)
-    return SolveResult(FEASIBLE, best, search.nodes, wall, value)
+        status, assignment = stop.value, None
+    return SolveResult(status, assignment, search.nodes,
+                       time.monotonic() - t0)
 
 
 def enumerate_solutions(model, cfg: SolveConfig, projection=("f",)):

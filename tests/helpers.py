@@ -95,26 +95,15 @@ def all_simple_paths(mrrg, u, v, interior_ok=None):
 
 
 def exhaustive(model):
-    """(feasible, best objective) over all 2^n assignments. Small models
-    only; the solver tests lean on this as the ground truth."""
+    """Whether any of the 2^n assignments satisfies every row. Small
+    models only; the solver tests lean on this as the ground truth."""
     from itertools import product
 
     from cgramap.solver import check_assignment
 
-    feasible = False
-    best = None
     names = list(model.variables)
-    for bits in product((0, 1), repeat=len(names)):
-        a = dict(zip(names, bits))
-        if check_assignment(model.constraints, a):
-            continue
-        feasible = True
-        if not model.objective:
-            return True, None
-        value = sum(c * a[v] for c, v in model.objective)
-        if best is None or value < best:
-            best = value
-    return feasible, best
+    return any(not check_assignment(model.constraints, dict(zip(names, bits)))
+               for bits in product((0, 1), repeat=len(names)))
 
 
 def brute_force_mappable(dfg, mrrg):

@@ -5,8 +5,7 @@ import pytest
 from cgramap.dfg import parse_dfg
 from cgramap.ilp import (IlpModel, InfeasibleModel, VarId, add_fu_exclusivity,
                          add_must_map, add_path_exclusivity, audit,
-                         build_variant, evar, fvar, pvar, set_cost_function,
-                         yvar)
+                         build_variant, evar, fvar, pvar, yvar)
 from cgramap.mrrg import ArchSpec, build_mrrg, compatible_nodes, fu_nodes
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import PathCache, RoutePath, build_path_cache
@@ -306,19 +305,6 @@ def test_routing_only_empty_instance(inst):
     lone = parse_dfg("op lone add\n")
     model = build_variant("routing_only", lone, m, nmap, cache, placement={})
     assert model.variables == [] and model.constraints == []
-
-
-def test_cost_function(inst):
-    dfg, m, nmap, cache = inst
-    model = build_variant("placement_only", dfg, m, nmap)
-    set_cost_function(model)
-    assert model.objective is None
-    f1 = fvar("b", ("pe_0_0.alu", 0))
-    f2 = fvar("c", ("pe_1_0.alu", 0))
-    set_cost_function(model, {f1: 3, f2: 0})
-    assert model.objective == ((3, f1),)
-    with pytest.raises(ValueError):
-        set_cost_function(model, {pvar(("q", 0), ("r", 0), 0): 1})
 
 
 def test_audit_flags_out_of_domain(inst):

@@ -64,6 +64,8 @@ def test_non_int_counts_rejected():
     for schedule in [(4.5,), (2, 4.0)]:
         with pytest.raises(ValueError, match="positive ints"):
             map_dfg(dfg, mrrg, schedule, LIMITS, seed=1)
+    with pytest.raises(ValueError, match="max II must be an int"):
+        map_min_ii(dfg, ArchSpec("ortho", 2, 2), max_ii=2.5)
 
 
 def fabric(family, ii):

@@ -204,6 +204,17 @@ def test_parse_arch_errors(text, frag):
 def test_bad_ii_rejected():
     with pytest.raises(ArchError):
         build_mrrg(ortho(2, 2), ii=0)
+    # unless rejected up front, a float size reaches range() as a bare
+    # TypeError, or (skip_distance) silently builds a fabric
+    with pytest.raises(ArchError, match="II must be an int"):
+        build_mrrg(ortho(2, 2), ii=1.5)
+    bad = [ArchSpec("ortho", 2.5, 2), ArchSpec("ortho", 2, 2.0),
+           ArchSpec("adres", 2, 2, skip_distance=2.5),
+           ArchSpec("clustered", 4, 4, cluster_rows=2.0),
+           ArchSpec("clustered", 4, 4, cluster_cols=2.0)]
+    for spec in bad:
+        with pytest.raises(ArchError, match="must be an int"):
+            build_mrrg(spec, 1)
 
 
 def test_dot_dump():

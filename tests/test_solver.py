@@ -1,9 +1,7 @@
-"""Search, enumeration, LP export, and external bridge checks."""
+"""Search, enumeration and independent-MILP checks."""
 
 import random
-import sys
 from itertools import product
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,10 +9,7 @@ import pytest
 from cgramap import solver
 from cgramap.baseline import build_baseline
 from cgramap.dfg import parse_dfg
-from cgramap.ilp import (IlpModel, LinearConstraint, VarId, build_variant,
-                         evar, fvar, pvar, set_cost_function)
-from cgramap.lp_io import (ExternalSolverError, export_lp, parse_solution,
-                           parse_var_name, solve_external, var_name)
+from cgramap.ilp import IlpModel, LinearConstraint, VarId, build_variant
 from cgramap.mrrg import ArchSpec, build_mrrg
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import build_path_cache
@@ -22,10 +17,8 @@ from cgramap.solver import (SolveConfig, check_assignment,
                             enumerate_solutions, solve)
 from helpers import exhaustive, satisfies
 
-STUB = Path(__file__).parent / "external_stub.py"
 
-
-def mk_model(names, rows, objective=None, cls="f"):
+def mk_model(names, rows, cls="f"):
     """cls is one class for every name, or a class per name."""
     model = IlpModel("combined")
     by_name = {n: model.add_var(VarId(cls if isinstance(cls, str) else cls[n],
@@ -34,8 +27,6 @@ def mk_model(names, rows, objective=None, cls="f"):
     for terms, rel, rhs in rows:
         model.add_constraint([(c, by_name[n]) for c, n in terms],
                              rel, rhs, "row")
-    if objective:
-        set_cost_function(model, {by_name[n]: c for n, c in objective.items()})
     return model, by_name
 
 
@@ -59,11 +50,8 @@ def random_model(rng, max_vars=10, classes=None):
         terms = [(rng.choice([-3, -2, -1, 1, 2, 3]), nm) for nm in chosen]
         rows.append((terms, rng.choice(["<=", ">=", "="]),
                      rng.randint(-2, 4)))
-    objective = None
-    if rng.random() < 0.5:
-        objective = {nm: rng.randint(-4, 4) for nm in names}
     cls = {nm: rng.choice(classes) for nm in names} if classes else "f"
-    return mk_model(names, rows, objective, cls)[0]
+    return mk_model(names, rows, cls)[0]
 
 
 def test_forced_assignment():
@@ -100,9 +88,9 @@ def test_malformed_rejected():
     v = VarId("f", ("x",))
     ghost = VarId("f", ("ghost",))
 
-    def model(variables=(v,), rows=(), objective=None):
+    def model(variables=(v,), rows=()):
         return SimpleNamespace(variables=list(variables),
-                               constraints=list(rows), objective=objective)
+                               constraints=list(rows))
 
     cases = [
         (model(rows=[LinearConstraint(((1, ghost),), "<=", 1, "t")]),
@@ -111,13 +99,12 @@ def test_malformed_rejected():
         (model(rows=[LinearConstraint(((1.5, v),), "<=", 1, "t")]),
          "coefficient"),
         (model(variables=(v, v)), "duplicate"),
-        (model(objective=((1, ghost),)), "objective references undeclared"),
     ]
     # enumerate_solutions is a generator: it raises on the first next()
     for run in (solve, lambda m, cfg: next(enumerate_solutions(m, cfg))):
         for bad, words in cases:
             with pytest.raises(ValueError, match=words):
-                run(bad, SolveConfig(mode="optimize"))
+                run(bad, SolveConfig())
 
 
 def test_config_validation():
@@ -128,24 +115,17 @@ def test_config_validation():
     # a float limit would reach range() inside enumerate_solutions
     with pytest.raises(ValueError, match="solution limit"):
         SolveConfig(solution_limit=2.5)
-    with pytest.raises(ValueError):
-        SolveConfig(mode="anneal")
 
 
 def test_random_agreement_with_exhaustive():
     rng = random.Random(20240917)
     for trial in range(150):
         model = random_model(rng)
-        feasible, best = exhaustive(model)
         res = solve(model, SolveConfig(seed=trial % 5))
+        feasible = exhaustive(model)
         assert (res.status == "feasible") == feasible, f"trial {trial}"
         if res.status == "feasible":
             assert not check_assignment(model.constraints, res.assignment)
-        if model.objective:
-            opt = solve(model, SolveConfig(mode="optimize", seed=trial % 5))
-            assert (opt.status == "feasible") == feasible, f"trial {trial}"
-            if feasible:
-                assert opt.objective_value == best, f"trial {trial}"
     # mixed classes change the value tried first; enumeration over the
     # f and p projection must list each feasible projection exactly once
     # and then prove there is no other
@@ -164,24 +144,6 @@ def test_random_agreement_with_exhaustive():
         assert len(got) == len(set(got)), f"trial {trial}"
         assert set(got) == want, f"trial {trial}"
         assert final.status == "infeasible", f"trial {trial}"
-        if model.objective:
-            opt = solve(model, SolveConfig(mode="optimize", seed=trial % 5))
-            feasible, best = exhaustive(model)
-            assert (opt.status == "feasible") == feasible, f"trial {trial}"
-            assert opt.objective_value == best, f"trial {trial}"
-
-
-def test_optimize_small():
-    model, vs = mk_model(["x", "y", "z"],
-                         [([(1, "x"), (1, "y"), (1, "z")], ">=", 2)],
-                         objective={"x": 3, "y": 1, "z": 1})
-    res = solve(model, SolveConfig(mode="optimize"))
-    assert res.status == "feasible"
-    assert res.objective_value == 2
-    assert res.assignment[vs["x"]] == 0
-    plain = solve(model, SolveConfig())
-    assert plain.status == "feasible"
-    assert plain.objective_value is None
 
 
 def test_determinism_and_seed_independence():
@@ -252,6 +214,25 @@ def tree5_relaxed(nn):
                          build_path_cache(mrrg, nmap))
 
 
+def sum4_models():
+    """The relaxed model of sum4 on 2x2 ADRES, II 2, NN 16, and the
+    routing-only models of the placements its solves at seeds 1 and 2
+    find: the first routes, the second does not."""
+    mrrg = build_mrrg(ArchSpec("adres", 2, 2), 2)
+    nmap = build_neighbor_map(mrrg, 16)
+    cache = build_path_cache(mrrg, nmap)
+    dfg = parse_dfg(SUM4)
+    relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap, cache)
+    routings = []
+    for placed_by in (1, 2):
+        assignment = solve(relaxed, SolveConfig(seed=placed_by)).assignment
+        placement = {v.idx[0]: v.idx[1] for v, b in assignment.items()
+                     if v.cls == "f" and b}
+        routings.append(build_variant("routing_only", dfg, mrrg, nmap, cache,
+                                      placement=placement))
+    return relaxed, routings
+
+
 def test_pinned_node_counts():
     # any change to the decision order or to what propagation forces
     # shows up here rather than as a silent runtime shift
@@ -262,17 +243,6 @@ def test_pinned_node_counts():
     assert got == [("infeasible", 80), ("infeasible", 80)]
     res = solve(_pigeonhole(6, 5), SolveConfig(seed=2))
     assert (res.status, res.nodes) == ("infeasible", 238)
-    # the objective bound is a row added at each incumbent; it must keep
-    # forcing as the row on the objective did
-    got = []
-    for n in (4, 6):
-        costly = _pigeonhole(n, n)
-        rng = random.Random(n)
-        set_cost_function(costly, {v: rng.randint(1, 9)
-                                   for v in costly.variables})
-        res = solve(costly, SolveConfig(mode="optimize", seed=2))
-        got.append((res.status, res.objective_value, res.nodes))
-    assert got == [("feasible", 9, 20), ("feasible", 13, 164)]
     got = [(r.status, r.nodes) for r in
            (solve(tree5_relaxed(4), SolveConfig(seed=s)) for s in (2, 3))]
     assert got == [("feasible", 87), ("feasible", 87)]
@@ -281,24 +251,22 @@ def test_pinned_node_counts():
     # each count covers only the nodes since the previous placement
     assert [r.nodes for r in sols] == [70, 55, 61, 54]
     # routing-only models, where the choice of path per connection (the
-    # con5 rows) drives the search: the placements of two relaxed solves
-    # of sum4 on 2x2 ADRES, II 2, NN 16, one routable and one not
-    mrrg = build_mrrg(ArchSpec("adres", 2, 2), 2)
-    nmap = build_neighbor_map(mrrg, 16)
-    cache = build_path_cache(mrrg, nmap)
-    dfg = parse_dfg(SUM4)
-    relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap, cache)
-    got = []
-    for placed_by in (1, 2):
-        assignment = solve(relaxed, SolveConfig(seed=placed_by)).assignment
-        placement = {v.idx[0]: v.idx[1] for v, b in assignment.items()
-                     if v.cls == "f" and b}
-        routing = build_variant("routing_only", dfg, mrrg, nmap, cache,
-                                placement=placement)
-        got.append([(r.status, r.nodes) for r in
-                    (solve(routing, SolveConfig(seed=s)) for s in (1, 2, 3))])
+    # con5 rows) drives the search
+    got = [[(r.status, r.nodes) for r in
+            (solve(routing, SolveConfig(seed=s)) for s in (1, 2, 3))]
+           for routing in sum4_models()[1]]
     assert got == [[("feasible", 44), ("feasible", 49), ("feasible", 56)],
                    [("infeasible", 38)] * 3]
+    # the cut a leaf violates is queued again once the flip that gives it
+    # slack is on, so it forces what is left of the projection at once
+    model, _ = mk_model(["x0", "x1", "x2", "x3"],
+                        [([(3, "x1"), (3, "x3"), (-3, "x2"), (-3, "x0")],
+                          ">=", 1)],
+                        cls={"x0": "p", "x1": "f", "x2": "e", "x3": "e"})
+    results, final = drain(enumerate_solutions(
+        model, SolveConfig(seed=3, solution_limit=8), projection=("f", "p")))
+    assert ([r.nodes for r in results], final.status, final.nodes) == (
+        [2, 1, 1], "infeasible", 0)
 
 
 @pytest.mark.parametrize("nn", [2, 4])
@@ -313,7 +281,7 @@ def test_enumeration_order_matches_fresh_solves(nn):
 
     def fresh_solve():
         fresh = SimpleNamespace(variables=relaxed.variables,
-                                constraints=list(rows), objective=None)
+                                constraints=list(rows))
         return solve(fresh, SolveConfig(seed=3))
 
     for res in results:
@@ -414,159 +382,48 @@ def test_enumerate_projection_classes():
     assert {s.assignment[q] for s in both} == {0, 1}
 
 
-@pytest.fixture(scope="module")
-def small_instance():
-    dfg = parse_dfg("op a add\nop b add\nedge a -> b:0\n")
-    mrrg = build_mrrg(ArchSpec("ortho", 2, 2), 1)
-    nmap = build_neighbor_map(mrrg, 4)
-    cache = build_path_cache(mrrg, nmap, 4)
-    return dfg, mrrg, nmap, cache
+def highs_feasible(model):
+    """Decide the model with HiGHS through scipy's milp, which shares no
+    code with the built-in search."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint as SciRow, milp
 
-
-def test_lp_roundtrip_bytes(small_instance):
-    dfg, mrrg, nmap, cache = small_instance
-    model = build_variant("combined", dfg, mrrg, nmap, cache)
-    set_cost_function(model, {model.variables[0]: 2, model.variables[1]: -1})
-    text = export_lp(model)
-    # byte stability across independent builds of the same instance
-    twin = build_variant("combined", dfg, mrrg, nmap, cache)
-    set_cost_function(twin, {twin.variables[0]: 2, twin.variables[1]: -1})
-    assert export_lp(twin) == text
-
-
-def test_export_lp_text():
-    model, _ = mk_model(["x", "y", "z"],
-                        [([(1, "x"), (1, "y")], "<=", 1),
-                         ([(2, "x"), (-1, "z")], ">=", 0),
-                         ([(1, "y"), (1, "z")], "=", 1)],
-                        objective={"x": -1, "y": 3, "z": -2})
-    assert export_lp(model) == (
-        "\\ variant combined\n"
-        "Minimize\n"
-        " obj: - f!x + 3 f!y - 2 f!z\n"
-        "Subject To\n"
-        " r0_row: f!x + f!y <= 1\n"
-        " r1_row: 2 f!x - f!z >= 0\n"
-        " r2_row: f!y + f!z = 1\n"
-        "Binaries\n"
-        " f!x f!y f!z\n"
-        "End\n")
-
-
-def test_var_name_roundtrip():
-    cases = [
-        fvar("add0", ("pe_1_1.alu", 0)),
-        evar("a", ("pe_0_0.alu", 0), "b", ("pe_1_0.alu", 1)),
-        pvar(("pe_0_0.alu", 0), ("pe_1_0.alu", 1), 3),
-        VarId("f", ("p0", "h7")),
-    ]
-    for var in cases:
-        assert parse_var_name(var_name(var)) == var
-    assert var_name(cases[0]) == "f!add0!pe_1_1.alu!0"
-
-
-def test_parse_solution():
-    text = "f!a!u!0 1\np!n!0 0.000000\n# comment\n\nf!b!u!0 1.0000004\n"
-    got = parse_solution(text)
-    assert got[fvar("a", ("u", 0))] == 1
-    assert got[VarId("p", ("n", 0))] == 0
-    assert got[fvar("b", ("u", 0))] == 1
-    assert parse_solution("infeasible\n") is None
-    with pytest.raises(ExternalSolverError, match="unparsable"):
-        parse_solution("a b c\n")
-    with pytest.raises(ExternalSolverError, match="non-binary"):
-        parse_solution("a 0.5\n")
-    with pytest.raises(ExternalSolverError, match="bad value"):
-        parse_solution("a one\n")
-
-
-def stub_command():
-    return f"{sys.executable} {STUB} {{lp}} {{sol}}"
-
-
-def test_solve_external_stub():
-    model, vs = mk_model(["x", "y"],
-                         [([(1, "x"), (1, "y")], "<=", 1),
-                          ([(1, "x")], "=", 1)])
-    res = solve_external(model, stub_command(), SolveConfig(time_limit=30))
-    assert res.status == "feasible"
-    assert res.assignment[vs["x"]] == 1
-    assert not check_assignment(model.constraints, res.assignment)
-    dead, _ = mk_model(["x"], [([(1, "x")], "=", 1), ([(1, "x")], "<=", 0)])
-    assert solve_external(dead, stub_command(),
-                          SolveConfig(time_limit=30)).status == "infeasible"
-
-
-def test_solve_external_without_time_limit():
-    # subprocess.run rejects an infinite timeout with OverflowError
-    model, vs = mk_model(["x"], [([(1, "x")], "=", 1)])
-    cfg = SolveConfig(time_limit=float("inf"))
-    res = solve_external(model, stub_command(), cfg)
-    assert res.status == solve(model, cfg).status == "feasible"
-    assert res.assignment == {vs["x"]: 1}
-
-
-def test_solve_external_agreement():
-    rng = random.Random(41)
-    cfg = SolveConfig(time_limit=30)
-    for trial in range(25):
-        model = random_model(rng, max_vars=8)
-        ours = solve(model, cfg)
-        theirs = solve_external(model, stub_command(), cfg)
-        assert ours.status == theirs.status, f"trial {trial}"
-
-
-def test_solve_external_faults(tmp_path):
-    model, _ = mk_model(["x", "y"], [([(1, "x"), (1, "y")], "<=", 1)])
-    with pytest.raises(ExternalSolverError, match="placeholders"):
-        solve_external(model, "solver {lp}", SolveConfig())
-    with pytest.raises(ExternalSolverError, match="launch"):
-        solve_external(model, "/no/such/binary {lp} {sol}", SolveConfig())
-
-    liar = tmp_path / "liar.py"
-    liar.write_text(
-        "import sys\n"
-        "toks = open(sys.argv[1]).read().split()\n"
-        "names = toks[toks.index('Binaries') + 1:toks.index('End')]\n"
-        "open(sys.argv[2], 'w').write(''.join(f'{n} 1\\n' for n in names))\n")
-    with pytest.raises(ExternalSolverError, match="violates"):
-        solve_external(model, f"{sys.executable} {liar} {{lp}} {{sol}}",
-                       SolveConfig())
-
-    mute = tmp_path / "mute.py"
-    mute.write_text("pass\n")
-    with pytest.raises(ExternalSolverError, match="no solution file"):
-        solve_external(model, f"{sys.executable} {mute} {{lp}} {{sol}}",
-                       SolveConfig())
-
-    crash = tmp_path / "crash.py"
-    crash.write_text("raise SystemExit(3)\n")
-    with pytest.raises(ExternalSolverError, match="exited 3"):
-        solve_external(model, f"{sys.executable} {crash} {{lp}} {{sol}}",
-                       SolveConfig())
+    index = {v: i for i, v in enumerate(model.variables)}
+    n = len(model.variables)
+    rows = np.zeros((len(model.constraints), n))
+    lo, hi = [], []
+    for r, con in enumerate(model.constraints):
+        for c, v in con.terms:
+            rows[r, index[v]] = c
+        lo.append(-np.inf if con.relation == "<=" else con.rhs)
+        hi.append(np.inf if con.relation == ">=" else con.rhs)
+    res = milp(c=np.zeros(n), constraints=SciRow(rows, lo, hi),
+               integrality=np.ones(n), bounds=Bounds(0, 1))
+    # 0 is a solution found, 2 a proof of infeasibility; anything else
+    # (a limit, a numerical failure) decides nothing
+    assert res.status in (0, 2), res.message
+    return res.status == 0
 
 
 def test_scipy_crosscheck():
-    milp = pytest.importorskip("scipy.optimize").milp
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint as SciRow
-
+    pytest.importorskip("scipy.optimize")
     rng = random.Random(99)
     for trial in range(40):
         model = random_model(rng, max_vars=9)
-        index = {v: i for i, v in enumerate(model.variables)}
-        n = len(model.variables)
-        rows, lo, hi = [], [], []
-        for con in model.constraints:
-            coefs = [0.0] * n
-            for c, v in con.terms:
-                coefs[index[v]] = c
-            rows.append(coefs)
-            lo.append(-np.inf if con.relation == "<=" else con.rhs)
-            hi.append(np.inf if con.relation == ">=" else con.rhs)
-        res = milp(c=np.zeros(n),
-                   constraints=SciRow(np.array(rows), lo, hi),
-                   integrality=np.ones(n),
-                   bounds=Bounds(0, 1))
         ours = solve(model, SolveConfig())
-        assert (ours.status == "feasible") == res.success, f"trial {trial}"
+        assert (ours.status == "feasible") == highs_feasible(model), \
+            f"trial {trial}"
+    # the shapes the mapper builds: relaxed placement, routing-only with
+    # a routable and an unroutable placement, and a pigeonhole
+    relaxed, routings = sum4_models()
+    shaped = {"tree5 relaxed NN 2": tree5_relaxed(2),
+              "tree5 relaxed NN 4": tree5_relaxed(4),
+              "sum4 relaxed": relaxed,
+              "sum4 routing, seed 1 placement": routings[0],
+              "sum4 routing, seed 2 placement": routings[1],
+              "pigeonhole 6 in 5": _pigeonhole(6, 5)}
+    theirs = {name: highs_feasible(m) for name, m in shaped.items()}
+    assert list(theirs.values()) == [True, True, True, True, False, False]
+    for name, model in shaped.items():
+        ours = solve(model, SolveConfig())
+        assert (ours.status == "feasible") == theirs[name], name
