@@ -180,8 +180,6 @@ def extract_mapping(model: IlpModel, dfg: Dfg, mrrg: Mrrg, assignment):
 
     routes: dict[tuple[str, str], RoutePath] = {}
     for driver, sink in dfg.point_edges():
-        if driver not in placement or sink not in placement:
-            continue
         u, v = placement[driver], placement[sink]
         layered = marks.get(driver, {})
         entries = []

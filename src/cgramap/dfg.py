@@ -5,6 +5,7 @@ one driver operation fanning out to a list of (sink, operand index) pairs.
 Cycles and self-loops are permitted (loop-carried dependences). Each
 (sink, operand) slot is driven at most once. An operation produces a single
 value, so all edge lines with the same driver denote one net and are merged.
+A mapping places every operation exactly once; none is optional.
 
 The text format, one directive per line, '#' starts a comment:
 
@@ -208,95 +209,3 @@ def validate_dfg(dfg: Dfg) -> list[str]:
             issues.append(f"op {op.id}: source op has fanin")
     return issues
 
-
-def _sccs(vertex_ids: list[str], succ: dict[str, set[str]]) -> list[list[str]]:
-    """Tarjan SCCs, iterative. Returns components in reverse topological
-    order of the condensation (sink components first)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    comps: list[list[str]] = []
-    counter = [0]
-
-    for root in vertex_ids:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(succ.get(root, ()))))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(succ.get(w, ())))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
-
-
-def cover_set(dfg: Dfg) -> frozenset[str]:
-    """Ops whose combined fanin cones cover the whole graph.
-
-    Sink operations (no fanout), augmented with the lowest-id vertex of each
-    strongly connected component that has no edge leaving it (pure cycles
-    never reach a sink otherwise). Equivalently: one representative per sink
-    component of the condensation.
-    """
-    ids = [op.id for op in dfg.operations]
-    succ: dict[str, set[str]] = {i: set() for i in ids}
-    for e in dfg.edges:
-        for sink, _ in e.sinks:
-            succ[e.driver].add(sink)
-    comps = _sccs(ids, succ)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    is_sink_comp = [True] * len(comps)
-    for v in ids:
-        for w in succ[v]:
-            if comp_of[v] != comp_of[w]:
-                is_sink_comp[comp_of[v]] = False
-    return frozenset(min(comp) for ci, comp in enumerate(comps) if is_sink_comp[ci])
-
-
-def fanin_cone(dfg: Dfg, roots: Iterable[str]) -> frozenset[str]:
-    """All ops backward-reachable from roots, roots included."""
-    pred: dict[str, set[str]] = {op.id: set() for op in dfg.operations}
-    for e in dfg.edges:
-        for sink, _ in e.sinks:
-            pred[sink].add(e.driver)
-    seen = set()
-    todo = [r for r in roots]
-    while todo:
-        v = todo.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        todo.extend(pred[v] - seen)
-    return frozenset(seen)

@@ -6,7 +6,7 @@ o on u to p on v), p (path q between units u and v is switched on), y
 families:
 
   con1  unit exclusivity: each FU hosts at most one operation
-  con2  must map: cover ops placed exactly once, all others at most once
+  con2  must map: every operation placed exactly once
   con3  fanin required: a placed sink needs an incoming edge assignment
   con4  fanout implies usage: an edge assignment claims its driver unit
   con5  path required: an assigned edge needs a switched-on path
@@ -27,7 +27,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .dfg import Dfg, cover_set
+from .dfg import Dfg
 from .mrrg import Mrrg, NodeKey, compatible_nodes, fu_nodes
 from .neighbors import NeighborMap
 from .paths import PathCache
@@ -190,13 +190,12 @@ def add_fu_exclusivity(model: IlpModel, dfg: Dfg, fus) -> None:
 
 
 def add_must_map(model: IlpModel, dfg: Dfg) -> None:
-    cover = cover_set(dfg)
     index = _f_index(model)
     for op in dfg.operations:
         terms = [(1, v) for v in index.get(op.id, ())]
         if not terms:
             raise InfeasibleModel(f"operation {op.id} has no compatible unit")
-        model.add_constraint(terms, "=" if op.id in cover else "<=", 1, "con2")
+        model.add_constraint(terms, "=", 1, "con2")
 
 
 def add_fanin_required(model: IlpModel, dfg: Dfg) -> None:

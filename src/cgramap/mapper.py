@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .dfg import Dfg, cover_set, fanin_cone
+from .dfg import Dfg
 from .ilp import RELAXED_PATHS, InfeasibleModel, build_variant, used_pairs
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import NeighborMap, build_neighbor_map
@@ -113,8 +113,6 @@ def _routes_of(assignment, cache: PathCache, placement: dict[str, NodeKey],
             chosen[u, v] = q
     routing: dict[str, list[RoutePath]] = {}
     for o, p in dfg.point_edges():
-        if o not in placement or p not in placement:
-            continue
         u, v = placement[o], placement[p]
         routing.setdefault(o, []).append(cache[u, v][chosen[u, v]])
     return {o: tuple(sorted(paths, key=lambda rp: rp.vertices))
@@ -161,8 +159,7 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
             placement = _placement_of(candidate.assignment)
             cache = _cache_over(mrrg, nn,
                                 {(placement[o], placement[p])
-                                 for o, p in dfg.point_edges()
-                                 if o in placement and p in placement},
+                                 for o, p in dfg.point_edges()},
                                 DEFAULT_K)
             try:
                 routing_model = build_variant("routing_only", dfg, mrrg,
@@ -222,23 +219,26 @@ def validate_mapping(dfg: Dfg, mrrg: Mrrg, sol: MappingSolution) -> list[str]:
     for unit, residents in sorted(hosts.items()):
         if len(residents) > 1:
             problems.append(f"unit {unit} hosts {sorted(residents)}")
-    required = fanin_cone(dfg, cover_set(dfg))
-    for op_id in sorted(required):
+    for op_id in sorted(ops):
         if op_id not in sol.placement:
-            problems.append(f"op {op_id} is required but unplaced")
+            problems.append(f"op {op_id} is unplaced")
 
-    by_pair: dict[tuple[NodeKey, NodeKey], RoutePath] = {}
+    routed: set[tuple[NodeKey, NodeKey]] = set()
     for driver, paths in sol.routing.items():
         if driver not in sol.placement:
             problems.append(f"routing for unplaced driver {driver}")
             continue
         for rp in paths:
+            if len(rp.vertices) < 2:
+                problems.append(f"path for {driver} has fewer than 2 "
+                                f"vertices")
+                continue
             if rp.vertices[0] != sol.placement[driver]:
                 problems.append(f"path for {driver} starts at "
                                 f"{rp.vertices[0]}, not its unit")
-            by_pair[rp.vertices[0], rp.vertices[-1]] = rp
+            routed.add((rp.vertices[0], rp.vertices[-1]))
             for a, b in zip(rp.vertices, rp.vertices[1:]):
-                if b not in mrrg.fanout(a):
+                if a not in mrrg.nodes or b not in mrrg.fanout(a):
                     problems.append(f"path for {driver} uses missing edge "
                                     f"{a} -> {b}")
             interior = rp.vertices[1:-1]
@@ -253,12 +253,8 @@ def validate_mapping(dfg: Dfg, mrrg: Mrrg, sol: MappingSolution) -> list[str]:
     for o, p in dfg.point_edges():
         if o not in sol.placement or p not in sol.placement:
             continue
-        pair = (sol.placement[o], sol.placement[p])
-        rp = by_pair.get(pair)
-        if rp is None:
+        if (sol.placement[o], sol.placement[p]) not in routed:
             problems.append(f"no route for {o} -> {p}")
-        elif len(rp) < 1:
-            problems.append(f"empty route for {o} -> {p}")
 
     seen: dict[NodeKey, str] = {}
     for driver in sorted(sol.routing):

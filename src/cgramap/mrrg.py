@@ -135,18 +135,14 @@ def parse_arch(text: str) -> ArchSpec:
 
 
 def serialize_arch(spec: ArchSpec) -> str:
-    lines = [
-        f"family={spec.family}",
-        f"rows={spec.rows}",
-        f"cols={spec.cols}",
-        f"route_through={'true' if spec.route_through else 'false'}",
-    ]
-    if spec.family == "adres":
-        lines.append(f"skip_distance={spec.skip_distance}")
-    if spec.family == "clustered":
-        lines.append(f"cluster_rows={spec.cluster_rows}")
-        lines.append(f"cluster_cols={spec.cluster_cols}")
-    return "\n".join(lines) + "\n"
+    """Every field as a key=value line, so parse_arch gives spec back."""
+    return (f"family={spec.family}\n"
+            f"rows={spec.rows}\n"
+            f"cols={spec.cols}\n"
+            f"route_through={'true' if spec.route_through else 'false'}\n"
+            f"skip_distance={spec.skip_distance}\n"
+            f"cluster_rows={spec.cluster_rows}\n"
+            f"cluster_cols={spec.cluster_cols}\n")
 
 
 class Mrrg:

@@ -62,8 +62,9 @@ class NeighborMap:
 
 def build_neighbor_map(mrrg: Mrrg, target_nn: int) -> NeighborMap:
     """find_neighbors for every FU vertex."""
-    if target_nn < 1:
-        raise ValueError(f"target_nn must be >= 1, got {target_nn}")
+    if not isinstance(target_nn, int) or target_nn < 1:
+        raise ValueError(
+            f"target_nn must be an int of at least 1, got {target_nn!r}")
     return NeighborMap(
         target_nn,
         {u: find_neighbors(mrrg, u, target_nn) for u in fu_nodes(mrrg)},

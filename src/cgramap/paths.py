@@ -55,6 +55,11 @@ def is_valid_path(mrrg: Mrrg, rp: RoutePath) -> bool:
     return len(set(body)) == len(body)
 
 
+def _check_k(k) -> None:
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be an int of at least 1, got {k!r}")
+
+
 def k_shortest_paths(mrrg: Mrrg, u: NodeKey, v: NodeKey,
                      k: int = DEFAULT_K) -> tuple[RoutePath, ...]:
     """The k shortest simple routes from FU u to FU v, by hop count.
@@ -64,6 +69,7 @@ def k_shortest_paths(mrrg: Mrrg, u: NodeKey, v: NodeKey,
     through u. Returns fewer than k paths when fewer exist, empty when v
     is unreachable.
     """
+    _check_k(k)
     return _routes(mrrg, u, v, k, hop_dists(mrrg, (v,), mrrg.fanin))
 
 
@@ -71,8 +77,6 @@ def _routes(mrrg: Mrrg, u: NodeKey, v: NodeKey, k: int,
             dist: dict[NodeKey, int]) -> tuple[RoutePath, ...]:
     """k_shortest_paths given dist, the exact remaining hops to v from
     every vertex that reaches it (a backward BFS from v)."""
-    if k < 1:
-        raise ValueError("k must be positive")
     if not (mrrg.is_fu(u) and mrrg.is_fu(v)):
         raise ValueError("path endpoints must be functional units")
     if u not in dist:
@@ -124,6 +128,7 @@ def build_path_cache(mrrg: Mrrg, nmap: NeighborMap,
     cache built for some neighbor count serves any smaller count too,
     since shrinking the target only drops pairs.
     """
+    _check_k(k)
     pairs = [(src, dst) for src in sorted(nmap.neighbors)
              for dst in nmap.neighbors[src]]
     by_sink: dict[NodeKey, list[NodeKey]] = {}

@@ -9,10 +9,10 @@ free terms can still take, and a negative slack is a conflict. Free
 variables whose coefficient exceeds the slack are forced; a row whose
 slack is at least its widest coefficient can do neither and is skipped.
 
-The search branches on choices first. A choice group is an operation's
-candidate placements (f variables sharing an operation) or a row that
-needs at least one of its variables (all coefficients 1, such as the
-con5 row of each connection in a routing-only model). At each node the
+The search branches on choices first. A choice group is a row that
+needs at least one of its variables (all coefficients 1), such as an
+operation's con2 row over its candidate placements or a connection's
+con5 row over its paths in a routing-only model. At each node the
 open group (no member at 1, some member free) with the fewest free
 members is taken, fail-first, ties going to the group declared first;
 its first free member in branch order is tried at 1, then at 0. So a
@@ -209,7 +209,7 @@ class _Search:
         rank = [0] * len(order)
         for at, i in enumerate(order):
             rank[i] = at
-        groups = _choice_groups(self.vars, self.rows, self.index, rank)
+        groups = _choice_groups(self.rows, self.index, rank)
         first = [0 if v.cls in ("e", "p", "y") else 1 for v in self.vars]
         val = self.val
         # every variable in order[:pos] is fixed
@@ -264,26 +264,15 @@ class _Search:
                 return INFEASIBLE
 
 
-def _choice_groups(variables, rows, index, rank):
-    """The choices the search branches on first: each operation's
-    candidate placements (f variables sharing idx[0]) and each row that
-    needs at least one of its variables (all coefficients 1, relation >=
-    or =, right-hand side at least 1). Members come in branch order,
-    groups in declaration order, which breaks ties between them; a group
-    listed twice (a cover row over an operation's placements) is kept
-    once."""
-    by_op: dict = {}
-    for i, v in enumerate(variables):
-        if v.cls == "f":
-            by_op.setdefault(v.idx[0], []).append(i)
-    groups = list(by_op.values())
-    for con in rows:
-        if (con.relation != "<=" and con.rhs >= 1 and con.terms
-                and all(c == 1 for c, _ in con.terms)):
-            groups.append([index[v] for _, v in con.terms])
-    # dict keys keep the first occurrence and its position
-    return list(dict.fromkeys(tuple(sorted(g, key=rank.__getitem__))
-                              for g in groups))
+def _choice_groups(rows, index, rank):
+    """The choices the search branches on first: each row that needs at
+    least one of its variables (all coefficients 1, relation >= or =,
+    right-hand side at least 1). Members come in branch order, groups in
+    row order, which breaks ties between them."""
+    return [sorted((index[v] for _, v in con.terms), key=rank.__getitem__)
+            for con in rows
+            if (con.relation != "<=" and con.rhs >= 1 and con.terms
+                and all(c == 1 for c, _ in con.terms))]
 
 
 def _open_choice(groups, val):

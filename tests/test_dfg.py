@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from cgramap.dfg import (
@@ -7,8 +5,6 @@ from cgramap.dfg import (
     DfgError,
     Edge,
     Operation,
-    cover_set,
-    fanin_cone,
     parse_dfg,
     serialize_dfg,
     validate_dfg,
@@ -45,20 +41,6 @@ edge off -> ld:0
 edge ld -> sum:0
 edge sum -> sum:1, out:0
 """
-
-
-def cone_oracle(dfg, roots):
-    """Reference fanin cone: repeated scan until fixpoint, no shared code."""
-    members = set(roots)
-    changed = True
-    while changed:
-        changed = False
-        for e in dfg.edges:
-            for sink, _ in e.sinks:
-                if sink in members and e.driver not in members:
-                    members.add(e.driver)
-                    changed = True
-    return members
 
 
 def test_parse_expr_counts():
@@ -138,58 +120,3 @@ def test_validate_lint():
     assert any("output op drives" in s for s in issues)
     assert any("source op has fanin" in s for s in issues)
     assert validate_dfg(parse_dfg(EXPR_TEXT)) == []
-
-
-def test_cover_set_expr_is_output():
-    d = parse_dfg(EXPR_TEXT)
-    assert cover_set(d) == frozenset({"a"})
-
-
-def test_cover_set_pure_cycle_picks_loop_op():
-    # accumulator that drives nothing downstream: the self-loop add must be
-    # picked, the input is covered through its cone
-    d = parse_dfg("op i input\nop acc add\nedge i -> acc:0\nedge acc -> acc:1\n")
-    assert cover_set(d) == frozenset({"acc"})
-
-
-def test_cover_set_two_outputs():
-    d = parse_dfg(
-        "op i input\nop m1 mul\nop m2 mul\nop o1 output\nop o2 output\n"
-        "edge i -> m1:0, m2:0\nedge m1 -> o1:0\nedge m2 -> o2:0\n"
-    )
-    assert cover_set(d) == frozenset({"o1", "o2"})
-
-
-def _random_dfg(rng):
-    n = rng.randrange(2, 10)
-    ops = [Operation(f"v{i}", "add") for i in range(n)]
-    edges = {}
-    for i in range(n):
-        fanout = rng.sample(range(n), k=rng.randrange(0, min(3, n)))
-        sinks = tuple((f"v{j}", rng.randrange(0, 64)) for j in fanout)
-        if sinks:
-            edges[f"v{i}"] = sinks
-    # operand slots must be uniquely driven: retry on collision
-    slots = set()
-    clean = []
-    for d, sinks in sorted(edges.items()):
-        kept = tuple(s for s in sinks if s not in slots)
-        slots.update(kept)
-        if kept:
-            clean.append(Edge(d, kept))
-    return Dfg(ops, clean)
-
-
-def test_cover_set_properties_random():
-    rng = random.Random(1234)
-    for _ in range(300):
-        d = _random_dfg(rng)
-        cov = cover_set(d)
-        all_ids = {op.id for op in d.operations}
-        # coverage: union of fanin cones is everything
-        assert cone_oracle(d, cov) == all_ids
-        # minimality: dropping any member loses at least its own component
-        for m in cov:
-            assert cone_oracle(d, cov - {m}) != all_ids
-        # agreement between the two cone implementations
-        assert fanin_cone(d, cov) == cone_oracle(d, cov)

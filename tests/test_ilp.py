@@ -121,7 +121,7 @@ def test_constraint_family_recounts(inst, combined):
     assert count(model, "con1") == len(hosts) == 9
     assert count(model, "con2") == len(dfg.operations) == 6
     eqs = [c for c in model.constraints if c.tag == "con2" and c.relation == "="]
-    assert len(eqs) == 1  # the output is the only cover op
+    assert len(eqs) == 6  # every operation is placed exactly once
     ops = dfg.ops_by_id
     n_con3 = sum(len(compatible_nodes(m, ops[p])) for _, p in dfg.point_edges())
     assert count(model, "con3") == n_con3 == 5 * 9

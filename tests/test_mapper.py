@@ -3,6 +3,7 @@ the full neighbourhood cache, verdicts of the driver and of the combined
 model agree with brute force, reports are stable, and the survey entry
 points run."""
 
+import dataclasses
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from cgramap.mapper import (MAPPED, NOT_MAPPABLE, MappingSolution, MapLimits,
                             outcome_to_dict, validate_mapping)
 from cgramap.mrrg import ArchSpec, build_mrrg, fu_nodes
 from cgramap.neighbors import build_neighbor_map
-from cgramap.paths import DEFAULT_K, build_path_cache
+from cgramap.paths import DEFAULT_K, RoutePath, build_path_cache
 from cgramap.solver import FEASIBLE, SolveConfig, solve
 from helpers import brute_force_mappable
 
@@ -281,6 +282,33 @@ def test_agreement_with_brute_force(family, ii, kernel, mappable):
         return
     res = solve(model, SolveConfig(seed=1, time_limit=30))
     assert res.status == (FEASIBLE if mappable else "infeasible")
+
+
+def test_validate_mapping_reports_malformed_solutions():
+    # a solution from outside gets a list of problems, never an exception
+    dfg = parse_dfg(KERNELS["chain3"])
+    mrrg = fabric("ortho", 1)
+    out = map_dfg(dfg, mrrg, SCHEDULE, LIMITS, seed=1)
+    assert out.status == MAPPED
+    sol = out.solution
+    assert validate_mapping(dfg, mrrg, sol) == []
+    a, b = sol.placement["a"], sol.placement["b"]
+    for vertices in ((), (a,)):
+        bad = dataclasses.replace(
+            sol, routing={**sol.routing, "a": (RoutePath(a, b, vertices),)})
+        assert validate_mapping(dfg, mrrg, bad) == [
+            "path for a has fewer than 2 vertices", "no route for a -> b"]
+    gone = ("nope", 0)
+    bad = dataclasses.replace(
+        sol, routing={**sol.routing, "a": (RoutePath(a, b, (a, gone, b)),)})
+    assert validate_mapping(dfg, mrrg, bad) == [
+        f"path for a uses missing edge {a} -> {gone}",
+        f"path for a uses missing edge {gone} -> {b}",
+        f"path for a routes through {gone}"]
+    # every operation must be placed, including one that feeds a placed op
+    partial = dataclasses.replace(
+        sol, placement={o: u for o, u in sol.placement.items() if o != "a"})
+    assert "op a is unplaced" in validate_mapping(dfg, mrrg, partial)
 
 
 def test_report_is_byte_stable():

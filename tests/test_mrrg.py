@@ -178,7 +178,9 @@ def test_hycube_structure():
 
 def test_parse_arch_round_trip():
     for spec in (ortho(3, 3), ArchSpec("adres", 4, 4, skip_distance=2),
-                 ArchSpec("clustered", 4, 4), ArchSpec("hycube", 4, 4, False)):
+                 ArchSpec("clustered", 4, 4), ArchSpec("hycube", 4, 4, False),
+                 ArchSpec("ortho", 2, 2, skip_distance=3),
+                 ArchSpec("hycube", 2, 2, cluster_rows=1)):
         assert parse_arch(serialize_arch(spec)) == spec
 
 

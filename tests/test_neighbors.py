@@ -115,8 +115,9 @@ def test_neighbor_map_covers_every_fu_and_is_deterministic():
     assert set(nm.neighbors) == set(fu_nodes(m))
     again = build_neighbor_map(m, 4)
     assert nm.neighbors == again.neighbors
-    with pytest.raises(ValueError):
-        build_neighbor_map(m, 0)
+    for bad in (0, -1, 2.5, "4", None):
+        with pytest.raises(ValueError):
+            build_neighbor_map(m, bad)
 
 
 def test_source_must_be_fu():

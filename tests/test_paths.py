@@ -90,8 +90,14 @@ def test_self_pair_enumerates_cycles():
 def test_argument_errors():
     m = build_mrrg(ArchSpec("ortho", 2, 2), ii=1)
     alu = ("pe_0_0.alu", 0)
-    with pytest.raises(ValueError):
-        k_shortest_paths(m, alu, alu, 0)
+    full, empty = build_neighbor_map(m, 4), NeighborMap(4, {})
+    for bad in (0, -1, 2.5, "3", None):
+        with pytest.raises(ValueError):
+            k_shortest_paths(m, alu, alu, bad)
+        # checked once up front, so a map with no pairs rejects it too
+        for nmap in (full, empty):
+            with pytest.raises(ValueError):
+                build_path_cache(m, nmap, bad)
     with pytest.raises(ValueError):
         k_shortest_paths(m, ("pe_0_0.out", 0), alu, 4)
     with pytest.raises(KeyError):

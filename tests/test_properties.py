@@ -1,0 +1,66 @@
+"""Property tests: the DFG and architecture text formats read back what
+they write. Derandomized with few examples, so they run in a couple of
+seconds and give the same cases on every run."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from cgramap.dfg import (OPCODES, Dfg, Edge, Operation,  # noqa: E402
+                         parse_dfg, serialize_dfg)
+from cgramap.mrrg import ArchError, ArchSpec, parse_arch, serialize_arch  # noqa: E402
+
+PROFILE = settings(derandomize=True, database=None, deadline=None,
+                   max_examples=150)
+
+HEAD = "abcxyzAZ_"
+IDS = st.builds(str.__add__, st.sampled_from(HEAD),
+                st.text(HEAD + "09", max_size=3))
+
+
+@st.composite
+def dfgs(draw):
+    """1-6 ops of any opcode, some with a const payload, and edges from
+    any op to distinct (sink, operand) slots: fan-out, cycles and
+    self-edges included."""
+    ids = draw(st.lists(IDS, min_size=1, max_size=6, unique=True))
+    ops = [Operation(i, draw(st.sampled_from(sorted(OPCODES))),
+                     draw(st.none() | st.integers(-99, 99)))
+           for i in ids]
+    slots = draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 3)),
+                          max_size=10, unique=True))
+    return Dfg(ops, [Edge(draw(st.sampled_from(ids)), (slot,))
+                     for slot in slots])
+
+
+def _valid(spec):
+    try:
+        spec.validate()
+    except ArchError:
+        return False
+    return True
+
+
+COUNTS = st.integers(-2, 6)
+
+SPECS = st.builds(
+    ArchSpec,
+    family=st.sampled_from(("ortho", "adres", "clustered", "hycube")),
+    rows=st.integers(1, 6), cols=st.integers(1, 6),
+    route_through=st.booleans(), skip_distance=COUNTS,
+    cluster_rows=COUNTS, cluster_cols=COUNTS,
+).filter(_valid)
+
+
+@PROFILE
+@given(dfgs())
+def test_dfg_text_round_trip(dfg):
+    assert parse_dfg(serialize_dfg(dfg)) == dfg
+
+
+@PROFILE
+@given(SPECS)
+def test_arch_text_round_trip(spec):
+    assert parse_arch(serialize_arch(spec)) == spec
