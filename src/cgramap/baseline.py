@@ -50,13 +50,10 @@ class _Window:
                 if not mrrg.is_fu(n)}
 
     def layers(self, n: NodeKey) -> range:
-        if n not in self._member:
-            return range(0)
         return range(self.fwd[n], self.lmax - self.bwd[n] + 1)
 
     def has(self, n: NodeKey, layer: int) -> bool:
-        return n in self._member and self.fwd[n] <= layer \
-            and layer <= self.lmax - self.bwd[n]
+        return n in self._member and layer in self.layers(n)
 
 
 def zvar(driver: str, n: NodeKey) -> VarId:
@@ -121,7 +118,7 @@ def build_baseline(dfg: Dfg, mrrg: Mrrg, *, hop_slack: int | None = None) -> Ilp
                          for m in mrrg.fanout(n)
                          if win.has(m, layer + 1)]
                 ahead += [(-1, fvar(sink, v))
-                          for sink, v in _fed_sinks(model, mrrg, win, n)]
+                          for sink, v in _fed_sinks(mrrg, win, n)]
                 model.add_constraint([(1, rvar(driver, n, layer))] + ahead,
                                      "<=", 0, "fwd")
 
@@ -145,14 +142,10 @@ def build_baseline(dfg: Dfg, mrrg: Mrrg, *, hop_slack: int | None = None) -> Ilp
     return model
 
 
-def _fed_sinks(model: IlpModel, mrrg: Mrrg, win: _Window, n: NodeKey):
-    pairs = []
+def _fed_sinks(mrrg: Mrrg, win: _Window, n: NodeKey):
     fanout = set(mrrg.fanout(n))
-    for sink in win.sinks:
-        for v in win.sink_cands[sink]:
-            if v in fanout and model.has_var(fvar(sink, v)):
-                pairs.append((sink, v))
-    return pairs
+    return [(sink, v) for sink in win.sinks for v in win.sink_cands[sink]
+            if v in fanout]
 
 
 def extract_mapping(model: IlpModel, dfg: Dfg, mrrg: Mrrg, assignment):

@@ -97,9 +97,6 @@ class IlpModel:
             self.variables.append(var)
         return var
 
-    def has_var(self, var: VarId) -> bool:
-        return var in self._declared
-
     def add_constraint(self, terms, relation: str, rhs: int, tag: str) -> None:
         if relation not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {relation!r}")
@@ -136,11 +133,9 @@ class IlpModel:
 
 
 def declare_f(model: IlpModel, dfg: Dfg, mrrg: Mrrg) -> None:
+    """Each op's compatible units; add_must_map rejects an op with none."""
     for op in dfg.operations:
-        cands = compatible_nodes(mrrg, op)
-        if not cands:
-            raise InfeasibleModel(f"operation {op.id} has no compatible unit")
-        for u in cands:
+        for u in compatible_nodes(mrrg, op):
             model.add_var(fvar(op.id, u))
 
 
@@ -305,8 +300,8 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
         add_fanin_required(model, dfg)
         add_fanout_implies_usage(model)
     else:
-        model.variables = list(screen.variables)
-        model._declared = dict(screen._declared)
+        for var in screen.variables:
+            model.add_var(var)
         model.constraints = list(screen.constraints)
     if variant == "placement_only":
         return model
@@ -351,12 +346,11 @@ def _build_routing_only(dfg, mrrg, nmap, cache, placement,
         if v not in nmap[u]:
             raise InfeasibleModel(f"no neighborhood route {u} -> {v}")
         pairs.append((u, v))
-    declare_p(model, cache, set(pairs), ppc)
     for u, v in sorted(set(pairs)):
-        n = min(ppc, len(cache.get((u, v))))
-        if n == 0:
+        terms = [(1, model.add_var(pvar(u, v, q)))
+                 for q in range(min(ppc, len(cache.get((u, v)))))]
+        if not terms:
             raise InfeasibleModel(f"no cached path {u} -> {v}")
-        terms = [(1, pvar(u, v, q)) for q in range(n)]
         model.add_constraint(terms, ">=", 1, "con5")
     add_path_exclusivity(model, cache, 1)
     return model

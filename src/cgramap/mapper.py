@@ -8,6 +8,11 @@ model over all k cached paths. The first routable placement wins;
 growing the neighbourhood only happens when the cheap stages say the
 current one cannot work.
 
+Every stage takes its time limit as it starts: min(cap, time left
+before the map deadline), floored at 1 ms. MapLimits.solve_time caps
+each screen and routing solve; the enumeration has no cap and runs to
+the deadline.
+
 Routes are built on demand, each list only as deep as the model that
 reads it. Once a screen passes, one cache holds RELAXED_PATHS routes
 for every (driver unit, sink unit) pair the screen model declares edge
@@ -21,8 +26,9 @@ cache.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dfg import Dfg
 from .ilp import RELAXED_PATHS, InfeasibleModel, build_variant, used_pairs
@@ -40,6 +46,9 @@ GENERIC_SCHEDULE = tuple(range(4, 25, 2))
 
 @dataclass(frozen=True)
 class MapLimits:
+    """solve_time caps each screen and routing solve; the enumeration
+    runs to the total_time deadline."""
+
     placement_limit: int = 100
     solve_time: float = 120.0
     total_time: float = 1800.0
@@ -67,7 +76,6 @@ class MappingSolution:
     placement: dict[str, NodeKey]
     routing: dict[str, tuple[RoutePath, ...]]
     nn: int
-    stats: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -85,12 +93,6 @@ def _check_schedule(schedule) -> tuple[int, ...]:
             or any(b <= a for a, b in zip(sched, sched[1:]))):
         raise ValueError("schedule must be strictly increasing positive ints")
     return sched
-
-
-def _placement_of(assignment) -> dict[str, NodeKey]:
-    return {var.idx[0]: var.idx[1]
-            for var, value in assignment.items()
-            if var.cls == "f" and value == 1}
 
 
 def _cache_over(mrrg: Mrrg, nn: int, pairs, k: int) -> PathCache:
@@ -125,75 +127,78 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
     sched = _check_schedule(schedule)
     deadline = time.monotonic() + limits.total_time
     attempts: list[NnAttempt] = []
-
     for nn in sched:
         start = time.monotonic()
         if start >= deadline:
             return MapOutcome(TIMED_OUT, None, tuple(attempts))
-        cfg = SolveConfig(seed=seed,
-                          time_limit=min(limits.solve_time, deadline - start))
-        nmap = build_neighbor_map(mrrg, nn)
-        try:
-            screen_model = build_variant("placement_only", dfg, mrrg, nmap)
-            screen = solve(screen_model, cfg).status
-        except InfeasibleModel:
-            screen = "infeasible"
-        if screen != "feasible":
-            attempts.append(NnAttempt(nn, screen, 0, False,
-                                      time.monotonic() - start))
-            if screen == "timeout":
-                return MapOutcome(TIMED_OUT, None, tuple(attempts))
-            continue
-
-        shallow = _cache_over(mrrg, nn, used_pairs(screen_model),
-                              RELAXED_PATHS)
-        relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap,
-                                shallow, screen=screen_model)
-        enum_cfg = SolveConfig(seed=seed,
-                               time_limit=max(deadline - time.monotonic(),
-                                              0.001),
-                               solution_limit=limits.placement_limit)
-        tried = 0
-        for candidate in enumerate_solutions(relaxed, enum_cfg):
-            tried += 1
-            placement = _placement_of(candidate.assignment)
-            cache = _cache_over(mrrg, nn,
-                                {(placement[o], placement[p])
-                                 for o, p in dfg.point_edges()},
-                                DEFAULT_K)
-            try:
-                routing_model = build_variant("routing_only", dfg, mrrg,
-                                              nmap, cache,
-                                              placement=placement)
-            except InfeasibleModel:
-                continue
-            route_cfg = SolveConfig(
-                seed=seed,
-                time_limit=max(min(limits.solve_time,
-                                   deadline - time.monotonic()), 0.001))
-            routed = solve(routing_model, route_cfg)
-            if routed.status == "feasible":
-                routing = _routes_of(routed.assignment, cache, placement,
-                                     dfg)
-                elapsed = time.monotonic() - start
-                solution = MappingSolution(
-                    placement=placement, routing=routing, nn=nn,
-                    stats={"seconds": round(elapsed, 6),
-                           "placements_tried": tried})
-                problems = validate_mapping(dfg, mrrg, solution)
-                if problems:
-                    raise AssertionError(
-                        f"mapping failed validation: {problems[0]}")
-                attempts.append(NnAttempt(nn, "feasible", tried, True,
-                                          elapsed))
-                return MapOutcome(MAPPED, solution, tuple(attempts))
-            if time.monotonic() >= deadline:
-                break
-        attempts.append(NnAttempt(nn, "feasible", tried, False,
-                                  time.monotonic() - start))
-        if time.monotonic() >= deadline:
+        screen, tried, solution = _attempt(dfg, mrrg, nn, limits, seed,
+                                           deadline)
+        now = time.monotonic()
+        attempts.append(NnAttempt(nn, screen, tried, solution is not None,
+                                  now - start))
+        if solution is not None:
+            problems = validate_mapping(dfg, mrrg, solution)
+            if problems:
+                raise AssertionError(
+                    f"mapping failed validation: {problems[0]}")
+            return MapOutcome(MAPPED, solution, tuple(attempts))
+        # an infeasible screen moves on past the deadline: the next target
+        # times out at its start; after the last, the run is not mappable
+        if screen == "timeout" or (screen == "feasible" and now >= deadline):
             return MapOutcome(TIMED_OUT, None, tuple(attempts))
     return MapOutcome(NOT_MAPPABLE, None, tuple(attempts))
+
+
+def _config(seed: int, deadline: float, cap: float = math.inf,
+            solutions: int = 1) -> SolveConfig:
+    """A stage's solver settings, taken as the stage starts: its time
+    limit is min(cap, time left), floored at 1 ms."""
+    left = min(cap, deadline - time.monotonic())
+    return SolveConfig(seed, max(left, 0.001), solutions)
+
+
+def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
+             deadline: float) -> tuple[str, int, MappingSolution | None]:
+    """One target: the screen's status, the number of relaxed placements
+    tried and the first one that routes, if any."""
+    nmap = build_neighbor_map(mrrg, nn)
+    try:
+        screen_model = build_variant("placement_only", dfg, mrrg, nmap)
+    except InfeasibleModel:
+        return "infeasible", 0, None
+    screen = solve(screen_model,
+                   _config(seed, deadline, limits.solve_time)).status
+    if screen != "feasible":
+        return screen, 0, None
+
+    shallow = _cache_over(mrrg, nn, used_pairs(screen_model), RELAXED_PATHS)
+    relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap, shallow,
+                            screen=screen_model)
+    tried = 0
+    for candidate in enumerate_solutions(
+            relaxed,
+            _config(seed, deadline, solutions=limits.placement_limit)):
+        tried += 1
+        placement = {var.idx[0]: var.idx[1] for var, value
+                     in candidate.assignment.items()
+                     if var.cls == "f" and value == 1}
+        cache = _cache_over(mrrg, nn,
+                            {(placement[o], placement[p])
+                             for o, p in dfg.point_edges()},
+                            DEFAULT_K)
+        # never infeasible: the relaxed rows already rule out each
+        # condition the routing build rejects
+        routing_model = build_variant("routing_only", dfg, mrrg, nmap, cache,
+                                      placement=placement)
+        routed = solve(routing_model,
+                       _config(seed, deadline, limits.solve_time))
+        if routed.status == "feasible":
+            return "feasible", tried, MappingSolution(
+                placement, _routes_of(routed.assignment, cache, placement,
+                                      dfg), nn)
+        if time.monotonic() >= deadline:
+            break
+    return "feasible", tried, None
 
 
 def validate_mapping(dfg: Dfg, mrrg: Mrrg, sol: MappingSolution) -> list[str]:
@@ -316,16 +321,11 @@ def outcome_to_dict(outcome: MapOutcome, *, include_times: bool = True):
                            for a in outcome.attempts]}
     sol = outcome.solution
     if sol is not None:
-        stats = dict(sol.stats)
-        if not include_times:
-            stats["seconds"] = 0.0
         report["solution"] = {
             "nn": sol.nn,
             "placement": {op: list(unit) for op, unit
                           in sorted(sol.placement.items())},
             "routing": {driver: [[list(v) for v in rp.vertices]
                                  for rp in paths]
-                        for driver, paths in sorted(sol.routing.items())},
-            "stats": stats,
-        }
+                        for driver, paths in sorted(sol.routing.items())}}
     return report

@@ -58,10 +58,6 @@ class MrrgNode:
     latency: int
     opcodes: frozenset[str] = frozenset()
 
-    @property
-    def key(self) -> NodeKey:
-        return (self.s, self.t)
-
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -83,16 +79,16 @@ class ArchSpec:
                 raise ArchError(f"{key} must be an int, got {value!r}")
         if self.rows < 1 or self.cols < 1:
             raise ArchError("rows and cols must be >= 1")
-        if self.family == "adres" and self.skip_distance < 2:
+        if self.skip_distance < 2:
             raise ArchError("skip_distance must be >= 2")
-        if self.family == "clustered":
-            if self.cluster_rows < 1 or self.cluster_cols < 1:
-                raise ArchError("cluster dims must be >= 1")
-            if self.rows % self.cluster_rows or self.cols % self.cluster_cols:
-                raise ArchError(
-                    f"{self.rows}x{self.cols} grid not divisible into "
-                    f"{self.cluster_rows}x{self.cluster_cols} clusters"
-                )
+        if self.cluster_rows < 1 or self.cluster_cols < 1:
+            raise ArchError("cluster dims must be >= 1")
+        if self.family == "clustered" and (self.rows % self.cluster_rows
+                                           or self.cols % self.cluster_cols):
+            raise ArchError(
+                f"{self.rows}x{self.cols} grid not divisible into "
+                f"{self.cluster_rows}x{self.cluster_cols} clusters"
+            )
 
 
 def parse_arch(text: str) -> ArchSpec:

@@ -23,7 +23,11 @@ from .mrrg import Mrrg, NodeKey, fu_nodes
 
 def find_neighbors(mrrg: Mrrg, source: NodeKey,
                    target_nn: int) -> tuple[NodeKey, ...]:
-    """Sorted FU keys discovered from source under the wave stop rule."""
+    """Sorted FU keys discovered from source under the wave stop rule;
+    a target of 0 finds none."""
+    if not isinstance(target_nn, int) or target_nn < 0:
+        raise ValueError(
+            f"target_nn must be an int of at least 0, got {target_nn!r}")
     if source not in mrrg.nodes:
         raise KeyError(f"unknown node {source}")
     if not mrrg.is_fu(source):

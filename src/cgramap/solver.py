@@ -46,6 +46,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from .ilp import LinearConstraint
+
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
@@ -153,9 +155,7 @@ class _Search:
         self.queue.append(row)
         return row
 
-    def fix(self, i, value) -> bool:
-        if self.val[i] >= 0:
-            return self.val[i] == value
+    def fix(self, i, value):
         self.val[i] = value
         self.trail.append(i)
         slack = self.slack
@@ -164,7 +164,6 @@ class _Search:
         for row, amount in zip(spend, spend):
             slack[row] -= amount
             queue.append(row)
-        return True
 
     def undo_to(self, mark):
         slack = self.slack
@@ -193,16 +192,14 @@ class _Search:
                 if val[j] >= 0:
                     continue
                 if c > s:
-                    if not self.fix(j, 0):
-                        return row
+                    self.fix(j, 0)
                 elif -c > s:
-                    if not self.fix(j, 1):
-                        return row
+                    self.fix(j, 1)
         return None
 
     def leaves(self, seed, deadline):
         """Yield the assignment at each leaf. The caller sends back a
-        _Cut the leaf violates; it joins the search, which resumes at the
+        row the leaf violates; it joins the search, which resumes at the
         deepest untried decision above which the cut has slack. Returns
         INFEASIBLE once the tree is exhausted, or TIMEOUT."""
         order = _branch_order(self.vars, seed)
@@ -293,8 +290,6 @@ def _open_choice(groups, val):
         else:
             if free:
                 best, fewest = members, free
-                if free == 1:
-                    break
     if best is None:
         return None
     return next(i for i in best if val[i] < 0)
@@ -315,14 +310,6 @@ def _branch_order(variables, seed):
         rng.shuffle(block)
         order.extend(block)
     return order
-
-
-@dataclass(frozen=True)
-class _Cut:
-    terms: tuple
-    rhs: int
-    relation: str = "<="
-    tag: str = "cut"
 
 
 def solve(model, cfg: SolveConfig) -> SolveResult:
@@ -364,5 +351,6 @@ def enumerate_solutions(model, cfg: SolveConfig, projection=("f",)):
         # projection; leaving the zeros out would also exclude every
         # projection that switches on more of them
         terms = tuple((1 if assignment[v] else -1, v) for v in projected)
-        cut = _Cut(terms, sum(c > 0 for c, _ in terms) - 1)
+        cut = LinearConstraint(terms, "<=", sum(c > 0 for c, _ in terms) - 1,
+                               "cut")
     return None

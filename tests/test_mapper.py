@@ -10,16 +10,17 @@ import pytest
 
 from cgramap import mapper
 from cgramap.baseline import build_baseline, extract_mapping
-from cgramap.dfg import parse_dfg
+from cgramap.dfg import Dfg, Operation, parse_dfg
 from cgramap.ilp import (RELAXED_PATHS, InfeasibleModel, build_variant,
                          used_pairs)
-from cgramap.mapper import (MAPPED, NOT_MAPPABLE, MappingSolution, MapLimits,
-                            characterize, map_dfg, map_min_ii,
+from cgramap.mapper import (MAPPED, NOT_MAPPABLE, TIMED_OUT, MappingSolution,
+                            MapLimits, characterize, map_dfg, map_min_ii,
                             outcome_to_dict, validate_mapping)
 from cgramap.mrrg import ArchSpec, build_mrrg, fu_nodes
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, RoutePath, build_path_cache
-from cgramap.solver import FEASIBLE, SolveConfig, solve
+from cgramap.solver import (FEASIBLE, INFEASIBLE, TIMEOUT, SolveConfig,
+                            SolveResult, solve)
 from helpers import brute_force_mappable
 
 KERNELS = {
@@ -71,6 +72,120 @@ def test_non_int_counts_rejected():
 
 def fabric(family, ii):
     return build_mrrg(ArchSpec(family, 2, 2), ii)
+
+
+class _Clock:
+    """The mapper's clock, standing still until a stage is made to run
+    past the deadline; the solver keeps the real one."""
+
+    def __init__(self, monkeypatch):
+        self.now = 0.0
+        monkeypatch.setattr(mapper, "time", self)
+
+    def monotonic(self):
+        return self.now
+
+    def pass_deadline(self):
+        self.now += LIMITS.total_time + 1
+
+
+def _stub_solve(monkeypatch, clock, variant, status, late=False, seen=None):
+    """mapper.solve answers models of one variant with status, ending
+    past the deadline if asked, and records each config."""
+    real_solve = mapper.solve
+
+    def stub(model, cfg):
+        if seen is not None:
+            seen.append((model.variant, cfg))
+        if model.variant != variant:
+            return real_solve(model, cfg)
+        if late:
+            clock.pass_deadline()
+        return SolveResult(status, None, 0, 0.0)
+
+    monkeypatch.setattr(mapper, "solve", stub)
+
+
+def _chain2(schedule=(2, 4)):
+    # chain2 passes its first screen on 2x2 ortho at II 1 and has many
+    # placements
+    out = map_dfg(parse_dfg(KERNELS["chain2"]), fabric("ortho", 1),
+                  schedule, LIMITS, seed=1)
+    return out.status, [(a.nn, a.screen, a.placements_tried, a.routed)
+                        for a in out.attempts]
+
+
+def test_op_without_a_unit_is_not_mappable():
+    # parse_dfg rejects an unknown opcode, a Dfg built directly does not;
+    # every screen build then proves the op has no unit
+    dfg = Dfg([Operation("a", "frob")], [])
+    with pytest.raises(InfeasibleModel, match="a has no compatible unit"):
+        build_baseline(dfg, fabric("ortho", 1))
+    out = map_dfg(dfg, fabric("ortho", 1), (2, 4), LIMITS, seed=1)
+    assert (out.status, [(a.nn, a.screen) for a in out.attempts]) == (
+        NOT_MAPPABLE, [(2, INFEASIBLE), (4, INFEASIBLE)])
+
+
+def test_screen_timeout_ends_the_run(monkeypatch):
+    _stub_solve(monkeypatch, _Clock(monkeypatch), "placement_only", TIMEOUT)
+    assert _chain2() == (TIMED_OUT, [(2, TIMEOUT, 0, False)])
+
+
+def test_late_infeasible_screen_moves_on(monkeypatch):
+    # the next target would start after the deadline; at the last target
+    # the schedule simply ends
+    _stub_solve(monkeypatch, _Clock(monkeypatch), "placement_only",
+                INFEASIBLE, late=True)
+    assert _chain2() == (TIMED_OUT, [(2, INFEASIBLE, 0, False)])
+    assert _chain2((2,)) == (NOT_MAPPABLE, [(2, INFEASIBLE, 0, False)])
+
+
+def test_deadline_during_enumeration_ends_the_run(monkeypatch):
+    # timed out, not unmappable, even at the last target
+    clock = _Clock(monkeypatch)
+
+    def enumerate_nothing(model, cfg):
+        clock.pass_deadline()
+        yield from ()
+
+    monkeypatch.setattr(mapper, "enumerate_solutions", enumerate_nothing)
+    assert _chain2((2,)) == (TIMED_OUT, [(2, FEASIBLE, 0, False)])
+
+
+def test_deadline_during_routing_stops_the_enumeration(monkeypatch):
+    # the enumeration would go on yielding; the first routing solve
+    # that ends past the deadline stops it
+    real_enumerate = mapper.enumerate_solutions
+
+    def enumerate_first_again(model, cfg):
+        first = next(real_enumerate(model, cfg))
+        for _ in range(3):
+            yield first
+
+    monkeypatch.setattr(mapper, "enumerate_solutions", enumerate_first_again)
+    _stub_solve(monkeypatch, _Clock(monkeypatch), "routing_only", INFEASIBLE,
+                late=True)
+    assert _chain2((2,)) == (TIMED_OUT, [(2, FEASIBLE, 1, False)])
+
+
+def test_screen_budget_taken_after_its_build(monkeypatch):
+    # a screen build that outlasts the run leaves its solve the 1 ms
+    # floor, not the time that was left before the build
+    real_variant = mapper.build_variant
+    clock = _Clock(monkeypatch)
+
+    def slow_variant(variant, *args, **kw):
+        model = real_variant(variant, *args, **kw)
+        if variant == "placement_only":
+            clock.pass_deadline()
+        return model
+
+    monkeypatch.setattr(mapper, "build_variant", slow_variant)
+    seen = []
+    _stub_solve(monkeypatch, clock, "placement_only", TIMEOUT, seen=seen)
+    assert _chain2() == (TIMED_OUT, [(2, TIMEOUT, 0, False)])
+    assert [(v, cfg.time_limit) for v, cfg in seen] == [
+        ("placement_only", 0.001)]
 
 
 # (kernel, fabric, II, schedule, placement limit, expected attempts):
@@ -284,6 +399,10 @@ def test_agreement_with_brute_force(family, ii, kernel, mappable):
     assert res.status == (FEASIBLE if mappable else "infeasible")
 
 
+def _pe(*names):
+    return tuple((f"pe_{n}", 0) for n in names)
+
+
 def test_validate_mapping_reports_malformed_solutions():
     # a solution from outside gets a list of problems, never an exception
     dfg = parse_dfg(KERNELS["chain3"])
@@ -309,6 +428,50 @@ def test_validate_mapping_reports_malformed_solutions():
     partial = dataclasses.replace(
         sol, placement={o: u for o, u in sol.placement.items() if o != "a"})
     assert "op a is unplaced" in validate_mapping(dfg, mrrg, partial)
+
+    # one corrupted copy per rule of a mapping written out by hand: a on
+    # PE 0_0, b on 0_1, c on 1_1
+    a, b, c = _pe("0_0.alu", "0_1.alu", "1_1.alu")
+    good = MappingSolution(
+        {"a": a, "b": b, "c": c},
+        {"a": (RoutePath(a, b, _pe("0_0.alu", "0_0.out", "0_1.in_s",
+                                   "0_1.a", "0_1.alu")),),
+         "b": (RoutePath(b, c, _pe("0_1.alu", "0_1.out", "1_1.in_w",
+                                   "1_1.b", "1_1.alu")),)}, 2)
+    assert validate_mapping(dfg, mrrg, good) == []
+
+    def placed(**units):
+        return dataclasses.replace(good, placement={**good.placement,
+                                                    **units})
+
+    def routed(*vertices):
+        path = RoutePath(vertices[0], vertices[-1], vertices)
+        return dataclasses.replace(good, routing={**good.routing,
+                                                  "b": (path,)})
+
+    cut = "no route for b -> c"
+    wire, const = ("pe_1_0.reg", 0), ("pe_1_0.const", 0)
+    cases = [
+        (placed(zz=("pe_1_0.alu", 0)), ["placement names unknown op zz"]),
+        (placed(c=gone), [f"c placed on missing node {gone}", cut]),
+        (placed(c=wire), [f"c placed on routing node {wire}", cut]),
+        (placed(c=const),
+         [f"c (add) placed on incompatible unit {const}", cut]),
+        (placed(c=a), [f"unit {a} hosts ['a', 'c']", cut]),
+        (routed(*_pe("1_0.alu", "1_0.out", "1_1.in_s", "1_1.b", "1_1.alu")),
+         [f"path for b starts at {('pe_1_0.alu', 0)}, not its unit", cut]),
+        # out -> reg -> out is the register's loop
+        (routed(*_pe("0_1.alu", "0_1.out", "0_1.reg", "0_1.out", "1_1.in_w",
+                     "1_1.b", "1_1.alu")),
+         ["path for b repeats a vertex"]),
+        # through PE 0_0's bypass, onto the output a's route leaves by
+        (routed(*_pe("0_1.alu", "0_1.out", "0_0.in_n", "0_0.bypass",
+                     "0_0.out", "1_0.in_w", "1_0.bypass", "1_0.out",
+                     "1_1.in_s", "1_1.a", "1_1.alu")),
+         [f"a and b share vertex {('pe_0_0.out', 0)}"]),
+    ]
+    for bad, problems in cases:
+        assert validate_mapping(dfg, mrrg, bad) == problems
 
 
 def test_report_is_byte_stable():

@@ -195,6 +195,13 @@ def test_parse_arch_round_trip():
         ("family=ortho\nrows=2\nrows=3\ncols=2\n", "duplicate key"),
         ("family=ortho rows=2\n", "expected key=value"),
         ("family=clustered\nrows=3\ncols=4\n", "not divisible"),
+        # ranges hold for every family, also where the field goes unread
+        ("family=ortho\nrows=2\ncols=2\nskip_distance=-2\n",
+         "skip_distance must be >= 2"),
+        ("family=hycube\nrows=2\ncols=2\ncluster_rows=0\n",
+         "cluster dims must be >= 1"),
+        ("family=adres\nrows=2\ncols=2\ncluster_cols=-1\n",
+         "cluster dims must be >= 1"),
     ],
 )
 def test_parse_arch_errors(text, frag):

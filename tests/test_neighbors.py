@@ -23,6 +23,14 @@ def test_target_zero_is_empty():
     assert find_neighbors(m, ("pe_0_0.alu", 0), 0) == ()
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5, "3", None])
+def test_bad_target_rejected(bad):
+    # rejected up front, before the wave loop compares a count it cannot use
+    m = build_mrrg(ArchSpec("ortho", 2, 2), ii=1)
+    with pytest.raises(ValueError, match="target_nn must be an int"):
+        find_neighbors(m, ("pe_0_0.alu", 0), bad)
+
+
 def test_whole_final_wave_returned():
     # the wave that satisfies target 1 from the centre finds all four
     # adjacent ALUs at once
