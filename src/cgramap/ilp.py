@@ -274,11 +274,13 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
     """One model variant over the neighbour map and, past the screen,
     the path cache. The relaxed model reads RELAXED_PATHS paths per
     connection and the others all k, unless paths_per_connection is
-    given. Metadata records nn and the cache's k, which reads 3 on the
-    relaxed model map_dfg builds (its cache is RELAXED_PATHS deep) and
-    DEFAULT_K on its routing-only models. Given screen, the placement_only
-    model over the same dfg, mrrg and nmap, the relaxed model copies its
-    variables and con1-4 rows instead of building them again."""
+    given. Metadata records nn and the cache's k. On the models map_dfg
+    builds it reads 3 on the relaxed model and on each placement's first
+    routing-only model, which share one RELAXED_PATHS-deep cache, and
+    DEFAULT_K on a routing-only model built after that first one is
+    proven infeasible. Given screen, the placement_only model over the
+    same dfg, mrrg and nmap, the relaxed model copies its variables and
+    con1-4 rows instead of building them again."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if screen is not None and (

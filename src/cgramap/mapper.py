@@ -4,9 +4,10 @@ For each neighbour-count target in the schedule: screen with the
 placement-only model, enumerate relaxed placements (3 paths per
 connection, at most 2 signals per vertex; it extends the screen's model
 with path rows), and check each placement with the exact routing-only
-model over all k cached paths. The first routable placement wins;
-growing the neighbourhood only happens when the cheap stages say the
-current one cannot work.
+model: over the relaxed model's 3 paths per connection first, and over
+all k cached paths only when those are proven too few. The first
+routable placement wins; growing the neighbourhood only happens when
+the cheap stages say the current one cannot work.
 
 Every stage takes its time limit as it starts: min(cap, time left
 before the map deadline), floored at 1 ms. MapLimits.solve_time caps
@@ -17,11 +18,13 @@ Routes are built on demand, each list only as deep as the model that
 reads it. Once a screen passes, one cache holds RELAXED_PATHS routes
 for every (driver unit, sink unit) pair the screen model declares edge
 variables for, which are the only pairs the relaxed model reads. Each
-relaxed placement tried then gets its own cache of DEFAULT_K routes over
-just its own pairs, which the routing-only model and the reported
-routing read. Enumeration is best-first, so a shallow list is the
-prefix of a deep one and both models are the same as over one deep
-cache.
+relaxed placement tried is routed over that cache first. Only when that
+routing-only model is proven infeasible does the placement get its own
+cache of DEFAULT_K routes over just its own pairs, and a routing-only
+model over it; the reported routing comes from the cache that routed.
+Enumeration is best-first, so a shallow list is the prefix of a deep
+one: what routes on RELAXED_PATHS routes also routes on DEFAULT_K, and
+the verdicts are those of one deep cache.
 """
 
 from __future__ import annotations
@@ -182,23 +185,38 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
         placement = {var.idx[0]: var.idx[1] for var, value
                      in candidate.assignment.items()
                      if var.cls == "f" and value == 1}
-        cache = _cache_over(mrrg, nn,
-                            {(placement[o], placement[p])
-                             for o, p in dfg.point_edges()},
-                            DEFAULT_K)
-        # never infeasible: the relaxed rows already rule out each
-        # condition the routing build rejects
-        routing_model = build_variant("routing_only", dfg, mrrg, nmap, cache,
-                                      placement=placement)
-        routed = solve(routing_model,
-                       _config(seed, deadline, limits.solve_time))
-        if routed.status == "feasible":
-            return "feasible", tried, MappingSolution(
-                placement, _routes_of(routed.assignment, cache, placement,
-                                      dfg), nn)
+        status, routing = _route(dfg, mrrg, nmap, shallow, placement, seed,
+                                 deadline, limits.solve_time)
+        if status == "infeasible":
+            # proven unroutable on RELAXED_PATHS routes; DEFAULT_K may hold
+            # more
+            deep = _cache_over(mrrg, nn,
+                               {(placement[o], placement[p])
+                                for o, p in dfg.point_edges()},
+                               DEFAULT_K)
+            status, routing = _route(dfg, mrrg, nmap, deep, placement, seed,
+                                     deadline, limits.solve_time)
+        if routing is not None:
+            return "feasible", tried, MappingSolution(placement, routing, nn)
         if time.monotonic() >= deadline:
             break
     return "feasible", tried, None
+
+
+def _route(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cache: PathCache,
+           placement: dict[str, NodeKey], seed: int, deadline: float,
+           cap: float):
+    """The routing-only check of one placement over cache: its status and,
+    when feasible, the routing."""
+    # never infeasible to build: the relaxed rows already rule out each
+    # condition the routing build rejects, and every cache passed here
+    # holds the placement's pairs
+    model = build_variant("routing_only", dfg, mrrg, nmap, cache,
+                          placement=placement)
+    routed = solve(model, _config(seed, deadline, cap))
+    if routed.status != "feasible":
+        return routed.status, None
+    return routed.status, _routes_of(routed.assignment, cache, placement, dfg)
 
 
 def validate_mapping(dfg: Dfg, mrrg: Mrrg, sol: MappingSolution) -> list[str]:

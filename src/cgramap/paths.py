@@ -105,8 +105,10 @@ def _routes(mrrg: Mrrg, u: NodeKey, v: NodeKey, k: int,
 class PathCache:
     """Routes for the FU pairs a neighbor map lists, each list sorted and
     <= k long. map_dfg builds two depths: ilp.RELAXED_PATHS routes for
-    the pairs a passed screen's model declares edge variables for, and
-    DEFAULT_K routes for the pairs of each relaxed placement it tries."""
+    the pairs a passed screen's model declares edge variables for, which
+    the relaxed model and each placement's first routing check read, and
+    DEFAULT_K routes for the pairs of a placement that check proves
+    unroutable."""
 
     k: int
     paths: dict[tuple[NodeKey, NodeKey], tuple[RoutePath, ...]]

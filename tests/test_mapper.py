@@ -40,6 +40,8 @@ KERNELS = {
     # a tree whose first feasible neighbourhood does not route
     "tree5": "op a add\nop b add\nop c add\nop d add\nop e add\n"
              "edge a -> b:0\nedge b -> c:0, d:0\nedge c -> e:0\n",
+    "diamond": "op a add\nop b add\nop c add\nop d add\n"
+               "edge a -> b:0, c:0\nedge b -> d:0\nedge c -> d:1\n",
 }
 
 LIMITS = MapLimits(placement_limit=20, solve_time=5, total_time=10)
@@ -200,8 +202,25 @@ SAME_MODELS = [
      [(2, "infeasible", False), (4, "feasible", True)]),
 ]
 # seed 1 unless listed: tree5 passes two screens under seeds 3 and 5, and
-# at seed 1 its first placement already routes at NN 2
-SAME_MODELS_SEED = {"tree5": 3}
+# at seed 1 its first placement already routes at NN 2; diamond's first
+# placement at seed 3 routes only on DEFAULT_K routes
+SAME_MODELS_SEED = {"tree5": 3, "diamond": 3}
+# the (variant, NN, cache depth) of every model past the screens: each
+# placement's routing model reads RELAXED_PATHS routes, and DEFAULT_K
+# ones only after that is proven infeasible, as at tree5's NN 2
+SAME_MODELS_BUILT = {
+    "tree5": [("relaxed_placement", 2, RELAXED_PATHS),
+              ("routing_only", 2, RELAXED_PATHS),
+              ("routing_only", 2, DEFAULT_K),
+              ("relaxed_placement", 4, RELAXED_PATHS),
+              ("routing_only", 4, RELAXED_PATHS)],
+    "join": [("relaxed_placement", 4, RELAXED_PATHS),
+             ("routing_only", 4, RELAXED_PATHS)],
+}
+# (kernel, fabric, II, schedule, placement limit): the first relaxed
+# placement is proven unroutable on RELAXED_PATHS routes in a few nodes
+# and routes on DEFAULT_K ones
+DEEP_CASE = ("diamond", ArchSpec("adres", 2, 2), 2, (8,), 20)
 
 
 @pytest.mark.parametrize("kernel,spec,ii,schedule,placements,attempts",
@@ -226,31 +245,40 @@ def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
     assert out.status == MAPPED
     assert [(a.nn, a.screen, a.routed) for a in out.attempts] == attempts
 
+    # the reference reads a full-neighbourhood cache as deep as the
+    # recorded model's
     full = {}
     checked = []
     for variant, nmap, kw, model in built:
         if variant == "placement_only":
             continue
-        nn = nmap.target_nn
-        if nn not in full:
-            full[nn] = build_path_cache(mrrg, build_neighbor_map(mrrg, nn))
-        ref = real_variant(variant, dfg, mrrg, nmap, full[nn], **kw)
-        assert model.variables == ref.variables, (variant, nn)
-        assert model.constraints == ref.constraints, (variant, nn)
-        checked.append((variant, nn))
+        nn, k = nmap.target_nn, model.metadata["k"]
+        if (nn, k) not in full:
+            full[nn, k] = build_path_cache(mrrg, build_neighbor_map(mrrg, nn),
+                                           k)
+        ref = real_variant(variant, dfg, mrrg, nmap, full[nn, k], **kw)
+        assert model.variables == ref.variables, (variant, nn, k)
+        assert model.constraints == ref.constraints, (variant, nn, k)
+        checked.append((variant, nn, k))
     routed = [nn for nn, screen, _ in attempts if screen == "feasible"]
-    assert checked == [(v, nn) for nn in routed
-                       for v in ("relaxed_placement", "routing_only")]
+    assert [nn for v, nn, _ in checked if v == "relaxed_placement"] == routed
+    assert checked == SAME_MODELS_BUILT[kernel]
 
 
-@pytest.mark.parametrize("kernel,spec,ii,schedule,placements", [
-    ("fan3", ArchSpec("adres", 4, 4), 2, SCHEDULE, 20),
-    SAME_MODELS[0][:5],
-], ids=["fan3", "tree5"])
-def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements):
-    # per NN: one RELAXED_PATHS-deep cache over the screen's pairs, then
-    # one DEFAULT_K-deep cache over each tried placement's own pairs
+@pytest.mark.parametrize("kernel,spec,ii,schedule,placements,deepened", [
+    ("fan3", ArchSpec("adres", 4, 4), 2, SCHEDULE, 20, 0),
+    (*SAME_MODELS[0][:5], 1),
+    (*DEEP_CASE, 1),
+], ids=["fan3", "tree5", "diamond"])
+def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
+                      deepened):
+    # per NN: one RELAXED_PATHS-deep cache over the screen's pairs; each
+    # tried placement's first routing model reads that cache, and a
+    # DEFAULT_K-deep cache over just the placement's pairs is built, with
+    # its routing model right after it, only when that model is proven
+    # infeasible
     real_cache, real_variant = mapper.build_path_cache, mapper.build_variant
+    real_solve = mapper.solve
     events = []
 
     def recording_cache(mrrg, nmap, k=DEFAULT_K):
@@ -264,40 +292,122 @@ def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements):
         events[-1] += (model,)
         return model
 
+    def recording_solve(model, cfg):
+        res = real_solve(model, cfg)
+        events.append(("solve", model, res.status))
+        return res
+
     monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
     monkeypatch.setattr(mapper, "build_variant", recording_variant)
+    monkeypatch.setattr(mapper, "solve", recording_solve)
     dfg = parse_dfg(KERNELS[kernel])
     out = map_dfg(dfg, build_mrrg(spec, ii), schedule,
                   MapLimits(placement_limit=placements),
                   seed=SAME_MODELS_SEED.get(kernel, 1))
     assert out.status == MAPPED
 
-    tried = {}
+    shallow, tried, deep = {}, {}, 0
     for i, event in enumerate(events):
         kind, nn = event[:2]
-        if kind != "cache":
-            continue
-        cache = event[2]
-        user, user_nn, user_cache, kw = events[i + 1][:4]
-        assert user_nn == nn and user_cache is cache
-        if user == "relaxed_placement":
-            # the screen model came just before and has passed
-            screen = events[i - 1]
-            assert screen[0] == "placement_only"
-            assert cache.k == RELAXED_PATHS
-            assert list(cache.paths) == used_pairs(screen[4])
-            assert nn not in tried
-            tried[nn] = 0
-        else:
-            assert user == "routing_only"
-            assert cache.k == DEFAULT_K
-            place = kw["placement"]
-            assert set(cache.paths) == {(place[o], place[p])
-                                        for o, p in dfg.point_edges()}
+        if kind == "cache":
+            cache = event[2]
+            user, user_nn, user_cache = events[i + 1][:3]
+            assert user_nn == nn and user_cache is cache
+            if user == "relaxed_placement":
+                # the screen model came just before and has passed
+                screen = events[i - 2]
+                assert screen[0] == "placement_only"
+                assert events[i - 1] == ("solve", screen[4], FEASIBLE)
+                assert cache.k == RELAXED_PATHS
+                assert list(cache.paths) == used_pairs(screen[4])
+                assert nn not in shallow
+                shallow[nn], tried[nn] = cache, 0
+            else:
+                assert user == "routing_only"
+                assert cache.k == DEFAULT_K
+                place = events[i + 1][3]["placement"]
+                assert set(cache.paths) == {(place[o], place[p])
+                                            for o, p in dfg.point_edges()}
+                # the placement's shallow check just before was a proof
+                first, proof = events[i - 2], events[i - 1]
+                assert first[0] == "routing_only"
+                assert first[2] is shallow[nn]
+                assert first[3]["placement"] == place
+                assert proof == ("solve", first[4], INFEASIBLE)
+                deep += 1
+        elif kind == "routing_only" and event[2] is shallow.get(nn):
             tried[nn] += 1
+            assert event[4].metadata["k"] == RELAXED_PATHS
+            status = events[i + 1][2]
+            follows = events[i + 2][0] if i + 2 < len(events) else None
+            assert (follows == "cache") == (status == INFEASIBLE)
     assert tried == {a.nn: a.placements_tried for a in out.attempts
                      if a.screen == "feasible"}
     assert tried
+    assert deep == deepened
+
+
+def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
+    # the first placement is proven unroutable on RELAXED_PATHS routes and
+    # routes on DEFAULT_K ones; a run without the deep stage would go on
+    # to other placements
+    real_solve = mapper.solve
+    checks, nodes = [], []
+
+    def recording_solve(model, cfg):
+        res = real_solve(model, cfg)
+        if model.variant == "routing_only":
+            checks.append((model.metadata["k"], len(model.variables),
+                           len(model.constraints), res.status))
+            nodes.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(mapper, "solve", recording_solve)
+    kernel, spec, ii, schedule, placements = DEEP_CASE
+    dfg, mrrg = parse_dfg(KERNELS[kernel]), build_mrrg(spec, ii)
+    out = map_dfg(dfg, mrrg, schedule, MapLimits(placement_limit=placements),
+                  seed=SAME_MODELS_SEED[kernel])
+    assert out.status == MAPPED and out.solution.nn == 8
+    assert [(a.nn, a.screen, a.placements_tried, a.routed)
+            for a in out.attempts] == [(8, FEASIBLE, 1, True)]
+    assert out.solution.placement == {
+        "a": ("pe_0_0.alu", 1), "b": ("pe_1_0.alu", 1),
+        "c": ("pe_1_0.alu", 0), "d": ("pe_0_0.alu", 0)}
+    assert validate_mapping(dfg, mrrg, out.solution) == []
+    assert checks == [(RELAXED_PATHS, 36, 53, INFEASIBLE),
+                      (DEFAULT_K, 173, 852, FEASIBLE)]
+    assert nodes[0] == 10
+    # so some route reported lies past its pair's first RELAXED_PATHS
+    nmap = build_neighbor_map(mrrg, 8)
+    shallow = build_path_cache(mrrg, nmap, RELAXED_PATHS)
+    assert any(rp not in shallow[rp.vertices[0], rp.vertices[-1]]
+               for paths in out.solution.routing.values() for rp in paths)
+
+
+def test_shallow_timeout_does_not_deepen(monkeypatch):
+    # a timeout proves nothing: it ends that placement, as a routing
+    # timeout always has, and no DEFAULT_K cache is built
+    real_cache = mapper.build_path_cache
+    depths = []
+
+    def recording_cache(mrrg, nmap, k=DEFAULT_K):
+        depths.append(k)
+        return real_cache(mrrg, nmap, k)
+
+    monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
+    seen = []
+    _stub_solve(monkeypatch, _Clock(monkeypatch), "routing_only", TIMEOUT,
+                seen=seen)
+    kernel, spec, ii, schedule, _ = DEEP_CASE
+    out = map_dfg(parse_dfg(KERNELS[kernel]), build_mrrg(spec, ii), schedule,
+                  MapLimits(placement_limit=2),
+                  seed=SAME_MODELS_SEED[kernel])
+    assert (out.status, [(a.nn, a.screen, a.placements_tried, a.routed)
+                         for a in out.attempts]) == (
+        NOT_MAPPABLE, [(8, FEASIBLE, 2, False)])
+    assert depths == [RELAXED_PATHS]
+    assert [variant for variant, _ in seen] == [
+        "placement_only", "routing_only", "routing_only"]
 
 
 @pytest.mark.parametrize("kernel,spec,ii,schedule", [

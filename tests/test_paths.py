@@ -183,9 +183,11 @@ def test_cache_determinism_and_reuse():
 
 @pytest.mark.parametrize("family", ["adres", "hycube"])
 def test_shallow_cache_is_prefix_of_deep_one(family):
-    # map_dfg builds the relaxed model over a RELAXED_PATHS-deep cache and
-    # the routing model over a DEFAULT_K-deep one; both read the same
-    # routes only because the shallow list is the deep list's prefix
+    # map_dfg routes each placement over the relaxed model's
+    # RELAXED_PATHS-deep cache first and over a DEFAULT_K-deep one only
+    # when that is proven infeasible; what routes on the shallow routes
+    # routes on the deep ones only because the shallow list is the deep
+    # list's prefix
     m = build_mrrg(ArchSpec(family, 4, 4), ii=2)
     nmap = build_neighbor_map(m, 8)
     shallow = build_path_cache(m, nmap, RELAXED_PATHS)

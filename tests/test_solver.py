@@ -9,10 +9,11 @@ import pytest
 from cgramap import solver
 from cgramap.baseline import build_baseline
 from cgramap.dfg import parse_dfg
-from cgramap.ilp import IlpModel, LinearConstraint, VarId, build_variant
+from cgramap.ilp import (RELAXED_PATHS, IlpModel, LinearConstraint, VarId,
+                         build_variant)
 from cgramap.mrrg import ArchSpec, build_mrrg
 from cgramap.neighbors import build_neighbor_map
-from cgramap.paths import build_path_cache
+from cgramap.paths import DEFAULT_K, build_path_cache
 from cgramap.solver import (SolveConfig, check_assignment,
                             enumerate_solutions, solve)
 from helpers import exhaustive, satisfies
@@ -233,6 +234,26 @@ def sum4_models():
     return relaxed, routings
 
 
+DIAMOND = ("op a add\nop b add\nop c add\nop d add\n"
+           "edge a -> b:0, c:0\nedge b -> d:0\nedge c -> d:1\n")
+# the first placement map_dfg tries for diamond on 2x2 ADRES, II 2, NN 8,
+# seed 3 (test_mapper.py::test_deep_stage_routes_what_shallow_cannot)
+DIAMOND_PLACEMENT = {"a": ("pe_0_0.alu", 1), "b": ("pe_1_0.alu", 1),
+                     "c": ("pe_1_0.alu", 0), "d": ("pe_0_0.alu", 0)}
+
+
+def diamond_routings():
+    """The routing-only models of DIAMOND_PLACEMENT over RELAXED_PATHS
+    and over DEFAULT_K routes: the first does not route, the second
+    does."""
+    mrrg = build_mrrg(ArchSpec("adres", 2, 2), 2)
+    nmap = build_neighbor_map(mrrg, 8)
+    return [build_variant("routing_only", parse_dfg(DIAMOND), mrrg, nmap,
+                          build_path_cache(mrrg, nmap, k),
+                          placement=DIAMOND_PLACEMENT)
+            for k in (RELAXED_PATHS, DEFAULT_K)]
+
+
 def test_pinned_node_counts():
     # any change to the decision order or to what propagation forces
     # shows up here rather than as a silent runtime shift
@@ -387,16 +408,22 @@ def highs_feasible(model):
     code with the built-in search."""
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint as SciRow, milp
+    from scipy.sparse import csr_array
 
     index = {v: i for i, v in enumerate(model.variables)}
     n = len(model.variables)
-    rows = np.zeros((len(model.constraints), n))
+    # sparse: a dense matrix of the full-NN relaxed models runs to GiBs
+    coefs, row_ids, col_ids = [], [], []
     lo, hi = [], []
     for r, con in enumerate(model.constraints):
         for c, v in con.terms:
-            rows[r, index[v]] = c
+            coefs.append(c)
+            row_ids.append(r)
+            col_ids.append(index[v])
         lo.append(-np.inf if con.relation == "<=" else con.rhs)
         hi.append(np.inf if con.relation == ">=" else con.rhs)
+    rows = csr_array((coefs, (row_ids, col_ids)),
+                     shape=(len(model.constraints), n))
     res = milp(c=np.zeros(n), constraints=SciRow(rows, lo, hi),
                integrality=np.ones(n), bounds=Bounds(0, 1))
     # 0 is a solution found, 2 a proof of infeasibility; anything else
@@ -414,16 +441,21 @@ def test_scipy_crosscheck():
         assert (ours.status == "feasible") == highs_feasible(model), \
             f"trial {trial}"
     # the shapes the mapper builds: relaxed placement, routing-only with
-    # a routable and an unroutable placement, and a pigeonhole
+    # a routable and an unroutable placement, one placement that routes
+    # only on the deep cache, and a pigeonhole
     relaxed, routings = sum4_models()
+    shallow, deep = diamond_routings()
     shaped = {"tree5 relaxed NN 2": tree5_relaxed(2),
               "tree5 relaxed NN 4": tree5_relaxed(4),
               "sum4 relaxed": relaxed,
               "sum4 routing, seed 1 placement": routings[0],
               "sum4 routing, seed 2 placement": routings[1],
+              "diamond routing, RELAXED_PATHS deep": shallow,
+              "diamond routing, DEFAULT_K deep": deep,
               "pigeonhole 6 in 5": _pigeonhole(6, 5)}
     theirs = {name: highs_feasible(m) for name, m in shaped.items()}
-    assert list(theirs.values()) == [True, True, True, True, False, False]
+    assert list(theirs.values()) == [True, True, True, True, False, False,
+                                     True, False]
     for name, model in shaped.items():
         ours = solve(model, SolveConfig())
         assert (ours.status == "feasible") == theirs[name], name
