@@ -42,7 +42,7 @@ class _Window:
         self.lmax = min(route_count + 1, (max(spread) if spread else 0) + slack)
         self.nodes = sorted(n for n in self.fwd if n in self.bwd
                             and self.fwd[n] + self.bwd[n] <= self.lmax)
-        self._member = set(self.nodes)
+        self.members = frozenset(self.nodes)
 
     @staticmethod
     def _routing(mrrg: Mrrg, ends, step) -> dict[NodeKey, int]:
@@ -53,7 +53,7 @@ class _Window:
         return range(self.fwd[n], self.lmax - self.bwd[n] + 1)
 
     def has(self, n: NodeKey, layer: int) -> bool:
-        return n in self._member and layer in self.layers(n)
+        return n in self.members and layer in self.layers(n)
 
 
 def zvar(driver: str, n: NodeKey) -> VarId:
@@ -73,16 +73,15 @@ def _hyperedges(dfg: Dfg) -> dict[str, list[str]]:
     return {o: sorted(sinks) for o, sinks in sorted(hyper.items())}
 
 
-def build_baseline(dfg: Dfg, mrrg: Mrrg, *, hop_slack: int | None = None) -> IlpModel:
+def build_baseline(dfg: Dfg, mrrg: Mrrg) -> IlpModel:
     """Model whose solutions are exactly the valid mappings, up to the
-    hop budget: longer detours than lmax per signal are out of scope."""
-    slack = 2 * mrrg.ii + 4 if hop_slack is None else hop_slack
-    if slack < 1:
-        raise ValueError("hop slack must be at least 1")
+    hop budget: longer detours than lmax per signal are out of scope.
+    A signal's lmax is its widest driver-to-sink spread plus 2 * II + 4,
+    capped at one more than the number of routing nodes."""
+    slack = 2 * mrrg.ii + 4
     model = IlpModel("baseline", hop_slack=slack)
     declare_f(model, dfg, mrrg)
-    fus = fu_nodes(mrrg)
-    add_fu_exclusivity(model, dfg, fus)
+    add_fu_exclusivity(model, fu_nodes(mrrg))
     add_must_map(model, dfg)
 
     route_count = sum(1 for n in mrrg.nodes if not mrrg.is_fu(n))
@@ -125,7 +124,7 @@ def build_baseline(dfg: Dfg, mrrg: Mrrg, *, hop_slack: int | None = None) -> Ilp
         for sink in win.sinks:
             for v in win.sink_cands[sink]:
                 arrive = [(-1, zvar(driver, n)) for n in mrrg.fanin(v)
-                          if n in win._member]
+                          if n in win.members]
                 if sink != driver:
                     arrive += [(-1, fvar(driver, u)) for u in mrrg.fanin(v)
                                if u in dcand and u != v]

@@ -35,9 +35,6 @@ from .paths import PathCache
 VARIANTS = ("placement_only", "relaxed_placement", "routing_only", "combined")
 MODEL_KINDS = VARIANTS + ("baseline",)
 
-# cached paths per connection the relaxed placement model reads
-RELAXED_PATHS = 3
-
 
 class InfeasibleModel(Exception):
     """Construction already proves there is no solution."""
@@ -159,11 +156,9 @@ def used_pairs(model: IlpModel) -> list[tuple[NodeKey, NodeKey]]:
                    if var.cls == "e"})
 
 
-def declare_p(model: IlpModel, cache: PathCache,
-              pairs, paths_per_connection: int) -> None:
+def declare_p(model: IlpModel, cache: PathCache, pairs) -> None:
     for u, v in sorted(pairs):
-        n = min(paths_per_connection, len(cache.get((u, v))))
-        for q in range(n):
+        for q in range(len(cache.get((u, v)))):
             model.add_var(pvar(u, v, q))
 
 
@@ -176,7 +171,7 @@ def _f_index(model: IlpModel, by: int = 0) -> dict:
     return out
 
 
-def add_fu_exclusivity(model: IlpModel, dfg: Dfg, fus) -> None:
+def add_fu_exclusivity(model: IlpModel, fus) -> None:
     by_u = _f_index(model, 1)
     for u in sorted(fus):
         terms = by_u.get(u)
@@ -215,14 +210,13 @@ def add_fanout_implies_usage(model: IlpModel) -> None:
             model.add_constraint([(1, var), (-1, fvar(o, u))], "<=", 0, "con4")
 
 
-def add_path_required(model: IlpModel, cache: PathCache,
-                      paths_per_connection: int) -> None:
+def add_path_required(model: IlpModel, cache: PathCache) -> None:
     for var in list(model.variables):
         if var.cls != "e":
             continue
         o, u, p, v = var.idx
-        n = min(paths_per_connection, len(cache.get((u, v))))
-        terms = [(1, var)] + [(-1, pvar(u, v, q)) for q in range(n)]
+        terms = [(1, var)] + [(-1, pvar(u, v, q))
+                              for q in range(len(cache.get((u, v))))]
         model.add_constraint(terms, "<=", 0, "con5")
 
 
@@ -272,17 +266,18 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
                   placement: dict[str, NodeKey] | None = None,
                   screen: IlpModel | None = None) -> IlpModel:
     """One model variant over the neighbour map and, past the screen,
-    the path cache. The relaxed model reads RELAXED_PATHS paths per
-    connection and the others all k, unless paths_per_connection is
-    given. Metadata records nn and the cache's k. On the models map_dfg
-    builds it reads 3 on the relaxed model and on each placement's first
-    routing-only model, which share one RELAXED_PATHS-deep cache, and
-    DEFAULT_K on a routing-only model built after that first one is
-    proven infeasible. Given screen, the placement_only model over the
-    same dfg, mrrg and nmap, the relaxed model copies its variables and
-    con1-4 rows instead of building them again."""
+    the path cache. Metadata records nn and the cache's k. Every variant
+    reads every route the cache holds for a pair, so the caller picks
+    the depth; paths_per_connection, if given, must equal the cache's k.
+    Given screen, the placement_only model over the same dfg, mrrg and
+    nmap, the relaxed model copies its variables and con1-4 rows instead
+    of building them again."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if paths_per_connection is not None and (
+            cache is None or paths_per_connection != cache.k):
+        raise ValueError(f"paths_per_connection={paths_per_connection!r} "
+                         f"is not the path cache's k")
     if screen is not None and (
             variant != "relaxed_placement"
             or screen.variant != "placement_only"
@@ -290,14 +285,13 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
         raise ValueError(f"{variant} at NN {nmap.target_nn} cannot extend a "
                          f"{screen.variant} at NN {screen.metadata.get('nn')}")
     if variant == "routing_only":
-        return _build_routing_only(dfg, mrrg, nmap, cache, placement,
-                                   paths_per_connection)
+        return _build_routing_only(dfg, mrrg, nmap, cache, placement)
     model = IlpModel(variant, nn=nmap.target_nn,
                      k=cache.k if cache else None)
     if screen is None:
         declare_f(model, dfg, mrrg)
         declare_e(model, dfg, mrrg, nmap)
-        add_fu_exclusivity(model, dfg, fu_nodes(mrrg))
+        add_fu_exclusivity(model, fu_nodes(mrrg))
         add_must_map(model, dfg)
         add_fanin_required(model, dfg)
         add_fanout_implies_usage(model)
@@ -309,22 +303,15 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
         return model
     if cache is None:
         raise ValueError(f"{variant} needs a path cache")
-    if variant == "relaxed_placement":
-        ppc = (RELAXED_PATHS if paths_per_connection is None
-               else paths_per_connection)
-        limit = 2
-    else:
-        ppc = cache.k if paths_per_connection is None else paths_per_connection
-        limit = 1
-    model.metadata.update(paths_per_connection=ppc, overuse_limit=limit)
-    declare_p(model, cache, used_pairs(model), ppc)
-    add_path_required(model, cache, ppc)
+    limit = 2 if variant == "relaxed_placement" else 1
+    model.metadata["overuse_limit"] = limit
+    declare_p(model, cache, used_pairs(model))
+    add_path_required(model, cache)
     add_path_exclusivity(model, cache, limit)
     return model
 
 
-def _build_routing_only(dfg, mrrg, nmap, cache, placement,
-                        paths_per_connection):
+def _build_routing_only(dfg, mrrg, nmap, cache, placement):
     if placement is None:
         raise ValueError("routing_only needs a fixed placement")
     if cache is None:
@@ -337,9 +324,8 @@ def _build_routing_only(dfg, mrrg, nmap, cache, placement,
         if u in taken:
             raise InfeasibleModel(f"unit {u} hosts both {taken[u]} and {o}")
         taken[u] = o
-    ppc = cache.k if paths_per_connection is None else paths_per_connection
     model = IlpModel("routing_only", nn=nmap.target_nn, k=cache.k,
-                     paths_per_connection=ppc, overuse_limit=1)
+                     overuse_limit=1)
     pairs = []
     for o, p in dfg.point_edges():
         if o not in placement or p not in placement:
@@ -350,7 +336,7 @@ def _build_routing_only(dfg, mrrg, nmap, cache, placement,
         pairs.append((u, v))
     for u, v in sorted(set(pairs)):
         terms = [(1, model.add_var(pvar(u, v, q)))
-                 for q in range(min(ppc, len(cache.get((u, v)))))]
+                 for q in range(len(cache.get((u, v))))]
         if not terms:
             raise InfeasibleModel(f"no cached path {u} -> {v}")
         model.add_constraint(terms, ">=", 1, "con5")

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 
 from .dfg import Dfg
-from .ilp import RELAXED_PATHS, InfeasibleModel, build_variant, used_pairs
+from .ilp import InfeasibleModel, build_variant, used_pairs
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import NeighborMap, build_neighbor_map
 from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
@@ -45,6 +45,10 @@ NOT_MAPPABLE = "not_mappable"
 TIMED_OUT = "timed_out"
 
 GENERIC_SCHEDULE = tuple(range(4, 25, 2))
+
+# routes per connection in the cache the relaxed model and each
+# placement's first routing check read
+RELAXED_PATHS = 3
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,9 @@ class MapLimits:
                 and self.placement_limit >= 1):
             raise ValueError("placement limit must be an int of at least 1")
         # written so that NaN, which compares false, is rejected too
-        if not (self.solve_time > 0 and self.total_time > 0):
-            raise ValueError("time limits must be positive")
+        if not all(isinstance(t, (int, float)) and t > 0
+                   for t in (self.solve_time, self.total_time)):
+            raise ValueError("time limits must be positive numbers")
 
 
 @dataclass(frozen=True)

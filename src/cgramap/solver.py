@@ -61,8 +61,9 @@ class SolveConfig:
 
     def __post_init__(self):
         # written so that NaN, which compares false, is rejected too
-        if not self.time_limit > 0:
-            raise ValueError("time limit must be positive")
+        if not (isinstance(self.time_limit, (int, float))
+                and self.time_limit > 0):
+            raise ValueError("time limit must be a positive number")
         if not (isinstance(self.solution_limit, int)
                 and self.solution_limit >= 1):
             raise ValueError("solution limit must be an int of at least 1")

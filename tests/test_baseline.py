@@ -3,12 +3,11 @@ path-based formulation on small instances."""
 
 import random
 
-import pytest
-
 from cgramap.baseline import build_baseline, extract_mapping, rvar, zvar
 from cgramap.dfg import parse_dfg
 from cgramap.ilp import build_variant
-from cgramap.mrrg import ArchSpec, build_mrrg, fu_nodes
+from cgramap.mrrg import (ArchSpec, build_mrrg, compatible_nodes, fu_nodes,
+                          hop_dists)
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import build_path_cache, is_valid_path
 from cgramap.solver import SolveConfig, solve
@@ -93,22 +92,30 @@ def test_route_through_gate():
 def test_window_structure():
     dfg = parse_dfg("op a add\nop b add\nedge a -> b:0\n")
     mrrg = ortho(3, 3, 1)
-    model = build_baseline(dfg, mrrg, hop_slack=3)
+    model = build_baseline(dfg, mrrg)
     lmax = model.metadata["lmax!a"]
-    assert lmax >= 3
+    # a's hop budget: the widest spread from a driver unit to a sink unit
+    # over routing nodes, plus 2 * II + 4, capped at one more than the
+    # number of routing nodes
+    ops = dfg.ops_by_id
+    fwd = hop_dists(mrrg, compatible_nodes(mrrg, ops["a"]), mrrg.fanout)
+    bwd = hop_dists(mrrg, compatible_nodes(mrrg, ops["b"]), mrrg.fanin)
+    spread = max(fwd[n] + bwd[n] for n in fwd
+                 if n in bwd and not mrrg.is_fu(n))
+    routing = sum(1 for n in mrrg.nodes if not mrrg.is_fu(n))
+    assert model.metadata["hop_slack"] == 2 * mrrg.ii + 4
+    assert lmax == min(routing + 1, spread + 2 * mrrg.ii + 4)
     layers = [v.idx[2] for v in model.variables if v.cls == "r"]
     assert layers and min(layers) == 1 and max(layers) <= lmax
     marked = {v.idx[1] for v in model.variables if v.cls == "z"}
     assert all(not mrrg.is_fu(n) for n in marked)
-    with pytest.raises(ValueError):
-        build_baseline(dfg, mrrg, hop_slack=0)
 
 
 def test_var_count_tracks_ii():
     dfg = parse_dfg("op a add\nop b add\nop c add\n"
                     "edge a -> b:0\nedge b -> c:0\n")
-    small = build_baseline(dfg, ortho(3, 3, 1), hop_slack=4)
-    big = build_baseline(dfg, ortho(3, 3, 2), hop_slack=4)
+    small = build_baseline(dfg, ortho(3, 3, 1))
+    big = build_baseline(dfg, ortho(3, 3, 2))
     ratio = len(big.variables) / len(small.variables)
     assert 1.3 <= ratio <= 3.5
 

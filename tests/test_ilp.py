@@ -3,9 +3,11 @@ from itertools import combinations
 import pytest
 
 from cgramap.dfg import parse_dfg
-from cgramap.ilp import (IlpModel, InfeasibleModel, VarId, add_fu_exclusivity,
-                         add_must_map, add_path_exclusivity, audit,
-                         build_variant, evar, fvar, pvar, yvar)
+from cgramap.ilp import (VARIANTS, IlpModel, InfeasibleModel, VarId,
+                         add_fu_exclusivity, add_must_map,
+                         add_path_exclusivity, audit, build_variant, evar,
+                         fvar, pvar, used_pairs, yvar)
+from cgramap.mapper import RELAXED_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg, compatible_nodes, fu_nodes
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import PathCache, RoutePath, build_path_cache
@@ -26,6 +28,12 @@ edge b -> mul0:0
 edge add0 -> mul0:1
 edge mul0 -> a:0
 """
+# a placement of EXPR_TEXT on 3x3 ortho whose every edge is in NN 4 reach
+EXPR_PLACEMENT = {
+    "add0": ("pe_1_1.alu", 0), "c": ("pe_1_0.alu", 0),
+    "d": ("pe_0_1.alu", 0), "mul0": ("pe_2_1.alu", 0),
+    "b": ("pe_2_0.alu", 0), "a": ("pe_2_2.alu", 0),
+}
 
 
 def test_varid_hash_repr_order_and_immutability():
@@ -49,6 +57,12 @@ def inst():
     nmap = build_neighbor_map(m, 4)
     cache = build_path_cache(m, nmap, 20)
     return dfg, m, nmap, cache
+
+
+@pytest.fixture(scope="module")
+def shallow(inst):
+    _, m, nmap, _ = inst
+    return build_path_cache(m, nmap, RELAXED_PATHS)
 
 
 @pytest.fixture(scope="module")
@@ -167,19 +181,67 @@ def test_exact_con6_admits_exactly_the_pairwise_sets(inst, combined):
     assert count(model, "con6") == sum(map(len, claims.values())) + len(sums)
 
 
-def test_relaxed_sits_strictly_between(inst, combined):
-    dfg, m, nmap, cache = inst
+def test_relaxed_sits_strictly_between(inst, shallow, combined):
+    dfg, m, nmap, _ = inst
     po = build_variant("placement_only", dfg, m, nmap)
-    rp = build_variant("relaxed_placement", dfg, m, nmap, cache)
+    rp = build_variant("relaxed_placement", dfg, m, nmap, shallow)
     cb = combined
     assert "p" not in po.vars_by_class()
     assert len(po.variables) < len(rp.variables) < len(cb.variables)
     assert len(po.constraints) < len(rp.constraints) < len(cb.constraints)
     assert count(po, "con5") == count(po, "con6") == 0
-    assert rp.metadata["paths_per_connection"] == 3
+    assert rp.metadata["k"] == RELAXED_PATHS
     assert rp.metadata["overuse_limit"] == 2
     assert audit(po, dfg, m, nmap) == []
-    assert audit(rp, dfg, m, nmap, cache) == []
+    assert audit(rp, dfg, m, nmap, shallow) == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("depth", ["shallow", "deep"])
+def test_models_read_every_cached_route(inst, shallow, variant, depth):
+    # the cache alone sets route depth: each pair a model reads gets one
+    # path variable per route the cache holds for it
+    dfg, m, nmap, deep = inst
+    cache = shallow if depth == "shallow" else deep
+    kw = {"placement": EXPR_PLACEMENT} if variant == "routing_only" else {}
+    model = build_variant(variant, dfg, m, nmap, cache, **kw)
+    if variant == "placement_only":
+        read = []
+    elif variant == "routing_only":
+        read = {(EXPR_PLACEMENT[o], EXPR_PLACEMENT[p])
+                for o, p in dfg.point_edges()}
+    else:
+        read = used_pairs(model)
+    got = {}
+    for var in model.variables:
+        if var.cls == "p":
+            pair = var.idx[:2]
+            got[pair] = got.get(pair, 0) + 1
+    assert got == {pair: len(cache[pair]) for pair in read if cache[pair]}
+    assert any(len(cache[pair]) > RELAXED_PATHS for pair in read) == (
+        depth == "deep" and variant != "placement_only")
+
+
+def test_paths_per_connection_only_checks(inst, shallow):
+    # the keyword may only restate the cache's k, as the benchmark's
+    # combined decision passes it
+    dfg, m, nmap, cache = inst
+    for c in (cache, shallow):
+        plain = build_variant("combined", dfg, m, nmap, c)
+        named = build_variant("combined", dfg, m, nmap, c,
+                              paths_per_connection=c.k)
+        assert (named.variables, named.constraints, named.metadata) == (
+            plain.variables, plain.constraints, plain.metadata)
+    for variant in VARIANTS:
+        kw = ({"placement": EXPR_PLACEMENT} if variant == "routing_only"
+              else {})
+        for ppc in (cache.k - 1, cache.k + 1, RELAXED_PATHS):
+            with pytest.raises(ValueError, match="paths_per_connection"):
+                build_variant(variant, dfg, m, nmap, cache,
+                              paths_per_connection=ppc, **kw)
+        with pytest.raises(ValueError, match="paths_per_connection"):
+            build_variant(variant, dfg, m, nmap, paths_per_connection=3,
+                          **kw)
 
 
 def shared_vertex_fixture():
@@ -255,19 +317,14 @@ def test_zero_ops_zero_rows():
     dfg = parse_dfg("op lone add\n")
     m = build_mrrg(ArchSpec("ortho", 2, 2), ii=1)
     model = IlpModel("combined")
-    add_fu_exclusivity(model, dfg, fu_nodes(m))
+    add_fu_exclusivity(model, fu_nodes(m))
     assert model.constraints == []
 
 
 def test_routing_only_variant(inst):
     dfg, m, nmap, cache = inst
-    placement = {
-        "add0": ("pe_1_1.alu", 0), "c": ("pe_1_0.alu", 0),
-        "d": ("pe_0_1.alu", 0), "mul0": ("pe_2_1.alu", 0),
-        "b": ("pe_2_0.alu", 0), "a": ("pe_2_2.alu", 0),
-    }
     model = build_variant("routing_only", dfg, m, nmap, cache,
-                          placement=placement)
+                          placement=EXPR_PLACEMENT)
     assert set(model.vars_by_class()) == {"p", "y"}
     assert count(model, "con5") == 5
     for c in model.constraints:
@@ -280,11 +337,7 @@ def test_routing_only_errors(inst):
     dfg, m, nmap, cache = inst
     with pytest.raises(ValueError):
         build_variant("routing_only", dfg, m, nmap, cache)
-    base = {
-        "add0": ("pe_1_1.alu", 0), "c": ("pe_1_0.alu", 0),
-        "d": ("pe_0_1.alu", 0), "mul0": ("pe_2_1.alu", 0),
-        "b": ("pe_2_0.alu", 0), "a": ("pe_2_2.alu", 0),
-    }
+    base = EXPR_PLACEMENT
     with pytest.raises(InfeasibleModel):
         bad = dict(base, c=("pe_1_0.const", 0))  # input op on a const unit
         build_variant("routing_only", dfg, m, nmap, cache, placement=bad)
@@ -319,16 +372,11 @@ def test_audit_flags_out_of_domain(inst):
 
 def test_audit_flags_stray_signal_and_duplicate_con6(inst):
     dfg, m, nmap, cache = inst
-    placement = {
-        "add0": ("pe_1_1.alu", 0), "c": ("pe_1_0.alu", 0),
-        "d": ("pe_0_1.alu", 0), "mul0": ("pe_2_1.alu", 0),
-        "b": ("pe_2_0.alu", 0), "a": ("pe_2_2.alu", 0),
-    }
     model = build_variant("routing_only", dfg, m, nmap, cache,
-                          placement=placement)
+                          placement=EXPR_PLACEMENT)
     assert audit(model, dfg, m, nmap, cache) == []
     # a's unit drives no path, so no vertex carries its signal
-    stray = model.add_var(yvar(("pe_1_1.out", 0), placement["a"]))
+    stray = model.add_var(yvar(("pe_1_1.out", 0), EXPR_PLACEMENT["a"]))
     assert audit(model, dfg, m, nmap, cache) == [
         f"y out of domain: {stray}"]
     row = next(c for c in model.constraints if c.tag == "con6")

@@ -5,17 +5,21 @@ points run."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cgramap import mapper
 from cgramap.baseline import build_baseline, extract_mapping
 from cgramap.dfg import Dfg, Operation, parse_dfg
-from cgramap.ilp import (RELAXED_PATHS, InfeasibleModel, build_variant,
-                         used_pairs)
-from cgramap.mapper import (MAPPED, NOT_MAPPABLE, TIMED_OUT, MappingSolution,
-                            MapLimits, characterize, map_dfg, map_min_ii,
-                            outcome_to_dict, validate_mapping)
+from cgramap.ilp import InfeasibleModel, build_variant, used_pairs
+from cgramap.mapper import (MAPPED, NOT_MAPPABLE, RELAXED_PATHS, TIMED_OUT,
+                            MappingSolution, MapLimits, characterize,
+                            map_dfg, map_min_ii, outcome_to_dict,
+                            validate_mapping)
 from cgramap.mrrg import ArchSpec, build_mrrg, fu_nodes
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, RoutePath, build_path_cache
@@ -52,10 +56,14 @@ SCHEDULE = (2, 4, 8, 16)
     lambda: SolveConfig(time_limit=float("nan")),
     lambda: MapLimits(solve_time=float("nan")),
     lambda: MapLimits(total_time=float("nan")),
-], ids=["solve_config", "solve_time", "total_time"])
+    lambda: SolveConfig(time_limit="1"),
+    lambda: MapLimits(solve_time="1"),
+    lambda: MapLimits(total_time=None),
+], ids=["solve_config", "solve_time", "total_time", "solve_config_str",
+        "solve_time_str", "total_time_none"])
 def test_nan_time_limit_rejected(make):
     # NaN compares false against everything, so a deadline made from it
-    # would never pass
+    # would never pass; a str or None does not compare with 0 at all
     with pytest.raises(ValueError):
         make()
 
@@ -584,14 +592,35 @@ def test_validate_mapping_reports_malformed_solutions():
         assert validate_mapping(dfg, mrrg, bad) == problems
 
 
+def join_report() -> str:
+    """The report, times dropped, of mapping join on 2x2 ADRES at II 2."""
+    out = map_dfg(parse_dfg(KERNELS["join"]), fabric("adres", 2), SCHEDULE,
+                  LIMITS, seed=4)
+    return json.dumps(outcome_to_dict(out, include_times=False),
+                      sort_keys=True)
+
+
 def test_report_is_byte_stable():
-    dfg = parse_dfg(KERNELS["join"])
-    mrrg = fabric("adres", 2)
-    reports = [json.dumps(outcome_to_dict(map_dfg(dfg, mrrg, SCHEDULE,
-                                                  LIMITS, seed=4),
-                                          include_times=False),
-                          sort_keys=True)
-               for _ in range(2)]
+    reports = [join_report() for _ in range(2)]
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["status"] == MAPPED
+
+
+def test_report_is_stable_across_hash_seeds():
+    # str hashes, and so the order of a set of strings, change with
+    # PYTHONHASHSEED; a search steered by such an order differs here
+    tests = Path(__file__).resolve().parent
+    reports = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
+                                               str(tests)]))
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "from test_mapper import join_report; print(join_report())"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        reports.append(run.stdout)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["status"] == MAPPED
 

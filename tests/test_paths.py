@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cgramap.ilp import RELAXED_PATHS
+from cgramap.mapper import RELAXED_PATHS
 from cgramap.mrrg import (FU, ROUTE, ArchSpec, Mrrg, MrrgNode, build_mrrg,
                           fu_nodes)
 from cgramap.neighbors import NeighborMap, build_neighbor_map

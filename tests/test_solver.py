@@ -9,8 +9,8 @@ import pytest
 from cgramap import solver
 from cgramap.baseline import build_baseline
 from cgramap.dfg import parse_dfg
-from cgramap.ilp import (RELAXED_PATHS, IlpModel, LinearConstraint, VarId,
-                         build_variant)
+from cgramap.ilp import IlpModel, LinearConstraint, VarId, build_variant
+from cgramap.mapper import RELAXED_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, build_path_cache
@@ -212,18 +212,20 @@ def tree5_relaxed(nn):
     mrrg = build_mrrg(ArchSpec("ortho", 1, 4, route_through=False), 2)
     nmap = build_neighbor_map(mrrg, nn)
     return build_variant("relaxed_placement", parse_dfg(TREE5), mrrg, nmap,
-                         build_path_cache(mrrg, nmap))
+                         build_path_cache(mrrg, nmap, RELAXED_PATHS))
 
 
 def sum4_models():
     """The relaxed model of sum4 on 2x2 ADRES, II 2, NN 16, and the
     routing-only models of the placements its solves at seeds 1 and 2
-    find: the first routes, the second does not."""
+    find: the first routes, the second does not. The relaxed model reads
+    RELAXED_PATHS routes per pair and the routing models DEFAULT_K."""
     mrrg = build_mrrg(ArchSpec("adres", 2, 2), 2)
     nmap = build_neighbor_map(mrrg, 16)
     cache = build_path_cache(mrrg, nmap)
     dfg = parse_dfg(SUM4)
-    relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap, cache)
+    relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap,
+                            build_path_cache(mrrg, nmap, RELAXED_PATHS))
     routings = []
     for placed_by in (1, 2):
         assignment = solve(relaxed, SolveConfig(seed=placed_by)).assignment
@@ -342,7 +344,7 @@ def test_relaxed_search_steady_across_seeds():
     mrrg = build_mrrg(ArchSpec("adres", 4, 4), 2)
     nmap = build_neighbor_map(mrrg, 4)
     relaxed = build_variant("relaxed_placement", parse_dfg(LDST), mrrg, nmap,
-                            build_path_cache(mrrg, nmap))
+                            build_path_cache(mrrg, nmap, RELAXED_PATHS))
     for seed in range(1, 9):
         res = solve(relaxed, SolveConfig(seed=seed, time_limit=5))
         assert (res.status, res.nodes < 2000) == ("feasible", True), seed
