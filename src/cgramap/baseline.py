@@ -3,6 +3,8 @@
 One usage var says a signal occupies a routing node, and layered
 reachability vars witness how the signal got there: a mark at hop layer
 l needs a fanin mark at l-1, with layer 0 pinned to the placed driver.
+One usage row per (signal d, node n), sum(r[d,n,l] over l) - M*z[d,n]
+<= 0 with M the node's layer count, says any mark uses the node.
 The layering makes wrap-around support impossible, so usage marks are
 honest and node exclusivity between different signals is the whole
 sharing story. Routing is decided per node rather than per enumerated
@@ -17,8 +19,8 @@ still reachable within the per-signal hop budget.
 from __future__ import annotations
 
 from .dfg import Dfg
-from .ilp import (IlpModel, VarId, add_fu_exclusivity, add_must_map,
-                  declare_f, fvar)
+from .ilp import (IlpModel, VarId, add_fu_exclusivity, add_implication,
+                  add_must_map, declare_f, fvar)
 from .mrrg import Mrrg, NodeKey, compatible_nodes, fu_nodes, hop_dists
 from .paths import RoutePath
 
@@ -100,8 +102,7 @@ def build_baseline(dfg: Dfg, mrrg: Mrrg) -> IlpModel:
         for n in win.nodes:
             marks = [rvar(driver, n, layer) for layer in win.layers(n)]
             z = zvar(driver, n)
-            for mark in marks:
-                model.add_constraint([(1, mark), (-1, z)], "<=", 0, "usage")
+            add_implication(model, marks, z, "usage")
             model.add_constraint([(1, z)] + [(-1, m) for m in marks],
                                  "<=", 0, "reach")
             for layer in win.layers(n):

@@ -8,11 +8,13 @@ families:
   con1  unit exclusivity: each FU hosts at most one operation
   con2  must map: every operation placed exactly once
   con3  fanin required: a placed sink needs an incoming edge assignment
-  con4  fanout implies usage: an edge assignment claims its driver unit
+  con4  fanout implies usage: an edge assignment claims its driver unit,
+        one row sum(e of driver (o,u)) - M*f(o,u) <= 0 per (o,u)
   con5  path required: an assigned edge needs a switched-on path
   con6  path exclusivity: a routing vertex carries at most `limit`
         signals; a path switched on claims its driver's y at every
-        interior vertex
+        interior vertex, one row sum(p of u crossing n) - M*y[n,u] <= 0
+        per (vertex n, driver u)
 
 Four variants are built from these: placement_only (con1-4),
 relaxed_placement (con1-5, con6 at 2 signals per vertex), routing_only
@@ -20,6 +22,12 @@ relaxed_placement (con1-5, con6 at 2 signals per vertex), routing_only
 (con1-6 exact, con6 at 1 signal per vertex); a relaxed model can copy
 con1-4 from the screen that passed before it. Variables and rows are
 named tuples, which are built, hashed and sorted without Python code.
+
+Each implication group is one row, M being its number of summed terms,
+in place of M rows x - g <= 0: the two forms admit the same 0/1 points
+and the solver forces the same values from them (any x at 1 forces g to
+1, g at 0 forces every x to 0), with one row to read instead of M. For
+an LP relaxation the aggregated row is the weaker, big-M form.
 """
 
 from __future__ import annotations
@@ -203,11 +211,21 @@ def add_fanin_required(model: IlpModel, dfg: Dfg) -> None:
             model.add_constraint(terms, "<=", 0, "con3")
 
 
+def add_implication(model: IlpModel, members, var: VarId, tag: str) -> None:
+    """sum(members) - M*var <= 0, M the number of members: any member on
+    needs var on."""
+    terms = [(1, m) for m in members]
+    terms.append((-len(terms), var))
+    model.add_constraint(terms, "<=", 0, tag)
+
+
 def add_fanout_implies_usage(model: IlpModel) -> None:
-    for var in list(model.variables):
+    by_driver: dict[tuple, list[VarId]] = {}
+    for var in model.variables:
         if var.cls == "e":
-            o, u, p, v = var.idx
-            model.add_constraint([(1, var), (-1, fvar(o, u))], "<=", 0, "con4")
+            by_driver.setdefault(var.idx[:2], []).append(var)
+    for (o, u), evs in by_driver.items():
+        add_implication(model, evs, fvar(o, u), "con4")
 
 
 def add_path_required(model: IlpModel, cache: PathCache) -> None:
@@ -236,9 +254,10 @@ def _interior_buckets(model: IlpModel, cache: PathCache):
 def add_path_exclusivity(model: IlpModel, cache: PathCache,
                          overuse_limit: int) -> None:
     """At most overuse_limit signals (distinct driver units) per routing
-    vertex. For each vertex crossed by paths of more drivers than that:
-    one y[n,u] per driver u, p - y[n,u] <= 0 for each such path p, and
-    sum_u y[n,u] <= overuse_limit.
+    vertex. For each vertex n crossed by paths of more drivers than
+    that: one y[n,u] per driver u, one claim row
+    sum(p of u crossing n) - M*y[n,u] <= 0 with M the number of those
+    paths, and sum_u y[n,u] <= overuse_limit.
 
     At limit 1 this admits exactly the path sets in which no two paths
     of distinct drivers share an interior vertex. Above 1 it counts
@@ -255,8 +274,7 @@ def add_path_exclusivity(model: IlpModel, cache: PathCache,
         for u in sorted(by_driver):
             y = model.add_var(yvar(n, u))
             ys.append((1, y))
-            for pv in by_driver[u]:
-                model.add_constraint([(1, pv), (-1, y)], "<=", 0, "con6")
+            add_implication(model, by_driver[u], y, "con6")
         model.add_constraint(ys, "<=", overuse_limit, "con6")
 
 
@@ -391,6 +409,11 @@ def audit(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
             if v not in declared:
                 problems.append(f"{con.tag} row references undeclared {v}")
         if con.tag == "con6":
+            paths = [c for c, v in con.terms if v.cls == "p"]
+            signals = [c for c, v in con.terms if v.cls == "y"]
+            if paths and (set(paths) != {1} or signals != [-len(paths)]
+                          or (con.relation, con.rhs) != ("<=", 0)):
+                problems.append("malformed con6 claim row")
             key = (con.terms, con.relation, con.rhs)
             if key in con6:
                 problems.append("duplicate con6 row")

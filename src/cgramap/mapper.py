@@ -38,7 +38,7 @@ from .ilp import InfeasibleModel, build_variant, used_pairs
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import NeighborMap, build_neighbor_map
 from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
-from .solver import SolveConfig, enumerate_solutions, solve
+from .solver import SolveConfig, enumerate_solutions, is_int, solve
 
 MAPPED = "mapped"
 NOT_MAPPABLE = "not_mappable"
@@ -61,8 +61,7 @@ class MapLimits:
     total_time: float = 1800.0
 
     def __post_init__(self):
-        if not (isinstance(self.placement_limit, int)
-                and self.placement_limit >= 1):
+        if not (is_int(self.placement_limit) and self.placement_limit >= 1):
             raise ValueError("placement limit must be an int of at least 1")
         # written so that NaN, which compares false, is rejected too
         if not all(isinstance(t, (int, float)) and t > 0
@@ -97,7 +96,7 @@ def _check_schedule(schedule) -> tuple[int, ...]:
     sched = tuple(schedule)
     if not sched:
         raise ValueError("schedule is empty")
-    if (not all(isinstance(nn, int) for nn in sched) or sched[0] < 1
+    if (not all(map(is_int, sched)) or sched[0] < 1
             or any(b <= a for a, b in zip(sched, sched[1:]))):
         raise ValueError("schedule must be strictly increasing positive ints")
     return sched
@@ -133,6 +132,8 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
             limits: MapLimits = MapLimits(), seed: int = 0) -> MapOutcome:
     """Run the staged search over the neighbour-count schedule."""
     sched = _check_schedule(schedule)
+    if not is_int(seed):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     deadline = time.monotonic() + limits.total_time
     attempts: list[NnAttempt] = []
     for nn in sched:
@@ -322,7 +323,7 @@ def map_min_ii(dfg: Dfg, spec: ArchSpec, max_ii: int,
                schedule=GENERIC_SCHEDULE, limits: MapLimits = MapLimits(),
                seed: int = 0) -> tuple[int, MapOutcome]:
     """Smallest II that maps, else the last outcome at max_ii."""
-    if not isinstance(max_ii, int) or max_ii < 1:
+    if not is_int(max_ii) or max_ii < 1:
         raise ValueError(
             f"max II must be an int of at least 1, got {max_ii!r}")
     outcome = None

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .dfg import ALU_OPCODES, IO_OPCODES, MEM_OPCODES, CONST_OPCODE, Operation
@@ -161,6 +162,20 @@ class Mrrg:
         for k, lst in fi.items():
             self._fanin[k] = tuple(sorted(set(lst)))
         self.edge_count = sum(map(len, self._fanout.values()))
+
+    @cached_property
+    def sorted_fus(self) -> tuple[NodeKey, ...]:
+        return tuple(sorted(self.fus))
+
+    @cached_property
+    def fus_by_opcode(self) -> dict[str, tuple[NodeKey, ...]]:
+        """Sorted units per opcode they support, built on first use so
+        that building the graph does not pay for it."""
+        by_opcode: dict[str, list[NodeKey]] = {}
+        for k in self.sorted_fus:
+            for opcode in self.nodes[k].opcodes:
+                by_opcode.setdefault(opcode, []).append(k)
+        return {opcode: tuple(ks) for opcode, ks in by_opcode.items()}
 
     def fanout(self, key: NodeKey) -> tuple[NodeKey, ...]:
         return self._fanout[key]
@@ -417,7 +432,7 @@ def build_mrrg(spec: ArchSpec, ii: int) -> Mrrg:
 
 
 def fu_nodes(mrrg: Mrrg) -> tuple[NodeKey, ...]:
-    return tuple(sorted(mrrg.fus))
+    return mrrg.sorted_fus
 
 
 def hop_dists(mrrg: Mrrg, ends, step) -> dict[NodeKey, int]:
@@ -440,10 +455,7 @@ def hop_dists(mrrg: Mrrg, ends, step) -> dict[NodeKey, int]:
 
 
 def compatible_nodes(mrrg: Mrrg, op: Operation) -> tuple[NodeKey, ...]:
-    return tuple(sorted(
-        k for k, n in mrrg.nodes.items()
-        if n.kind == FU and op.opcode in n.opcodes
-    ))
+    return mrrg.fus_by_opcode.get(op.opcode, ())
 
 
 def mrrg_to_dot(mrrg: Mrrg) -> str:

@@ -53,6 +53,11 @@ INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
 
 
+def is_int(x) -> bool:
+    """An int proper: a bool would pass as 0 or 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     seed: int = 0
@@ -60,12 +65,14 @@ class SolveConfig:
     solution_limit: int = 1
 
     def __post_init__(self):
+        # random.Random(None) would seed from the OS
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         # written so that NaN, which compares false, is rejected too
         if not (isinstance(self.time_limit, (int, float))
                 and self.time_limit > 0):
             raise ValueError("time limit must be a positive number")
-        if not (isinstance(self.solution_limit, int)
-                and self.solution_limit >= 1):
+        if not (is_int(self.solution_limit) and self.solution_limit >= 1):
             raise ValueError("solution limit must be an int of at least 1")
 
 

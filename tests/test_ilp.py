@@ -87,16 +87,21 @@ def count(model, tag):
 
 
 def signal_rows(cons):
-    """Split the con6 rows into path -> signals it claims (rows
-    p - y <= 0) and signal sum rows (rows of +1 y terms <= limit); fails
-    on any other shape, since admits() relies on these two."""
+    """Split the con6 rows into path -> signals it claims (claim rows
+    sum(p) - M*y <= 0: +1 p terms and one y term of minus their count)
+    and signal sum rows (rows of +1 y terms <= limit); fails on any
+    other shape, since admits() relies on these two."""
     claims, sums = {}, []
     for c in cons:
         if c.tag != "con6":
             continue
-        cls = [(k, v.cls) for k, v in c.terms]
-        if cls == [(1, "p"), (-1, "y")] and (c.relation, c.rhs) == ("<=", 0):
-            claims.setdefault(c.terms[0][1], set()).add(c.terms[1][1])
+        paths = [v for k, v in c.terms if k == 1 and v.cls == "p"]
+        if paths:
+            *_, (m, y) = c.terms
+            assert [v for _, v in c.terms] == paths + [y]
+            assert (y.cls, m, c.relation, c.rhs) == ("y", -len(paths), "<=", 0)
+            for pv in paths:
+                claims.setdefault(pv, set()).add(y)
         else:
             assert c.relation == "<=" and c.rhs >= 1
             assert all(k == 1 and v.cls == "y" for k, v in c.terms)
@@ -106,9 +111,9 @@ def signal_rows(cons):
 
 def admits(cons, on_paths):
     """Whether the rows hold with the given paths on, all other paths
-    off, and some choice of signal variables. A y occurs with -1 only in
-    its claim rows and with +1 elsewhere, so the claimed signals are the
-    choice to try."""
+    off, and some choice of signal variables. A y occurs with a negative
+    coefficient only in its claim row and with +1 elsewhere, so the
+    claimed signals are the choice to try."""
     claims, _ = signal_rows(cons)
     on = set(on_paths)
     return satisfies(cons, on.union(*(claims.get(p, ()) for p in on)))
@@ -139,9 +144,10 @@ def test_constraint_family_recounts(inst, combined):
     ops = dfg.ops_by_id
     n_con3 = sum(len(compatible_nodes(m, ops[p])) for _, p in dfg.point_edges())
     assert count(model, "con3") == n_con3 == 5 * 9
-    n_e = len(edge_domain(dfg, m, nmap))
-    assert count(model, "con4") == n_e
-    assert count(model, "con5") == n_e
+    dom = edge_domain(dfg, m, nmap)
+    # one row per driver (o, u) of some edge assignment
+    assert count(model, "con4") == len({(o, u) for o, u, _, _ in dom})
+    assert count(model, "con5") == len(dom)
 
 
 def test_exact_con6_admits_exactly_the_pairwise_sets(inst, combined):
@@ -177,8 +183,10 @@ def test_exact_con6_admits_exactly_the_pairwise_sets(inst, combined):
         fits = all(sb.get(r, y) == y for r, y in seats[a].items())
         assert fits != conflict, (a, b)
     assert conflicts > 0
-    # one claim row per (vertex, path) and one sum row per contested vertex
-    assert count(model, "con6") == sum(map(len, claims.values())) + len(sums)
+    # one claim row per (vertex, driver), which is one per signal
+    # variable, and one sum row per contested vertex
+    ys = model.vars_by_class()["y"]
+    assert count(model, "con6") == len(ys) + len(sums)
 
 
 def test_relaxed_sits_strictly_between(inst, shallow, combined):
@@ -269,7 +277,8 @@ def test_exact_exclusivity_rows_and_dedup():
     ya, yb, yc = (yvar(x, (d, 0)) for d in "ABC")
     got = {(c.terms, c.rhs) for c in model.constraints}
     # only x is contested; y carries A alone and gets no rows
-    assert got == {(((1, va1), (-1, ya)), 0), (((1, va2), (-1, ya)), 0),
+    # A's two paths share one claim row, its y weighted by their count
+    assert got == {(((1, va1), (1, va2), (-2, ya)), 0),
                    (((1, vb), (-1, yb)), 0), (((1, vc), (-1, yc)), 0),
                    (((1, ya), (1, yb), (1, yc)), 1)}
     assert len(model.constraints) == len(got)
@@ -382,6 +391,22 @@ def test_audit_flags_stray_signal_and_duplicate_con6(inst):
     row = next(c for c in model.constraints if c.tag == "con6")
     model.add_constraint(row.terms, row.relation, row.rhs, "con6")
     assert "duplicate con6 row" in audit(model, dfg, m, nmap, cache)
+
+
+@pytest.mark.parametrize("weight", [0, 1, -1, 2])
+def test_audit_flags_misweighted_claim_row(inst, weight):
+    # a claim row's y coefficient must be minus its number of path terms:
+    # one less lets a full group on with y still off
+    dfg, m, nmap, cache = inst
+    model = build_variant("routing_only", dfg, m, nmap, cache,
+                          placement=EXPR_PLACEMENT)
+    at, row = next((i, c) for i, c in enumerate(model.constraints)
+                   if c.tag == "con6" and c.rhs == 0 and len(c.terms) > 2)
+    *paths, (coef, y) = row.terms
+    model.constraints[at] = row._replace(
+        terms=(*paths, (coef + weight, y)))
+    problems = audit(model, dfg, m, nmap, cache)
+    assert ("malformed con6 claim row" in problems) == (weight != 0)
 
 
 def test_stats_shape(inst):

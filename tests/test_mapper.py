@@ -59,11 +59,18 @@ SCHEDULE = (2, 4, 8, 16)
     lambda: SolveConfig(time_limit="1"),
     lambda: MapLimits(solve_time="1"),
     lambda: MapLimits(total_time=None),
+    lambda: SolveConfig(seed=None),
+    lambda: SolveConfig(seed=1.5),
+    lambda: SolveConfig(seed="a"),
+    lambda: SolveConfig(solution_limit=True),
+    lambda: MapLimits(placement_limit=True),
 ], ids=["solve_config", "solve_time", "total_time", "solve_config_str",
-        "solve_time_str", "total_time_none"])
+        "solve_time_str", "total_time_none", "seed_none", "seed_float",
+        "seed_str", "solution_limit_bool", "placement_limit_bool"])
 def test_nan_time_limit_rejected(make):
     # NaN compares false against everything, so a deadline made from it
-    # would never pass; a str or None does not compare with 0 at all
+    # would never pass; a str or None does not compare with 0 at all.
+    # A seed of None would seed from the OS, and a bool count passes as 1
     with pytest.raises(ValueError):
         make()
 
@@ -73,9 +80,12 @@ def test_non_int_counts_rejected():
     with pytest.raises(ValueError, match="placement limit"):
         MapLimits(placement_limit=2.5)
     dfg, mrrg = parse_dfg(KERNELS["chain2"]), fabric("ortho", 1)
-    for schedule in [(4.5,), (2, 4.0)]:
+    for schedule in [(4.5,), (2, 4.0), (True,)]:
         with pytest.raises(ValueError, match="positive ints"):
             map_dfg(dfg, mrrg, schedule, LIMITS, seed=1)
+    for seed in [None, 1.5, "a", True]:
+        with pytest.raises(ValueError, match="seed must be an int"):
+            map_dfg(dfg, mrrg, SCHEDULE, LIMITS, seed=seed)
     with pytest.raises(ValueError, match="max II must be an int"):
         map_min_ii(dfg, ArchSpec("ortho", 2, 2), max_ii=2.5)
 
@@ -382,8 +392,8 @@ def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
         "a": ("pe_0_0.alu", 1), "b": ("pe_1_0.alu", 1),
         "c": ("pe_1_0.alu", 0), "d": ("pe_0_0.alu", 0)}
     assert validate_mapping(dfg, mrrg, out.solution) == []
-    assert checks == [(RELAXED_PATHS, 36, 53, INFEASIBLE),
-                      (DEFAULT_K, 173, 852, FEASIBLE)]
+    assert checks == [(RELAXED_PATHS, 36, 38, INFEASIBLE),
+                      (DEFAULT_K, 173, 133, FEASIBLE)]
     assert nodes[0] == 10
     # so some route reported lies past its pair's first RELAXED_PATHS
     nmap = build_neighbor_map(mrrg, 8)

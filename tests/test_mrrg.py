@@ -112,6 +112,21 @@ def test_fus_is_the_fu_key_set(fam):
         m.is_fu(("nowhere", 0))
 
 
+@pytest.mark.parametrize("fam", ["ortho", "adres", "clustered", "hycube"])
+def test_unit_index_matches_a_full_scan(fam):
+    # the per-opcode index is built once per graph and must return what
+    # a scan of every node does, in the same sorted order
+    m = build_mrrg(ArchSpec(fam, 4, 4), 2)
+    opcodes = {c for n in m.nodes.values() for c in n.opcodes} | {"quux"}
+    for opcode in sorted(opcodes):
+        scan = tuple(sorted(k for k, n in m.nodes.items()
+                            if n.kind == FU and opcode in n.opcodes))
+        op = Operation("x", opcode)
+        assert compatible_nodes(m, op) == scan
+        assert compatible_nodes(m, op) is compatible_nodes(m, op)
+    assert fu_nodes(m) == tuple(sorted(m.fus)) and fu_nodes(m) is fu_nodes(m)
+
+
 def test_compatible_nodes_homogeneous_ortho():
     m = build_mrrg(ortho(3, 3), ii=1)
     adds = compatible_nodes(m, Operation("x", "add"))

@@ -1,7 +1,7 @@
 """Search, enumeration and independent-MILP checks."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +9,8 @@ import pytest
 from cgramap import solver
 from cgramap.baseline import build_baseline
 from cgramap.dfg import parse_dfg
-from cgramap.ilp import IlpModel, LinearConstraint, VarId, build_variant
+from cgramap.ilp import (IlpModel, LinearConstraint, VarId, add_implication,
+                         build_variant)
 from cgramap.mapper import RELAXED_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg
 from cgramap.neighbors import build_neighbor_map
@@ -116,6 +117,51 @@ def test_config_validation():
     # a float limit would reach range() inside enumerate_solutions
     with pytest.raises(ValueError, match="solution limit"):
         SolveConfig(solution_limit=2.5)
+
+
+def _fixpoint(model, fixes):
+    """Fix (variable index, value) pairs in order, propagating after
+    each: the values at the fixpoint, or "conflict"."""
+    search = solver._Search(model)
+    if search.propagate() is not None:
+        return "conflict"
+    for i, value in fixes:
+        if search.val[i] >= 0:
+            if search.val[i] != value:
+                return "conflict"
+            continue
+        search.fix(i, value)
+        if search.propagate() is not None:
+            return "conflict"
+    return tuple(search.val)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_implication_row_propagates_as_its_pairwise_rows(size):
+    # add_implication's sum(x) - M*g <= 0 against the M rows x - g <= 0:
+    # every partial assignment, fixed in every order, reaches the same
+    # fixpoint or conflict, and both admit the same complete assignments
+    def form(aggregated):
+        model = IlpModel("combined")
+        xs = [model.add_var(VarId("p", (i,))) for i in range(size)]
+        g = model.add_var(VarId("y", ()))
+        if aggregated:
+            add_implication(model, xs, g, "row")
+        else:
+            for x in xs:
+                model.add_constraint([(1, x), (-1, g)], "<=", 0, "row")
+        return model
+
+    row, pairwise = form(True), form(False)
+    for values in product((-1, 0, 1), repeat=size + 1):
+        fixed = [(i, v) for i, v in enumerate(values) if v >= 0]
+        for order in permutations(fixed):
+            assert _fixpoint(row, order) == _fixpoint(pairwise, order), order
+    for values in product((0, 1), repeat=size + 1):
+        point = dict(zip(row.variables, values))
+        assert (check_assignment(row.constraints, point)
+                == []) == (check_assignment(pairwise.constraints, point)
+                           == []), values
 
 
 def test_random_agreement_with_exhaustive():
