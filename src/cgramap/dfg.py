@@ -30,6 +30,11 @@ OPCODES = ALU_OPCODES | MEM_OPCODES | IO_OPCODES | {CONST_OPCODE}
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+def is_int(x) -> bool:
+    """An int proper: a bool would pass as 0 or 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class DfgError(ValueError):
     """Raised on malformed DFG text or an ill-formed graph.
 

@@ -1,27 +1,33 @@
 """0/1 model construction for placement and routing.
 
-Four variable classes: f (operation o sits on unit u), e (DFG edge from
-o on u to p on v), p (path q between units u and v is switched on), y
-(routing vertex n carries the signal of driver unit u). The constraint
-families:
+Three variable classes: f (operation o sits on unit u), p (path q between
+units u and v is switched on), y (routing vertex n carries the signal of
+driver unit u). The constraint families:
 
   con1  unit exclusivity: each FU hosts at most one operation
   con2  must map: every operation placed exactly once
-  con3  fanin required: a placed sink needs an incoming edge assignment
-  con4  fanout implies usage: an edge assignment claims its driver unit,
-        one row sum(e of driver (o,u)) - M*f(o,u) <= 0 per (o,u)
-  con5  path required: an assigned edge needs a switched-on path
+  con3  neighbour required: a sink p on unit v needs its driver o on a
+        unit u with v in u's neighbour set, one row f[p,v] - sum f[o,u]
+        <= 0 per (DFG edge (o,p), unit v); a loop edge closes on its unit
+  con5  path required: an edge placed on a neighbour pair needs a path,
+        f[o,u] + f[p,v] - sum_q p[u,v,q] <= 1 (f[o,u] - sum_q p[u,u,q]
+        <= 0 for a loop edge)
   con6  path exclusivity: a routing vertex carries at most `limit`
         signals; a path switched on claims its driver's y at every
         interior vertex, one row sum(p of u crossing n) - M*y[n,u] <= 0
         per (vertex n, driver u)
 
-Four variants are built from these: placement_only (con1-4),
-relaxed_placement (con1-5, con6 at 2 signals per vertex), routing_only
-(con5-6 with edge assignments fixed by a given placement) and combined
-(con1-6 exact, con6 at 1 signal per vertex); a relaxed model can copy
-con1-4 from the screen that passed before it. Variables and rows are
-named tuples, which are built, hashed and sorted without Python code.
+The numbering is that of a formulation with a variable per placed DFG
+edge (o, u, p, v), equal to f[o,u] * f[p,v] as con2 places each op once;
+con3 and con5 project it out, and with it that formulation's con4.
+
+Four variants are built from these: placement_only (con1-3),
+relaxed_placement (con1-3, con5, con6 at 2 signals per vertex),
+routing_only (con5-6 over the pairs of a given placement) and combined
+(con1-3, con5, con6 exact, at 1 signal per vertex); a relaxed model can
+copy con1-3 from the screen that passed before it. Variables and rows
+are named tuples, which are built, hashed and sorted without Python
+code.
 
 Each implication group is one row, M being its number of summed terms,
 in place of M rows x - g <= 0: the two forms admit the same 0/1 points
@@ -65,10 +71,6 @@ def fvar(op: str, u: NodeKey) -> VarId:
     return VarId("f", (op, u))
 
 
-def evar(o: str, u: NodeKey, p: str, v: NodeKey) -> VarId:
-    return VarId("e", (o, u, p, v))
-
-
 def pvar(u: NodeKey, v: NodeKey, q: int) -> VarId:
     return VarId("p", (u, v, q))
 
@@ -95,6 +97,9 @@ class IlpModel:
         self.variables: list[VarId] = []
         self._declared: dict[VarId, int] = {}
         self.constraints: list[LinearConstraint] = []
+        # the placements (o, u, p, v) the rows allow each DFG edge (o, p);
+        # empty for a model that places nothing
+        self.domain: tuple[tuple[str, NodeKey, str, NodeKey], ...] = ()
 
     def add_var(self, var: VarId) -> VarId:
         if var not in self._declared:
@@ -144,24 +149,26 @@ def declare_f(model: IlpModel, dfg: Dfg, mrrg: Mrrg) -> None:
             model.add_var(fvar(op.id, u))
 
 
-def declare_e(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap) -> None:
+def neighbor_domain(dfg: Dfg, mrrg: Mrrg,
+                    nmap: NeighborMap) -> tuple[tuple, ...]:
+    """Every (o, u, p, v) with (o, p) a DFG edge, u and v units the two
+    operations fit and v in u's neighbour set; a loop edge closes only
+    on the unit hosting the operation."""
     ops = dfg.ops_by_id
+    domain = []
     for o, p in dfg.point_edges():
         sinks = compatible_nodes(mrrg, ops[p])
         for u in compatible_nodes(mrrg, ops[o]):
             reach = set(nmap[u])
-            for v in sinks:
-                if v not in reach:
-                    continue
-                # a loop edge can only close on the unit hosting the op
-                if o == p and v != u:
-                    continue
-                model.add_var(evar(o, u, p, v))
+            domain.extend((o, u, p, v) for v in sinks
+                          if v in reach and (o != p or v == u))
+    return tuple(domain)
 
 
 def used_pairs(model: IlpModel) -> list[tuple[NodeKey, NodeKey]]:
-    return sorted({(var.idx[1], var.idx[3]) for var in model.variables
-                   if var.cls == "e"})
+    """The (driver unit, sink unit) pairs a relaxed model reads routes
+    for."""
+    return sorted({(u, v) for _, u, _, v in model.domain})
 
 
 def declare_p(model: IlpModel, cache: PathCache, pairs) -> None:
@@ -196,18 +203,18 @@ def add_must_map(model: IlpModel, dfg: Dfg) -> None:
         model.add_constraint(terms, "=", 1, "con2")
 
 
-def add_fanin_required(model: IlpModel, dfg: Dfg) -> None:
-    e_by_opv: dict[tuple, list[VarId]] = {}
-    for var in model.variables:
-        if var.cls == "e":
-            o, u, p, v = var.idx
-            e_by_opv.setdefault((o, p, v), []).append(var)
+def add_neighbor_required(model: IlpModel, dfg: Dfg) -> None:
+    """con3 over the model's domain."""
+    drivers: dict[tuple, list[NodeKey]] = {}
+    for o, u, p, v in model.domain:
+        drivers.setdefault((o, p, v), []).append(u)
     index = _f_index(model)
     for o, p in dfg.point_edges():
         for fv in index.get(p, ()):
-            v = fv.idx[1]
-            terms = [(1, fv)]
-            terms += [(-1, ev) for ev in e_by_opv.get((o, p, v), ())]
+            us = drivers.get((o, p, fv.idx[1]), ())
+            if o == p and us:
+                continue  # the loop closes on the unit hosting it
+            terms = [(1, fv)] + [(-1, fvar(o, u)) for u in us]
             model.add_constraint(terms, "<=", 0, "con3")
 
 
@@ -219,23 +226,14 @@ def add_implication(model: IlpModel, members, var: VarId, tag: str) -> None:
     model.add_constraint(terms, "<=", 0, tag)
 
 
-def add_fanout_implies_usage(model: IlpModel) -> None:
-    by_driver: dict[tuple, list[VarId]] = {}
-    for var in model.variables:
-        if var.cls == "e":
-            by_driver.setdefault(var.idx[:2], []).append(var)
-    for (o, u), evs in by_driver.items():
-        add_implication(model, evs, fvar(o, u), "con4")
-
-
 def add_path_required(model: IlpModel, cache: PathCache) -> None:
-    for var in list(model.variables):
-        if var.cls != "e":
-            continue
-        o, u, p, v = var.idx
-        terms = [(1, var)] + [(-1, pvar(u, v, q))
-                              for q in range(len(cache.get((u, v))))]
-        model.add_constraint(terms, "<=", 0, "con5")
+    """con5 over the model's domain."""
+    for o, u, p, v in model.domain:
+        terms = [(1, fvar(o, u))] + [(-1, pvar(u, v, q))
+                                     for q in range(len(cache.get((u, v))))]
+        if o != p:
+            terms.append((1, fvar(p, v)))
+        model.add_constraint(terms, "<=", int(o != p), "con5")
 
 
 def _interior_buckets(model: IlpModel, cache: PathCache):
@@ -288,8 +286,8 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
     reads every route the cache holds for a pair, so the caller picks
     the depth; paths_per_connection, if given, must equal the cache's k.
     Given screen, the placement_only model over the same dfg, mrrg and
-    nmap, the relaxed model copies its variables and con1-4 rows instead
-    of building them again."""
+    nmap, the relaxed model copies its domain, variables and con1-3 rows
+    instead of building them again."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if paths_per_connection is not None and (
@@ -307,13 +305,13 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
     model = IlpModel(variant, nn=nmap.target_nn,
                      k=cache.k if cache else None)
     if screen is None:
+        model.domain = neighbor_domain(dfg, mrrg, nmap)
         declare_f(model, dfg, mrrg)
-        declare_e(model, dfg, mrrg, nmap)
         add_fu_exclusivity(model, fu_nodes(mrrg))
         add_must_map(model, dfg)
-        add_fanin_required(model, dfg)
-        add_fanout_implies_usage(model)
+        add_neighbor_required(model, dfg)
     else:
+        model.domain = screen.domain
         for var in screen.variables:
             model.add_var(var)
         model.constraints = list(screen.constraints)
@@ -364,11 +362,17 @@ def _build_routing_only(dfg, mrrg, nmap, cache, placement):
 
 def audit(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
           cache: PathCache | None = None) -> list[str]:
-    """Re-derive every variable's existence precondition and the model's
-    structural invariants; returns found problems."""
+    """Re-derive every variable's and domain entry's existence
+    precondition and the model's structural invariants; returns found
+    problems."""
     problems = []
     ops = dfg.ops_by_id
     edges = set(dfg.point_edges())
+    for o, u, p, v in model.domain:
+        if not ((o, p) in edges and u in compatible_nodes(mrrg, ops[o])
+                and v in compatible_nodes(mrrg, ops[p]) and v in nmap[u]
+                and (o != p or u == v)):
+            problems.append(f"domain entry out of reach: {(o, u, p, v)}")
     crossed = set()  # (vertex, driver) of every in-domain path's interior
     ys = []
     for var in model.variables:
@@ -376,14 +380,6 @@ def audit(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
             o, u = var.idx
             if o not in ops or u not in compatible_nodes(mrrg, ops[o]):
                 problems.append(f"f out of domain: {var}")
-        elif var.cls == "e":
-            o, u, p, v = var.idx
-            ok = ((o, p) in edges
-                  and o in ops and u in compatible_nodes(mrrg, ops[o])
-                  and p in ops and v in compatible_nodes(mrrg, ops[p])
-                  and v in nmap[u])
-            if not ok:
-                problems.append(f"e out of domain: {var}")
         elif var.cls == "p":
             u, v, q = var.idx
             if cache is None or q >= len(cache.get((u, v))):

@@ -16,12 +16,13 @@ the deadline.
 
 Routes are built on demand, each list only as deep as the model that
 reads it. Once a screen passes, one cache holds RELAXED_PATHS routes
-for every (driver unit, sink unit) pair the screen model declares edge
-variables for, which are the only pairs the relaxed model reads. Each
-relaxed placement tried is routed over that cache first. Only when that
-routing-only model is proven infeasible does the placement get its own
-cache of DEFAULT_K routes over just its own pairs, and a routing-only
-model over it; the reported routing comes from the cache that routed.
+for every (driver unit, sink unit) pair the screen model's neighbour
+domain places a DFG edge on, which are the only pairs the relaxed model
+reads. Each relaxed placement tried is routed over that cache first.
+Only when that routing-only model is proven infeasible does the
+placement get its own cache of DEFAULT_K routes over just its own
+pairs, and a routing-only model over it; the reported routing comes
+from the cache that routed.
 Enumeration is best-first, so a shallow list is the prefix of a deep
 one: what routes on RELAXED_PATHS routes also routes on DEFAULT_K, and
 the verdicts are those of one deep cache.
@@ -33,12 +34,12 @@ import math
 import time
 from dataclasses import dataclass
 
-from .dfg import Dfg
+from .dfg import Dfg, is_int
 from .ilp import InfeasibleModel, build_variant, used_pairs
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import NeighborMap, build_neighbor_map
 from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
-from .solver import SolveConfig, enumerate_solutions, is_int, solve
+from .solver import SolveConfig, enumerate_solutions, solve
 
 MAPPED = "mapped"
 NOT_MAPPABLE = "not_mappable"
@@ -64,7 +65,7 @@ class MapLimits:
         if not (is_int(self.placement_limit) and self.placement_limit >= 1):
             raise ValueError("placement limit must be an int of at least 1")
         # written so that NaN, which compares false, is rejected too
-        if not all(isinstance(t, (int, float)) and t > 0
+        if not all((is_int(t) or isinstance(t, float)) and t > 0
                    for t in (self.solve_time, self.total_time)):
             raise ValueError("time limits must be positive numbers")
 

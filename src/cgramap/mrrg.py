@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .dfg import ALU_OPCODES, IO_OPCODES, MEM_OPCODES, CONST_OPCODE, Operation
+from .dfg import (ALU_OPCODES, IO_OPCODES, MEM_OPCODES, CONST_OPCODE,
+                  Operation, is_int)
 
 FU = "fu"
 ROUTE = "route"
@@ -76,7 +77,7 @@ class ArchSpec:
         for key in ("rows", "cols", "skip_distance", "cluster_rows",
                     "cluster_cols"):
             value = getattr(self, key)
-            if not isinstance(value, int):
+            if not is_int(value):
                 raise ArchError(f"{key} must be an int, got {value!r}")
         if self.rows < 1 or self.cols < 1:
             raise ArchError("rows and cols must be >= 1")
@@ -426,7 +427,7 @@ _GENERATORS = {
 
 def build_mrrg(spec: ArchSpec, ii: int) -> Mrrg:
     spec.validate()
-    if not isinstance(ii, int) or ii < 1:
+    if not is_int(ii) or ii < 1:
         raise ArchError(f"II must be an int of at least 1, got {ii!r}")
     return _GENERATORS[spec.family](spec, ii)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dfg import is_int
 from .mrrg import Mrrg, NodeKey, fu_nodes
 
 
@@ -25,7 +26,7 @@ def find_neighbors(mrrg: Mrrg, source: NodeKey,
                    target_nn: int) -> tuple[NodeKey, ...]:
     """Sorted FU keys discovered from source under the wave stop rule;
     a target of 0 finds none."""
-    if not isinstance(target_nn, int) or target_nn < 0:
+    if not is_int(target_nn) or target_nn < 0:
         raise ValueError(
             f"target_nn must be an int of at least 0, got {target_nn!r}")
     if source not in mrrg.nodes:
@@ -66,7 +67,7 @@ class NeighborMap:
 
 def build_neighbor_map(mrrg: Mrrg, target_nn: int) -> NeighborMap:
     """find_neighbors for every FU vertex."""
-    if not isinstance(target_nn, int) or target_nn < 1:
+    if not is_int(target_nn) or target_nn < 1:
         raise ValueError(
             f"target_nn must be an int of at least 1, got {target_nn!r}")
     return NeighborMap(

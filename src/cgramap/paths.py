@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from .dfg import is_int
 from .mrrg import Mrrg, NodeKey, hop_dists
 from .neighbors import NeighborMap
 
@@ -56,7 +57,7 @@ def is_valid_path(mrrg: Mrrg, rp: RoutePath) -> bool:
 
 
 def _check_k(k) -> None:
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise ValueError(f"k must be an int of at least 1, got {k!r}")
 
 

@@ -24,11 +24,15 @@ variable class under the configured seed, which perturbs runtime but
 never the verdict. A cursor into it has only fixed variables before
 it; each decision records it and a backtrack restores it, so no node
 rescans the order from the front. There value 1 is tried before 0 for
-placements, and 0 before 1 for edge, path and vertex-signal variables
-(classes e, p and y): the rows that need an edge, a path or a signal
-force it once its alternatives are gone, while one switched on that
-nothing needs still claims routing, and undoing it deep in the tree
-can take exponential time.
+placements, and 0 before 1 for path and vertex-signal variables
+(classes p and y): the rows that need a path or a signal force it once
+its alternatives are gone, while one switched on that nothing needs
+still claims routing, and undoing it deep in the tree can take
+exponential time. Such a 0 gets no second branch when it dominates,
+each row where it uses up slack holding whatever its free terms take:
+any leaf with the variable at 1 is then a leaf at 0. Classes in an
+enumeration's projection keep both branches, as a later cut can undo
+that.
 
 The search yields each leaf; to go on past it, one row the leaf
 violates joins the live search (the no-good cut over the projection
@@ -46,16 +50,12 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from .dfg import is_int
 from .ilp import LinearConstraint
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
-
-
-def is_int(x) -> bool:
-    """An int proper: a bool would pass as 0 or 1."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ class SolveConfig:
         if not is_int(self.seed):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         # written so that NaN, which compares false, is rejected too
-        if not (isinstance(self.time_limit, (int, float))
+        if not ((is_int(self.time_limit)
+                 or isinstance(self.time_limit, float))
                 and self.time_limit > 0):
             raise ValueError("time limit must be a positive number")
         if not (is_int(self.solution_limit) and self.solution_limit >= 1):
@@ -205,17 +206,30 @@ class _Search:
                     self.fix(j, 1)
         return None
 
-    def leaves(self, seed, deadline):
+    def zero_dominates(self, i) -> bool:
+        """Whether every row where variable i at 0 uses up slack holds
+        whatever its free terms, i among them, take."""
+        val = self.val
+        spend = iter(self.spends[2 * i])
+        return all(self.slack[row] >= sum(abs(c) for c, j in self.coefs[row]
+                                          if val[j] < 0)
+                   for row, _ in zip(spend, spend))
+
+    def leaves(self, seed, deadline, projection=()):
         """Yield the assignment at each leaf. The caller sends back a
-        row the leaf violates; it joins the search, which resumes at the
-        deepest untried decision above which the cut has slack. Returns
-        INFEASIBLE once the tree is exhausted, or TIMEOUT."""
+        row the leaf violates, over variables of the projection classes
+        only; it joins the search, which resumes at the deepest untried
+        decision above which the cut has slack. Returns INFEASIBLE once
+        the tree is exhausted, or TIMEOUT."""
         order = _branch_order(self.vars, seed)
         rank = [0] * len(order)
         for at, i in enumerate(order):
             rank[i] = at
         groups = _choice_groups(self.rows, self.index, rank)
-        first = [0 if v.cls in ("e", "p", "y") else 1 for v in self.vars]
+        first = [0 if v.cls in ("p", "y") else 1 for v in self.vars]
+        # tried at 0 first, and named by no cut: a dominating 0 is final
+        prunable = [not x and v.cls not in projection
+                    for x, v in zip(first, self.vars)]
         val = self.val
         # every variable in order[:pos] is fixed
         pos = 0
@@ -240,7 +254,9 @@ class _Search:
                     pos += 1
                 if pos < len(order):
                     free = order[pos]
-                    stack.append((free, first[free], pos, 0,
+                    # a dominating 0 is recorded with its other value tried
+                    done = int(prunable[free] and self.zero_dominates(free))
+                    stack.append((free, first[free], pos, done,
                                   len(self.trail), 0))
                     self.nodes += 1
                     self.fix(free, first[free])
@@ -342,7 +358,7 @@ def enumerate_solutions(model, cfg: SolveConfig, projection=("f",)):
     infeasible models yield an empty stream."""
     since = time.monotonic()
     search = _Search(model)
-    leaves = search.leaves(cfg.seed, since + cfg.time_limit)
+    leaves = search.leaves(cfg.seed, since + cfg.time_limit, projection)
     projected = [v for v in model.variables if v.cls in projection]
     counted, cut = 0, None
     for _ in range(cfg.solution_limit):

@@ -1,15 +1,17 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 
+from cgramap import solver
 from cgramap.dfg import parse_dfg
 from cgramap.ilp import (VARIANTS, IlpModel, InfeasibleModel, VarId,
-                         add_fu_exclusivity, add_must_map,
-                         add_path_exclusivity, audit, build_variant, evar,
-                         fvar, pvar, used_pairs, yvar)
+                         add_fu_exclusivity, add_implication, add_must_map,
+                         add_path_exclusivity, audit, build_variant, fvar,
+                         pvar, used_pairs, yvar)
 from cgramap.mapper import RELAXED_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg, compatible_nodes, fu_nodes
-from cgramap.neighbors import build_neighbor_map
+from cgramap.neighbors import NeighborMap, build_neighbor_map
 from cgramap.paths import PathCache, RoutePath, build_path_cache
 
 from helpers import satisfies
@@ -45,7 +47,7 @@ def test_varid_hash_repr_order_and_immutability():
     assert sorted([b, a]) == [a, b] and a < b
     assert fvar("a", ("u", 1)) < fvar("a", ("u", 2)) < fvar("b", ("u", 0))
     with pytest.raises(AttributeError):
-        a.cls = "e"
+        a.cls = "p"
     with pytest.raises(AttributeError):
         a.idx = ()
 
@@ -125,9 +127,11 @@ def test_variable_domains_and_counts(inst, combined):
     by_cls = model.vars_by_class()
     n_f = sum(len(compatible_nodes(m, op)) for op in dfg.operations)
     dom = edge_domain(dfg, m, nmap)
+    assert set(by_cls) == {"f", "p", "y"}
     assert len(by_cls["f"]) == n_f == 6 * 9
-    assert len(by_cls["e"]) == len(dom)
+    assert sorted(model.domain) == sorted(dom)
     pairs = {(u, v) for _, u, _, v in dom}
+    assert used_pairs(model) == sorted(pairs)
     n_p = sum(min(20, len(cache.get(pr))) for pr in pairs)
     assert len(by_cls["p"]) == n_p
     assert audit(model, dfg, m, nmap, cache) == []
@@ -142,12 +146,12 @@ def test_constraint_family_recounts(inst, combined):
     eqs = [c for c in model.constraints if c.tag == "con2" and c.relation == "="]
     assert len(eqs) == 6  # every operation is placed exactly once
     ops = dfg.ops_by_id
+    # one neighbour row per (edge, sink unit); the expression has no loop
     n_con3 = sum(len(compatible_nodes(m, ops[p])) for _, p in dfg.point_edges())
     assert count(model, "con3") == n_con3 == 5 * 9
-    dom = edge_domain(dfg, m, nmap)
-    # one row per driver (o, u) of some edge assignment
-    assert count(model, "con4") == len({(o, u) for o, u, _, _ in dom})
-    assert count(model, "con5") == len(dom)
+    assert count(model, "con4") == 0
+    # one path row per placement of an edge on a neighbour pair
+    assert count(model, "con5") == len(edge_domain(dfg, m, nmap))
 
 
 def test_exact_con6_admits_exactly_the_pairwise_sets(inst, combined):
@@ -308,18 +312,176 @@ def test_must_map_variants():
         add_must_map(bare, dfg)
 
 
-def test_fanin_empty_sum_forbids_unit(inst, combined):
-    dfg, m, nmap, cache = inst
-    model = combined
-    # a unit with no incoming edge assignment cannot host a sink op
-    some_f = next(v for v in model.variables if v.cls == "f"
-                  and v.idx[0] == "a")
-    con3 = [c for c in model.constraints if c.tag == "con3"]
-    e_vars = [v for v in model.variables
-              if v.cls == "e" and v.idx[2] == "a" and v.idx[3] == some_f.idx[1]]
-    if e_vars:
-        assert not satisfies(con3, {some_f})
-        assert satisfies(con3, {some_f, e_vars[0]})
+def test_fanin_empty_sum_forbids_unit(inst):
+    # a placed sink needs its driver on a unit that reaches the sink's:
+    # with every such unit off, the row of edge (mul0, a) at a's unit
+    # has an empty sum left and forbids the unit
+    dfg, m, nmap, _ = inst
+    con3 = [c for c in build_variant("placement_only", dfg, m,
+                                     nmap).constraints
+            if c.tag == "con3"
+            and any(k == 1 and v.idx[0] == "a" for k, v in c.terms)]
+    drivers = compatible_nodes(m, dfg.ops_by_id["mul0"])
+    for v in compatible_nodes(m, dfg.ops_by_id["a"]):
+        sink = fvar("a", v)
+        near = [u for u in drivers if v in nmap[u]]
+        far = [fvar("mul0", u) for u in drivers if u not in near]
+        assert near and far
+        assert not satisfies(con3, {sink, *far})
+        assert satisfies(con3, {sink, fvar("mul0", near[0])})
+
+
+def test_loop_edge_closes_on_its_own_unit(inst):
+    # one unit is its own neighbour and reaches no other; every other
+    # unit reaches all units but itself
+    _, m, _, _ = inst
+    loop = parse_dfg("op a add\nedge a -> a:0\n")
+    units = compatible_nodes(m, loop.ops_by_id["a"])
+    own = units[4]
+    nmap = NeighborMap(4, {u: (own,) if u == own else
+                           tuple(x for x in units if x != u)
+                           for u in fu_nodes(m)})
+    screen = build_variant("placement_only", loop, m, nmap)
+    assert screen.domain == (("a", own, "a", own),)
+    assert audit(screen, loop, m, nmap) == []
+    rows = {c.terms: (c.relation, c.rhs) for c in screen.constraints
+            if c.tag == "con3"}
+    assert rows == {((1, fvar("a", u)),): ("<=", 0)
+                    for u in units if u != own}
+    res = solver.solve(screen, solver.SolveConfig())
+    assert [v for v, x in res.assignment.items() if x] == [fvar("a", own)]
+
+
+def edge_form(model, dfg, m, nmap, cache=None):
+    """The reference: model's variables and rows with an edge variable
+    e[o,u,p,v] per domain entry and the rows over it in place of con3
+    and con5: con3 f[p,v] - sum_u e[o,u,p,v] <= 0, con4
+    sum e[o,u,..] - M*f[o,u] <= 0 and, given cache, con5
+    e[o,u,p,v] - sum_q p[u,v,q] <= 0."""
+    ref = IlpModel(model.variant)
+    for var in model.variables:
+        ref.add_var(var)
+    ref.constraints = [c for c in model.constraints
+                       if c.tag not in ("con3", "con5")]
+    dom = edge_domain(dfg, m, nmap)
+    e = {d: ref.add_var(VarId("e", d)) for d in dom}
+    for o, p in dfg.point_edges():
+        for v in compatible_nodes(m, dfg.ops_by_id[p]):
+            ref.add_constraint([(1, fvar(p, v))] + [
+                (-1, e[d]) for d in dom if d[::2] == (o, p) and d[3] == v],
+                "<=", 0, "con3")
+    by_driver = {}
+    for d in dom:
+        by_driver.setdefault(d[:2], []).append(e[d])
+    for (o, u), evs in by_driver.items():
+        add_implication(ref, evs, fvar(o, u), "con4")
+    if cache is not None:
+        for d in dom:
+            u, v = d[1], d[3]
+            ref.add_constraint([(1, e[d])] + [
+                (-1, pvar(u, v, q)) for q in range(len(cache.get((u, v))))],
+                "<=", 0, "con5")
+    return ref
+
+
+def fixpoint(model, fixes, keep):
+    """Fix (variable, value) pairs in order, propagating after each: the
+    values of keep at the fixpoint, or "conflict"."""
+    search = solver._Search(model)
+    if search.propagate() is not None:
+        return "conflict"
+    for var, value in fixes:
+        i = search.index[var]
+        if search.val[i] >= 0:
+            if search.val[i] != value:
+                return "conflict"
+            continue
+        search.fix(i, value)
+        if search.propagate() is not None:
+            return "conflict"
+    return tuple(search.val[search.index[v]] for v in keep)
+
+
+def random_case(rng, m):
+    """A DFG of 2-3 adds with random edges, loop edges among them, a
+    random reach over the four ALUs of m, and 0-2 routes per reached
+    pair, each with an empty interior (so no con6 rows)."""
+    ops = "abc"[:rng.randint(2, 3)]
+    edges = [(o, p) for o in ops for p in ops if rng.random() < 0.4]
+    if not edges:
+        edges = [(ops[0], ops[1])]
+    text = "".join(f"op {o} add\n" for o in ops) + "".join(
+        f"edge {o} -> {p}:{i}\n" for i, (o, p) in enumerate(edges))
+    units = compatible_nodes(m, parse_dfg(text).ops_by_id[ops[0]])
+    nmap = NeighborMap(0, {u: tuple(x for x in units if rng.random() < 0.5)
+                           if u in units else () for u in fu_nodes(m)})
+    cache = PathCache(2, {(u, v): (RoutePath(u, v, (u, v)),)
+                          * rng.randint(0, 2)
+                          for u in units for v in nmap[u]})
+    return parse_dfg(text), nmap, cache
+
+
+def test_neighbor_rows_propagate_as_the_edge_form():
+    # con3 and con5 over f against the edge-variable rows they project:
+    # (a) the screens force the same f from every partial f, (b) the
+    # relaxed models admit the same complete (f, p) points, and (c) once
+    # every f is fixed, as the search fixes them, the relaxed models
+    # force the same p. Neither is asserted stronger on other partials.
+    rng = random.Random(11)
+    m = build_mrrg(ArchSpec("ortho", 1, 2), 2)
+    forced = {"a": 0, "c": 0}
+    for case in range(40):
+        dfg, nmap, cache = random_case(rng, m)
+        screen = build_variant("placement_only", dfg, m, nmap)
+        relaxed = build_variant("relaxed_placement", dfg, m, nmap, cache,
+                                screen=screen)
+        assert audit(relaxed, dfg, m, nmap, cache) == []
+        screens = screen, edge_form(screen, dfg, m, nmap)
+        relaxeds = relaxed, edge_form(relaxed, dfg, m, nmap, cache)
+        fs = screen.variables
+        ps = [v for v in relaxed.variables if v.cls == "p"]
+        ops = [op.id for op in dfg.operations]
+        units = compatible_nodes(m, dfg.operations[0])
+
+        def paths(u, v):
+            return [pvar(u, v, q) for q in range(len(cache.get((u, v))))]
+
+        for _ in range(40):
+            fixes = [(v, rng.randint(0, 1)) for v in fs
+                     if rng.random() < 0.3]
+            rng.shuffle(fixes)
+            got = [fixpoint(model, fixes, fs) for model in screens]
+            assert got[0] == got[1], (case, fixes)
+            forced["a"] += got[0] != "conflict" and (
+                len(fs) - got[0].count(-1) > len(fixes))
+        # each op on one unit, as con2 asks; with f and p given, the
+        # largest e that con4 and con5 allow is the witness to try
+        for placed in product(units, repeat=len(ops)):
+            on_f = {fvar(o, u) for o, u in zip(ops, placed)}
+            for _ in range(4):
+                on_p = {v for v in ps if rng.random() < 0.5}
+                witness = {VarId("e", d) for d in edge_domain(dfg, m, nmap)
+                           if fvar(*d[:2]) in on_f
+                           and not on_p.isdisjoint(paths(d[1], d[3]))}
+                assert satisfies(relaxeds[0].constraints, on_f | on_p) == (
+                    satisfies(relaxeds[1].constraints,
+                              on_f | on_p | witness)), (case, placed)
+        for _ in range(40):
+            if rng.random() < 0.7:
+                # a placement, which con1 and con2 do not reject at once
+                placed = dict(zip(ops, rng.sample(units, len(ops))))
+                fixes = [(v, int(placed[v.idx[0]] == v.idx[1])) for v in fs]
+            else:
+                fixes = [(v, int(rng.random() < 0.3)) for v in fs]
+            rng.shuffle(fixes)
+            later = [(v, rng.randint(0, 1)) for v in ps if rng.random() < 0.3]
+            rng.shuffle(later)
+            got = [fixpoint(model, fixes + later, fs + ps)
+                   for model in relaxeds]
+            assert got[0] == got[1], (case, fixes, later)
+            forced["c"] += got[0] != "conflict" and (
+                len(ps) - got[0][len(fs):].count(-1) > len(later))
+    assert forced["a"] > 100 and forced["c"] > 50, forced
 
 
 def test_zero_ops_zero_rows():
@@ -372,11 +534,16 @@ def test_routing_only_empty_instance(inst):
 def test_audit_flags_out_of_domain(inst):
     dfg, m, nmap, cache = inst
     model = build_variant("placement_only", dfg, m, nmap)
+    assert audit(model, dfg, m, nmap) == []
     model.add_var(fvar("b", ("pe_0_0.const", 0)))  # input op, const unit
-    model.add_var(evar("b", ("pe_0_0.alu", 0), "c", ("pe_2_2.alu", 0)))
+    # (b, c) is no edge, and pe_0_0 does not reach pe_2_2 at NN 4
+    far = ("b", ("pe_0_0.alu", 0), "mul0", ("pe_2_2.alu", 0))
+    model.domain += (far, ("b", far[1], "c", far[3]))
     problems = audit(model, dfg, m, nmap)
     assert any(p.startswith("f out of domain") for p in problems)
-    assert any(p.startswith("e out of domain") for p in problems)
+    assert [p for p in problems if p.startswith("domain entry")] == [
+        f"domain entry out of reach: {far}",
+        f"domain entry out of reach: {('b', far[1], 'c', far[3])}"]
 
 
 def test_audit_flags_stray_signal_and_duplicate_con6(inst):

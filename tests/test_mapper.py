@@ -64,13 +64,18 @@ SCHEDULE = (2, 4, 8, 16)
     lambda: SolveConfig(seed="a"),
     lambda: SolveConfig(solution_limit=True),
     lambda: MapLimits(placement_limit=True),
+    lambda: SolveConfig(time_limit=True),
+    lambda: MapLimits(solve_time=True),
+    lambda: MapLimits(total_time=True),
 ], ids=["solve_config", "solve_time", "total_time", "solve_config_str",
         "solve_time_str", "total_time_none", "seed_none", "seed_float",
-        "seed_str", "solution_limit_bool", "placement_limit_bool"])
+        "seed_str", "solution_limit_bool", "placement_limit_bool",
+        "time_limit_bool", "solve_time_bool", "total_time_bool"])
 def test_nan_time_limit_rejected(make):
     # NaN compares false against everything, so a deadline made from it
     # would never pass; a str or None does not compare with 0 at all.
-    # A seed of None would seed from the OS, and a bool count passes as 1
+    # A seed of None would seed from the OS, and a bool count or time
+    # limit passes as 1
     with pytest.raises(ValueError):
         make()
 

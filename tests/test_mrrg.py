@@ -230,9 +230,13 @@ def test_bad_ii_rejected():
         build_mrrg(ortho(2, 2), ii=0)
     # unless rejected up front, a float size reaches range() as a bare
     # TypeError, or (skip_distance) silently builds a fabric
-    with pytest.raises(ArchError, match="II must be an int"):
-        build_mrrg(ortho(2, 2), ii=1.5)
+    # a bool would pass as 1
+    for ii in (1.5, True):
+        with pytest.raises(ArchError, match="II must be an int"):
+            build_mrrg(ortho(2, 2), ii=ii)
     bad = [ArchSpec("ortho", 2.5, 2), ArchSpec("ortho", 2, 2.0),
+           ArchSpec("ortho", True, True),
+           ArchSpec("adres", 2, 2, skip_distance=True),
            ArchSpec("adres", 2, 2, skip_distance=2.5),
            ArchSpec("clustered", 4, 4, cluster_rows=2.0),
            ArchSpec("clustered", 4, 4, cluster_cols=2.0)]

@@ -23,12 +23,15 @@ def test_target_zero_is_empty():
     assert find_neighbors(m, ("pe_0_0.alu", 0), 0) == ()
 
 
-@pytest.mark.parametrize("bad", [-1, 2.5, "3", None])
+@pytest.mark.parametrize("bad", [-1, 2.5, "3", None, True])
 def test_bad_target_rejected(bad):
-    # rejected up front, before the wave loop compares a count it cannot use
+    # rejected up front, before the wave loop compares a count it cannot
+    # use; a bool would pass as 0 or 1
     m = build_mrrg(ArchSpec("ortho", 2, 2), ii=1)
     with pytest.raises(ValueError, match="target_nn must be an int"):
         find_neighbors(m, ("pe_0_0.alu", 0), bad)
+    with pytest.raises(ValueError, match="target_nn must be an int"):
+        build_neighbor_map(m, bad)
 
 
 def test_whole_final_wave_returned():

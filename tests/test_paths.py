@@ -91,7 +91,7 @@ def test_argument_errors():
     m = build_mrrg(ArchSpec("ortho", 2, 2), ii=1)
     alu = ("pe_0_0.alu", 0)
     full, empty = build_neighbor_map(m, 4), NeighborMap(4, {})
-    for bad in (0, -1, 2.5, "3", None):
+    for bad in (0, -1, 2.5, "3", None, True):
         with pytest.raises(ValueError):
             k_shortest_paths(m, alu, alu, bad)
         # checked once up front, so a map with no pairs rejects it too
