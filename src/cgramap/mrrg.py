@@ -16,17 +16,22 @@ register whose out -> reg -> out loop lets a value gain one context per
 turn, and (when route_through is enabled) a bypass wire from the input ports
 to the output that routes a value through the PE without using the ALU.
 
-Families:
-  ortho      -- grid of PEs, orthogonal neighbour links; homogeneous ALUs
-                that also accept input/output/load/store (no dedicated IO).
-  adres      -- ortho links plus distance-two links, a row of IO-capable
-                register-file FUs fully connected to the top PE row, and one
-                memory port per row connected to every PE in its row.
-  clustered  -- 2x2 PE clusters around a full crossbar per cluster, one link
-                per direction between adjacent clusters, one memory and one
-                IO port per cluster.
-  hycube     -- one full crossbar per PE connected in a grid, memory ports
-                down the west column, IO on the east/north/south edges.
+Families, each built by one of two shared builders:
+  ortho      -- _mesh: grid of PEs, orthogonal neighbour links; homogeneous
+                ALUs that also accept input/output/load/store (no dedicated
+                IO).
+  adres      -- _mesh: ortho links plus distance-two skip links, a row of
+                IO-capable register-file FUs fully connected to the top PE
+                row, and one memory port per row connected to every PE in
+                its row.
+  clustered  -- _crossbars: 2x2 PE clusters around a full crossbar per
+                cluster, one link per direction between adjacent clusters,
+                one memory and one IO port per cluster.
+  hycube     -- _crossbars: one full crossbar per PE connected in a grid,
+                memory ports down the west column, IO on the east/north/south
+                edges.
+The skip distance and the cluster shape are fixed: an ArchSpec sets only
+the family, rows, cols and route_through.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ NodeKey = tuple[str, int]
 
 _ORTHO_ALU_OPCODES = ALU_OPCODES | IO_OPCODES | MEM_OPCODES
 _FAMILIES = ("ortho", "adres", "clustered", "hycube")
+_OPPOSITE = {"n": "s", "s": "n", "e": "w", "w": "e"}
+# fixed shape parameters: ADRES skip links span two PEs, clusters are 2x2
+_SKIP = 2
+_CLUSTER = 2
 
 
 class ArchError(ValueError):
@@ -67,34 +76,31 @@ class ArchSpec:
     rows: int
     cols: int
     route_through: bool = True
-    skip_distance: int = 2
-    cluster_rows: int = 2
-    cluster_cols: int = 2
 
     def validate(self) -> None:
         if self.family not in _FAMILIES:
             raise ArchError(f"unknown family '{self.family}'")
-        for key in ("rows", "cols", "skip_distance", "cluster_rows",
-                    "cluster_cols"):
+        for key in ("rows", "cols"):
             value = getattr(self, key)
             if not is_int(value):
                 raise ArchError(f"{key} must be an int, got {value!r}")
+        if not isinstance(self.route_through, bool):
+            raise ArchError(
+                f"route_through must be a bool, got {self.route_through!r}")
         if self.rows < 1 or self.cols < 1:
             raise ArchError("rows and cols must be >= 1")
-        if self.skip_distance < 2:
-            raise ArchError("skip_distance must be >= 2")
-        if self.cluster_rows < 1 or self.cluster_cols < 1:
-            raise ArchError("cluster dims must be >= 1")
-        if self.family == "clustered" and (self.rows % self.cluster_rows
-                                           or self.cols % self.cluster_cols):
+        if self.family == "clustered" and (self.rows % _CLUSTER
+                                           or self.cols % _CLUSTER):
             raise ArchError(
                 f"{self.rows}x{self.cols} grid not divisible into "
-                f"{self.cluster_rows}x{self.cluster_cols} clusters"
+                f"{_CLUSTER}x{_CLUSTER} clusters"
             )
 
 
 def parse_arch(text: str) -> ArchSpec:
-    """key=value lines, '#' comments. Required: family, rows, cols."""
+    """key=value lines, '#' comments. Required: family, rows, cols;
+    route_through (true/false) is optional, and any other key is an
+    error."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -113,14 +119,12 @@ def parse_arch(text: str) -> ArchSpec:
         if req not in values:
             raise ArchError(f"missing required key '{req}'")
     kwargs = {"family": values.pop("family")}
-    bools = {"route_through"}
-    ints = {"rows", "cols", "skip_distance", "cluster_rows", "cluster_cols"}
     for key, val in values.items():
-        if key in bools:
+        if key == "route_through":
             if val not in ("true", "false"):
                 raise ArchError(f"key '{key}' wants true/false, got '{val}'")
             kwargs[key] = val == "true"
-        elif key in ints:
+        elif key in ("rows", "cols"):
             try:
                 kwargs[key] = int(val)
             except ValueError:
@@ -137,10 +141,7 @@ def serialize_arch(spec: ArchSpec) -> str:
     return (f"family={spec.family}\n"
             f"rows={spec.rows}\n"
             f"cols={spec.cols}\n"
-            f"route_through={'true' if spec.route_through else 'false'}\n"
-            f"skip_distance={spec.skip_distance}\n"
-            f"cluster_rows={spec.cluster_rows}\n"
-            f"cluster_cols={spec.cluster_cols}\n")
+            f"route_through={'true' if spec.route_through else 'false'}\n")
 
 
 class Mrrg:
@@ -229,13 +230,9 @@ class _Builder:
 
 
 def _add_pe(b: _Builder, pid: str, in_ports: list[str],
-            alu_opcodes: frozenset[str], route_through: bool) -> dict[str, str]:
-    """Shared PE fragment. Returns {'out': ..., 'in_<p>': ...} wiring points."""
-    names = {}
-    ins = []
-    for p in in_ports:
-        ins.append(b.add_node(f"{pid}.in_{p}", ROUTE, 0))
-        names[f"in_{p}"] = f"{pid}.in_{p}"
+            alu_opcodes: frozenset[str], route_through: bool) -> None:
+    """Shared PE fragment, wired through <pid>.in_<p> and <pid>.out."""
+    ins = [b.add_node(f"{pid}.in_{p}", ROUTE, 0) for p in in_ports]
     mux_a = b.add_node(f"{pid}.a", ROUTE, 0)
     mux_b = b.add_node(f"{pid}.b", ROUTE, 0)
     alu = b.add_node(f"{pid}.alu", FU, 1, alu_opcodes)
@@ -257,9 +254,6 @@ def _add_pe(b: _Builder, pid: str, in_ports: list[str],
         for n in ins:
             b.add_edge(n, byp)
         b.add_edge(byp, out)
-    names["out"] = out
-    names["alu"] = alu
-    return names
 
 
 def _grid_dirs(x: int, y: int, cols: int, rows: int,
@@ -268,153 +262,105 @@ def _grid_dirs(x: int, y: int, cols: int, rows: int,
     return [(d, nx, ny) for d, nx, ny in cand if 0 <= nx < cols and 0 <= ny < rows]
 
 
-def _gen_ortho(spec: ArchSpec, ii: int) -> Mrrg:
-    b = _Builder(ii)
-    pes: dict[tuple[int, int], dict[str, str]] = {}
+def _mesh(b: _Builder, spec: ArchSpec, hops: tuple[int, ...],
+          alu_opcodes: frozenset[str], extra_ports=lambda y: []) -> None:
+    """PE grid with a link from each PE h hops away in direction d, for
+    each h in hops, into input port in_<d*h> (in_n, in_ee).
+    extra_ports(y) lists further input ports of the PEs in row y."""
+    links = {}
     for y in range(spec.rows):
         for x in range(spec.cols):
-            ports = [d for d, _, _ in _grid_dirs(x, y, spec.cols, spec.rows)]
-            pes[(x, y)] = _add_pe(b, f"pe_{x}_{y}", ports,
-                                  _ORTHO_ALU_OPCODES, spec.route_through)
-    for (x, y), pe in pes.items():
-        for d, nx, ny in _grid_dirs(x, y, spec.cols, spec.rows):
-            # in_<d> receives from the neighbour in direction d
-            b.add_edge(pes[(nx, ny)]["out"], pe[f"in_{d}"])
-    return b.freeze()
+            links[(x, y)] = [(d * h, nx, ny) for h in hops for d, nx, ny
+                             in _grid_dirs(x, y, spec.cols, spec.rows, h)]
+            ports = [p for p, _, _ in links[(x, y)]] + extra_ports(y)
+            _add_pe(b, f"pe_{x}_{y}", ports, alu_opcodes, spec.route_through)
+    # add_edge reads the source's latency, so every PE exists first
+    for (x, y), ports in links.items():
+        for p, nx, ny in ports:
+            b.add_edge(f"pe_{nx}_{ny}.out", f"pe_{x}_{y}.in_{p}")
 
 
-def _gen_adres(spec: ArchSpec, ii: int) -> Mrrg:
-    b = _Builder(ii)
+def _crossbars(b: _Builder, spec: ArchSpec, s: int, attached) -> None:
+    """Grid of full crossbars xb_<cx>_<cy>, each serving an s x s block of
+    PEs. A crossbar has a mux per member PE input port, one outbound mux
+    per side with a neighbour, and a mux per unit that attached(cx, cy)
+    lists as (id, latency, opcodes, mux suffix). Each of its muxes selects
+    from every member PE output, every attached unit and the outbound mux
+    of each neighbour that faces it."""
+    gx, gy = spec.cols // s, spec.rows // s
+    for y in range(spec.rows):
+        for x in range(spec.cols):
+            _add_pe(b, f"pe_{x}_{y}", ["xa", "xb"], ALU_OPCODES,
+                    spec.route_through)
+    wiring = []
+    for cy in range(gy):
+        for cx in range(gx):
+            xb = f"xb_{cx}_{cy}"
+            inputs, muxes = [], []
+            for y in range(cy * s, (cy + 1) * s):
+                for x in range(cx * s, (cx + 1) * s):
+                    inputs.append(f"pe_{x}_{y}.out")
+                    for port in ("xa", "xb"):
+                        # a one-PE crossbar names the mux by its port alone
+                        to = f"p{port}" if s == 1 else f"pe_{x}_{y}_{port}"
+                        muxes.append(b.add_node(f"{xb}.to_{to}", ROUTE, 0))
+                        b.add_edge(muxes[-1], f"pe_{x}_{y}.in_{port}")
+            for d, nx, ny in _grid_dirs(cx, cy, gx, gy):
+                muxes.append(b.add_node(f"{xb}.to_{d}", ROUTE, 0))
+                inputs.append(f"xb_{nx}_{ny}.to_{_OPPOSITE[d]}")
+            for unit, latency, opcodes, to in attached(cx, cy):
+                inputs.append(b.add_node(unit, FU, latency, opcodes))
+                muxes.append(b.add_node(f"{xb}.to_{to}", ROUTE, 0))
+                b.add_edge(muxes[-1], unit)
+            wiring.append((inputs, muxes))
+    # add_edge reads the source's latency, and a neighbour's outbound mux
+    # exists only once its crossbar is built
+    for inputs, muxes in wiring:
+        for src in inputs:
+            for m in muxes:
+                b.add_edge(src, m)
+
+
+def _gen_ortho(b: _Builder, spec: ArchSpec) -> None:
+    _mesh(b, spec, (1,), _ORTHO_ALU_OPCODES)
+
+
+def _gen_adres(b: _Builder, spec: ArchSpec) -> None:
     top = spec.rows - 1
-    sd = spec.skip_distance
-    pes: dict[tuple[int, int], dict[str, str]] = {}
-    for y in range(spec.rows):
-        for x in range(spec.cols):
-            ports = [d for d, _, _ in _grid_dirs(x, y, spec.cols, spec.rows)]
-            ports += [d * 2 for d, _, _ in _grid_dirs(x, y, spec.cols, spec.rows, sd)]
-            ports.append("mem")
-            if y == top:
-                ports.append("rf")
-            pes[(x, y)] = _add_pe(b, f"pe_{x}_{y}", ports,
-                                  ALU_OPCODES, spec.route_through)
-    for (x, y), pe in pes.items():
-        for d, nx, ny in _grid_dirs(x, y, spec.cols, spec.rows):
-            b.add_edge(pes[(nx, ny)]["out"], pe[f"in_{d}"])
-        for d, nx, ny in _grid_dirs(x, y, spec.cols, spec.rows, sd):
-            b.add_edge(pes[(nx, ny)]["out"], pe[f"in_{d * 2}"])
+    _mesh(b, spec, (1, _SKIP), ALU_OPCODES,
+          lambda y: ["mem", "rf"] if y == top else ["mem"])
     # one memory port per row, reachable by every PE in that row
     for y in range(spec.rows):
         mem = b.add_node(f"mem_{y}", FU, 1, MEM_OPCODES)
         for x in range(spec.cols):
-            b.add_edge(mem, pes[(x, y)]["in_mem"])
-            b.add_edge(pes[(x, y)]["out"], mem)
+            b.add_edge(mem, f"pe_{x}_{y}.in_mem")
+            b.add_edge(f"pe_{x}_{y}.out", mem)
     # register-file row does IO, fully connected to the top PE row
     for j in range(spec.cols):
         io = b.add_node(f"rf_{j}", FU, 0, IO_OPCODES)
         for x in range(spec.cols):
-            b.add_edge(io, pes[(x, top)]["in_rf"])
-            b.add_edge(pes[(x, top)]["out"], io)
-    return b.freeze()
+            b.add_edge(io, f"pe_{x}_{top}.in_rf")
+            b.add_edge(f"pe_{x}_{top}.out", io)
 
 
-def _gen_clustered(spec: ArchSpec, ii: int) -> Mrrg:
-    b = _Builder(ii)
-    cw, ch = spec.cluster_cols, spec.cluster_rows
-    gx, gy = spec.cols // cw, spec.rows // ch
-    pes: dict[tuple[int, int], dict[str, str]] = {}
-    for y in range(spec.rows):
-        for x in range(spec.cols):
-            pes[(x, y)] = _add_pe(b, f"pe_{x}_{y}", ["xa", "xb"],
-                                  ALU_OPCODES, spec.route_through)
-
-    def members(cx, cy):
-        return [(x, y) for y in range(cy * ch, (cy + 1) * ch)
-                for x in range(cx * cw, (cx + 1) * cw)]
-
-    mux_names: dict[tuple[int, int], list[str]] = {}
-    inputs: dict[tuple[int, int], list[str]] = {}
-    for cy in range(gy):
-        for cx in range(gx):
-            xb = f"xb_{cx}_{cy}"
-            muxes = []
-            for (x, y) in members(cx, cy):
-                for port in ("xa", "xb"):
-                    m = b.add_node(f"{xb}.to_pe_{x}_{y}_{port}", ROUTE, 0)
-                    b.add_edge(m, pes[(x, y)][f"in_{port}"])
-                    muxes.append(m)
-            for d, _, _ in _grid_dirs(cx, cy, gx, gy):
-                muxes.append(b.add_node(f"{xb}.to_{d}", ROUTE, 0))
-            io = b.add_node(f"io_{cx}_{cy}", FU, 0, IO_OPCODES)
-            mem = b.add_node(f"mem_{cx}_{cy}", FU, 1, MEM_OPCODES)
-            m_io = b.add_node(f"{xb}.to_io", ROUTE, 0)
-            m_mem = b.add_node(f"{xb}.to_mem", ROUTE, 0)
-            b.add_edge(m_io, io)
-            b.add_edge(m_mem, mem)
-            muxes += [m_io, m_mem]
-            mux_names[(cx, cy)] = muxes
-            inputs[(cx, cy)] = [pes[m]["out"] for m in members(cx, cy)] + [io, mem]
-    # one inbound link per side: the neighbour's outbound mux feeds this
-    # crossbar directly
-    for cy in range(gy):
-        for cx in range(gx):
-            for d, nx, ny in _grid_dirs(cx, cy, gx, gy):
-                opposite = {"n": "s", "s": "n", "e": "w", "w": "e"}[d]
-                inputs[(cx, cy)].append(f"xb_{nx}_{ny}.to_{opposite}")
-    for key, muxes in mux_names.items():
-        for src in inputs[key]:
-            for m in muxes:
-                b.add_edge(src, m)
-    return b.freeze()
+def _gen_clustered(b: _Builder, spec: ArchSpec) -> None:
+    _crossbars(b, spec, _CLUSTER, lambda cx, cy: [
+        (f"io_{cx}_{cy}", 0, IO_OPCODES, "io"),
+        (f"mem_{cx}_{cy}", 1, MEM_OPCODES, "mem")])
 
 
-def _gen_hycube(spec: ArchSpec, ii: int) -> Mrrg:
-    b = _Builder(ii)
+def _gen_hycube(b: _Builder, spec: ArchSpec) -> None:
     right, top = spec.cols - 1, spec.rows - 1
-    pes: dict[tuple[int, int], dict[str, str]] = {}
-    for y in range(spec.rows):
-        for x in range(spec.cols):
-            pes[(x, y)] = _add_pe(b, f"pe_{x}_{y}", ["xa", "xb"],
-                                  ALU_OPCODES, spec.route_through)
-    muxes: dict[tuple[int, int], list[str]] = {}
-    inputs: dict[tuple[int, int], list[str]] = {}
-    for y in range(spec.rows):
-        for x in range(spec.cols):
-            xb = f"xb_{x}_{y}"
-            ms = []
-            for port in ("xa", "xb"):
-                m = b.add_node(f"{xb}.to_p{port}", ROUTE, 0)
-                b.add_edge(m, pes[(x, y)][f"in_{port}"])
-                ms.append(m)
-            for d, _, _ in _grid_dirs(x, y, spec.cols, spec.rows):
-                ms.append(b.add_node(f"{xb}.to_{d}", ROUTE, 0))
-            ins = [pes[(x, y)]["out"]]
-            if x == 0:
-                mem = b.add_node(f"mem_{y}", FU, 1, MEM_OPCODES)
-                m_mem = b.add_node(f"{xb}.to_mem", ROUTE, 0)
-                b.add_edge(m_mem, mem)
-                ms.append(m_mem)
-                ins.append(mem)
-            for io_id, here in ((f"io_e_{y}", x == right),
-                                (f"io_s_{x}", y == 0),
-                                (f"io_n_{x}", y == top)):
-                if here:
-                    io = b.add_node(io_id, FU, 0, IO_OPCODES)
-                    m_io = b.add_node(f"{xb}.to_{io_id}", ROUTE, 0)
-                    b.add_edge(m_io, io)
-                    ms.append(m_io)
-                    ins.append(io)
-            muxes[(x, y)] = ms
-            inputs[(x, y)] = ins
-    for y in range(spec.rows):
-        for x in range(spec.cols):
-            for d, nx, ny in _grid_dirs(x, y, spec.cols, spec.rows):
-                opposite = {"n": "s", "s": "n", "e": "w", "w": "e"}[d]
-                inputs[(x, y)].append(f"xb_{nx}_{ny}.to_{opposite}")
-    for key, ms in muxes.items():
-        for src in inputs[key]:
-            for m in ms:
-                b.add_edge(src, m)
-    return b.freeze()
+
+    def attached(x, y):
+        units = [(f"mem_{y}", 1, MEM_OPCODES, "mem")] if x == 0 else []
+        for io, here in ((f"io_e_{y}", x == right), (f"io_s_{x}", y == 0),
+                         (f"io_n_{x}", y == top)):
+            if here:
+                units.append((io, 0, IO_OPCODES, io))
+        return units
+
+    _crossbars(b, spec, 1, attached)
 
 
 _GENERATORS = {
@@ -429,7 +375,9 @@ def build_mrrg(spec: ArchSpec, ii: int) -> Mrrg:
     spec.validate()
     if not is_int(ii) or ii < 1:
         raise ArchError(f"II must be an int of at least 1, got {ii!r}")
-    return _GENERATORS[spec.family](spec, ii)
+    b = _Builder(ii)
+    _GENERATORS[spec.family](b, spec)
+    return b.freeze()
 
 
 def fu_nodes(mrrg: Mrrg) -> tuple[NodeKey, ...]:

@@ -3,11 +3,12 @@
 One depth-first search with incremental slack propagation. It reads the
 model in one pass that normalises every row to sum(c_i x_i) <= b over
 variable indices and rejects a malformed model (a bad relation, a
-non-int coefficient, an undeclared or twice-declared variable) with
-ValueError. A row's slack is b minus the smallest value its fixed and
-free terms can still take, and a negative slack is a conflict. Free
-variables whose coefficient exceeds the slack are forced; a row whose
-slack is at least its widest coefficient can do neither and is skipped.
+non-int coefficient or right-hand side, an undeclared or twice-declared
+variable) with ValueError. A row's slack is b minus the smallest value
+its fixed and free terms can still take, and a negative slack is a
+conflict. Free variables whose coefficient exceeds the slack are forced;
+a row whose slack is at least its widest coefficient can do neither and
+is skipped.
 
 The search branches on choices first. A choice group is a row that
 needs at least one of its variables (all coefficients 1), such as an
@@ -30,17 +31,15 @@ its alternatives are gone, while one switched on that nothing needs
 still claims routing, and undoing it deep in the tree can take
 exponential time. Such a 0 gets no second branch when it dominates,
 each row where it uses up slack holding whatever its free terms take:
-any leaf with the variable at 1 is then a leaf at 0. Classes in an
-enumeration's projection keep both branches, as a later cut can undo
-that.
+any leaf with the variable at 1 is then a leaf at 0.
 
 The search yields each leaf; to go on past it, one row the leaf
-violates joins the live search (the no-good cut over the projection
-when enumerating) and the search resumes above the deepest decision
-that row depends on, so no subtree is explored twice and leaves come in
-the order separate searches with all cuts so far would find them. The
-clock is read at every search node, so a time limit holds to within one
-node's propagation.
+violates joins the live search (the no-good cut over the placement
+variables when enumerating) and the search resumes above the deepest
+decision that row depends on, so no subtree is explored twice and leaves
+come in the order separate searches with all cuts so far would find
+them. The clock is read at every search node, so a time limit holds to
+within one node's propagation.
 """
 
 from __future__ import annotations
@@ -124,12 +123,14 @@ class _Search:
                 raise ValueError(f"bad relation {relation!r}")
             terms = []
             for c, v in con.terms:
-                if not isinstance(c, int):
+                if not is_int(c):
                     raise ValueError(f"non-integer coefficient {c!r}")
                 i = index.get(v)
                 if i is None:
                     raise ValueError(f"row references undeclared {v}")
                 terms.append((c, i))
+            if not is_int(con.rhs):
+                raise ValueError(f"non-integer right-hand side {con.rhs!r}")
             if relation != ">=":
                 self.add_row(terms, con.rhs)
             if relation != "<=":
@@ -215,10 +216,10 @@ class _Search:
                                           if val[j] < 0)
                    for row, _ in zip(spend, spend))
 
-    def leaves(self, seed, deadline, projection=()):
+    def leaves(self, seed, deadline):
         """Yield the assignment at each leaf. The caller sends back a
-        row the leaf violates, over variables of the projection classes
-        only; it joins the search, which resumes at the deepest untried
+        row the leaf violates, over placement (f) variables only; it
+        joins the search, which resumes at the deepest untried
         decision above which the cut has slack. Returns INFEASIBLE once
         the tree is exhausted, or TIMEOUT."""
         order = _branch_order(self.vars, seed)
@@ -227,9 +228,6 @@ class _Search:
             rank[i] = at
         groups = _choice_groups(self.rows, self.index, rank)
         first = [0 if v.cls in ("p", "y") else 1 for v in self.vars]
-        # tried at 0 first, and named by no cut: a dominating 0 is final
-        prunable = [not x and v.cls not in projection
-                    for x, v in zip(first, self.vars)]
         val = self.val
         # every variable in order[:pos] is fixed
         pos = 0
@@ -254,8 +252,11 @@ class _Search:
                     pos += 1
                 if pos < len(order):
                     free = order[pos]
-                    # a dominating 0 is recorded with its other value tried
-                    done = int(prunable[free] and self.zero_dominates(free))
+                    # a dominating 0 is recorded with its other value
+                    # tried: it is final, as cuts name only f variables,
+                    # which are tried at 1 first
+                    done = int(not first[free]
+                               and self.zero_dominates(free))
                     stack.append((free, first[free], pos, done,
                                   len(self.trail), 0))
                     self.nodes += 1
@@ -350,16 +351,16 @@ def solve(model, cfg: SolveConfig) -> SolveResult:
                        time.monotonic() - t0)
 
 
-def enumerate_solutions(model, cfg: SolveConfig, projection=("f",)):
-    """Yield feasible results, excluding each one's projection onto the
-    given variable classes before continuing; each result counts the
-    nodes and seconds since the previous one. Ends after solution_limit
+def enumerate_solutions(model, cfg: SolveConfig):
+    """Yield feasible results, excluding each one's placement (its f
+    variables) before continuing; each result counts the nodes and
+    seconds since the previous one. Ends after solution_limit
     yields (returning None), on exhaustion, or at the deadline;
     infeasible models yield an empty stream."""
     since = time.monotonic()
     search = _Search(model)
-    leaves = search.leaves(cfg.seed, since + cfg.time_limit, projection)
-    projected = [v for v in model.variables if v.cls in projection]
+    leaves = search.leaves(cfg.seed, since + cfg.time_limit)
+    placements = [v for v in model.variables if v.cls == "f"]
     counted, cut = 0, None
     for _ in range(cfg.solution_limit):
         try:
@@ -372,9 +373,9 @@ def enumerate_solutions(model, cfg: SolveConfig, projection=("f",)):
                           now - since)
         counted, since = search.nodes, now
         # sum(ones) - sum(zeros) <= |ones| - 1 excludes exactly this
-        # projection; leaving the zeros out would also exclude every
-        # projection that switches on more of them
-        terms = tuple((1 if assignment[v] else -1, v) for v in projected)
+        # placement; leaving the zeros out would also exclude every
+        # placement that switches on more of them
+        terms = tuple((1 if assignment[v] else -1, v) for v in placements)
         cut = LinearConstraint(terms, "<=", sum(c > 0 for c, _ in terms) - 1,
                                "cut")
     return None

@@ -43,14 +43,11 @@ def _valid(spec):
     return True
 
 
-COUNTS = st.integers(-2, 6)
-
 SPECS = st.builds(
     ArchSpec,
     family=st.sampled_from(("ortho", "adres", "clustered", "hycube")),
     rows=st.integers(1, 6), cols=st.integers(1, 6),
-    route_through=st.booleans(), skip_distance=COUNTS,
-    cluster_rows=COUNTS, cluster_cols=COUNTS,
+    route_through=st.booleans(),
 ).filter(_valid)
 
 

@@ -100,8 +100,15 @@ def test_malformed_rejected():
         (model(rows=[LinearConstraint(((1, v),), "<", 1, "t")]), "relation"),
         (model(rows=[LinearConstraint(((1.5, v),), "<=", 1, "t")]),
          "coefficient"),
+        # a bool would pass as 0 or 1
+        (model(rows=[LinearConstraint(((True, v),), "<=", 1, "t")]),
+         "coefficient"),
         (model(variables=(v, v)), "duplicate"),
     ]
+    # NaN failed the leaf's re-check, a str or None negated into a bare
+    # TypeError, and 0.5 was accepted
+    cases += [(model(rows=[LinearConstraint(((1, v),), "<=", rhs, "t")]),
+               "right-hand side") for rhs in (float("nan"), "1", None, 0.5)]
     # enumerate_solutions is a generator: it raises on the first next()
     for run in (solve, lambda m, cfg: next(enumerate_solutions(m, cfg))):
         for bad, words in cases:
@@ -173,20 +180,20 @@ def test_random_agreement_with_exhaustive():
         assert (res.status == "feasible") == feasible, f"trial {trial}"
         if res.status == "feasible":
             assert not check_assignment(model.constraints, res.assignment)
-    # mixed classes change the value tried first; enumeration over the
-    # f and p projection must list each feasible projection exactly once
-    # and then prove there is no other
+    # mixed classes change the value tried first, and a dominating 0 of
+    # a p or y variable is final; enumeration must still list each
+    # feasible projection onto the f variables exactly once and then
+    # prove there is no other
     for trial in range(200):
         model = random_model(rng, max_vars=8, classes=("f", "p", "y", "z"))
-        proj = [v for v in model.variables if v.cls in ("f", "p")]
+        proj = [v for v in model.variables if v.cls == "f"]
         want = set()
         for bits in product((0, 1), repeat=len(model.variables)):
             on = [v for v, b in zip(model.variables, bits) if b]
             if satisfies(model.constraints, on):
                 want.add(tuple(v in on for v in proj))
         cfg = SolveConfig(seed=trial % 5, solution_limit=2 ** len(proj) + 1)
-        results, final = drain(enumerate_solutions(model, cfg,
-                                                   projection=("f", "p")))
+        results, final = drain(enumerate_solutions(model, cfg))
         got = [tuple(r.assignment[v] == 1 for v in proj) for r in results]
         assert len(got) == len(set(got)), f"trial {trial}"
         assert set(got) == want, f"trial {trial}"
@@ -207,17 +214,16 @@ def test_zero_first_keeps_its_second_branch_unless_it_dominates(cls):
     assert (res.status, res.assignment[vs["x"]], res.nodes) == (
         "feasible", 1, 3)
     # x in no row, as a path no connection needs: its 0 dominates, so
-    # the failed subtree below it is not searched again with x at 1,
-    # unless x is in the projection of an enumeration
+    # the failed subtree below it is not searched again with x at 1, in
+    # an enumeration too, whose cuts name only f variables
     rows = [([(2, "a"), (2, "b")], ">=", 2), ([(1, "c"), (1, "d")], "<=", 1)]
     rows += [([(1, a), (-1, c)], "<=", 0) for a in "ab" for c in "cd"]
     model, _ = mk_model(["x", "a", "b", "c", "d"], rows,
                         cls={n: cls if n == "x" else "z" for n in "xabcd"})
     res = solve(model, SolveConfig())
     assert (res.status, res.nodes) == ("infeasible", 3)
-    results, final = drain(enumerate_solutions(model, SolveConfig(),
-                                               projection=(cls,)))
-    assert (results, final.status, final.nodes) == ([], "infeasible", 6)
+    results, final = drain(enumerate_solutions(model, SolveConfig()))
+    assert (results, final.status, final.nodes) == ([], "infeasible", 3)
 
 
 def test_determinism_and_seed_independence():
@@ -354,15 +360,17 @@ def test_pinned_node_counts():
     assert got == [[("feasible", 44), ("feasible", 49), ("feasible", 56)],
                    [("infeasible", 38)] * 3]
     # the cut a leaf violates is queued again once the flip that gives it
-    # slack is on, so it forces what is left of the projection at once
-    model, _ = mk_model(["x0", "x1", "x2", "x3"],
-                        [([(3, "x1"), (3, "x3"), (-3, "x2"), (-3, "x0")],
-                          ">=", 1)],
-                        cls={"x0": "p", "x1": "f", "x2": "y", "x3": "y"})
+    # slack is on, so it forces what is left of the placement at once:
+    # choosing p1 forces f0 on, and once p1 is flipped off the cut
+    # forces f0 off with no decision of its own (3 nodes without that)
+    model, _ = mk_model(["p0", "p1", "f0"],
+                        [([(1, "p0"), (1, "p1")], ">=", 1),
+                         ([(-1, "p1"), (1, "f0")], ">=", 0)],
+                        cls={"p0": "p", "p1": "p", "f0": "f"})
     results, final = drain(enumerate_solutions(
-        model, SolveConfig(seed=3, solution_limit=8), projection=("f", "p")))
+        model, SolveConfig(seed=3, solution_limit=8)))
     assert ([r.nodes for r in results], final.status, final.nodes) == (
-        [3, 1, 1], "infeasible", 0)
+        [2, 1], "infeasible", 0)
 
 
 @pytest.mark.parametrize("nn", [2, 4])
@@ -486,16 +494,13 @@ def test_enumerate_limits_and_empty():
 
 
 def test_enumerate_projection_classes():
+    # cuts span the f variables: a free p variable gives no second result
     model = IlpModel("combined")
     f1 = model.add_var(VarId("f", ("a",)))
-    q = model.add_var(VarId("p", ("n", 0)))
+    model.add_var(VarId("p", ("n", 0)))
     model.add_constraint([(1, f1)], "=", 1, "row")
     on_f = list(enumerate_solutions(model, SolveConfig(solution_limit=8)))
     assert len(on_f) == 1
-    both = list(enumerate_solutions(model, SolveConfig(solution_limit=8),
-                                    projection=("f", "p")))
-    assert len(both) == 2
-    assert {s.assignment[q] for s in both} == {0, 1}
 
 
 def highs_feasible(model):
