@@ -192,10 +192,15 @@ def serialize_dfg(dfg: Dfg) -> str:
 def validate_dfg(dfg: Dfg) -> list[str]:
     """Return a list of violation strings, empty when well-formed.
 
-    Construction already rejects hard errors; this reports semantic lint:
-    unknown opcodes, const payload on non-const ops, ops with no route to
-    any sink (dead), operand slots of arity-positive opcodes left undriven
-    are NOT flagged (arity is not declared in the format).
+    Construction already rejects hard errors; this reports semantic lint,
+    one string per finding:
+      - an op whose opcode is unknown;
+      - a const payload on an op that is not a const;
+      - a const op without a payload;
+      - an output op that drives an edge;
+      - a source op (input or const) that has fanin.
+    Nothing else is checked: not ops whose value reaches no sink, and not
+    undriven operand slots, as the format declares no arity.
     """
     issues = []
     for op in dfg.operations:

@@ -106,6 +106,34 @@ def exhaustive(model):
                for bits in product((0, 1), repeat=len(names)))
 
 
+def baseline_point(solution):
+    """The 0/1 point a valid mapping induces in the per-node baseline:
+    f[op, unit] for each placed op, and z[d, n] and r[d, n, l] for each
+    interior node n at hop l of a route of driver d. Every variable left
+    out is 0."""
+    from cgramap.ilp import VarId
+
+    point = {VarId("f", (op, u)): 1 for op, u in solution.placement.items()}
+    for driver, routes in solution.routing.items():
+        for route in routes:
+            for hop, n in enumerate(route.vertices[1:-1], start=1):
+                point[VarId("z", (driver, n))] = 1
+                point[VarId("r", (driver, n, hop))] = 1
+    return point
+
+
+def mapping_solution(placement, routes):
+    """A MappingSolution from a placement and one route per (driver,
+    sink) connection, the form extract_mapping returns."""
+    from cgramap.mapper import MappingSolution
+
+    routing = {}
+    for (driver, _), route in sorted(routes.items()):
+        routing.setdefault(driver, []).append(route)
+    return MappingSolution(placement, {d: tuple(rs) for d, rs
+                                       in routing.items()}, 0)
+
+
 def brute_force_mappable(dfg, mrrg):
     """Exhaustive search over total placements and per-connection simple
     paths, with interiors of different drivers kept disjoint. Ground

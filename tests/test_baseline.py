@@ -1,17 +1,21 @@
 """Per-node reference model checks, including agreement with the
 path-based formulation on small instances."""
 
+import hashlib
 import random
 
-from cgramap.baseline import build_baseline, extract_mapping, rvar, zvar
+import pytest
+
+from cgramap.baseline import build_baseline, extract_mapping
 from cgramap.dfg import parse_dfg
 from cgramap.ilp import build_variant
+from cgramap.mapper import validate_mapping
 from cgramap.mrrg import (ArchSpec, build_mrrg, compatible_nodes, fu_nodes,
                           hop_dists)
 from cgramap.neighbors import build_neighbor_map
-from cgramap.paths import build_path_cache, is_valid_path
-from cgramap.solver import SolveConfig, solve
-from helpers import brute_force_mappable
+from cgramap.paths import RoutePath, build_path_cache, is_valid_path
+from cgramap.solver import SolveConfig, check_assignment, solve
+from helpers import baseline_point, brute_force_mappable, mapping_solution
 
 CFG = SolveConfig(seed=0, time_limit=120)
 
@@ -19,6 +23,41 @@ CFG = SolveConfig(seed=0, time_limit=120)
 def ortho(rows, cols, ii, route_through=True):
     return build_mrrg(ArchSpec("ortho", rows, cols,
                                route_through=route_through), ii)
+
+
+# a chain, a fan-out, a self-loop behind a load, and a const feeding an
+# op whose net fans out to a store and back into itself
+PINNED_KERNELS = (
+    "op a add\nop b add\nop c add\nedge a -> b:0\nedge b -> c:0\n",
+    "op a add\nop b add\nop c add\nop d add\nedge a -> b:0, c:0, d:0\n",
+    "op ld load\nop acc add\nedge ld -> acc:1\nedge acc -> acc:0\n",
+    "op c const const=3\nop a add\nop s store\n"
+    "edge c -> a:0\nedge a -> s:0, a:1\n",
+)
+
+
+def _pinned_fabrics():
+    # every family with the bypass on and off, II cycling through 1-3
+    ii = 0
+    for family in ("ortho", "adres", "clustered", "hycube"):
+        for route_through in (True, False):
+            ii = ii % 3 + 1
+            yield build_mrrg(ArchSpec(family, 2, 2,
+                                      route_through=route_through), ii)
+
+
+def test_baseline_model_is_pinned():
+    # a rewrite of the builder must give the same model: the same
+    # variables in the same order, the same rows with the same terms in
+    # the same order, and the same metadata
+    h = hashlib.sha256()
+    for mrrg in _pinned_fabrics():
+        for text in PINNED_KERNELS:
+            model = build_baseline(parse_dfg(text), mrrg)
+            h.update(repr((sorted(model.metadata.items()), model.variables,
+                           model.constraints)).encode())
+    assert h.hexdigest() == (
+        "67f47689919c282701427ea40fbcf4077379b8dedbdc6934deca3966484adfcc")
 
 
 def test_single_op_reduces_to_placement():
@@ -75,6 +114,32 @@ def test_self_loop_closes_a_cycle():
         assert is_valid_path(mrrg, route)
 
 
+def _route(text):
+    vertices = tuple((name, int(ctx)) for name, ctx in
+                     (word.split("@") for word in text.split()))
+    return RoutePath(vertices[0], vertices[-1], vertices)
+
+
+# a mapping of the gate kernel on 2x2 ortho at II 2 with the bypass on:
+# a's two routes and b's route cross pe_1_1 by its bypass, a's in
+# context 1 and b's in context 0
+GATE_PLACEMENT = {"a": ("pe_0_1.alu", 0), "b": ("pe_0_1.alu", 1),
+                  "c": ("pe_1_0.alu", 0), "d": ("pe_0_0.alu", 1),
+                  "e": ("pe_1_0.alu", 1)}
+GATE_ROUTES = {
+    ("a", "b"): "pe_0_1.alu@0 pe_0_1.out@1 pe_1_1.in_w@1 pe_1_1.bypass@1 "
+                "pe_1_1.out@1 pe_0_1.in_e@1 pe_0_1.a@1 pe_0_1.alu@1",
+    ("a", "e"): "pe_0_1.alu@0 pe_0_1.out@1 pe_1_1.in_w@1 pe_1_1.bypass@1 "
+                "pe_1_1.out@1 pe_1_0.in_n@1 pe_1_0.a@1 pe_1_0.alu@1",
+    ("b", "c"): "pe_0_1.alu@1 pe_0_1.out@0 pe_1_1.in_w@0 pe_1_1.bypass@0 "
+                "pe_1_1.out@0 pe_1_0.in_n@0 pe_1_0.a@0 pe_1_0.alu@0",
+    ("c", "d"): "pe_1_0.alu@0 pe_1_0.out@1 pe_0_0.in_e@1 pe_0_0.b@1 "
+                "pe_0_0.alu@1",
+    ("d", "e"): "pe_0_0.alu@1 pe_0_0.out@0 pe_0_0.reg@0 pe_0_0.out@1 "
+                "pe_1_0.in_w@1 pe_1_0.b@1 pe_1_0.alu@1",
+}
+
+
 def test_route_through_gate():
     # two hops of distance between the end ops with every middle unit
     # busy: only the bypass wires can carry the middle leg
@@ -82,10 +147,16 @@ def test_route_through_gate():
             "edge a -> b:0\nedge b -> c:0\nedge c -> d:0\nedge d -> e:0\n"
             "edge a -> e:1\n")
     dfg = parse_dfg(text)
-    with_rt = build_baseline(dfg, ortho(2, 2, 2, route_through=True))
+    mrrg = ortho(2, 2, 2, route_through=True)
+    sol = mapping_solution(GATE_PLACEMENT, {pair: _route(text) for pair, text
+                                            in GATE_ROUTES.items()})
+    assert validate_mapping(dfg, mrrg, sol) == []
+    # with the bypass, the mapping is a point of the baseline model
+    with_rt = build_baseline(dfg, mrrg)
+    point = baseline_point(sol)
+    assert set(point) <= set(with_rt.variables)
+    assert check_assignment(with_rt.constraints, point) == []
     without = build_baseline(dfg, ortho(2, 2, 2, route_through=False))
-    res = solve(with_rt, CFG)
-    assert res.status == "feasible"
     assert solve(without, CFG).status == "infeasible"
 
 
@@ -153,6 +224,8 @@ def test_agreement_with_brute_force():
                 assert route.vertices[0] == placement[driver]
                 assert route.vertices[-1] == placement[sink]
                 assert is_valid_path(mrrg, route)
+            sol = mapping_solution(placement, routes)
+            assert validate_mapping(dfg, mrrg, sol) == []
 
 
 def test_agreement_with_combined_model():
@@ -180,3 +253,37 @@ def test_extraction_deterministic():
     a = extract_mapping(model, dfg, mrrg, first.assignment)
     b = extract_mapping(model, dfg, mrrg, second.assignment)
     assert a == b
+
+
+def _chain2():
+    dfg = parse_dfg("op a add\nop b add\nedge a -> b:0\n")
+    mrrg = ortho(2, 2, 1)
+    model = build_baseline(dfg, mrrg)
+    res = solve(model, CFG)
+    assert res.status == "feasible"
+    return dfg, mrrg, model, res.assignment
+
+
+def test_extraction_rejects_an_unplaced_op():
+    dfg, mrrg, model, _ = _chain2()
+    with pytest.raises(ValueError, match="unplaced"):
+        extract_mapping(model, dfg, mrrg, {})
+
+
+def test_extraction_rejects_an_op_placed_twice():
+    dfg, mrrg, model, assignment = _chain2()
+    twice = dict(assignment)
+    for var in model.variables:
+        if var.cls == "f" and var.idx[0] == "a":
+            twice[var] = 1
+    with pytest.raises(ValueError, match="placed twice"):
+        extract_mapping(model, dfg, mrrg, twice)
+
+
+def test_extraction_rejects_a_connection_without_a_route():
+    # the placement alone: no routing node carries a's signal
+    dfg, mrrg, model, assignment = _chain2()
+    bare = {var: value if var.cls == "f" else 0
+            for var, value in assignment.items()}
+    with pytest.raises(ValueError, match="no route for a->b"):
+        extract_mapping(model, dfg, mrrg, bare)

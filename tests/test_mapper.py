@@ -24,8 +24,8 @@ from cgramap.mrrg import ArchSpec, build_mrrg, fu_nodes
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, RoutePath, build_path_cache
 from cgramap.solver import (FEASIBLE, INFEASIBLE, TIMEOUT, SolveConfig,
-                            SolveResult, solve)
-from helpers import brute_force_mappable
+                            SolveResult, check_assignment, solve)
+from helpers import baseline_point, brute_force_mappable, mapping_solution
 
 KERNELS = {
     "chain2": "op a add\nop b add\nedge a -> b:0\n",
@@ -509,16 +509,17 @@ def test_agreement_with_brute_force(family, ii, kernel, mappable):
     except InfeasibleModel:
         assert not mappable
     else:
+        # the staged mapping is a point of the baseline model
+        if out.status == MAPPED:
+            point = baseline_point(out.solution)
+            assert set(point) <= set(base.variables)
+            assert check_assignment(base.constraints, point) == []
         res = solve(base, SolveConfig(seed=1, time_limit=30))
         assert res.status == (FEASIBLE if mappable else "infeasible")
         if res.status == FEASIBLE:
             placement, routes = extract_mapping(base, dfg, mrrg,
                                                 res.assignment)
-            routing = {}
-            for (driver, _), route in sorted(routes.items()):
-                routing.setdefault(driver, []).append(route)
-            sol = MappingSolution(placement, {o: tuple(rs) for o, rs
-                                              in routing.items()}, 0)
+            sol = mapping_solution(placement, routes)
             assert validate_mapping(dfg, mrrg, sol) == []
     # the combined model at full neighbour count decides alone
     nmap = build_neighbor_map(mrrg, len(fu_nodes(mrrg)))
