@@ -14,18 +14,26 @@ before the map deadline), floored at 1 ms. MapLimits.solve_time caps
 each screen and routing solve; the enumeration has no cap and runs to
 the deadline.
 
-Routes are built on demand, each list only as deep as the model that
-reads it. Once a screen passes, one cache holds RELAXED_PATHS routes
-for every (driver unit, sink unit) pair the screen model's neighbour
-domain places a DFG edge on, which are the only pairs the relaxed model
-reads. Each relaxed placement tried is routed over that cache first.
-Only when that routing-only model is proven infeasible does the
-placement get its own cache of DEFAULT_K routes over just its own
-pairs, and a routing-only model over it; the reported routing comes
-from the cache that routed.
+Each cache a model reads is only as deep as that model needs, and
+holds only the pairs it reads. Once a screen passes, one cache holds
+RELAXED_PATHS routes for every (driver unit, sink unit) pair the screen
+model's neighbour domain places a DFG edge on, which are the only pairs
+the relaxed model reads. Each relaxed placement tried is routed over
+that cache first. Only when that routing-only model is proven
+infeasible does the placement get its own cache of DEFAULT_K routes
+over just its own pairs, and a routing-only model over it; the reported
+routing comes from the cache that routed.
 Enumeration is best-first, so a shallow list is the prefix of a deep
 one: what routes on RELAXED_PATHS routes also routes on DEFAULT_K, and
 the verdicts are those of one deep cache.
+
+Neighbour maps and routes are derived once per MRRG and kept on it (see
+the neighbors and paths modules), so every target, placement and call
+that maps onto the same graph reads what an earlier one derived; a
+cache's routes are the same whichever call first asked for them.
+
+A timeout proves nothing: a run in which some routing check timed out
+and no later target maps reads timed_out, not not_mappable.
 """
 
 from __future__ import annotations
@@ -137,12 +145,14 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
         raise ValueError(f"seed must be an int, got {seed!r}")
     deadline = time.monotonic() + limits.total_time
     attempts: list[NnAttempt] = []
+    gave_up = False
     for nn in sched:
         start = time.monotonic()
         if start >= deadline:
             return MapOutcome(TIMED_OUT, None, tuple(attempts))
-        screen, tried, solution = _attempt(dfg, mrrg, nn, limits, seed,
-                                           deadline)
+        screen, tried, solution, timed_out = _attempt(
+            dfg, mrrg, nn, limits, seed, deadline)
+        gave_up = gave_up or timed_out
         now = time.monotonic()
         attempts.append(NnAttempt(nn, screen, tried, solution is not None,
                                   now - start))
@@ -156,7 +166,8 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
         # times out at its start; after the last, the run is not mappable
         if screen == "timeout" or (screen == "feasible" and now >= deadline):
             return MapOutcome(TIMED_OUT, None, tuple(attempts))
-    return MapOutcome(NOT_MAPPABLE, None, tuple(attempts))
+    return MapOutcome(TIMED_OUT if gave_up else NOT_MAPPABLE, None,
+                      tuple(attempts))
 
 
 def _config(seed: int, deadline: float, cap: float = math.inf,
@@ -168,23 +179,25 @@ def _config(seed: int, deadline: float, cap: float = math.inf,
 
 
 def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
-             deadline: float) -> tuple[str, int, MappingSolution | None]:
+             deadline: float
+             ) -> tuple[str, int, MappingSolution | None, bool]:
     """One target: the screen's status, the number of relaxed placements
-    tried and the first one that routes, if any."""
+    tried, the first one that routes, if any, and whether some routing
+    check timed out."""
     nmap = build_neighbor_map(mrrg, nn)
     try:
         screen_model = build_variant("placement_only", dfg, mrrg, nmap)
     except InfeasibleModel:
-        return "infeasible", 0, None
+        return "infeasible", 0, None, False
     screen = solve(screen_model,
                    _config(seed, deadline, limits.solve_time)).status
     if screen != "feasible":
-        return screen, 0, None
+        return screen, 0, None, False
 
     shallow = _cache_over(mrrg, nn, used_pairs(screen_model), RELAXED_PATHS)
     relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap, shallow,
                             screen=screen_model)
-    tried = 0
+    tried, timed_out = 0, False
     for candidate in enumerate_solutions(
             relaxed,
             _config(seed, deadline, solutions=limits.placement_limit)):
@@ -204,10 +217,12 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
             status, routing = _route(dfg, mrrg, nmap, deep, placement, seed,
                                      deadline, limits.solve_time)
         if routing is not None:
-            return "feasible", tried, MappingSolution(placement, routing, nn)
+            return ("feasible", tried, MappingSolution(placement, routing, nn),
+                    timed_out)
+        timed_out = timed_out or status == "timeout"
         if time.monotonic() >= deadline:
             break
-    return "feasible", tried, None
+    return "feasible", tried, None, timed_out
 
 
 def _route(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cache: PathCache,

@@ -179,6 +179,18 @@ class Mrrg:
                 by_opcode.setdefault(opcode, []).append(k)
         return {opcode: tuple(ks) for opcode, ks in by_opcode.items()}
 
+    @cached_property
+    def neighbor_maps(self) -> dict:
+        """NeighborMap per target NN, filled by build_neighbor_map; it
+        lives and dies with the graph it describes."""
+        return {}
+
+    @cached_property
+    def route_table(self) -> dict:
+        """(driver, sink) -> (k, routes): the deepest k routes asked for
+        so far, filled by the paths module (see paths._routes_for)."""
+        return {}
+
     def fanout(self, key: NodeKey) -> tuple[NodeKey, ...]:
         return self._fanout[key]
 

@@ -12,11 +12,17 @@ through, because a value cannot pass through a function unit without
 occupying it (route-throughs are explicit routing vertices and are traversed
 normally). The source itself is excluded unless the search walks a cycle
 back into it, in which case it is its own neighbour.
+
+The map for a target depends on the graph alone, so build_neighbor_map
+computes it once per (MRRG, target) and keeps it on the MRRG: later calls,
+from any mapping run over that graph, get the same read-only map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .dfg import is_int
 from .mrrg import Mrrg, NodeKey, fu_nodes
@@ -58,19 +64,30 @@ def find_neighbors(mrrg: Mrrg, source: NodeKey,
 
 @dataclass(frozen=True)
 class NeighborMap:
+    """Neighbour units per source unit. The mapping is a read-only copy
+    of the one given, since one map is shared by every caller."""
+
     target_nn: int
-    neighbors: dict[NodeKey, tuple[NodeKey, ...]]
+    neighbors: Mapping[NodeKey, tuple[NodeKey, ...]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "neighbors",
+                           MappingProxyType(dict(self.neighbors)))
 
     def __getitem__(self, key: NodeKey) -> tuple[NodeKey, ...]:
         return self.neighbors[key]
 
 
 def build_neighbor_map(mrrg: Mrrg, target_nn: int) -> NeighborMap:
-    """find_neighbors for every FU vertex."""
+    """find_neighbors for every FU vertex, computed on the first request
+    for this target and returned from the MRRG after that."""
+    # checked before the lookup: True == 1 would find the map for 1
     if not is_int(target_nn) or target_nn < 1:
         raise ValueError(
             f"target_nn must be an int of at least 1, got {target_nn!r}")
-    return NeighborMap(
-        target_nn,
-        {u: find_neighbors(mrrg, u, target_nn) for u in fu_nodes(mrrg)},
-    )
+    nmap = mrrg.neighbor_maps.get(target_nn)
+    if nmap is None:
+        nmap = mrrg.neighbor_maps[target_nn] = NeighborMap(
+            target_nn,
+            {u: find_neighbors(mrrg, u, target_nn) for u in fu_nodes(mrrg)})
+    return nmap

@@ -4,11 +4,18 @@ Routes start and end at functional units but never pass through one; the
 interior of every path is routing nodes only. Enumeration is best-first
 over partial paths with an exact distance-to-sink table as the heuristic,
 so paths are produced directly in (length, lexicographic vertex sequence)
-order without materialising the full path set first. The table depends
-on the sink alone, so a cache computes one per distinct sink and shares
-it among every driver routed there. A pair with equal endpoints asks for
-cycles through that unit, which the wrap edges of the time-extended
-graph make well-defined.
+order without materialising the full path set first. A pair with equal
+endpoints asks for cycles through that unit, which the wrap edges of the
+time-extended graph make well-defined.
+
+Routes depend on the graph alone, so each MRRG keeps a route table that
+lives as long as it does: every (driver, sink) pair ever asked for, at
+the deepest k asked so far. Since enumeration yields a prefix of the
+sorted path set, a shallower request is served by a prefix slice, and a
+list shorter than the k it was asked at holds every route, so serves any
+k. A deeper request enumerates only the pairs it lacks, with one
+distance-to-sink table per distinct sink, shared among every driver
+routed there and dropped once they are done.
 """
 
 from __future__ import annotations
@@ -71,7 +78,28 @@ def k_shortest_paths(mrrg: Mrrg, u: NodeKey, v: NodeKey,
     is unreachable.
     """
     _check_k(k)
-    return _routes(mrrg, u, v, k, hop_dists(mrrg, (v,), mrrg.fanin))
+    return _routes_for(mrrg, ((u, v),), k)[u, v]
+
+
+def _routes_for(mrrg: Mrrg, pairs, k: int):
+    """k_shortest_paths for each (driver, sink) pair, from the MRRG's
+    route table where it holds the pair deep enough; the rest are
+    enumerated and stored at depth k."""
+    table = mrrg.route_table
+    found = {}
+    missing: dict[NodeKey, list[NodeKey]] = {}
+    for pair in pairs:
+        held = table.get(pair)
+        if held is not None and (k <= held[0] or len(held[1]) < held[0]):
+            found[pair] = held[1][:k]
+        else:
+            missing.setdefault(pair[1], []).append(pair[0])
+    for dst, srcs in missing.items():
+        dist = hop_dists(mrrg, (dst,), mrrg.fanin)
+        for src in srcs:
+            found[src, dst] = _routes(mrrg, src, dst, k, dist)
+            table[src, dst] = (k, found[src, dst])
+    return found
 
 
 def _routes(mrrg: Mrrg, u: NodeKey, v: NodeKey, k: int,
@@ -119,23 +147,14 @@ class PathCache:
 
 def build_path_cache(mrrg: Mrrg, nmap: NeighborMap,
                      k: int = DEFAULT_K) -> PathCache:
-    """Enumerate routes for every (source, neighbor) pair in the map,
-    each equal to k_shortest_paths for that pair.
-
-    The distance-to-sink table is computed once per distinct sink and
-    serves every source routed to it; one table is held at a time. A
-    cache built for some neighbor count serves any smaller count too,
-    since shrinking the target only drops pairs.
+    """Routes for every (source, neighbor) pair in the map, each equal
+    to k_shortest_paths for that pair and read from the MRRG's route
+    table where an earlier call left them deep enough. A cache built
+    for some neighbor count serves any smaller count too, since
+    shrinking the target only drops pairs.
     """
     _check_k(k)
     pairs = [(src, dst) for src in sorted(nmap.neighbors)
              for dst in nmap.neighbors[src]]
-    by_sink: dict[NodeKey, list[NodeKey]] = {}
-    for src, dst in pairs:
-        by_sink.setdefault(dst, []).append(src)
-    found = {}
-    for dst, srcs in by_sink.items():
-        dist = hop_dists(mrrg, (dst,), mrrg.fanin)
-        for src in srcs:
-            found[(src, dst)] = _routes(mrrg, src, dst, k, dist)
+    found = _routes_for(mrrg, pairs, k)
     return PathCache(k, {pair: found[pair] for pair in pairs})

@@ -68,21 +68,28 @@ def satisfies(constraints, on_vars):
     return True
 
 
-def all_simple_paths(mrrg, u, v, interior_ok=None):
+def all_simple_paths(mrrg, u, v):
     """Every simple path from FU u to FU v whose interior vertices are
     routing nodes. For u == v, cycles through u (length >= 1). Exhaustive
     recursion; intended for small graphs."""
-    if interior_ok is None:
-        interior_ok = lambda k: not mrrg.is_fu(k)
-    paths = []
+    return simple_paths_from(mrrg, u).get(v, [])
+
+
+def simple_paths_from(mrrg, u):
+    """all_simple_paths from u to every FU, by sink, in one walk: the
+    walk through routing nodes does not depend on the sink, which only
+    decides where a path is recorded."""
+    fus = {k for k in mrrg.nodes if mrrg.is_fu(k)}
+    paths = {}
     seen = {u}
 
     def walk(n, acc):
         for m in mrrg.fanout(n):
-            if m == v:
-                paths.append((u, *acc, v))
-                continue  # the sink FU is never expanded through
-            if m in seen or not interior_ok(m):
+            if m in fus:
+                # an FU ends a path and is never expanded through
+                paths.setdefault(m, []).append((u, *acc, m))
+                continue
+            if m in seen:
                 continue
             seen.add(m)
             acc.append(m)

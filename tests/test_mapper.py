@@ -409,7 +409,9 @@ def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
 
 def test_shallow_timeout_does_not_deepen(monkeypatch):
     # a timeout proves nothing: it ends that placement, as a routing
-    # timeout always has, and no DEFAULT_K cache is built
+    # timeout always has, and no DEFAULT_K cache is built; and since no
+    # placement was proven unroutable, the run timed out rather than
+    # found the kernel unmappable
     real_cache = mapper.build_path_cache
     depths = []
 
@@ -427,7 +429,7 @@ def test_shallow_timeout_does_not_deepen(monkeypatch):
                   seed=SAME_MODELS_SEED[kernel])
     assert (out.status, [(a.nn, a.screen, a.placements_tried, a.routed)
                          for a in out.attempts]) == (
-        NOT_MAPPABLE, [(8, FEASIBLE, 2, False)])
+        TIMED_OUT, [(8, FEASIBLE, 2, False)])
     assert depths == [RELAXED_PATHS]
     assert [variant for variant, _ in seen] == [
         "placement_only", "routing_only", "routing_only"]
@@ -622,23 +624,53 @@ def test_report_is_byte_stable():
     assert json.loads(reports[0])["status"] == MAPPED
 
 
-def test_report_is_stable_across_hash_seeds():
-    # str hashes, and so the order of a set of strings, change with
-    # PYTHONHASHSEED; a search steered by such an order differs here
-    tests = Path(__file__).resolve().parent
+def shared_mrrg_reports(shared: bool = True) -> str:
+    """The reports, times dropped, of mapping diamond (which takes the
+    deep routing stage) and then join on 2x2 ADRES at II 2, both onto
+    one MRRG or each onto its own."""
+    mrrg = fabric("adres", 2)
     reports = []
+    for kernel, seed in (("diamond", 3), ("join", 4)):
+        out = map_dfg(parse_dfg(KERNELS[kernel]), mrrg, SCHEDULE, LIMITS,
+                      seed=seed)
+        reports.append(outcome_to_dict(out, include_times=False))
+        if not shared:
+            mrrg = fabric("adres", 2)
+    return json.dumps(reports, sort_keys=True)
+
+
+def _under_hash_seeds(call: str) -> list[str]:
+    """What `print(<call>)` writes, with test_mapper imported, under
+    PYTHONHASHSEED 0 and 1."""
+    tests = Path(__file__).resolve().parent
+    outputs = []
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
                                                str(tests)]))
         run = subprocess.run(
-            [sys.executable, "-c",
-             "from test_mapper import join_report; print(join_report())"],
+            [sys.executable, "-c", f"import test_mapper; print({call})"],
             env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        reports.append(run.stdout)
+        outputs.append(run.stdout)
+    return outputs
+
+
+def test_report_is_stable_across_hash_seeds():
+    # str hashes, and so the order of a set of strings, change with
+    # PYTHONHASHSEED; a search steered by such an order differs here
+    reports = _under_hash_seeds("test_mapper.join_report()")
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["status"] == MAPPED
+
+
+def test_shared_mrrg_reports_are_stable_across_hash_seeds():
+    # the second mapping reads neighbour maps and routes the first left
+    # on the MRRG; neither the hash seed nor that reuse may show
+    reports = _under_hash_seeds("test_mapper.shared_mrrg_reports()")
+    assert reports[0] == reports[1]
+    assert reports[0].strip() == shared_mrrg_reports(shared=False)
+    assert [r["status"] for r in json.loads(reports[0])] == [MAPPED, MAPPED]
 
 
 def test_characterize_smoke():

@@ -137,3 +137,37 @@ def test_source_must_be_fu():
         find_neighbors(m, ("pe_0_0.out", 0), 4)
     with pytest.raises(KeyError):
         find_neighbors(m, ("nope", 0), 4)
+
+
+def test_neighbor_map_is_kept_per_mrrg():
+    # one map per target on each graph, whatever order targets come in,
+    # equal to the map a fresh graph gives
+    spec = ArchSpec("adres", 2, 2)
+    m = build_mrrg(spec, ii=2)
+    got = [build_neighbor_map(m, nn) for nn in (8, 4, 8)]
+    for nn, nmap in zip((8, 4, 8), got):
+        assert nmap.target_nn == nn
+        assert nmap == build_neighbor_map(build_mrrg(spec, ii=2), nn)
+    assert got[2] is got[0]
+    assert got[1].neighbors != got[0].neighbors
+    # True == 1 and both hash alike, so a lookup before the check would
+    # hand out the map for 1
+    build_neighbor_map(m, 1)
+    with pytest.raises(ValueError, match="target_nn must be an int"):
+        build_neighbor_map(m, True)
+
+
+def test_neighbor_map_is_read_only():
+    # every caller on a graph shares one map, so none may change it
+    m = build_mrrg(ArchSpec("ortho", 2, 2), ii=1)
+    nmap = build_neighbor_map(m, 4)
+    alu = ("pe_0_0.alu", 0)
+    with pytest.raises(TypeError):
+        nmap.neighbors[alu] = ()
+    with pytest.raises(TypeError):
+        del nmap.neighbors[alu]
+    # and a map made by hand is a copy of the dict it was given
+    given = {alu: (("pe_1_0.alu", 0),)}
+    made = NeighborMap(1, given)
+    given[alu] = ()
+    assert made[alu] == (("pe_1_0.alu", 0),)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cgramap import paths
 from cgramap.mapper import RELAXED_PATHS
 from cgramap.mrrg import (FU, ROUTE, ArchSpec, Mrrg, MrrgNode, build_mrrg,
                           fu_nodes)
@@ -9,7 +10,7 @@ from cgramap.neighbors import NeighborMap, build_neighbor_map
 from cgramap.paths import (DEFAULT_K, RoutePath, build_path_cache,
                            is_valid_path, k_shortest_paths)
 
-from helpers import all_simple_paths
+from helpers import all_simple_paths, simple_paths_from
 
 
 def mk_graph(fus, routes, edges, ii=1):
@@ -30,8 +31,12 @@ def mk_graph(fus, routes, edges, ii=1):
     return Mrrg(ii, nodes, wired)
 
 
+def by_length(paths):
+    return sorted(paths, key=lambda p: (len(p), p))
+
+
 def sorted_paths(mrrg, u, v):
-    return sorted(all_simple_paths(mrrg, u, v), key=lambda p: (len(p), p))
+    return by_length(all_simple_paths(mrrg, u, v))
 
 
 def test_two_parallel_mux_chains():
@@ -122,21 +127,25 @@ def test_matches_exhaustive_enumeration_on_random_graphs():
         m, ii = rand_graph(rng)
         u = ("f0", 0)
         v = (rng.choice(("f0", "f1")), rng.randint(0, ii - 1))
-        want = sorted_paths(m, u, v)
+        fus = fu_nodes(m)
+        every = {}
+        for a in fus:
+            found = simple_paths_from(m, a)
+            for b in fus:
+                every[a, b] = by_length(found.get(b, []))
         for k in (1, 3, 20):
             got = k_shortest_paths(m, u, v, k)
-            assert [p.vertices for p in got] == [tuple(p) for p in want[:k]]
+            assert [p.vertices for p in got] == every[u, v][:k]
             for rp in got:
                 assert is_valid_path(m, rp)
         # the cache shares one distance table per sink among all its
         # drivers; every pair, self and unreachable ones included, must
-        # still get its own routes
-        fus = fu_nodes(m)
-        every = {(a, b): [tuple(p) for p in sorted_paths(m, a, b)]
-                 for a in fus for b in fus}
-        for k in (1, 3):
-            cache = build_path_cache(m, NeighborMap(len(fus),
-                                                    {a: fus for a in fus}), k)
+        # still get its own routes. The graph keeps each pair's routes at
+        # the deepest k asked, so the descending depths are prefix slices
+        # of what the first of them enumerated
+        nmap = NeighborMap(len(fus), {a: fus for a in fus})
+        for k in (1, 3, 20, 3, 1):
+            cache = build_path_cache(m, nmap, k)
             assert set(cache.paths) == {(a, b) for a in fus for b in fus}
             for (a, b), ps in cache.paths.items():
                 assert ps == k_shortest_paths(m, a, b, k)
@@ -203,3 +212,57 @@ def test_empty_neighbor_map_gives_empty_cache():
     cache = build_path_cache(m, NeighborMap(4, {}), 20)
     assert cache.paths == {}
     assert cache.get((("pe_0_0.alu", 0), ("pe_1_0.alu", 0))) == ()
+
+
+@pytest.mark.parametrize("depths", [(20, 3, 1), (1, 3, 20)])
+def test_routes_are_kept_per_mrrg(monkeypatch, depths):
+    # each request, in either order, gives what a fresh graph gives; a
+    # pair is enumerated again only when it is asked deeper than before
+    # and its list was full at the earlier depth
+    spec = ArchSpec("adres", 3, 3)
+    m = build_mrrg(spec, ii=2)
+    nmap = build_neighbor_map(m, 8)
+    enumerated = []
+    real_routes = paths._routes
+
+    def counting_routes(mrrg, src, dst, k, dist):
+        if mrrg is m:
+            enumerated.append((src, dst))
+        return real_routes(mrrg, src, dst, k, dist)
+
+    monkeypatch.setattr(paths, "_routes", counting_routes)
+    previous, caches = None, {}
+    for k in depths:
+        enumerated.clear()
+        cache = build_path_cache(m, nmap, k)
+        if previous is None:
+            want = set(cache.paths)
+        elif k < previous.k:
+            want = set()
+        else:
+            want = {pair for pair, ps in previous.paths.items()
+                    if len(ps) == previous.k}
+        assert sorted(enumerated) == sorted(want)
+        fresh = build_mrrg(spec, ii=2)
+        assert cache == build_path_cache(fresh, build_neighbor_map(fresh, 8),
+                                         k)
+        for pair, ps in cache.paths.items():
+            assert k_shortest_paths(m, *pair, k) == ps
+        previous = caches[k] = cache
+    # both kinds of list occur: cut at the depth asked, and complete
+    deepest = caches[DEFAULT_K].paths.values()
+    assert any(len(ps) == DEFAULT_K for ps in deepest)
+    assert any(0 < len(ps) < RELAXED_PATHS for ps in deepest)
+
+
+def test_memoised_depth_does_not_admit_a_bool():
+    # True == 1 and both hash alike: k is checked before any lookup
+    m = build_mrrg(ArchSpec("ortho", 2, 2), ii=1)
+    nmap = build_neighbor_map(m, 4)
+    alu = ("pe_0_0.alu", 0)
+    build_path_cache(m, nmap, 1)
+    k_shortest_paths(m, alu, alu, 1)
+    with pytest.raises(ValueError):
+        build_path_cache(m, nmap, True)
+    with pytest.raises(ValueError):
+        k_shortest_paths(m, alu, alu, True)
