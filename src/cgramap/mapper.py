@@ -1,13 +1,15 @@
 """Staged mapping driver.
 
 For each neighbour-count target in the schedule: screen with the
-placement-only model, enumerate relaxed placements (3 paths per
-connection, at most 2 signals per vertex; it extends the screen's model
-with path rows), and check each placement with the exact routing-only
-model: over the relaxed model's 3 paths per connection first, and over
-all k cached paths only when those are proven too few. The first
-routable placement wins; growing the neighbourhood only happens when
-the cheap stages say the current one cannot work.
+placement-only model, then check the screen's own placement with the
+exact routing-only model over 3 paths per connection. Only when that
+misses, enumerate relaxed placements (3 paths per connection, at most 2
+signals per vertex; it extends the screen's model with path rows), and
+check each with the routing-only model: over the relaxed model's 3
+paths per connection first, and over all k cached paths only when those
+are proven too few. The first routable placement wins; growing the
+neighbourhood only happens when the cheap stages say the current one
+cannot work.
 
 Every stage takes its time limit as it starts: min(cap, time left
 before the map deadline), floored at 1 ms. MapLimits.solve_time caps
@@ -15,14 +17,16 @@ each screen and routing solve; the enumeration has no cap and runs to
 the deadline.
 
 Each cache a model reads is only as deep as that model needs, and
-holds only the pairs it reads. Once a screen passes, one cache holds
-RELAXED_PATHS routes for every (driver unit, sink unit) pair the screen
-model's neighbour domain places a DFG edge on, which are the only pairs
-the relaxed model reads. Each relaxed placement tried is routed over
-that cache first. Only when that routing-only model is proven
-infeasible does the placement get its own cache of DEFAULT_K routes
-over just its own pairs, and a routing-only model over it; the reported
-routing comes from the cache that routed.
+holds only the pairs it reads. Once a screen passes, its placement gets
+a cache of RELAXED_PATHS routes over just its own (driver unit, sink
+unit) pairs, and one routing check; it is never deepened. When it does
+not route, one cache holds RELAXED_PATHS routes for every pair the
+screen model's neighbour domain places a DFG edge on, which are the
+only pairs the relaxed model reads. Each relaxed placement tried is
+routed over that cache first. Only when that routing-only model is
+proven infeasible does the placement get its own cache of DEFAULT_K
+routes over just its own pairs, and a routing-only model over it; the
+reported routing comes from the cache that routed.
 Enumeration is best-first, so a shallow list is the prefix of a deep
 one: what routes on RELAXED_PATHS routes also routes on DEFAULT_K, and
 the verdicts are those of one deep cache.
@@ -80,6 +84,10 @@ class MapLimits:
 
 @dataclass(frozen=True)
 class NnAttempt:
+    """One target: placements_tried counts the screen's own placement,
+    once the screen passes, and each relaxed placement enumerated
+    after it."""
+
     nn: int
     screen: str
     placements_tried: int
@@ -181,38 +189,52 @@ def _config(seed: int, deadline: float, cap: float = math.inf,
 def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
              deadline: float
              ) -> tuple[str, int, MappingSolution | None, bool]:
-    """One target: the screen's status, the number of relaxed placements
-    tried, the first one that routes, if any, and whether some routing
-    check timed out."""
+    """One target: the screen's status, the number of placements tried
+    (the screen's own, then each relaxed one), the first one that
+    routes, if any, and whether some routing check timed out.
+
+    The screen's placement meets con1-con3, so it is tried first, with
+    one check over RELAXED_PATHS routes for just its own pairs. When it
+    routes, the screen-wide cache and the relaxed model are never built.
+    It is never deepened: a DEFAULT_K proof costs most when there is no
+    routing evidence at all, and the enumeration may yield the placement
+    again with its usual checks. Like a relaxed placement's check, one
+    that ends past the deadline ends the target."""
     nmap = build_neighbor_map(mrrg, nn)
     try:
         screen_model = build_variant("placement_only", dfg, mrrg, nmap)
     except InfeasibleModel:
         return "infeasible", 0, None, False
-    screen = solve(screen_model,
-                   _config(seed, deadline, limits.solve_time)).status
-    if screen != "feasible":
-        return screen, 0, None, False
+    screened = solve(screen_model,
+                     _config(seed, deadline, limits.solve_time))
+    if screened.status != "feasible":
+        return screened.status, 0, None, False
+
+    placement = _placement_of(screened.assignment)
+    status, routing = _route(
+        dfg, mrrg, nmap,
+        _cache_over(mrrg, nn, _pairs_of(dfg, placement), RELAXED_PATHS),
+        placement, seed, deadline, limits.solve_time)
+    if routing is not None:
+        return "feasible", 1, MappingSolution(placement, routing, nn), False
+    tried, timed_out = 1, status == "timeout"
+    if time.monotonic() >= deadline:
+        return "feasible", tried, None, timed_out
 
     shallow = _cache_over(mrrg, nn, used_pairs(screen_model), RELAXED_PATHS)
     relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap, shallow,
                             screen=screen_model)
-    tried, timed_out = 0, False
     for candidate in enumerate_solutions(
             relaxed,
             _config(seed, deadline, solutions=limits.placement_limit)):
         tried += 1
-        placement = {var.idx[0]: var.idx[1] for var, value
-                     in candidate.assignment.items()
-                     if var.cls == "f" and value == 1}
+        placement = _placement_of(candidate.assignment)
         status, routing = _route(dfg, mrrg, nmap, shallow, placement, seed,
                                  deadline, limits.solve_time)
         if status == "infeasible":
             # proven unroutable on RELAXED_PATHS routes; DEFAULT_K may hold
             # more
-            deep = _cache_over(mrrg, nn,
-                               {(placement[o], placement[p])
-                                for o, p in dfg.point_edges()},
+            deep = _cache_over(mrrg, nn, _pairs_of(dfg, placement),
                                DEFAULT_K)
             status, routing = _route(dfg, mrrg, nmap, deep, placement, seed,
                                      deadline, limits.solve_time)
@@ -225,14 +247,28 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
     return "feasible", tried, None, timed_out
 
 
+def _placement_of(assignment) -> dict[str, NodeKey]:
+    """The unit each op sits on in a solution of a placement model."""
+    return {var.idx[0]: var.idx[1] for var, value in assignment.items()
+            if var.cls == "f" and value == 1}
+
+
+def _pairs_of(dfg: Dfg, placement: dict[str, NodeKey]):
+    """The (driver unit, sink unit) pairs a placement routes."""
+    return {(placement[o], placement[p]) for o, p in dfg.point_edges()}
+
+
 def _route(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cache: PathCache,
            placement: dict[str, NodeKey], seed: int, deadline: float,
            cap: float):
     """The routing-only check of one placement over cache: its status and,
     when feasible, the routing."""
-    # never infeasible to build: the relaxed rows already rule out each
-    # condition the routing build rejects, and every cache passed here
-    # holds the placement's pairs
+    # never infeasible to build. Every placement passed here meets
+    # con1-con3, which rule out a shared unit, an incompatible unit and a
+    # pair outside the neighbour map. Every cache passed here holds the
+    # placement's pairs, and holds at least one route for each: the
+    # neighbour BFS reaches a sink only along a simple route, which the
+    # path enumeration finds.
     model = build_variant("routing_only", dfg, mrrg, nmap, cache,
                           placement=placement)
     routed = solve(model, _config(seed, deadline, cap))

@@ -114,15 +114,21 @@ class _Clock:
         self.now += LIMITS.total_time + 1
 
 
-def _stub_solve(monkeypatch, clock, variant, status, late=False, seen=None):
-    """mapper.solve answers models of one variant with status, ending
-    past the deadline if asked, and records each config."""
+def _stub_solve(monkeypatch, clock, variant, status, late=False, seen=None,
+                after=0):
+    """mapper.solve answers models of one variant, past the first after
+    of them, with status, ending past the deadline if asked, and records
+    each config."""
     real_solve = mapper.solve
+    solved = []
 
     def stub(model, cfg):
         if seen is not None:
             seen.append((model.variant, cfg))
         if model.variant != variant:
+            return real_solve(model, cfg)
+        solved.append(model)
+        if len(solved) <= after:
             return real_solve(model, cfg)
         if late:
             clock.pass_deadline()
@@ -131,13 +137,23 @@ def _stub_solve(monkeypatch, clock, variant, status, late=False, seen=None):
     monkeypatch.setattr(mapper, "solve", stub)
 
 
-def _chain2(schedule=(2, 4)):
-    # chain2 passes its first screen on 2x2 ortho at II 1 and has many
-    # placements
-    out = map_dfg(parse_dfg(KERNELS["chain2"]), fabric("ortho", 1),
-                  schedule, LIMITS, seed=1)
+def _run(kernel, family, ii, schedule, seed=1):
+    out = map_dfg(parse_dfg(KERNELS[kernel]), fabric(family, ii), schedule,
+                  LIMITS, seed=seed)
     return out.status, [(a.nn, a.screen, a.placements_tried, a.routed)
                         for a in out.attempts]
+
+
+def _chain2(schedule=(2, 4)):
+    # chain2 passes its first screen on 2x2 ortho at II 1 and has many
+    # placements; the screen's own placement routes
+    return _run("chain2", "ortho", 1, schedule)
+
+
+# (kernel, family, II, schedule, seed): the screen passes at NN 4 and its
+# own placement is proven unroutable on RELAXED_PATHS routes, so the
+# relaxed model is built and enumerated
+CANDIDATE_MISS = ("chain5", "ortho", 2, (4,), 2)
 
 
 def test_op_without_a_unit_is_not_mappable():
@@ -166,7 +182,8 @@ def test_late_infeasible_screen_moves_on(monkeypatch):
 
 
 def test_deadline_during_enumeration_ends_the_run(monkeypatch):
-    # timed out, not unmappable, even at the last target
+    # timed out, not unmappable, even at the last target; the screen's
+    # own placement, which did not route, counts as tried
     clock = _Clock(monkeypatch)
 
     def enumerate_nothing(model, cfg):
@@ -174,12 +191,13 @@ def test_deadline_during_enumeration_ends_the_run(monkeypatch):
         yield from ()
 
     monkeypatch.setattr(mapper, "enumerate_solutions", enumerate_nothing)
-    assert _chain2((2,)) == (TIMED_OUT, [(2, FEASIBLE, 0, False)])
+    assert _run(*CANDIDATE_MISS) == (TIMED_OUT, [(4, FEASIBLE, 1, False)])
 
 
 def test_deadline_during_routing_stops_the_enumeration(monkeypatch):
     # the enumeration would go on yielding; the first routing solve
-    # that ends past the deadline stops it
+    # that ends past the deadline stops it (the screen's placement is
+    # checked, and found unroutable, on time first)
     real_enumerate = mapper.enumerate_solutions
 
     def enumerate_first_again(model, cfg):
@@ -188,9 +206,31 @@ def test_deadline_during_routing_stops_the_enumeration(monkeypatch):
             yield first
 
     monkeypatch.setattr(mapper, "enumerate_solutions", enumerate_first_again)
+    seen = []
+    _stub_solve(monkeypatch, _Clock(monkeypatch), "routing_only", INFEASIBLE,
+                late=True, seen=seen, after=1)
+    assert _run(*CANDIDATE_MISS) == (TIMED_OUT, [(4, FEASIBLE, 2, False)])
+    # the first relaxed placement's shallow check is stubbed infeasible,
+    # so it is deepened before the deadline is read
+    assert [variant for variant, _ in seen] == [
+        "placement_only", "routing_only", "routing_only", "routing_only"]
+
+
+def test_deadline_during_screen_placement_check_skips_relaxed(monkeypatch):
+    # a check of the screen's own placement that ends past the deadline
+    # ends the target before the relaxed model is built
+    real_variant = mapper.build_variant
+    built = []
+
+    def recording_variant(variant, *args, **kw):
+        built.append(variant)
+        return real_variant(variant, *args, **kw)
+
+    monkeypatch.setattr(mapper, "build_variant", recording_variant)
     _stub_solve(monkeypatch, _Clock(monkeypatch), "routing_only", INFEASIBLE,
                 late=True)
     assert _chain2((2,)) == (TIMED_OUT, [(2, FEASIBLE, 1, False)])
+    assert built == ["placement_only", "routing_only"]
 
 
 def test_screen_budget_taken_after_its_build(monkeypatch):
@@ -216,33 +256,46 @@ def test_screen_budget_taken_after_its_build(monkeypatch):
 # (kernel, fabric, II, schedule, placement limit, expected attempts):
 # tree5 passes two screens and routes only at the second, so models are
 # built at two targets of one call; join on ADRES has up to k routes per
-# pair
+# pair, and its screen's own placement routes; chain5 enumerates past
+# two placements that route on no DEFAULT_K routes either
 SAME_MODELS = [
     ("tree5", ArchSpec("ortho", 1, 4, route_through=False), 2, (1, 2, 4, 8),
      1, [(1, "infeasible", False), (2, "feasible", False),
          (4, "feasible", True)]),
     ("join", ArchSpec("adres", 2, 2), 2, SCHEDULE, 20,
      [(2, "infeasible", False), (4, "feasible", True)]),
+    ("chain5", ArchSpec("ortho", 2, 2), 2, SCHEDULE, 20,
+     [(2, "infeasible", False), (4, "feasible", True)]),
 ]
 # seed 1 unless listed: tree5 passes two screens under seeds 3 and 5, and
 # at seed 1 its first placement already routes at NN 2; diamond's first
-# placement at seed 3 routes only on DEFAULT_K routes
-SAME_MODELS_SEED = {"tree5": 3, "diamond": 3}
-# the (variant, NN, cache depth) of every model past the screens: each
-# placement's routing model reads RELAXED_PATHS routes, and DEFAULT_K
-# ones only after that is proven infeasible, as at tree5's NN 2
+# placement at seed 3 routes only on DEFAULT_K routes; chain5's screen
+# placement at seed 2 does not route
+SAME_MODELS_SEED = {"tree5": 3, "diamond": 3, "chain5": 2}
+# the (variant, NN, cache depth) of every model past the screens: the
+# screen's own placement is checked first, on RELAXED_PATHS routes; when
+# it does not route, the relaxed model follows, each of its placements'
+# routing models reads RELAXED_PATHS routes, and DEFAULT_K ones only after
+# that is proven infeasible, as at tree5's NN 2
 SAME_MODELS_BUILT = {
-    "tree5": [("relaxed_placement", 2, RELAXED_PATHS),
+    "tree5": [("routing_only", 2, RELAXED_PATHS),
+              ("relaxed_placement", 2, RELAXED_PATHS),
               ("routing_only", 2, RELAXED_PATHS),
               ("routing_only", 2, DEFAULT_K),
-              ("relaxed_placement", 4, RELAXED_PATHS),
               ("routing_only", 4, RELAXED_PATHS)],
-    "join": [("relaxed_placement", 4, RELAXED_PATHS),
-             ("routing_only", 4, RELAXED_PATHS)],
+    "join": [("routing_only", 4, RELAXED_PATHS)],
+    "chain5": [("routing_only", 4, RELAXED_PATHS),
+               ("relaxed_placement", 4, RELAXED_PATHS),
+               ("routing_only", 4, RELAXED_PATHS),
+               ("routing_only", 4, DEFAULT_K),
+               ("routing_only", 4, RELAXED_PATHS),
+               ("routing_only", 4, DEFAULT_K),
+               ("routing_only", 4, RELAXED_PATHS)],
 }
-# (kernel, fabric, II, schedule, placement limit): the first relaxed
-# placement is proven unroutable on RELAXED_PATHS routes in a few nodes
-# and routes on DEFAULT_K ones
+# (kernel, fabric, II, schedule, placement limit): the screen's own
+# placement, which the enumeration yields first again, is proven
+# unroutable on RELAXED_PATHS routes in a few nodes and routes on
+# DEFAULT_K ones
 DEEP_CASE = ("diamond", ArchSpec("adres", 2, 2), 2, (8,), 20)
 
 
@@ -283,8 +336,13 @@ def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
         assert model.variables == ref.variables, (variant, nn, k)
         assert model.constraints == ref.constraints, (variant, nn, k)
         checked.append((variant, nn, k))
-    routed = [nn for nn, screen, _ in attempts if screen == "feasible"]
-    assert [nn for v, nn, _ in checked if v == "relaxed_placement"] == routed
+    # each passing screen's own placement is checked before anything else
+    # at its target
+    first = {}
+    for variant, nn, k in checked:
+        first.setdefault(nn, (variant, k))
+    assert first == {nn: ("routing_only", RELAXED_PATHS)
+                     for nn, screen, _ in attempts if screen == "feasible"}
     assert checked == SAME_MODELS_BUILT[kernel]
 
 
@@ -295,11 +353,13 @@ def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
 ], ids=["fan3", "tree5", "diamond"])
 def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
                       deepened):
-    # per NN: one RELAXED_PATHS-deep cache over the screen's pairs; each
-    # tried placement's first routing model reads that cache, and a
-    # DEFAULT_K-deep cache over just the placement's pairs is built, with
-    # its routing model right after it, only when that model is proven
-    # infeasible
+    # per NN whose screen passes: a RELAXED_PATHS-deep cache over just the
+    # screen placement's pairs, read by that placement's one routing
+    # model; when that does not route, one RELAXED_PATHS-deep cache over
+    # the screen's pairs, read by the relaxed model and by each relaxed
+    # placement's first routing model; and a DEFAULT_K-deep cache over
+    # just a relaxed placement's pairs, with its routing model right after
+    # it, only when that first model is proven infeasible
     real_cache, real_variant = mapper.build_path_cache, mapper.build_variant
     real_solve = mapper.solve
     events = []
@@ -317,7 +377,7 @@ def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
 
     def recording_solve(model, cfg):
         res = real_solve(model, cfg)
-        events.append(("solve", model, res.status))
+        events.append(("solve", model, res))
         return res
 
     monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
@@ -329,51 +389,88 @@ def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
                   seed=SAME_MODELS_SEED.get(kernel, 1))
     assert out.status == MAPPED
 
-    shallow, tried, deep = {}, {}, 0
+    def pairs(place):
+        return {(place[o], place[p]) for o, p in dfg.point_edges()}
+
+    screens, own, shallow, tried, deep = {}, {}, {}, {}, 0
     for i, event in enumerate(events):
         kind, nn = event[:2]
         if kind == "cache":
             cache = event[2]
             user, user_nn, user_cache = events[i + 1][:3]
             assert user_nn == nn and user_cache is cache
-            if user == "relaxed_placement":
-                # the screen model came just before and has passed
-                screen = events[i - 2]
+            if nn not in own:
+                # the screen came just before and passed; its placement
+                # is checked first
+                screen, result = events[i - 2], events[i - 1]
                 assert screen[0] == "placement_only"
-                assert events[i - 1] == ("solve", screen[4], FEASIBLE)
+                assert result[:2] == ("solve", screen[4])
+                assert result[2].status == FEASIBLE
+                assert user == "routing_only"
+                place = events[i + 1][3]["placement"]
+                assert place == {var.idx[0]: var.idx[1] for var, value
+                                 in result[2].assignment.items()
+                                 if var.cls == "f" and value == 1}
                 assert cache.k == RELAXED_PATHS
-                assert list(cache.paths) == used_pairs(screen[4])
+                assert set(cache.paths) == pairs(place)
+                screens[nn], own[nn], tried[nn] = screen[4], cache, 1
+            elif user == "relaxed_placement":
+                # the screen's placement was checked just before and did
+                # not route
+                check, result = events[i - 2], events[i - 1]
+                assert check[0] == "routing_only" and check[2] is own[nn]
+                assert result[:2] == ("solve", check[4])
+                assert result[2].status != FEASIBLE
+                assert cache.k == RELAXED_PATHS
+                assert list(cache.paths) == used_pairs(screens[nn])
                 assert nn not in shallow
-                shallow[nn], tried[nn] = cache, 0
+                shallow[nn] = cache
             else:
                 assert user == "routing_only"
                 assert cache.k == DEFAULT_K
                 place = events[i + 1][3]["placement"]
-                assert set(cache.paths) == {(place[o], place[p])
-                                            for o, p in dfg.point_edges()}
+                assert set(cache.paths) == pairs(place)
                 # the placement's shallow check just before was a proof
                 first, proof = events[i - 2], events[i - 1]
                 assert first[0] == "routing_only"
                 assert first[2] is shallow[nn]
                 assert first[3]["placement"] == place
-                assert proof == ("solve", first[4], INFEASIBLE)
+                assert proof[:2] == ("solve", first[4])
+                assert proof[2].status == INFEASIBLE
                 deep += 1
+        elif kind == "routing_only" and event[2] is own.get(nn):
+            # never deepened: what follows is the screen-wide cache, or
+            # nothing when the placement routed and the run ended
+            status = events[i + 1][2].status
+            assert event[4].metadata["k"] == RELAXED_PATHS
+            follows = events[i + 2] if i + 2 < len(events) else None
+            if status == FEASIBLE:
+                assert follows is None
+            else:
+                assert follows[0] == "cache"
+                assert events[i + 3][0] == "relaxed_placement"
         elif kind == "routing_only" and event[2] is shallow.get(nn):
             tried[nn] += 1
             assert event[4].metadata["k"] == RELAXED_PATHS
-            status = events[i + 1][2]
+            status = events[i + 1][2].status
             follows = events[i + 2][0] if i + 2 < len(events) else None
             assert (follows == "cache") == (status == INFEASIBLE)
     assert tried == {a.nn: a.placements_tried for a in out.attempts
                      if a.screen == "feasible"}
     assert tried
     assert deep == deepened
+    # the relaxed model is built exactly where the screen's placement
+    # missed
+    assert set(shallow) == {a.nn for a in out.attempts
+                            if a.screen == "feasible"
+                            and not (a.routed and a.placements_tried == 1)}
 
 
 def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
-    # the first placement is proven unroutable on RELAXED_PATHS routes and
-    # routes on DEFAULT_K ones; a run without the deep stage would go on
-    # to other placements
+    # the screen's placement is proven unroutable on RELAXED_PATHS routes,
+    # and is not deepened; the enumeration yields it first again, and
+    # then it routes on DEFAULT_K ones; a run without the deep stage
+    # would go on to other placements
     real_solve = mapper.solve
     checks, nodes = [], []
 
@@ -392,14 +489,15 @@ def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
                   seed=SAME_MODELS_SEED[kernel])
     assert out.status == MAPPED and out.solution.nn == 8
     assert [(a.nn, a.screen, a.placements_tried, a.routed)
-            for a in out.attempts] == [(8, FEASIBLE, 1, True)]
+            for a in out.attempts] == [(8, FEASIBLE, 2, True)]
     assert out.solution.placement == {
         "a": ("pe_0_0.alu", 1), "b": ("pe_1_0.alu", 1),
         "c": ("pe_1_0.alu", 0), "d": ("pe_0_0.alu", 0)}
     assert validate_mapping(dfg, mrrg, out.solution) == []
     assert checks == [(RELAXED_PATHS, 36, 38, INFEASIBLE),
+                      (RELAXED_PATHS, 36, 38, INFEASIBLE),
                       (DEFAULT_K, 173, 133, FEASIBLE)]
-    assert nodes[0] == 10
+    assert nodes[:2] == [10, 10]
     # so some route reported lies past its pair's first RELAXED_PATHS
     nmap = build_neighbor_map(mrrg, 8)
     shallow = build_path_cache(mrrg, nmap, RELAXED_PATHS)
@@ -411,7 +509,8 @@ def test_shallow_timeout_does_not_deepen(monkeypatch):
     # a timeout proves nothing: it ends that placement, as a routing
     # timeout always has, and no DEFAULT_K cache is built; and since no
     # placement was proven unroutable, the run timed out rather than
-    # found the kernel unmappable
+    # found the kernel unmappable. The screen's placement is tried first
+    # and the placement limit bounds only the enumeration after it.
     real_cache = mapper.build_path_cache
     depths = []
 
@@ -429,16 +528,123 @@ def test_shallow_timeout_does_not_deepen(monkeypatch):
                   seed=SAME_MODELS_SEED[kernel])
     assert (out.status, [(a.nn, a.screen, a.placements_tried, a.routed)
                          for a in out.attempts]) == (
-        TIMED_OUT, [(8, FEASIBLE, 2, False)])
-    assert depths == [RELAXED_PATHS]
+        TIMED_OUT, [(8, FEASIBLE, 3, False)])
+    assert depths == [RELAXED_PATHS, RELAXED_PATHS]
     assert [variant for variant, _ in seen] == [
-        "placement_only", "routing_only", "routing_only"]
+        "placement_only", "routing_only", "routing_only", "routing_only"]
+
+
+def _screen_placement(result):
+    return {var.idx[0]: var.idx[1] for var, value
+            in result.assignment.items() if var.cls == "f" and value == 1}
+
+
+def test_screen_placement_that_routes_skips_relaxed(monkeypatch):
+    # join's screen at NN 4 yields a placement that routes on its own
+    # RELAXED_PATHS cache: no cache over the screen's pairs and no relaxed
+    # model are built, and the mapping places what the screen placed
+    real_cache, real_variant = mapper.build_path_cache, mapper.build_variant
+    real_solve = mapper.solve
+    caches, built, screened = [], [], []
+
+    def recording_cache(mrrg, nmap, k=DEFAULT_K):
+        cache = real_cache(mrrg, nmap, k)
+        caches.append(cache)
+        return cache
+
+    def recording_variant(variant, *args, **kw):
+        built.append(variant)
+        return real_variant(variant, *args, **kw)
+
+    def recording_solve(model, cfg):
+        res = real_solve(model, cfg)
+        if model.variant == "placement_only":
+            screened.append((model, res))
+        return res
+
+    monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
+    monkeypatch.setattr(mapper, "build_variant", recording_variant)
+    monkeypatch.setattr(mapper, "solve", recording_solve)
+    dfg = parse_dfg(KERNELS["join"])
+    out = map_dfg(dfg, fabric("adres", 2), SCHEDULE, LIMITS, seed=1)
+    assert out.status == MAPPED
+    assert [(a.nn, a.screen, a.placements_tried, a.routed)
+            for a in out.attempts] == [(2, INFEASIBLE, 0, False),
+                                       (4, FEASIBLE, 1, True)]
+    assert "relaxed_placement" not in built
+    assert built.count("routing_only") == 1
+    screen, leaf = screened[-1]
+    place = _screen_placement(leaf)
+    assert out.solution.placement == place
+    assert [(c.k, set(c.paths)) for c in caches] == [
+        (RELAXED_PATHS, {(place[o], place[p]) for o, p in dfg.point_edges()})]
+    assert set(caches[0].paths) < set(used_pairs(screen))
+
+
+def test_screen_placement_is_never_deepened(monkeypatch):
+    # the screen's placement is proven unroutable on RELAXED_PATHS routes
+    # and the screen-wide cache follows, not a DEFAULT_K one; the
+    # enumeration yields the same placement first, and only then is it
+    # checked on DEFAULT_K routes
+    real_cache, real_solve = mapper.build_path_cache, mapper.solve
+    real_enumerate = mapper.enumerate_solutions
+    events, screened = [], []
+
+    def recording_cache(mrrg, nmap, k=DEFAULT_K):
+        events.append(("cache", k))
+        return real_cache(mrrg, nmap, k)
+
+    def recording_solve(model, cfg):
+        res = real_solve(model, cfg)
+        if model.variant == "placement_only":
+            screened.append(_screen_placement(res))
+        else:
+            events.append(("route", model.metadata["k"], res.status))
+        return res
+
+    def recording_enumerate(model, cfg):
+        for res in real_enumerate(model, cfg):
+            events.append(("yield", _screen_placement(res)))
+            yield res
+
+    monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
+    monkeypatch.setattr(mapper, "solve", recording_solve)
+    monkeypatch.setattr(mapper, "enumerate_solutions", recording_enumerate)
+    assert _run(*CANDIDATE_MISS) == (MAPPED, [(4, FEASIBLE, 4, True)])
+    shallow, deep = RELAXED_PATHS, DEFAULT_K
+    assert [e[0] if e[0] == "yield" else e for e in events] == [
+        ("cache", shallow), ("route", shallow, INFEASIBLE),
+        ("cache", shallow),
+        "yield", ("route", shallow, INFEASIBLE),
+        ("cache", deep), ("route", deep, INFEASIBLE),
+        "yield", ("route", shallow, INFEASIBLE),
+        ("cache", deep), ("route", deep, INFEASIBLE),
+        "yield", ("route", shallow, FEASIBLE)]
+    yields = [e[1] for e in events if e[0] == "yield"]
+    assert yields[0] == screened[0]
+    assert len({tuple(sorted(y.items())) for y in yields}) == 3
+
+
+@pytest.mark.parametrize("status,verdict", [(TIMEOUT, TIMED_OUT),
+                                            (INFEASIBLE, NOT_MAPPABLE)])
+def test_screen_placement_timeout_reads_timed_out(monkeypatch, status,
+                                                  verdict):
+    # the screen's placement check is the only routing check, since the
+    # enumeration yields nothing; a timeout there proves nothing, a proof
+    # of infeasibility leaves the kernel unmappable at the last target
+    monkeypatch.setattr(mapper, "enumerate_solutions",
+                        lambda model, cfg: iter(()))
+    seen = []
+    _stub_solve(monkeypatch, None, "routing_only", status, seen=seen)
+    assert _chain2((2,)) == (verdict, [(2, FEASIBLE, 1, False)])
+    assert [variant for variant, _ in seen] == ["placement_only",
+                                                "routing_only"]
 
 
 @pytest.mark.parametrize("kernel,spec,ii,schedule", [
     ("fan3", ArchSpec("adres", 4, 4), 2, SCHEDULE),
     *(case[:4] for case in SAME_MODELS),
-], ids=["fan3", "tree5", "join"])
+], ids=["fan3", "tree5", "join", "chain5"])
 def test_relaxed_model_extends_screen(kernel, spec, ii, schedule):
     # at every target whose screen builds, the relaxed model built over
     # the screen equals a fresh build, and the screen is left as it was
@@ -625,13 +831,14 @@ def test_report_is_byte_stable():
 
 
 def shared_mrrg_reports(shared: bool = True) -> str:
-    """The reports, times dropped, of mapping diamond (which takes the
-    deep routing stage) and then join on 2x2 ADRES at II 2, both onto
-    one MRRG or each onto its own."""
+    """The reports, times dropped, of mapping diamond (DEEP_CASE, which
+    takes the deep routing stage) and then join on 2x2 ADRES at II 2,
+    both onto one MRRG or each onto its own."""
     mrrg = fabric("adres", 2)
     reports = []
-    for kernel, seed in (("diamond", 3), ("join", 4)):
-        out = map_dfg(parse_dfg(KERNELS[kernel]), mrrg, SCHEDULE, LIMITS,
+    for kernel, schedule, seed in (("diamond", DEEP_CASE[3], 3),
+                                   ("join", SCHEDULE, 4)):
+        out = map_dfg(parse_dfg(KERNELS[kernel]), mrrg, schedule, LIMITS,
                       seed=seed)
         reports.append(outcome_to_dict(out, include_times=False))
         if not shared:
