@@ -54,9 +54,9 @@ def build_baseline(dfg: Dfg, mrrg: Mrrg) -> IlpModel:
         driver = edge.driver
         units = set(compatible_nodes(mrrg, ops[driver]))
         sinks = {s: compatible_nodes(mrrg, ops[s]) for s, _ in edge.sinks}
-        fwd = hop_dists(mrrg, units, mrrg.fanout)
+        fwd = hop_dists(mrrg, units)
         bwd = hop_dists(mrrg, {v for vs in sinks.values() for v in vs},
-                        mrrg.fanin)
+                        backward=True)
         spans = {n: fwd[n] + bwd[n] for n in fwd.keys() & bwd.keys()
                  if n not in mrrg.fus}
         lmax = min(route_count + 1, max(spans.values(), default=0) + slack)

@@ -32,11 +32,14 @@ Families, each built by one of two shared builders:
                 edges.
 The skip distance and the cluster shape are fixed: an ArchSpec sets only
 the family, rows, cols and route_through.
+
+Graph walks run on an IdView, built on first use and kept as long as the
+graph lives. Ids follow sorted-key order, so id tuples compare as the key
+tuples they stand for, and no set or dict order reaches a walk.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -153,16 +156,11 @@ class Mrrg:
         self.nodes = nodes
         self.fus = frozenset(k for k, n in nodes.items() if n.kind == FU)
         self._fanout: dict[NodeKey, tuple[NodeKey, ...]] = {k: () for k in nodes}
-        self._fanin: dict[NodeKey, tuple[NodeKey, ...]] = {k: () for k in nodes}
         fo: dict[NodeKey, list[NodeKey]] = {}
-        fi: dict[NodeKey, list[NodeKey]] = {}
         for a, b in edges:
             fo.setdefault(a, []).append(b)
-            fi.setdefault(b, []).append(a)
         for k, lst in fo.items():
             self._fanout[k] = tuple(sorted(set(lst)))
-        for k, lst in fi.items():
-            self._fanin[k] = tuple(sorted(set(lst)))
         self.edge_count = sum(map(len, self._fanout.values()))
 
     @cached_property
@@ -191,6 +189,17 @@ class Mrrg:
         so far, filled by the paths module (see paths._routes_for)."""
         return {}
 
+    @cached_property
+    def ids(self) -> IdView:
+        return IdView(self)
+
+    @cached_property
+    def _fanin(self) -> dict[NodeKey, tuple[NodeKey, ...]]:
+        """Sorted predecessors per key, from the id view, on first use."""
+        key = self.ids.keys.__getitem__
+        return {key(i): tuple(map(key, ins))
+                for i, ins in enumerate(self.ids.fanin)}
+
     def fanout(self, key: NodeKey) -> tuple[NodeKey, ...]:
         return self._fanout[key]
 
@@ -207,6 +216,53 @@ class Mrrg:
 
     def __repr__(self):
         return f"Mrrg(ii={self.ii}, {len(self.nodes)} nodes, {self.edge_count} edges)"
+
+
+class IdView:
+    """The graph over ids: keys[i] is vertex i in sorted-key order, index
+    its inverse, fanout[i] and fanin[i] (built on first use) sorted id
+    tuples, and fu[i] 1 for a function unit. searches holds each unit's
+    resumable neighbour search (see the neighbors module)."""
+
+    def __init__(self, mrrg: Mrrg):
+        self.keys = keys = tuple(sorted(mrrg.nodes))
+        self.index = index = dict(zip(keys, range(len(keys))))
+        get = index.__getitem__
+        self.fanout = [tuple(map(get, mrrg.fanout(k))) for k in keys]
+        self.fu = bytes(map(mrrg.fus.__contains__, keys))
+        self.searches: dict[int, list] = {}
+
+    @cached_property
+    def fanin(self) -> list[tuple[int, ...]]:
+        fanin = [[] for _ in self.keys]
+        for a, outs in enumerate(self.fanout):
+            for b in outs:
+                fanin[b].append(a)
+        return list(map(tuple, fanin))
+
+    def unit(self, key: NodeKey) -> int:
+        """The id of unit key; KeyError or ValueError if it is none."""
+        i = self.index.get(key)
+        if i is None:
+            raise KeyError(f"unknown node {key}")
+        if not self.fu[i]:
+            raise ValueError(f"{key} is not an FU node")
+        return i
+
+    def hop_dists(self, ends, adj) -> dict[int, int]:
+        """Breadth-first hop counts from the end ids along adj (fanout
+        or fanin), crossing no FU but the ends, as routes never do."""
+        fu = self.fu
+        dist = dict.fromkeys(ends, 0)
+        order = list(dist)  # grows as the loop reads it: a FIFO queue
+        for n in order:
+            if dist[n] and fu[n]:
+                continue
+            for m in adj[n]:
+                if m not in dist:
+                    dist[m] = dist[n] + 1
+                    order.append(m)
+        return dist
 
 
 class _Builder:
@@ -396,23 +452,12 @@ def fu_nodes(mrrg: Mrrg) -> tuple[NodeKey, ...]:
     return mrrg.sorted_fus
 
 
-def hop_dists(mrrg: Mrrg, ends, step) -> dict[NodeKey, int]:
-    """Breadth-first hop counts from any of the end units, one step
-    (mrrg.fanout forwards, mrrg.fanin backwards) per hop. Records every
-    vertex reached, the ends at 0, but passes through no FU except the
-    ends, as a route may only leave or enter a unit, never cross one."""
-    fus = mrrg.fus
-    dist = {u: 0 for u in ends}
-    frontier = deque(dist)
-    while frontier:
-        n = frontier.popleft()
-        if dist[n] and n in fus:
-            continue
-        for m in step(n):
-            if m not in dist:
-                dist[m] = dist[n] + 1
-                frontier.append(m)
-    return dist
+def hop_dists(mrrg: Mrrg, ends, backward: bool = False) -> dict[NodeKey, int]:
+    """IdView.hop_dists over keys; backward walks fanin."""
+    view = mrrg.ids
+    dist = view.hop_dists(map(view.index.__getitem__, ends),
+                          view.fanin if backward else view.fanout)
+    return {view.keys[i]: d for i, d in dist.items()}
 
 
 def compatible_nodes(mrrg: Mrrg, op: Operation) -> tuple[NodeKey, ...]:

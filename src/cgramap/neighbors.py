@@ -16,16 +16,23 @@ back into it, in which case it is its own neighbour.
 The map for a target depends on the graph alone, so build_neighbor_map
 computes it once per (MRRG, target) and keeps it on the MRRG: later calls,
 from any mapping run over that graph, get the same read-only map.
+
+Each unit's search walks the MRRG's id view and is kept on the MRRG: a
+deeper target resumes it, a shallower one reads an earlier wave's prefix.
+Its state is a list: ids found in discovery order, waves[w] the count
+found after w waves, the frontier and a seen flag per id; the last two
+are dropped once the frontier is empty.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from .dfg import is_int
-from .mrrg import Mrrg, NodeKey, fu_nodes
+from .mrrg import IdView, Mrrg, NodeKey
 
 
 def find_neighbors(mrrg: Mrrg, source: NodeKey,
@@ -35,31 +42,31 @@ def find_neighbors(mrrg: Mrrg, source: NodeKey,
     if not is_int(target_nn) or target_nn < 0:
         raise ValueError(
             f"target_nn must be an int of at least 0, got {target_nn!r}")
-    if source not in mrrg.nodes:
-        raise KeyError(f"unknown node {source}")
-    if not mrrg.is_fu(source):
-        raise ValueError(f"{source} is not an FU node")
+    view = mrrg.ids
+    return _neighbors(view, view.unit(source), target_nn)
 
-    fus = mrrg.fus
-    found: set[NodeKey] = set()
-    visited: set[NodeKey] = {source}
-    frontier: list[NodeKey] = [source]
-    while frontier and len(found) < target_nn:
-        nxt: list[NodeKey] = []
+
+def _neighbors(view: IdView, source: int, target: int) -> tuple[NodeKey, ...]:
+    search = view.searches.get(source)
+    if search is None:
+        # the source starts unseen, so a cycle back into it finds it
+        search = view.searches[source] = [
+            [], [0], [source], bytearray(len(view.keys))]
+    found, waves, frontier, seen = search
+    fanout, fu = view.fanout, view.fu
+    while frontier and waves[-1] < target:
+        nxt = []
         for n in frontier:
-            for m in mrrg.fanout(n):
-                if m == source:
-                    found.add(source)  # re-reached via a cycle
-                    continue
-                if m in visited:
-                    continue
-                visited.add(m)
-                if m in fus:
-                    found.add(m)
-                else:
-                    nxt.append(m)
-        frontier = nxt
-    return tuple(sorted(found))
+            for m in fanout[n]:
+                if not seen[m]:
+                    seen[m] = 1
+                    (found if fu[m] else nxt).append(m)
+        waves.append(len(found))
+        frontier = search[2] = nxt
+        if not nxt:
+            search[3] = None
+    end = waves[min(bisect_left(waves, target), len(waves) - 1)]
+    return tuple(map(view.keys.__getitem__, sorted(found[:end])))
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,8 @@ def build_neighbor_map(mrrg: Mrrg, target_nn: int) -> NeighborMap:
             f"target_nn must be an int of at least 1, got {target_nn!r}")
     nmap = mrrg.neighbor_maps.get(target_nn)
     if nmap is None:
+        view = mrrg.ids
         nmap = mrrg.neighbor_maps[target_nn] = NeighborMap(
-            target_nn,
-            {u: find_neighbors(mrrg, u, target_nn) for u in fu_nodes(mrrg)})
+            target_nn, {view.keys[u]: _neighbors(view, u, target_nn)
+                        for u, fu in enumerate(view.fu) if fu})
     return nmap

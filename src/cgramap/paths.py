@@ -16,6 +16,9 @@ list shorter than the k it was asked at holds every route, so serves any
 k. A deeper request enumerates only the pairs it lacks, with one
 distance-to-sink table per distinct sink, shared among every driver
 routed there and dropped once they are done.
+
+Enumeration walks the MRRG's id view, whose ids follow key order, and
+makes RoutePaths of keys only of the routes it returns.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 
 from .dfg import is_int
-from .mrrg import Mrrg, NodeKey, hop_dists
+from .mrrg import IdView, Mrrg, NodeKey
 from .neighbors import NeighborMap
 
 DEFAULT_K = 20
@@ -75,7 +78,8 @@ def k_shortest_paths(mrrg: Mrrg, u: NodeKey, v: NodeKey,
     Equal lengths tie-break on the vertex sequence, so the result is a
     strict prefix of the fully sorted path set. u == v enumerates cycles
     through u. Returns fewer than k paths when fewer exist, empty when v
-    is unreachable.
+    is unreachable. An endpoint that is not a unit of the graph raises
+    as in find_neighbors.
     """
     _check_k(k)
     return _routes_for(mrrg, ((u, v),), k)[u, v]
@@ -86,48 +90,50 @@ def _routes_for(mrrg: Mrrg, pairs, k: int):
     route table where it holds the pair deep enough; the rest are
     enumerated and stored at depth k."""
     table = mrrg.route_table
+    view = mrrg.ids
     found = {}
-    missing: dict[NodeKey, list[NodeKey]] = {}
+    missing: dict[int, list[int]] = {}
     for pair in pairs:
         held = table.get(pair)
         if held is not None and (k <= held[0] or len(held[1]) < held[0]):
             found[pair] = held[1][:k]
         else:
-            missing.setdefault(pair[1], []).append(pair[0])
+            src, dst = map(view.unit, pair)
+            missing.setdefault(dst, []).append(src)
     for dst, srcs in missing.items():
-        dist = hop_dists(mrrg, (dst,), mrrg.fanin)
+        dist = view.hop_dists((dst,), view.fanin)
         for src in srcs:
-            found[src, dst] = _routes(mrrg, src, dst, k, dist)
-            table[src, dst] = (k, found[src, dst])
+            pair = view.keys[src], view.keys[dst]
+            found[pair] = _routes(view, src, dst, k, dist)
+            table[pair] = (k, found[pair])
     return found
 
 
-def _routes(mrrg: Mrrg, u: NodeKey, v: NodeKey, k: int,
-            dist: dict[NodeKey, int]) -> tuple[RoutePath, ...]:
-    """k_shortest_paths given dist, the exact remaining hops to v from
-    every vertex that reaches it (a backward BFS from v)."""
-    if not (mrrg.is_fu(u) and mrrg.is_fu(v)):
-        raise ValueError("path endpoints must be functional units")
+def _routes(view: IdView, u: int, v: int, k: int,
+            dist: dict[int, int]) -> tuple[RoutePath, ...]:
+    """k_shortest_paths between unit ids given dist, the exact remaining
+    hops to v from every id that reaches it (a backward BFS from v)."""
     if u not in dist:
         return ()
-    fus = mrrg.fus
-    found: list[RoutePath] = []
-    heap: list[tuple[int, tuple[NodeKey, ...]]] = [(dist[u], (u,))]
+    fanout, fu = view.fanout, view.fu
+    found: list[tuple[int, ...]] = []
+    heap: list[tuple[int, tuple[int, ...]]] = [(dist[u], (u,))]
     while heap and len(found) < k:
         f, path = heapq.heappop(heap)
         cur = path[-1]
         if cur == v and len(path) > 1:
-            found.append(RoutePath(u, v, path))
+            found.append(path)
             continue
         g = f - dist[cur]
-        for nxt in mrrg.fanout(cur):
-            if nxt != v and (nxt in fus or nxt in path):
+        for nxt in fanout[cur]:
+            if nxt != v and (fu[nxt] or nxt in path):
                 continue
             rem = dist.get(nxt)
             if rem is None:
                 continue
             heapq.heappush(heap, (g + 1 + rem, path + (nxt,)))
-    return tuple(found)
+    key = view.keys.__getitem__
+    return tuple(RoutePath(key(u), key(v), tuple(map(key, p))) for p in found)
 
 
 @dataclass(frozen=True)

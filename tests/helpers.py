@@ -1,11 +1,36 @@
-"""Reference oracles for the test suite.
+"""Reference oracles for the test suite, and a runner for checks that
+need a fresh interpreter.
 
-Everything here is written against the documented semantics only and stays
+Every oracle is written against the documented semantics only and stays
 independent of the package's search and model-building code paths: plain
 fixpoint scans, exhaustive recursion, no shared helpers.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+
+def under_hash_seeds(call: str) -> list[str]:
+    """What `print(<call>)` writes under PYTHONHASHSEED 0 and 1, with the
+    test module that call names first imported (test_paths for
+    "test_paths.digest()")."""
+    tests = Path(__file__).resolve().parent
+    module = call.split(".", 1)[0]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
+                                               str(tests)]))
+        run = subprocess.run(
+            [sys.executable, "-c", f"import {module}; print({call})"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    return outputs
 
 
 def fu_depths(mrrg, source):

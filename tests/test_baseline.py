@@ -169,8 +169,8 @@ def test_window_structure():
     # over routing nodes, plus 2 * II + 4, capped at one more than the
     # number of routing nodes
     ops = dfg.ops_by_id
-    fwd = hop_dists(mrrg, compatible_nodes(mrrg, ops["a"]), mrrg.fanout)
-    bwd = hop_dists(mrrg, compatible_nodes(mrrg, ops["b"]), mrrg.fanin)
+    fwd = hop_dists(mrrg, compatible_nodes(mrrg, ops["a"]))
+    bwd = hop_dists(mrrg, compatible_nodes(mrrg, ops["b"]), backward=True)
     spread = max(fwd[n] + bwd[n] for n in fwd
                  if n in bwd and not mrrg.is_fu(n))
     routing = sum(1 for n in mrrg.nodes if not mrrg.is_fu(n))

@@ -5,10 +5,6 @@ points run."""
 
 import dataclasses
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -25,7 +21,8 @@ from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, RoutePath, build_path_cache
 from cgramap.solver import (FEASIBLE, INFEASIBLE, TIMEOUT, SolveConfig,
                             SolveResult, check_assignment, solve)
-from helpers import baseline_point, brute_force_mappable, mapping_solution
+from helpers import (baseline_point, brute_force_mappable, mapping_solution,
+                     under_hash_seeds)
 
 KERNELS = {
     "chain2": "op a add\nop b add\nedge a -> b:0\n",
@@ -846,27 +843,10 @@ def shared_mrrg_reports(shared: bool = True) -> str:
     return json.dumps(reports, sort_keys=True)
 
 
-def _under_hash_seeds(call: str) -> list[str]:
-    """What `print(<call>)` writes, with test_mapper imported, under
-    PYTHONHASHSEED 0 and 1."""
-    tests = Path(__file__).resolve().parent
-    outputs = []
-    for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
-                                               str(tests)]))
-        run = subprocess.run(
-            [sys.executable, "-c", f"import test_mapper; print({call})"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
-    return outputs
-
-
 def test_report_is_stable_across_hash_seeds():
     # str hashes, and so the order of a set of strings, change with
     # PYTHONHASHSEED; a search steered by such an order differs here
-    reports = _under_hash_seeds("test_mapper.join_report()")
+    reports = under_hash_seeds("test_mapper.join_report()")
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["status"] == MAPPED
 
@@ -874,7 +854,7 @@ def test_report_is_stable_across_hash_seeds():
 def test_shared_mrrg_reports_are_stable_across_hash_seeds():
     # the second mapping reads neighbour maps and routes the first left
     # on the MRRG; neither the hash seed nor that reuse may show
-    reports = _under_hash_seeds("test_mapper.shared_mrrg_reports()")
+    reports = under_hash_seeds("test_mapper.shared_mrrg_reports()")
     assert reports[0] == reports[1]
     assert reports[0].strip() == shared_mrrg_reports(shared=False)
     assert [r["status"] for r in json.loads(reports[0])] == [MAPPED, MAPPED]

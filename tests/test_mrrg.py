@@ -193,6 +193,29 @@ def test_hycube_structure():
     assert (("xb_3_0.to_io_s_3", 0), ("io_s_3", 0)) in edges
 
 
+@pytest.mark.parametrize("fam", ["ortho", "adres", "clustered", "hycube"])
+def test_id_view_mirrors_the_graph(fam):
+    # walks run on ids that follow key order, so each id-level fact must
+    # be the key-level one renamed; the view is built on first use only,
+    # and fanin, by id or by key, on the first backward walk
+    for rt, ii in ((True, 1), (False, 2), (True, 3)):
+        m = build_mrrg(ArchSpec(fam, 4, 4, route_through=rt), ii)
+        assert "ids" not in vars(m) and "_fanin" not in vars(m)
+        view = m.ids
+        assert view is m.ids and "fanin" not in vars(view)
+        assert list(view.keys) == sorted(m.nodes)
+        assert all(view.index[k] == i for i, k in enumerate(view.keys))
+        assert len(view.index) == len(view.keys)
+        fanin = {k: [] for k in m.nodes}
+        for a, b in m.edges():
+            fanin[b].append(a)
+        for i, k in enumerate(view.keys):
+            assert [view.keys[j] for j in view.fanout[i]] == list(m.fanout(k))
+            assert [view.keys[j] for j in view.fanin[i]] == sorted(fanin[k])
+            assert list(m.fanin(k)) == sorted(fanin[k])
+            assert view.fu[i] == (k in m.fus)
+
+
 FAMILIES = ("ortho", "adres", "clustered", "hycube")
 
 

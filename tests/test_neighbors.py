@@ -119,6 +119,31 @@ def test_agrees_with_oracle_and_is_monotone(fam, rows, cols, ii):
             prev = got
 
 
+@pytest.mark.parametrize("fam", ["ortho", "adres", "clustered", "hycube"])
+def test_resumed_search_ignores_target_order(fam):
+    # each unit's search is kept on the graph and resumed by a deeper
+    # target; whatever order targets come in, from the smallest to one
+    # past exhaustion, every answer is the one a fresh graph gives
+    for rt in (True, False):
+        for ii in (1, 2, 3):
+            spec = ArchSpec(fam, 2, 4 if fam == "clustered" else 3,
+                            route_through=rt)
+            fresh = build_mrrg(spec, ii)
+            n = len(fresh.fus)
+            up = (1, 2, 4, 8, 16, n, n + 1)
+            orders = (up, up[::-1], (4, 1, 4, n + 1, 2, n, 1, 16, 8, 8))
+            oracle = {}
+            for targets in orders:
+                m = build_mrrg(spec, ii)
+                for target in targets:
+                    for src in fu_nodes(m):
+                        if (src, target) not in oracle:
+                            oracle[src, target] = neighbors_oracle(
+                                fresh, src, target)
+                        got = find_neighbors(m, src, target)
+                        assert got == oracle[src, target]
+
+
 def test_neighbor_map_covers_every_fu_and_is_deterministic():
     m = build_mrrg(ArchSpec("adres", 2, 2), ii=1)
     nm = build_neighbor_map(m, 4)

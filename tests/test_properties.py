@@ -1,6 +1,7 @@
 """Property tests: the DFG and architecture text formats read back what
-they write. Derandomized with few examples, so they run in a couple of
-seconds and give the same cases on every run."""
+they write, and neighbour maps commute with the context rotation.
+Derandomized with few examples, so they run in a couple of seconds and
+give the same cases on every run."""
 
 import pytest
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cgramap.dfg import (OPCODES, Dfg, Edge, Operation,  # noqa: E402
                          parse_dfg, serialize_dfg)
-from cgramap.mrrg import ArchError, ArchSpec, parse_arch, serialize_arch  # noqa: E402
+from cgramap.mrrg import (ArchError, ArchSpec, build_mrrg,  # noqa: E402
+                          parse_arch, serialize_arch)
+from cgramap.neighbors import build_neighbor_map  # noqa: E402
 
 PROFILE = settings(derandomize=True, database=None, deadline=None,
                    max_examples=150)
@@ -61,3 +64,20 @@ def test_dfg_text_round_trip(dfg):
 @given(SPECS)
 def test_arch_text_round_trip(spec):
     assert parse_arch(serialize_arch(spec)) == spec
+
+
+@pytest.mark.parametrize("ii", [2, 3])
+@pytest.mark.parametrize("fam", ["ortho", "adres", "clustered", "hycube"])
+def test_neighbor_map_commutes_with_context_rotation(fam, ii):
+    # _Builder.add_edge wires every context alike, so t -> (t + 1) mod II
+    # is an automorphism of the MRRG and must carry each unit's
+    # neighbours onto its rotated twin's
+    m = build_mrrg(ArchSpec(fam, 4, 4), ii)
+
+    def rotate(key):
+        return key[0], (key[1] + 1) % ii
+
+    for nn in (4, 8, 16):
+        nmap = build_neighbor_map(m, nn)
+        for u, found in nmap.neighbors.items():
+            assert nmap[rotate(u)] == tuple(sorted(map(rotate, found)))
