@@ -165,6 +165,55 @@ def neighbor_domain(dfg: Dfg, mrrg: Mrrg,
     return tuple(domain)
 
 
+def placeable(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap | None = None) -> bool:
+    """False only when no placement meets con1-con2 (without nmap) or
+    con1-con3 (with it): a proof that the screen is infeasible, found
+    without a model. Given nmap, each operation's units are first cut to
+    those with a partner on every DFG edge through it, as con3 reads
+    one (v in nmap[u]; a loop edge only on a unit that is its own
+    neighbour), until nothing changes: arc consistency (Mackworth, AI
+    1977). Then the operations must match onto distinct units, the
+    all-different test (Regin, AAAI 1994), by augmenting paths."""
+    units = {op.id: set(compatible_nodes(mrrg, op)) for op in dfg.operations}
+    if nmap is not None:
+        near = nmap.neighbors
+        arcs = []
+        for o, p in dfg.point_edges():
+            if o == p:
+                units[o] = {u for u in units[o] if u in near[u]}
+            else:
+                arcs.append((o, p))
+        # each revision leaves its arc consistent; a cut domain queues the
+        # other arcs through it again (AC-3)
+        queue = set(arcs)
+        while queue:
+            o, p = arc = queue.pop()
+            sinks = units[p]
+            drivers = {u for u in units[o] if not sinks.isdisjoint(near[u])}
+            unmet = set(sinks)
+            for u in drivers:
+                unmet.difference_update(near[u])
+                if not unmet:
+                    break
+            if unmet or len(drivers) < len(units[o]):
+                units[o], units[p] = drivers, sinks - unmet
+                queue.update(a for a in arcs
+                             if a != arc and (o in a or p in a))
+    host: dict[NodeKey, str] = {}
+
+    def augment(o, seen):
+        for u in units[o]:
+            if u in seen:
+                continue
+            seen.add(u)
+            if u not in host or augment(host[u], seen):
+                host[u] = o
+                return True
+        return False
+
+    return all(augment(o, set()) for o in units)
+
+
 def used_pairs(model: IlpModel) -> list[tuple[NodeKey, NodeKey]]:
     """The (driver unit, sink unit) pairs a relaxed model reads routes
     for."""

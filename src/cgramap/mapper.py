@@ -1,15 +1,21 @@
 """Staged mapping driver.
 
-For each neighbour-count target in the schedule: screen with the
-placement-only model, then check the screen's own placement with the
-exact routing-only model over 3 paths per connection. Only when that
-misses, enumerate relaxed placements (3 paths per connection, at most 2
-signals per vertex; it extends the screen's model with path rows), and
-check each with the routing-only model: over the relaxed model's 3
-paths per connection first, and over all k cached paths only when those
-are proven too few. The first routable placement wins; growing the
-neighbourhood only happens when the cheap stages say the current one
-cannot work.
+For each neighbour-count target in the schedule, four stages refute or
+screen its placements before any routing: a matching of operations onto
+distinct compatible units (con1-con2, which do not depend on NN); the
+neighbour map; arc consistency over that map, then the matching again
+over the units it leaves (con1-con3); and the placement-only model,
+built and solved only when neither check refutes the target. Each
+refutation is a proof, reported as an infeasible screen with no
+placement tried. When the screen passes, its own placement is checked
+with the exact routing-only model over 3 paths per connection. Only when
+that misses, enumerate relaxed placements (3 paths per connection, at
+most 2 signals per vertex; it extends the screen's model with path
+rows), and check each with the routing-only model: over the relaxed
+model's 3 paths per connection first, and over all k cached paths only
+when those are proven too few. The first routable placement wins;
+growing the neighbourhood only happens when the cheap stages say the
+current one cannot work.
 
 Every stage takes its time limit as it starts: min(cap, time left
 before the map deadline), floored at 1 ms. MapLimits.solve_time caps
@@ -47,7 +53,7 @@ import time
 from dataclasses import dataclass
 
 from .dfg import Dfg, is_int
-from .ilp import InfeasibleModel, build_variant, used_pairs
+from .ilp import build_variant, placeable, used_pairs
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import NeighborMap, build_neighbor_map
 from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
@@ -84,9 +90,11 @@ class MapLimits:
 
 @dataclass(frozen=True)
 class NnAttempt:
-    """One target: placements_tried counts the screen's own placement,
-    once the screen passes, and each relaxed placement enumerated
-    after it."""
+    """One target: screen is the placement screen's status, infeasible
+    too when the unit matching or the neighbourhood check refuted the
+    target before any model was built; placements_tried counts the
+    screen's own placement, once the screen passes, and each relaxed
+    placement enumerated after it."""
 
     nn: int
     screen: str
@@ -193,6 +201,10 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
     (the screen's own, then each relaxed one), the first one that
     routes, if any, and whether some routing check timed out.
 
+    A target the unit matching refutes never asks for its neighbour map,
+    and one the neighbourhood check refutes builds no screen; either
+    returns what an infeasible screen does.
+
     The screen's placement meets con1-con3, so it is tried first, with
     one check over RELAXED_PATHS routes for just its own pairs. When it
     routes, the screen-wide cache and the relaxed model are never built.
@@ -200,11 +212,13 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
     routing evidence at all, and the enumeration may yield the placement
     again with its usual checks. Like a relaxed placement's check, one
     that ends past the deadline ends the target."""
-    nmap = build_neighbor_map(mrrg, nn)
-    try:
-        screen_model = build_variant("placement_only", dfg, mrrg, nmap)
-    except InfeasibleModel:
+    if not placeable(dfg, mrrg):
         return "infeasible", 0, None, False
+    nmap = build_neighbor_map(mrrg, nn)
+    if not placeable(dfg, mrrg, nmap):
+        return "infeasible", 0, None, False
+    # never infeasible to build: an op without a unit was refuted above
+    screen_model = build_variant("placement_only", dfg, mrrg, nmap)
     screened = solve(screen_model,
                      _config(seed, deadline, limits.solve_time))
     if screened.status != "feasible":

@@ -4,6 +4,7 @@ model agree with brute force, reports are stable, and the survey entry
 points run."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from cgramap import mapper
 from cgramap.baseline import build_baseline, extract_mapping
 from cgramap.dfg import Dfg, Operation, parse_dfg
-from cgramap.ilp import InfeasibleModel, build_variant, used_pairs
+from cgramap.ilp import (InfeasibleModel, build_variant, placeable,
+                         used_pairs)
 from cgramap.mapper import (MAPPED, NOT_MAPPABLE, RELAXED_PATHS, TIMED_OUT,
                             MappingSolution, MapLimits, characterize,
                             map_dfg, map_min_ii, outcome_to_dict,
@@ -155,13 +157,111 @@ CANDIDATE_MISS = ("chain5", "ortho", 2, (4,), 2)
 
 def test_op_without_a_unit_is_not_mappable():
     # parse_dfg rejects an unknown opcode, a Dfg built directly does not;
-    # every screen build then proves the op has no unit
+    # the unit matching then refutes every target
     dfg = Dfg([Operation("a", "frob")], [])
     with pytest.raises(InfeasibleModel, match="a has no compatible unit"):
         build_baseline(dfg, fabric("ortho", 1))
     out = map_dfg(dfg, fabric("ortho", 1), (2, 4), LIMITS, seed=1)
     assert (out.status, [(a.nn, a.screen) for a in out.attempts]) == (
         NOT_MAPPABLE, [(2, INFEASIBLE), (4, INFEASIBLE)])
+
+
+def _record_stages(monkeypatch):
+    """The neighbour-map targets asked for and the models built, in
+    order, as (name, NN or variant) pairs."""
+    real_nmap, real_variant = mapper.build_neighbor_map, mapper.build_variant
+    stages = []
+
+    def recording_nmap(mrrg, nn):
+        stages.append(("nmap", nn))
+        return real_nmap(mrrg, nn)
+
+    def recording_variant(variant, *args, **kw):
+        stages.append(("model", variant))
+        return real_variant(variant, *args, **kw)
+
+    monkeypatch.setattr(mapper, "build_neighbor_map", recording_nmap)
+    monkeypatch.setattr(mapper, "build_variant", recording_variant)
+    return stages
+
+
+def test_unit_matching_refutes_before_the_neighbour_map(monkeypatch):
+    # three stores and two memory units on 2x2 ADRES at II 1: no NN
+    # helps, so no target asks for its neighbour map or builds a screen
+    stages = _record_stages(monkeypatch)
+    dfg, mrrg = parse_dfg(KERNELS["stores3"]), fabric("adres", 1)
+    assert not placeable(dfg, mrrg)
+    out = map_dfg(dfg, mrrg, SCHEDULE, LIMITS, seed=1)
+    assert (out.status, [(a.nn, a.screen, a.placements_tried)
+                         for a in out.attempts]) == (
+        NOT_MAPPABLE, [(nn, INFEASIBLE, 0) for nn in SCHEDULE])
+    assert stages == []
+
+
+def test_neighbourhood_check_refutes_before_the_screen(monkeypatch):
+    # on 2x2 ortho at II 1 no ALU is its own neighbour at NN 1 or 2, so
+    # the loop edge has no unit there; at NN 4 one is, and the screen
+    # passes
+    stages = _record_stages(monkeypatch)
+    dfg, mrrg = parse_dfg(KERNELS["loop"]), fabric("ortho", 1)
+    out = map_dfg(dfg, mrrg, (1, 2, 4), LIMITS, seed=1)
+    assert (out.status, [(a.nn, a.screen, a.placements_tried)
+                         for a in out.attempts]) == (
+        MAPPED, [(1, INFEASIBLE, 0), (2, INFEASIBLE, 0), (4, FEASIBLE, 1)])
+    assert stages == [("nmap", 1), ("nmap", 2), ("nmap", 4),
+                      ("model", "placement_only"), ("model", "routing_only")]
+
+
+# two chains, one of 2 adds and one of 5, on 2x2 ADRES at II 2, NN 2:
+# each chain alone passes the check, so the cut leaves every op a unit,
+# and the 8 ALUs hold 7 ops; only the matching over the units the cut
+# leaves refutes them together
+TWO_CHAINS = ("op a add\nop b add\nedge a -> b:0\n"
+              "op c add\nop d add\nop e add\nop f add\nop g add\n"
+              "edge c -> d:0\nedge d -> e:0\nedge e -> f:0\nedge f -> g:0\n")
+
+
+def test_matching_after_the_cut_refutes(monkeypatch):
+    dfg, mrrg = parse_dfg(TWO_CHAINS), fabric("adres", 2)
+    nmap = build_neighbor_map(mrrg, 2)
+    for chain in (KERNELS["chain2"], KERNELS["chain5"]):
+        assert placeable(parse_dfg(chain), mrrg, nmap)
+    assert placeable(dfg, mrrg)
+    assert not placeable(dfg, mrrg, nmap)
+    # a proof: the screen it skips is infeasible
+    screen = build_variant("placement_only", dfg, mrrg, nmap)
+    assert solve(screen, SolveConfig(seed=1)).status == INFEASIBLE
+    stages = _record_stages(monkeypatch)
+    out = map_dfg(dfg, mrrg, (2,), LIMITS, seed=1)
+    assert [(a.nn, a.screen, a.placements_tried) for a in out.attempts] == [
+        (2, INFEASIBLE, 0)]
+    assert stages == [("nmap", 2)]
+
+
+def test_checked_target_builds_the_same_screen(monkeypatch):
+    # join on 2x2 ADRES at II 2 passes the check at NN 2, where its
+    # screen is infeasible, and at NN 4, where it is feasible; both
+    # screens hold the rows they held before the check came in (digests
+    # of their variables and rows)
+    real_variant = mapper.build_variant
+    screens = []
+
+    def recording_variant(variant, dfg, mrrg, nmap, *args, **kw):
+        model = real_variant(variant, dfg, mrrg, nmap, *args, **kw)
+        if variant == "placement_only":
+            rows = repr((model.variables, model.constraints)).encode()
+            screens.append((nmap.target_nn, len(model.variables),
+                            len(model.constraints),
+                            hashlib.sha256(rows).hexdigest()[:16]))
+        return model
+
+    monkeypatch.setattr(mapper, "build_variant", recording_variant)
+    out = map_dfg(parse_dfg(KERNELS["join"]), fabric("adres", 2), SCHEDULE,
+                  LIMITS, seed=1)
+    assert [(a.nn, a.screen) for a in out.attempts] == [(2, INFEASIBLE),
+                                                       (4, FEASIBLE)]
+    assert screens == [(2, 24, 27, "202d06a4111c0db7"),
+                       (4, 24, 27, "7031edfe19b76c13")]
 
 
 def test_screen_timeout_ends_the_run(monkeypatch):
@@ -858,6 +958,32 @@ def test_shared_mrrg_reports_are_stable_across_hash_seeds():
     assert reports[0] == reports[1]
     assert reports[0].strip() == shared_mrrg_reports(shared=False)
     assert [r["status"] for r in json.loads(reports[0])] == [MAPPED, MAPPED]
+
+
+def outcomes_digest() -> str:
+    """sha256 of the reports, times dropped, of every KERNELS entry on
+    the four 2x2 families at II 1-2 and seeds 1-3, one MRRG per (family,
+    II) per seed."""
+    reports = []
+    for seed in (1, 2, 3):
+        for family in ("ortho", "adres", "clustered", "hycube"):
+            for ii in (1, 2):
+                mrrg = fabric(family, ii)
+                for text in KERNELS.values():
+                    out = map_dfg(parse_dfg(text), mrrg, SCHEDULE, LIMITS,
+                                  seed=seed)
+                    reports.append(outcome_to_dict(out, include_times=False))
+    return hashlib.sha256(
+        json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
+def test_outcomes_digest_is_pinned():
+    # statuses, attempts (NN, screen status, placements tried, routed)
+    # and mappings of 288 runs. A change that is meant to keep every
+    # verdict and mapping keeps this value; a change to it is re-pinned
+    # only with the reason given in CHANGES.md
+    assert outcomes_digest() == (
+        "9132fa7ae9cb36c44c12c24d9cca38f7ac411dcea8140bae05e11bb88c530ceb")
 
 
 def test_characterize_smoke():

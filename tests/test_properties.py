@@ -1,7 +1,10 @@
 """Property tests: the DFG and architecture text formats read back what
-they write, and neighbour maps commute with the context rotation.
+they write, a target the placement check refutes has no placement, and
+neighbour maps and routes commute with the context rotation.
 Derandomized with few examples, so they run in a couple of seconds and
 give the same cases on every run."""
+
+from functools import lru_cache
 
 import pytest
 
@@ -11,9 +14,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cgramap.dfg import (OPCODES, Dfg, Edge, Operation,  # noqa: E402
                          parse_dfg, serialize_dfg)
+from cgramap.ilp import (InfeasibleModel, build_variant,  # noqa: E402
+                         placeable)
 from cgramap.mrrg import (ArchError, ArchSpec, build_mrrg,  # noqa: E402
                           parse_arch, serialize_arch)
 from cgramap.neighbors import build_neighbor_map  # noqa: E402
+from cgramap.paths import DEFAULT_K, build_path_cache  # noqa: E402
+from cgramap.solver import INFEASIBLE, SolveConfig, solve  # noqa: E402
+from helpers import brute_force_mappable  # noqa: E402
 
 PROFILE = settings(derandomize=True, database=None, deadline=None,
                    max_examples=150)
@@ -66,6 +74,42 @@ def test_arch_text_round_trip(spec):
     assert parse_arch(serialize_arch(spec)) == spec
 
 
+# every valid 1x2 to 2x3 fabric (clustered ones are 2x2 only) at II 1-2
+TINY = [(family, rows, cols, ii)
+        for family in ("ortho", "adres", "clustered", "hycube")
+        for rows, cols in ((1, 2), (1, 3), (2, 2), (2, 3))
+        if _valid(ArchSpec(family, rows, cols)) for ii in (1, 2)]
+
+
+@lru_cache(maxsize=None)
+def tiny_mrrg(family, rows, cols, ii):
+    return build_mrrg(ArchSpec(family, rows, cols), ii)
+
+
+@settings(PROFILE, max_examples=100)
+@given(dfgs(), st.sampled_from(TINY))
+def test_refuted_target_has_no_placement(dfg, fabric):
+    # a refusal is a proof: the screen it stands for is infeasible; at
+    # the full neighbourhood, which holds every unit a route reaches,
+    # no mapping exists either (checked by brute force where it is quick:
+    # up to 4 ops on fabrics of up to 50 vertices)
+    mrrg = tiny_mrrg(*fabric)
+    full = len(mrrg.fus)
+    for nn in (1, 2, 4, 8, full):
+        nmap = build_neighbor_map(mrrg, nn)
+        if placeable(dfg, mrrg) and placeable(dfg, mrrg, nmap):
+            continue
+        try:
+            screen = build_variant("placement_only", dfg, mrrg, nmap)
+        except InfeasibleModel:
+            continue
+        res = solve(screen, SolveConfig(seed=1, time_limit=10))
+        assert res.status == INFEASIBLE, nn
+    if (len(dfg.operations) <= 4 and len(mrrg.nodes) <= 50
+            and not placeable(dfg, mrrg, build_neighbor_map(mrrg, full))):
+        assert not brute_force_mappable(dfg, mrrg)
+
+
 @pytest.mark.parametrize("ii", [2, 3])
 @pytest.mark.parametrize("fam", ["ortho", "adres", "clustered", "hycube"])
 def test_neighbor_map_commutes_with_context_rotation(fam, ii):
@@ -81,3 +125,20 @@ def test_neighbor_map_commutes_with_context_rotation(fam, ii):
         nmap = build_neighbor_map(m, nn)
         for u, found in nmap.neighbors.items():
             assert nmap[rotate(u)] == tuple(sorted(map(rotate, found)))
+
+
+@pytest.mark.parametrize("ii", [2, 3])
+@pytest.mark.parametrize("fam", ["ortho", "adres", "clustered", "hycube"])
+def test_path_cache_commutes_with_context_rotation(fam, ii):
+    # the same automorphism carries each pair's routes, in order, onto
+    # its rotated twin's: route order (length, then vertex keys) never
+    # turns on a context number. Shallower lists are prefixes of these
+    m = build_mrrg(ArchSpec(fam, 4, 4), ii)
+
+    def rotate(key):
+        return key[0], (key[1] + 1) % ii
+
+    cache = build_path_cache(m, build_neighbor_map(m, 4), DEFAULT_K)
+    for (u, v), routes in cache.paths.items():
+        assert [rp.vertices for rp in cache[rotate(u), rotate(v)]] == [
+            tuple(map(rotate, rp.vertices)) for rp in routes]
