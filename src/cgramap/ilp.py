@@ -12,8 +12,8 @@ driver unit u). The constraint families:
   con5  path required: an edge placed on a neighbour pair needs a path,
         f[o,u] + f[p,v] - sum_q p[u,v,q] <= 1 (f[o,u] - sum_q p[u,u,q]
         <= 0 for a loop edge)
-  con6  path exclusivity: a routing vertex carries at most `limit`
-        signals; a path switched on claims its driver's y at every
+  con6  path exclusivity: a routing vertex carries at most one
+        signal; a path switched on claims its driver's y at every
         interior vertex, one row sum(p of u crossing n) - M*y[n,u] <= 0
         per (vertex n, driver u)
 
@@ -21,13 +21,10 @@ The numbering is that of a formulation with a variable per placed DFG
 edge (o, u, p, v), equal to f[o,u] * f[p,v] as con2 places each op once;
 con3 and con5 project it out, and with it that formulation's con4.
 
-Four variants are built from these: placement_only (con1-3),
-relaxed_placement (con1-3, con5, con6 at 2 signals per vertex),
+Three variants are built from these: placement_only (con1-3),
 routing_only (con5-6 over the pairs of a given placement) and combined
-(con1-3, con5, con6 exact, at 1 signal per vertex); a relaxed model can
-copy con1-3 from the screen that passed before it. Variables and rows
-are named tuples, which are built, hashed and sorted without Python
-code.
+(con1-3, con5-6). Variables and rows are named tuples, which are built,
+hashed and sorted without Python code.
 
 Each implication group is one row, M being its number of summed terms,
 in place of M rows x - g <= 0: the two forms admit the same 0/1 points
@@ -46,7 +43,7 @@ from .mrrg import Mrrg, NodeKey, compatible_nodes, fu_nodes
 from .neighbors import NeighborMap
 from .paths import PathCache
 
-VARIANTS = ("placement_only", "relaxed_placement", "routing_only", "combined")
+VARIANTS = ("placement_only", "routing_only", "combined")
 MODEL_KINDS = VARIANTS + ("baseline",)
 
 
@@ -214,12 +211,6 @@ def placeable(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap | None = None) -> bool:
     return all(augment(o, set()) for o in units)
 
 
-def used_pairs(model: IlpModel) -> list[tuple[NodeKey, NodeKey]]:
-    """The (driver unit, sink unit) pairs a relaxed model reads routes
-    for."""
-    return sorted({(u, v) for _, u, _, v in model.domain})
-
-
 def declare_p(model: IlpModel, cache: PathCache, pairs) -> None:
     for u, v in sorted(pairs):
         for q in range(len(cache.get((u, v)))):
@@ -298,81 +289,56 @@ def _interior_buckets(model: IlpModel, cache: PathCache):
     return buckets
 
 
-def add_path_exclusivity(model: IlpModel, cache: PathCache,
-                         overuse_limit: int) -> None:
-    """At most overuse_limit signals (distinct driver units) per routing
-    vertex. For each vertex n crossed by paths of more drivers than
-    that: one y[n,u] per driver u, one claim row
-    sum(p of u crossing n) - M*y[n,u] <= 0 with M the number of those
-    paths, and sum_u y[n,u] <= overuse_limit.
-
-    At limit 1 this admits exactly the path sets in which no two paths
-    of distinct drivers share an interior vertex. Above 1 it counts
-    signals, not paths: paths of one driver stack on a vertex as one
-    signal, so two of them plus one foreign path fit under limit 2."""
-    if overuse_limit < 1:
-        raise ValueError("overuse_limit must be positive")
+def add_path_exclusivity(model: IlpModel, cache: PathCache) -> None:
+    """At most one signal (driver unit) per routing vertex. For each
+    vertex n crossed by paths of more than one driver: one y[n,u] per
+    driver u, one claim row sum(p of u crossing n) - M*y[n,u] <= 0 with
+    M the number of those paths, and sum_u y[n,u] <= 1. This admits
+    exactly the path sets in which no two paths of distinct drivers
+    share an interior vertex; paths of one driver may share one."""
     buckets = _interior_buckets(model, cache)
     for n in sorted(buckets):
         by_driver = buckets[n]
-        if len(by_driver) <= overuse_limit:
+        if len(by_driver) <= 1:
             continue
         ys = []
         for u in sorted(by_driver):
             y = model.add_var(yvar(n, u))
             ys.append((1, y))
             add_implication(model, by_driver[u], y, "con6")
-        model.add_constraint(ys, "<=", overuse_limit, "con6")
+        model.add_constraint(ys, "<=", 1, "con6")
 
 
 def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
                   cache: PathCache | None = None, *,
                   paths_per_connection: int | None = None,
-                  placement: dict[str, NodeKey] | None = None,
-                  screen: IlpModel | None = None) -> IlpModel:
+                  placement: dict[str, NodeKey] | None = None) -> IlpModel:
     """One model variant over the neighbour map and, past the screen,
     the path cache. Metadata records nn and the cache's k. Every variant
     reads every route the cache holds for a pair, so the caller picks
-    the depth; paths_per_connection, if given, must equal the cache's k.
-    Given screen, the placement_only model over the same dfg, mrrg and
-    nmap, the relaxed model copies its domain, variables and con1-3 rows
-    instead of building them again."""
+    the depth; paths_per_connection, if given, must equal the cache's k."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if paths_per_connection is not None and (
             cache is None or paths_per_connection != cache.k):
         raise ValueError(f"paths_per_connection={paths_per_connection!r} "
                          f"is not the path cache's k")
-    if screen is not None and (
-            variant != "relaxed_placement"
-            or screen.variant != "placement_only"
-            or screen.metadata.get("nn") != nmap.target_nn):
-        raise ValueError(f"{variant} at NN {nmap.target_nn} cannot extend a "
-                         f"{screen.variant} at NN {screen.metadata.get('nn')}")
     if variant == "routing_only":
         return _build_routing_only(dfg, mrrg, nmap, cache, placement)
     model = IlpModel(variant, nn=nmap.target_nn,
                      k=cache.k if cache else None)
-    if screen is None:
-        model.domain = neighbor_domain(dfg, mrrg, nmap)
-        declare_f(model, dfg, mrrg)
-        add_fu_exclusivity(model, fu_nodes(mrrg))
-        add_must_map(model, dfg)
-        add_neighbor_required(model, dfg)
-    else:
-        model.domain = screen.domain
-        for var in screen.variables:
-            model.add_var(var)
-        model.constraints = list(screen.constraints)
+    model.domain = neighbor_domain(dfg, mrrg, nmap)
+    declare_f(model, dfg, mrrg)
+    add_fu_exclusivity(model, fu_nodes(mrrg))
+    add_must_map(model, dfg)
+    add_neighbor_required(model, dfg)
     if variant == "placement_only":
         return model
     if cache is None:
         raise ValueError(f"{variant} needs a path cache")
-    limit = 2 if variant == "relaxed_placement" else 1
-    model.metadata["overuse_limit"] = limit
-    declare_p(model, cache, used_pairs(model))
+    declare_p(model, cache, {(u, v) for _, u, _, v in model.domain})
     add_path_required(model, cache)
-    add_path_exclusivity(model, cache, limit)
+    add_path_exclusivity(model, cache)
     return model
 
 
@@ -389,8 +355,7 @@ def _build_routing_only(dfg, mrrg, nmap, cache, placement):
         if u in taken:
             raise InfeasibleModel(f"unit {u} hosts both {taken[u]} and {o}")
         taken[u] = o
-    model = IlpModel("routing_only", nn=nmap.target_nn, k=cache.k,
-                     overuse_limit=1)
+    model = IlpModel("routing_only", nn=nmap.target_nn, k=cache.k)
     pairs = []
     for o, p in dfg.point_edges():
         if o not in placement or p not in placement:
@@ -405,7 +370,7 @@ def _build_routing_only(dfg, mrrg, nmap, cache, placement):
         if not terms:
             raise InfeasibleModel(f"no cached path {u} -> {v}")
         model.add_constraint(terms, ">=", 1, "con5")
-    add_path_exclusivity(model, cache, 1)
+    add_path_exclusivity(model, cache)
     return model
 
 

@@ -5,37 +5,36 @@ screen its placements before any routing: a matching of operations onto
 distinct compatible units (con1-con2, which do not depend on NN); the
 neighbour map; arc consistency over that map, then the matching again
 over the units it leaves (con1-con3); and the placement-only model,
-built and solved only when neither check refutes the target. Each
-refutation is a proof, reported as an infeasible screen with no
-placement tried. When the screen passes, its own placement is checked
-with the exact routing-only model over 3 paths per connection. Only when
-that misses, enumerate relaxed placements (3 paths per connection, at
-most 2 signals per vertex; it extends the screen's model with path
-rows), and check each with the routing-only model: over the relaxed
-model's 3 paths per connection first, and over all k cached paths only
-when those are proven too few. The first routable placement wins;
-growing the neighbourhood only happens when the cheap stages say the
-current one cannot work.
+built only when neither check refutes the target. Each refutation is a
+proof, reported as an infeasible screen with no placement tried. The
+placement-only model is then enumerated, and each placement it yields
+is checked with the routing-only model: over SHALLOW_PATHS routes per
+connection first, and over DEFAULT_K routes only when those are proven
+too few. The first routable placement wins; growing the neighbourhood
+only happens when the cheap stages say the current one cannot work.
+
+This deviates from the paper, which stages its models as screen, then
+relaxed placement (con5, and con6 at more than one signal per vertex,
+over a few paths per connection), then routing-only. Here the relaxed
+model, at 2 signals per vertex over SHALLOW_PATHS routes, excluded no
+placement that its enumeration reached. Enumerating the screen in its
+place gave the same verdicts, placements and routes on every kernels
+and fabric benchmark instance at seeds 1-3 (150 runs), on chain8, fir4,
+sum4 and mac on 4x4 ADRES and HyCUBE at II 2 (24 runs) and on the 288
+runs of tests/test_mapper.py's outcomes_digest. The relaxed model only
+added its build and a larger search.
 
 Every stage takes its time limit as it starts: min(cap, time left
 before the map deadline), floored at 1 ms. MapLimits.solve_time caps
-each screen and routing solve; the enumeration has no cap and runs to
-the deadline.
+each routing solve; the enumeration has no cap and runs to the
+deadline.
 
-Each cache a model reads is only as deep as that model needs, and
-holds only the pairs it reads. Once a screen passes, its placement gets
-a cache of RELAXED_PATHS routes over just its own (driver unit, sink
-unit) pairs, and one routing check; it is never deepened. When it does
-not route, one cache holds RELAXED_PATHS routes for every pair the
-screen model's neighbour domain places a DFG edge on, which are the
-only pairs the relaxed model reads. Each relaxed placement tried is
-routed over that cache first. Only when that routing-only model is
-proven infeasible does the placement get its own cache of DEFAULT_K
-routes over just its own pairs, and a routing-only model over it; the
-reported routing comes from the cache that routed.
-Enumeration is best-first, so a shallow list is the prefix of a deep
-one: what routes on RELAXED_PATHS routes also routes on DEFAULT_K, and
-the verdicts are those of one deep cache.
+Each placement tried gets a cache of SHALLOW_PATHS routes over just its
+own (driver unit, sink unit) pairs, and only when the routing-only model
+over it is proven infeasible, one of DEFAULT_K routes over the same
+pairs; the reported routing comes from the cache that routed. A shallow
+list is the prefix of a deep one: what routes on SHALLOW_PATHS routes
+also routes on DEFAULT_K, and the verdicts are those of one deep cache.
 
 Neighbour maps and routes are derived once per MRRG and kept on it (see
 the neighbors and paths modules), so every target, placement and call
@@ -53,7 +52,7 @@ import time
 from dataclasses import dataclass
 
 from .dfg import Dfg, is_int
-from .ilp import build_variant, placeable, used_pairs
+from .ilp import build_variant, placeable
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import NeighborMap, build_neighbor_map
 from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
@@ -65,15 +64,16 @@ TIMED_OUT = "timed_out"
 
 GENERIC_SCHEDULE = tuple(range(4, 25, 2))
 
-# routes per connection in the cache the relaxed model and each
-# placement's first routing check read
-RELAXED_PATHS = 3
+# routes per connection in the cache each placement's first routing
+# check reads
+SHALLOW_PATHS = 3
 
 
 @dataclass(frozen=True)
 class MapLimits:
-    """solve_time caps each screen and routing solve; the enumeration
-    runs to the total_time deadline."""
+    """placement_limit caps the placements enumerated per target,
+    solve_time each routing solve; the enumeration runs to the
+    total_time deadline."""
 
     placement_limit: int = 100
     solve_time: float = 120.0
@@ -90,11 +90,11 @@ class MapLimits:
 
 @dataclass(frozen=True)
 class NnAttempt:
-    """One target: screen is the placement screen's status, infeasible
-    too when the unit matching or the neighbourhood check refuted the
-    target before any model was built; placements_tried counts the
-    screen's own placement, once the screen passes, and each relaxed
-    placement enumerated after it."""
+    """One target: screen is the placement screen's status, feasible
+    once its enumeration yields a placement, and infeasible too when the
+    unit matching or the neighbourhood check refuted the target before
+    any model was built; placements_tried counts each distinct placement
+    the enumeration yielded."""
 
     nn: int
     screen: str
@@ -125,15 +125,6 @@ def _check_schedule(schedule) -> tuple[int, ...]:
             or any(b <= a for a, b in zip(sched, sched[1:]))):
         raise ValueError("schedule must be strictly increasing positive ints")
     return sched
-
-
-def _cache_over(mrrg: Mrrg, nn: int, pairs, k: int) -> PathCache:
-    """k routes for each (driver unit, sink unit) pair given."""
-    sinks: dict[NodeKey, list[NodeKey]] = {}
-    for u, w in sorted(pairs):
-        sinks.setdefault(u, []).append(w)
-    return build_path_cache(
-        mrrg, NeighborMap(nn, {u: tuple(ws) for u, ws in sinks.items()}), k)
 
 
 def _routes_of(assignment, cache: PathCache, placement: dict[str, NodeKey],
@@ -197,68 +188,50 @@ def _config(seed: int, deadline: float, cap: float = math.inf,
 def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
              deadline: float
              ) -> tuple[str, int, MappingSolution | None, bool]:
-    """One target: the screen's status, the number of placements tried
-    (the screen's own, then each relaxed one), the first one that
-    routes, if any, and whether some routing check timed out.
+    """One target: the screen's status, the number of placements tried,
+    the first one that routes, if any, and whether some routing check
+    timed out.
 
     A target the unit matching refutes never asks for its neighbour map,
     and one the neighbourhood check refutes builds no screen; either
-    returns what an infeasible screen does.
-
-    The screen's placement meets con1-con3, so it is tried first, with
-    one check over RELAXED_PATHS routes for just its own pairs. When it
-    routes, the screen-wide cache and the relaxed model are never built.
-    It is never deepened: a DEFAULT_K proof costs most when there is no
-    routing evidence at all, and the enumeration may yield the placement
-    again with its usual checks. Like a relaxed placement's check, one
-    that ends past the deadline ends the target."""
+    returns what an infeasible screen does. Otherwise the screen is
+    enumerated, and its status is feasible once it yields a placement,
+    else the status its empty stream ends with. Its first placement is
+    the leaf one solve finds at the same seed. A routing check that ends
+    past the deadline ends the target."""
     if not placeable(dfg, mrrg):
         return "infeasible", 0, None, False
     nmap = build_neighbor_map(mrrg, nn)
     if not placeable(dfg, mrrg, nmap):
         return "infeasible", 0, None, False
     # never infeasible to build: an op without a unit was refuted above
-    screen_model = build_variant("placement_only", dfg, mrrg, nmap)
-    screened = solve(screen_model,
-                     _config(seed, deadline, limits.solve_time))
-    if screened.status != "feasible":
-        return screened.status, 0, None, False
-
-    placement = _placement_of(screened.assignment)
-    status, routing = _route(
-        dfg, mrrg, nmap,
-        _cache_over(mrrg, nn, _pairs_of(dfg, placement), RELAXED_PATHS),
-        placement, seed, deadline, limits.solve_time)
-    if routing is not None:
-        return "feasible", 1, MappingSolution(placement, routing, nn), False
-    tried, timed_out = 1, status == "timeout"
-    if time.monotonic() >= deadline:
-        return "feasible", tried, None, timed_out
-
-    shallow = _cache_over(mrrg, nn, used_pairs(screen_model), RELAXED_PATHS)
-    relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap, shallow,
-                            screen=screen_model)
-    for candidate in enumerate_solutions(
-            relaxed,
-            _config(seed, deadline, solutions=limits.placement_limit)):
+    screen = build_variant("placement_only", dfg, mrrg, nmap)
+    placements = enumerate_solutions(
+        screen, _config(seed, deadline, solutions=limits.placement_limit))
+    tried, timed_out = 0, False
+    while True:
+        try:
+            candidate = next(placements)
+        except StopIteration as stop:
+            # an empty stream ends with the screen's verdict; a stream
+            # ends with None only at the placement limit, after a yield
+            screened = stop.value.status if not tried else "feasible"
+            return screened, tried, None, timed_out
         tried += 1
         placement = _placement_of(candidate.assignment)
-        status, routing = _route(dfg, mrrg, nmap, shallow, placement, seed,
-                                 deadline, limits.solve_time)
+        status, routing = _route(dfg, mrrg, nmap, placement, SHALLOW_PATHS,
+                                 seed, deadline, limits.solve_time)
         if status == "infeasible":
-            # proven unroutable on RELAXED_PATHS routes; DEFAULT_K may hold
+            # proven unroutable on SHALLOW_PATHS routes; DEFAULT_K may hold
             # more
-            deep = _cache_over(mrrg, nn, _pairs_of(dfg, placement),
-                               DEFAULT_K)
-            status, routing = _route(dfg, mrrg, nmap, deep, placement, seed,
-                                     deadline, limits.solve_time)
+            status, routing = _route(dfg, mrrg, nmap, placement, DEFAULT_K,
+                                     seed, deadline, limits.solve_time)
         if routing is not None:
             return ("feasible", tried, MappingSolution(placement, routing, nn),
                     timed_out)
         timed_out = timed_out or status == "timeout"
         if time.monotonic() >= deadline:
-            break
-    return "feasible", tried, None, timed_out
+            return "feasible", tried, None, timed_out
 
 
 def _placement_of(assignment) -> dict[str, NodeKey]:
@@ -267,22 +240,24 @@ def _placement_of(assignment) -> dict[str, NodeKey]:
             if var.cls == "f" and value == 1}
 
 
-def _pairs_of(dfg: Dfg, placement: dict[str, NodeKey]):
-    """The (driver unit, sink unit) pairs a placement routes."""
-    return {(placement[o], placement[p]) for o, p in dfg.point_edges()}
-
-
-def _route(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cache: PathCache,
-           placement: dict[str, NodeKey], seed: int, deadline: float,
-           cap: float):
-    """The routing-only check of one placement over cache: its status and,
-    when feasible, the routing."""
+def _route(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
+           placement: dict[str, NodeKey], k: int, seed: int,
+           deadline: float, cap: float):
+    """The routing-only check of one placement over a cache of k routes
+    for each of its (driver unit, sink unit) pairs: its status and, when
+    feasible, the routing."""
+    sinks: dict[NodeKey, list[NodeKey]] = {}
+    for u, w in sorted({(placement[o], placement[p])
+                        for o, p in dfg.point_edges()}):
+        sinks.setdefault(u, []).append(w)
+    cache = build_path_cache(
+        mrrg, NeighborMap(nmap.target_nn,
+                          {u: tuple(ws) for u, ws in sinks.items()}), k)
     # never infeasible to build. Every placement passed here meets
     # con1-con3, which rule out a shared unit, an incompatible unit and a
-    # pair outside the neighbour map. Every cache passed here holds the
-    # placement's pairs, and holds at least one route for each: the
-    # neighbour BFS reaches a sink only along a simple route, which the
-    # path enumeration finds.
+    # pair outside the neighbour map. The cache holds at least one route
+    # for each of the placement's pairs: the neighbour BFS reaches a sink
+    # only along a simple route, which the path enumeration finds.
     model = build_variant("routing_only", dfg, mrrg, nmap, cache,
                           placement=placement)
     routed = solve(model, _config(seed, deadline, cap))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -8,11 +9,12 @@ from cgramap.dfg import parse_dfg
 from cgramap.ilp import (VARIANTS, IlpModel, InfeasibleModel, VarId,
                          add_fu_exclusivity, add_implication, add_must_map,
                          add_path_exclusivity, audit, build_variant, fvar,
-                         pvar, used_pairs, yvar)
-from cgramap.mapper import RELAXED_PATHS
+                         pvar, yvar)
+from cgramap.mapper import SHALLOW_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg, compatible_nodes, fu_nodes
 from cgramap.neighbors import NeighborMap, build_neighbor_map
-from cgramap.paths import PathCache, RoutePath, build_path_cache
+from cgramap.paths import (DEFAULT_K, PathCache, RoutePath,
+                           build_path_cache)
 
 from helpers import satisfies
 
@@ -64,7 +66,7 @@ def inst():
 @pytest.fixture(scope="module")
 def shallow(inst):
     _, m, nmap, _ = inst
-    return build_path_cache(m, nmap, RELAXED_PATHS)
+    return build_path_cache(m, nmap, SHALLOW_PATHS)
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +93,8 @@ def count(model, tag):
 def signal_rows(cons):
     """Split the con6 rows into path -> signals it claims (claim rows
     sum(p) - M*y <= 0: +1 p terms and one y term of minus their count)
-    and signal sum rows (rows of +1 y terms <= limit); fails on any
-    other shape, since admits() relies on these two."""
+    and signal sum rows (rows of +1 y terms <= 1); fails on any other
+    shape, since admits() relies on these two."""
     claims, sums = {}, []
     for c in cons:
         if c.tag != "con6":
@@ -105,7 +107,7 @@ def signal_rows(cons):
             for pv in paths:
                 claims.setdefault(pv, set()).add(y)
         else:
-            assert c.relation == "<=" and c.rhs >= 1
+            assert c.relation == "<=" and c.rhs == 1
             assert all(k == 1 and v.cls == "y" for k, v in c.terms)
             sums.append(c)
     return claims, sums
@@ -131,7 +133,7 @@ def test_variable_domains_and_counts(inst, combined):
     assert len(by_cls["f"]) == n_f == 6 * 9
     assert sorted(model.domain) == sorted(dom)
     pairs = {(u, v) for _, u, _, v in dom}
-    assert used_pairs(model) == sorted(pairs)
+    assert {v.idx[:2] for v in by_cls["p"]} == pairs
     n_p = sum(min(20, len(cache.get(pr))) for pr in pairs)
     assert len(by_cls["p"]) == n_p
     assert audit(model, dfg, m, nmap, cache) == []
@@ -193,21 +195,6 @@ def test_exact_con6_admits_exactly_the_pairwise_sets(inst, combined):
     assert count(model, "con6") == len(ys) + len(sums)
 
 
-def test_relaxed_sits_strictly_between(inst, shallow, combined):
-    dfg, m, nmap, _ = inst
-    po = build_variant("placement_only", dfg, m, nmap)
-    rp = build_variant("relaxed_placement", dfg, m, nmap, shallow)
-    cb = combined
-    assert "p" not in po.vars_by_class()
-    assert len(po.variables) < len(rp.variables) < len(cb.variables)
-    assert len(po.constraints) < len(rp.constraints) < len(cb.constraints)
-    assert count(po, "con5") == count(po, "con6") == 0
-    assert rp.metadata["k"] == RELAXED_PATHS
-    assert rp.metadata["overuse_limit"] == 2
-    assert audit(po, dfg, m, nmap) == []
-    assert audit(rp, dfg, m, nmap, shallow) == []
-
-
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("depth", ["shallow", "deep"])
 def test_models_read_every_cached_route(inst, shallow, variant, depth):
@@ -223,15 +210,62 @@ def test_models_read_every_cached_route(inst, shallow, variant, depth):
         read = {(EXPR_PLACEMENT[o], EXPR_PLACEMENT[p])
                 for o, p in dfg.point_edges()}
     else:
-        read = used_pairs(model)
+        read = {(u, v) for _, u, _, v in model.domain}
     got = {}
     for var in model.variables:
         if var.cls == "p":
             pair = var.idx[:2]
             got[pair] = got.get(pair, 0) + 1
     assert got == {pair: len(cache[pair]) for pair in read if cache[pair]}
-    assert any(len(cache[pair]) > RELAXED_PATHS for pair in read) == (
+    assert any(len(cache[pair]) > SHALLOW_PATHS for pair in read) == (
         depth == "deep" and variant != "placement_only")
+
+
+SUM4 = ("op a add\nop b add\nop c add\nop s add\n"
+        "edge a -> c:0\nedge b -> c:1\nedge c -> s:0\nedge a -> s:1\n")
+FAN3 = "op a add\nop b add\nop c add\nop d add\nedge a -> b:0, c:0, d:0\n"
+DIAMOND = ("op a add\nop b add\nop c add\nop d add\n"
+           "edge a -> b:0, c:0\nedge b -> d:0\nedge c -> d:1\n")
+ACC = "op ld load\nop acc add\nedge ld -> acc:1\nedge acc -> acc:0\n"
+# (kernel, fabric, II, neighbour counts), None standing for the full
+# neighbour count; sum4 and acc have no placement at NN 4 and 8
+PINNED_MODELS = [(SUM4, ArchSpec("adres", 2, 2), 2, (4, 8, None)),
+                 (DIAMOND, ArchSpec("adres", 2, 2), 2, (4, 8, None)),
+                 (ACC, ArchSpec("adres", 2, 2), 2, (4, 8, None)),
+                 (FAN3, ArchSpec("ortho", 2, 3), 1, (None,))]
+
+
+def test_path_models_are_pinned():
+    # a rewrite of the builders must give the same combined and
+    # routing-only models: the same variables in the same order, the
+    # same rows with the same terms in the same order, and the same
+    # domain. Each is built over SHALLOW_PATHS and DEFAULT_K routes, the
+    # routing-only model for the placement the screen's solve finds
+    h = hashlib.sha256()
+    built = 0
+    for text, spec, ii, nns in PINNED_MODELS:
+        dfg, m = parse_dfg(text), build_mrrg(spec, ii)
+        for nn in nns:
+            nmap = build_neighbor_map(m, nn or len(fu_nodes(m)))
+            screen = solver.solve(
+                build_variant("placement_only", dfg, m, nmap),
+                solver.SolveConfig(seed=1))
+            for k in (SHALLOW_PATHS, DEFAULT_K):
+                cache = build_path_cache(m, nmap, k)
+                models = [build_variant("combined", dfg, m, nmap, cache)]
+                if screen.status == "feasible":
+                    placement = {v.idx[0]: v.idx[1] for v, x
+                                 in screen.assignment.items()
+                                 if v.cls == "f" and x}
+                    models.append(build_variant("routing_only", dfg, m, nmap,
+                                                cache, placement=placement))
+                for model in models:
+                    h.update(repr((model.variables, model.constraints,
+                                   model.domain)).encode())
+                    built += 1
+    assert built == 32
+    assert h.hexdigest() == (
+        "ce7d5b32c64fa5f6929cdcf3c8d5d8926bca59fc47df1dbc3c20625cab6e6666")
 
 
 def test_paths_per_connection_only_checks(inst, shallow):
@@ -247,7 +281,7 @@ def test_paths_per_connection_only_checks(inst, shallow):
     for variant in VARIANTS:
         kw = ({"placement": EXPR_PLACEMENT} if variant == "routing_only"
               else {})
-        for ppc in (cache.k - 1, cache.k + 1, RELAXED_PATHS):
+        for ppc in (cache.k - 1, cache.k + 1, SHALLOW_PATHS):
             with pytest.raises(ValueError, match="paths_per_connection"):
                 build_variant(variant, dfg, m, nmap, cache,
                               paths_per_connection=ppc, **kw)
@@ -276,7 +310,7 @@ def shared_vertex_fixture():
 
 def test_exact_exclusivity_rows_and_dedup():
     model, cache, va1, va2, vb, vc = shared_vertex_fixture()
-    add_path_exclusivity(model, cache, 1)
+    add_path_exclusivity(model, cache)
     x = ("x", 0)
     ya, yb, yc = (yvar(x, (d, 0)) for d in "ABC")
     got = {(c.terms, c.rhs) for c in model.constraints}
@@ -292,17 +326,6 @@ def test_exact_exclusivity_rows_and_dedup():
     assert admits(cons, {va1})
     assert not admits(cons, {va1, vb})  # two signals on x
     assert not admits(cons, {vb, vc})
-
-
-def test_relaxed_exclusivity_allows_one_short():
-    model, cache, va1, va2, vb, vc = shared_vertex_fixture()
-    add_path_exclusivity(model, cache, 2)
-    cons = model.constraints
-    assert admits(cons, {va1, vb})       # two signals may share x
-    assert admits(cons, {va1, va2})      # same driver never counts
-    assert admits(cons, {va1, va2, va1}) is True
-    assert not admits(cons, {va1, vb, vc})  # three signals
-    assert admits(cons, {va1, va2, vb})  # two stacked paths are one signal
 
 
 def test_must_map_variants():
@@ -424,8 +447,8 @@ def random_case(rng, m):
 def test_neighbor_rows_propagate_as_the_edge_form():
     # con3 and con5 over f against the edge-variable rows they project:
     # (a) the screens force the same f from every partial f, (b) the
-    # relaxed models admit the same complete (f, p) points, and (c) once
-    # every f is fixed, as the search fixes them, the relaxed models
+    # combined models admit the same complete (f, p) points, and (c) once
+    # every f is fixed, as the search fixes them, the combined models
     # force the same p. Neither is asserted stronger on other partials.
     rng = random.Random(11)
     m = build_mrrg(ArchSpec("ortho", 1, 2), 2)
@@ -433,13 +456,12 @@ def test_neighbor_rows_propagate_as_the_edge_form():
     for case in range(40):
         dfg, nmap, cache = random_case(rng, m)
         screen = build_variant("placement_only", dfg, m, nmap)
-        relaxed = build_variant("relaxed_placement", dfg, m, nmap, cache,
-                                screen=screen)
-        assert audit(relaxed, dfg, m, nmap, cache) == []
+        combined = build_variant("combined", dfg, m, nmap, cache)
+        assert audit(combined, dfg, m, nmap, cache) == []
         screens = screen, edge_form(screen, dfg, m, nmap)
-        relaxeds = relaxed, edge_form(relaxed, dfg, m, nmap, cache)
+        combineds = combined, edge_form(combined, dfg, m, nmap, cache)
         fs = screen.variables
-        ps = [v for v in relaxed.variables if v.cls == "p"]
+        ps = [v for v in combined.variables if v.cls == "p"]
         ops = [op.id for op in dfg.operations]
         units = compatible_nodes(m, dfg.operations[0])
 
@@ -463,8 +485,8 @@ def test_neighbor_rows_propagate_as_the_edge_form():
                 witness = {VarId("e", d) for d in edge_domain(dfg, m, nmap)
                            if fvar(*d[:2]) in on_f
                            and not on_p.isdisjoint(paths(d[1], d[3]))}
-                assert satisfies(relaxeds[0].constraints, on_f | on_p) == (
-                    satisfies(relaxeds[1].constraints,
+                assert satisfies(combineds[0].constraints, on_f | on_p) == (
+                    satisfies(combineds[1].constraints,
                               on_f | on_p | witness)), (case, placed)
         for _ in range(40):
             if rng.random() < 0.7:
@@ -477,7 +499,7 @@ def test_neighbor_rows_propagate_as_the_edge_form():
             later = [(v, rng.randint(0, 1)) for v in ps if rng.random() < 0.3]
             rng.shuffle(later)
             got = [fixpoint(model, fixes + later, fs + ps)
-                   for model in relaxeds]
+                   for model in combineds]
             assert got[0] == got[1], (case, fixes, later)
             forced["c"] += got[0] != "conflict" and (
                 len(ps) - got[0][len(fs):].count(-1) > len(later))
@@ -578,9 +600,9 @@ def test_audit_flags_misweighted_claim_row(inst, weight):
 
 def test_stats_shape(inst):
     dfg, m, nmap, cache = inst
-    text = build_variant("relaxed_placement", dfg, m, nmap, cache).stats()
+    text = build_variant("combined", dfg, m, nmap, cache).stats()
     lines = text.splitlines()
-    assert lines[0] == "variant relaxed_placement"
+    assert lines[0] == "variant combined"
     assert any(l.startswith("variables total=") for l in lines)
     assert any(l.startswith("constraints total=") for l in lines)
     assert "con6=" in text

@@ -6,15 +6,15 @@ points run."""
 import dataclasses
 import hashlib
 import json
+from itertools import islice
 
 import pytest
 
 from cgramap import mapper
 from cgramap.baseline import build_baseline, extract_mapping
 from cgramap.dfg import Dfg, Operation, parse_dfg
-from cgramap.ilp import (InfeasibleModel, build_variant, placeable,
-                         used_pairs)
-from cgramap.mapper import (MAPPED, NOT_MAPPABLE, RELAXED_PATHS, TIMED_OUT,
+from cgramap.ilp import InfeasibleModel, build_variant, placeable
+from cgramap.mapper import (MAPPED, NOT_MAPPABLE, SHALLOW_PATHS, TIMED_OUT,
                             MappingSolution, MapLimits, characterize,
                             map_dfg, map_min_ii, outcome_to_dict,
                             validate_mapping)
@@ -113,27 +113,53 @@ class _Clock:
         self.now += LIMITS.total_time + 1
 
 
-def _stub_solve(monkeypatch, clock, variant, status, late=False, seen=None,
-                after=0):
-    """mapper.solve answers models of one variant, past the first after
-    of them, with status, ending past the deadline if asked, and records
-    each config."""
-    real_solve = mapper.solve
-    solved = []
+def _stub_solve(monkeypatch, clock, status, late=False, seen=None):
+    """mapper.solve, which decides the routing-only models, answers each
+    with status, ending past the deadline if asked, and records each
+    config."""
 
     def stub(model, cfg):
         if seen is not None:
             seen.append((model.variant, cfg))
-        if model.variant != variant:
-            return real_solve(model, cfg)
-        solved.append(model)
-        if len(solved) <= after:
-            return real_solve(model, cfg)
         if late:
             clock.pass_deadline()
         return SolveResult(status, None, 0, 0.0)
 
     monkeypatch.setattr(mapper, "solve", stub)
+
+
+def _stub_screen(monkeypatch, clock, status, late=False, seen=None):
+    """mapper.enumerate_solutions yields no placement of the screen and
+    ends with status, past the deadline if asked, and records each
+    config."""
+
+    def stub(model, cfg):
+        if seen is not None:
+            seen.append((model.variant, cfg))
+        if late:
+            clock.pass_deadline()
+        return SolveResult(status, None, 0, 0.0)
+        yield
+
+    monkeypatch.setattr(mapper, "enumerate_solutions", stub)
+
+
+def _watch_screen(monkeypatch, on_yield):
+    """mapper.enumerate_solutions calls on_yield(model, cfg, result) for
+    each placement it yields, and ends as the real stream ends."""
+    real_enumerate = mapper.enumerate_solutions
+
+    def watched(model, cfg):
+        stream = real_enumerate(model, cfg)
+        while True:
+            try:
+                res = next(stream)
+            except StopIteration as stop:
+                return stop.value
+            on_yield(model, cfg, res)
+            yield res
+
+    monkeypatch.setattr(mapper, "enumerate_solutions", watched)
 
 
 def _run(kernel, family, ii, schedule, seed=1):
@@ -150,8 +176,8 @@ def _chain2(schedule=(2, 4)):
 
 
 # (kernel, family, II, schedule, seed): the screen passes at NN 4 and its
-# own placement is proven unroutable on RELAXED_PATHS routes, so the
-# relaxed model is built and enumerated
+# first placement is proven unroutable on SHALLOW_PATHS and on DEFAULT_K
+# routes, so the enumeration goes on to further placements
 CANDIDATE_MISS = ("chain5", "ortho", 2, (4,), 2)
 
 
@@ -265,36 +291,38 @@ def test_checked_target_builds_the_same_screen(monkeypatch):
 
 
 def test_screen_timeout_ends_the_run(monkeypatch):
-    _stub_solve(monkeypatch, _Clock(monkeypatch), "placement_only", TIMEOUT)
+    # an enumeration that times out before its first placement
+    _stub_screen(monkeypatch, _Clock(monkeypatch), TIMEOUT)
     assert _chain2() == (TIMED_OUT, [(2, TIMEOUT, 0, False)])
 
 
 def test_late_infeasible_screen_moves_on(monkeypatch):
     # the next target would start after the deadline; at the last target
     # the schedule simply ends
-    _stub_solve(monkeypatch, _Clock(monkeypatch), "placement_only",
-                INFEASIBLE, late=True)
+    _stub_screen(monkeypatch, _Clock(monkeypatch), INFEASIBLE, late=True)
     assert _chain2() == (TIMED_OUT, [(2, INFEASIBLE, 0, False)])
     assert _chain2((2,)) == (NOT_MAPPABLE, [(2, INFEASIBLE, 0, False)])
 
 
 def test_deadline_during_enumeration_ends_the_run(monkeypatch):
-    # timed out, not unmappable, even at the last target; the screen's
-    # own placement, which did not route, counts as tried
+    # timed out, not unmappable, even at the last target; the first
+    # placement, which did not route, counts as tried
     clock = _Clock(monkeypatch)
+    real_enumerate = mapper.enumerate_solutions
 
-    def enumerate_nothing(model, cfg):
+    def enumerate_one_then_time_out(model, cfg):
+        yield next(real_enumerate(model, cfg))
         clock.pass_deadline()
-        yield from ()
+        return SolveResult(TIMEOUT, None, 0, 0.0)
 
-    monkeypatch.setattr(mapper, "enumerate_solutions", enumerate_nothing)
+    monkeypatch.setattr(mapper, "enumerate_solutions",
+                        enumerate_one_then_time_out)
     assert _run(*CANDIDATE_MISS) == (TIMED_OUT, [(4, FEASIBLE, 1, False)])
 
 
 def test_deadline_during_routing_stops_the_enumeration(monkeypatch):
-    # the enumeration would go on yielding; the first routing solve
-    # that ends past the deadline stops it (the screen's placement is
-    # checked, and found unroutable, on time first)
+    # the enumeration would go on yielding; the first placement whose
+    # routing checks end past the deadline stops it
     real_enumerate = mapper.enumerate_solutions
 
     def enumerate_first_again(model, cfg):
@@ -304,18 +332,19 @@ def test_deadline_during_routing_stops_the_enumeration(monkeypatch):
 
     monkeypatch.setattr(mapper, "enumerate_solutions", enumerate_first_again)
     seen = []
-    _stub_solve(monkeypatch, _Clock(monkeypatch), "routing_only", INFEASIBLE,
-                late=True, seen=seen, after=1)
-    assert _run(*CANDIDATE_MISS) == (TIMED_OUT, [(4, FEASIBLE, 2, False)])
-    # the first relaxed placement's shallow check is stubbed infeasible,
-    # so it is deepened before the deadline is read
-    assert [variant for variant, _ in seen] == [
-        "placement_only", "routing_only", "routing_only", "routing_only"]
+    _stub_solve(monkeypatch, _Clock(monkeypatch), INFEASIBLE, late=True,
+                seen=seen)
+    assert _run(*CANDIDATE_MISS) == (TIMED_OUT, [(4, FEASIBLE, 1, False)])
+    # the shallow check is stubbed infeasible, so the placement is
+    # deepened before the deadline is read
+    assert [variant for variant, _ in seen] == ["routing_only",
+                                                "routing_only"]
 
 
 def test_deadline_during_screen_placement_check_skips_relaxed(monkeypatch):
-    # a check of the screen's own placement that ends past the deadline
-    # ends the target before the relaxed model is built
+    # the routing checks of the screen's first placement end past the
+    # deadline and end the target: no model for another placement is
+    # built, though the enumeration has more
     real_variant = mapper.build_variant
     built = []
 
@@ -324,15 +353,14 @@ def test_deadline_during_screen_placement_check_skips_relaxed(monkeypatch):
         return real_variant(variant, *args, **kw)
 
     monkeypatch.setattr(mapper, "build_variant", recording_variant)
-    _stub_solve(monkeypatch, _Clock(monkeypatch), "routing_only", INFEASIBLE,
-                late=True)
+    _stub_solve(monkeypatch, _Clock(monkeypatch), INFEASIBLE, late=True)
     assert _chain2((2,)) == (TIMED_OUT, [(2, FEASIBLE, 1, False)])
-    assert built == ["placement_only", "routing_only"]
+    assert built == ["placement_only", "routing_only", "routing_only"]
 
 
 def test_screen_budget_taken_after_its_build(monkeypatch):
-    # a screen build that outlasts the run leaves its solve the 1 ms
-    # floor, not the time that was left before the build
+    # a screen build that outlasts the run leaves its enumeration the
+    # 1 ms floor, not the time that was left before the build
     real_variant = mapper.build_variant
     clock = _Clock(monkeypatch)
 
@@ -344,7 +372,7 @@ def test_screen_budget_taken_after_its_build(monkeypatch):
 
     monkeypatch.setattr(mapper, "build_variant", slow_variant)
     seen = []
-    _stub_solve(monkeypatch, clock, "placement_only", TIMEOUT, seen=seen)
+    _stub_screen(monkeypatch, clock, TIMEOUT, seen=seen)
     assert _chain2() == (TIMED_OUT, [(2, TIMEOUT, 0, False)])
     assert [(v, cfg.time_limit) for v, cfg in seen] == [
         ("placement_only", 0.001)]
@@ -353,7 +381,7 @@ def test_screen_budget_taken_after_its_build(monkeypatch):
 # (kernel, fabric, II, schedule, placement limit, expected attempts):
 # tree5 passes two screens and routes only at the second, so models are
 # built at two targets of one call; join on ADRES has up to k routes per
-# pair, and its screen's own placement routes; chain5 enumerates past
+# pair, and its screen's first placement routes; chain5 enumerates past
 # two placements that route on no DEFAULT_K routes either
 SAME_MODELS = [
     ("tree5", ArchSpec("ortho", 1, 4, route_through=False), 2, (1, 2, 4, 8),
@@ -366,33 +394,26 @@ SAME_MODELS = [
 ]
 # seed 1 unless listed: tree5 passes two screens under seeds 3 and 5, and
 # at seed 1 its first placement already routes at NN 2; diamond's first
-# placement at seed 3 routes only on DEFAULT_K routes; chain5's screen
+# placement at seed 3 routes only on DEFAULT_K routes; chain5's first
 # placement at seed 2 does not route
 SAME_MODELS_SEED = {"tree5": 3, "diamond": 3, "chain5": 2}
-# the (variant, NN, cache depth) of every model past the screens: the
-# screen's own placement is checked first, on RELAXED_PATHS routes; when
-# it does not route, the relaxed model follows, each of its placements'
-# routing models reads RELAXED_PATHS routes, and DEFAULT_K ones only after
-# that is proven infeasible, as at tree5's NN 2
+# the (variant, NN, cache depth) of every model past the screens: each
+# placement's routing model reads SHALLOW_PATHS routes, and DEFAULT_K
+# ones only after that is proven infeasible, as at tree5's NN 2
 SAME_MODELS_BUILT = {
-    "tree5": [("routing_only", 2, RELAXED_PATHS),
-              ("relaxed_placement", 2, RELAXED_PATHS),
-              ("routing_only", 2, RELAXED_PATHS),
+    "tree5": [("routing_only", 2, SHALLOW_PATHS),
               ("routing_only", 2, DEFAULT_K),
-              ("routing_only", 4, RELAXED_PATHS)],
-    "join": [("routing_only", 4, RELAXED_PATHS)],
-    "chain5": [("routing_only", 4, RELAXED_PATHS),
-               ("relaxed_placement", 4, RELAXED_PATHS),
-               ("routing_only", 4, RELAXED_PATHS),
+              ("routing_only", 4, SHALLOW_PATHS)],
+    "join": [("routing_only", 4, SHALLOW_PATHS)],
+    "chain5": [("routing_only", 4, SHALLOW_PATHS),
                ("routing_only", 4, DEFAULT_K),
-               ("routing_only", 4, RELAXED_PATHS),
+               ("routing_only", 4, SHALLOW_PATHS),
                ("routing_only", 4, DEFAULT_K),
-               ("routing_only", 4, RELAXED_PATHS)],
+               ("routing_only", 4, SHALLOW_PATHS)],
 }
-# (kernel, fabric, II, schedule, placement limit): the screen's own
-# placement, which the enumeration yields first again, is proven
-# unroutable on RELAXED_PATHS routes in a few nodes and routes on
-# DEFAULT_K ones
+# (kernel, fabric, II, schedule, placement limit): the first placement
+# the enumeration yields is proven unroutable on SHALLOW_PATHS routes in
+# a few nodes and routes on DEFAULT_K ones
 DEEP_CASE = ("diamond", ArchSpec("adres", 2, 2), 2, (8,), 20)
 
 
@@ -433,13 +454,6 @@ def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
         assert model.variables == ref.variables, (variant, nn, k)
         assert model.constraints == ref.constraints, (variant, nn, k)
         checked.append((variant, nn, k))
-    # each passing screen's own placement is checked before anything else
-    # at its target
-    first = {}
-    for variant, nn, k in checked:
-        first.setdefault(nn, (variant, k))
-    assert first == {nn: ("routing_only", RELAXED_PATHS)
-                     for nn, screen, _ in attempts if screen == "feasible"}
     assert checked == SAME_MODELS_BUILT[kernel]
 
 
@@ -450,13 +464,10 @@ def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
 ], ids=["fan3", "tree5", "diamond"])
 def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
                       deepened):
-    # per NN whose screen passes: a RELAXED_PATHS-deep cache over just the
-    # screen placement's pairs, read by that placement's one routing
-    # model; when that does not route, one RELAXED_PATHS-deep cache over
-    # the screen's pairs, read by the relaxed model and by each relaxed
-    # placement's first routing model; and a DEFAULT_K-deep cache over
-    # just a relaxed placement's pairs, with its routing model right after
-    # it, only when that first model is proven infeasible
+    # each placement the enumeration yields gets a SHALLOW_PATHS-deep
+    # cache over just its own pairs, read by its first routing model, and
+    # a DEFAULT_K-deep cache over the same pairs, with its routing model
+    # right after it, only when that first model is proven infeasible
     real_cache, real_variant = mapper.build_path_cache, mapper.build_variant
     real_solve = mapper.solve
     events = []
@@ -467,116 +478,73 @@ def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
         return cache
 
     def recording_variant(variant, dfg, mrrg, nmap, cache=None, **kw):
-        events.append((variant, nmap.target_nn, cache, kw))
         model = real_variant(variant, dfg, mrrg, nmap, cache, **kw)
-        events[-1] += (model,)
+        events.append((variant, nmap.target_nn, cache, kw))
         return model
 
     def recording_solve(model, cfg):
         res = real_solve(model, cfg)
-        events.append(("solve", model, res))
+        events.append(("solve", model.metadata["nn"], res.status))
         return res
+
+    def recording_yield(model, cfg, res):
+        events.append(("yield", model.metadata["nn"], _placement_of(res)))
 
     monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
     monkeypatch.setattr(mapper, "build_variant", recording_variant)
     monkeypatch.setattr(mapper, "solve", recording_solve)
+    _watch_screen(monkeypatch, recording_yield)
     dfg = parse_dfg(KERNELS[kernel])
     out = map_dfg(dfg, build_mrrg(spec, ii), schedule,
                   MapLimits(placement_limit=placements),
                   seed=SAME_MODELS_SEED.get(kernel, 1))
     assert out.status == MAPPED
 
-    def pairs(place):
-        return {(place[o], place[p]) for o, p in dfg.point_edges()}
-
-    screens, own, shallow, tried, deep = {}, {}, {}, {}, 0
+    tried, deep = {}, 0
     for i, event in enumerate(events):
-        kind, nn = event[:2]
-        if kind == "cache":
-            cache = event[2]
-            user, user_nn, user_cache = events[i + 1][:3]
-            assert user_nn == nn and user_cache is cache
-            if nn not in own:
-                # the screen came just before and passed; its placement
-                # is checked first
-                screen, result = events[i - 2], events[i - 1]
-                assert screen[0] == "placement_only"
-                assert result[:2] == ("solve", screen[4])
-                assert result[2].status == FEASIBLE
-                assert user == "routing_only"
-                place = events[i + 1][3]["placement"]
-                assert place == {var.idx[0]: var.idx[1] for var, value
-                                 in result[2].assignment.items()
-                                 if var.cls == "f" and value == 1}
-                assert cache.k == RELAXED_PATHS
-                assert set(cache.paths) == pairs(place)
-                screens[nn], own[nn], tried[nn] = screen[4], cache, 1
-            elif user == "relaxed_placement":
-                # the screen's placement was checked just before and did
-                # not route
-                check, result = events[i - 2], events[i - 1]
-                assert check[0] == "routing_only" and check[2] is own[nn]
-                assert result[:2] == ("solve", check[4])
-                assert result[2].status != FEASIBLE
-                assert cache.k == RELAXED_PATHS
-                assert list(cache.paths) == used_pairs(screens[nn])
-                assert nn not in shallow
-                shallow[nn] = cache
-            else:
-                assert user == "routing_only"
-                assert cache.k == DEFAULT_K
-                place = events[i + 1][3]["placement"]
-                assert set(cache.paths) == pairs(place)
-                # the placement's shallow check just before was a proof
-                first, proof = events[i - 2], events[i - 1]
-                assert first[0] == "routing_only"
-                assert first[2] is shallow[nn]
-                assert first[3]["placement"] == place
-                assert proof[:2] == ("solve", first[4])
-                assert proof[2].status == INFEASIBLE
-                deep += 1
-        elif kind == "routing_only" and event[2] is own.get(nn):
-            # never deepened: what follows is the screen-wide cache, or
-            # nothing when the placement routed and the run ended
-            status = events[i + 1][2].status
-            assert event[4].metadata["k"] == RELAXED_PATHS
-            follows = events[i + 2] if i + 2 < len(events) else None
-            if status == FEASIBLE:
-                assert follows is None
-            else:
-                assert follows[0] == "cache"
-                assert events[i + 3][0] == "relaxed_placement"
-        elif kind == "routing_only" and event[2] is shallow.get(nn):
-            tried[nn] += 1
-            assert event[4].metadata["k"] == RELAXED_PATHS
-            status = events[i + 1][2].status
-            follows = events[i + 2][0] if i + 2 < len(events) else None
-            assert (follows == "cache") == (status == INFEASIBLE)
+        if event[0] != "cache":
+            continue
+        _, nn, cache = event
+        user, user_nn, user_cache, kw = events[i + 1]
+        assert (user, user_nn, user_cache) == ("routing_only", nn, cache)
+        place = kw["placement"]
+        assert set(cache.paths) == {(place[o], place[p])
+                                    for o, p in dfg.point_edges()}
+        if cache.k == SHALLOW_PATHS:
+            # a placement just yielded
+            assert events[i - 1] == ("yield", nn, place)
+            tried[nn] = tried.get(nn, 0) + 1
+        else:
+            # the same placement's shallow check just before was a proof
+            assert cache.k == DEFAULT_K
+            assert events[i - 2][0] == "routing_only"
+            assert events[i - 2][2].k == SHALLOW_PATHS
+            assert events[i - 2][3]["placement"] == place
+            assert events[i - 1] == ("solve", nn, INFEASIBLE)
+            deep += 1
+    # and every proof on shallow routes is deepened
+    assert deep == sum(1 for i, event in enumerate(events)
+                       if event[0] == "routing_only"
+                       and event[2].k == SHALLOW_PATHS
+                       and events[i + 1][2] == INFEASIBLE)
     assert tried == {a.nn: a.placements_tried for a in out.attempts
                      if a.screen == "feasible"}
     assert tried
     assert deep == deepened
-    # the relaxed model is built exactly where the screen's placement
-    # missed
-    assert set(shallow) == {a.nn for a in out.attempts
-                            if a.screen == "feasible"
-                            and not (a.routed and a.placements_tried == 1)}
 
 
 def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
-    # the screen's placement is proven unroutable on RELAXED_PATHS routes,
-    # and is not deepened; the enumeration yields it first again, and
-    # then it routes on DEFAULT_K ones; a run without the deep stage
+    # the first placement is proven unroutable on SHALLOW_PATHS routes,
+    # and then routes on DEFAULT_K ones; a run without the deep stage
     # would go on to other placements
     real_solve = mapper.solve
     checks, nodes = [], []
 
     def recording_solve(model, cfg):
         res = real_solve(model, cfg)
-        if model.variant == "routing_only":
-            checks.append((model.metadata["k"], len(model.variables),
-                           len(model.constraints), res.status))
-            nodes.append(res.nodes)
+        checks.append((model.metadata["k"], len(model.variables),
+                       len(model.constraints), res.status))
+        nodes.append(res.nodes)
         return res
 
     monkeypatch.setattr(mapper, "solve", recording_solve)
@@ -586,18 +554,17 @@ def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
                   seed=SAME_MODELS_SEED[kernel])
     assert out.status == MAPPED and out.solution.nn == 8
     assert [(a.nn, a.screen, a.placements_tried, a.routed)
-            for a in out.attempts] == [(8, FEASIBLE, 2, True)]
+            for a in out.attempts] == [(8, FEASIBLE, 1, True)]
     assert out.solution.placement == {
         "a": ("pe_0_0.alu", 1), "b": ("pe_1_0.alu", 1),
         "c": ("pe_1_0.alu", 0), "d": ("pe_0_0.alu", 0)}
     assert validate_mapping(dfg, mrrg, out.solution) == []
-    assert checks == [(RELAXED_PATHS, 36, 38, INFEASIBLE),
-                      (RELAXED_PATHS, 36, 38, INFEASIBLE),
+    assert checks == [(SHALLOW_PATHS, 36, 38, INFEASIBLE),
                       (DEFAULT_K, 173, 133, FEASIBLE)]
-    assert nodes[:2] == [10, 10]
-    # so some route reported lies past its pair's first RELAXED_PATHS
+    assert nodes[0] == 10
+    # so some route reported lies past its pair's first SHALLOW_PATHS
     nmap = build_neighbor_map(mrrg, 8)
-    shallow = build_path_cache(mrrg, nmap, RELAXED_PATHS)
+    shallow = build_path_cache(mrrg, nmap, SHALLOW_PATHS)
     assert any(rp not in shallow[rp.vertices[0], rp.vertices[-1]]
                for paths in out.solution.routing.values() for rp in paths)
 
@@ -606,8 +573,8 @@ def test_shallow_timeout_does_not_deepen(monkeypatch):
     # a timeout proves nothing: it ends that placement, as a routing
     # timeout always has, and no DEFAULT_K cache is built; and since no
     # placement was proven unroutable, the run timed out rather than
-    # found the kernel unmappable. The screen's placement is tried first
-    # and the placement limit bounds only the enumeration after it.
+    # found the kernel unmappable. The placement limit bounds the
+    # placements tried.
     real_cache = mapper.build_path_cache
     depths = []
 
@@ -617,31 +584,30 @@ def test_shallow_timeout_does_not_deepen(monkeypatch):
 
     monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
     seen = []
-    _stub_solve(monkeypatch, _Clock(monkeypatch), "routing_only", TIMEOUT,
-                seen=seen)
+    _stub_solve(monkeypatch, _Clock(monkeypatch), TIMEOUT, seen=seen)
     kernel, spec, ii, schedule, _ = DEEP_CASE
     out = map_dfg(parse_dfg(KERNELS[kernel]), build_mrrg(spec, ii), schedule,
                   MapLimits(placement_limit=2),
                   seed=SAME_MODELS_SEED[kernel])
     assert (out.status, [(a.nn, a.screen, a.placements_tried, a.routed)
                          for a in out.attempts]) == (
-        TIMED_OUT, [(8, FEASIBLE, 3, False)])
-    assert depths == [RELAXED_PATHS, RELAXED_PATHS]
-    assert [variant for variant, _ in seen] == [
-        "placement_only", "routing_only", "routing_only", "routing_only"]
+        TIMED_OUT, [(8, FEASIBLE, 2, False)])
+    assert depths == [SHALLOW_PATHS, SHALLOW_PATHS]
+    assert [variant for variant, _ in seen] == ["routing_only",
+                                                "routing_only"]
 
 
-def _screen_placement(result):
+def _placement_of(result):
     return {var.idx[0]: var.idx[1] for var, value
             in result.assignment.items() if var.cls == "f" and value == 1}
 
 
 def test_screen_placement_that_routes_skips_relaxed(monkeypatch):
-    # join's screen at NN 4 yields a placement that routes on its own
-    # RELAXED_PATHS cache: no cache over the screen's pairs and no relaxed
-    # model are built, and the mapping places what the screen placed
+    # join's screen at NN 4 yields a first placement that routes on its
+    # own SHALLOW_PATHS cache: that cache and one routing model are all
+    # that is built past the screen, and the mapping places what the
+    # screen placed
     real_cache, real_variant = mapper.build_path_cache, mapper.build_variant
-    real_solve = mapper.solve
     caches, built, screened = [], [], []
 
     def recording_cache(mrrg, nmap, k=DEFAULT_K):
@@ -653,133 +619,78 @@ def test_screen_placement_that_routes_skips_relaxed(monkeypatch):
         built.append(variant)
         return real_variant(variant, *args, **kw)
 
-    def recording_solve(model, cfg):
-        res = real_solve(model, cfg)
-        if model.variant == "placement_only":
-            screened.append((model, res))
-        return res
-
     monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
     monkeypatch.setattr(mapper, "build_variant", recording_variant)
-    monkeypatch.setattr(mapper, "solve", recording_solve)
+    _watch_screen(monkeypatch,
+                  lambda model, cfg, res: screened.append((model, res)))
     dfg = parse_dfg(KERNELS["join"])
     out = map_dfg(dfg, fabric("adres", 2), SCHEDULE, LIMITS, seed=1)
     assert out.status == MAPPED
     assert [(a.nn, a.screen, a.placements_tried, a.routed)
             for a in out.attempts] == [(2, INFEASIBLE, 0, False),
                                        (4, FEASIBLE, 1, True)]
-    assert "relaxed_placement" not in built
-    assert built.count("routing_only") == 1
-    screen, leaf = screened[-1]
-    place = _screen_placement(leaf)
+    assert built == ["placement_only", "placement_only", "routing_only"]
+    [(screen, leaf)] = screened
+    place = _placement_of(leaf)
     assert out.solution.placement == place
     assert [(c.k, set(c.paths)) for c in caches] == [
-        (RELAXED_PATHS, {(place[o], place[p]) for o, p in dfg.point_edges()})]
-    assert set(caches[0].paths) < set(used_pairs(screen))
+        (SHALLOW_PATHS, {(place[o], place[p]) for o, p in dfg.point_edges()})]
+    assert set(caches[0].paths) < {(u, v) for _, u, _, v in screen.domain}
 
 
-def test_screen_placement_is_never_deepened(monkeypatch):
-    # the screen's placement is proven unroutable on RELAXED_PATHS routes
-    # and the screen-wide cache follows, not a DEFAULT_K one; the
-    # enumeration yields the same placement first, and only then is it
-    # checked on DEFAULT_K routes
-    real_cache, real_solve = mapper.build_path_cache, mapper.solve
-    real_enumerate = mapper.enumerate_solutions
-    events, screened = [], []
+# CANDIDATE_MISS, and chain5 on 2x2 ADRES at II 2, seed 2, which maps at
+# NN 8 with the eighth placement tried there
+@pytest.mark.parametrize("kernel,family,ii,schedule,seed,tried", [
+    (*CANDIDATE_MISS, 3), ("chain5", "adres", 2, SCHEDULE, 2, 8)],
+    ids=["chain5-ortho", "chain5-adres"])
+def test_each_placement_is_routed_once_per_depth(monkeypatch, kernel, family,
+                                                 ii, schedule, seed, tried):
+    # within one target, no placement gets a routing check at the same
+    # cache depth twice, and the first placement is the leaf the screen's
+    # solve finds at the same seed
+    real_variant = mapper.build_variant
+    checks, yields = [], {}
 
-    def recording_cache(mrrg, nmap, k=DEFAULT_K):
-        events.append(("cache", k))
-        return real_cache(mrrg, nmap, k)
+    def recording_variant(variant, dfg, mrrg, nmap, cache=None, **kw):
+        if variant == "routing_only":
+            checks.append((nmap.target_nn, cache.k,
+                           tuple(sorted(kw["placement"].items()))))
+        return real_variant(variant, dfg, mrrg, nmap, cache, **kw)
 
-    def recording_solve(model, cfg):
-        res = real_solve(model, cfg)
-        if model.variant == "placement_only":
-            screened.append(_screen_placement(res))
-        else:
-            events.append(("route", model.metadata["k"], res.status))
-        return res
+    def recording_yield(model, cfg, res):
+        if model.metadata["nn"] not in yields:
+            leaf = solve(model, SolveConfig(seed=cfg.seed))
+            yields[model.metadata["nn"]] = [_placement_of(leaf)]
+        yields[model.metadata["nn"]].append(_placement_of(res))
 
-    def recording_enumerate(model, cfg):
-        for res in real_enumerate(model, cfg):
-            events.append(("yield", _screen_placement(res)))
-            yield res
-
-    monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
-    monkeypatch.setattr(mapper, "solve", recording_solve)
-    monkeypatch.setattr(mapper, "enumerate_solutions", recording_enumerate)
-    assert _run(*CANDIDATE_MISS) == (MAPPED, [(4, FEASIBLE, 4, True)])
-    shallow, deep = RELAXED_PATHS, DEFAULT_K
-    assert [e[0] if e[0] == "yield" else e for e in events] == [
-        ("cache", shallow), ("route", shallow, INFEASIBLE),
-        ("cache", shallow),
-        "yield", ("route", shallow, INFEASIBLE),
-        ("cache", deep), ("route", deep, INFEASIBLE),
-        "yield", ("route", shallow, INFEASIBLE),
-        ("cache", deep), ("route", deep, INFEASIBLE),
-        "yield", ("route", shallow, FEASIBLE)]
-    yields = [e[1] for e in events if e[0] == "yield"]
-    assert yields[0] == screened[0]
-    assert len({tuple(sorted(y.items())) for y in yields}) == 3
+    monkeypatch.setattr(mapper, "build_variant", recording_variant)
+    _watch_screen(monkeypatch, recording_yield)
+    status, attempts = _run(kernel, family, ii, schedule, seed)
+    assert len(checks) == len(set(checks))
+    assert status == MAPPED and attempts[-1][2:] == (tried, True)
+    # some placement is checked at both depths
+    assert any(k == DEFAULT_K for _, k, _ in checks)
+    assert yields and all(leaf == first
+                          for leaf, first, *_ in yields.values())
 
 
 @pytest.mark.parametrize("status,verdict", [(TIMEOUT, TIMED_OUT),
                                             (INFEASIBLE, NOT_MAPPABLE)])
 def test_screen_placement_timeout_reads_timed_out(monkeypatch, status,
                                                   verdict):
-    # the screen's placement check is the only routing check, since the
-    # enumeration yields nothing; a timeout there proves nothing, a proof
-    # of infeasibility leaves the kernel unmappable at the last target
+    # the enumeration yields one placement, so its checks are the only
+    # routing checks; a timeout there proves nothing and is not
+    # deepened, a proof of infeasibility is deepened and, proven again,
+    # leaves the kernel unmappable at the last target
+    real_enumerate = mapper.enumerate_solutions
     monkeypatch.setattr(mapper, "enumerate_solutions",
-                        lambda model, cfg: iter(()))
+                        lambda model, cfg: islice(real_enumerate(model, cfg),
+                                                  1))
     seen = []
-    _stub_solve(monkeypatch, None, "routing_only", status, seen=seen)
+    _stub_solve(monkeypatch, None, status, seen=seen)
     assert _chain2((2,)) == (verdict, [(2, FEASIBLE, 1, False)])
-    assert [variant for variant, _ in seen] == ["placement_only",
-                                                "routing_only"]
-
-
-@pytest.mark.parametrize("kernel,spec,ii,schedule", [
-    ("fan3", ArchSpec("adres", 4, 4), 2, SCHEDULE),
-    *(case[:4] for case in SAME_MODELS),
-], ids=["fan3", "tree5", "join", "chain5"])
-def test_relaxed_model_extends_screen(kernel, spec, ii, schedule):
-    # at every target whose screen builds, the relaxed model built over
-    # the screen equals a fresh build, and the screen is left as it was
-    dfg = parse_dfg(KERNELS[kernel])
-    mrrg = build_mrrg(spec, ii)
-    screens = {}
-    for nn in schedule:
-        nmap = build_neighbor_map(mrrg, nn)
-        try:
-            screen = build_variant("placement_only", dfg, mrrg, nmap)
-        except InfeasibleModel:
-            continue
-        screens[nn] = screen
-        before = (list(screen.variables), list(screen.constraints),
-                  dict(screen.metadata))
-        cache = build_path_cache(mrrg, build_neighbor_map(mrrg, nn),
-                                 RELAXED_PATHS)
-        fresh = build_variant("relaxed_placement", dfg, mrrg, nmap, cache)
-        grown = build_variant("relaxed_placement", dfg, mrrg, nmap, cache,
-                              screen=screen)
-        assert grown.variables == fresh.variables
-        assert grown.constraints == fresh.constraints
-        assert grown.metadata == fresh.metadata
-        assert (screen.variables, screen.constraints,
-                screen.metadata) == before
-        # a relaxed model is no screen, and neither is one at another NN;
-        # only the relaxed model extends one
-        with pytest.raises(ValueError):
-            build_variant("relaxed_placement", dfg, mrrg, nmap, cache,
-                          screen=grown)
-        with pytest.raises(ValueError):
-            build_variant("combined", dfg, mrrg, nmap, cache, screen=screen)
-        for other, model in screens.items():
-            if other != nn:
-                with pytest.raises(ValueError):
-                    build_variant("relaxed_placement", dfg, mrrg, nmap,
-                                  cache, screen=model)
-    assert len(screens) >= 2
+    assert [variant for variant, _ in seen] == ["routing_only"] * (
+        2 if status == INFEASIBLE else 1)
 
 
 # (family, II, kernel, brute-force verdict). Brute force takes seconds or
@@ -983,7 +894,7 @@ def test_outcomes_digest_is_pinned():
     # verdict and mapping keeps this value; a change to it is re-pinned
     # only with the reason given in CHANGES.md
     assert outcomes_digest() == (
-        "9132fa7ae9cb36c44c12c24d9cca38f7ac411dcea8140bae05e11bb88c530ceb")
+        "37159410c97278a1dd723622d364db19a976fa49762d7a58a210dc6654bd63ef")
 
 
 def test_characterize_smoke():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cgramap import paths
-from cgramap.mapper import RELAXED_PATHS
+from cgramap.mapper import SHALLOW_PATHS
 from cgramap.mrrg import (FU, ROUTE, ArchSpec, Mrrg, MrrgNode, build_mrrg,
                           fu_nodes)
 from cgramap.neighbors import NeighborMap, build_neighbor_map
@@ -207,19 +207,18 @@ def test_cache_determinism_and_reuse():
 
 @pytest.mark.parametrize("family", ["adres", "hycube"])
 def test_shallow_cache_is_prefix_of_deep_one(family):
-    # map_dfg routes each placement over the relaxed model's
-    # RELAXED_PATHS-deep cache first and over a DEFAULT_K-deep one only
-    # when that is proven infeasible; what routes on the shallow routes
-    # routes on the deep ones only because the shallow list is the deep
-    # list's prefix
+    # map_dfg routes each placement over a SHALLOW_PATHS-deep cache
+    # first and over a DEFAULT_K-deep one only when that is proven
+    # infeasible; what routes on the shallow routes routes on the deep
+    # ones only because the shallow list is the deep list's prefix
     m = build_mrrg(ArchSpec(family, 4, 4), ii=2)
     nmap = build_neighbor_map(m, 8)
-    shallow = build_path_cache(m, nmap, RELAXED_PATHS)
+    shallow = build_path_cache(m, nmap, SHALLOW_PATHS)
     deep = build_path_cache(m, nmap, DEFAULT_K)
     assert list(shallow.paths) == list(deep.paths)
-    assert any(len(ps) > RELAXED_PATHS for ps in deep.paths.values())
+    assert any(len(ps) > SHALLOW_PATHS for ps in deep.paths.values())
     for pair, ps in deep.paths.items():
-        assert shallow[pair] == ps[:RELAXED_PATHS]
+        assert shallow[pair] == ps[:SHALLOW_PATHS]
 
 
 def test_empty_neighbor_map_gives_empty_cache():
@@ -267,7 +266,7 @@ def test_routes_are_kept_per_mrrg(monkeypatch, depths):
     # both kinds of list occur: cut at the depth asked, and complete
     deepest = caches[DEFAULT_K].paths.values()
     assert any(len(ps) == DEFAULT_K for ps in deepest)
-    assert any(0 < len(ps) < RELAXED_PATHS for ps in deepest)
+    assert any(0 < len(ps) < SHALLOW_PATHS for ps in deepest)
 
 
 def test_memoised_depth_does_not_admit_a_bool():

@@ -11,7 +11,7 @@ from cgramap.baseline import build_baseline
 from cgramap.dfg import parse_dfg
 from cgramap.ilp import (IlpModel, LinearConstraint, VarId, add_implication,
                          build_variant)
-from cgramap.mapper import RELAXED_PATHS
+from cgramap.mapper import SHALLOW_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, build_path_cache
@@ -287,32 +287,34 @@ SUM4 = ("op a add\nop b add\nop c add\nop s add\n"
         "edge a -> c:0\nedge b -> c:1\nedge c -> s:0\nedge a -> s:1\n")
 
 
-def tree5_relaxed(nn):
+def tree5_combined(nn):
+    """The combined model of tree5 on 1x4 ortho without route-through,
+    II 2, over SHALLOW_PATHS routes per pair: placements, paths and
+    signals in one search. It has 4 placements at NN 2 and 152 at NN 4."""
     mrrg = build_mrrg(ArchSpec("ortho", 1, 4, route_through=False), 2)
     nmap = build_neighbor_map(mrrg, nn)
-    return build_variant("relaxed_placement", parse_dfg(TREE5), mrrg, nmap,
-                         build_path_cache(mrrg, nmap, RELAXED_PATHS))
+    return build_variant("combined", parse_dfg(TREE5), mrrg, nmap,
+                         build_path_cache(mrrg, nmap, SHALLOW_PATHS))
 
 
 def sum4_models():
-    """The relaxed model of sum4 on 2x2 ADRES, II 2, NN 16, and the
-    routing-only models of the placements its solves at seeds 1 and 2
-    find: the first routes, the second does not. The relaxed model reads
-    RELAXED_PATHS routes per pair and the routing models DEFAULT_K."""
+    """The placement screen of sum4 on 2x2 ADRES, II 2, NN 16, and the
+    routing-only models over DEFAULT_K routes of the placements its
+    solves at seeds 1 and 2 find: the first routes, the second does
+    not."""
     mrrg = build_mrrg(ArchSpec("adres", 2, 2), 2)
     nmap = build_neighbor_map(mrrg, 16)
     cache = build_path_cache(mrrg, nmap)
     dfg = parse_dfg(SUM4)
-    relaxed = build_variant("relaxed_placement", dfg, mrrg, nmap,
-                            build_path_cache(mrrg, nmap, RELAXED_PATHS))
+    screen = build_variant("placement_only", dfg, mrrg, nmap)
     routings = []
     for placed_by in (1, 2):
-        assignment = solve(relaxed, SolveConfig(seed=placed_by)).assignment
+        assignment = solve(screen, SolveConfig(seed=placed_by)).assignment
         placement = {v.idx[0]: v.idx[1] for v, b in assignment.items()
                      if v.cls == "f" and b}
         routings.append(build_variant("routing_only", dfg, mrrg, nmap, cache,
                                       placement=placement))
-    return relaxed, routings
+    return screen, routings
 
 
 DIAMOND = ("op a add\nop b add\nop c add\nop d add\n"
@@ -324,7 +326,7 @@ DIAMOND_PLACEMENT = {"a": ("pe_0_0.alu", 1), "b": ("pe_1_0.alu", 1),
 
 
 def diamond_routings():
-    """The routing-only models of DIAMOND_PLACEMENT over RELAXED_PATHS
+    """The routing-only models of DIAMOND_PLACEMENT over SHALLOW_PATHS
     and over DEFAULT_K routes: the first does not route, the second
     does."""
     mrrg = build_mrrg(ArchSpec("adres", 2, 2), 2)
@@ -332,7 +334,7 @@ def diamond_routings():
     return [build_variant("routing_only", parse_dfg(DIAMOND), mrrg, nmap,
                           build_path_cache(mrrg, nmap, k),
                           placement=DIAMOND_PLACEMENT)
-            for k in (RELAXED_PATHS, DEFAULT_K)]
+            for k in (SHALLOW_PATHS, DEFAULT_K)]
 
 
 def test_pinned_node_counts():
@@ -346,12 +348,12 @@ def test_pinned_node_counts():
     res = solve(_pigeonhole(6, 5), SolveConfig(seed=2))
     assert (res.status, res.nodes) == ("infeasible", 238)
     got = [(r.status, r.nodes) for r in
-           (solve(tree5_relaxed(4), SolveConfig(seed=s)) for s in (2, 3))]
-    assert got == [("feasible", 77), ("feasible", 77)]
-    sols = enumerate_solutions(tree5_relaxed(2),
+           (solve(tree5_combined(4), SolveConfig(seed=s)) for s in (2, 3))]
+    assert got == [("feasible", 98), ("feasible", 90)]
+    sols = enumerate_solutions(tree5_combined(2),
                                SolveConfig(seed=3, solution_limit=4))
     # each count covers only the nodes since the previous placement
-    assert [r.nodes for r in sols] == [65, 51, 55, 50]
+    assert [r.nodes for r in sols] == [71, 55, 60, 75]
     # routing-only models, where the choice of path per connection (the
     # con5 rows) drives the search
     got = [[(r.status, r.nodes) for r in
@@ -377,58 +379,43 @@ def test_pinned_node_counts():
 def test_enumeration_order_matches_fresh_solves(nn):
     # a cut joins the live search at a leaf; the leaves must come in the
     # order that solving from the root, with every earlier cut as an
-    # ordinary row, finds them (NN 2 has 8 placements, NN 4 192)
-    relaxed = tree5_relaxed(nn)
+    # ordinary row, finds them
+    model = tree5_combined(nn)
     results, final = drain(enumerate_solutions(
-        relaxed, SolveConfig(seed=3, solution_limit=20)))
-    rows = list(relaxed.constraints)
+        model, SolveConfig(seed=3, solution_limit=20)))
+    rows = list(model.constraints)
 
     def fresh_solve():
-        fresh = SimpleNamespace(variables=relaxed.variables,
+        fresh = SimpleNamespace(variables=model.variables,
                                 constraints=list(rows))
         return solve(fresh, SolveConfig(seed=3))
 
     for res in results:
         assert fresh_solve().assignment == res.assignment, len(rows)
         terms = tuple((1 if res.assignment[v] else -1, v)
-                      for v in relaxed.variables if v.cls == "f")
+                      for v in model.variables if v.cls == "f")
         rows.append(LinearConstraint(terms, "<=",
                                      sum(c > 0 for c, _ in terms) - 1, "cut"))
     if final is not None:
         assert final.status == fresh_solve().status == "infeasible"
-    assert len(results) == {2: 8, 4: 20}[nn]
+    assert len(results) == {2: 4, 4: 20}[nn]
 
 
 def test_enumeration_exhausts_placements():
-    # restarting from the root for each placement ran out the 10 s limit
-    # here; resuming the live search lists all 192 and proves there is
-    # no other
-    relaxed = tree5_relaxed(4)
+    # resuming the live search lists all 152 placements, each once, and
+    # proves there is no other
+    model = tree5_combined(4)
     for seed in (2, 3):
         cfg = SolveConfig(seed=seed, time_limit=10, solution_limit=1000)
-        results, final = drain(enumerate_solutions(relaxed, cfg))
+        results, final = drain(enumerate_solutions(model, cfg))
         placed = {frozenset(v for v, b in r.assignment.items()
                             if v.cls == "f" and b) for r in results}
-        assert (len(results), len(placed)) == (192, 192), seed
+        assert (len(results), len(placed)) == (152, 152), seed
         assert final.status == "infeasible", seed
 
 
 LDST = ("op ld load\nop k const const=1\nop inc add\nop st store\n"
         "edge ld -> inc:0\nedge k -> inc:1\nedge inc -> st:0\n")
-
-
-def test_relaxed_search_steady_across_seeds():
-    # with value 1 tried first on edge and path variables, five of these
-    # eight seeds ran out a 5 s limit at over 40k nodes: an edge or path
-    # switched on that no placed sink needs is undone only after the
-    # whole subtree below it fails
-    mrrg = build_mrrg(ArchSpec("adres", 4, 4), 2)
-    nmap = build_neighbor_map(mrrg, 4)
-    relaxed = build_variant("relaxed_placement", parse_dfg(LDST), mrrg, nmap,
-                            build_path_cache(mrrg, nmap, RELAXED_PATHS))
-    for seed in range(1, 9):
-        res = solve(relaxed, SolveConfig(seed=seed, time_limit=5))
-        assert (res.status, res.nodes < 2000) == ("feasible", True), seed
 
 
 FAN3 = ("op a add\nop b add\nop c add\nop d add\n"
@@ -453,16 +440,20 @@ ACC = "op ld load\nop acc add\nedge ld -> acc:1\nedge acc -> acc:0\n"
 JOIN = "op a add\nop b add\nop c add\nedge a -> c:0\nedge b -> c:1\n"
 
 
-@pytest.mark.parametrize("kernel", [ACC, JOIN], ids=["acc", "join"])
-def test_combined_search_steady_across_seeds(kernel):
+@pytest.mark.parametrize("kernel,size,nn,k", [
+    (ACC, 2, None, DEFAULT_K), (JOIN, 2, None, DEFAULT_K),
+    (LDST, 4, 4, SHALLOW_PATHS)], ids=["acc", "join", "ldst"])
+def test_combined_search_steady_across_seeds(kernel, size, nn, k):
     # full neighbourhood on 2x2 ADRES at II 2: under a placement that
     # does not route, deciding each of hundreds of paths no connection
     # needs at both values took 23,928 nodes for acc at seed 4 and ran
-    # out 30 s for join at seeds 4 and 7; a dominating 0 takes one node
-    mrrg = build_mrrg(ArchSpec("adres", 2, 2), 2)
-    nmap = build_neighbor_map(mrrg, len(mrrg.fus))
+    # out 30 s for join at seeds 4 and 7; a dominating 0 takes one node.
+    # ldst on 4x4 ADRES at II 2, NN 4, is a larger model (924 variables)
+    # over SHALLOW_PATHS routes, decided in under 1,000 nodes at each seed
+    mrrg = build_mrrg(ArchSpec("adres", size, size), 2)
+    nmap = build_neighbor_map(mrrg, nn or len(mrrg.fus))
     model = build_variant("combined", parse_dfg(kernel), mrrg, nmap,
-                          build_path_cache(mrrg, nmap))
+                          build_path_cache(mrrg, nmap, k))
     for seed in range(1, 11):
         res = solve(model, SolveConfig(seed=seed, time_limit=10))
         assert (res.status, res.nodes <= 5000) == ("feasible", True), (
@@ -512,7 +503,7 @@ def highs_feasible(model):
 
     index = {v: i for i, v in enumerate(model.variables)}
     n = len(model.variables)
-    # sparse: a dense matrix of the full-NN relaxed models runs to GiBs
+    # sparse: a dense matrix of a full-NN model with paths runs to GiBs
     coefs, row_ids, col_ids = [], [], []
     lo, hi = [], []
     for r, con in enumerate(model.constraints):
@@ -540,17 +531,17 @@ def test_scipy_crosscheck():
         ours = solve(model, SolveConfig())
         assert (ours.status == "feasible") == highs_feasible(model), \
             f"trial {trial}"
-    # the shapes the mapper builds: relaxed placement, routing-only with
-    # a routable and an unroutable placement, one placement that routes
-    # only on the deep cache, and a pigeonhole
-    relaxed, routings = sum4_models()
+    # the shapes the models take: combined, the placement screen,
+    # routing-only with a routable and an unroutable placement, one
+    # placement that routes only on the deep cache, and a pigeonhole
+    screen, routings = sum4_models()
     shallow, deep = diamond_routings()
-    shaped = {"tree5 relaxed NN 2": tree5_relaxed(2),
-              "tree5 relaxed NN 4": tree5_relaxed(4),
-              "sum4 relaxed": relaxed,
+    shaped = {"tree5 combined NN 2": tree5_combined(2),
+              "tree5 combined NN 4": tree5_combined(4),
+              "sum4 screen": screen,
               "sum4 routing, seed 1 placement": routings[0],
               "sum4 routing, seed 2 placement": routings[1],
-              "diamond routing, RELAXED_PATHS deep": shallow,
+              "diamond routing, SHALLOW_PATHS deep": shallow,
               "diamond routing, DEFAULT_K deep": deep,
               "pigeonhole 6 in 5": _pigeonhole(6, 5)}
     theirs = {name: highs_feasible(m) for name, m in shaped.items()}
