@@ -244,17 +244,18 @@ def add_must_map(model: IlpModel, dfg: Dfg) -> None:
 
 
 def add_neighbor_required(model: IlpModel, dfg: Dfg) -> None:
-    """con3 over the model's domain."""
-    drivers: dict[tuple, list[NodeKey]] = {}
+    """con3 over the model's domain, over its declared f variables."""
+    f_of = {o: {var.idx[1]: var for var in fs}
+            for o, fs in _f_index(model).items()}
+    drivers: dict[tuple, list[VarId]] = {}
     for o, u, p, v in model.domain:
-        drivers.setdefault((o, p, v), []).append(u)
-    index = _f_index(model)
+        drivers.setdefault((o, p, v), []).append(f_of[o][u])
     for o, p in dfg.point_edges():
-        for fv in index.get(p, ()):
-            us = drivers.get((o, p, fv.idx[1]), ())
-            if o == p and us:
+        for v, fv in f_of.get(p, {}).items():
+            fs = drivers.get((o, p, v), ())
+            if o == p and fs:
                 continue  # the loop closes on the unit hosting it
-            terms = [(1, fv)] + [(-1, fvar(o, u)) for u in us]
+            terms = [(1, fv)] + [(-1, f) for f in fs]
             model.add_constraint(terms, "<=", 0, "con3")
 
 

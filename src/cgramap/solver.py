@@ -1,14 +1,17 @@
 """Exact 0/1 search over the model rows.
 
-One depth-first search with incremental slack propagation. It reads the
-model in one pass that normalises every row to sum(c_i x_i) <= b over
-variable indices and rejects a malformed model (a bad relation, a
-non-int coefficient or right-hand side, an undeclared or twice-declared
-variable) with ValueError. A row's slack is b minus the smallest value
-its fixed and free terms can still take, and a negative slack is a
-conflict. Free variables whose coefficient exceeds the slack are forced;
-a row whose slack is at least its widest coefficient can do neither and
-is skipped.
+One depth-first search with incremental slack propagation. It reads
+each model row once: one pass rejects a malformed row (a bad relation, a
+non-int coefficient or right-hand side, an undeclared variable; a
+twice-declared variable is rejected before) with ValueError, normalises
+it to sum(c_i x_i) <= b over variable indices (an = row to two), and
+sets its slack and width, the variables that spend it and whether it is
+a choice group. A row's slack is b minus the smallest value its fixed
+and free terms can still take, and a negative slack is a conflict. Free
+variables whose coefficient exceeds the slack are forced; a row whose
+slack is at least its width, its widest coefficient, can do neither, so
+a fix queues only the rows it leaves below their width (the watch rule
+of Chai & Kuehlmann, DAC 2003).
 
 The search branches on choices first. A choice group is a row that
 needs at least one of its variables (all coefficients 1), such as an
@@ -33,12 +36,12 @@ exponential time. Such a 0 gets no second branch when it dominates,
 each row where it uses up slack holding whatever its free terms take:
 any leaf with the variable at 1 is then a leaf at 0.
 
-The search yields each leaf; to go on past it, one row the leaf
-violates joins the live search (the no-good cut over the placement
-variables when enumerating) and the search resumes above the deepest
-decision that row depends on, so no subtree is explored twice and leaves
-come in the order separate searches with all cuts so far would find
-them. The clock is read at every search node, so a time limit holds to
+The search re-checks each leaf against the normalised rows, the model's
+and the cuts, and yields it; to go on past it, one row the leaf violates
+joins the live search (the no-good cut over the placement variables when
+enumerating) and the search resumes above the deepest decision that row
+depends on, so no subtree is explored twice and leaves come in the order
+separate searches with all cuts so far would find them. The clock is read at every search node, so a time limit holds to
 within one node's propagation.
 """
 
@@ -104,7 +107,10 @@ class _Search:
         if len(index) != len(self.vars):
             raise ValueError("duplicate variable declaration")
         self.val = [-1] * len(self.vars)
+        # per normalised row sum(c x) <= rhs: its (c, variable index)
+        # terms, its rhs and its slack under the current fixes
         self.coefs: list[list[tuple[int, int]]] = []
+        self.rhs: list[int] = []
         self.slack: list[int] = []
         # per row, its widest |coefficient|: a row with at least that much
         # slack can neither force a variable nor conflict
@@ -115,13 +121,26 @@ class _Search:
         self.trail: list[int] = []
         self.queue: deque[int] = deque()
         self.nodes = 0
-        # every row a leaf is re-checked against: the model's and the cuts
+        # the choices the search branches on first, in row order: the
+        # variable indices of each row that needs at least one of its
+        # variables (relation >= or =, rhs at least 1, every coefficient 1)
+        self.groups: list[list[int]] = []
+        # every row a leaf's failed re-check is worded from: the model's
+        # and the cuts
         self.rows = list(model.constraints)
+        spends = self.spends
+        # every variable is free: the <= half starts with slack rhs minus
+        # its negative coefficients, the >= half (negated) with its
+        # positive ones minus rhs
         for con in self.rows:
             relation = con.relation
             if relation not in ("<=", ">=", "="):
                 raise ValueError(f"bad relation {relation!r}")
+            le, ge = relation != ">=", relation != "<="
+            row = len(self.coefs)
+            up = row + le  # the >= half's row
             terms = []
+            low = high = width = 0
             for c, v in con.terms:
                 if not is_int(c):
                     raise ValueError(f"non-integer coefficient {c!r}")
@@ -129,19 +148,51 @@ class _Search:
                 if i is None:
                     raise ValueError(f"row references undeclared {v}")
                 terms.append((c, i))
-            if not is_int(con.rhs):
-                raise ValueError(f"non-integer right-hand side {con.rhs!r}")
-            if relation != ">=":
-                self.add_row(terms, con.rhs)
-            if relation != "<=":
-                self.add_row([(-c, i) for c, i in terms], -con.rhs)
+                # fixing to 1 uses up the <= half's slack of a positive
+                # coefficient and the >= half's of a negative one
+                if c > 0:
+                    high += c
+                    if le:
+                        spends[2 * i + 1] += (row, c)
+                    if ge:
+                        spends[2 * i] += (up, c)
+                    if c > width:
+                        width = c
+                elif c < 0:
+                    low += c
+                    if le:
+                        spends[2 * i] += (row, -c)
+                    if ge:
+                        spends[2 * i + 1] += (up, -c)
+                    if -c > width:
+                        width = -c
+            rhs = con.rhs
+            if not is_int(rhs):
+                raise ValueError(f"non-integer right-hand side {rhs!r}")
+            if le:
+                self.coefs.append(terms)
+                self.rhs.append(rhs)
+                self.slack.append(rhs - low)
+                self.width.append(width)
+                if rhs - low < width:
+                    self.queue.append(row)
+            if ge:
+                self.coefs.append([(-c, i) for c, i in terms])
+                self.rhs.append(-rhs)
+                self.slack.append(high - rhs)
+                self.width.append(width)
+                if high - rhs < width:
+                    self.queue.append(up)
+                if rhs >= 1 and terms and all(c == 1 for c, _ in terms):
+                    self.groups.append([i for _, i in terms])
 
     def add_row(self, terms, rhs) -> int:
-        """Add sum(c x) <= rhs with its slack under the current fixes and
-        queue it; a fixed term counts c*val and a free one min(c, 0), as
-        undo_to assumes."""
+        """Add sum(c x) <= rhs with its slack under the current fixes,
+        queued if that is below its width; a fixed term counts c*val and
+        a free one min(c, 0), as undo_to assumes."""
         row = len(self.coefs)
         self.coefs.append(terms)
+        self.rhs.append(rhs)
         val = self.val
         spends = self.spends
         slack, width = rhs, 0
@@ -162,7 +213,8 @@ class _Search:
                     slack -= c
         self.slack.append(slack)
         self.width.append(width)
-        self.queue.append(row)
+        if slack < width:
+            self.queue.append(row)
         return row
 
     def fix(self, i, value):
@@ -170,10 +222,13 @@ class _Search:
         self.trail.append(i)
         slack = self.slack
         queue = self.queue
+        width = self.width
         spend = iter(self.spends[2 * i + value])
+        # a row left with at least its width in slack can do nothing yet
         for row, amount in zip(spend, spend):
-            slack[row] -= amount
-            queue.append(row)
+            s = slack[row] = slack[row] - amount
+            if s < width[row]:
+                queue.append(row)
 
     def undo_to(self, mark):
         slack = self.slack
@@ -226,7 +281,9 @@ class _Search:
         rank = [0] * len(order)
         for at, i in enumerate(order):
             rank[i] = at
-        groups = _choice_groups(self.rows, self.index, rank)
+        # members in branch order; ties between groups go to row order
+        groups = [sorted(members, key=rank.__getitem__)
+                  for members in self.groups]
         first = [0 if v.cls in ("p", "y") else 1 for v in self.vars]
         val = self.val
         # every variable in order[:pos] is fixed
@@ -262,10 +319,13 @@ class _Search:
                     self.nodes += 1
                     self.fix(free, first[free])
                     continue
-                assignment = dict(zip(self.vars, self.val))
-                bad = check_assignment(self.rows, assignment)
-                if bad:
-                    raise AssertionError(f"solution fails re-check: {bad[0]}")
+                assignment = dict(zip(self.vars, val))
+                rhs = self.rhs
+                for row, terms in enumerate(self.coefs):
+                    if sum(c * val[j] for c, j in terms) > rhs[row]:
+                        bad = check_assignment(self.rows, assignment)
+                        raise AssertionError(
+                            f"solution fails re-check: {bad[0]}")
                 cut = yield assignment
                 self.rows.append(cut)
                 conflict = self.add_row(
@@ -284,17 +344,6 @@ class _Search:
                     break
             else:
                 return INFEASIBLE
-
-
-def _choice_groups(rows, index, rank):
-    """The choices the search branches on first: each row that needs at
-    least one of its variables (all coefficients 1, relation >= or =,
-    right-hand side at least 1). Members come in branch order, groups in
-    row order, which breaks ties between them."""
-    return [sorted((index[v] for _, v in con.terms), key=rank.__getitem__)
-            for con in rows
-            if (con.relation != "<=" and con.rhs >= 1 and con.terms
-                and all(c == 1 for c, _ in con.terms))]
 
 
 def _open_choice(groups, val):

@@ -341,7 +341,7 @@ def test_deadline_during_routing_stops_the_enumeration(monkeypatch):
                                                 "routing_only"]
 
 
-def test_deadline_during_screen_placement_check_skips_relaxed(monkeypatch):
+def test_deadline_during_first_placement_check_ends_the_target(monkeypatch):
     # the routing checks of the screen's first placement end past the
     # deadline and end the target: no model for another placement is
     # built, though the enumeration has more
@@ -602,7 +602,7 @@ def _placement_of(result):
             in result.assignment.items() if var.cls == "f" and value == 1}
 
 
-def test_screen_placement_that_routes_skips_relaxed(monkeypatch):
+def test_first_placement_that_routes_builds_only_its_own_cache(monkeypatch):
     # join's screen at NN 4 yields a first placement that routes on its
     # own SHALLOW_PATHS cache: that cache and one routing model are all
     # that is built past the screen, and the mapping places what the

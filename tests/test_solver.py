@@ -126,10 +126,10 @@ def test_config_validation():
         SolveConfig(solution_limit=2.5)
 
 
-def _fixpoint(model, fixes):
+def _fixpoint(model, fixes, search_class=solver._Search):
     """Fix (variable index, value) pairs in order, propagating after
     each: the values at the fixpoint, or "conflict"."""
-    search = solver._Search(model)
+    search = search_class(model)
     if search.propagate() is not None:
         return "conflict"
     for i, value in fixes:
@@ -198,6 +198,110 @@ def test_random_agreement_with_exhaustive():
         assert len(got) == len(set(got)), f"trial {trial}"
         assert set(got) == want, f"trial {trial}"
         assert final.status == "infeasible", f"trial {trial}"
+
+
+def _agreement_models():
+    """The random models of test_random_agreement_with_exhaustive: 150
+    over f variables, then 200 over mixed classes."""
+    rng = random.Random(20240917)
+    models = [random_model(rng) for _ in range(150)]
+    return models + [random_model(rng, max_vars=8,
+                                  classes=("f", "p", "y", "z"))
+                     for _ in range(200)]
+
+
+def _read_by_rows(model):
+    """A reference for _Search's one-pass read: each row normalised to
+    sum(c x) <= rhs and added with add_row to a search over no rows, and
+    the choice groups picked by their rule (relation >= or =, rhs at
+    least 1, every coefficient 1)."""
+    search = solver._Search(SimpleNamespace(variables=model.variables,
+                                            constraints=[]))
+    groups = []
+    for con in model.constraints:
+        terms = [(c, search.index[v]) for c, v in con.terms]
+        if con.relation != ">=":
+            search.add_row(terms, con.rhs)
+        if con.relation != "<=":
+            search.add_row([(-c, i) for c, i in terms], -con.rhs)
+        if (con.relation != "<=" and con.rhs >= 1 and terms
+                and all(c == 1 for c, _ in terms)):
+            groups.append([i for _, i in terms])
+    return search, groups
+
+
+def _read_state(search):
+    return (search.coefs, search.rhs, search.slack, search.width,
+            search.spends, list(search.queue))
+
+
+def test_one_pass_read_matches_rows_added_one_by_one():
+    five_add = build_baseline(parse_dfg(FIVE_ADD),
+                              build_mrrg(ArchSpec("ortho", 2, 2), 1))
+    screen, routings = sum4_models()
+    models = _agreement_models() + [tree5_combined(4), screen, *routings,
+                                    five_add]
+    for n, model in enumerate(models):
+        read = solver._Search(model)
+        reference, groups = _read_by_rows(model)
+        assert _read_state(read) == _read_state(reference), n
+        assert read.groups == groups, n
+    # the groups are the con2 rows of the screen and the con5 rows of a
+    # routing-only model, one per operation and per connection
+    assert len(solver._Search(screen).groups) == 4
+    assert len(solver._Search(routings[0]).groups) == 4
+
+
+class _QueueEverySpend(solver._Search):
+    """A search that queues every row at the start and every row a fix
+    spends, whatever slack it leaves."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.queue.extend(range(len(self.coefs)))
+
+    def fix(self, i, value):
+        self.val[i] = value
+        self.trail.append(i)
+        spend = iter(self.spends[2 * i + value])
+        for row, amount in zip(spend, spend):
+            self.slack[row] -= amount
+            self.queue.append(row)
+
+
+def test_queueing_only_tightened_rows_loses_nothing():
+    # a row left with at least its width in slack can neither force nor
+    # conflict, so leaving it out of the queue changes no fixpoint
+    rng = random.Random(20241019)
+    for trial in range(300):
+        model = random_model(rng, max_vars=8,
+                             classes=("f", "p", "y") if trial % 2 else None)
+        n = len(model.variables)
+        for _ in range(4):
+            fixes = [(i, rng.randint(0, 1))
+                     for i in rng.sample(range(n), rng.randint(1, n))]
+            assert (_fixpoint(model, fixes)
+                    == _fixpoint(model, fixes, _QueueEverySpend)), (
+                        trial, fixes)
+
+
+@pytest.mark.parametrize("rows,run,words", [
+    ([([(1, "x")], "=", 1), ([(1, "x")], "<=", 0)], solve,
+     "row: lhs=1 <= 0"),
+    ([([(1, "x"), (1, "y")], "=", 1)],
+     lambda m, cfg: next(enumerate_solutions(m, cfg)), "row: lhs=2 = 1")],
+    ids=["solve", "enumerate"])
+def test_leaf_recheck_names_the_violated_row(monkeypatch, rows, run, words):
+    # with propagation switched off a leaf can break a row; the re-check
+    # over the normalised rows catches it and names the model's row
+    def no_propagation(self):
+        self.queue.clear()
+
+    monkeypatch.setattr(solver._Search, "propagate", no_propagation)
+    model, _ = mk_model(["x", "y"], rows)
+    with pytest.raises(AssertionError,
+                       match=f"^solution fails re-check: {words}$"):
+        run(model, SolveConfig())
 
 
 @pytest.mark.parametrize("cls", ["p", "y"])
