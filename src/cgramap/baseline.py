@@ -23,8 +23,8 @@ from collections import deque
 
 from .dfg import Dfg
 from .ilp import (IlpModel, VarId, add_fu_exclusivity, add_implication,
-                  add_must_map, declare_f, fvar)
-from .mrrg import Mrrg, NodeKey, compatible_nodes, fu_nodes, hop_dists
+                  add_must_map, declare_f)
+from .mrrg import Mrrg, NodeKey, fu_nodes, hop_dists
 from .paths import RoutePath
 
 
@@ -43,17 +43,16 @@ def build_baseline(dfg: Dfg, mrrg: Mrrg) -> IlpModel:
     capped at one more than the number of routing nodes."""
     slack = 2 * mrrg.ii + 4
     model = IlpModel("baseline", hop_slack=slack)
-    declare_f(model, dfg, mrrg)
-    add_fu_exclusivity(model, fu_nodes(mrrg))
-    add_must_map(model, dfg)
+    f_of = declare_f(model, dfg, mrrg)
+    add_fu_exclusivity(model, f_of, fu_nodes(mrrg))
+    add_must_map(model, f_of)
 
-    ops = dfg.ops_by_id
     route_count = len(mrrg.nodes) - len(mrrg.fus)
     users: dict[NodeKey, list[VarId]] = {}
     for edge in dfg.edges:
         driver = edge.driver
-        units = set(compatible_nodes(mrrg, ops[driver]))
-        sinks = {s: compatible_nodes(mrrg, ops[s]) for s, _ in edge.sinks}
+        units = f_of[driver]
+        sinks = {s: f_of[s] for s, _ in edge.sinks}
         fwd = hop_dists(mrrg, units)
         bwd = hop_dists(mrrg, {v for vs in sinks.values() for v in vs},
                         backward=True)
@@ -76,13 +75,13 @@ def build_baseline(dfg: Dfg, mrrg: Mrrg) -> IlpModel:
             model.add_constraint([(1, z)] + [(-1, r) for r in layers.values()],
                                  "<=", 0, "reach")
             fanout = set(mrrg.fanout(n))
-            fed = [(-1, fvar(s, v)) for s, vs in sinks.items() for v in vs
+            fed = [(-1, f) for vs in sinks.values() for v, f in vs.items()
                    if v in fanout]
             for layer, r in layers.items():
                 back = [(-1, marks[m][layer - 1]) for m in mrrg.fanin(n)
                         if layer - 1 in marks.get(m, ())]
                 if layer == 1:
-                    back += [(-1, fvar(driver, u)) for u in mrrg.fanin(n)
+                    back += [(-1, units[u]) for u in mrrg.fanin(n)
                              if u in units]
                 model.add_constraint([(1, r)] + back, "<=", 0, "back")
                 ahead = [(-1, marks[m][layer + 1]) for m in mrrg.fanout(n)
@@ -90,14 +89,13 @@ def build_baseline(dfg: Dfg, mrrg: Mrrg) -> IlpModel:
                 model.add_constraint([(1, r)] + ahead + fed, "<=", 0, "fwd")
 
         for sink, vs in sinks.items():
-            for v in vs:
+            for v, f in vs.items():
                 arrive = [(-1, zvar(driver, n)) for n in mrrg.fanin(v)
                           if n in marks]
                 if sink != driver:
-                    arrive += [(-1, fvar(driver, u)) for u in mrrg.fanin(v)
+                    arrive += [(-1, units[u]) for u in mrrg.fanin(v)
                                if u in units and u != v]
-                model.add_constraint([(1, fvar(sink, v))] + arrive,
-                                     "<=", 0, "arrive")
+                model.add_constraint([(1, f)] + arrive, "<=", 0, "arrive")
 
     for n in sorted(users):
         if len(users[n]) > 1:

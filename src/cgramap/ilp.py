@@ -105,16 +105,16 @@ class IlpModel:
         return var
 
     def add_constraint(self, terms, relation: str, rhs: int, tag: str) -> None:
-        if relation not in ("<=", "=", ">="):
-            raise ValueError(f"bad relation {relation!r}")
+        """Append the row with its terms sorted by variable, rejecting a
+        repeated variable. The relation, the coefficients and whether
+        each variable is declared are checked by the solver, which
+        reads every row once."""
         canon = tuple(sorted(terms, key=itemgetter(1)))
         prev = None
         # sorted, a repeated variable sits next to itself
         for _, v in canon:
             if v == prev:
                 raise ValueError(f"duplicate variable {v} in constraint")
-            if v not in self._declared:
-                raise ValueError(f"constraint references undeclared {v}")
             prev = v
         self.constraints.append(LinearConstraint(canon, relation, rhs, tag))
 
@@ -139,11 +139,15 @@ class IlpModel:
         return "\n".join(lines)
 
 
-def declare_f(model: IlpModel, dfg: Dfg, mrrg: Mrrg) -> None:
-    """Each op's compatible units; add_must_map rejects an op with none."""
-    for op in dfg.operations:
-        for u in compatible_nodes(mrrg, op):
-            model.add_var(fvar(op.id, u))
+def declare_f(model: IlpModel, dfg: Dfg,
+              mrrg: Mrrg) -> dict[str, dict[NodeKey, VarId]]:
+    """Declare f[o,u] for each op o and each unit u it fits, and return
+    them as op -> unit -> variable, in declaration order: the index the
+    row builders read. An op with no unit maps to an empty dict, which
+    add_must_map rejects."""
+    return {op.id: {u: model.add_var(fvar(op.id, u))
+                    for u in compatible_nodes(mrrg, op)}
+            for op in dfg.operations}
 
 
 def neighbor_domain(dfg: Dfg, mrrg: Mrrg,
@@ -217,36 +221,30 @@ def declare_p(model: IlpModel, cache: PathCache, pairs) -> None:
             model.add_var(pvar(u, v, q))
 
 
-def _f_index(model: IlpModel, by: int = 0) -> dict:
-    """The f variables grouped by operation (by=0) or by unit (by=1)."""
-    out: dict = {}
-    for var in model.variables:
-        if var.cls == "f":
-            out.setdefault(var.idx[by], []).append(var)
-    return out
-
-
-def add_fu_exclusivity(model: IlpModel, fus) -> None:
-    by_u = _f_index(model, 1)
+def add_fu_exclusivity(model: IlpModel, f_of, fus) -> None:
+    """con1 over declare_f's index: a row per unit in fus that some op
+    fits."""
+    by_u: dict[NodeKey, list[VarId]] = {}
+    for units in f_of.values():
+        for u, var in units.items():
+            by_u.setdefault(u, []).append(var)
     for u in sorted(fus):
         terms = by_u.get(u)
         if terms:
             model.add_constraint([(1, v) for v in terms], "<=", 1, "con1")
 
 
-def add_must_map(model: IlpModel, dfg: Dfg) -> None:
-    index = _f_index(model)
-    for op in dfg.operations:
-        terms = [(1, v) for v in index.get(op.id, ())]
-        if not terms:
-            raise InfeasibleModel(f"operation {op.id} has no compatible unit")
-        model.add_constraint(terms, "=", 1, "con2")
+def add_must_map(model: IlpModel, f_of) -> None:
+    """con2 over declare_f's index, one row per op in its order."""
+    for o, units in f_of.items():
+        if not units:
+            raise InfeasibleModel(f"operation {o} has no compatible unit")
+        model.add_constraint([(1, v) for v in units.values()], "=", 1,
+                             "con2")
 
 
-def add_neighbor_required(model: IlpModel, dfg: Dfg) -> None:
-    """con3 over the model's domain, over its declared f variables."""
-    f_of = {o: {var.idx[1]: var for var in fs}
-            for o, fs in _f_index(model).items()}
+def add_neighbor_required(model: IlpModel, dfg: Dfg, f_of) -> None:
+    """con3 over the model's domain and declare_f's index."""
     drivers: dict[tuple, list[VarId]] = {}
     for o, u, p, v in model.domain:
         drivers.setdefault((o, p, v), []).append(f_of[o][u])
@@ -267,13 +265,13 @@ def add_implication(model: IlpModel, members, var: VarId, tag: str) -> None:
     model.add_constraint(terms, "<=", 0, tag)
 
 
-def add_path_required(model: IlpModel, cache: PathCache) -> None:
-    """con5 over the model's domain."""
+def add_path_required(model: IlpModel, cache: PathCache, f_of) -> None:
+    """con5 over the model's domain and declare_f's index."""
     for o, u, p, v in model.domain:
-        terms = [(1, fvar(o, u))] + [(-1, pvar(u, v, q))
+        terms = [(1, f_of[o][u])] + [(-1, pvar(u, v, q))
                                      for q in range(len(cache.get((u, v))))]
         if o != p:
-            terms.append((1, fvar(p, v)))
+            terms.append((1, f_of[p][v]))
         model.add_constraint(terms, "<=", int(o != p), "con5")
 
 
@@ -329,16 +327,16 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
     model = IlpModel(variant, nn=nmap.target_nn,
                      k=cache.k if cache else None)
     model.domain = neighbor_domain(dfg, mrrg, nmap)
-    declare_f(model, dfg, mrrg)
-    add_fu_exclusivity(model, fu_nodes(mrrg))
-    add_must_map(model, dfg)
-    add_neighbor_required(model, dfg)
+    f_of = declare_f(model, dfg, mrrg)
+    add_fu_exclusivity(model, f_of, fu_nodes(mrrg))
+    add_must_map(model, f_of)
+    add_neighbor_required(model, dfg, f_of)
     if variant == "placement_only":
         return model
     if cache is None:
         raise ValueError(f"{variant} needs a path cache")
     declare_p(model, cache, {(u, v) for _, u, _, v in model.domain})
-    add_path_required(model, cache)
+    add_path_required(model, cache, f_of)
     add_path_exclusivity(model, cache)
     return model
 
@@ -351,6 +349,9 @@ def _build_routing_only(dfg, mrrg, nmap, cache, placement):
     ops = dfg.ops_by_id
     taken: dict[NodeKey, str] = {}
     for o, u in placement.items():
+        if o not in ops:
+            raise ValueError(f"routing_only placement names {o}, "
+                             f"which is not in the DFG")
         if u not in compatible_nodes(mrrg, ops[o]):
             raise InfeasibleModel(f"operation {o} placed on incompatible {u}")
         if u in taken:

@@ -4,14 +4,17 @@ One depth-first search with incremental slack propagation. It reads
 each model row once: one pass rejects a malformed row (a bad relation, a
 non-int coefficient or right-hand side, an undeclared variable; a
 twice-declared variable is rejected before) with ValueError, normalises
-it to sum(c_i x_i) <= b over variable indices (an = row to two), and
-sets its slack and width, the variables that spend it and whether it is
-a choice group. A row's slack is b minus the smallest value its fixed
-and free terms can still take, and a negative slack is a conflict. Free
-variables whose coefficient exceeds the slack are forced; a row whose
-slack is at least its width, its widest coefficient, can do neither, so
-a fix queues only the rows it leaves below their width (the watch rule
-of Chai & Kuehlmann, DAC 2003).
+it to sum(c_i x_i) <= b over variable indices (an = row to two) and
+records whether it is a choice group. The model builder leaves these
+checks to this pass, which takes any object with variables and
+constraints. Every normalised row, the model's and each cut added
+during the search, enters through add_row, which sets its slack and
+width and the variables that spend it. A row's slack is b minus the
+smallest value its fixed and free terms can still take, and a negative
+slack is a conflict. Free variables whose coefficient exceeds the slack
+are forced; a row whose slack is at least its width, its widest
+coefficient, can do neither, so a fix queues only the rows it leaves
+below their width (the watch rule of Chai & Kuehlmann, DAC 2003).
 
 The search branches on choices first. A choice group is a row that
 needs at least one of its variables (all coefficients 1), such as an
@@ -41,8 +44,10 @@ and the cuts, and yields it; to go on past it, one row the leaf violates
 joins the live search (the no-good cut over the placement variables when
 enumerating) and the search resumes above the deepest decision that row
 depends on, so no subtree is explored twice and leaves come in the order
-separate searches with all cuts so far would find them. The clock is read at every search node, so a time limit holds to
-within one node's propagation.
+separate searches with all cuts so far would find them.
+
+The clock is read at every search node, so a time limit holds to within
+one node's propagation.
 """
 
 from __future__ import annotations
@@ -128,19 +133,13 @@ class _Search:
         # every row a leaf's failed re-check is worded from: the model's
         # and the cuts
         self.rows = list(model.constraints)
-        spends = self.spends
-        # every variable is free: the <= half starts with slack rhs minus
-        # its negative coefficients, the >= half (negated) with its
-        # positive ones minus rhs
+        # a row's <= half, and the >= half of a >= or = row negated,
+        # enter through add_row
         for con in self.rows:
             relation = con.relation
             if relation not in ("<=", ">=", "="):
                 raise ValueError(f"bad relation {relation!r}")
-            le, ge = relation != ">=", relation != "<="
-            row = len(self.coefs)
-            up = row + le  # the >= half's row
             terms = []
-            low = high = width = 0
             for c, v in con.terms:
                 if not is_int(c):
                     raise ValueError(f"non-integer coefficient {c!r}")
@@ -148,41 +147,13 @@ class _Search:
                 if i is None:
                     raise ValueError(f"row references undeclared {v}")
                 terms.append((c, i))
-                # fixing to 1 uses up the <= half's slack of a positive
-                # coefficient and the >= half's of a negative one
-                if c > 0:
-                    high += c
-                    if le:
-                        spends[2 * i + 1] += (row, c)
-                    if ge:
-                        spends[2 * i] += (up, c)
-                    if c > width:
-                        width = c
-                elif c < 0:
-                    low += c
-                    if le:
-                        spends[2 * i] += (row, -c)
-                    if ge:
-                        spends[2 * i + 1] += (up, -c)
-                    if -c > width:
-                        width = -c
             rhs = con.rhs
             if not is_int(rhs):
                 raise ValueError(f"non-integer right-hand side {rhs!r}")
-            if le:
-                self.coefs.append(terms)
-                self.rhs.append(rhs)
-                self.slack.append(rhs - low)
-                self.width.append(width)
-                if rhs - low < width:
-                    self.queue.append(row)
-            if ge:
-                self.coefs.append([(-c, i) for c, i in terms])
-                self.rhs.append(-rhs)
-                self.slack.append(high - rhs)
-                self.width.append(width)
-                if high - rhs < width:
-                    self.queue.append(up)
+            if relation != ">=":
+                self.add_row(terms, rhs)
+            if relation != "<=":
+                self.add_row([(-c, i) for c, i in terms], -rhs)
                 if rhs >= 1 and terms and all(c == 1 for c, _ in terms):
                     self.groups.append([i for _, i in terms])
 

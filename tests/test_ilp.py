@@ -8,8 +8,8 @@ from cgramap import solver
 from cgramap.dfg import parse_dfg
 from cgramap.ilp import (VARIANTS, IlpModel, InfeasibleModel, VarId,
                          add_fu_exclusivity, add_implication, add_must_map,
-                         add_path_exclusivity, audit, build_variant, fvar,
-                         pvar, yvar)
+                         add_path_exclusivity, audit, build_variant,
+                         declare_f, fvar, pvar, yvar)
 from cgramap.mapper import SHALLOW_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg, compatible_nodes, fu_nodes
 from cgramap.neighbors import NeighborMap, build_neighbor_map
@@ -331,8 +331,36 @@ def test_exact_exclusivity_rows_and_dedup():
 def test_must_map_variants():
     dfg = parse_dfg(EXPR_TEXT)
     bare = IlpModel("combined")
-    with pytest.raises(InfeasibleModel):
-        add_must_map(bare, dfg)
+    with pytest.raises(InfeasibleModel, match="operation a has no"):
+        add_must_map(bare, {op.id: {} for op in dfg.operations})
+    # declare_f's index: every op, in DFG order, to its units' variables
+    m = build_mrrg(ArchSpec("ortho", 3, 3), ii=1)
+    model = IlpModel("combined")
+    f_of = declare_f(model, dfg, m)
+    assert f_of == {op.id: {u: fvar(op.id, u)
+                            for u in compatible_nodes(m, op)}
+                    for op in dfg.operations}
+    assert model.variables == [v for units in f_of.values()
+                               for v in units.values()]
+    add_must_map(model, f_of)
+    assert [(c.relation, c.rhs, {v.idx[0] for _, v in c.terms})
+            for c in model.constraints] == [
+                ("=", 1, {op.id}) for op in dfg.operations]
+
+
+def test_add_constraint_sorts_and_rejects_a_repeated_variable():
+    model = IlpModel("combined")
+    a, b = model.add_var(fvar("a", ("u", 0))), model.add_var(pvar("u", "v", 0))
+    model.add_constraint([(2, b), (1, a)], "<=", 1, "t")
+    assert model.constraints[-1].terms == ((1, a), (2, b))
+    with pytest.raises(ValueError, match="duplicate variable"):
+        model.add_constraint([(1, a), (1, b), (-1, a)], "<=", 1, "t")
+    assert len(model.constraints) == 1
+    # a bad relation or an undeclared variable is left to the solver,
+    # which rejects both (test_solver.py::test_malformed_rejected)
+    ghost = fvar("ghost", ("u", 0))
+    model.add_constraint([(1, ghost)], "<", 1, "t")
+    assert model.constraints[-1] == (((1, ghost),), "<", 1, "t")
 
 
 def test_fanin_empty_sum_forbids_unit(inst):
@@ -507,10 +535,9 @@ def test_neighbor_rows_propagate_as_the_edge_form():
 
 
 def test_zero_ops_zero_rows():
-    dfg = parse_dfg("op lone add\n")
     m = build_mrrg(ArchSpec("ortho", 2, 2), ii=1)
     model = IlpModel("combined")
-    add_fu_exclusivity(model, fu_nodes(m))
+    add_fu_exclusivity(model, {}, fu_nodes(m))
     assert model.constraints == []
 
 
@@ -544,6 +571,10 @@ def test_routing_only_errors(inst):
         partial = dict(base)
         del partial["a"]
         build_variant("routing_only", dfg, m, nmap, cache, placement=partial)
+    # an op the DFG does not have was a bare KeyError
+    with pytest.raises(ValueError, match="zz"):
+        bad = dict(base, zz=("pe_0_0.alu", 0))
+        build_variant("routing_only", dfg, m, nmap, cache, placement=bad)
 
 
 def test_routing_only_empty_instance(inst):

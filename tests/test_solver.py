@@ -109,6 +109,17 @@ def test_malformed_rejected():
     # TypeError, and 0.5 was accepted
     cases += [(model(rows=[LinearConstraint(((1, v),), "<=", rhs, "t")]),
                "right-hand side") for rhs in (float("nan"), "1", None, 0.5)]
+
+    # IlpModel.add_constraint takes both rows as given: the solver's one
+    # read of the rows is what rejects them
+    def built(var, relation):
+        ilp = IlpModel("combined")
+        ilp.add_var(v)
+        ilp.add_constraint([(1, var)], relation, 1, "t")
+        return ilp
+
+    cases += [(built(ghost, "<="), "row references undeclared"),
+              (built(v, "<"), "bad relation '<'")]
     # enumerate_solutions is a generator: it raises on the first next()
     for run in (solve, lambda m, cfg: next(enumerate_solutions(m, cfg))):
         for bad, words in cases:
