@@ -26,6 +26,12 @@ routing_only (con5-6 over the pairs of a given placement) and combined
 (con1-3, con5-6). Variables and rows are named tuples, which are built,
 hashed and sorted without Python code.
 
+The mapper builds only routing_only models. It searches con1-3 without
+a model (screen_placements, a search over each operation's units that
+keeps them arc-consistent) and refutes what routing checks it can from
+the cache alone (must_cross_blocks). placement_only serves as the
+cross-check of that search.
+
 Each implication group is one row, M being its number of summed terms,
 in place of M rows x - g <= 0: the two forms admit the same 0/1 points
 and the solver forces the same values from them (any x at 1 forces g to
@@ -35,6 +41,8 @@ an LP relaxation the aggregated row is the weaker, big-M form.
 
 from __future__ import annotations
 
+import random
+import time
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -172,34 +180,63 @@ def placeable(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap | None = None) -> bool:
     without a model. Given nmap, each operation's units are first cut to
     those with a partner on every DFG edge through it, as con3 reads
     one (v in nmap[u]; a loop edge only on a unit that is its own
-    neighbour), until nothing changes: arc consistency (Mackworth, AI
-    1977). Then the operations must match onto distinct units, the
-    all-different test (Regin, AAAI 1994), by augmenting paths."""
+    neighbour), until nothing changes. Then the operations must match
+    onto distinct units. screen_placements runs the same two checks at
+    its root node."""
+    if nmap is None:
+        units = {op.id: set(compatible_nodes(mrrg, op))
+                 for op in dfg.operations}
+        return _matched(units)
+    units, through = _domains(dfg, mrrg, nmap)
+    return (_consistent(units, nmap.neighbors, through,
+                        {a for arcs in through.values() for a in arcs})
+            and _matched(units))
+
+
+def _domains(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap):
+    """Each operation's compatible units, a loop edge keeping only the
+    units that are their own neighbour, and the arcs con3 reads through
+    each operation: the DFG edges between distinct operations."""
+    near = nmap.neighbors
     units = {op.id: set(compatible_nodes(mrrg, op)) for op in dfg.operations}
-    if nmap is not None:
-        near = nmap.neighbors
-        arcs = []
-        for o, p in dfg.point_edges():
-            if o == p:
-                units[o] = {u for u in units[o] if u in near[u]}
-            else:
-                arcs.append((o, p))
-        # each revision leaves its arc consistent; a cut domain queues the
-        # other arcs through it again (AC-3)
-        queue = set(arcs)
-        while queue:
-            o, p = arc = queue.pop()
-            sinks = units[p]
-            drivers = {u for u in units[o] if not sinks.isdisjoint(near[u])}
-            unmet = set(sinks)
-            for u in drivers:
-                unmet.difference_update(near[u])
-                if not unmet:
-                    break
-            if unmet or len(drivers) < len(units[o]):
-                units[o], units[p] = drivers, sinks - unmet
-                queue.update(a for a in arcs
-                             if a != arc and (o in a or p in a))
+    through: dict[str, list[tuple[str, str]]] = {o: [] for o in units}
+    for o, p in dfg.point_edges():
+        if o == p:
+            units[o] = {u for u in units[o] if u in near[u]}
+        else:
+            through[o].append((o, p))
+            through[p].append((o, p))
+    return units, through
+
+
+def _consistent(units, near, through, queue) -> bool:
+    """Arc consistency (AC-3; Mackworth, AI 1977) from the arcs in queue:
+    cut the units of each arc's ends to those with a partner across it
+    (v in near[u]), queueing again the other arcs through an end that
+    lost units, until the queue is empty. Cut domains are replaced, not
+    edited, so a copy of units that shares their sets stays intact.
+    False once an operation has no unit left."""
+    while queue:
+        o, p = arc = queue.pop()
+        sinks = units[p]
+        drivers = {u for u in units[o] if not sinks.isdisjoint(near[u])}
+        if not drivers:
+            return False
+        unmet = set(sinks)
+        for u in drivers:
+            unmet.difference_update(near[u])
+            if not unmet:
+                break
+        if unmet or len(drivers) < len(units[o]):
+            units[o], units[p] = drivers, sinks - unmet
+            queue.update(a for a in through[o] + through[p] if a != arc)
+    return True
+
+
+def _matched(units) -> bool:
+    """Whether the operations match onto distinct units, each onto one of
+    its own: the all-different test (Regin, AAAI 1994), by augmenting
+    paths."""
     host: dict[NodeKey, str] = {}
 
     def augment(o, seen):
@@ -213,6 +250,132 @@ def placeable(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap | None = None) -> bool:
         return False
 
     return all(augment(o, set()) for o in units)
+
+
+def _settle(units, near, through, queue) -> bool:
+    """Propagate one search node to a fixpoint: arc consistency, then
+    every operation left with one unit takes it from all the others,
+    queueing the arcs through the ones that lose it, until neither cuts
+    more; then the matching. False when either proves the node has no
+    placement."""
+    while True:
+        if not _consistent(units, near, through, queue):
+            return False
+        # two operations left on one unit fail the matching
+        taken = {next(iter(us)) for us in units.values() if len(us) == 1}
+        cut = False
+        for o, us in units.items():
+            if len(us) > 1 and not taken.isdisjoint(us):
+                units[o] = us = us - taken
+                if not us:
+                    return False
+                queue.update(through[o])
+                cut = True
+        if not cut:
+            return _matched(units)
+
+
+def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg):
+    """Yield each placement that meets con1-con3 once, as op -> unit, by
+    depth-first search over the operations' domains, the units each
+    may still take, maintaining arc consistency (Sabin & Freuder, CP
+    1994) with the matching test at every node; the subgraph matching
+    of LAD (Solnon, AIJ 2010) works alike. The root node is placeable's
+    two checks. At each node the operation with the fewest units left
+    is tried on each of them in its value order, its sorted units
+    shuffled once by random.Random(cfg.seed); ties go to more DFG edges
+    through the operation, then to declaration order. Assigning a unit
+    takes it from every other domain and propagates again (_settle); a
+    node where every domain holds one unit is a placement.
+
+    cfg is a solver.SolveConfig: the search reads the clock at every
+    node and stops at its time_limit, and stops after solution_limit
+    yields without looking for one more leaf. Returns (status, nodes):
+    status None at that limit, else infeasible once the tree is
+    exhausted or timeout; nodes counts the nodes propagated.
+
+    The same placements are the 0/1 solutions of the placement_only
+    model, which serves as a cross-check. A routing failure's core cut
+    or the rotations of a placement excluded elsewhere would enter this
+    search as forbidden partial assignments: a node that assigns every
+    operation of one to its unit fails."""
+    deadline = time.monotonic() + cfg.time_limit
+    near = nmap.neighbors
+    units, through = _domains(dfg, mrrg, nmap)
+    rng = random.Random(cfg.seed)
+    order = {}
+    for o, us in units.items():
+        order[o] = sorted(us)
+        rng.shuffle(order[o])
+    rank = {o: (-len(through[o]), i) for i, o in enumerate(units)}
+    nodes = yields = 0
+    # (domains, operation branched on, its units not yet tried there)
+    stack: list[tuple[dict, str, list]] = []
+    node = units
+    queue = {a for arcs in through.values() for a in arcs}
+    while True:
+        nodes += 1
+        if time.monotonic() > deadline:
+            return "timeout", nodes
+        if _settle(node, near, through, queue):
+            open_ = [o for o, us in node.items() if len(us) > 1]
+            if open_:
+                o = min(open_, key=lambda o: (len(node[o]), rank[o]))
+                stack.append((node, o, [u for u in reversed(order[o])
+                                        if u in node[o]]))
+            else:
+                yield {o: next(iter(us)) for o, us in node.items()}
+                yields += 1
+                if yields == cfg.solution_limit:
+                    return None, nodes
+        if not stack:
+            return "infeasible", nodes
+        parent, o, left = stack[-1]
+        node = dict(parent)
+        node[o] = {left.pop()}
+        queue = set(through[o])
+        if not left:
+            stack.pop()
+
+
+def must_cross_blocks(pairs, cache: PathCache
+                      ) -> dict[tuple[NodeKey, NodeKey], tuple[NodeKey, ...]]:
+    """A proof, found without a model, that the routing-only model over
+    the placement's (driver unit, sink unit) pairs is infeasible: the
+    connections it leaves with no cached route, each with the vertices
+    that blocked its routes; empty when it proves nothing. A connection
+    must cross every interior vertex all its routes share, and by con6
+    no other driver's route may then cross that vertex, so such routes
+    are dropped, until nothing more is. Relative to the cache, like the
+    solve it stands in for."""
+    routes = {pair: list(cache.get(pair)) for pair in sorted(set(pairs))}
+    blocked: dict[tuple, set] = {pair: set() for pair in routes}
+    while True:
+        # vertex -> the drivers that must cross it
+        claims: dict[NodeKey, set[NodeKey]] = {}
+        for (u, _), rps in routes.items():
+            if rps:
+                shared = set(rps[0].interior())
+                for rp in rps[1:]:
+                    shared.intersection_update(rp.interior())
+                for n in shared:
+                    claims.setdefault(n, set()).add(u)
+        dropped = False
+        for (u, v), rps in routes.items():
+            keep = []
+            for rp in rps:
+                hit = [n for n in rp.interior()
+                       if n in claims and claims[n] != {u}]
+                if hit:
+                    blocked[u, v].update(hit)
+                else:
+                    keep.append(rp)
+            if len(keep) < len(rps):
+                routes[u, v] = keep
+                dropped = True
+        if not dropped:
+            return {pair: tuple(sorted(blocked[pair]))
+                    for pair, rps in routes.items() if not rps}
 
 
 def declare_p(model: IlpModel, cache: PathCache, pairs) -> None:

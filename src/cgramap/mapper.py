@@ -1,40 +1,48 @@
 """Staged mapping driver.
 
-For each neighbour-count target in the schedule, four stages refute or
-screen its placements before any routing: a matching of operations onto
-distinct compatible units (con1-con2, which do not depend on NN); the
-neighbour map; arc consistency over that map, then the matching again
-over the units it leaves (con1-con3); and the placement-only model,
-built only when neither check refutes the target. Each refutation is a
-proof, reported as an infeasible screen with no placement tried. The
-placement-only model is then enumerated, and each placement it yields
-is checked with the routing-only model: over SHALLOW_PATHS routes per
-connection first, and over DEFAULT_K routes only when those are proven
-too few. The first routable placement wins; growing the neighbourhood
-only happens when the cheap stages say the current one cannot work.
+For each neighbour-count target in the schedule, a matching of
+operations onto distinct compatible units (con1-con2, which do not
+depend on NN) may refute the target before its neighbour map is asked
+for. Otherwise the screen searches the placements that meet con1-con3
+(ilp.screen_placements): a depth-first search over each operation's
+units that keeps them arc-consistent with the neighbour map and
+matchable onto distinct units at every node. Its root node is
+ilp.placeable's check, so a target that check refutes ends there, with
+no placement tried. Each placement the search yields is checked with
+the routing-only model: over SHALLOW_PATHS routes per connection first,
+and over DEFAULT_K routes only when those are proven too few. The first
+routable placement wins; growing the neighbourhood only happens when the
+cheap stages say the current one cannot work.
 
 This deviates from the paper, which stages its models as screen, then
 relaxed placement (con5, and con6 at more than one signal per vertex,
 over a few paths per connection), then routing-only. Here the relaxed
 model, at 2 signals per vertex over SHALLOW_PATHS routes, excluded no
-placement that its enumeration reached. Enumerating the screen in its
-place gave the same verdicts, placements and routes on every kernels
-and fabric benchmark instance at seeds 1-3 (150 runs), on chain8, fir4,
-sum4 and mac on 4x4 ADRES and HyCUBE at II 2 (24 runs) and on the 288
-runs of tests/test_mapper.py's outcomes_digest. The relaxed model only
-added its build and a larger search.
+placement that its enumeration reached, and the screen's placements are
+searched directly rather than solved from its 0/1 model, the
+placement_only variant, which is kept for cross-checks. The search
+yields the same placements as that model's enumeration, in another
+order, so the placement routed first changes with it; the verdicts
+stayed the same on every kernels and fabric benchmark instance at seeds
+1-3 (150 runs), on chain8, fir4, sum4 and mac on 4x4 ADRES and HyCUBE at
+II 2 (24 runs) and on the 288 runs of tests/test_mapper.py's
+outcomes_digest.
 
 Every stage takes its time limit as it starts: min(cap, time left
 before the map deadline), floored at 1 ms. MapLimits.solve_time caps
-each routing solve; the enumeration has no cap and runs to the
+each routing solve; the screen search has no cap and runs to the
 deadline.
 
 Each placement tried gets a cache of SHALLOW_PATHS routes over just its
-own (driver unit, sink unit) pairs, and only when the routing-only model
-over it is proven infeasible, one of DEFAULT_K routes over the same
-pairs; the reported routing comes from the cache that routed. A shallow
-list is the prefix of a deep one: what routes on SHALLOW_PATHS routes
-also routes on DEFAULT_K, and the verdicts are those of one deep cache.
+own (driver unit, sink unit) pairs, and only when the routing check over
+it is proven infeasible, one of DEFAULT_K routes over the same pairs;
+the reported routing comes from the cache that routed. A shallow list is
+the prefix of a deep one: what routes on SHALLOW_PATHS routes also
+routes on DEFAULT_K, and the verdicts are those of one deep cache. A
+routing check first asks ilp.must_cross_blocks, which refutes most
+infeasible checks in well under a millisecond from the vertices every
+cached route of a connection crosses; only what it cannot refute is
+built as a routing-only model and solved.
 
 Neighbour maps and routes are derived once per MRRG and kept on it (see
 the neighbors and paths modules), so every target, placement and call
@@ -52,11 +60,14 @@ import time
 from dataclasses import dataclass
 
 from .dfg import Dfg, is_int
-from .ilp import build_variant, placeable
+from .ilp import (build_variant, must_cross_blocks, placeable,
+                  screen_placements)
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import NeighborMap, build_neighbor_map
 from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
-from .solver import SolveConfig, enumerate_solutions, solve
+from .solver import SolveConfig, solve
+# unused: perfbench's tracing wraps it here until ROADMAP item 11
+from .solver import enumerate_solutions  # noqa: F401
 
 MAPPED = "mapped"
 NOT_MAPPABLE = "not_mappable"
@@ -71,8 +82,8 @@ SHALLOW_PATHS = 3
 
 @dataclass(frozen=True)
 class MapLimits:
-    """placement_limit caps the placements enumerated per target,
-    solve_time each routing solve; the enumeration runs to the
+    """placement_limit caps the placements the screen search yields per
+    target, solve_time each routing solve; the search runs to the
     total_time deadline."""
 
     placement_limit: int = 100
@@ -91,10 +102,10 @@ class MapLimits:
 @dataclass(frozen=True)
 class NnAttempt:
     """One target: screen is the placement screen's status, feasible
-    once its enumeration yields a placement, and infeasible too when the
-    unit matching or the neighbourhood check refuted the target before
-    any model was built; placements_tried counts each distinct placement
-    the enumeration yielded."""
+    once its search yields a placement, infeasible when the search, or
+    the unit matching before it, proves that none exists, and timeout
+    when the deadline came first; placements_tried counts the distinct
+    placements the search yielded."""
 
     nn: int
     screen: str
@@ -192,33 +203,30 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
     the first one that routes, if any, and whether some routing check
     timed out.
 
-    A target the unit matching refutes never asks for its neighbour map,
-    and one the neighbourhood check refutes builds no screen; either
-    returns what an infeasible screen does. Otherwise the screen is
-    enumerated, and its status is feasible once it yields a placement,
-    else the status its empty stream ends with. Its first placement is
-    the leaf one solve finds at the same seed. A routing check that ends
-    past the deadline ends the target."""
+    A target the unit matching refutes never asks for its neighbour
+    map, and returns what an infeasible screen does. Otherwise the
+    screen search runs, and its status is feasible once it yields a
+    placement, else the status it ends with: infeasible when its root
+    node or its exhausted tree proves there is no placement. Which
+    placement comes first depends on the seed, through the search's
+    value order. A routing check that ends past the deadline ends the
+    target."""
     if not placeable(dfg, mrrg):
         return "infeasible", 0, None, False
     nmap = build_neighbor_map(mrrg, nn)
-    if not placeable(dfg, mrrg, nmap):
-        return "infeasible", 0, None, False
-    # never infeasible to build: an op without a unit was refuted above
-    screen = build_variant("placement_only", dfg, mrrg, nmap)
-    placements = enumerate_solutions(
-        screen, _config(seed, deadline, solutions=limits.placement_limit))
+    placements = screen_placements(
+        dfg, mrrg, nmap,
+        _config(seed, deadline, solutions=limits.placement_limit))
     tried, timed_out = 0, False
     while True:
         try:
-            candidate = next(placements)
+            placement = next(placements)
         except StopIteration as stop:
-            # an empty stream ends with the screen's verdict; a stream
-            # ends with None only at the placement limit, after a yield
-            screened = stop.value.status if not tried else "feasible"
+            # an empty stream ends with the search's verdict; its status
+            # is None only at the placement limit, after a yield
+            screened = stop.value[0] if not tried else "feasible"
             return screened, tried, None, timed_out
         tried += 1
-        placement = _placement_of(candidate.assignment)
         status, routing = _route(dfg, mrrg, nmap, placement, SHALLOW_PATHS,
                                  seed, deadline, limits.solve_time)
         if status == "infeasible":
@@ -234,25 +242,23 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
             return "feasible", tried, None, timed_out
 
 
-def _placement_of(assignment) -> dict[str, NodeKey]:
-    """The unit each op sits on in a solution of a placement model."""
-    return {var.idx[0]: var.idx[1] for var, value in assignment.items()
-            if var.cls == "f" and value == 1}
-
-
 def _route(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
            placement: dict[str, NodeKey], k: int, seed: int,
            deadline: float, cap: float):
     """The routing-only check of one placement over a cache of k routes
     for each of its (driver unit, sink unit) pairs: its status and, when
-    feasible, the routing."""
+    feasible, the routing. must_cross_blocks refutes it first when it
+    can, so that no model is built."""
+    pairs = sorted({(placement[o], placement[p])
+                    for o, p in dfg.point_edges()})
     sinks: dict[NodeKey, list[NodeKey]] = {}
-    for u, w in sorted({(placement[o], placement[p])
-                        for o, p in dfg.point_edges()}):
+    for u, w in pairs:
         sinks.setdefault(u, []).append(w)
     cache = build_path_cache(
         mrrg, NeighborMap(nmap.target_nn,
                           {u: tuple(ws) for u, ws in sinks.items()}), k)
+    if must_cross_blocks(pairs, cache):
+        return "infeasible", None
     # never infeasible to build. Every placement passed here meets
     # con1-con3, which rule out a shared unit, an incompatible unit and a
     # pair outside the neighbour map. The cache holds at least one route

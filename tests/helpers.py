@@ -1,5 +1,6 @@
-"""Reference oracles for the test suite, and a runner for checks that
-need a fresh interpreter.
+"""Reference oracles for the test suite, a runner for checks that need
+a fresh interpreter, and a kernel, with one of its placements, that more
+than one test module reads.
 
 Every oracle is written against the documented semantics only and stays
 independent of the package's search and model-building code paths: plain
@@ -12,6 +13,21 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+# 12 ops: four loads, each squared, the squares summed pairwise into one
+# stored value
+FIR4 = "".join(f"op x{i} load\nop m{i} mul\n" for i in range(4)) + (
+    "op a0 add\nop a1 add\nop a2 add\nop st store\n"
+    + "".join(f"edge x{i} -> m{i}:0, m{i}:1\n" for i in range(4))
+    + "edge m0 -> a0:0\nedge m1 -> a0:1\nedge m2 -> a1:0\n"
+    "edge m3 -> a1:1\nedge a0 -> a2:0\nedge a1 -> a2:1\nedge a2 -> st:0\n")
+# the first placement of fir4's NN-10 screen search on 4x4 HyCUBE at II 2
+# under seed 1: a1 and a2 share PE 0_1 in consecutive contexts
+FIR4_HYCUBE_PLACEMENT = {
+    "a0": ("pe_1_1.alu", 0), "a1": ("pe_0_1.alu", 0), "a2": ("pe_0_1.alu", 1),
+    "m0": ("pe_1_2.alu", 1), "m1": ("pe_1_1.alu", 1), "m2": ("pe_0_0.alu", 1),
+    "m3": ("pe_0_2.alu", 1), "st": ("mem_2", 1), "x0": ("mem_2", 0),
+    "x1": ("mem_1", 0), "x2": ("mem_0", 0), "x3": ("mem_3", 0)}
 
 
 def under_hash_seeds(call: str) -> list[str]:

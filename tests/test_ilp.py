@@ -9,14 +9,14 @@ from cgramap.dfg import parse_dfg
 from cgramap.ilp import (VARIANTS, IlpModel, InfeasibleModel, VarId,
                          add_fu_exclusivity, add_implication, add_must_map,
                          add_path_exclusivity, audit, build_variant,
-                         declare_f, fvar, pvar, yvar)
+                         declare_f, fvar, must_cross_blocks, pvar, yvar)
 from cgramap.mapper import SHALLOW_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg, compatible_nodes, fu_nodes
 from cgramap.neighbors import NeighborMap, build_neighbor_map
 from cgramap.paths import (DEFAULT_K, PathCache, RoutePath,
                            build_path_cache)
 
-from helpers import satisfies
+from helpers import FIR4, FIR4_HYCUBE_PLACEMENT, satisfies
 
 EXPR_TEXT = """\
 # a = b * (c + d)
@@ -539,6 +539,47 @@ def test_zero_ops_zero_rows():
     model = IlpModel("combined")
     add_fu_exclusivity(model, {}, fu_nodes(m))
     assert model.constraints == []
+
+
+@pytest.mark.parametrize("k", [SHALLOW_PATHS, DEFAULT_K])
+def test_must_cross_refutes_fir4_on_hycube(k):
+    # every route of a1 -> a2 and of a2 -> st leaves through PE 0_1's
+    # output at context 1, and those are two drivers, so no route of
+    # either survives: the routing-only model, whose proof by search
+    # took seconds at DEFAULT_K, is infeasible
+    dfg, m = parse_dfg(FIR4), build_mrrg(ArchSpec("hycube", 4, 4), 2)
+    place = FIR4_HYCUBE_PLACEMENT
+    pairs = [(place[o], place[p]) for o, p in dfg.point_edges()]
+    nmap = build_neighbor_map(m, 10)
+    cache = build_path_cache(m, nmap, k)
+    out = ("pe_0_1.out", 1)
+    shallow = (out, ("xb_0_1.to_e", 1), ("xb_1_1.to_w", 1))
+    assert must_cross_blocks(pairs, cache) == {
+        (place["a1"], place["a2"]): (out,),
+        (place["a2"], place["st"]): shallow if k == SHALLOW_PATHS else (out,)}
+    if k == SHALLOW_PATHS:
+        model = build_variant("routing_only", dfg, m, nmap, cache,
+                              placement=place)
+        res = solver.solve(model, solver.SolveConfig(seed=1, time_limit=30))
+        assert res.status == "infeasible"
+
+
+def test_must_cross_keeps_a_routable_placement():
+    # with a route each that shares nothing, nothing is dropped; with
+    # one driver's only route crossing another's only interior vertex,
+    # both connections empty, each blocked by that vertex
+    a, b, c, d = ("a", 0), ("b", 0), ("c", 0), ("d", 0)
+    n, w = ("n", 0), ("w", 0)
+    cache = PathCache(k=1, paths={(a, b): (RoutePath(a, b, (a, n, b)),),
+                                  (c, d): (RoutePath(c, d, (c, w, d)),)})
+    assert must_cross_blocks([(a, b), (c, d)], cache) == {}
+    cache = PathCache(k=1, paths={(a, b): (RoutePath(a, b, (a, n, b)),),
+                                  (c, d): (RoutePath(c, d, (c, n, d)),),
+                                  (a, d): (RoutePath(a, d, (a, n, d)),)})
+    assert must_cross_blocks([(a, b), (c, d)], cache) == {
+        (a, b): (n,), (c, d): (n,)}
+    # routes of one driver may share a vertex
+    assert must_cross_blocks([(a, b), (a, d)], cache) == {}
 
 
 def test_routing_only_variant(inst):

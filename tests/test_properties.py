@@ -1,6 +1,7 @@
 """Property tests: the DFG and architecture text formats read back what
-they write, a target the placement check refutes has no placement, and
-neighbour maps and routes commute with the context rotation.
+they write, a target the placement check refutes has no placement, a
+routing check the must-cross rule refutes has no routing, and neighbour
+maps and routes commute with the context rotation.
 Derandomized with few examples, so they run in a couple of seconds and
 give the same cases on every run."""
 
@@ -15,12 +16,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from cgramap.dfg import (OPCODES, Dfg, Edge, Operation,  # noqa: E402
                          parse_dfg, serialize_dfg)
 from cgramap.ilp import (InfeasibleModel, build_variant,  # noqa: E402
-                         placeable)
+                         must_cross_blocks, placeable, screen_placements)
 from cgramap.mrrg import (ArchError, ArchSpec, build_mrrg,  # noqa: E402
                           parse_arch, serialize_arch)
 from cgramap.neighbors import build_neighbor_map  # noqa: E402
 from cgramap.paths import DEFAULT_K, build_path_cache  # noqa: E402
-from cgramap.solver import INFEASIBLE, SolveConfig, solve  # noqa: E402
+from cgramap.solver import (INFEASIBLE, SolveConfig,  # noqa: E402
+                            solve)
 from helpers import brute_force_mappable  # noqa: E402
 
 PROFILE = settings(derandomize=True, database=None, deadline=None,
@@ -108,6 +110,33 @@ def test_refuted_target_has_no_placement(dfg, fabric):
     if (len(dfg.operations) <= 4 and len(mrrg.nodes) <= 50
             and not placeable(dfg, mrrg, build_neighbor_map(mrrg, full))):
         assert not brute_force_mappable(dfg, mrrg)
+
+
+@settings(PROFILE, max_examples=60)
+@given(dfgs(), st.sampled_from(TINY), st.sampled_from((2, 4, 8)),
+       st.integers(0, 3))
+def test_must_cross_refutes_only_unroutable_placements(dfg, fabric, nn,
+                                                        seed):
+    # a refutation is a proof: the routing-only model over the same
+    # cache is infeasible too. Up to three placements of the screen
+    # search per case, each over 1, 3 and 20 routes per pair; one route
+    # per pair makes every interior vertex one to cross, so refutations
+    # are common there
+    mrrg = tiny_mrrg(*fabric)
+    nmap = build_neighbor_map(mrrg, nn)
+    for place in screen_placements(dfg, mrrg, nmap,
+                                   SolveConfig(seed, 10, 3)):
+        pairs = {(place[o], place[p]) for o, p in dfg.point_edges()}
+        for k in (1, 3, DEFAULT_K):
+            cache = build_path_cache(mrrg, nmap, k)
+            if not must_cross_blocks(pairs, cache):
+                continue
+            try:
+                model = build_variant("routing_only", dfg, mrrg, nmap, cache,
+                                      placement=place)
+            except InfeasibleModel:
+                continue
+            assert solve(model, SolveConfig(1, 10)).status == INFEASIBLE
 
 
 @pytest.mark.parametrize("ii", [2, 3])
