@@ -26,11 +26,12 @@ routing_only (con5-6 over the pairs of a given placement) and combined
 (con1-3, con5-6). Variables and rows are named tuples, which are built,
 hashed and sorted without Python code.
 
-The mapper builds only routing_only models. It searches con1-3 without
-a model (screen_placements, a search over each operation's units that
-keeps them arc-consistent) and refutes what routing checks it can from
-the cache alone (must_cross_blocks). placement_only serves as the
-cross-check of that search.
+The mapper builds no model. It searches con1-3 without one
+(screen_placements, a search over each operation's units that keeps
+them arc-consistent), and con5-6 over a placement's cached routes
+likewise (route_search, a search over each connection's routes whose
+root node is must_cross_blocks). placement_only and routing_only serve
+only as cross-checks of those searches.
 
 Each implication group is one row, M being its number of summed terms,
 in place of M rows x - g <= 0: the two forms admit the same 0/1 points
@@ -338,44 +339,130 @@ def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg):
             stack.pop()
 
 
+def _route_domains(pairs, cache: PathCache):
+    """The root node of a routing check: each connection of pairs, in
+    sorted order, with its cached routes in cache order, each as
+    (interior, route)."""
+    return {pair: tuple((rp.interior(), rp) for rp in cache.get(pair))
+            for pair in sorted(set(pairs))}
+
+
+def _cross(routes, claims, changed, blocked=None) -> bool:
+    """Propagate must-cross to its fixpoint, in rounds. Each round, each
+    connection in changed (whose routes were cut) claims for its driver
+    the interior vertices all its routes share; then every route that
+    crosses a vertex claimed by another driver is dropped, and the
+    connections that lost routes are the next round's changed. A route
+    kept so far crosses no vertex another driver claimed, so only the
+    vertices claimed this round are tested. Route lists and claims
+    (vertex -> drivers) are replaced, not edited, so a copy that shares
+    them stays intact.
+
+    An emptied connection keeps its claims. That drops nothing more:
+    every other driver's route through one of them was dropped in the
+    round that emptied it. With blocked (connection -> vertices), each dropped route's
+    vertices claimed by another driver are added there and the rounds
+    run to the fixpoint; without, the first emptied connection ends
+    them. False when some connection is left with no route."""
+    while changed:
+        fresh = set()
+        for pair in changed:
+            rps = routes[pair]
+            if not rps:
+                continue
+            u = pair[0]
+            for n in set(rps[0][0]).intersection(*(i for i, _ in rps[1:])):
+                have = claims.get(n, frozenset())
+                if u not in have:
+                    claims[n] = have | {u}
+                    fresh.add(n)
+        changed = []
+        # driver -> the vertices just claimed by another driver
+        taken: dict[NodeKey, set] = {}
+        for pair, rps in routes.items():
+            u = pair[0]
+            if u not in taken:
+                own = {u}
+                taken[u] = {n for n in fresh if claims[n] != own}
+            keep = tuple(entry for entry in rps
+                         if taken[u].isdisjoint(entry[0]))
+            if len(keep) == len(rps):
+                continue
+            if blocked is not None:
+                own = {u}
+                blocked[pair].update(
+                    n for inner, _ in rps if not taken[u].isdisjoint(inner)
+                    for n in inner if n in claims and claims[n] != own)
+            elif not keep:
+                return False
+            routes[pair] = keep
+            changed.append(pair)
+    return all(routes.values())
+
+
 def must_cross_blocks(pairs, cache: PathCache
                       ) -> dict[tuple[NodeKey, NodeKey], tuple[NodeKey, ...]]:
-    """A proof, found without a model, that the routing-only model over
-    the placement's (driver unit, sink unit) pairs is infeasible: the
-    connections it leaves with no cached route, each with the vertices
-    that blocked its routes; empty when it proves nothing. A connection
-    must cross every interior vertex all its routes share, and by con6
-    no other driver's route may then cross that vertex, so such routes
-    are dropped, until nothing more is. Relative to the cache, like the
-    solve it stands in for."""
-    routes = {pair: list(cache.get(pair)) for pair in sorted(set(pairs))}
+    """A proof, found without search, that no choice of one cached route
+    per (driver unit, sink unit) pair of a placement meets con6: the
+    connections it leaves with no route, each with the vertices that
+    blocked its routes; empty when it proves nothing. A connection must
+    cross every interior vertex all its routes share, and by con6 no
+    other driver's route may then cross that vertex, so such routes are
+    dropped, until nothing more is (_cross). This is route_search's
+    root node. Relative to the cache, like the search."""
+    routes = _route_domains(pairs, cache)
     blocked: dict[tuple, set] = {pair: set() for pair in routes}
+    _cross(routes, {}, list(routes), blocked)
+    return {pair: tuple(sorted(blocked[pair]))
+            for pair, rps in routes.items() if not rps}
+
+
+def route_search(pairs, cache: PathCache, cfg):
+    """Pick one cached route per (driver unit, sink unit) pair of a
+    placement so that no routing vertex carries two drivers' signals
+    (con5 and con6 over the cache), by depth-first search over each
+    connection's routes left. Every node propagates must_cross_blocks's
+    fixpoint (_cross): a connection down to one route must cross all of
+    its vertices, so other drivers' routes through them are dropped,
+    and a node where a connection has no route left fails. The root
+    node is must_cross_blocks's check. At each node the connection with
+    the fewest routes left, ties to pair order, takes each of them in
+    cache order: shortest first, ties to the vertex sequence. A node
+    where every connection has one route is the answer. No seed enters.
+
+    cfg is a solver.SolveConfig, of which only time_limit is read: the
+    search reads the clock at every node and stops there. Returns
+    (status, routes, nodes): routes is {pair: route} when feasible, else
+    None; status infeasible once the tree is exhausted, or timeout;
+    nodes counts the nodes propagated. Exact over the cache: the same
+    verdict as the routing_only model's solve."""
+    deadline = time.monotonic() + cfg.time_limit
+    node = _route_domains(pairs, cache)
+    claims: dict[NodeKey, frozenset] = {}
+    changed = list(node)
+    nodes = 0
+    # (routes, claims, connection branched on, its routes not yet tried)
+    stack: list[tuple[dict, dict, tuple, list]] = []
     while True:
-        # vertex -> the drivers that must cross it
-        claims: dict[NodeKey, set[NodeKey]] = {}
-        for (u, _), rps in routes.items():
-            if rps:
-                shared = set(rps[0].interior())
-                for rp in rps[1:]:
-                    shared.intersection_update(rp.interior())
-                for n in shared:
-                    claims.setdefault(n, set()).add(u)
-        dropped = False
-        for (u, v), rps in routes.items():
-            keep = []
-            for rp in rps:
-                hit = [n for n in rp.interior()
-                       if n in claims and claims[n] != {u}]
-                if hit:
-                    blocked[u, v].update(hit)
-                else:
-                    keep.append(rp)
-            if len(keep) < len(rps):
-                routes[u, v] = keep
-                dropped = True
-        if not dropped:
-            return {pair: tuple(sorted(blocked[pair]))
-                    for pair, rps in routes.items() if not rps}
+        nodes += 1
+        if time.monotonic() > deadline:
+            return "timeout", None, nodes
+        if _cross(node, claims, changed):
+            open_ = [pair for pair, rps in node.items() if len(rps) > 1]
+            if not open_:
+                return ("feasible",
+                        {pair: rps[0][1] for pair, rps in node.items()},
+                        nodes)
+            pair = min(open_, key=lambda pair: len(node[pair]))
+            stack.append((node, claims, pair, list(reversed(node[pair]))))
+        if not stack:
+            return "infeasible", None, nodes
+        parent, parent_claims, pair, left = stack[-1]
+        node, claims = dict(parent), dict(parent_claims)
+        node[pair] = (left.pop(),)
+        changed = [pair]
+        if not left:
+            stack.pop()
 
 
 def declare_p(model: IlpModel, cache: PathCache, pairs) -> None:

@@ -8,29 +8,33 @@ for. Otherwise the screen searches the placements that meet con1-con3
 units that keeps them arc-consistent with the neighbour map and
 matchable onto distinct units at every node. Its root node is
 ilp.placeable's check, so a target that check refutes ends there, with
-no placement tried. Each placement the search yields is checked with
-the routing-only model: over SHALLOW_PATHS routes per connection first,
-and over DEFAULT_K routes only when those are proven too few. The first
-routable placement wins; growing the neighbourhood only happens when the
-cheap stages say the current one cannot work.
+no placement tried. Each placement the search yields gets a routing
+check, a search for one cached route per connection with no vertex
+carrying two signals (ilp.route_search): over SHALLOW_PATHS routes per
+connection first, and over DEFAULT_K routes only when those are proven
+too few. The first routable placement wins; growing the neighbourhood
+only happens when the cheap stages say the current one cannot work.
 
 This deviates from the paper, which stages its models as screen, then
 relaxed placement (con5, and con6 at more than one signal per vertex,
 over a few paths per connection), then routing-only. Here the relaxed
 model, at 2 signals per vertex over SHALLOW_PATHS routes, excluded no
-placement that its enumeration reached, and the screen's placements are
-searched directly rather than solved from its 0/1 model, the
-placement_only variant, which is kept for cross-checks. The search
+placement that its enumeration reached, and neither the screen nor the
+routing stage is solved from its 0/1 model: the screen's placements and
+each placement's routes are searched directly, and the placement_only
+and routing_only variants are kept for cross-checks. The screen search
 yields the same placements as that model's enumeration, in another
-order, so the placement routed first changes with it; the verdicts
-stayed the same on every kernels and fabric benchmark instance at seeds
-1-3 (150 runs), on chain8, fir4, sum4 and mac on 4x4 ADRES and HyCUBE at
-II 2 (24 runs) and on the 288 runs of tests/test_mapper.py's
+order, so the placement routed first changes with it; the routing
+search decides as the routing-only solve does, but may pick other
+routes. With both, the verdicts, attempts and placements stayed the
+same on every kernels and fabric benchmark instance at seeds 1-3 (150
+runs), on chain8, fir4, sum4 and mac on 4x4 ADRES and HyCUBE at II 2
+and seeds 1-3 (24 runs) and on the 288 runs of tests/test_mapper.py's
 outcomes_digest.
 
 Every stage takes its time limit as it starts: min(cap, time left
 before the map deadline), floored at 1 ms. MapLimits.solve_time caps
-each routing solve; the screen search has no cap and runs to the
+each routing search; the screen search has no cap and runs to the
 deadline.
 
 Each placement tried gets a cache of SHALLOW_PATHS routes over just its
@@ -38,11 +42,11 @@ own (driver unit, sink unit) pairs, and only when the routing check over
 it is proven infeasible, one of DEFAULT_K routes over the same pairs;
 the reported routing comes from the cache that routed. A shallow list is
 the prefix of a deep one: what routes on SHALLOW_PATHS routes also
-routes on DEFAULT_K, and the verdicts are those of one deep cache. A
-routing check first asks ilp.must_cross_blocks, which refutes most
-infeasible checks in well under a millisecond from the vertices every
-cached route of a connection crosses; only what it cannot refute is
-built as a routing-only model and solved.
+routes on DEFAULT_K, and the verdicts are those of one deep cache. The
+routing search's root node is ilp.must_cross_blocks's check, which
+refutes most infeasible checks in well under a millisecond from the
+vertices every cached route of a connection crosses; every node below
+it propagates the same rule.
 
 Neighbour maps and routes are derived once per MRRG and kept on it (see
 the neighbors and paths modules), so every target, placement and call
@@ -60,14 +64,14 @@ import time
 from dataclasses import dataclass
 
 from .dfg import Dfg, is_int
-from .ilp import (build_variant, must_cross_blocks, placeable,
-                  screen_placements)
+from .ilp import placeable, route_search, screen_placements
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import NeighborMap, build_neighbor_map
-from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
-from .solver import SolveConfig, solve
-# unused: perfbench's tracing wraps it here until ROADMAP item 11
-from .solver import enumerate_solutions  # noqa: F401
+from .paths import DEFAULT_K, RoutePath, build_path_cache
+from .solver import SolveConfig
+# unused: perfbench's tracing wraps them here until ROADMAP item 11
+from .ilp import build_variant  # noqa: F401
+from .solver import enumerate_solutions, solve  # noqa: F401
 
 MAPPED = "mapped"
 NOT_MAPPABLE = "not_mappable"
@@ -83,8 +87,8 @@ SHALLOW_PATHS = 3
 @dataclass(frozen=True)
 class MapLimits:
     """placement_limit caps the placements the screen search yields per
-    target, solve_time each routing solve; the search runs to the
-    total_time deadline."""
+    target, solve_time each routing search; the screen search runs to
+    the total_time deadline."""
 
     placement_limit: int = 100
     solve_time: float = 120.0
@@ -138,23 +142,6 @@ def _check_schedule(schedule) -> tuple[int, ...]:
     return sched
 
 
-def _routes_of(assignment, cache: PathCache, placement: dict[str, NodeKey],
-               dfg: Dfg):
-    chosen: dict[tuple[NodeKey, NodeKey], int] = {}
-    for var, value in assignment.items():
-        if var.cls != "p" or value != 1:
-            continue
-        u, v, q = var.idx
-        if chosen.get((u, v), q + 1) > q:
-            chosen[u, v] = q
-    routing: dict[str, list[RoutePath]] = {}
-    for o, p in dfg.point_edges():
-        u, v = placement[o], placement[p]
-        routing.setdefault(o, []).append(cache[u, v][chosen[u, v]])
-    return {o: tuple(sorted(paths, key=lambda rp: rp.vertices))
-            for o, paths in sorted(routing.items())}
-
-
 def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
             limits: MapLimits = MapLimits(), seed: int = 0) -> MapOutcome:
     """Run the staged search over the neighbour-count schedule."""
@@ -188,7 +175,7 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
                       tuple(attempts))
 
 
-def _config(seed: int, deadline: float, cap: float = math.inf,
+def _config(deadline: float, cap: float = math.inf, seed: int = 0,
             solutions: int = 1) -> SolveConfig:
     """A stage's solver settings, taken as the stage starts: its time
     limit is min(cap, time left), floored at 1 ms."""
@@ -216,7 +203,7 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
     nmap = build_neighbor_map(mrrg, nn)
     placements = screen_placements(
         dfg, mrrg, nmap,
-        _config(seed, deadline, solutions=limits.placement_limit))
+        _config(deadline, seed=seed, solutions=limits.placement_limit))
     tried, timed_out = 0, False
     while True:
         try:
@@ -228,12 +215,12 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
             return screened, tried, None, timed_out
         tried += 1
         status, routing = _route(dfg, mrrg, nmap, placement, SHALLOW_PATHS,
-                                 seed, deadline, limits.solve_time)
+                                 deadline, limits.solve_time)
         if status == "infeasible":
             # proven unroutable on SHALLOW_PATHS routes; DEFAULT_K may hold
             # more
             status, routing = _route(dfg, mrrg, nmap, placement, DEFAULT_K,
-                                     seed, deadline, limits.solve_time)
+                                     deadline, limits.solve_time)
         if routing is not None:
             return ("feasible", tried, MappingSolution(placement, routing, nn),
                     timed_out)
@@ -243,12 +230,15 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
 
 
 def _route(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
-           placement: dict[str, NodeKey], k: int, seed: int,
-           deadline: float, cap: float):
-    """The routing-only check of one placement over a cache of k routes
-    for each of its (driver unit, sink unit) pairs: its status and, when
-    feasible, the routing. must_cross_blocks refutes it first when it
-    can, so that no model is built."""
+           placement: dict[str, NodeKey], k: int, deadline: float,
+           cap: float):
+    """The routing check of one placement over a cache of k routes for
+    each of its (driver unit, sink unit) pairs, decided by
+    ilp.route_search within min(cap, time left): its status and, when
+    feasible, each driver's routes, one per DFG edge it drives, sorted
+    by vertex sequence. The search's root node is
+    ilp.must_cross_blocks's check, which refutes most infeasible checks
+    there; no model is built."""
     pairs = sorted({(placement[o], placement[p])
                     for o, p in dfg.point_edges()})
     sinks: dict[NodeKey, list[NodeKey]] = {}
@@ -257,19 +247,14 @@ def _route(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
     cache = build_path_cache(
         mrrg, NeighborMap(nmap.target_nn,
                           {u: tuple(ws) for u, ws in sinks.items()}), k)
-    if must_cross_blocks(pairs, cache):
-        return "infeasible", None
-    # never infeasible to build. Every placement passed here meets
-    # con1-con3, which rule out a shared unit, an incompatible unit and a
-    # pair outside the neighbour map. The cache holds at least one route
-    # for each of the placement's pairs: the neighbour BFS reaches a sink
-    # only along a simple route, which the path enumeration finds.
-    model = build_variant("routing_only", dfg, mrrg, nmap, cache,
-                          placement=placement)
-    routed = solve(model, _config(seed, deadline, cap))
-    if routed.status != "feasible":
-        return routed.status, None
-    return routed.status, _routes_of(routed.assignment, cache, placement, dfg)
+    status, chosen, _ = route_search(pairs, cache, _config(deadline, cap))
+    if status != "feasible":
+        return status, None
+    routing: dict[str, list[RoutePath]] = {}
+    for o, p in dfg.point_edges():
+        routing.setdefault(o, []).append(chosen[placement[o], placement[p]])
+    return status, {o: tuple(sorted(paths, key=lambda rp: rp.vertices))
+                    for o, paths in sorted(routing.items())}
 
 
 def validate_mapping(dfg: Dfg, mrrg: Mrrg, sol: MappingSolution) -> list[str]:

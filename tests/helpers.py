@@ -28,6 +28,13 @@ FIR4_HYCUBE_PLACEMENT = {
     "m0": ("pe_1_2.alu", 1), "m1": ("pe_1_1.alu", 1), "m2": ("pe_0_0.alu", 1),
     "m3": ("pe_0_2.alu", 1), "st": ("mem_2", 1), "x0": ("mem_2", 0),
     "x1": ("mem_1", 0), "x2": ("mem_0", 0), "x3": ("mem_3", 0)}
+# the placement fir4 maps with on 4x4 HyCUBE at II 2 under seed 3, the
+# first of its NN-10 screen search, which routes on SHALLOW_PATHS routes
+FIR4_HYCUBE_ROUTED = {
+    "a0": ("pe_1_1.alu", 0), "a1": ("pe_1_3.alu", 0), "a2": ("pe_1_2.alu", 1),
+    "m0": ("pe_1_0.alu", 1), "m1": ("pe_0_1.alu", 1), "m2": ("pe_0_3.alu", 1),
+    "m3": ("pe_1_3.alu", 1), "st": ("mem_2", 1), "x0": ("mem_0", 0),
+    "x1": ("mem_1", 0), "x2": ("mem_2", 0), "x3": ("mem_3", 0)}
 
 
 def under_hash_seeds(call: str) -> list[str]:

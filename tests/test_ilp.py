@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,8 @@ from cgramap.dfg import parse_dfg
 from cgramap.ilp import (VARIANTS, IlpModel, InfeasibleModel, VarId,
                          add_fu_exclusivity, add_implication, add_must_map,
                          add_path_exclusivity, audit, build_variant,
-                         declare_f, fvar, must_cross_blocks, pvar, yvar)
+                         declare_f, fvar, must_cross_blocks, pvar,
+                         route_search, yvar)
 from cgramap.mapper import SHALLOW_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg, compatible_nodes, fu_nodes
 from cgramap.neighbors import NeighborMap, build_neighbor_map
@@ -580,6 +582,47 @@ def test_must_cross_keeps_a_routable_placement():
         (a, b): (n,), (c, d): (n,)}
     # routes of one driver may share a vertex
     assert must_cross_blocks([(a, b), (a, d)], cache) == {}
+
+
+def three_drivers():
+    """Three connections of distinct drivers, each with one route through
+    vertex n and one through vertex w, and a cache of those routes."""
+    n, w = ("n", 0), ("w", 0)
+    three = [(("u", i), ("u", i + 1)) for i in (0, 2, 4)]
+    return three, PathCache(k=2, paths={
+        (x, y): (RoutePath(x, y, (x, n, y)), RoutePath(x, y, (x, w, y)))
+        for x, y in three})
+
+
+def test_route_search_refutes_past_its_root():
+    # no vertex is shared by all of a connection's routes, so the root
+    # node proves nothing, yet two vertices cannot carry three signals.
+    # Each route tried for a -> b leaves c -> d one route, whose claim
+    # empties e -> f: 3 nodes. Two of the drivers route, in 2 nodes
+    three, cache = three_drivers()
+    (a, b), (c, d), (e, f) = three
+    paths = cache.paths
+    cfg = solver.SolveConfig(time_limit=10)
+    assert must_cross_blocks(three, cache) == {}
+    assert route_search(three, cache, cfg) == ("infeasible", None, 3)
+    assert route_search(three[:2], cache, cfg) == (
+        "feasible", {(a, b): paths[a, b][0], (c, d): paths[c, d][1]}, 2)
+    # a connection the cache holds no route for fails the root node
+    assert must_cross_blocks([(a, b), (b, a)], cache) == {(b, a): ()}
+    assert route_search([(a, b), (b, a)], cache, cfg) == (
+        "infeasible", None, 1)
+
+
+def test_route_search_reads_the_clock_at_every_node(monkeypatch):
+    # a clock that moves one second per read and a 2 s limit: the
+    # deadline is read at 1 s, nodes 1 and 2 read 2 s and 3 s, and
+    # node 3, which would end the refutation above, reads 4 s and stops
+    reads = iter(range(1, 100))
+    monkeypatch.setattr("cgramap.ilp.time",
+                        SimpleNamespace(monotonic=lambda: next(reads)))
+    three, cache = three_drivers()
+    assert route_search(three, cache, solver.SolveConfig(time_limit=2)) == (
+        "timeout", None, 3)
 
 
 def test_routing_only_variant(inst):

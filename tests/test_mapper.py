@@ -1,8 +1,8 @@
-"""Staged driver checks: routes built on demand give the same models as
-the full neighbourhood cache, the screen search yields what the 0/1
-screen admits, verdicts of the driver and of the combined model agree
-with brute force, reports are stable, and the survey entry points
-run."""
+"""Staged driver checks: routes built on demand give the same routing
+searches as the full neighbourhood cache, the screen search yields what
+the 0/1 screen admits, the routing search decides as the routing-only
+model does, verdicts of the driver and of the combined model agree with
+brute force, reports are stable, and the survey entry points run."""
 
 import dataclasses
 import hashlib
@@ -15,7 +15,8 @@ from cgramap import mapper
 from cgramap.baseline import build_baseline, extract_mapping
 from cgramap.dfg import Dfg, Operation, parse_dfg
 from cgramap.ilp import (InfeasibleModel, build_variant, must_cross_blocks,
-                         neighbor_domain, placeable, screen_placements)
+                         neighbor_domain, placeable, route_search,
+                         screen_placements)
 from cgramap.mapper import (MAPPED, NOT_MAPPABLE, SHALLOW_PATHS, TIMED_OUT,
                             MappingSolution, MapLimits, characterize,
                             map_dfg, map_min_ii, outcome_to_dict,
@@ -24,10 +25,10 @@ from cgramap.mrrg import ArchSpec, build_mrrg, fu_nodes
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, RoutePath, build_path_cache
 from cgramap.solver import (FEASIBLE, INFEASIBLE, TIMEOUT, SolveConfig,
-                            SolveResult, check_assignment,
-                            enumerate_solutions, solve)
-from helpers import (FIR4, FIR4_HYCUBE_PLACEMENT, baseline_point,
-                     brute_force_mappable, mapping_solution, under_hash_seeds)
+                            check_assignment, enumerate_solutions, solve)
+from helpers import (FIR4, FIR4_HYCUBE_PLACEMENT, FIR4_HYCUBE_ROUTED,
+                     baseline_point, brute_force_mappable, mapping_solution,
+                     under_hash_seeds)
 
 KERNELS = {
     "chain2": "op a add\nop b add\nedge a -> b:0\n",
@@ -116,21 +117,19 @@ class _Clock:
         self.now += LIMITS.total_time + 1
 
 
-def _stub_solve(monkeypatch, clock, status, late=False, seen=None):
-    """mapper.solve, which decides the routing-only models, answers each
-    with status, ending past the deadline if asked, and records each
-    config. The must-cross check refutes nothing, so every routing check
-    builds its model and reaches the stub."""
+def _stub_route(monkeypatch, clock, status, late=False, seen=None):
+    """mapper.route_search, which decides every routing check, answers
+    each with status, ending past the deadline if asked, and records
+    each check's cache depth and config."""
 
-    def stub(model, cfg):
+    def stub(pairs, cache, cfg):
         if seen is not None:
-            seen.append((model.variant, cfg))
+            seen.append((cache.k, cfg))
         if late:
             clock.pass_deadline()
-        return SolveResult(status, None, 0, 0.0)
+        return status, None, 0
 
-    monkeypatch.setattr(mapper, "solve", stub)
-    monkeypatch.setattr(mapper, "must_cross_blocks", lambda pairs, cache: {})
+    monkeypatch.setattr(mapper, "route_search", stub)
 
 
 def _stub_screen(monkeypatch, clock, status, late=False, seen=None):
@@ -199,8 +198,9 @@ def test_op_without_a_unit_is_not_mappable():
 def _record_stages(monkeypatch):
     """The neighbour-map targets asked for, the screen searches started
     (with the status and node count of each that ran to its end) and
-    the models built, in order."""
-    real_nmap, real_variant = mapper.build_neighbor_map, mapper.build_variant
+    the routing searches run (with their cache depth and status), in
+    order."""
+    real_nmap, real_route = mapper.build_neighbor_map, mapper.route_search
     real_screen = mapper.screen_placements
     stages = []
 
@@ -214,13 +214,14 @@ def _record_stages(monkeypatch):
         stages.append(("screened", *end))
         return end
 
-    def recording_variant(variant, *args, **kw):
-        stages.append(("model", variant))
-        return real_variant(variant, *args, **kw)
+    def recording_route(pairs, cache, cfg):
+        found = real_route(pairs, cache, cfg)
+        stages.append(("route", cache.k, found[0]))
+        return found
 
     monkeypatch.setattr(mapper, "build_neighbor_map", recording_nmap)
     monkeypatch.setattr(mapper, "screen_placements", recording_screen)
-    monkeypatch.setattr(mapper, "build_variant", recording_variant)
+    monkeypatch.setattr(mapper, "route_search", recording_route)
     return stages
 
 
@@ -249,7 +250,8 @@ def test_neighbourhood_check_refutes_before_the_screen(monkeypatch):
         MAPPED, [(1, INFEASIBLE, 0), (2, INFEASIBLE, 0), (4, FEASIBLE, 1)])
     assert stages == [("nmap", 1), ("screen", 1), ("screened", INFEASIBLE, 1),
                       ("nmap", 2), ("screen", 2), ("screened", INFEASIBLE, 1),
-                      ("nmap", 4), ("screen", 4), ("model", "routing_only")]
+                      ("nmap", 4), ("screen", 4),
+                      ("route", SHALLOW_PATHS, FEASIBLE)]
 
 
 # two chains, one of 2 adds and one of 5, on 2x2 ADRES at II 2, NN 2:
@@ -321,30 +323,23 @@ def test_deadline_during_routing_stops_the_enumeration(monkeypatch):
 
     monkeypatch.setattr(mapper, "screen_placements", screen_first_again)
     seen = []
-    _stub_solve(monkeypatch, _Clock(monkeypatch), INFEASIBLE, late=True,
+    _stub_route(monkeypatch, _Clock(monkeypatch), INFEASIBLE, late=True,
                 seen=seen)
     assert _run(*CANDIDATE_MISS) == (TIMED_OUT, [(4, FEASIBLE, 1, False)])
     # the shallow check is stubbed infeasible, so the placement is
     # deepened before the deadline is read
-    assert [variant for variant, _ in seen] == ["routing_only",
-                                                "routing_only"]
+    assert [k for k, _ in seen] == [SHALLOW_PATHS, DEFAULT_K]
 
 
 def test_deadline_during_first_placement_check_ends_the_target(monkeypatch):
     # the routing checks of the screen's first placement end past the
-    # deadline and end the target: no model for another placement is
-    # built, though the search has more
-    real_variant = mapper.build_variant
-    built = []
-
-    def recording_variant(variant, *args, **kw):
-        built.append(variant)
-        return real_variant(variant, *args, **kw)
-
-    monkeypatch.setattr(mapper, "build_variant", recording_variant)
-    _stub_solve(monkeypatch, _Clock(monkeypatch), INFEASIBLE, late=True)
+    # deadline and end the target: no other placement is checked, though
+    # the search has more
+    seen = []
+    _stub_route(monkeypatch, _Clock(monkeypatch), INFEASIBLE, late=True,
+                seen=seen)
     assert _chain2((2,)) == (TIMED_OUT, [(2, FEASIBLE, 1, False)])
-    assert built == ["routing_only", "routing_only"]
+    assert [k for k, _ in seen] == [SHALLOW_PATHS, DEFAULT_K]
 
 
 def test_screen_budget_taken_after_its_build(monkeypatch):
@@ -388,15 +383,15 @@ SAME_MODELS_SEED = {"tree5": 4, "diamond": 3, "chain5": 2}
 # every routing check past the screens, in order: (NN, cache depth, what
 # decided it). Each placement is checked over SHALLOW_PATHS routes, and
 # over DEFAULT_K ones only after that is proven infeasible, as at tree5's
-# NN 2; must_cross_blocks proves each check it can, and the routing-only
-# model is built only for the others
+# NN 2; must_cross_blocks, the routing search's root node, proves each
+# check it can, and only the others are searched past the root
 SAME_MODELS_BUILT = {
     "tree5": [(2, SHALLOW_PATHS, "must_cross"), (2, DEFAULT_K, "must_cross"),
-              (4, SHALLOW_PATHS, "routing_only")],
-    "join": [(4, SHALLOW_PATHS, "routing_only")],
+              (4, SHALLOW_PATHS, "search")],
+    "join": [(4, SHALLOW_PATHS, "search")],
     "chain5": [(4, SHALLOW_PATHS, "must_cross"), (4, DEFAULT_K, "must_cross"),
                (4, SHALLOW_PATHS, "must_cross"), (4, DEFAULT_K, "must_cross"),
-               (4, SHALLOW_PATHS, "routing_only")],
+               (4, SHALLOW_PATHS, "search")],
 }
 # (kernel, fabric, II, schedule, placement limit): the first placement
 # the screen search yields is proven unroutable on SHALLOW_PATHS routes
@@ -405,12 +400,10 @@ DEEP_CASE = ("diamond", ArchSpec("adres", 2, 2), 2, (8,), 20)
 
 
 def _record_checks(monkeypatch):
-    """The routing checks, in order: ("must_cross", NN, pairs, cache,
-    blocked) for each must-cross check, then ("routing_only", NN, cache,
-    keywords, model) when it refutes nothing. The NN is that of the
-    neighbour map the check's cache was built for."""
-    real_cache, real_cross = mapper.build_path_cache, mapper.must_cross_blocks
-    real_variant = mapper.build_variant
+    """The routing checks, in order: ("route", NN, pairs, cache, found)
+    for each routing search, found being what it returned. The NN is
+    that of the neighbour map the check's cache was built for."""
+    real_cache, real_route = mapper.build_path_cache, mapper.route_search
     events, nns = [], {}
 
     def recording_cache(mrrg, nmap, k=DEFAULT_K):
@@ -418,19 +411,13 @@ def _record_checks(monkeypatch):
         nns[id(cache)] = nmap.target_nn
         return cache
 
-    def recording_cross(pairs, cache):
-        blocked = real_cross(pairs, cache)
-        events.append(("must_cross", nns[id(cache)], pairs, cache, blocked))
-        return blocked
-
-    def recording_variant(variant, dfg, mrrg, nmap, cache=None, **kw):
-        model = real_variant(variant, dfg, mrrg, nmap, cache, **kw)
-        events.append((variant, nmap.target_nn, cache, kw, model))
-        return model
+    def recording_route(pairs, cache, cfg):
+        found = real_route(pairs, cache, cfg)
+        events.append(("route", nns[id(cache)], pairs, cache, found))
+        return found
 
     monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
-    monkeypatch.setattr(mapper, "must_cross_blocks", recording_cross)
-    monkeypatch.setattr(mapper, "build_variant", recording_variant)
+    monkeypatch.setattr(mapper, "route_search", recording_route)
     return events
 
 
@@ -459,19 +446,15 @@ def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
         return full[nn, k]
 
     checked = []
-    for event in events:
-        if event[0] == "must_cross":
-            _, nn, pairs, cache, blocked = event
-            assert blocked == must_cross_blocks(pairs, full_cache(nn, cache.k))
-            if blocked:
-                checked.append((nn, cache.k, "must_cross"))
-            continue
-        variant, nn, cache, kw, model = event
-        ref = build_variant(variant, dfg, mrrg, build_neighbor_map(mrrg, nn),
-                            full_cache(nn, cache.k), **kw)
-        assert model.variables == ref.variables, (variant, nn, cache.k)
-        assert model.constraints == ref.constraints, (variant, nn, cache.k)
-        checked.append((nn, cache.k, variant))
+    for _, nn, pairs, cache, found in events:
+        ref = full_cache(nn, cache.k)
+        assert found == route_search(pairs, ref, SolveConfig(time_limit=60))
+        blocked = must_cross_blocks(pairs, cache)
+        assert blocked == must_cross_blocks(pairs, ref)
+        if blocked:
+            # refuted at the search's root node
+            assert found == (INFEASIBLE, None, 1)
+        checked.append((nn, cache.k, "must_cross" if blocked else "search"))
     assert checked == SAME_MODELS_BUILT[kernel]
 
 
@@ -487,20 +470,14 @@ def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
     # a DEFAULT_K-deep cache over the same pairs, with its routing check
     # right after it, only when that first check is proven infeasible
     events = _record_checks(monkeypatch)
-    real_cache, real_solve = mapper.build_path_cache, mapper.solve
+    real_cache = mapper.build_path_cache
 
     def recording_cache(mrrg, nmap, k=DEFAULT_K):
         cache = real_cache(mrrg, nmap, k)
         events.append(("cache", nmap.target_nn, cache))
         return cache
 
-    def recording_solve(model, cfg):
-        res = real_solve(model, cfg)
-        events.append(("solve", model.metadata["nn"], res.status))
-        return res
-
     monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
-    monkeypatch.setattr(mapper, "solve", recording_solve)
     _watch_screen(monkeypatch, lambda nmap, cfg, placement: events.append(
         ("yield", nmap.target_nn, placement)))
     dfg = parse_dfg(KERNELS[kernel])
@@ -515,18 +492,11 @@ def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
         if event[0] != "cache":
             continue
         _, nn, cache = event
-        # the must-cross check reads the cache first, and a routing model
-        # over it is built and solved only when that check proves nothing
-        kind, cross_nn, pairs, cross_cache, blocked = events[i + 1]
-        assert (kind, cross_nn, cross_cache) == ("must_cross", nn, cache)
+        # the routing search reads the cache right after its build
+        kind, route_nn, pairs, route_cache, found = events[i + 1]
+        assert (kind, route_nn, route_cache) == ("route", nn, cache)
         assert set(cache.paths) == set(pairs)
-        if blocked:
-            verdict = INFEASIBLE
-        else:
-            user, user_nn, user_cache, kw, _ = events[i + 2]
-            assert (user, user_nn, user_cache) == ("routing_only", nn, cache)
-            assert events[i + 3][:2] == ("solve", nn)
-            verdict = events[i + 3][2]
+        verdict = found[0]
         if cache.k == SHALLOW_PATHS:
             # a placement just yielded
             kind, yield_nn, place = events[i - 1]
@@ -535,12 +505,10 @@ def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
             # the same placement's shallow check, which ended just
             # before, was a proof
             assert cache.k == DEFAULT_K
-            assert events[i - 1][0] in ("must_cross", "solve")
+            assert events[i - 1][0] == "route"
             assert checks[-1][1:] == (SHALLOW_PATHS, place, INFEASIBLE)
         assert set(pairs) == {(place[o], place[p])
                               for o, p in dfg.point_edges()}
-        if not blocked:
-            assert kw["placement"] == place
         checks.append((nn, cache.k, place, verdict))
     # and every proof on shallow routes is deepened
     shallow = [c for c in checks if c[1] == SHALLOW_PATHS]
@@ -559,24 +527,16 @@ def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
     # the first placement is proven unroutable on SHALLOW_PATHS routes,
     # and then routes on DEFAULT_K ones; a run without the deep stage
     # would go on to other placements
-    real_solve, real_cross = mapper.solve, mapper.must_cross_blocks
-    checks, nodes = [], []
+    real_route = mapper.route_search
+    checks = []
 
-    def recording_cross(pairs, cache):
-        blocked = real_cross(pairs, cache)
-        if blocked:
-            checks.append((cache.k, blocked))
-        return blocked
+    def recording_route(pairs, cache, cfg):
+        found = real_route(pairs, cache, cfg)
+        checks.append((cache.k, found[0], found[2],
+                       must_cross_blocks(pairs, cache)))
+        return found
 
-    def recording_solve(model, cfg):
-        res = real_solve(model, cfg)
-        checks.append((model.metadata["k"], len(model.variables),
-                       len(model.constraints), res.status))
-        nodes.append(res.nodes)
-        return res
-
-    monkeypatch.setattr(mapper, "must_cross_blocks", recording_cross)
-    monkeypatch.setattr(mapper, "solve", recording_solve)
+    monkeypatch.setattr(mapper, "route_search", recording_route)
     kernel, spec, ii, schedule, placements = DEEP_CASE
     dfg, mrrg = parse_dfg(KERNELS[kernel]), build_mrrg(spec, ii)
     out = map_dfg(dfg, mrrg, schedule, MapLimits(placement_limit=placements),
@@ -588,14 +548,13 @@ def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
     b = ("pe_1_0.alu", 1)
     assert out.solution.placement == {"a": a, "b": b, "c": c, "d": d}
     assert validate_mapping(dfg, mrrg, out.solution) == []
-    # the shallow proof is the must-cross check's: every SHALLOW_PATHS
-    # route of c -> d crosses a vertex some other driver's routes all
-    # cross; the deep check is solved
+    # the shallow proof is the must-cross check's, at the search's root
+    # node: every SHALLOW_PATHS route of c -> d crosses a vertex some
+    # other driver's routes all cross; the deep check is searched
     blocked = (("pe_0_0.out", 0), ("pe_0_0.out", 1), ("pe_0_0.reg", 1),
                ("pe_1_0.out", 0))
-    assert checks == [(SHALLOW_PATHS, {(c, d): blocked}),
-                      (DEFAULT_K, 174, 134, FEASIBLE)]
-    assert nodes == [102]
+    assert checks == [(SHALLOW_PATHS, INFEASIBLE, 1, {(c, d): blocked}),
+                      (DEFAULT_K, FEASIBLE, 5, {})]
     # so some route reported lies past its pair's first SHALLOW_PATHS
     nmap = build_neighbor_map(mrrg, 8)
     shallow = build_path_cache(mrrg, nmap, SHALLOW_PATHS)
@@ -618,7 +577,7 @@ def test_shallow_timeout_does_not_deepen(monkeypatch):
 
     monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
     seen = []
-    _stub_solve(monkeypatch, _Clock(monkeypatch), TIMEOUT, seen=seen)
+    _stub_route(monkeypatch, _Clock(monkeypatch), TIMEOUT, seen=seen)
     kernel, spec, ii, schedule, _ = DEEP_CASE
     out = map_dfg(parse_dfg(KERNELS[kernel]), build_mrrg(spec, ii), schedule,
                   MapLimits(placement_limit=2),
@@ -627,17 +586,17 @@ def test_shallow_timeout_does_not_deepen(monkeypatch):
                          for a in out.attempts]) == (
         TIMED_OUT, [(8, FEASIBLE, 2, False)])
     assert depths == [SHALLOW_PATHS, SHALLOW_PATHS]
-    assert [variant for variant, _ in seen] == ["routing_only",
-                                                "routing_only"]
+    assert [k for k, _ in seen] == [SHALLOW_PATHS, SHALLOW_PATHS]
 
 
 def test_first_placement_that_routes_builds_only_its_own_cache(monkeypatch):
     # join's screen search at NN 4 yields a first placement that routes
-    # on its own SHALLOW_PATHS cache: that cache and one routing model are
-    # all that is built past the search, and the mapping places what the
-    # search placed
+    # on its own SHALLOW_PATHS cache: that cache and one routing search
+    # are all that run past the screen, no model is built, and the
+    # mapping places what the search placed
     real_cache, real_variant = mapper.build_path_cache, mapper.build_variant
-    caches, built, screened = [], [], []
+    real_route = mapper.route_search
+    caches, built, routed, screened = [], [], [], []
 
     def recording_cache(mrrg, nmap, k=DEFAULT_K):
         cache = real_cache(mrrg, nmap, k)
@@ -648,8 +607,14 @@ def test_first_placement_that_routes_builds_only_its_own_cache(monkeypatch):
         built.append(variant)
         return real_variant(variant, *args, **kw)
 
+    def recording_route(pairs, cache, cfg):
+        found = real_route(pairs, cache, cfg)
+        routed.append((cache.k, found[0]))
+        return found
+
     monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
     monkeypatch.setattr(mapper, "build_variant", recording_variant)
+    monkeypatch.setattr(mapper, "route_search", recording_route)
     _watch_screen(monkeypatch, lambda nmap, cfg, placement: screened.append(
         (nmap, placement)))
     dfg, mrrg = parse_dfg(KERNELS["join"]), fabric("adres", 2)
@@ -658,7 +623,8 @@ def test_first_placement_that_routes_builds_only_its_own_cache(monkeypatch):
     assert [(a.nn, a.screen, a.placements_tried, a.routed)
             for a in out.attempts] == [(2, INFEASIBLE, 0, False),
                                        (4, FEASIBLE, 1, True)]
-    assert built == ["routing_only"]
+    assert built == []
+    assert routed == [(SHALLOW_PATHS, FEASIBLE)]
     [(nmap, place)] = screened
     assert out.solution.placement == place
     assert [(c.k, set(c.paths)) for c in caches] == [
@@ -716,10 +682,10 @@ def test_screen_placement_timeout_reads_timed_out(monkeypatch, status,
     monkeypatch.setattr(mapper, "screen_placements",
                         lambda *args: islice(real_screen(*args), 1))
     seen = []
-    _stub_solve(monkeypatch, None, status, seen=seen)
+    _stub_route(monkeypatch, None, status, seen=seen)
     assert _chain2((2,)) == (verdict, [(2, FEASIBLE, 1, False)])
-    assert [variant for variant, _ in seen] == ["routing_only"] * (
-        2 if status == INFEASIBLE else 1)
+    assert [k for k, _ in seen] == [SHALLOW_PATHS, DEFAULT_K][
+        :2 if status == INFEASIBLE else 1]
 
 
 # (family, II, kernel, brute-force verdict). Brute force takes seconds or
@@ -834,6 +800,58 @@ def test_screen_search_node_counts_are_pinned():
         dfg, mrrg, build_neighbor_map(mrrg, 10), cfg))
     assert end == (None, 7)
     assert first == FIR4_HYCUBE_PLACEMENT
+
+
+@pytest.mark.parametrize("family,ii,kernel,mappable", AGREEMENT)
+def test_route_search_matches_the_routing_model(family, ii, kernel,
+                                                mappable):
+    # on each placement the screen search yields at every target of the
+    # schedule (up to 20 a target), over SHALLOW_PATHS and over DEFAULT_K
+    # routes, the routing search decides as a solve of the routing_only
+    # model does, and what it routes passes the traversal check
+    dfg, mrrg = parse_dfg(KERNELS[kernel]), fabric(family, ii)
+    cfg = SolveConfig(seed=1, time_limit=60, solution_limit=20)
+    for nn in SCHEDULE:
+        nmap = build_neighbor_map(mrrg, nn)
+        for place in screen_placements(dfg, mrrg, nmap, cfg):
+            edges = dfg.point_edges()
+            pairs = [(place[o], place[p]) for o, p in edges]
+            for k in (SHALLOW_PATHS, DEFAULT_K):
+                cache = build_path_cache(mrrg, nmap, k)
+                status, routes, _ = route_search(pairs, cache, cfg)
+                model = build_variant("routing_only", dfg, mrrg, nmap, cache,
+                                      placement=place)
+                assert solve(model, cfg).status == status, (nn, k, place)
+                if status == FEASIBLE:
+                    sol = mapping_solution(place, {
+                        (o, p): routes[place[o], place[p]] for o, p in edges})
+                    assert validate_mapping(dfg, mrrg, sol) == []
+
+
+@pytest.mark.parametrize("k,chosen", [
+    (SHALLOW_PATHS, [0, 0, 0, 0, 1, 1, 2, 1, 0, 2, 2]),
+    (DEFAULT_K, [0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 3])])
+def test_route_search_node_counts_are_pinned(k, chosen):
+    # fir4 on 4x4 HyCUBE at II 2, NN 10: FIR4_HYCUBE_PLACEMENT is refuted
+    # at the search's root node, the must-cross check, and
+    # FIR4_HYCUBE_ROUTED routes; chosen gives the index of each
+    # connection's route in its cached list, in pair order. Neither the
+    # connection branched on nor the order of its routes may come from
+    # set iteration order, which the hash seed changes
+    dfg, mrrg = parse_dfg(FIR4), build_mrrg(ArchSpec("hycube", 4, 4), 2)
+    cache = build_path_cache(mrrg, build_neighbor_map(mrrg, 10), k)
+    cfg = SolveConfig(time_limit=60)
+
+    def pairs(place):
+        return [(place[o], place[p]) for o, p in dfg.point_edges()]
+
+    assert route_search(pairs(FIR4_HYCUBE_PLACEMENT), cache, cfg) == (
+        INFEASIBLE, None, 1)
+    status, routes, nodes = route_search(pairs(FIR4_HYCUBE_ROUTED), cache,
+                                         cfg)
+    assert (status, nodes) == (FEASIBLE, 12)
+    assert [cache[pair].index(routes[pair])
+            for pair in sorted(routes)] == chosen
 
 
 def _pe(*names):
@@ -958,10 +976,11 @@ def test_shared_mrrg_reports_are_stable_across_hash_seeds():
     assert [r["status"] for r in json.loads(reports[0])] == [MAPPED, MAPPED]
 
 
-def outcomes_digest() -> str:
+def outcomes_digest(routing: bool = True) -> str:
     """sha256 of the reports, times dropped, of every KERNELS entry on
     the four 2x2 families at II 1-2 and seeds 1-3, one MRRG per (family,
-    II) per seed."""
+    II) per seed; with routing False, each mapping's routes are dropped
+    from its report."""
     reports = []
     for seed in (1, 2, 3):
         for family in ("ortho", "adres", "clustered", "hycube"):
@@ -970,7 +989,10 @@ def outcomes_digest() -> str:
                 for text in KERNELS.values():
                     out = map_dfg(parse_dfg(text), mrrg, SCHEDULE, LIMITS,
                                   seed=seed)
-                    reports.append(outcome_to_dict(out, include_times=False))
+                    report = outcome_to_dict(out, include_times=False)
+                    if not routing and "solution" in report:
+                        del report["solution"]["routing"]
+                    reports.append(report)
     return hashlib.sha256(
         json.dumps(reports, sort_keys=True).encode()).hexdigest()
 
@@ -981,7 +1003,16 @@ def test_outcomes_digest_is_pinned():
     # verdict and mapping keeps this value; a change to it is re-pinned
     # only with the reason given in CHANGES.md
     assert outcomes_digest() == (
-        "a76b26a18e301f9bda6e19d90bc482716cc1a562fa9af652abab4e6670f0dad9")
+        "5ac8da82b9cf379ac92e6a3160315ca5b2f646a73ccd3e72cb524eb3c2c88157")
+
+
+def test_outcome_verdicts_digest_is_pinned():
+    # the same 288 runs with each mapping's routes dropped: statuses,
+    # attempts and placements. A change that picks other routes for the
+    # same placements re-pins only the digest above; one that changes a
+    # verdict, an attempt or a placement re-pins this one too
+    assert outcomes_digest(routing=False) == (
+        "99110157320be96d8ca52e01717daea9f6fd30f053f1b1da5fce8e900ec0df1b")
 
 
 def test_characterize_smoke():

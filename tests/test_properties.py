@@ -1,7 +1,8 @@
 """Property tests: the DFG and architecture text formats read back what
 they write, a target the placement check refutes has no placement, a
-routing check the must-cross rule refutes has no routing, and neighbour
-maps and routes commute with the context rotation.
+routing check the must-cross rule refutes has no routing, the routing
+search finds a routing exactly when one exists, and neighbour maps and
+routes commute with the context rotation.
 Derandomized with few examples, so they run in a couple of seconds and
 give the same cases on every run."""
 
@@ -16,13 +17,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from cgramap.dfg import (OPCODES, Dfg, Edge, Operation,  # noqa: E402
                          parse_dfg, serialize_dfg)
 from cgramap.ilp import (InfeasibleModel, build_variant,  # noqa: E402
-                         must_cross_blocks, placeable, screen_placements)
+                         must_cross_blocks, placeable, route_search,
+                         screen_placements)
 from cgramap.mrrg import (ArchError, ArchSpec, build_mrrg,  # noqa: E402
                           parse_arch, serialize_arch)
 from cgramap.neighbors import build_neighbor_map  # noqa: E402
 from cgramap.paths import DEFAULT_K, build_path_cache  # noqa: E402
-from cgramap.solver import (INFEASIBLE, SolveConfig,  # noqa: E402
-                            solve)
+from cgramap.solver import (FEASIBLE, INFEASIBLE,  # noqa: E402
+                            SolveConfig, solve)
 from helpers import brute_force_mappable  # noqa: E402
 
 PROFILE = settings(derandomize=True, database=None, deadline=None,
@@ -112,16 +114,37 @@ def test_refuted_target_has_no_placement(dfg, fabric):
         assert not brute_force_mappable(dfg, mrrg)
 
 
+def _routable(pairs, cache) -> bool:
+    """Whether some choice of one cached route per pair leaves no
+    interior vertex to two drivers, trying each choice in pair order; a
+    choice that clashes with the ones before it ends its branch."""
+    pairs = sorted(pairs)
+
+    def extend(i, owner):
+        if i == len(pairs):
+            return True
+        u = pairs[i][0]
+        for rp in cache.get(pairs[i]):
+            if all(owner.get(n, u) == u for n in rp.interior()):
+                if extend(i + 1, {**owner,
+                                  **{n: u for n in rp.interior()}}):
+                    return True
+        return False
+
+    return extend(0, {})
+
+
 @settings(PROFILE, max_examples=60)
 @given(dfgs(), st.sampled_from(TINY), st.sampled_from((2, 4, 8)),
        st.integers(0, 3))
 def test_must_cross_refutes_only_unroutable_placements(dfg, fabric, nn,
                                                         seed):
     # a refutation is a proof: the routing-only model over the same
-    # cache is infeasible too. Up to three placements of the screen
-    # search per case, each over 1, 3 and 20 routes per pair; one route
-    # per pair makes every interior vertex one to cross, so refutations
-    # are common there
+    # cache is infeasible too. The routing search, whose root node is
+    # that check, is infeasible exactly when no choice of routes works.
+    # Up to three placements of the screen search per case, each over 1,
+    # 3 and 20 routes per pair; one route per pair makes every interior
+    # vertex one to cross, so refutations are common there
     mrrg = tiny_mrrg(*fabric)
     nmap = build_neighbor_map(mrrg, nn)
     for place in screen_placements(dfg, mrrg, nmap,
@@ -129,8 +152,12 @@ def test_must_cross_refutes_only_unroutable_placements(dfg, fabric, nn,
         pairs = {(place[o], place[p]) for o, p in dfg.point_edges()}
         for k in (1, 3, DEFAULT_K):
             cache = build_path_cache(mrrg, nmap, k)
+            status, _, nodes = route_search(pairs, cache, SolveConfig(1, 10))
+            assert status == (FEASIBLE if _routable(pairs, cache)
+                              else INFEASIBLE)
             if not must_cross_blocks(pairs, cache):
                 continue
+            assert (status, nodes) == (INFEASIBLE, 1)
             try:
                 model = build_variant("routing_only", dfg, mrrg, nmap, cache,
                                       placement=place)
