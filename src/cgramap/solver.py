@@ -5,16 +5,16 @@ each model row once: one pass rejects a malformed row (a bad relation, a
 non-int coefficient or right-hand side, an undeclared variable; a
 twice-declared variable is rejected before) with ValueError, normalises
 it to sum(c_i x_i) <= b over variable indices (an = row to two) and
-records whether it is a choice group. The model builder leaves these
-checks to this pass, which takes any object with variables and
-constraints. Every normalised row, the model's and each cut added
-during the search, enters through add_row, which sets its slack and
-width and the variables that spend it. A row's slack is b minus the
-smallest value its fixed and free terms can still take, and a negative
-slack is a conflict. Free variables whose coefficient exceeds the slack
-are forced; a row whose slack is at least its width, its widest
-coefficient, can do neither, so a fix queues only the rows it leaves
-below their width (the watch rule of Chai & Kuehlmann, DAC 2003).
+records whether it is a choice group or an at-most-one row. The model
+builder leaves these checks to this pass, which takes any object with
+variables and constraints. Every normalised row, the model's and each
+cut added during the search, enters through add_row, which sets its
+slack and width and the variables that spend it. A row's slack is b
+minus the smallest value its fixed and free terms can still take, and a
+negative slack is a conflict. Free variables whose coefficient exceeds
+the slack are forced; a row whose slack is at least its width, its
+widest coefficient, can do neither, so a fix queues only the rows it
+leaves below their width (the watch rule of Chai & Kuehlmann, DAC 2003).
 
 The search branches on choices first. A choice group is a row that
 needs at least one of its variables (all coefficients 1), such as an
@@ -39,6 +39,24 @@ exponential time. Such a 0 gets no second branch when it dominates,
 each row where it uses up slack holding whatever its free terms take:
 any leaf with the variable at 1 is then a leaf at 0.
 
+Before the first decision, on the root's fixpoint, the search tests
+Hall's condition, as an LP bound would refute an over-subscribed model
+(five operations on four units, n + 1 pigeons in n holes) where
+branching takes exponential time (Haken, TCS 1985). An at-most-one row
+is a normalised row with rhs 1 and every coefficient 1, such as a
+unit's con1 row over the operations it fits. Each open choice group
+that shares no variable with another group must match onto its own
+at-most-one row of one of its free members, by augmenting paths; only
+rows that hold a variable outside the group count, and a group with a
+free member in no such row is left out. A leaf sets some member of each
+such group to 1, a distinct variable per group, and no row holds two of
+them, so the leaf gives the matching: when a group stays unmatched
+there is no leaf, and the search ends infeasible at 0 nodes. The check
+drops rows and groups, so it is a relaxation of the model and its
+refutation a proof. It runs at the root only: below the root it refuted
+no node of the benchmark's exact models, so each further check would be
+spent.
+
 The search re-checks each leaf against the normalised rows, the model's
 and the cuts, and yields it; to go on past it, one row the leaf violates
 joins the live search (the no-good cut over the placement variables when
@@ -58,7 +76,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .dfg import is_int
-from .ilp import LinearConstraint
+from .ilp import LinearConstraint, _matched
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -130,6 +148,9 @@ class _Search:
         # variable indices of each row that needs at least one of its
         # variables (relation >= or =, rhs at least 1, every coefficient 1)
         self.groups: list[list[int]] = []
+        # the rows that allow at most one of their variables (normalised
+        # rhs 1, every coefficient 1), which the root's matching reads
+        self.at_most_one: list[int] = []
         # every row a leaf's failed re-check is worded from: the model's
         # and the cuts
         self.rows = list(model.constraints)
@@ -140,22 +161,28 @@ class _Search:
             if relation not in ("<=", ">=", "="):
                 raise ValueError(f"bad relation {relation!r}")
             terms = []
+            # an exact int passes on the type test alone, which is much
+            # cheaper than a call per term
             for c, v in con.terms:
-                if not is_int(c):
+                if type(c) is not int and not is_int(c):
                     raise ValueError(f"non-integer coefficient {c!r}")
                 i = index.get(v)
                 if i is None:
                     raise ValueError(f"row references undeclared {v}")
                 terms.append((c, i))
             rhs = con.rhs
-            if not is_int(rhs):
+            if type(rhs) is not int and not is_int(rhs):
                 raise ValueError(f"non-integer right-hand side {rhs!r}")
             if relation != ">=":
-                self.add_row(terms, rhs)
+                row = self.add_row(terms, rhs)
+                if rhs == 1 and terms and all(c == 1 for c, _ in terms):
+                    self.at_most_one.append(row)
             if relation != "<=":
-                self.add_row([(-c, i) for c, i in terms], -rhs)
+                row = self.add_row([(-c, i) for c, i in terms], -rhs)
                 if rhs >= 1 and terms and all(c == 1 for c, _ in terms):
                     self.groups.append([i for _, i in terms])
+                elif rhs == -1 and terms and all(c == -1 for c, _ in terms):
+                    self.at_most_one.append(row)
 
     def add_row(self, terms, rhs) -> int:
         """Add sum(c x) <= rhs with its slack under the current fixes,
@@ -242,6 +269,50 @@ class _Search:
                                           if val[j] < 0)
                    for row, _ in zip(spend, spend))
 
+    def overcommitted(self) -> bool:
+        """Hall's condition on the current fixpoint: whether some choice
+        groups need more shared at-most-one rows than they can reach.
+        Each open group that counts (it shares no variable with another
+        group, and every free member lies in some shared row) must match
+        onto its own shared at-most-one row of one of its free members;
+        a shared row holds a variable outside the group. True when a
+        group is left unmatched, which proves the model has no leaf."""
+        val = self.val
+        coefs = self.coefs
+        spends = self.spends
+        amo = set(self.at_most_one)
+        held = [0] * len(val)
+        for members in self.groups:
+            for i in set(members):
+                held[i] += 1
+        # per counted group, the shared rows of its free members
+        choices = {}
+        for g, members in enumerate(self.groups):
+            distinct = set(members)
+            if any(held[i] > 1 or val[i] == 1 for i in distinct):
+                continue
+            # how many terms of each at-most-one row the group holds
+            inside: dict[int, int] = {}
+            free_rows = []
+            for i in distinct:
+                spend = spends[2 * i + 1]
+                rows = [r for r in spend[::2] if r in amo]
+                for r in rows:
+                    inside[r] = inside.get(r, 0) + 1
+                if val[i] < 0:
+                    free_rows.append(rows)
+            shared: set[int] = set()
+            for rows in free_rows:
+                mine = [r for r in rows if inside[r] < len(coefs[r])]
+                if not mine:
+                    break
+                shared.update(mine)
+            else:
+                choices[g] = shared
+        # the all-different test the placement screen runs, over groups
+        # and rows in place of operations and units
+        return not _matched(choices)
+
     def leaves(self, seed, deadline):
         """Yield the assignment at each leaf. The caller sends back a
         row the leaf violates, over placement (f) variables only; it
@@ -262,10 +333,17 @@ class _Search:
         # (decision variable, value tried first, cursor pos, 1 once the
         # other value is on, trail mark, 1 if taken from a choice group)
         stack: list[tuple[int, int, int, int, int, int]] = []
+        root = True
         while True:
             if time.monotonic() > deadline:
                 return TIMEOUT
             conflict = self.propagate()
+            # Hall's check runs once, on the root's fixpoint, before the
+            # first decision
+            if root:
+                root = False
+                if conflict is None and self.overcommitted():
+                    return INFEASIBLE
             if conflict is None:
                 # a node below a cursor decision has every group settled
                 # too: fixing more variables never reopens one

@@ -1,7 +1,7 @@
 """Search, enumeration and independent-MILP checks."""
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -127,6 +127,27 @@ def test_malformed_rejected():
                 run(bad, SolveConfig())
 
 
+@pytest.mark.parametrize("terms,relation,words", [
+    (((True, "p0h0"),), "<=", "coefficient"),
+    (((1, "ghost"),), "<=", "row references undeclared"),
+    (((1, "p0h0"),), "<", "bad relation '<'")],
+    ids=["bool", "undeclared", "relation"])
+def test_malformed_row_is_rejected_before_the_root_check(terms, relation,
+                                                         words):
+    # the clique pigeonhole the root's matching refutes, with one
+    # malformed row after its own: the read rejects it first
+    model = _pigeonhole(12, 11)
+    by_name = {"ghost": VarId("f", ("ghost",))}
+    by_name.update(("".join(v.idx), v) for v in model.variables)
+    bad = LinearConstraint(tuple((c, by_name[n]) for c, n in terms),
+                           relation, 1, "t")
+    model = SimpleNamespace(variables=model.variables,
+                            constraints=model.constraints + [bad])
+    for run in (solve, lambda m, cfg: next(enumerate_solutions(m, cfg))):
+        with pytest.raises(ValueError, match=words):
+            run(model, SolveConfig())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(time_limit=0)
@@ -211,6 +232,65 @@ def test_random_agreement_with_exhaustive():
         assert final.status == "infeasible", f"trial {trial}"
 
 
+def hall_model(rng):
+    """A small model for the root's matching: 2 or 3 units and up to 4
+    groups, at least one per unit, each with a variable for each of 2 or
+    more of the units; each group's row needs at least one of them, and
+    each unit's at-most-one row, in either normalised form, holds all or
+    all but one of its variables. Now and then a group member in no unit
+    row, a group that overlaps the others, and a mixed row."""
+    units = rng.randint(2, 3)
+    groups = rng.randint(units, 4)
+    names, rows, takers = [], [], {u: [] for u in range(units)}
+    for g in range(groups):
+        member = []
+        for u in rng.sample(range(units), rng.randint(2, units)):
+            member.append(f"x{g}_{u}")
+            takers[u].append(f"x{g}_{u}")
+        if rng.random() < 0.15:
+            member.append(f"x{g}_loose")
+        names += member
+        rows.append(([(1, nm) for nm in member], rng.choice(["=", ">="]),
+                     1 if rng.random() < 0.95 else 2))
+    for taking in takers.values():
+        if not taking:
+            continue
+        kept = max(1, len(taking) - (rng.random() < 0.2))
+        chosen = rng.sample(taking, kept)
+        if rng.random() < 0.25:
+            rows.append(([(-1, nm) for nm in chosen], ">=", -1))
+        else:
+            rows.append(([(1, nm) for nm in chosen],
+                         "=" if rng.random() < 0.1 else "<=", 1))
+    if rng.random() < 0.2:
+        rows.append(([(1, nm) for nm in rng.sample(names, min(2, len(names)))],
+                     ">=", 1))
+    for _ in range(rng.randint(0, 1)):
+        chosen = rng.sample(names, rng.randint(2, 3))
+        terms = [(rng.choice([-2, -1, 1, 2]), nm) for nm in chosen]
+        rows.append((terms, "<=", rng.randint(0, 2)) if rng.random() < 0.5
+                    else (terms, ">=", rng.randint(-1, 1)))
+    return mk_model(names, rows)[0]
+
+
+def test_root_matching_refutes_only_infeasible_models():
+    # the matching drops rows and groups, so a model it refutes has no
+    # solution; stdlib only, so it runs without the optional packages
+    rng = random.Random(20261019)
+    refuted = 0
+    for trial in range(400):
+        model = hall_model(rng)
+        feasible = exhaustive(model)
+        search = solver._Search(model)
+        if search.propagate() is None and search.overcommitted():
+            refuted += 1
+            assert not feasible, f"trial {trial}"
+        res = solve(model, SolveConfig(seed=trial % 5))
+        assert (res.status == "feasible") == feasible, f"trial {trial}"
+    # enough refutations that a rule left out of the check shows here
+    assert refuted >= 40, refuted
+
+
 def _agreement_models():
     """The random models of test_random_agreement_with_exhaustive: 150
     over f variables, then 200 over mixed classes."""
@@ -223,22 +303,28 @@ def _agreement_models():
 
 def _read_by_rows(model):
     """A reference for _Search's one-pass read: each row normalised to
-    sum(c x) <= rhs and added with add_row to a search over no rows, and
-    the choice groups picked by their rule (relation >= or =, rhs at
-    least 1, every coefficient 1)."""
+    sum(c x) <= rhs and added with add_row to a search over no rows, the
+    choice groups picked by their rule (relation >= or =, rhs at least
+    1, every coefficient 1), and the normalised rows with rhs 1 and
+    every coefficient 1 as the at-most-one rows."""
     search = solver._Search(SimpleNamespace(variables=model.variables,
                                             constraints=[]))
-    groups = []
+    groups, at_most_one = [], []
     for con in model.constraints:
         terms = [(c, search.index[v]) for c, v in con.terms]
+        halves = []
         if con.relation != ">=":
-            search.add_row(terms, con.rhs)
+            halves.append((terms, con.rhs))
         if con.relation != "<=":
-            search.add_row([(-c, i) for c, i in terms], -con.rhs)
+            halves.append(([(-c, i) for c, i in terms], -con.rhs))
+        for half, rhs in halves:
+            row = search.add_row(half, rhs)
+            if rhs == 1 and half and all(c == 1 for c, _ in half):
+                at_most_one.append(row)
         if (con.relation != "<=" and con.rhs >= 1 and terms
                 and all(c == 1 for c, _ in terms)):
             groups.append([i for _, i in terms])
-    return search, groups
+    return search, groups, at_most_one
 
 
 def _read_state(search):
@@ -254,13 +340,21 @@ def test_one_pass_read_matches_rows_added_one_by_one():
                                     five_add]
     for n, model in enumerate(models):
         read = solver._Search(model)
-        reference, groups = _read_by_rows(model)
+        reference, groups, at_most_one = _read_by_rows(model)
         assert _read_state(read) == _read_state(reference), n
         assert read.groups == groups, n
+        assert read.at_most_one == at_most_one, n
     # the groups are the con2 rows of the screen and the con5 rows of a
     # routing-only model, one per operation and per connection
     assert len(solver._Search(screen).groups) == 4
     assert len(solver._Search(routings[0]).groups) == 4
+    # both normalised forms of an at-most-one row count, and an = row
+    # with rhs 1 is a group and an at-most-one row at once
+    model, _ = mk_model(["x", "y"], [([(-1, "x"), (-1, "y")], ">=", -1),
+                                     ([(1, "x"), (1, "y")], "=", 1),
+                                     ([(1, "x"), (2, "y")], "<=", 1)])
+    read = solver._Search(model)
+    assert (read.at_most_one, read.groups) == ([0, 1], [[0, 1]])
 
 
 class _QueueEverySpend(solver._Search):
@@ -355,7 +449,10 @@ def test_determinism_and_seed_independence():
         assert len(statuses) == 1, f"trial {trial} split {statuses}"
 
 
-def _pigeonhole(pigeons, holes):
+def _pigeonhole(pigeons, holes, pairwise=False):
+    """Each pigeon in exactly one hole, and at most one pigeon per hole:
+    one clique row per hole, or with pairwise, a row x[p,h] + x[q,h] <= 1
+    per two pigeons, which no at-most-one row over three pigeons sums."""
     model = IlpModel("combined")
     grid = {}
     for p in range(pigeons):
@@ -365,15 +462,26 @@ def _pigeonhole(pigeons, holes):
         model.add_constraint([(1, grid[p, h]) for h in range(holes)],
                              "=", 1, "pigeon")
     for h in range(holes):
-        model.add_constraint([(1, grid[p, h]) for p in range(pigeons)],
-                             "<=", 1, "hole")
+        if pairwise:
+            for p, q in combinations(range(pigeons), 2):
+                model.add_constraint([(1, grid[p, h]), (1, grid[q, h])],
+                                     "<=", 1, "hole")
+        else:
+            model.add_constraint([(1, grid[p, h]) for p in range(pigeons)],
+                                 "<=", 1, "hole")
     return model
 
 
 def test_pigeonhole_and_timeout():
-    small = _pigeonhole(4, 3)
-    assert solve(small, SolveConfig()).status == "infeasible"
-    big = _pigeonhole(12, 11)
+    # the root's matching refutes the clique form outright; the pairwise
+    # form, whose every pigeon reaches a hole row of its own, it cannot,
+    # and the search branches through it
+    for pairwise in (False, True):
+        small = _pigeonhole(4, 3, pairwise)
+        assert solve(small, SolveConfig()).status == "infeasible"
+    res = solve(_pigeonhole(12, 11), SolveConfig(time_limit=0.15))
+    assert (res.status, res.nodes) == ("infeasible", 0)
+    big = _pigeonhole(12, 11, pairwise=True)
     res = solve(big, SolveConfig(time_limit=0.15))
     assert res.status == "timeout"
     assert res.assignment is None
@@ -388,7 +496,7 @@ def test_deadline_holds_to_one_node(monkeypatch):
     reads = iter(range(1, 10**6))
     monkeypatch.setattr(solver, "time",
                         SimpleNamespace(monotonic=lambda: next(reads)))
-    res = solve(_pigeonhole(12, 11), SolveConfig(time_limit=15))
+    res = solve(_pigeonhole(12, 11, pairwise=True), SolveConfig(time_limit=15))
     assert res.status == "timeout"
     assert 0 < res.nodes <= 15
 
@@ -459,8 +567,13 @@ def test_pinned_node_counts():
                               build_mrrg(ArchSpec("ortho", 2, 2), 1))
     got = [(r.status, r.nodes) for r in
            (solve(five_add, SolveConfig(seed=s)) for s in (2, 3))]
-    assert got == [("infeasible", 46), ("infeasible", 46)]
+    # five adds on four ALUs, and six pigeons in five clique holes: the
+    # root's matching refutes both before any decision (46 and 238 nodes
+    # without it). The pairwise holes it cannot refute
+    assert got == [("infeasible", 0), ("infeasible", 0)]
     res = solve(_pigeonhole(6, 5), SolveConfig(seed=2))
+    assert (res.status, res.nodes) == ("infeasible", 0)
+    res = solve(_pigeonhole(6, 5, pairwise=True), SolveConfig(seed=2))
     assert (res.status, res.nodes) == ("infeasible", 238)
     got = [(r.status, r.nodes) for r in
            (solve(tree5_combined(4), SolveConfig(seed=s)) for s in (2, 3))]
@@ -599,6 +712,16 @@ def test_enumerate_limits_and_empty():
     assert list(enumerate_solutions(dead, SolveConfig(solution_limit=5))) == []
 
 
+def test_enumerate_oversubscribed_yields_nothing():
+    # the root's matching ends the stream before the first leaf
+    five_add = build_baseline(parse_dfg(FIVE_ADD),
+                              build_mrrg(ArchSpec("ortho", 2, 2), 1))
+    for model in (_pigeonhole(12, 11), five_add):
+        results, final = drain(enumerate_solutions(
+            model, SolveConfig(solution_limit=8)))
+        assert (results, final.status, final.nodes) == ([], "infeasible", 0)
+
+
 def test_enumerate_projection_classes():
     # cuts span the f variables: a free p variable gives no second result
     model = IlpModel("combined")
@@ -665,3 +788,14 @@ def test_scipy_crosscheck():
     for name, model in shaped.items():
         ours = solve(model, SolveConfig())
         assert (ours.status == "feasible") == theirs[name], name
+    # what the root's matching refutes, HiGHS must prove infeasible: the
+    # clique pigeonholes, and the random models of the soundness test
+    for n in range(2, 12):
+        assert solve(_pigeonhole(n + 1, n), SolveConfig()).nodes == 0, n
+        assert not highs_feasible(_pigeonhole(n + 1, n)), n
+    rng = random.Random(20261019)
+    for trial in range(400):
+        model = hall_model(rng)
+        search = solver._Search(model)
+        if search.propagate() is None and search.overcommitted():
+            assert not highs_feasible(model), f"trial {trial}"
