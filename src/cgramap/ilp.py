@@ -175,23 +175,11 @@ def neighbor_domain(dfg: Dfg, mrrg: Mrrg,
     return tuple(domain)
 
 
-def placeable(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap | None = None) -> bool:
-    """False only when no placement meets con1-con2 (without nmap) or
-    con1-con3 (with it): a proof that the screen is infeasible, found
-    without a model. Given nmap, each operation's units are first cut to
-    those with a partner on every DFG edge through it, as con3 reads
-    one (v in nmap[u]; a loop edge only on a unit that is its own
-    neighbour), until nothing changes. Then the operations must match
-    onto distinct units. screen_placements runs the same two checks at
-    its root node."""
-    if nmap is None:
-        units = {op.id: set(compatible_nodes(mrrg, op))
-                 for op in dfg.operations}
-        return _matched(units)
-    units, through = _domains(dfg, mrrg, nmap)
-    return (_consistent(units, nmap.neighbors, through,
-                        {a for arcs in through.values() for a in arcs})
-            and _matched(units))
+def placeable(dfg: Dfg, mrrg: Mrrg) -> bool:
+    """False only when the operations do not match onto distinct
+    compatible units, so that no placement meets con1-con2 at any NN."""
+    return _matched({op.id: set(compatible_nodes(mrrg, op))
+                     for op in dfg.operations})
 
 
 def _domains(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap):
@@ -281,13 +269,13 @@ def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg):
     depth-first search over the operations' domains, the units each
     may still take, maintaining arc consistency (Sabin & Freuder, CP
     1994) with the matching test at every node; the subgraph matching
-    of LAD (Solnon, AIJ 2010) works alike. The root node is placeable's
-    two checks. At each node the operation with the fewest units left
-    is tried on each of them in its value order, its sorted units
-    shuffled once by random.Random(cfg.seed); ties go to more DFG edges
-    through the operation, then to declaration order. Assigning a unit
-    takes it from every other domain and propagates again (_settle); a
-    node where every domain holds one unit is a placement.
+    of LAD (Solnon, AIJ 2010) works alike. At each node the operation
+    with the fewest units left is tried on each of them in its value
+    order, its sorted units shuffled once by random.Random(cfg.seed);
+    ties go to more DFG edges through the operation, then to
+    declaration order. Assigning a unit takes it from every other
+    domain and propagates again (_settle); a node where every domain
+    holds one unit is a placement.
 
     cfg is a solver.SolveConfig: the search reads the clock at every
     node and stops at its time_limit, and stops after solution_limit

@@ -6,13 +6,11 @@ depend on NN) may refute the target before its neighbour map is asked
 for. Otherwise the screen searches the placements that meet con1-con3
 (ilp.screen_placements): a depth-first search over each operation's
 units that keeps them arc-consistent with the neighbour map and
-matchable onto distinct units at every node. Its root node is
-ilp.placeable's check, so a target that check refutes ends there, with
-no placement tried. Each placement the search yields gets a routing
-check, a search for one cached route per connection with no vertex
-carrying two signals (ilp.route_search): over SHALLOW_PATHS routes per
-connection first, and over DEFAULT_K routes only when those are proven
-too few. The first routable placement wins; growing the neighbourhood
+matchable onto distinct units at every node, from its root node on.
+Each placement the search yields gets a routing check, a search for
+one cached route per connection with no vertex carrying two signals
+(ilp.route_search): over SHALLOW_PATHS routes per connection first,
+and over DEFAULT_K routes only when those are proven too few. The first routable placement wins; growing the neighbourhood
 only happens when the cheap stages say the current one cannot work.
 
 This deviates from the paper, which stages its models as screen, then

@@ -1,6 +1,7 @@
 """Reference oracles for the test suite, a runner for checks that need
-a fresh interpreter, and a kernel, with one of its placements, that more
-than one test module reads.
+a fresh interpreter, the kernels, with placements of one of them, that
+more than one test module reads, and a probe of the screen search's
+root node.
 
 Every oracle is written against the documented semantics only and stays
 independent of the package's search and model-building code paths: plain
@@ -14,6 +15,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+SUM4 = ("op a add\nop b add\nop c add\nop s add\n"
+        "edge a -> c:0\nedge b -> c:1\nedge c -> s:0\nedge a -> s:1\n")
+FAN3 = "op a add\nop b add\nop c add\nop d add\nedge a -> b:0, c:0, d:0\n"
+DIAMOND = ("op a add\nop b add\nop c add\nop d add\n"
+           "edge a -> b:0, c:0\nedge b -> d:0\nedge c -> d:1\n")
+ACC = "op ld load\nop acc add\nedge ld -> acc:1\nedge acc -> acc:0\n"
+TREE5 = ("op a add\nop b add\nop c add\nop d add\nop e add\n"
+         "edge a -> b:0\nedge b -> c:0, d:0\nedge c -> e:0\n")
+JOIN = "op a add\nop b add\nop c add\nedge a -> c:0\nedge b -> c:1\n"
 # 12 ops: four loads, each squared, the squares summed pairwise into one
 # stored value
 FIR4 = "".join(f"op x{i} load\nop m{i} mul\n" for i in range(4)) + (
@@ -187,6 +197,22 @@ def mapping_solution(placement, routes):
         routing.setdefault(driver, []).append(route)
     return MappingSolution(placement, {d: tuple(rs) for d, rs
                                        in routing.items()}, 0)
+
+
+def refuted_at_root(dfg, mrrg, nmap) -> bool:
+    """Whether the screen search ends at its root node with no placement:
+    arc consistency and the unit matching over the neighbour map prove,
+    before any branch, that none exists. Not an oracle: it runs the
+    package's search."""
+    from cgramap.ilp import screen_placements
+    from cgramap.solver import INFEASIBLE, SolveConfig
+
+    stream = screen_placements(dfg, mrrg, nmap, SolveConfig(seed=1))
+    try:
+        next(stream)
+    except StopIteration as stop:
+        return stop.value == (INFEASIBLE, 1)
+    return False
 
 
 def brute_force_mappable(dfg, mrrg):

@@ -18,7 +18,8 @@ from cgramap.neighbors import NeighborMap, build_neighbor_map
 from cgramap.paths import (DEFAULT_K, PathCache, RoutePath,
                            build_path_cache)
 
-from helpers import FIR4, FIR4_HYCUBE_PLACEMENT, satisfies
+from helpers import (ACC, DIAMOND, FAN3, FIR4, FIR4_HYCUBE_PLACEMENT, SUM4,
+                     satisfies)
 
 EXPR_TEXT = """\
 # a = b * (c + d)
@@ -223,12 +224,6 @@ def test_models_read_every_cached_route(inst, shallow, variant, depth):
         depth == "deep" and variant != "placement_only")
 
 
-SUM4 = ("op a add\nop b add\nop c add\nop s add\n"
-        "edge a -> c:0\nedge b -> c:1\nedge c -> s:0\nedge a -> s:1\n")
-FAN3 = "op a add\nop b add\nop c add\nop d add\nedge a -> b:0, c:0, d:0\n"
-DIAMOND = ("op a add\nop b add\nop c add\nop d add\n"
-           "edge a -> b:0, c:0\nedge b -> d:0\nedge c -> d:1\n")
-ACC = "op ld load\nop acc add\nedge ld -> acc:1\nedge acc -> acc:0\n"
 # (kernel, fabric, II, neighbour counts), None standing for the full
 # neighbour count; sum4 and acc have no placement at NN 4 and 8
 PINNED_MODELS = [(SUM4, ArchSpec("adres", 2, 2), 2, (4, 8, None)),

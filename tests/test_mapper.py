@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import json
 from itertools import islice
+from unittest.mock import ANY
 
 import pytest
 
@@ -26,8 +27,9 @@ from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, RoutePath, build_path_cache
 from cgramap.solver import (FEASIBLE, INFEASIBLE, TIMEOUT, SolveConfig,
                             check_assignment, enumerate_solutions, solve)
-from helpers import (FIR4, FIR4_HYCUBE_PLACEMENT, FIR4_HYCUBE_ROUTED,
-                     baseline_point, brute_force_mappable, mapping_solution,
+from helpers import (ACC, DIAMOND, FAN3, FIR4, FIR4_HYCUBE_PLACEMENT,
+                     FIR4_HYCUBE_ROUTED, JOIN, TREE5, baseline_point,
+                     brute_force_mappable, mapping_solution, refuted_at_root,
                      under_hash_seeds)
 
 KERNELS = {
@@ -36,19 +38,16 @@ KERNELS = {
     "chain5": "op a add\nop b add\nop c add\nop d add\nop e add\n"
               "edge a -> b:0\nedge b -> c:0\nedge c -> d:0\nedge d -> e:0\n",
     "fan2": "op a add\nop b add\nop c add\nedge a -> b:0, c:0\n",
-    "fan3": "op a add\nop b add\nop c add\nop d add\n"
-            "edge a -> b:0, c:0, d:0\n",
-    "join": "op a add\nop b add\nop c add\nedge a -> c:0\nedge b -> c:1\n",
+    "fan3": FAN3,
+    "join": JOIN,
     "loop": "op a add\nedge a -> a:0\n",
-    "acc": "op ld load\nop acc add\nedge ld -> acc:1\nedge acc -> acc:0\n",
+    "acc": ACC,
     "ldst": "op ld load\nop st store\nedge ld -> st:0\n",
     "stores3": "op a add\nop s0 store\nop s1 store\nop s2 store\n"
                "edge a -> s0:0, s1:0, s2:0\n",
     # a tree whose first feasible neighbourhood does not route
-    "tree5": "op a add\nop b add\nop c add\nop d add\nop e add\n"
-             "edge a -> b:0\nedge b -> c:0, d:0\nedge c -> e:0\n",
-    "diamond": "op a add\nop b add\nop c add\nop d add\n"
-               "edge a -> b:0, c:0\nedge b -> d:0\nedge c -> d:1\n",
+    "tree5": TREE5,
+    "diamond": DIAMOND,
 }
 
 LIMITS = MapLimits(placement_limit=20, solve_time=5, total_time=10)
@@ -116,53 +115,94 @@ class _Clock:
     def pass_deadline(self):
         self.now += LIMITS.total_time + 1
 
+    def after(self, stage):
+        """stage, passing the deadline as it returns. Under _record a
+        screen search is called at the first read of its stream."""
 
-def _stub_route(monkeypatch, clock, status, late=False, seen=None):
-    """mapper.route_search, which decides every routing check, answers
-    each with status, ending past the deadline if asked, and records
-    each check's cache depth and config."""
+        def late(*args):
+            done = stage(*args)
+            self.pass_deadline()
+            return done
 
-    def stub(pairs, cache, cfg):
-        if seen is not None:
-            seen.append((cache.k, cfg))
-        if late:
-            clock.pass_deadline()
-        return status, None, 0
-
-    monkeypatch.setattr(mapper, "route_search", stub)
+        return late
 
 
-def _stub_screen(monkeypatch, clock, status, late=False, seen=None):
-    """mapper.screen_placements yields no placement and ends with status,
-    past the deadline if asked, and records each target and config."""
+def _ends(status):
+    """A screen search that yields no placement and ends with status."""
 
-    def stub(dfg, mrrg, nmap, cfg):
-        if seen is not None:
-            seen.append((nmap.target_nn, cfg))
-        if late:
-            clock.pass_deadline()
+    def screen(dfg, mrrg, nmap, cfg):
         return status, 0
         yield
 
-    monkeypatch.setattr(mapper, "screen_placements", stub)
+    return screen
 
 
-def _watch_screen(monkeypatch, on_yield):
-    """mapper.screen_placements calls on_yield(nmap, cfg, placement) for
-    each placement it yields, and ends as the real search ends."""
-    real_screen = mapper.screen_placements
+def _answers(status):
+    """A routing search that answers every check with status."""
+    return lambda pairs, cache, cfg: (status, None, 0)
 
-    def watched(dfg, mrrg, nmap, cfg):
-        stream = real_screen(dfg, mrrg, nmap, cfg)
+
+def _record(monkeypatch, **stages):
+    """Patch each stage map_dfg reads from cgramap.mapper to run as
+    before, or as the replacement given under its name, and to append
+    one event per call to the list returned, in call order:
+      ("nmap", nn)                    a neighbour map asked for
+      ("screen", nn, cfg)             a screen search started
+      ("yield", nn, placement)        a placement it yielded
+      ("screened", nn, end)           its return value, (status, nodes),
+                                      unless map_dfg stopped reading it
+      ("cache", nn, k, cache)         a path cache built
+      ("route", nn, k, pairs, found, cache)
+                                      a routing search, found being what
+                                      it returned and nn, k its cache's
+      ("variant", variant)            a model built"""
+    events, nns = [], {}
+    run = {name: stages.pop(name, getattr(mapper, name)) for name in (
+        "build_neighbor_map", "screen_placements", "build_path_cache",
+        "route_search", "build_variant")}
+    assert not stages, stages
+
+    def nmap_of(mrrg, nn):
+        events.append(("nmap", nn))
+        return run["build_neighbor_map"](mrrg, nn)
+
+    def screen(dfg, mrrg, nmap, cfg):
+        nn = nmap.target_nn
+        events.append(("screen", nn, cfg))
+        stream = run["screen_placements"](dfg, mrrg, nmap, cfg)
         while True:
             try:
                 placement = next(stream)
             except StopIteration as stop:
+                events.append(("screened", nn, stop.value))
                 return stop.value
-            on_yield(nmap, cfg, placement)
+            events.append(("yield", nn, placement))
             yield placement
 
-    monkeypatch.setattr(mapper, "screen_placements", watched)
+    def cache_of(mrrg, nmap, k=DEFAULT_K):
+        cache = run["build_path_cache"](mrrg, nmap, k)
+        nns[id(cache)] = nmap.target_nn
+        events.append(("cache", nmap.target_nn, k, cache))
+        return cache
+
+    def route(pairs, cache, cfg):
+        found = run["route_search"](pairs, cache, cfg)
+        events.append(("route", nns[id(cache)], cache.k, pairs, found,
+                       cache))
+        return found
+
+    def variant(name, *args, **kw):
+        events.append(("variant", name))
+        return run["build_variant"](name, *args, **kw)
+
+    for name, stage in zip(run, (nmap_of, screen, cache_of, route, variant)):
+        monkeypatch.setattr(mapper, name, stage)
+    return events
+
+
+def _of(events, kind):
+    """The events of one kind, in order, each without its kind."""
+    return [event[1:] for event in events if event[0] == kind]
 
 
 def _run(kernel, family, ii, schedule, seed=1):
@@ -195,63 +235,35 @@ def test_op_without_a_unit_is_not_mappable():
         NOT_MAPPABLE, [(2, INFEASIBLE), (4, INFEASIBLE)])
 
 
-def _record_stages(monkeypatch):
-    """The neighbour-map targets asked for, the screen searches started
-    (with the status and node count of each that ran to its end) and
-    the routing searches run (with their cache depth and status), in
-    order."""
-    real_nmap, real_route = mapper.build_neighbor_map, mapper.route_search
-    real_screen = mapper.screen_placements
-    stages = []
-
-    def recording_nmap(mrrg, nn):
-        stages.append(("nmap", nn))
-        return real_nmap(mrrg, nn)
-
-    def recording_screen(dfg, mrrg, nmap, cfg):
-        stages.append(("screen", nmap.target_nn))
-        end = yield from real_screen(dfg, mrrg, nmap, cfg)
-        stages.append(("screened", *end))
-        return end
-
-    def recording_route(pairs, cache, cfg):
-        found = real_route(pairs, cache, cfg)
-        stages.append(("route", cache.k, found[0]))
-        return found
-
-    monkeypatch.setattr(mapper, "build_neighbor_map", recording_nmap)
-    monkeypatch.setattr(mapper, "screen_placements", recording_screen)
-    monkeypatch.setattr(mapper, "route_search", recording_route)
-    return stages
-
-
 def test_unit_matching_refutes_before_the_neighbour_map(monkeypatch):
     # three stores and two memory units on 2x2 ADRES at II 1: no NN
     # helps, so no target asks for its neighbour map or searches a screen
-    stages = _record_stages(monkeypatch)
+    events = _record(monkeypatch)
     dfg, mrrg = parse_dfg(KERNELS["stores3"]), fabric("adres", 1)
     assert not placeable(dfg, mrrg)
     out = map_dfg(dfg, mrrg, SCHEDULE, LIMITS, seed=1)
     assert (out.status, [(a.nn, a.screen, a.placements_tried)
                          for a in out.attempts]) == (
         NOT_MAPPABLE, [(nn, INFEASIBLE, 0) for nn in SCHEDULE])
-    assert stages == []
+    assert events == []
 
 
 def test_neighbourhood_check_refutes_before_the_screen(monkeypatch):
     # on 2x2 ortho at II 1 no ALU is its own neighbour at NN 1 or 2, so
     # the loop edge has no unit there and the screen search ends at its
     # root node; at NN 4 one is, and the search yields a placement
-    stages = _record_stages(monkeypatch)
+    events = _record(monkeypatch)
     dfg, mrrg = parse_dfg(KERNELS["loop"]), fabric("ortho", 1)
     out = map_dfg(dfg, mrrg, (1, 2, 4), LIMITS, seed=1)
     assert (out.status, [(a.nn, a.screen, a.placements_tried)
                          for a in out.attempts]) == (
         MAPPED, [(1, INFEASIBLE, 0), (2, INFEASIBLE, 0), (4, FEASIBLE, 1)])
-    assert stages == [("nmap", 1), ("screen", 1), ("screened", INFEASIBLE, 1),
-                      ("nmap", 2), ("screen", 2), ("screened", INFEASIBLE, 1),
-                      ("nmap", 4), ("screen", 4),
-                      ("route", SHALLOW_PATHS, FEASIBLE)]
+    assert events == [
+        ("nmap", 1), ("screen", 1, ANY), ("screened", 1, (INFEASIBLE, 1)),
+        ("nmap", 2), ("screen", 2, ANY), ("screened", 2, (INFEASIBLE, 1)),
+        ("nmap", 4), ("screen", 4, ANY), ("yield", 4, ANY),
+        ("cache", 4, SHALLOW_PATHS, ANY),
+        ("route", 4, SHALLOW_PATHS, ANY, (FEASIBLE, ANY, ANY), ANY)]
 
 
 # two chains, one of 2 adds and one of 5, on 2x2 ADRES at II 2, NN 2:
@@ -267,30 +279,33 @@ def test_matching_after_the_cut_refutes(monkeypatch):
     dfg, mrrg = parse_dfg(TWO_CHAINS), fabric("adres", 2)
     nmap = build_neighbor_map(mrrg, 2)
     for chain in (KERNELS["chain2"], KERNELS["chain5"]):
-        assert placeable(parse_dfg(chain), mrrg, nmap)
+        assert not refuted_at_root(parse_dfg(chain), mrrg, nmap)
     assert placeable(dfg, mrrg)
-    assert not placeable(dfg, mrrg, nmap)
+    assert refuted_at_root(dfg, mrrg, nmap)
     # a proof: the screen it skips is infeasible
     screen = build_variant("placement_only", dfg, mrrg, nmap)
     assert solve(screen, SolveConfig(seed=1)).status == INFEASIBLE
-    stages = _record_stages(monkeypatch)
+    events = _record(monkeypatch)
     out = map_dfg(dfg, mrrg, (2,), LIMITS, seed=1)
     assert [(a.nn, a.screen, a.placements_tried) for a in out.attempts] == [
         (2, INFEASIBLE, 0)]
-    # the screen search runs the same check at its root node
-    assert stages == [("nmap", 2), ("screen", 2), ("screened", INFEASIBLE, 1)]
+    # the mapper's screen search ends there too
+    assert events == [("nmap", 2), ("screen", 2, ANY),
+                      ("screened", 2, (INFEASIBLE, 1))]
 
 
 def test_screen_timeout_ends_the_run(monkeypatch):
     # a screen search that times out before its first placement
-    _stub_screen(monkeypatch, _Clock(monkeypatch), TIMEOUT)
+    _Clock(monkeypatch)
+    _record(monkeypatch, screen_placements=_ends(TIMEOUT))
     assert _chain2() == (TIMED_OUT, [(2, TIMEOUT, 0, False)])
 
 
 def test_late_infeasible_screen_moves_on(monkeypatch):
     # the next target would start after the deadline; at the last target
     # the schedule simply ends
-    _stub_screen(monkeypatch, _Clock(monkeypatch), INFEASIBLE, late=True)
+    clock = _Clock(monkeypatch)
+    _record(monkeypatch, screen_placements=clock.after(_ends(INFEASIBLE)))
     assert _chain2() == (TIMED_OUT, [(2, INFEASIBLE, 0, False)])
     assert _chain2((2,)) == (NOT_MAPPABLE, [(2, INFEASIBLE, 0, False)])
 
@@ -299,66 +314,58 @@ def test_deadline_during_enumeration_ends_the_run(monkeypatch):
     # timed out, not unmappable, even at the last target; the first
     # placement, which did not route, counts as tried
     clock = _Clock(monkeypatch)
-    real_screen = mapper.screen_placements
 
     def screen_one_then_time_out(dfg, mrrg, nmap, cfg):
-        yield next(real_screen(dfg, mrrg, nmap, cfg))
+        yield next(screen_placements(dfg, mrrg, nmap, cfg))
         clock.pass_deadline()
         return TIMEOUT, 0
 
-    monkeypatch.setattr(mapper, "screen_placements",
-                        screen_one_then_time_out)
+    _record(monkeypatch, screen_placements=screen_one_then_time_out)
     assert _run(*CANDIDATE_MISS) == (TIMED_OUT, [(4, FEASIBLE, 1, False)])
 
 
 def test_deadline_during_routing_stops_the_enumeration(monkeypatch):
     # the screen search would go on yielding; the first placement whose
     # routing checks end past the deadline stops it
-    real_screen = mapper.screen_placements
 
     def screen_first_again(dfg, mrrg, nmap, cfg):
-        first = next(real_screen(dfg, mrrg, nmap, cfg))
+        first = next(screen_placements(dfg, mrrg, nmap, cfg))
         for _ in range(3):
             yield first
 
-    monkeypatch.setattr(mapper, "screen_placements", screen_first_again)
-    seen = []
-    _stub_route(monkeypatch, _Clock(monkeypatch), INFEASIBLE, late=True,
-                seen=seen)
+    clock = _Clock(monkeypatch)
+    events = _record(monkeypatch, screen_placements=screen_first_again,
+                     route_search=clock.after(_answers(INFEASIBLE)))
     assert _run(*CANDIDATE_MISS) == (TIMED_OUT, [(4, FEASIBLE, 1, False)])
     # the shallow check is stubbed infeasible, so the placement is
     # deepened before the deadline is read
-    assert [k for k, _ in seen] == [SHALLOW_PATHS, DEFAULT_K]
+    assert [k for _, k, *_ in _of(events, "route")] == [SHALLOW_PATHS,
+                                                         DEFAULT_K]
 
 
 def test_deadline_during_first_placement_check_ends_the_target(monkeypatch):
     # the routing checks of the screen's first placement end past the
     # deadline and end the target: no other placement is checked, though
     # the search has more
-    seen = []
-    _stub_route(monkeypatch, _Clock(monkeypatch), INFEASIBLE, late=True,
-                seen=seen)
+    clock = _Clock(monkeypatch)
+    events = _record(monkeypatch,
+                     route_search=clock.after(_answers(INFEASIBLE)))
     assert _chain2((2,)) == (TIMED_OUT, [(2, FEASIBLE, 1, False)])
-    assert [k for k, _ in seen] == [SHALLOW_PATHS, DEFAULT_K]
+    assert [k for _, k, *_ in _of(events, "route")] == [SHALLOW_PATHS,
+                                                         DEFAULT_K]
 
 
 def test_screen_budget_taken_after_its_build(monkeypatch):
     # a neighbour map build that outlasts the run leaves the screen
     # search over it the 1 ms floor, not the time that was left before
     # the build
-    real_nmap = mapper.build_neighbor_map
     clock = _Clock(monkeypatch)
-
-    def slow_nmap(mrrg, nn):
-        nmap = real_nmap(mrrg, nn)
-        clock.pass_deadline()
-        return nmap
-
-    monkeypatch.setattr(mapper, "build_neighbor_map", slow_nmap)
-    seen = []
-    _stub_screen(monkeypatch, clock, TIMEOUT, seen=seen)
+    events = _record(monkeypatch,
+                     build_neighbor_map=clock.after(build_neighbor_map),
+                     screen_placements=_ends(TIMEOUT))
     assert _chain2() == (TIMED_OUT, [(2, TIMEOUT, 0, False)])
-    assert [(nn, cfg.time_limit) for nn, cfg in seen] == [(2, 0.001)]
+    assert [(nn, cfg.time_limit) for nn, cfg in _of(events, "screen")] == [
+        (2, 0.001)]
 
 
 # (kernel, fabric, II, schedule, placement limit, expected attempts):
@@ -399,34 +406,12 @@ SAME_MODELS_BUILT = {
 DEEP_CASE = ("diamond", ArchSpec("adres", 2, 2), 2, (8,), 20)
 
 
-def _record_checks(monkeypatch):
-    """The routing checks, in order: ("route", NN, pairs, cache, found)
-    for each routing search, found being what it returned. The NN is
-    that of the neighbour map the check's cache was built for."""
-    real_cache, real_route = mapper.build_path_cache, mapper.route_search
-    events, nns = [], {}
-
-    def recording_cache(mrrg, nmap, k=DEFAULT_K):
-        cache = real_cache(mrrg, nmap, k)
-        nns[id(cache)] = nmap.target_nn
-        return cache
-
-    def recording_route(pairs, cache, cfg):
-        found = real_route(pairs, cache, cfg)
-        events.append(("route", nns[id(cache)], pairs, cache, found))
-        return found
-
-    monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
-    monkeypatch.setattr(mapper, "route_search", recording_route)
-    return events
-
-
 @pytest.mark.parametrize("kernel,spec,ii,schedule,placements,attempts",
                          SAME_MODELS)
 def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
                                                schedule, placements,
                                                attempts):
-    events = _record_checks(monkeypatch)
+    events = _record(monkeypatch)
     dfg = parse_dfg(KERNELS[kernel])
     mrrg = build_mrrg(spec, ii)
     out = map_dfg(dfg, mrrg, schedule,
@@ -446,15 +431,15 @@ def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
         return full[nn, k]
 
     checked = []
-    for _, nn, pairs, cache, found in events:
-        ref = full_cache(nn, cache.k)
+    for nn, k, pairs, found, cache in _of(events, "route"):
+        ref = full_cache(nn, k)
         assert found == route_search(pairs, ref, SolveConfig(time_limit=60))
         blocked = must_cross_blocks(pairs, cache)
         assert blocked == must_cross_blocks(pairs, ref)
         if blocked:
             # refuted at the search's root node
             assert found == (INFEASIBLE, None, 1)
-        checked.append((nn, cache.k, "must_cross" if blocked else "search"))
+        checked.append((nn, k, "must_cross" if blocked else "search"))
     assert checked == SAME_MODELS_BUILT[kernel]
 
 
@@ -469,17 +454,7 @@ def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
     # cache over just its own pairs, read by its first routing check, and
     # a DEFAULT_K-deep cache over the same pairs, with its routing check
     # right after it, only when that first check is proven infeasible
-    events = _record_checks(monkeypatch)
-    real_cache = mapper.build_path_cache
-
-    def recording_cache(mrrg, nmap, k=DEFAULT_K):
-        cache = real_cache(mrrg, nmap, k)
-        events.append(("cache", nmap.target_nn, cache))
-        return cache
-
-    monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
-    _watch_screen(monkeypatch, lambda nmap, cfg, placement: events.append(
-        ("yield", nmap.target_nn, placement)))
+    events = _record(monkeypatch)
     dfg = parse_dfg(KERNELS[kernel])
     out = map_dfg(dfg, build_mrrg(spec, ii), schedule,
                   MapLimits(placement_limit=placements),
@@ -491,25 +466,26 @@ def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
     for i, event in enumerate(events):
         if event[0] != "cache":
             continue
-        _, nn, cache = event
+        _, nn, k, cache = event
         # the routing search reads the cache right after its build
-        kind, route_nn, pairs, route_cache, found = events[i + 1]
-        assert (kind, route_nn, route_cache) == ("route", nn, cache)
+        kind, route_nn, route_k, pairs, found, route_cache = events[i + 1]
+        assert (kind, route_nn, route_k, route_cache) == ("route", nn, k,
+                                                          cache)
         assert set(cache.paths) == set(pairs)
         verdict = found[0]
-        if cache.k == SHALLOW_PATHS:
+        if k == SHALLOW_PATHS:
             # a placement just yielded
             kind, yield_nn, place = events[i - 1]
             assert (kind, yield_nn) == ("yield", nn)
         else:
             # the same placement's shallow check, which ended just
             # before, was a proof
-            assert cache.k == DEFAULT_K
+            assert k == DEFAULT_K
             assert events[i - 1][0] == "route"
             assert checks[-1][1:] == (SHALLOW_PATHS, place, INFEASIBLE)
         assert set(pairs) == {(place[o], place[p])
                               for o, p in dfg.point_edges()}
-        checks.append((nn, cache.k, place, verdict))
+        checks.append((nn, k, place, verdict))
     # and every proof on shallow routes is deepened
     shallow = [c for c in checks if c[1] == SHALLOW_PATHS]
     deep = len(checks) - len(shallow)
@@ -527,16 +503,7 @@ def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
     # the first placement is proven unroutable on SHALLOW_PATHS routes,
     # and then routes on DEFAULT_K ones; a run without the deep stage
     # would go on to other placements
-    real_route = mapper.route_search
-    checks = []
-
-    def recording_route(pairs, cache, cfg):
-        found = real_route(pairs, cache, cfg)
-        checks.append((cache.k, found[0], found[2],
-                       must_cross_blocks(pairs, cache)))
-        return found
-
-    monkeypatch.setattr(mapper, "route_search", recording_route)
+    events = _record(monkeypatch)
     kernel, spec, ii, schedule, placements = DEEP_CASE
     dfg, mrrg = parse_dfg(KERNELS[kernel]), build_mrrg(spec, ii)
     out = map_dfg(dfg, mrrg, schedule, MapLimits(placement_limit=placements),
@@ -553,8 +520,10 @@ def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
     # other driver's routes all cross; the deep check is searched
     blocked = (("pe_0_0.out", 0), ("pe_0_0.out", 1), ("pe_0_0.reg", 1),
                ("pe_1_0.out", 0))
-    assert checks == [(SHALLOW_PATHS, INFEASIBLE, 1, {(c, d): blocked}),
-                      (DEFAULT_K, FEASIBLE, 5, {})]
+    assert [(k, found[0], found[2], must_cross_blocks(pairs, cache))
+            for _, k, pairs, found, cache in _of(events, "route")] == [
+        (SHALLOW_PATHS, INFEASIBLE, 1, {(c, d): blocked}),
+        (DEFAULT_K, FEASIBLE, 5, {})]
     # so some route reported lies past its pair's first SHALLOW_PATHS
     nmap = build_neighbor_map(mrrg, 8)
     shallow = build_path_cache(mrrg, nmap, SHALLOW_PATHS)
@@ -568,16 +537,8 @@ def test_shallow_timeout_does_not_deepen(monkeypatch):
     # placement was proven unroutable, the run timed out rather than
     # found the kernel unmappable. The placement limit bounds the
     # placements tried.
-    real_cache = mapper.build_path_cache
-    depths = []
-
-    def recording_cache(mrrg, nmap, k=DEFAULT_K):
-        depths.append(k)
-        return real_cache(mrrg, nmap, k)
-
-    monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
-    seen = []
-    _stub_route(monkeypatch, _Clock(monkeypatch), TIMEOUT, seen=seen)
+    _Clock(monkeypatch)
+    events = _record(monkeypatch, route_search=_answers(TIMEOUT))
     kernel, spec, ii, schedule, _ = DEEP_CASE
     out = map_dfg(parse_dfg(KERNELS[kernel]), build_mrrg(spec, ii), schedule,
                   MapLimits(placement_limit=2),
@@ -585,8 +546,10 @@ def test_shallow_timeout_does_not_deepen(monkeypatch):
     assert (out.status, [(a.nn, a.screen, a.placements_tried, a.routed)
                          for a in out.attempts]) == (
         TIMED_OUT, [(8, FEASIBLE, 2, False)])
-    assert depths == [SHALLOW_PATHS, SHALLOW_PATHS]
-    assert [k for k, _ in seen] == [SHALLOW_PATHS, SHALLOW_PATHS]
+    assert [k for _, k, _ in _of(events, "cache")] == [SHALLOW_PATHS,
+                                                        SHALLOW_PATHS]
+    assert [k for _, k, *_ in _of(events, "route")] == [SHALLOW_PATHS,
+                                                         SHALLOW_PATHS]
 
 
 def test_first_placement_that_routes_builds_only_its_own_cache(monkeypatch):
@@ -594,43 +557,24 @@ def test_first_placement_that_routes_builds_only_its_own_cache(monkeypatch):
     # on its own SHALLOW_PATHS cache: that cache and one routing search
     # are all that run past the screen, no model is built, and the
     # mapping places what the search placed
-    real_cache, real_variant = mapper.build_path_cache, mapper.build_variant
-    real_route = mapper.route_search
-    caches, built, routed, screened = [], [], [], []
-
-    def recording_cache(mrrg, nmap, k=DEFAULT_K):
-        cache = real_cache(mrrg, nmap, k)
-        caches.append(cache)
-        return cache
-
-    def recording_variant(variant, *args, **kw):
-        built.append(variant)
-        return real_variant(variant, *args, **kw)
-
-    def recording_route(pairs, cache, cfg):
-        found = real_route(pairs, cache, cfg)
-        routed.append((cache.k, found[0]))
-        return found
-
-    monkeypatch.setattr(mapper, "build_path_cache", recording_cache)
-    monkeypatch.setattr(mapper, "build_variant", recording_variant)
-    monkeypatch.setattr(mapper, "route_search", recording_route)
-    _watch_screen(monkeypatch, lambda nmap, cfg, placement: screened.append(
-        (nmap, placement)))
+    events = _record(monkeypatch)
     dfg, mrrg = parse_dfg(KERNELS["join"]), fabric("adres", 2)
     out = map_dfg(dfg, mrrg, SCHEDULE, LIMITS, seed=1)
     assert out.status == MAPPED
     assert [(a.nn, a.screen, a.placements_tried, a.routed)
             for a in out.attempts] == [(2, INFEASIBLE, 0, False),
                                        (4, FEASIBLE, 1, True)]
-    assert built == []
-    assert routed == [(SHALLOW_PATHS, FEASIBLE)]
-    [(nmap, place)] = screened
+    assert _of(events, "variant") == []
+    assert [(k, found[0]) for _, k, _, found, _ in _of(events, "route")] == [
+        (SHALLOW_PATHS, FEASIBLE)]
+    [(nn, place)] = _of(events, "yield")
     assert out.solution.placement == place
+    caches = [cache for *_, cache in _of(events, "cache")]
     assert [(c.k, set(c.paths)) for c in caches] == [
         (SHALLOW_PATHS, {(place[o], place[p]) for o, p in dfg.point_edges()})]
     assert set(caches[0].paths) < {
-        (u, v) for _, u, _, v in neighbor_domain(dfg, mrrg, nmap)}
+        (u, v) for _, u, _, v in neighbor_domain(
+            dfg, mrrg, build_neighbor_map(mrrg, nn))}
 
 
 # CANDIDATE_MISS, and chain5 on 2x2 ADRES at II 2, seed 4, which maps at
@@ -643,31 +587,29 @@ def test_each_placement_is_routed_once_per_depth(monkeypatch, kernel, family,
     # within one target, no placement gets a routing check at the same
     # cache depth twice, and the first placement is the first one a
     # search of its own at the same seed yields
-    real_route = mapper._route
-    checks, yields = [], {}
+    events = _record(monkeypatch)
     dfg, mrrg = parse_dfg(KERNELS[kernel]), fabric(family, ii)
-
-    def recording_route(dfg, mrrg, nmap, placement, k, *args):
-        checks.append((nmap.target_nn, k, tuple(sorted(placement.items()))))
-        return real_route(dfg, mrrg, nmap, placement, k, *args)
-
-    def recording_yield(nmap, cfg, placement):
-        if nmap.target_nn not in yields:
-            first = next(screen_placements(dfg, mrrg, nmap, cfg))
-            yields[nmap.target_nn] = [first]
-        yields[nmap.target_nn].append(placement)
-
-    monkeypatch.setattr(mapper, "_route", recording_route)
-    _watch_screen(monkeypatch, recording_yield)
     out = map_dfg(dfg, mrrg, schedule, LIMITS, seed=seed)
+    # (NN, cache depth, placement) of each routing check, which checks
+    # the placement yielded last
+    checks, firsts = [], {}
+    for event in events:
+        if event[0] == "yield":
+            _, nn, place = event
+            firsts.setdefault(nn, place)
+        elif event[0] == "route":
+            checks.append((event[1], event[2], tuple(sorted(place.items()))))
     assert len(checks) == len(set(checks))
     assert out.status == MAPPED
     assert (out.attempts[-1].placements_tried, out.attempts[-1].routed) == (
         tried, True)
     # some placement is checked at both depths
     assert any(k == DEFAULT_K for _, k, _ in checks)
-    assert yields and all(leaf == first
-                          for leaf, first, *_ in yields.values())
+    cfgs = dict(_of(events, "screen"))
+    assert firsts and all(
+        first == next(screen_placements(
+            dfg, mrrg, build_neighbor_map(mrrg, nn), cfgs[nn]))
+        for nn, first in firsts.items())
 
 
 @pytest.mark.parametrize("status,verdict", [(TIMEOUT, TIMED_OUT),
@@ -678,14 +620,13 @@ def test_screen_placement_timeout_reads_timed_out(monkeypatch, status,
     # routing checks; a timeout there proves nothing and is not
     # deepened, a proof of infeasibility is deepened and, proven again,
     # leaves the kernel unmappable at the last target
-    real_screen = mapper.screen_placements
-    monkeypatch.setattr(mapper, "screen_placements",
-                        lambda *args: islice(real_screen(*args), 1))
-    seen = []
-    _stub_route(monkeypatch, None, status, seen=seen)
+    events = _record(
+        monkeypatch,
+        screen_placements=lambda *args: islice(screen_placements(*args), 1),
+        route_search=_answers(status))
     assert _chain2((2,)) == (verdict, [(2, FEASIBLE, 1, False)])
-    assert [k for k, _ in seen] == [SHALLOW_PATHS, DEFAULT_K][
-        :2 if status == INFEASIBLE else 1]
+    assert [k for _, k, *_ in _of(events, "route")] == [
+        SHALLOW_PATHS, DEFAULT_K][:2 if status == INFEASIBLE else 1]
 
 
 # (family, II, kernel, brute-force verdict). Brute force takes seconds or
@@ -782,15 +723,15 @@ def test_screen_search_matches_the_0_1_screen(family, ii, kernel, mappable):
 
 
 def test_screen_search_node_counts_are_pinned():
-    # fir4's NN-4 screen on 4x4 ADRES at II 2 passes placeable's check at
-    # the root node and takes the 0/1 screen 9k-10k nodes to refute; the
-    # search refutes it in a few. Neither the op branched on nor the
+    # fir4's NN-4 screen on 4x4 ADRES at II 2 passes the search's root
+    # node and takes the 0/1 screen 9k-10k nodes to refute; the search
+    # refutes it in a few. Neither the op branched on nor the
     # order of its units may come from set iteration order, which the
     # hash seed changes
     dfg = parse_dfg(FIR4)
     mrrg = build_mrrg(ArchSpec("adres", 4, 4), 2)
     nmap = build_neighbor_map(mrrg, 4)
-    assert placeable(dfg, mrrg, nmap)
+    assert not refuted_at_root(dfg, mrrg, nmap)
     cfg = SolveConfig(seed=1, time_limit=60, solution_limit=1)
     assert _drain(screen_placements(dfg, mrrg, nmap, cfg)) == (
         [], (INFEASIBLE, 7))

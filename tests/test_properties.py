@@ -1,8 +1,8 @@
 """Property tests: the DFG and architecture text formats read back what
-they write, a target the placement check refutes has no placement, a
-routing check the must-cross rule refutes has no routing, the routing
-search finds a routing exactly when one exists, and neighbour maps and
-routes commute with the context rotation.
+they write, a target the unit matching or the screen search's root node
+refutes has no placement, a routing check the must-cross rule refutes
+has no routing, the routing search finds a routing exactly when one
+exists, and neighbour maps and routes commute with the context rotation.
 Derandomized with few examples, so they run in a couple of seconds and
 give the same cases on every run."""
 
@@ -25,7 +25,7 @@ from cgramap.neighbors import build_neighbor_map  # noqa: E402
 from cgramap.paths import DEFAULT_K, build_path_cache  # noqa: E402
 from cgramap.solver import (FEASIBLE, INFEASIBLE,  # noqa: E402
                             SolveConfig, solve)
-from helpers import brute_force_mappable  # noqa: E402
+from helpers import brute_force_mappable, refuted_at_root  # noqa: E402
 
 PROFILE = settings(derandomize=True, database=None, deadline=None,
                    max_examples=150)
@@ -93,7 +93,8 @@ def tiny_mrrg(family, rows, cols, ii):
 @settings(PROFILE, max_examples=100)
 @given(dfgs(), st.sampled_from(TINY))
 def test_refuted_target_has_no_placement(dfg, fabric):
-    # a refusal is a proof: the screen it stands for is infeasible; at
+    # a refusal, by the unit matching or at the screen search's root
+    # node, is a proof: the screen it stands for is infeasible; at
     # the full neighbourhood, which holds every unit a route reaches,
     # no mapping exists either (checked by brute force where it is quick:
     # up to 4 ops on fabrics of up to 50 vertices)
@@ -101,7 +102,7 @@ def test_refuted_target_has_no_placement(dfg, fabric):
     full = len(mrrg.fus)
     for nn in (1, 2, 4, 8, full):
         nmap = build_neighbor_map(mrrg, nn)
-        if placeable(dfg, mrrg) and placeable(dfg, mrrg, nmap):
+        if placeable(dfg, mrrg) and not refuted_at_root(dfg, mrrg, nmap):
             continue
         try:
             screen = build_variant("placement_only", dfg, mrrg, nmap)
@@ -110,7 +111,7 @@ def test_refuted_target_has_no_placement(dfg, fabric):
         res = solve(screen, SolveConfig(seed=1, time_limit=10))
         assert res.status == INFEASIBLE, nn
     if (len(dfg.operations) <= 4 and len(mrrg.nodes) <= 50
-            and not placeable(dfg, mrrg, build_neighbor_map(mrrg, full))):
+            and refuted_at_root(dfg, mrrg, build_neighbor_map(mrrg, full))):
         assert not brute_force_mappable(dfg, mrrg)
 
 

@@ -17,7 +17,8 @@ from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, build_path_cache
 from cgramap.solver import (SolveConfig, check_assignment,
                             enumerate_solutions, solve)
-from helpers import exhaustive, satisfies
+from helpers import (ACC, DIAMOND, FAN3, JOIN, SUM4, TREE5, exhaustive,
+                     satisfies)
 
 
 def mk_model(names, rows, cls="f"):
@@ -504,10 +505,6 @@ def test_deadline_holds_to_one_node(monkeypatch):
 FIVE_ADD = ("op a add\nop b add\nop c add\nop d add\nop e add\n"
             "edge a -> b:0, c:0\nedge b -> d:0\nedge c -> d:1\n"
             "edge d -> e:0\n")
-TREE5 = ("op a add\nop b add\nop c add\nop d add\nop e add\n"
-         "edge a -> b:0\nedge b -> c:0, d:0\nedge c -> e:0\n")
-SUM4 = ("op a add\nop b add\nop c add\nop s add\n"
-        "edge a -> c:0\nedge b -> c:1\nedge c -> s:0\nedge a -> s:1\n")
 
 
 def tree5_combined(nn):
@@ -540,8 +537,6 @@ def sum4_models():
     return screen, routings
 
 
-DIAMOND = ("op a add\nop b add\nop c add\nop d add\n"
-           "edge a -> b:0, c:0\nedge b -> d:0\nedge c -> d:1\n")
 # the first placement map_dfg tries for diamond on 2x2 ADRES, II 2, NN 8,
 # seed 3 (test_mapper.py::test_deep_stage_routes_what_shallow_cannot)
 DIAMOND_PLACEMENT = {"a": ("pe_0_0.alu", 1), "b": ("pe_1_0.alu", 1),
@@ -642,12 +637,9 @@ def test_enumeration_exhausts_placements():
         assert final.status == "infeasible", seed
 
 
-LDST = ("op ld load\nop k const const=1\nop inc add\nop st store\n"
-        "edge ld -> inc:0\nedge k -> inc:1\nedge inc -> st:0\n")
-
-
-FAN3 = ("op a add\nop b add\nop c add\nop d add\n"
-        "edge a -> b:0, c:0, d:0\n")
+# not test_mapper.py's "ldst", which stores the load directly
+LDST_INC = ("op ld load\nop k const const=1\nop inc add\nop st store\n"
+            "edge ld -> inc:0\nedge k -> inc:1\nedge inc -> st:0\n")
 
 
 def test_placement_screen_steady_across_seeds():
@@ -664,13 +656,9 @@ def test_placement_screen_steady_across_seeds():
         assert (res.status, res.nodes <= 200) == ("feasible", True), seed
 
 
-ACC = "op ld load\nop acc add\nedge ld -> acc:1\nedge acc -> acc:0\n"
-JOIN = "op a add\nop b add\nop c add\nedge a -> c:0\nedge b -> c:1\n"
-
-
 @pytest.mark.parametrize("kernel,size,nn,k", [
     (ACC, 2, None, DEFAULT_K), (JOIN, 2, None, DEFAULT_K),
-    (LDST, 4, 4, SHALLOW_PATHS)], ids=["acc", "join", "ldst"])
+    (LDST_INC, 4, 4, SHALLOW_PATHS)], ids=["acc", "join", "ldst"])
 def test_combined_search_steady_across_seeds(kernel, size, nn, k):
     # full neighbourhood on 2x2 ADRES at II 2: under a placement that
     # does not route, deciding each of hundreds of paths no connection
