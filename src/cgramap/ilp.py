@@ -27,11 +27,13 @@ routing_only (con5-6 over the pairs of a given placement) and combined
 hashed and sorted without Python code.
 
 The mapper builds no model. It searches con1-3 without one
-(screen_placements, a search over each operation's units that keeps
-them arc-consistent), and con5-6 over a placement's cached routes
-likewise (route_search, a search over each connection's routes whose
-root node is must_cross_blocks). placement_only and routing_only serve
-only as cross-checks of those searches.
+(screen_placements, over each operation's units, kept arc-consistent
+and matchable onto distinct units), and con5-6 over a placement's
+cached routes likewise (route_search, over each connection's routes,
+from must_cross_blocks's fixpoint). Both are one depth-first loop,
+_depth_first; each search gives it only its root node, its propagation
+and its value order. placement_only and routing_only serve only as
+cross-checks of those searches.
 
 Each implication group is one row, M being its number of summed terms,
 in place of M rows x - g <= 0: the two forms admit the same 0/1 points
@@ -186,12 +188,11 @@ def _domains(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap):
     """Each operation's compatible units, a loop edge keeping only the
     units that are their own neighbour, and the arcs con3 reads through
     each operation: the DFG edges between distinct operations."""
-    near = nmap.neighbors
     units = {op.id: set(compatible_nodes(mrrg, op)) for op in dfg.operations}
     through: dict[str, list[tuple[str, str]]] = {o: [] for o in units}
     for o, p in dfg.point_edges():
         if o == p:
-            units[o] = {u for u in units[o] if u in near[u]}
+            units[o] = {u for u in units[o] if u in nmap[u]}
         else:
             through[o].append((o, p))
             through[p].append((o, p))
@@ -201,9 +202,10 @@ def _domains(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap):
 def _consistent(units, near, through, queue) -> bool:
     """Arc consistency (AC-3; Mackworth, AI 1977) from the arcs in queue:
     cut the units of each arc's ends to those with a partner across it
-    (v in near[u]), queueing again the other arcs through an end that
-    lost units, until the queue is empty. Cut domains are replaced, not
-    edited, so a copy of units that shares their sets stays intact.
+    (v in near[u], near being NeighborMap.others: distinct operations
+    never share a unit), queueing again the other arcs through an end
+    that lost units, until the queue is empty. Cut domains are replaced,
+    not edited, so a copy of units that shares their sets stays intact.
     False once an operation has no unit left."""
     while queue:
         o, p = arc = queue.pop()
@@ -241,12 +243,13 @@ def _matched(units) -> bool:
     return all(augment(o, set()) for o in units)
 
 
-def _settle(units, near, through, queue) -> bool:
-    """Propagate one search node to a fixpoint: arc consistency, then
-    every operation left with one unit takes it from all the others,
-    queueing the arcs through the ones that lose it, until neither cuts
-    more; then the matching. False when either proves the node has no
-    placement."""
+def _settle(units, near, through, changed) -> bool:
+    """Propagate one search node to a fixpoint from the arcs through the
+    operations in changed: arc consistency, then every operation left
+    with one unit takes it from all the others, queueing the arcs
+    through the ones that lose it, until neither cuts more; then the
+    matching. False when either proves the node has no placement."""
+    queue = {a for o in changed for a in through[o]}
     while True:
         if not _consistent(units, near, through, queue):
             return False
@@ -264,67 +267,81 @@ def _settle(units, near, through, queue) -> bool:
             return _matched(units)
 
 
+def _depth_first(root, settle, values, cfg, limit):
+    """Depth-first search that propagates every node. A node is a tuple
+    of dicts, the first mapping each variable to its values left;
+    settle(node, changed) propagates it in place from the variables in
+    changed (all of them at the root), replacing dict entries without
+    editing them, and is False when the node has no leaf. A node
+    branches on the variable with the fewest values left, ties to dict
+    order: each child, a copy, gives it the next singleton of
+    values(node, variable). Yields each leaf, where every variable has
+    one value, with the nodes so far, and reads the clock at every
+    node. Returns (status, nodes): status None after limit leaves,
+    infeasible once the tree is exhausted, timeout past cfg.time_limit."""
+    deadline = time.monotonic() + cfg.time_limit
+    nodes = yields = 0
+    # (node, variable branched on, its singletons not yet tried there)
+    stack: list[tuple[tuple, object, list]] = []
+    node, changed = root, list(root[0])
+    while True:
+        nodes += 1
+        if time.monotonic() > deadline:
+            return "timeout", nodes
+        if settle(node, changed):
+            open_ = [var for var, vals in node[0].items() if len(vals) > 1]
+            if open_:
+                var = min(open_, key=lambda var: len(node[0][var]))
+                stack.append((node, var, values(node, var)[::-1]))
+            else:
+                yield node, nodes
+                yields += 1
+                if yields == limit:
+                    return None, nodes
+        if not stack:
+            return "infeasible", nodes
+        parent, var, left = stack[-1]
+        node = tuple(map(dict, parent))
+        node[0][var] = left.pop()
+        changed = [var]
+        if not left:
+            stack.pop()
+
+
 def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg):
     """Yield each placement that meets con1-con3 once, as op -> unit, by
-    depth-first search over the operations' domains, the units each
-    may still take, maintaining arc consistency (Sabin & Freuder, CP
-    1994) with the matching test at every node; the subgraph matching
-    of LAD (Solnon, AIJ 2010) works alike. At each node the operation
-    with the fewest units left is tried on each of them in its value
-    order, its sorted units shuffled once by random.Random(cfg.seed);
-    ties go to more DFG edges through the operation, then to
-    declaration order. Assigning a unit takes it from every other
-    domain and propagates again (_settle); a node where every domain
-    holds one unit is a placement.
-
-    cfg is a solver.SolveConfig: the search reads the clock at every
-    node and stops at its time_limit, and stops after solution_limit
-    yields without looking for one more leaf. Returns (status, nodes):
-    status None at that limit, else infeasible once the tree is
-    exhausted or timeout; nodes counts the nodes propagated.
+    _depth_first over the units each operation may take, maintaining
+    arc consistency (Sabin & Freuder, CP 1994) and the matching test
+    (_settle); the subgraph matching of LAD (Solnon, AIJ 2010) works
+    alike. Ties go to more DFG edges through the operation, then to
+    declaration order. Each operation tries its units in sorted order,
+    shuffled once by random.Random(cfg.seed). cfg is a
+    solver.SolveConfig whose time_limit and solution_limit bound the
+    search; returns _depth_first's (status, nodes).
 
     The same placements are the 0/1 solutions of the placement_only
-    model, which serves as a cross-check. A routing failure's core cut
-    or the rotations of a placement excluded elsewhere would enter this
-    search as forbidden partial assignments: a node that assigns every
-    operation of one to its unit fails."""
-    deadline = time.monotonic() + cfg.time_limit
-    near = nmap.neighbors
+    model, which serves as a cross-check. Forbidden partial assignments
+    (a routing failure's core cut, the rotations of a placement) would
+    enter as a settle that fails a node assigning one in full."""
     units, through = _domains(dfg, mrrg, nmap)
     rng = random.Random(cfg.seed)
     order = {}
     for o, us in units.items():
         order[o] = sorted(us)
         rng.shuffle(order[o])
-    rank = {o: (-len(through[o]), i) for i, o in enumerate(units)}
-    nodes = yields = 0
-    # (domains, operation branched on, its units not yet tried there)
-    stack: list[tuple[dict, str, list]] = []
-    node = units
-    queue = {a for arcs in through.values() for a in arcs}
+    busy = sorted(units, key=lambda o: -len(through[o]))  # stable
+    search = _depth_first(
+        ({o: units[o] for o in busy},),
+        lambda node, changed: _settle(node[0], nmap.others, through,
+                                      changed),
+        lambda node, o: [{u} for u in order[o] if u in node[0][o]],
+        cfg, cfg.solution_limit)
     while True:
-        nodes += 1
-        if time.monotonic() > deadline:
-            return "timeout", nodes
-        if _settle(node, near, through, queue):
-            open_ = [o for o, us in node.items() if len(us) > 1]
-            if open_:
-                o = min(open_, key=lambda o: (len(node[o]), rank[o]))
-                stack.append((node, o, [u for u in reversed(order[o])
-                                        if u in node[o]]))
-            else:
-                yield {o: next(iter(us)) for o, us in node.items()}
-                yields += 1
-                if yields == cfg.solution_limit:
-                    return None, nodes
-        if not stack:
-            return "infeasible", nodes
-        parent, o, left = stack[-1]
-        node = dict(parent)
-        node[o] = {left.pop()}
-        queue = set(through[o])
-        if not left:
-            stack.pop()
+        try:
+            (leaf,), _ = next(search)
+        except StopIteration as end:
+            return end.value
+        yield {o: next(iter(leaf[o])) for o in units}
 
 
 def _route_domains(pairs, cache: PathCache):
@@ -408,49 +425,23 @@ def must_cross_blocks(pairs, cache: PathCache
 def route_search(pairs, cache: PathCache, cfg):
     """Pick one cached route per (driver unit, sink unit) pair of a
     placement so that no routing vertex carries two drivers' signals
-    (con5 and con6 over the cache), by depth-first search over each
-    connection's routes left. Every node propagates must_cross_blocks's
-    fixpoint (_cross): a connection down to one route must cross all of
-    its vertices, so other drivers' routes through them are dropped,
-    and a node where a connection has no route left fails. The root
-    node is must_cross_blocks's check. At each node the connection with
-    the fewest routes left, ties to pair order, takes each of them in
-    cache order: shortest first, ties to the vertex sequence. A node
-    where every connection has one route is the answer. No seed enters.
-
-    cfg is a solver.SolveConfig, of which only time_limit is read: the
-    search reads the clock at every node and stops there. Returns
-    (status, routes, nodes): routes is {pair: route} when feasible, else
-    None; status infeasible once the tree is exhausted, or timeout;
-    nodes counts the nodes propagated. Exact over the cache: the same
-    verdict as the routing_only model's solve."""
-    deadline = time.monotonic() + cfg.time_limit
-    node = _route_domains(pairs, cache)
-    claims: dict[NodeKey, frozenset] = {}
-    changed = list(node)
-    nodes = 0
-    # (routes, claims, connection branched on, its routes not yet tried)
-    stack: list[tuple[dict, dict, tuple, list]] = []
-    while True:
-        nodes += 1
-        if time.monotonic() > deadline:
-            return "timeout", None, nodes
-        if _cross(node, claims, changed):
-            open_ = [pair for pair, rps in node.items() if len(rps) > 1]
-            if not open_:
-                return ("feasible",
-                        {pair: rps[0][1] for pair, rps in node.items()},
-                        nodes)
-            pair = min(open_, key=lambda pair: len(node[pair]))
-            stack.append((node, claims, pair, list(reversed(node[pair]))))
-        if not stack:
-            return "infeasible", None, nodes
-        parent, parent_claims, pair, left = stack[-1]
-        node, claims = dict(parent), dict(parent_claims)
-        node[pair] = (left.pop(),)
-        changed = [pair]
-        if not left:
-            stack.pop()
+    (con5 and con6 over the cache), by _depth_first over each
+    connection's routes, in pair order and cache order (shortest first,
+    ties to the vertex sequence), propagating must_cross_blocks's
+    fixpoint (_cross) at every node. No seed enters; of cfg, a
+    solver.SolveConfig, only time_limit is read. Returns (status,
+    routes, nodes): routes is {pair: route} when feasible, else None.
+    Exact over the cache: the same verdict as the routing_only model's
+    solve."""
+    search = _depth_first(
+        (_route_domains(pairs, cache), {}),
+        lambda node, changed: _cross(*node, changed),
+        lambda node, pair: [(entry,) for entry in node[0][pair]], cfg, 1)
+    try:
+        (routes, _), nodes = next(search)
+    except StopIteration as end:
+        return end.value[0], None, end.value[1]
+    return "feasible", {pair: rps[0][1] for pair, rps in routes.items()}, nodes
 
 
 def declare_p(model: IlpModel, cache: PathCache, pairs) -> None:

@@ -10,8 +10,9 @@ matchable onto distinct units at every node, from its root node on.
 Each placement the search yields gets a routing check, a search for
 one cached route per connection with no vertex carrying two signals
 (ilp.route_search): over SHALLOW_PATHS routes per connection first,
-and over DEFAULT_K routes only when those are proven too few. The first routable placement wins; growing the neighbourhood
-only happens when the cheap stages say the current one cannot work.
+and over DEFAULT_K routes only when those are proven too few. The
+first routable placement wins; growing the neighbourhood only happens
+when the cheap stages say the current one cannot work.
 
 This deviates from the paper, which stages its models as screen, then
 relaxed placement (con5, and con6 at more than one signal per vertex,
@@ -24,11 +25,7 @@ and routing_only variants are kept for cross-checks. The screen search
 yields the same placements as that model's enumeration, in another
 order, so the placement routed first changes with it; the routing
 search decides as the routing-only solve does, but may pick other
-routes. With both, the verdicts, attempts and placements stayed the
-same on every kernels and fabric benchmark instance at seeds 1-3 (150
-runs), on chain8, fir4, sum4 and mac on 4x4 ADRES and HyCUBE at II 2
-and seeds 1-3 (24 runs) and on the 288 runs of tests/test_mapper.py's
-outcomes_digest.
+routes.
 
 Every stage takes its time limit as it starts: min(cap, time left
 before the map deadline), floored at 1 ms. MapLimits.solve_time caps

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -83,6 +84,14 @@ class NeighborMap:
 
     def __getitem__(self, key: NodeKey) -> tuple[NodeKey, ...]:
         return self.neighbors[key]
+
+    @cached_property
+    def others(self) -> Mapping[NodeKey, tuple[NodeKey, ...]]:
+        """Each unit's neighbours other than itself: the tuple in
+        neighbors where the unit is not its own neighbour."""
+        return MappingProxyType({
+            u: tuple(v for v in near if v != u) if u in near else near
+            for u, near in self.neighbors.items()})
 
 
 def build_neighbor_map(mrrg: Mrrg, target_nn: int) -> NeighborMap:

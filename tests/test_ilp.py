@@ -11,7 +11,7 @@ from cgramap.ilp import (VARIANTS, IlpModel, InfeasibleModel, VarId,
                          add_fu_exclusivity, add_implication, add_must_map,
                          add_path_exclusivity, audit, build_variant,
                          declare_f, fvar, must_cross_blocks, pvar,
-                         route_search, yvar)
+                         route_search, screen_placements, yvar)
 from cgramap.mapper import SHALLOW_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg, compatible_nodes, fu_nodes
 from cgramap.neighbors import NeighborMap, build_neighbor_map
@@ -618,6 +618,21 @@ def test_route_search_reads_the_clock_at_every_node(monkeypatch):
     three, cache = three_drivers()
     assert route_search(three, cache, solver.SolveConfig(time_limit=2)) == (
         "timeout", None, 3)
+
+
+def test_screen_search_reads_the_clock_at_every_node(monkeypatch):
+    # the clock above, on fir4's NN-4 screen on 4x4 ADRES at II 2, which
+    # the search refutes in 7 nodes: node 3 reads 4 s and stops
+    dfg, mrrg = parse_dfg(FIR4), build_mrrg(ArchSpec("adres", 4, 4), 2)
+    nmap = build_neighbor_map(mrrg, 4)
+    reads = iter(range(1, 100))
+    monkeypatch.setattr("cgramap.ilp.time",
+                        SimpleNamespace(monotonic=lambda: next(reads)))
+    stream = screen_placements(dfg, mrrg, nmap,
+                               solver.SolveConfig(seed=1, time_limit=2))
+    with pytest.raises(StopIteration) as stop:
+        next(stream)
+    assert stop.value.value == ("timeout", 3)
 
 
 def test_routing_only_variant(inst):

@@ -743,6 +743,22 @@ def test_screen_search_node_counts_are_pinned():
     assert first == FIR4_HYCUBE_PLACEMENT
 
 
+@pytest.mark.parametrize("nn,counts", [(20, [13, 15, 11]),
+                                       (24, [13, 15, 13])])
+def test_deep_screen_node_counts_are_pinned(nn, counts):
+    # nodes to the first placement of fir4's deep screens on 4x4 HyCUBE
+    # at II 2, seeds 1-3. A unit that is its own neighbour supports no
+    # arc between two operations, which never share a unit; while it
+    # did, only the matching caught it, and each of these screens took
+    # 50k nodes or more, or timed out
+    dfg, mrrg = parse_dfg(FIR4), build_mrrg(ArchSpec("hycube", 4, 4), 2)
+    nmap = build_neighbor_map(mrrg, nn)
+    for seed, count in zip((1, 2, 3), counts):
+        cfg = SolveConfig(seed=seed, time_limit=10, solution_limit=1)
+        [_], end = _drain(screen_placements(dfg, mrrg, nmap, cfg))
+        assert end == (None, count), seed
+
+
 @pytest.mark.parametrize("family,ii,kernel,mappable", AGREEMENT)
 def test_route_search_matches_the_routing_model(family, ii, kernel,
                                                 mappable):

@@ -196,3 +196,21 @@ def test_neighbor_map_is_read_only():
     made = NeighborMap(1, given)
     given[alu] = ()
     assert made[alu] == (("pe_1_0.alu", 0),)
+
+
+def test_others_drops_only_the_unit_itself():
+    # at II 1 an ALU's output can come back to it, so it is its own
+    # neighbour; others drops just that unit, and keeps the very tuple
+    # of every unit that is not its own neighbour
+    m = build_mrrg(ArchSpec("ortho", 2, 2), ii=1)
+    nmap = build_neighbor_map(m, 4)
+    assert nmap.others is nmap.others
+    own = [u for u, near in nmap.neighbors.items() if u in near]
+    assert own
+    for u, near in nmap.neighbors.items():
+        if u in own:
+            assert nmap.others[u] == tuple(v for v in near if v != u)
+        else:
+            assert nmap.others[u] is near
+    with pytest.raises(TypeError):
+        nmap.others[own[0]] = ()
