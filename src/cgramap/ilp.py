@@ -21,10 +21,10 @@ The numbering is that of a formulation with a variable per placed DFG
 edge (o, u, p, v), equal to f[o,u] * f[p,v] as con2 places each op once;
 con3 and con5 project it out, and with it that formulation's con4.
 
-Three variants are built from these: placement_only (con1-3),
-routing_only (con5-6 over the pairs of a given placement) and combined
-(con1-3, con5-6). Variables and rows are named tuples, which are built,
-hashed and sorted without Python code.
+Two variants are built from these: combined (con1-3, con5-6) and
+placement_only, which has no code of its own: it is combined's con1-3
+rows, returned before the path rows. Variables and rows are named
+tuples, which are built, hashed and sorted without Python code.
 
 The mapper builds no model. It searches con1-3 without one
 (screen_placements, over each operation's units, kept arc-consistent
@@ -32,8 +32,8 @@ and matchable onto distinct units), and con5-6 over a placement's
 cached routes likewise (route_search, over each connection's routes,
 from must_cross_blocks's fixpoint). Both are one depth-first loop,
 _depth_first; each search gives it only its root node, its propagation
-and its value order. placement_only and routing_only serve only as
-cross-checks of those searches.
+and its value order. placement_only serves as the screen search's
+cross-check.
 
 Each implication group is one row, M being its number of summed terms,
 in place of M rows x - g <= 0: the two forms admit the same 0/1 points
@@ -54,7 +54,7 @@ from .mrrg import Mrrg, NodeKey, compatible_nodes, fu_nodes
 from .neighbors import NeighborMap
 from .paths import PathCache
 
-VARIANTS = ("placement_only", "routing_only", "combined")
+VARIANTS = ("placement_only", "combined")
 MODEL_KINDS = VARIANTS + ("baseline",)
 
 
@@ -106,7 +106,7 @@ class IlpModel:
         self._declared: dict[VarId, int] = {}
         self.constraints: list[LinearConstraint] = []
         # the placements (o, u, p, v) the rows allow each DFG edge (o, p);
-        # empty for a model that places nothing
+        # empty for a model build_variant did not build
         self.domain: tuple[tuple[str, NodeKey, str, NodeKey], ...] = ()
 
     def add_var(self, var: VarId) -> VarId:
@@ -431,8 +431,8 @@ def route_search(pairs, cache: PathCache, cfg):
     fixpoint (_cross) at every node. No seed enters; of cfg, a
     solver.SolveConfig, only time_limit is read. Returns (status,
     routes, nodes): routes is {pair: route} when feasible, else None.
-    Exact over the cache: the same verdict as the routing_only model's
-    solve."""
+    Exact over the cache: feasible exactly when some product of one
+    cached route per pair meets con6."""
     search = _depth_first(
         (_route_domains(pairs, cache), {}),
         lambda node, changed: _cross(*node, changed),
@@ -539,8 +539,7 @@ def add_path_exclusivity(model: IlpModel, cache: PathCache) -> None:
 
 def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
                   cache: PathCache | None = None, *,
-                  paths_per_connection: int | None = None,
-                  placement: dict[str, NodeKey] | None = None) -> IlpModel:
+                  paths_per_connection: int | None = None) -> IlpModel:
     """One model variant over the neighbour map and, past the screen,
     the path cache. Metadata records nn and the cache's k. Every variant
     reads every route the cache holds for a pair, so the caller picks
@@ -551,8 +550,6 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
             cache is None or paths_per_connection != cache.k):
         raise ValueError(f"paths_per_connection={paths_per_connection!r} "
                          f"is not the path cache's k")
-    if variant == "routing_only":
-        return _build_routing_only(dfg, mrrg, nmap, cache, placement)
     model = IlpModel(variant, nn=nmap.target_nn,
                      k=cache.k if cache else None)
     model.domain = neighbor_domain(dfg, mrrg, nmap)
@@ -566,41 +563,6 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
         raise ValueError(f"{variant} needs a path cache")
     declare_p(model, cache, {(u, v) for _, u, _, v in model.domain})
     add_path_required(model, cache, f_of)
-    add_path_exclusivity(model, cache)
-    return model
-
-
-def _build_routing_only(dfg, mrrg, nmap, cache, placement):
-    if placement is None:
-        raise ValueError("routing_only needs a fixed placement")
-    if cache is None:
-        raise ValueError("routing_only needs a path cache")
-    ops = dfg.ops_by_id
-    taken: dict[NodeKey, str] = {}
-    for o, u in placement.items():
-        if o not in ops:
-            raise ValueError(f"routing_only placement names {o}, "
-                             f"which is not in the DFG")
-        if u not in compatible_nodes(mrrg, ops[o]):
-            raise InfeasibleModel(f"operation {o} placed on incompatible {u}")
-        if u in taken:
-            raise InfeasibleModel(f"unit {u} hosts both {taken[u]} and {o}")
-        taken[u] = o
-    model = IlpModel("routing_only", nn=nmap.target_nn, k=cache.k)
-    pairs = []
-    for o, p in dfg.point_edges():
-        if o not in placement or p not in placement:
-            raise ValueError(f"routing_only placement misses edge ({o}, {p})")
-        u, v = placement[o], placement[p]
-        if v not in nmap[u]:
-            raise InfeasibleModel(f"no neighborhood route {u} -> {v}")
-        pairs.append((u, v))
-    for u, v in sorted(set(pairs)):
-        terms = [(1, model.add_var(pvar(u, v, q)))
-                 for q in range(len(cache.get((u, v))))]
-        if not terms:
-            raise InfeasibleModel(f"no cached path {u} -> {v}")
-        model.add_constraint(terms, ">=", 1, "con5")
     add_path_exclusivity(model, cache)
     return model
 

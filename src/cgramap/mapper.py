@@ -19,13 +19,9 @@ relaxed placement (con5, and con6 at more than one signal per vertex,
 over a few paths per connection), then routing-only. Here the relaxed
 model, at 2 signals per vertex over SHALLOW_PATHS routes, excluded no
 placement that its enumeration reached, and neither the screen nor the
-routing stage is solved from its 0/1 model: the screen's placements and
-each placement's routes are searched directly, and the placement_only
-and routing_only variants are kept for cross-checks. The screen search
-yields the same placements as that model's enumeration, in another
-order, so the placement routed first changes with it; the routing
-search decides as the routing-only solve does, but may pick other
-routes.
+routing stage is solved from a 0/1 model: the screen's placements and
+each placement's routes are searched directly, each exact over what it
+searches.
 
 Every stage takes its time limit as it starts: min(cap, time left
 before the map deadline), floored at 1 ms. MapLimits.solve_time caps
@@ -292,6 +288,12 @@ def validate_mapping(dfg: Dfg, mrrg: Mrrg, sol: MappingSolution) -> list[str]:
             if rp.vertices[0] != sol.placement[driver]:
                 problems.append(f"path for {driver} starts at "
                                 f"{rp.vertices[0]}, not its unit")
+            # a route's last vertex is left out of the interior, so one
+            # that ends on a routing vertex must be caught here
+            end = mrrg.nodes.get(rp.vertices[-1])
+            if end is None or end.kind != FU:
+                problems.append(f"path for {driver} ends at "
+                                f"{rp.vertices[-1]}, off a function unit")
             routed.add((rp.vertices[0], rp.vertices[-1]))
             for a, b in zip(rp.vertices, rp.vertices[1:]):
                 if a not in mrrg.nodes or b not in mrrg.fanout(a):

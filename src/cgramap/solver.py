@@ -18,26 +18,25 @@ leaves below their width (the watch rule of Chai & Kuehlmann, DAC 2003).
 
 The search branches on choices first. A choice group is a row that
 needs at least one of its variables (all coefficients 1), such as an
-operation's con2 row over its candidate placements or a connection's
-con5 row over its paths in a routing-only model. At each node the
+operation's con2 row over its candidate placements. At each node the
 open group (no member at 1, some member free) with the fewest free
 members is taken, fail-first, ties going to the group declared first;
-its first free member in branch order is tried at 1, then at 0. So a
-connection picks its path, and an operation is placed once few of its
-units are left, instead of in a fixed order that can place every sink
-before its driver. Once no group is open, none is below that node, and
-the search falls back to the branch order: a shuffle within each
-variable class under the configured seed, which perturbs runtime but
-never the verdict. A cursor into it has only fixed variables before
-it; each decision records it and a backtrack restores it, so no node
-rescans the order from the front. There value 1 is tried before 0 for
-placements, and 0 before 1 for path and vertex-signal variables
-(classes p and y): the rows that need a path or a signal force it once
-its alternatives are gone, while one switched on that nothing needs
-still claims routing, and undoing it deep in the tree can take
-exponential time. Such a 0 gets no second branch when it dominates,
-each row where it uses up slack holding whatever its free terms take:
-any leaf with the variable at 1 is then a leaf at 0.
+its first free member in branch order is tried at 1, then at 0. So an
+operation is placed once few of its units are left, instead of in a
+fixed order that can place every sink before its driver. Once no group
+is open, none is below that node, and the search falls back to the
+branch order: a shuffle within each variable class under the configured
+seed, which perturbs runtime but never the verdict. A cursor into it
+has only fixed variables before it; each decision records it and a
+backtrack restores it, so no node rescans the order from the front.
+There value 1 is tried before 0 for placements, and 0 before 1 for path
+and vertex-signal variables (classes p and y): the rows that need a
+path or a signal force it once its alternatives are gone, while one
+switched on that nothing needs still claims routing, and undoing it
+deep in the tree can take exponential time. Such a 0 gets no second
+branch when it dominates, each row where it uses up slack holding
+whatever its free terms take: any leaf with the variable at 1 is then a
+leaf at 0.
 
 Before the first decision, on the root's fixpoint, the search tests
 Hall's condition, as an LP bound would refute an over-subscribed model

@@ -24,6 +24,7 @@ ACC = "op ld load\nop acc add\nedge ld -> acc:1\nedge acc -> acc:0\n"
 TREE5 = ("op a add\nop b add\nop c add\nop d add\nop e add\n"
          "edge a -> b:0\nedge b -> c:0, d:0\nedge c -> e:0\n")
 JOIN = "op a add\nop b add\nop c add\nedge a -> c:0\nedge b -> c:1\n"
+LDST = "op ld load\nop st store\nedge ld -> st:0\n"
 # 12 ops: four loads, each squared, the squares summed pairwise into one
 # stored value
 FIR4 = "".join(f"op x{i} load\nop m{i} mul\n" for i in range(4)) + (
@@ -213,6 +214,28 @@ def refuted_at_root(dfg, mrrg, nmap) -> bool:
     except StopIteration as stop:
         return stop.value == (INFEASIBLE, 1)
     return False
+
+
+def routable(pairs, cache) -> bool:
+    """Whether some choice of one cached route per (driver unit, sink
+    unit) pair leaves no interior vertex to two drivers: the product of
+    the pairs' cached routes, tried in pair order, a choice that clashes
+    with the ones before it ending its branch. The reference the routing
+    search is checked against."""
+    pairs = sorted(pairs)
+
+    def extend(i, owner):
+        if i == len(pairs):
+            return True
+        u = pairs[i][0]
+        for rp in cache.get(pairs[i]):
+            if all(owner.get(n, u) == u for n in rp.interior()):
+                if extend(i + 1, {**owner,
+                                  **{n: u for n in rp.interior()}}):
+                    return True
+        return False
+
+    return extend(0, {})
 
 
 def brute_force_mappable(dfg, mrrg):

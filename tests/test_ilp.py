@@ -19,7 +19,7 @@ from cgramap.paths import (DEFAULT_K, PathCache, RoutePath,
                            build_path_cache)
 
 from helpers import (ACC, DIAMOND, FAN3, FIR4, FIR4_HYCUBE_PLACEMENT, SUM4,
-                     satisfies)
+                     routable, satisfies)
 
 EXPR_TEXT = """\
 # a = b * (c + d)
@@ -35,12 +35,6 @@ edge b -> mul0:0
 edge add0 -> mul0:1
 edge mul0 -> a:0
 """
-# a placement of EXPR_TEXT on 3x3 ortho whose every edge is in NN 4 reach
-EXPR_PLACEMENT = {
-    "add0": ("pe_1_1.alu", 0), "c": ("pe_1_0.alu", 0),
-    "d": ("pe_0_1.alu", 0), "mul0": ("pe_2_1.alu", 0),
-    "b": ("pe_2_0.alu", 0), "a": ("pe_2_2.alu", 0),
-}
 
 
 def test_varid_hash_repr_order_and_immutability():
@@ -205,13 +199,9 @@ def test_models_read_every_cached_route(inst, shallow, variant, depth):
     # path variable per route the cache holds for it
     dfg, m, nmap, deep = inst
     cache = shallow if depth == "shallow" else deep
-    kw = {"placement": EXPR_PLACEMENT} if variant == "routing_only" else {}
-    model = build_variant(variant, dfg, m, nmap, cache, **kw)
+    model = build_variant(variant, dfg, m, nmap, cache)
     if variant == "placement_only":
         read = []
-    elif variant == "routing_only":
-        read = {(EXPR_PLACEMENT[o], EXPR_PLACEMENT[p])
-                for o, p in dfg.point_edges()}
     else:
         read = {(u, v) for _, u, _, v in model.domain}
     got = {}
@@ -225,7 +215,7 @@ def test_models_read_every_cached_route(inst, shallow, variant, depth):
 
 
 # (kernel, fabric, II, neighbour counts), None standing for the full
-# neighbour count; sum4 and acc have no placement at NN 4 and 8
+# neighbour count
 PINNED_MODELS = [(SUM4, ArchSpec("adres", 2, 2), 2, (4, 8, None)),
                  (DIAMOND, ArchSpec("adres", 2, 2), 2, (4, 8, None)),
                  (ACC, ArchSpec("adres", 2, 2), 2, (4, 8, None)),
@@ -233,36 +223,25 @@ PINNED_MODELS = [(SUM4, ArchSpec("adres", 2, 2), 2, (4, 8, None)),
 
 
 def test_path_models_are_pinned():
-    # a rewrite of the builders must give the same combined and
-    # routing-only models: the same variables in the same order, the
-    # same rows with the same terms in the same order, and the same
-    # domain. Each is built over SHALLOW_PATHS and DEFAULT_K routes, the
-    # routing-only model for the placement the screen's solve finds
+    # a rewrite of the builders must give the same combined models: the
+    # same variables in the same order, the same rows with the same
+    # terms in the same order, and the same domain. Each is built over
+    # SHALLOW_PATHS and DEFAULT_K routes
     h = hashlib.sha256()
     built = 0
     for text, spec, ii, nns in PINNED_MODELS:
         dfg, m = parse_dfg(text), build_mrrg(spec, ii)
         for nn in nns:
             nmap = build_neighbor_map(m, nn or len(fu_nodes(m)))
-            screen = solver.solve(
-                build_variant("placement_only", dfg, m, nmap),
-                solver.SolveConfig(seed=1))
             for k in (SHALLOW_PATHS, DEFAULT_K):
-                cache = build_path_cache(m, nmap, k)
-                models = [build_variant("combined", dfg, m, nmap, cache)]
-                if screen.status == "feasible":
-                    placement = {v.idx[0]: v.idx[1] for v, x
-                                 in screen.assignment.items()
-                                 if v.cls == "f" and x}
-                    models.append(build_variant("routing_only", dfg, m, nmap,
-                                                cache, placement=placement))
-                for model in models:
-                    h.update(repr((model.variables, model.constraints,
-                                   model.domain)).encode())
-                    built += 1
-    assert built == 32
+                model = build_variant("combined", dfg, m, nmap,
+                                      build_path_cache(m, nmap, k))
+                h.update(repr((model.variables, model.constraints,
+                               model.domain)).encode())
+                built += 1
+    assert built == 20
     assert h.hexdigest() == (
-        "ce7d5b32c64fa5f6929cdcf3c8d5d8926bca59fc47df1dbc3c20625cab6e6666")
+        "4e2e53b9eb786f1b16a021cee3367ad39b195a7775eca2d98ef19bb434bfc1db")
 
 
 def test_paths_per_connection_only_checks(inst, shallow):
@@ -276,15 +255,12 @@ def test_paths_per_connection_only_checks(inst, shallow):
         assert (named.variables, named.constraints, named.metadata) == (
             plain.variables, plain.constraints, plain.metadata)
     for variant in VARIANTS:
-        kw = ({"placement": EXPR_PLACEMENT} if variant == "routing_only"
-              else {})
         for ppc in (cache.k - 1, cache.k + 1, SHALLOW_PATHS):
             with pytest.raises(ValueError, match="paths_per_connection"):
                 build_variant(variant, dfg, m, nmap, cache,
-                              paths_per_connection=ppc, **kw)
+                              paths_per_connection=ppc)
         with pytest.raises(ValueError, match="paths_per_connection"):
-            build_variant(variant, dfg, m, nmap, paths_per_connection=3,
-                          **kw)
+            build_variant(variant, dfg, m, nmap, paths_per_connection=3)
 
 
 def shared_vertex_fixture():
@@ -542,8 +518,9 @@ def test_zero_ops_zero_rows():
 def test_must_cross_refutes_fir4_on_hycube(k):
     # every route of a1 -> a2 and of a2 -> st leaves through PE 0_1's
     # output at context 1, and those are two drivers, so no route of
-    # either survives: the routing-only model, whose proof by search
-    # took seconds at DEFAULT_K, is infeasible
+    # either survives: no product of one cached route per connection
+    # routes. The brute force that checks it runs on SHALLOW_PATHS
+    # routes only, in milliseconds; at DEFAULT_K it ran 150 s unfinished
     dfg, m = parse_dfg(FIR4), build_mrrg(ArchSpec("hycube", 4, 4), 2)
     place = FIR4_HYCUBE_PLACEMENT
     pairs = [(place[o], place[p]) for o, p in dfg.point_edges()]
@@ -555,10 +532,7 @@ def test_must_cross_refutes_fir4_on_hycube(k):
         (place["a1"], place["a2"]): (out,),
         (place["a2"], place["st"]): shallow if k == SHALLOW_PATHS else (out,)}
     if k == SHALLOW_PATHS:
-        model = build_variant("routing_only", dfg, m, nmap, cache,
-                              placement=place)
-        res = solver.solve(model, solver.SolveConfig(seed=1, time_limit=30))
-        assert res.status == "infeasible"
+        assert not routable(pairs, cache)
 
 
 def test_must_cross_keeps_a_routable_placement():
@@ -635,49 +609,6 @@ def test_screen_search_reads_the_clock_at_every_node(monkeypatch):
     assert stop.value.value == ("timeout", 3)
 
 
-def test_routing_only_variant(inst):
-    dfg, m, nmap, cache = inst
-    model = build_variant("routing_only", dfg, m, nmap, cache,
-                          placement=EXPR_PLACEMENT)
-    assert set(model.vars_by_class()) == {"p", "y"}
-    assert count(model, "con5") == 5
-    for c in model.constraints:
-        if c.tag == "con5":
-            assert c.relation == ">=" and c.rhs == 1
-    assert audit(model, dfg, m, nmap, cache) == []
-
-
-def test_routing_only_errors(inst):
-    dfg, m, nmap, cache = inst
-    with pytest.raises(ValueError):
-        build_variant("routing_only", dfg, m, nmap, cache)
-    base = EXPR_PLACEMENT
-    with pytest.raises(InfeasibleModel):
-        bad = dict(base, c=("pe_1_0.const", 0))  # input op on a const unit
-        build_variant("routing_only", dfg, m, nmap, cache, placement=bad)
-    with pytest.raises(InfeasibleModel):
-        bad = dict(base, c=("pe_1_1.alu", 0))  # shares add0's unit
-        build_variant("routing_only", dfg, m, nmap, cache, placement=bad)
-    with pytest.raises(InfeasibleModel):
-        bad = dict(base, mul0=("pe_0_2.alu", 0))  # outside add0's reach
-        build_variant("routing_only", dfg, m, nmap, cache, placement=bad)
-    with pytest.raises(ValueError):
-        partial = dict(base)
-        del partial["a"]
-        build_variant("routing_only", dfg, m, nmap, cache, placement=partial)
-    # an op the DFG does not have was a bare KeyError
-    with pytest.raises(ValueError, match="zz"):
-        bad = dict(base, zz=("pe_0_0.alu", 0))
-        build_variant("routing_only", dfg, m, nmap, cache, placement=bad)
-
-
-def test_routing_only_empty_instance(inst):
-    _, m, nmap, cache = inst
-    lone = parse_dfg("op lone add\n")
-    model = build_variant("routing_only", lone, m, nmap, cache, placement={})
-    assert model.variables == [] and model.constraints == []
-
-
 def test_audit_flags_out_of_domain(inst):
     dfg, m, nmap, cache = inst
     model = build_variant("placement_only", dfg, m, nmap)
@@ -693,33 +624,38 @@ def test_audit_flags_out_of_domain(inst):
         f"domain entry out of reach: {('b', far[1], 'c', far[3])}"]
 
 
-def test_audit_flags_stray_signal_and_duplicate_con6(inst):
-    dfg, m, nmap, cache = inst
-    model = build_variant("routing_only", dfg, m, nmap, cache,
-                          placement=EXPR_PLACEMENT)
-    assert audit(model, dfg, m, nmap, cache) == []
-    # a's unit drives no path, so no vertex carries its signal
-    stray = model.add_var(yvar(("pe_1_1.out", 0), EXPR_PLACEMENT["a"]))
-    assert audit(model, dfg, m, nmap, cache) == [
-        f"y out of domain: {stray}"]
+def test_audit_flags_stray_signal_and_duplicate_con6(inst, shallow):
+    dfg, m, nmap, _ = inst
+    model = build_variant("combined", dfg, m, nmap, shallow)
+    assert audit(model, dfg, m, nmap, shallow) == []
+    # PE 2_0's output is interior to some path variable's route, but to
+    # none driven by PE 0_0's unit, two hops away; and a unit is never a
+    # route's interior vertex, so no signal claims one
+    out, unit = ("pe_2_0.out", 0), ("pe_0_0.alu", 0)
+    crossing = {v.idx[0] for v in model.variables if v.cls == "p"
+                and out in shallow[v.idx[:2]][v.idx[2]].interior()}
+    assert crossing and unit not in crossing
+    strays = [model.add_var(yvar(out, unit)),
+              model.add_var(yvar(("pe_1_1.alu", 0), unit))]
+    assert audit(model, dfg, m, nmap, shallow) == [
+        f"y out of domain: {stray}" for stray in strays]
     row = next(c for c in model.constraints if c.tag == "con6")
     model.add_constraint(row.terms, row.relation, row.rhs, "con6")
-    assert "duplicate con6 row" in audit(model, dfg, m, nmap, cache)
+    assert "duplicate con6 row" in audit(model, dfg, m, nmap, shallow)
 
 
 @pytest.mark.parametrize("weight", [0, 1, -1, 2])
-def test_audit_flags_misweighted_claim_row(inst, weight):
+def test_audit_flags_misweighted_claim_row(inst, shallow, weight):
     # a claim row's y coefficient must be minus its number of path terms:
     # one less lets a full group on with y still off
-    dfg, m, nmap, cache = inst
-    model = build_variant("routing_only", dfg, m, nmap, cache,
-                          placement=EXPR_PLACEMENT)
+    dfg, m, nmap, _ = inst
+    model = build_variant("combined", dfg, m, nmap, shallow)
     at, row = next((i, c) for i, c in enumerate(model.constraints)
                    if c.tag == "con6" and c.rhs == 0 and len(c.terms) > 2)
     *paths, (coef, y) = row.terms
     model.constraints[at] = row._replace(
         terms=(*paths, (coef + weight, y)))
-    problems = audit(model, dfg, m, nmap, cache)
+    problems = audit(model, dfg, m, nmap, shallow)
     assert ("malformed con6 claim row" in problems) == (weight != 0)
 
 

@@ -25,7 +25,8 @@ from cgramap.neighbors import build_neighbor_map  # noqa: E402
 from cgramap.paths import DEFAULT_K, build_path_cache  # noqa: E402
 from cgramap.solver import (FEASIBLE, INFEASIBLE,  # noqa: E402
                             SolveConfig, solve)
-from helpers import brute_force_mappable, refuted_at_root  # noqa: E402
+from helpers import (brute_force_mappable, refuted_at_root,  # noqa: E402
+                     routable)
 
 PROFILE = settings(derandomize=True, database=None, deadline=None,
                    max_examples=150)
@@ -115,34 +116,14 @@ def test_refuted_target_has_no_placement(dfg, fabric):
         assert not brute_force_mappable(dfg, mrrg)
 
 
-def _routable(pairs, cache) -> bool:
-    """Whether some choice of one cached route per pair leaves no
-    interior vertex to two drivers, trying each choice in pair order; a
-    choice that clashes with the ones before it ends its branch."""
-    pairs = sorted(pairs)
-
-    def extend(i, owner):
-        if i == len(pairs):
-            return True
-        u = pairs[i][0]
-        for rp in cache.get(pairs[i]):
-            if all(owner.get(n, u) == u for n in rp.interior()):
-                if extend(i + 1, {**owner,
-                                  **{n: u for n in rp.interior()}}):
-                    return True
-        return False
-
-    return extend(0, {})
-
-
 @settings(PROFILE, max_examples=60)
 @given(dfgs(), st.sampled_from(TINY), st.sampled_from((2, 4, 8)),
        st.integers(0, 3))
 def test_must_cross_refutes_only_unroutable_placements(dfg, fabric, nn,
                                                         seed):
-    # a refutation is a proof: the routing-only model over the same
-    # cache is infeasible too. The routing search, whose root node is
-    # that check, is infeasible exactly when no choice of routes works.
+    # the routing search is infeasible exactly when no choice of one
+    # cached route per pair works, and a must-cross refutation, the
+    # search's root node, is a proof of that.
     # Up to three placements of the screen search per case, each over 1,
     # 3 and 20 routes per pair; one route per pair makes every interior
     # vertex one to cross, so refutations are common there
@@ -154,17 +135,10 @@ def test_must_cross_refutes_only_unroutable_placements(dfg, fabric, nn,
         for k in (1, 3, DEFAULT_K):
             cache = build_path_cache(mrrg, nmap, k)
             status, _, nodes = route_search(pairs, cache, SolveConfig(1, 10))
-            assert status == (FEASIBLE if _routable(pairs, cache)
+            assert status == (FEASIBLE if routable(pairs, cache)
                               else INFEASIBLE)
-            if not must_cross_blocks(pairs, cache):
-                continue
-            assert (status, nodes) == (INFEASIBLE, 1)
-            try:
-                model = build_variant("routing_only", dfg, mrrg, nmap, cache,
-                                      placement=place)
-            except InfeasibleModel:
-                continue
-            assert solve(model, SolveConfig(1, 10)).status == INFEASIBLE
+            if must_cross_blocks(pairs, cache):
+                assert (status, nodes) == (INFEASIBLE, 1)
 
 
 @pytest.mark.parametrize("ii", [2, 3])

@@ -17,8 +17,8 @@ from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, build_path_cache
 from cgramap.solver import (SolveConfig, check_assignment,
                             enumerate_solutions, solve)
-from helpers import (ACC, DIAMOND, FAN3, JOIN, SUM4, TREE5, exhaustive,
-                     satisfies)
+from helpers import (ACC, DIAMOND, FAN3, JOIN, LDST, SUM4, TREE5,
+                     exhaustive, satisfies)
 
 
 def mk_model(names, rows, cls="f"):
@@ -336,19 +336,19 @@ def _read_state(search):
 def test_one_pass_read_matches_rows_added_one_by_one():
     five_add = build_baseline(parse_dfg(FIVE_ADD),
                               build_mrrg(ArchSpec("ortho", 2, 2), 1))
-    screen, routings = sum4_models()
-    models = _agreement_models() + [tree5_combined(4), screen, *routings,
-                                    five_add]
+    screen, shapes = sum4_screen(), baselines()
+    models = _agreement_models() + [tree5_combined(4), diamond_one_route(),
+                                    screen, *shapes.values(), five_add]
     for n, model in enumerate(models):
         read = solver._Search(model)
         reference, groups, at_most_one = _read_by_rows(model)
         assert _read_state(read) == _read_state(reference), n
         assert read.groups == groups, n
         assert read.at_most_one == at_most_one, n
-    # the groups are the con2 rows of the screen and the con5 rows of a
-    # routing-only model, one per operation and per connection
+    # the groups are the con2 rows, one per operation, of the screen and
+    # of a baseline, whose routing rows need no choice of one
     assert len(solver._Search(screen).groups) == 4
-    assert len(solver._Search(routings[0]).groups) == 4
+    assert len(solver._Search(shapes["fan3 baseline, 2x2 ortho"]).groups) == 4
     # both normalised forms of an at-most-one row count, and an = row
     # with rhs 1 is a group and an at-most-one row at once
     model, _ = mk_model(["x", "y"], [([(-1, "x"), (-1, "y")], ">=", -1),
@@ -517,42 +517,38 @@ def tree5_combined(nn):
                          build_path_cache(mrrg, nmap, SHALLOW_PATHS))
 
 
-def sum4_models():
-    """The placement screen of sum4 on 2x2 ADRES, II 2, NN 16, and the
-    routing-only models over DEFAULT_K routes of the placements its
-    solves at seeds 1 and 2 find: the first routes, the second does
-    not."""
+def sum4_screen():
+    """The placement screen of sum4 on 2x2 ADRES, II 2, NN 16."""
     mrrg = build_mrrg(ArchSpec("adres", 2, 2), 2)
-    nmap = build_neighbor_map(mrrg, 16)
-    cache = build_path_cache(mrrg, nmap)
-    dfg = parse_dfg(SUM4)
-    screen = build_variant("placement_only", dfg, mrrg, nmap)
-    routings = []
-    for placed_by in (1, 2):
-        assignment = solve(screen, SolveConfig(seed=placed_by)).assignment
-        placement = {v.idx[0]: v.idx[1] for v, b in assignment.items()
-                     if v.cls == "f" and b}
-        routings.append(build_variant("routing_only", dfg, mrrg, nmap, cache,
-                                      placement=placement))
-    return screen, routings
+    return build_variant("placement_only", parse_dfg(SUM4), mrrg,
+                         build_neighbor_map(mrrg, 16))
 
 
-# the first placement map_dfg tries for diamond on 2x2 ADRES, II 2, NN 8,
-# seed 3 (test_mapper.py::test_deep_stage_routes_what_shallow_cannot)
-DIAMOND_PLACEMENT = {"a": ("pe_0_0.alu", 1), "b": ("pe_1_0.alu", 1),
-                     "c": ("pe_1_0.alu", 0), "d": ("pe_0_0.alu", 0)}
-
-
-def diamond_routings():
-    """The routing-only models of DIAMOND_PLACEMENT over SHALLOW_PATHS
-    and over DEFAULT_K routes: the first does not route, the second
-    does."""
+def diamond_one_route():
+    """The combined model of diamond on 2x2 ADRES, II 2, NN 8, with one
+    cached route per pair of units: placements pass its screen rows,
+    but no choice of them routes."""
     mrrg = build_mrrg(ArchSpec("adres", 2, 2), 2)
     nmap = build_neighbor_map(mrrg, 8)
-    return [build_variant("routing_only", parse_dfg(DIAMOND), mrrg, nmap,
-                          build_path_cache(mrrg, nmap, k),
-                          placement=DIAMOND_PLACEMENT)
-            for k in (SHALLOW_PATHS, DEFAULT_K)]
+    return build_variant("combined", parse_dfg(DIAMOND), mrrg, nmap,
+                         build_path_cache(mrrg, nmap, 1))
+
+
+def baselines():
+    """Per-node baseline models at II 1, by name: fan3 and acc on 2x2
+    ortho and ldst on 2x2 clustered, as the exact benchmark solves
+    them, and fan3 on 1x4 ortho without route-through, where a reaches
+    at most two of its three sinks. The first two map; no placement
+    meets the third's counting or the fourth's routing."""
+    def model(kernel, spec):
+        return build_baseline(parse_dfg(kernel), build_mrrg(spec, 1))
+
+    return {"fan3 baseline, 2x2 ortho": model(FAN3, ArchSpec("ortho", 2, 2)),
+            "acc baseline, 2x2 ortho": model(ACC, ArchSpec("ortho", 2, 2)),
+            "ldst baseline, 2x2 clustered": model(
+                LDST, ArchSpec("clustered", 2, 2)),
+            "fan3 baseline, 1x4 ortho no route-through": model(
+                FAN3, ArchSpec("ortho", 1, 4, route_through=False))}
 
 
 def test_pinned_node_counts():
@@ -577,13 +573,19 @@ def test_pinned_node_counts():
                                SolveConfig(seed=3, solution_limit=4))
     # each count covers only the nodes since the previous placement
     assert [r.nodes for r in sols] == [71, 55, 60, 75]
-    # routing-only models, where the choice of path per connection (the
-    # con5 rows) drives the search
-    got = [[(r.status, r.nodes) for r in
-            (solve(routing, SolveConfig(seed=s)) for s in (1, 2, 3))]
-           for routing in sum4_models()[1]]
-    assert got == [[("feasible", 44), ("feasible", 49), ("feasible", 56)],
-                   [("infeasible", 38)] * 3]
+    # the fan3 baseline of the exact benchmark, where the search places
+    # the operations and marks each signal's routing nodes
+    fan3 = baselines()["fan3 baseline, 2x2 ortho"]
+    got = [(r.status, r.nodes) for r in
+           (solve(fan3, SolveConfig(seed=s)) for s in (1, 2, 3))]
+    assert got == [("feasible", 73), ("feasible", 69), ("feasible", 70)]
+    # a combined model that routing rules out, where the search tries
+    # path and signal variables at 0 first
+    got = [(r.status, r.nodes) for r in (solve(diamond_one_route(),
+                                               SolveConfig(seed=s))
+                                         for s in (1, 2, 3))]
+    assert got == [("infeasible", 104), ("infeasible", 104),
+                   ("infeasible", 98)]
     # the cut a leaf violates is queued again once the flip that gives it
     # slack is on, so it forces what is left of the placement at once:
     # choosing p1 forces f0 on, and once p1 is flipped off the cut
@@ -637,7 +639,7 @@ def test_enumeration_exhausts_placements():
         assert final.status == "infeasible", seed
 
 
-# not test_mapper.py's "ldst", which stores the load directly
+# not LDST, which stores the load directly
 LDST_INC = ("op ld load\nop k const const=1\nop inc add\nop st store\n"
             "edge ld -> inc:0\nedge k -> inc:1\nedge inc -> st:0\n")
 
@@ -757,22 +759,18 @@ def test_scipy_crosscheck():
         ours = solve(model, SolveConfig())
         assert (ours.status == "feasible") == highs_feasible(model), \
             f"trial {trial}"
-    # the shapes the models take: combined, the placement screen,
-    # routing-only with a routable and an unroutable placement, one
-    # placement that routes only on the deep cache, and a pigeonhole
-    screen, routings = sum4_models()
-    shallow, deep = diamond_routings()
+    # the shapes the models take: combined, mapping and refuted by
+    # routing, the placement screen, the baseline mapping, refuted by
+    # counting and refuted by routing, and a pigeonhole
     shaped = {"tree5 combined NN 2": tree5_combined(2),
               "tree5 combined NN 4": tree5_combined(4),
-              "sum4 screen": screen,
-              "sum4 routing, seed 1 placement": routings[0],
-              "sum4 routing, seed 2 placement": routings[1],
-              "diamond routing, SHALLOW_PATHS deep": shallow,
-              "diamond routing, DEFAULT_K deep": deep,
+              "diamond combined, one route a pair": diamond_one_route(),
+              "sum4 screen": sum4_screen(),
+              **baselines(),
               "pigeonhole 6 in 5": _pigeonhole(6, 5)}
     theirs = {name: highs_feasible(m) for name, m in shaped.items()}
-    assert list(theirs.values()) == [True, True, True, True, False, False,
-                                     True, False]
+    assert list(theirs.values()) == [True, True, False, True, True, True,
+                                     False, False, False]
     for name, model in shaped.items():
         ours = solve(model, SolveConfig())
         assert (ours.status == "feasible") == theirs[name], name
