@@ -1,10 +1,10 @@
 """cgramap: CGRA mapping toolkit.
 
 Place dataflow-graph operations onto the function units of a modulo routing
-resource graph and route every dataflow edge along vertex-compatible paths,
-via neighbourhood-restricted ILP models solved by a built-in deterministic
-branch-and-bound engine, with a fully-generic per-node baseline formulation
-for cross-checking.
+resource graph and route every dataflow edge along vertex-compatible paths:
+a neighbourhood-restricted placement search, then a search over cached
+routes for each placement. A per-node baseline ILP formulation, solved by
+a built-in deterministic branch-and-bound engine, cross-checks them.
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""0/1 model construction for placement and routing.
+"""The mapper's placement and routing searches, and the combined 0/1
+model of the same constraints.
 
 Three variable classes: f (operation o sits on unit u), p (path q between
 units u and v is switched on), y (routing vertex n carries the signal of
@@ -21,19 +22,18 @@ The numbering is that of a formulation with a variable per placed DFG
 edge (o, u, p, v), equal to f[o,u] * f[p,v] as con2 places each op once;
 con3 and con5 project it out, and with it that formulation's con4.
 
-Two variants are built from these: combined (con1-3, con5-6) and
-placement_only, which has no code of its own: it is combined's con1-3
-rows, returned before the path rows. Variables and rows are named
-tuples, which are built, hashed and sorted without Python code.
-
 The mapper builds no model. It searches con1-3 without one
 (screen_placements, over each operation's units, kept arc-consistent
 and matchable onto distinct units), and con5-6 over a placement's
 cached routes likewise (route_search, over each connection's routes,
 from must_cross_blocks's fixpoint). Both are one depth-first loop,
 _depth_first; each search gives it only its root node, its propagation
-and its value order. placement_only serves as the screen search's
-cross-check.
+and its value order.
+
+build_variant builds the one model, combined (con1-3, con5-6), over the
+neighbour map and the path cache; the benchmark's exact workload and
+the tests solve it. Variables and rows are named tuples, which are
+built, hashed and sorted without Python code.
 
 Each implication group is one row, M being its number of summed terms,
 in place of M rows x - g <= 0: the two forms admit the same 0/1 points
@@ -54,8 +54,7 @@ from .mrrg import Mrrg, NodeKey, compatible_nodes, fu_nodes
 from .neighbors import NeighborMap
 from .paths import PathCache
 
-VARIANTS = ("placement_only", "combined")
-MODEL_KINDS = VARIANTS + ("baseline",)
+MODEL_KINDS = ("combined", "baseline")
 
 
 class InfeasibleModel(Exception):
@@ -319,10 +318,10 @@ def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg):
     solver.SolveConfig whose time_limit and solution_limit bound the
     search; returns _depth_first's (status, nodes).
 
-    The same placements are the 0/1 solutions of the placement_only
-    model, which serves as a cross-check. Forbidden partial assignments
-    (a routing failure's core cut, the rotations of a placement) would
-    enter as a settle that fails a node assigning one in full."""
+    The same placements are the 0/1 solutions of the combined model's
+    con1-con3 rows. Forbidden partial assignments (a routing failure's
+    core cut, the rotations of a placement) would enter as a settle
+    that fails a node assigning one in full."""
     units, through = _domains(dfg, mrrg, nmap)
     rng = random.Random(cfg.seed)
     order = {}
@@ -538,29 +537,23 @@ def add_path_exclusivity(model: IlpModel, cache: PathCache) -> None:
 
 
 def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
-                  cache: PathCache | None = None, *,
+                  cache: PathCache, *,
                   paths_per_connection: int | None = None) -> IlpModel:
-    """One model variant over the neighbour map and, past the screen,
-    the path cache. Metadata records nn and the cache's k. Every variant
-    reads every route the cache holds for a pair, so the caller picks
-    the depth; paths_per_connection, if given, must equal the cache's k."""
-    if variant not in VARIANTS:
+    """The combined model over the neighbour map and the path cache.
+    Metadata records nn and the cache's k. The model reads every route
+    the cache holds for a pair, so the caller picks the depth;
+    paths_per_connection, if given, must equal the cache's k."""
+    if variant != "combined":
         raise ValueError(f"unknown variant {variant!r}")
-    if paths_per_connection is not None and (
-            cache is None or paths_per_connection != cache.k):
+    if paths_per_connection is not None and paths_per_connection != cache.k:
         raise ValueError(f"paths_per_connection={paths_per_connection!r} "
                          f"is not the path cache's k")
-    model = IlpModel(variant, nn=nmap.target_nn,
-                     k=cache.k if cache else None)
+    model = IlpModel(variant, nn=nmap.target_nn, k=cache.k)
     model.domain = neighbor_domain(dfg, mrrg, nmap)
     f_of = declare_f(model, dfg, mrrg)
     add_fu_exclusivity(model, f_of, fu_nodes(mrrg))
     add_must_map(model, f_of)
     add_neighbor_required(model, dfg, f_of)
-    if variant == "placement_only":
-        return model
-    if cache is None:
-        raise ValueError(f"{variant} needs a path cache")
     declare_p(model, cache, {(u, v) for _, u, _, v in model.domain})
     add_path_required(model, cache, f_of)
     add_path_exclusivity(model, cache)
@@ -568,7 +561,7 @@ def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
 
 
 def audit(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
-          cache: PathCache | None = None) -> list[str]:
+          cache: PathCache) -> list[str]:
     """Re-derive every variable's and domain entry's existence
     precondition and the model's structural invariants; returns found
     problems."""
@@ -589,7 +582,7 @@ def audit(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
                 problems.append(f"f out of domain: {var}")
         elif var.cls == "p":
             u, v, q = var.idx
-            if cache is None or q >= len(cache.get((u, v))):
+            if q >= len(cache.get((u, v))):
                 problems.append(f"p out of domain: {var}")
             else:
                 crossed.update((n, u) for n in cache[(u, v)][q].interior())

@@ -1,7 +1,7 @@
 """Reference oracles for the test suite, a runner for checks that need
 a fresh interpreter, the kernels, with placements of one of them, that
-more than one test module reads, and a probe of the screen search's
-root node.
+more than one test module reads, a probe of the screen search's root
+node, the screen rows of a combined model, and a generator drain.
 
 Every oracle is written against the documented semantics only and stays
 independent of the package's search and model-building code paths: plain
@@ -200,6 +200,16 @@ def mapping_solution(placement, routes):
                                        in routing.items()}, 0)
 
 
+def drain(stream):
+    """The items a generator yields, and what it returns."""
+    items = []
+    while True:
+        try:
+            items.append(next(stream))
+        except StopIteration as stop:
+            return items, stop.value
+
+
 def refuted_at_root(dfg, mrrg, nmap) -> bool:
     """Whether the screen search ends at its root node with no placement:
     arc consistency and the unit matching over the neighbour map prove,
@@ -208,12 +218,57 @@ def refuted_at_root(dfg, mrrg, nmap) -> bool:
     from cgramap.ilp import screen_placements
     from cgramap.solver import INFEASIBLE, SolveConfig
 
-    stream = screen_placements(dfg, mrrg, nmap, SolveConfig(seed=1))
-    try:
-        next(stream)
-    except StopIteration as stop:
-        return stop.value == (INFEASIBLE, 1)
-    return False
+    _, end = drain(screen_placements(dfg, mrrg, nmap, SolveConfig(seed=1)))
+    return end == (INFEASIBLE, 1)
+
+
+def screen_of(model):
+    """The placement screen of a combined model: its f variables, in
+    declaration order, and its con1-con3 rows."""
+    from cgramap.ilp import IlpModel
+
+    screen = IlpModel(model.variant)
+    for var in model.variables:
+        if var.cls == "f":
+            screen.add_var(var)
+    screen.constraints = [c for c in model.constraints
+                          if c.tag in ("con1", "con2", "con3")]
+    return screen
+
+
+def placements(dfg, mrrg, nmap=None):
+    """Every assignment of the operations to distinct compatible units,
+    as op -> unit, each once. Given nmap, only those where each DFG
+    edge's sink unit is in its driver unit's neighbour list, a loop
+    edge's unit being its own neighbour. Exhaustive recursion over the
+    operations in DFG order, each edge checked once both its ends are
+    placed. The reference the screen search is checked against."""
+    from cgramap.mrrg import compatible_nodes
+
+    ops = [op.id for op in dfg.operations]
+    cands = {op.id: compatible_nodes(mrrg, op) for op in dfg.operations}
+    # the edges each operation closes: those whose other end comes first
+    closes = {o: [] for o in ops}
+    if nmap is not None:
+        at = {o: i for i, o in enumerate(ops)}
+        for o, p in dfg.point_edges():
+            closes[max(o, p, key=at.get)].append((o, p))
+    placement = {}
+
+    def place(i):
+        if i == len(ops):
+            yield dict(placement)
+            return
+        o = ops[i]
+        for u in cands[o]:
+            if u in placement.values():
+                continue
+            placement[o] = u
+            if all(placement[p] in nmap[placement[d]] for d, p in closes[o]):
+                yield from place(i + 1)
+            del placement[o]
+
+    return place(0)
 
 
 def routable(pairs, cache) -> bool:
@@ -242,10 +297,6 @@ def brute_force_mappable(dfg, mrrg):
     """Exhaustive search over total placements and per-connection simple
     paths, with interiors of different drivers kept disjoint. Ground
     truth for tiny instances."""
-    from cgramap.mrrg import compatible_nodes
-
-    ops = [op.id for op in dfg.operations]
-    cands = {op.id: compatible_nodes(mrrg, op) for op in dfg.operations}
     pairs = dfg.point_edges()
     path_cache = {}
 
@@ -276,22 +327,4 @@ def brute_force_mappable(dfg, mrrg):
 
         return rec(0)
 
-    placement = {}
-    used_units = set()
-
-    def place(i):
-        if i == len(ops):
-            return routable(placement)
-        o = ops[i]
-        for u in cands[o]:
-            if u in used_units:
-                continue
-            placement[o] = u
-            used_units.add(u)
-            if place(i + 1):
-                return True
-            used_units.discard(u)
-            del placement[o]
-        return False
-
-    return place(0)
+    return any(routable(placement) for placement in placements(dfg, mrrg))

@@ -99,6 +99,9 @@ def test_point_edges_flatten():
         ("op 9a add\n", "bad-id", 1),
         ("wat a b\n", "syntax", 1),
         ("op a add\nedge a => a:0\n", "syntax", 2),
+        ("op k const const=x\n", "syntax", 1),
+        ("op a add extra\n", "syntax", 1),
+        ("op a add\nop b add\nedge a -> b\n", "syntax", 3),
         ("op i input\nop j input\nop s add\nedge i -> s:0\nedge j -> s:0\n",
          "duplicate-driver", 5),
     ],
@@ -120,3 +123,7 @@ def test_validate_lint():
     assert any("output op drives" in s for s in issues)
     assert any("source op has fanin" in s for s in issues)
     assert validate_dfg(parse_dfg(EXPR_TEXT)) == []
+    # parse_dfg rejects both; a Dfg built directly does not
+    d = Dfg([Operation("q", "frob"), Operation("s", "add", 3)], [])
+    assert validate_dfg(d) == ["op q: unknown opcode 'frob'",
+                               "op s: const payload on opcode 'add'"]

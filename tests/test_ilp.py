@@ -7,7 +7,7 @@ import pytest
 
 from cgramap import solver
 from cgramap.dfg import parse_dfg
-from cgramap.ilp import (VARIANTS, IlpModel, InfeasibleModel, VarId,
+from cgramap.ilp import (IlpModel, InfeasibleModel, VarId,
                          add_fu_exclusivity, add_implication, add_must_map,
                          add_path_exclusivity, audit, build_variant,
                          declare_f, fvar, must_cross_blocks, pvar,
@@ -19,7 +19,7 @@ from cgramap.paths import (DEFAULT_K, PathCache, RoutePath,
                            build_path_cache)
 
 from helpers import (ACC, DIAMOND, FAN3, FIR4, FIR4_HYCUBE_PLACEMENT, SUM4,
-                     routable, satisfies)
+                     routable, satisfies, screen_of)
 
 EXPR_TEXT = """\
 # a = b * (c + d)
@@ -192,7 +192,7 @@ def test_exact_con6_admits_exactly_the_pairwise_sets(inst, combined):
     assert count(model, "con6") == len(ys) + len(sums)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", ["combined"])
 @pytest.mark.parametrize("depth", ["shallow", "deep"])
 def test_models_read_every_cached_route(inst, shallow, variant, depth):
     # the cache alone sets route depth: each pair a model reads gets one
@@ -200,10 +200,7 @@ def test_models_read_every_cached_route(inst, shallow, variant, depth):
     dfg, m, nmap, deep = inst
     cache = shallow if depth == "shallow" else deep
     model = build_variant(variant, dfg, m, nmap, cache)
-    if variant == "placement_only":
-        read = []
-    else:
-        read = {(u, v) for _, u, _, v in model.domain}
+    read = {(u, v) for _, u, _, v in model.domain}
     got = {}
     for var in model.variables:
         if var.cls == "p":
@@ -211,7 +208,7 @@ def test_models_read_every_cached_route(inst, shallow, variant, depth):
             got[pair] = got.get(pair, 0) + 1
     assert got == {pair: len(cache[pair]) for pair in read if cache[pair]}
     assert any(len(cache[pair]) > SHALLOW_PATHS for pair in read) == (
-        depth == "deep" and variant != "placement_only")
+        depth == "deep")
 
 
 # (kernel, fabric, II, neighbour counts), None standing for the full
@@ -254,13 +251,23 @@ def test_paths_per_connection_only_checks(inst, shallow):
                               paths_per_connection=c.k)
         assert (named.variables, named.constraints, named.metadata) == (
             plain.variables, plain.constraints, plain.metadata)
-    for variant in VARIANTS:
-        for ppc in (cache.k - 1, cache.k + 1, SHALLOW_PATHS):
-            with pytest.raises(ValueError, match="paths_per_connection"):
-                build_variant(variant, dfg, m, nmap, cache,
-                              paths_per_connection=ppc)
+    for ppc in (cache.k - 1, cache.k + 1, SHALLOW_PATHS):
         with pytest.raises(ValueError, match="paths_per_connection"):
-            build_variant(variant, dfg, m, nmap, paths_per_connection=3)
+            build_variant("combined", dfg, m, nmap, cache,
+                          paths_per_connection=ppc)
+
+
+def test_retired_variants_are_rejected(inst):
+    # build_variant builds the combined model alone, and IlpModel takes
+    # no kind but it and the baseline
+    dfg, m, nmap, cache = inst
+    with pytest.raises(ValueError, match="unknown variant 'relaxed_placement'"):
+        IlpModel("relaxed_placement")
+    with pytest.raises(ValueError, match="unknown variant 'placement_only'"):
+        build_variant("placement_only", dfg, m, nmap, cache)
+    # the baseline is build_baseline's
+    with pytest.raises(ValueError, match="unknown variant 'baseline'"):
+        build_variant("baseline", dfg, m, nmap, cache)
 
 
 def shared_vertex_fixture():
@@ -336,13 +343,12 @@ def test_add_constraint_sorts_and_rejects_a_repeated_variable():
     assert model.constraints[-1] == (((1, ghost),), "<", 1, "t")
 
 
-def test_fanin_empty_sum_forbids_unit(inst):
+def test_fanin_empty_sum_forbids_unit(inst, combined):
     # a placed sink needs its driver on a unit that reaches the sink's:
     # with every such unit off, the row of edge (mul0, a) at a's unit
     # has an empty sum left and forbids the unit
     dfg, m, nmap, _ = inst
-    con3 = [c for c in build_variant("placement_only", dfg, m,
-                                     nmap).constraints
+    con3 = [c for c in combined.constraints
             if c.tag == "con3"
             and any(k == 1 and v.idx[0] == "a" for k, v in c.terms)]
     drivers = compatible_nodes(m, dfg.ops_by_id["mul0"])
@@ -365,9 +371,11 @@ def test_loop_edge_closes_on_its_own_unit(inst):
     nmap = NeighborMap(4, {u: (own,) if u == own else
                            tuple(x for x in units if x != u)
                            for u in fu_nodes(m)})
-    screen = build_variant("placement_only", loop, m, nmap)
-    assert screen.domain == (("a", own, "a", own),)
-    assert audit(screen, loop, m, nmap) == []
+    cache = build_path_cache(m, nmap, SHALLOW_PATHS)
+    model = build_variant("combined", loop, m, nmap, cache)
+    assert model.domain == (("a", own, "a", own),)
+    assert audit(model, loop, m, nmap, cache) == []
+    screen = screen_of(model)
     rows = {c.terms: (c.relation, c.rhs) for c in screen.constraints
             if c.tag == "con3"}
     assert rows == {((1, fvar("a", u)),): ("<=", 0)
@@ -456,9 +464,9 @@ def test_neighbor_rows_propagate_as_the_edge_form():
     forced = {"a": 0, "c": 0}
     for case in range(40):
         dfg, nmap, cache = random_case(rng, m)
-        screen = build_variant("placement_only", dfg, m, nmap)
         combined = build_variant("combined", dfg, m, nmap, cache)
         assert audit(combined, dfg, m, nmap, cache) == []
+        screen = screen_of(combined)
         screens = screen, edge_form(screen, dfg, m, nmap)
         combineds = combined, edge_form(combined, dfg, m, nmap, cache)
         fs = screen.variables
@@ -609,19 +617,27 @@ def test_screen_search_reads_the_clock_at_every_node(monkeypatch):
     assert stop.value.value == ("timeout", 3)
 
 
-def test_audit_flags_out_of_domain(inst):
-    dfg, m, nmap, cache = inst
-    model = build_variant("placement_only", dfg, m, nmap)
-    assert audit(model, dfg, m, nmap) == []
-    model.add_var(fvar("b", ("pe_0_0.const", 0)))  # input op, const unit
+def test_audit_flags_out_of_domain(inst, shallow):
+    dfg, m, nmap, _ = inst
+    model = build_variant("combined", dfg, m, nmap, shallow)
+    assert audit(model, dfg, m, nmap, shallow) == []
+    # an input op on a const unit, a path variable one past the routes
+    # the cache holds for its pair, a variable of a class no builder
+    # makes, and a row over a variable the model never declared
+    stray = model.add_var(fvar("b", ("pe_0_0.const", 0)))
+    u, v, _ = next(var.idx for var in model.variables if var.cls == "p")
+    past = model.add_var(pvar(u, v, len(shallow[(u, v)])))
+    odd = model.add_var(VarId("e", (u, v)))
+    ghost = fvar("ghost", u)
+    model.add_constraint([(1, ghost)], "<=", 1, "con1")
     # (b, c) is no edge, and pe_0_0 does not reach pe_2_2 at NN 4
     far = ("b", ("pe_0_0.alu", 0), "mul0", ("pe_2_2.alu", 0))
     model.domain += (far, ("b", far[1], "c", far[3]))
-    problems = audit(model, dfg, m, nmap)
-    assert any(p.startswith("f out of domain") for p in problems)
-    assert [p for p in problems if p.startswith("domain entry")] == [
+    assert audit(model, dfg, m, nmap, shallow) == [
         f"domain entry out of reach: {far}",
-        f"domain entry out of reach: {('b', far[1], 'c', far[3])}"]
+        f"domain entry out of reach: {('b', far[1], 'c', far[3])}",
+        f"f out of domain: {stray}", f"p out of domain: {past}",
+        f"unknown class: {odd}", f"con1 row references undeclared {ghost}"]
 
 
 def test_audit_flags_stray_signal_and_duplicate_con6(inst, shallow):

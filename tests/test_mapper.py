@@ -1,6 +1,6 @@
 """Staged driver checks: routes built on demand give the same routing
-searches as the full neighbourhood cache, the screen search yields what
-the 0/1 screen admits, the routing search decides as the brute-force
+searches as the full neighbourhood cache, the screen search yields the
+placements brute force finds, the routing search decides as the brute-force
 product of cached routes does, verdicts of the driver and of the
 combined model agree with brute force, reports are stable, and the
 survey entry points run."""
@@ -27,11 +27,11 @@ from cgramap.mrrg import ArchSpec, build_mrrg, fu_nodes
 from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, RoutePath, build_path_cache
 from cgramap.solver import (FEASIBLE, INFEASIBLE, TIMEOUT, SolveConfig,
-                            check_assignment, enumerate_solutions, solve)
+                            check_assignment, solve)
 from helpers import (ACC, DIAMOND, FAN3, FIR4, FIR4_HYCUBE_PLACEMENT,
                      FIR4_HYCUBE_ROUTED, JOIN, LDST, TREE5, baseline_point,
-                     brute_force_mappable, mapping_solution, refuted_at_root,
-                     routable, under_hash_seeds)
+                     brute_force_mappable, drain, mapping_solution,
+                     placements, refuted_at_root, routable, under_hash_seeds)
 
 KERNELS = {
     "chain2": "op a add\nop b add\nedge a -> b:0\n",
@@ -84,7 +84,7 @@ def test_nan_time_limit_rejected(make):
 
 
 def test_non_int_counts_rejected():
-    # a float would reach range() in enumerate_solutions or the report
+    # a float would reach the screen search's solution limit or the report
     with pytest.raises(ValueError, match="placement limit"):
         MapLimits(placement_limit=2.5)
     dfg, mrrg = parse_dfg(KERNELS["chain2"]), fabric("ortho", 1)
@@ -283,9 +283,8 @@ def test_matching_after_the_cut_refutes(monkeypatch):
         assert not refuted_at_root(parse_dfg(chain), mrrg, nmap)
     assert placeable(dfg, mrrg)
     assert refuted_at_root(dfg, mrrg, nmap)
-    # a proof: the screen it skips is infeasible
-    screen = build_variant("placement_only", dfg, mrrg, nmap)
-    assert solve(screen, SolveConfig(seed=1)).status == INFEASIBLE
+    # a proof: no placement meets the screen it skips
+    assert next(placements(dfg, mrrg, nmap), None) is None
     events = _record(monkeypatch)
     out = map_dfg(dfg, mrrg, (2,), LIMITS, seed=1)
     assert [(a.nn, a.screen, a.placements_tried) for a in out.attempts] == [
@@ -686,59 +685,37 @@ def test_agreement_with_brute_force(family, ii, kernel, mappable):
     assert res.status == (FEASIBLE if mappable else "infeasible")
 
 
-def _drain(stream):
-    """The items a generator yields, and what it returns."""
-    items = []
-    while True:
-        try:
-            items.append(next(stream))
-        except StopIteration as stop:
-            return items, stop.value
-
-
 @pytest.mark.parametrize("family,ii,kernel,mappable", AGREEMENT)
 def test_screen_search_matches_the_0_1_screen(family, ii, kernel, mappable):
     # at every target of the schedule, the screen search yields each
-    # placement the placement_only model admits, once, and is infeasible
-    # exactly where that model is
+    # placement brute force finds, once, and exhausts its tree
     dfg, mrrg = parse_dfg(KERNELS[kernel]), fabric(family, ii)
     cfg = SolveConfig(seed=1, time_limit=60, solution_limit=10 ** 6)
     for nn in SCHEDULE:
         nmap = build_neighbor_map(mrrg, nn)
-        found, (status, _) = _drain(screen_placements(dfg, mrrg, nmap, cfg))
-        assert status == INFEASIBLE  # the tree was exhausted
-        found = [tuple(sorted(place.items())) for place in found]
-        assert len(set(found)) == len(found)
-        try:
-            screen = build_variant("placement_only", dfg, mrrg, nmap)
-        except InfeasibleModel:
-            assert found == []
-            continue
-        leaves, end = _drain(enumerate_solutions(screen, cfg))
-        assert end.status == INFEASIBLE
-        assert set(found) == {
-            tuple(sorted(var.idx for var, value in res.assignment.items()
-                         if var.cls == "f" and value == 1))
-            for res in leaves}
-        assert len(found) == len(leaves)
+        found, (status, _) = drain(screen_placements(dfg, mrrg, nmap, cfg))
+        assert status == INFEASIBLE
+        assert sorted(tuple(sorted(place.items())) for place in found) == (
+            sorted(tuple(sorted(place.items()))
+                   for place in placements(dfg, mrrg, nmap)))
 
 
 def test_screen_search_node_counts_are_pinned():
     # fir4's NN-4 screen on 4x4 ADRES at II 2 passes the search's root
-    # node and takes the 0/1 screen 9k-10k nodes to refute; the search
-    # refutes it in a few. Neither the op branched on nor the
-    # order of its units may come from set iteration order, which the
-    # hash seed changes
+    # node and takes a 0/1 solve of its con1-con3 rows 9k-10k nodes to
+    # refute; the search refutes it in a few. Neither the op branched on
+    # nor the order of its units may come from set iteration order,
+    # which the hash seed changes
     dfg = parse_dfg(FIR4)
     mrrg = build_mrrg(ArchSpec("adres", 4, 4), 2)
     nmap = build_neighbor_map(mrrg, 4)
     assert not refuted_at_root(dfg, mrrg, nmap)
     cfg = SolveConfig(seed=1, time_limit=60, solution_limit=1)
-    assert _drain(screen_placements(dfg, mrrg, nmap, cfg)) == (
+    assert drain(screen_placements(dfg, mrrg, nmap, cfg)) == (
         [], (INFEASIBLE, 7))
     # and the first placement of fir4's NN-10 screen on 4x4 HyCUBE
     mrrg = build_mrrg(ArchSpec("hycube", 4, 4), 2)
-    [first], end = _drain(screen_placements(
+    [first], end = drain(screen_placements(
         dfg, mrrg, build_neighbor_map(mrrg, 10), cfg))
     assert end == (None, 7)
     assert first == FIR4_HYCUBE_PLACEMENT
@@ -756,7 +733,7 @@ def test_deep_screen_node_counts_are_pinned(nn, counts):
     nmap = build_neighbor_map(mrrg, nn)
     for seed, count in zip((1, 2, 3), counts):
         cfg = SolveConfig(seed=seed, time_limit=10, solution_limit=1)
-        [_], end = _drain(screen_placements(dfg, mrrg, nmap, cfg))
+        [_], end = drain(screen_placements(dfg, mrrg, nmap, cfg))
         assert end == (None, count), seed
 
 

@@ -263,6 +263,8 @@ def test_parse_arch_round_trip():
         ("family=ortho\nrows=2\ncols=2\nwat=1\n", "unknown key"),
         ("family=ortho\nrows=2\nrows=3\ncols=2\n", "duplicate key"),
         ("family=ortho rows=2\n", "expected key=value"),
+        ("family=ortho\nrows\ncols=2\n", "expected key=value"),
+        ("family=ortho\nrows=0\ncols=2\n", ">= 1"),
         ("family=clustered\nrows=3\ncols=4\n", "not divisible"),
         # the skip distance and the cluster shape are fixed
         ("family=adres\nrows=2\ncols=2\nskip_distance=2\n", "unknown key"),
@@ -272,6 +274,11 @@ def test_parse_arch_errors(text, frag):
     with pytest.raises(ArchError) as ei:
         parse_arch(text)
     assert frag in str(ei.value)
+
+
+def test_parse_arch_skips_blank_and_comment_lines():
+    text = "# a 2x2 mesh\n\nfamily=ortho  # the family\n   \nrows=2\ncols=2\n"
+    assert parse_arch(text) == ortho(2, 2)
 
 
 def test_bad_ii_rejected():

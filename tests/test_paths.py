@@ -93,6 +93,28 @@ def test_self_pair_enumerates_cycles():
                                          sorted_paths(m, u, u)[:20]]
 
 
+def test_is_valid_path_rejects_each_fault():
+    # units a, b, c and routing vertices x, y; each bad route breaks one
+    # rule and would pass the others
+    m = mk_graph({"a": 1, "b": 1, "c": 1}, {"x": 0, "y": 0},
+                 [("a", "x"), ("x", "b"), ("x", "y"), ("y", "x"),
+                  ("y", "a"), ("x", "c"), ("c", "y")])
+    a, b, c, x, y = (("a", 0), ("b", 0), ("c", 0), ("x", 0), ("y", 0))
+    assert is_valid_path(m, RoutePath(a, b, (a, x, b)))
+    # a cycle's driver is its sink, and that shared endpoint is no repeat
+    assert is_valid_path(m, RoutePath(a, a, (a, x, y, a)))
+    bad = {"one vertex": RoutePath(a, a, (a,)),
+           "last vertex not the sink": RoutePath(a, b, (a, x, c)),
+           "first vertex not the driver": RoutePath(c, b, (a, x, b)),
+           "routing vertex as sink": RoutePath(a, x, (a, x)),
+           "routing vertex as driver": RoutePath(y, a, (y, a)),
+           "hop that is no edge": RoutePath(a, a, (a, y, a)),
+           "unit in the interior": RoutePath(a, a, (a, x, c, y, a)),
+           "repeated vertex": RoutePath(a, b, (a, x, y, x, b))}
+    assert [fault for fault, rp in bad.items()
+            if is_valid_path(m, rp)] == []
+
+
 def test_argument_errors():
     m = build_mrrg(ArchSpec("ortho", 2, 2), ii=1)
     alu = ("pe_0_0.alu", 0)

@@ -16,17 +16,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cgramap.dfg import (OPCODES, Dfg, Edge, Operation,  # noqa: E402
                          parse_dfg, serialize_dfg)
-from cgramap.ilp import (InfeasibleModel, build_variant,  # noqa: E402
-                         must_cross_blocks, placeable, route_search,
-                         screen_placements)
+from cgramap.ilp import (must_cross_blocks, placeable,  # noqa: E402
+                         route_search, screen_placements)
 from cgramap.mrrg import (ArchError, ArchSpec, build_mrrg,  # noqa: E402
                           parse_arch, serialize_arch)
 from cgramap.neighbors import build_neighbor_map  # noqa: E402
 from cgramap.paths import DEFAULT_K, build_path_cache  # noqa: E402
-from cgramap.solver import (FEASIBLE, INFEASIBLE,  # noqa: E402
-                            SolveConfig, solve)
-from helpers import (brute_force_mappable, refuted_at_root,  # noqa: E402
-                     routable)
+from cgramap.solver import FEASIBLE, INFEASIBLE, SolveConfig  # noqa: E402
+from helpers import (brute_force_mappable, placements,  # noqa: E402
+                     refuted_at_root, routable)
 
 PROFILE = settings(derandomize=True, database=None, deadline=None,
                    max_examples=150)
@@ -95,22 +93,18 @@ def tiny_mrrg(family, rows, cols, ii):
 @given(dfgs(), st.sampled_from(TINY))
 def test_refuted_target_has_no_placement(dfg, fabric):
     # a refusal, by the unit matching or at the screen search's root
-    # node, is a proof: the screen it stands for is infeasible; at
-    # the full neighbourhood, which holds every unit a route reaches,
-    # no mapping exists either (checked by brute force where it is quick:
-    # up to 4 ops on fabrics of up to 50 vertices)
+    # node, is a proof: brute force finds no placement that meets the
+    # screen it stands for; at the full neighbourhood, which holds every
+    # unit a route reaches, no mapping exists either (checked by brute
+    # force where it is quick: up to 4 ops on fabrics of up to 50
+    # vertices)
     mrrg = tiny_mrrg(*fabric)
     full = len(mrrg.fus)
     for nn in (1, 2, 4, 8, full):
         nmap = build_neighbor_map(mrrg, nn)
         if placeable(dfg, mrrg) and not refuted_at_root(dfg, mrrg, nmap):
             continue
-        try:
-            screen = build_variant("placement_only", dfg, mrrg, nmap)
-        except InfeasibleModel:
-            continue
-        res = solve(screen, SolveConfig(seed=1, time_limit=10))
-        assert res.status == INFEASIBLE, nn
+        assert next(placements(dfg, mrrg, nmap), None) is None, nn
     if (len(dfg.operations) <= 4 and len(mrrg.nodes) <= 50
             and refuted_at_root(dfg, mrrg, build_neighbor_map(mrrg, full))):
         assert not brute_force_mappable(dfg, mrrg)

@@ -17,8 +17,8 @@ from cgramap.neighbors import build_neighbor_map
 from cgramap.paths import DEFAULT_K, build_path_cache
 from cgramap.solver import (SolveConfig, check_assignment,
                             enumerate_solutions, solve)
-from helpers import (ACC, DIAMOND, FAN3, JOIN, LDST, SUM4, TREE5,
-                     exhaustive, satisfies)
+from helpers import (ACC, DIAMOND, FAN3, JOIN, LDST, SUM4, TREE5, drain,
+                     exhaustive, satisfies, screen_of)
 
 
 def mk_model(names, rows, cls="f"):
@@ -31,16 +31,6 @@ def mk_model(names, rows, cls="f"):
         model.add_constraint([(c, by_name[n]) for c, n in terms],
                              rel, rhs, "row")
     return model, by_name
-
-
-def drain(gen):
-    """Every result a generator yields, and its return value."""
-    results = []
-    while True:
-        try:
-            results.append(next(gen))
-        except StopIteration as stop:
-            return results, stop.value
 
 
 def random_model(rng, max_vars=10, classes=None):
@@ -517,11 +507,18 @@ def tree5_combined(nn):
                          build_path_cache(mrrg, nmap, SHALLOW_PATHS))
 
 
+def screen_model(kernel, spec, ii, nn):
+    """The placement screen of a kernel at NN nn: the f variables and
+    con1-con3 rows of its combined model, built over one route a pair."""
+    mrrg = build_mrrg(spec, ii)
+    nmap = build_neighbor_map(mrrg, nn)
+    return screen_of(build_variant("combined", parse_dfg(kernel), mrrg, nmap,
+                                   build_path_cache(mrrg, nmap, 1)))
+
+
 def sum4_screen():
     """The placement screen of sum4 on 2x2 ADRES, II 2, NN 16."""
-    mrrg = build_mrrg(ArchSpec("adres", 2, 2), 2)
-    return build_variant("placement_only", parse_dfg(SUM4), mrrg,
-                         build_neighbor_map(mrrg, 16))
+    return screen_model(SUM4, ArchSpec("adres", 2, 2), 2, 16)
 
 
 def diamond_one_route():
@@ -650,11 +647,9 @@ def test_placement_screen_steady_across_seeds():
     # their driver, then backtracked through sink placements no driver
     # unit reaches; branching on the operation with the fewest
     # candidates left places the driver once one sink is down
-    mrrg = build_mrrg(ArchSpec("adres", 4, 4), 3)
-    screen = build_variant("placement_only", parse_dfg(FAN3), mrrg,
-                           build_neighbor_map(mrrg, 4))
+    fan3 = screen_model(FAN3, ArchSpec("adres", 4, 4), 3, 4)
     for seed in range(1, 9):
-        res = solve(screen, SolveConfig(seed=seed, time_limit=5))
+        res = solve(fan3, SolveConfig(seed=seed, time_limit=5))
         assert (res.status, res.nodes <= 200) == ("feasible", True), seed
 
 
