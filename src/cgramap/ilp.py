@@ -33,7 +33,9 @@ and its value order.
 build_variant builds the one model, combined (con1-3, con5-6), over the
 neighbour map and the path cache; the benchmark's exact workload and
 the tests solve it. Variables and rows are named tuples, which are
-built, hashed and sorted without Python code.
+built and hashed without Python code. A row keeps its terms in the
+order its builder lists them; the solver's one read of the rows, not
+the model, rejects a variable repeated within one.
 
 Each implication group is one row, M being its number of summed terms,
 in place of M rows x - g <= 0: the two forms admit the same 0/1 points
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import random
 import time
-from operator import itemgetter
 from typing import NamedTuple
 
 from .dfg import Dfg
@@ -115,18 +116,12 @@ class IlpModel:
         return var
 
     def add_constraint(self, terms, relation: str, rhs: int, tag: str) -> None:
-        """Append the row with its terms sorted by variable, rejecting a
-        repeated variable. The relation, the coefficients and whether
-        each variable is declared are checked by the solver, which
-        reads every row once."""
-        canon = tuple(sorted(terms, key=itemgetter(1)))
-        prev = None
-        # sorted, a repeated variable sits next to itself
-        for _, v in canon:
-            if v == prev:
-                raise ValueError(f"duplicate variable {v} in constraint")
-            prev = v
-        self.constraints.append(LinearConstraint(canon, relation, rhs, tag))
+        """Append the row with its terms in the order given. The
+        relation, the coefficients, whether each variable is declared
+        and whether one repeats are checked by the solver, which reads
+        every row once."""
+        self.constraints.append(
+            LinearConstraint(tuple(terms), relation, rhs, tag))
 
     def vars_by_class(self) -> dict[str, list[VarId]]:
         out: dict[str, list[VarId]] = {}
@@ -610,7 +605,8 @@ def audit(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
             if paths and (set(paths) != {1} or signals != [-len(paths)]
                           or (con.relation, con.rhs) != ("<=", 0)):
                 problems.append("malformed con6 claim row")
-            key = (con.terms, con.relation, con.rhs)
+            # rows keep their builders' term order
+            key = (frozenset(con.terms), con.relation, con.rhs)
             if key in con6:
                 problems.append("duplicate con6 row")
             con6.add(key)

@@ -13,9 +13,12 @@ lives as long as it does: every (driver, sink) pair ever asked for, at
 the deepest k asked so far. Since enumeration yields a prefix of the
 sorted path set, a shallower request is served by a prefix slice, and a
 list shorter than the k it was asked at holds every route, so serves any
-k. A deeper request enumerates only the pairs it lacks, with one
-distance-to-sink table per distinct sink, shared among every driver
-routed there and dropped once they are done.
+k. A path cache lists its pairs when it is built and enumerates none:
+a pair's routes are found the first time it is read, from the table
+where it holds them deep enough, else by enumeration at the cache's k,
+and kept by the cache. The cache keeps one distance-to-sink table per
+distinct sink it has read, shared among every driver routed there. A
+model that reads a few of a neighbour map's pairs pays for those alone.
 
 Enumeration walks the MRRG's id view, whose ids follow key order, and
 makes RoutePaths of keys only of the routes it returns.
@@ -24,6 +27,7 @@ makes RoutePaths of keys only of the routes it returns.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .dfg import is_int
@@ -82,31 +86,26 @@ def k_shortest_paths(mrrg: Mrrg, u: NodeKey, v: NodeKey,
     as in find_neighbors.
     """
     _check_k(k)
-    return _routes_for(mrrg, ((u, v),), k)[u, v]
+    return _routes_for(mrrg, (u, v), k, {})
 
 
-def _routes_for(mrrg: Mrrg, pairs, k: int):
-    """k_shortest_paths for each (driver, sink) pair, from the MRRG's
-    route table where it holds the pair deep enough; the rest are
-    enumerated and stored at depth k."""
-    table = mrrg.route_table
+def _routes_for(mrrg: Mrrg, pair, k: int,
+                dists: dict[int, dict[int, int]]) -> tuple[RoutePath, ...]:
+    """k_shortest_paths for one (driver, sink) pair, from the MRRG's
+    route table where it holds the pair deep enough; else enumerated
+    over dists[sink id], the sink's distance table, made there on first
+    need, and stored in the table at depth k."""
+    held = mrrg.route_table.get(pair)
+    if held is not None and (k <= held[0] or len(held[1]) < held[0]):
+        return held[1][:k]
     view = mrrg.ids
-    found = {}
-    missing: dict[int, list[int]] = {}
-    for pair in pairs:
-        held = table.get(pair)
-        if held is not None and (k <= held[0] or len(held[1]) < held[0]):
-            found[pair] = held[1][:k]
-        else:
-            src, dst = map(view.unit, pair)
-            missing.setdefault(dst, []).append(src)
-    for dst, srcs in missing.items():
-        dist = view.hop_dists((dst,), view.fanin)
-        for src in srcs:
-            pair = view.keys[src], view.keys[dst]
-            found[pair] = _routes(view, src, dst, k, dist)
-            table[pair] = (k, found[pair])
-    return found
+    src, dst = map(view.unit, pair)
+    dist = dists.get(dst)
+    if dist is None:
+        dist = dists[dst] = view.hop_dists((dst,), view.fanin)
+    routes = _routes(view, src, dst, k, dist)
+    mrrg.route_table[pair] = (k, routes)
+    return routes
 
 
 def _routes(view: IdView, u: int, v: int, k: int,
@@ -136,13 +135,46 @@ def _routes(view: IdView, u: int, v: int, k: int,
     return tuple(RoutePath(key(u), key(v), tuple(map(key, p))) for p in found)
 
 
+class _LazyRoutes(Mapping):
+    """Each pair to its routes at depth k, found through _routes_for
+    the first time the pair is read and kept. Iteration and len list
+    the pairs in the order given and read none."""
+
+    def __init__(self, mrrg: Mrrg, pairs, k: int):
+        self._mrrg = mrrg
+        self._k = k
+        self._routes: dict = dict.fromkeys(pairs)
+        # sink id -> its distance table, for every sink read so far
+        self._dists: dict[int, dict[int, int]] = {}
+
+    def __getitem__(self, pair):
+        routes = self._routes[pair]
+        if routes is None:
+            routes = self._routes[pair] = _routes_for(
+                self._mrrg, pair, self._k, self._dists)
+        return routes
+
+    def get(self, pair, default=None):
+        return self[pair] if pair in self._routes else default
+
+    def __contains__(self, pair) -> bool:
+        return pair in self._routes
+
+    def __iter__(self):
+        return iter(self._routes)
+
+    def __len__(self) -> int:
+        return len(self._routes)
+
+
 @dataclass(frozen=True)
 class PathCache:
     """Routes for the FU pairs a neighbor map lists, each list sorted and
-    <= k long."""
+    <= k long. paths is read-only; build_path_cache's view finds a
+    pair's routes when the pair is first read."""
 
     k: int
-    paths: dict[tuple[NodeKey, NodeKey], tuple[RoutePath, ...]]
+    paths: Mapping[tuple[NodeKey, NodeKey], tuple[RoutePath, ...]]
 
     def __getitem__(self, pair: tuple[NodeKey, NodeKey]) -> tuple[RoutePath, ...]:
         return self.paths[pair]
@@ -153,14 +185,15 @@ class PathCache:
 
 def build_path_cache(mrrg: Mrrg, nmap: NeighborMap,
                      k: int = DEFAULT_K) -> PathCache:
-    """Routes for every (source, neighbor) pair in the map, each equal
-    to k_shortest_paths for that pair and read from the MRRG's route
-    table where an earlier call left them deep enough. A cache built
-    for some neighbor count serves any smaller count too, since
-    shrinking the target only drops pairs.
+    """Routes for every (source, neighbor) pair in the map, in the map's
+    order, each equal to k_shortest_paths for that pair. Building lists
+    the pairs only: a pair's routes are found when it is first read,
+    from the MRRG's route table where an earlier read left them deep
+    enough, so a pair with an endpoint that is no unit raises when
+    read. A cache built for some neighbor count serves any smaller
+    count too, since shrinking the target only drops pairs.
     """
     _check_k(k)
     pairs = [(src, dst) for src in sorted(nmap.neighbors)
              for dst in nmap.neighbors[src]]
-    found = _routes_for(mrrg, pairs, k)
-    return PathCache(k, {pair: found[pair] for pair in pairs})
+    return PathCache(k, _LazyRoutes(mrrg, pairs, k))

@@ -1,20 +1,21 @@
 """Exact 0/1 search over the model rows.
 
-One depth-first search with incremental slack propagation. It reads
-each model row once: one pass rejects a malformed row (a bad relation, a
-non-int coefficient or right-hand side, an undeclared variable; a
-twice-declared variable is rejected before) with ValueError, normalises
-it to sum(c_i x_i) <= b over variable indices (an = row to two) and
-records whether it is a choice group or an at-most-one row. The model
-builder leaves these checks to this pass, which takes any object with
-variables and constraints. Every normalised row, the model's and each
-cut added during the search, enters through add_row, which sets its
-slack and width and the variables that spend it. A row's slack is b
-minus the smallest value its fixed and free terms can still take, and a
-negative slack is a conflict. Free variables whose coefficient exceeds
-the slack are forced; a row whose slack is at least its width, its
-widest coefficient, can do neither, so a fix queues only the rows it
-leaves below their width (the watch rule of Chai & Kuehlmann, DAC 2003).
+One depth-first search with incremental slack propagation. It reads each
+model row once: one pass rejects a malformed row (a bad relation, a
+non-int coefficient or right-hand side, an undeclared variable, a
+variable repeated within the row; a twice-declared variable is rejected
+before) with ValueError, normalises it to sum(c_i x_i) <= b over
+variable indices (an = row to two) and records whether it is a choice
+group or an at-most-one row. The model builder leaves these checks to
+this pass, which takes any object with variables and constraints. Every
+normalised row, the model's and each cut added during the search, enters
+through add_row, which sets its slack and width and the variables that
+spend it. A row's slack is b minus the smallest value its fixed and free
+terms can still take, and a negative slack is a conflict. Free variables
+whose coefficient exceeds the slack are forced; a row whose slack is at
+least its width, its widest coefficient, can do neither, so a fix queues
+only the rows it leaves below their width (the watch rule of Chai &
+Kuehlmann, DAC 2003).
 
 The search branches on choices first. A choice group is a row that
 needs at least one of its variables (all coefficients 1), such as an
@@ -153,9 +154,11 @@ class _Search:
         # every row a leaf's failed re-check is worded from: the model's
         # and the cuts
         self.rows = list(model.constraints)
+        # at each variable index, the last row whose terms held it
+        last = [-1] * len(self.vars)
         # a row's <= half, and the >= half of a >= or = row negated,
         # enter through add_row
-        for con in self.rows:
+        for r, con in enumerate(self.rows):
             relation = con.relation
             if relation not in ("<=", ">=", "="):
                 raise ValueError(f"bad relation {relation!r}")
@@ -168,6 +171,9 @@ class _Search:
                 i = index.get(v)
                 if i is None:
                     raise ValueError(f"row references undeclared {v}")
+                if last[i] == r:
+                    raise ValueError(f"duplicate variable {v} in a row")
+                last[i] = r
                 terms.append((c, i))
             rhs = con.rhs
             if type(rhs) is not int and not is_int(rhs):

@@ -57,7 +57,7 @@ def test_baseline_model_is_pinned():
             h.update(repr((sorted(model.metadata.items()), model.variables,
                            model.constraints)).encode())
     assert h.hexdigest() == (
-        "67f47689919c282701427ea40fbcf4077379b8dedbdc6934deca3966484adfcc")
+        "9ef3e944190662dc68543cdef187c6da371300464162535565c7e9429def5385")
 
 
 def test_single_op_reduces_to_placement():

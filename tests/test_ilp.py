@@ -238,7 +238,7 @@ def test_path_models_are_pinned():
                 built += 1
     assert built == 20
     assert h.hexdigest() == (
-        "4e2e53b9eb786f1b16a021cee3367ad39b195a7775eca2d98ef19bb434bfc1db")
+        "9244562cdb42c95f105e25116a6bf7e6b24c4052a9ba3e384d917d3af58b567c")
 
 
 def test_paths_per_connection_only_checks(inst, shallow):
@@ -328,19 +328,21 @@ def test_must_map_variants():
                 ("=", 1, {op.id}) for op in dfg.operations]
 
 
-def test_add_constraint_sorts_and_rejects_a_repeated_variable():
+def test_add_constraint_keeps_terms_in_the_order_given():
     model = IlpModel("combined")
     a, b = model.add_var(fvar("a", ("u", 0))), model.add_var(pvar("u", "v", 0))
     model.add_constraint([(2, b), (1, a)], "<=", 1, "t")
-    assert model.constraints[-1].terms == ((1, a), (2, b))
-    with pytest.raises(ValueError, match="duplicate variable"):
-        model.add_constraint([(1, a), (1, b), (-1, a)], "<=", 1, "t")
-    assert len(model.constraints) == 1
-    # a bad relation or an undeclared variable is left to the solver,
-    # which rejects both (test_solver.py::test_malformed_rejected)
+    model.add_constraint([(1, a), (2, b)], "<=", 1, "t")
+    assert [c.terms for c in model.constraints] == [((2, b), (1, a)),
+                                                    ((1, a), (2, b))]
+    # a bad relation, an undeclared variable or a repeated one is left
+    # to the solver, which rejects each
+    # (test_solver.py::test_malformed_rejected)
     ghost = fvar("ghost", ("u", 0))
     model.add_constraint([(1, ghost)], "<", 1, "t")
     assert model.constraints[-1] == (((1, ghost),), "<", 1, "t")
+    model.add_constraint([(1, a), (1, b), (-1, a)], "<=", 1, "t")
+    assert model.constraints[-1].terms == ((1, a), (1, b), (-1, a))
 
 
 def test_fanin_empty_sum_forbids_unit(inst, combined):
@@ -655,8 +657,9 @@ def test_audit_flags_stray_signal_and_duplicate_con6(inst, shallow):
               model.add_var(yvar(("pe_1_1.alu", 0), unit))]
     assert audit(model, dfg, m, nmap, shallow) == [
         f"y out of domain: {stray}" for stray in strays]
+    # the same row with its terms in another order is a duplicate too
     row = next(c for c in model.constraints if c.tag == "con6")
-    model.add_constraint(row.terms, row.relation, row.rhs, "con6")
+    model.add_constraint(row.terms[::-1], row.relation, row.rhs, "con6")
     assert "duplicate con6 row" in audit(model, dfg, m, nmap, shallow)
 
 

@@ -250,11 +250,50 @@ def test_empty_neighbor_map_gives_empty_cache():
     assert cache.get((("pe_0_0.alu", 0), ("pe_1_0.alu", 0))) == ()
 
 
+def test_cache_enumerates_a_pair_when_first_read(monkeypatch):
+    # a full-NN cache lists every pair of the map and enumerates none;
+    # a pair's routes are enumerated when it is first read, with one
+    # distance table per sink read, and kept
+    spec = ArchSpec("hycube", 2, 2)
+    m = build_mrrg(spec, ii=1)
+    nmap = build_neighbor_map(m, len(fu_nodes(m)))
+    enumerated, tables = [], []
+    real_routes, real_dists = paths._routes, m.ids.hop_dists
+
+    def counting_routes(view, src, dst, k, dist):
+        if view is m.ids:
+            enumerated.append((view.keys[src], view.keys[dst]))
+        return real_routes(view, src, dst, k, dist)
+
+    def counting_dists(ends, adj):
+        ends = tuple(ends)
+        tables.append(ends)
+        return real_dists(ends, adj)
+
+    monkeypatch.setattr(paths, "_routes", counting_routes)
+    monkeypatch.setattr(m.ids, "hop_dists", counting_dists)
+    cache = build_path_cache(m, nmap, DEFAULT_K)
+    pairs = [(a, b) for a in sorted(nmap.neighbors) for b in nmap[a]]
+    assert list(cache.paths) == pairs and len(cache.paths) == len(pairs)
+    assert all(pair in cache.paths for pair in pairs)
+    assert enumerated == tables == []
+    pair = pairs[len(pairs) // 2]
+    routes = cache[pair]
+    assert enumerated == [pair] and len(tables) == 1
+    assert cache.get(pair) is routes and cache.paths[pair] is routes
+    assert enumerated == [pair]
+    fresh = build_mrrg(spec, ii=1)
+    assert dict(cache.paths) == {
+        (a, b): k_shortest_paths(fresh, a, b) for a, b in pairs}
+    assert sorted(enumerated) == sorted(pairs)
+    assert sorted(tables) == sorted({(m.ids.index[b],) for _, b in pairs})
+
+
 @pytest.mark.parametrize("depths", [(20, 3, 1), (1, 3, 20)])
 def test_routes_are_kept_per_mrrg(monkeypatch, depths):
     # each request, in either order, gives what a fresh graph gives; a
-    # pair is enumerated again only when it is asked deeper than before
-    # and its list was full at the earlier depth
+    # pair is enumerated when it is read, and only when it is read
+    # deeper than before and its list was full at the earlier depth
     spec = ArchSpec("adres", 3, 3)
     m = build_mrrg(spec, ii=2)
     nmap = build_neighbor_map(m, 8)
@@ -271,6 +310,8 @@ def test_routes_are_kept_per_mrrg(monkeypatch, depths):
     for k in depths:
         enumerated.clear()
         cache = build_path_cache(m, nmap, k)
+        assert enumerated == []
+        dict(cache.paths)
         if previous is None:
             want = set(cache.paths)
         elif k < previous.k:

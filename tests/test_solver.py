@@ -78,7 +78,7 @@ def test_empty_model():
 
 
 def test_malformed_rejected():
-    v = VarId("f", ("x",))
+    v, w = VarId("f", ("x",)), VarId("f", ("w",))
     ghost = VarId("f", ("ghost",))
 
     def model(variables=(v,), rows=()):
@@ -95,22 +95,29 @@ def test_malformed_rejected():
         (model(rows=[LinearConstraint(((True, v),), "<=", 1, "t")]),
          "coefficient"),
         (model(variables=(v, v)), "duplicate"),
+        # v in two rows is fine, twice in one row is not
+        (model(variables=(v, w), rows=[
+            LinearConstraint(((1, v),), "<=", 1, "t"),
+            LinearConstraint(((1, v), (1, w), (-1, v)), "<=", 1, "t")]),
+         "duplicate variable .* in a row"),
     ]
     # NaN failed the leaf's re-check, a str or None negated into a bare
     # TypeError, and 0.5 was accepted
     cases += [(model(rows=[LinearConstraint(((1, v),), "<=", rhs, "t")]),
                "right-hand side") for rhs in (float("nan"), "1", None, 0.5)]
 
-    # IlpModel.add_constraint takes both rows as given: the solver's one
-    # read of the rows is what rejects them
-    def built(var, relation):
+    # IlpModel.add_constraint takes each of these rows as given: the
+    # solver's one read of the rows is what rejects them
+    def built(terms, relation):
         ilp = IlpModel("combined")
         ilp.add_var(v)
-        ilp.add_constraint([(1, var)], relation, 1, "t")
+        ilp.add_constraint(terms, relation, 1, "t")
         return ilp
 
-    cases += [(built(ghost, "<="), "row references undeclared"),
-              (built(v, "<"), "bad relation '<'")]
+    cases += [(built([(1, ghost)], "<="), "row references undeclared"),
+              (built([(1, v)], "<"), "bad relation '<'"),
+              (built([(1, v), (1, v)], "<="),
+               "duplicate variable .* in a row")]
     # enumerate_solutions is a generator: it raises on the first next()
     for run in (solve, lambda m, cfg: next(enumerate_solutions(m, cfg))):
         for bad, words in cases:
