@@ -28,16 +28,17 @@ before the map deadline), floored at 1 ms. MapLimits.solve_time caps
 each routing search; the screen search has no cap and runs to the
 deadline.
 
-Each placement tried gets a cache of SHALLOW_PATHS routes over just its
-own (driver unit, sink unit) pairs, and only when the routing check over
-it is proven infeasible, one of DEFAULT_K routes over the same pairs;
-the reported routing comes from the cache that routed. A shallow list is
-the prefix of a deep one: what routes on SHALLOW_PATHS routes also
-routes on DEFAULT_K, and the verdicts are those of one deep cache. The
-routing search's root node is ilp.must_cross_blocks's check, which
-refutes most infeasible checks in well under a millisecond from the
-vertices every cached route of a connection crosses; every node below
-it propagates the same rule.
+Each target builds one path cache of SHALLOW_PATHS routes per pair of
+its neighbour map and one of DEFAULT_K, which all its placements share.
+Each placement tried is checked over the shallow cache, and only when
+that check is proven infeasible, over the deep one; the reported
+routing comes from the cache that routed. A shallow list is the prefix
+of a deep one: what routes on SHALLOW_PATHS routes also routes on
+DEFAULT_K, and the verdicts are those of one deep cache. The routing
+search's root node is ilp.must_cross_blocks's check, which refutes most
+infeasible checks in well under a millisecond from the vertices every
+cached route of a connection crosses; every node below it propagates
+the same rule.
 
 Neighbour maps and routes are derived once per MRRG and kept on it (see
 the neighbors and paths modules), so every target, placement and call
@@ -57,8 +58,8 @@ from dataclasses import dataclass
 from .dfg import Dfg, is_int
 from .ilp import placeable, route_search, screen_placements
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
-from .neighbors import NeighborMap, build_neighbor_map
-from .paths import DEFAULT_K, RoutePath, build_path_cache
+from .neighbors import build_neighbor_map
+from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
 from .solver import SolveConfig
 # unused: perfbench's tracing wraps them here until ROADMAP item 11
 from .ilp import build_variant  # noqa: F401
@@ -192,6 +193,8 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
     if not placeable(dfg, mrrg):
         return "infeasible", 0, None, False
     nmap = build_neighbor_map(mrrg, nn)
+    caches = [build_path_cache(mrrg, nmap, k)
+              for k in (SHALLOW_PATHS, DEFAULT_K)]
     placements = screen_placements(
         dfg, mrrg, nmap,
         _config(deadline, seed=seed, solutions=limits.placement_limit))
@@ -205,13 +208,13 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
             screened = stop.value[0] if not tried else "feasible"
             return screened, tried, None, timed_out
         tried += 1
-        status, routing = _route(dfg, mrrg, nmap, placement, SHALLOW_PATHS,
-                                 deadline, limits.solve_time)
-        if status == "infeasible":
-            # proven unroutable on SHALLOW_PATHS routes; DEFAULT_K may hold
-            # more
-            status, routing = _route(dfg, mrrg, nmap, placement, DEFAULT_K,
-                                     deadline, limits.solve_time)
+        for cache in caches:
+            status, routing = _route(dfg, cache, placement, deadline,
+                                     limits.solve_time)
+            # only a proof of unroutability on SHALLOW_PATHS routes moves
+            # on: DEFAULT_K may hold more
+            if status != "infeasible":
+                break
         if routing is not None:
             return ("feasible", tried, MappingSolution(placement, routing, nn),
                     timed_out)
@@ -220,24 +223,17 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
             return "feasible", tried, None, timed_out
 
 
-def _route(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
-           placement: dict[str, NodeKey], k: int, deadline: float,
-           cap: float):
-    """The routing check of one placement over a cache of k routes for
-    each of its (driver unit, sink unit) pairs, decided by
-    ilp.route_search within min(cap, time left): its status and, when
-    feasible, each driver's routes, one per DFG edge it drives, sorted
-    by vertex sequence. The search's root node is
+def _route(dfg: Dfg, cache: PathCache, placement: dict[str, NodeKey],
+           deadline: float, cap: float):
+    """The routing check of one placement over the cache.k routes the
+    target's cache holds for each of its (driver unit, sink unit) pairs,
+    decided by ilp.route_search within min(cap, time left): its status
+    and, when feasible, each driver's routes, one per DFG edge it
+    drives, sorted by vertex sequence. The search's root node is
     ilp.must_cross_blocks's check, which refutes most infeasible checks
     there; no model is built."""
     pairs = sorted({(placement[o], placement[p])
                     for o, p in dfg.point_edges()})
-    sinks: dict[NodeKey, list[NodeKey]] = {}
-    for u, w in pairs:
-        sinks.setdefault(u, []).append(w)
-    cache = build_path_cache(
-        mrrg, NeighborMap(nmap.target_nn,
-                          {u: tuple(ws) for u, ws in sinks.items()}), k)
     status, chosen, _ = route_search(pairs, cache, _config(deadline, cap))
     if status != "feasible":
         return status, None

@@ -13,12 +13,12 @@ lives as long as it does: every (driver, sink) pair ever asked for, at
 the deepest k asked so far. Since enumeration yields a prefix of the
 sorted path set, a shallower request is served by a prefix slice, and a
 list shorter than the k it was asked at holds every route, so serves any
-k. A path cache lists its pairs when it is built and enumerates none:
-a pair's routes are found the first time it is read, from the table
-where it holds them deep enough, else by enumeration at the cache's k,
-and kept by the cache. The cache keeps one distance-to-sink table per
-distinct sink it has read, shared among every driver routed there. A
-model that reads a few of a neighbour map's pairs pays for those alone.
+k. A path cache is a view of its neighbour map and enumerates nothing
+when built: a pair's routes are found the first time it is read, from
+the table where it holds them deep enough, else by enumeration at the
+cache's k, and kept by the cache. The cache keeps one distance-to-sink
+table per distinct sink it has read, shared among every driver routed
+there. A routing check that reads a few pairs pays for those alone.
 
 Enumeration walks the MRRG's id view, whose ids follow key order, and
 makes RoutePaths of keys only of the routes it returns.
@@ -136,42 +136,47 @@ def _routes(view: IdView, u: int, v: int, k: int,
 
 
 class _LazyRoutes(Mapping):
-    """Each pair to its routes at depth k, found through _routes_for
-    the first time the pair is read and kept. Iteration and len list
-    the pairs in the order given and read none."""
+    """Each (source, neighbour) pair of a neighbour map to its routes at
+    depth k, found through _routes_for the first time the pair is read
+    and kept. in, len and iteration read the map alone, its pairs in
+    sorted-driver order; a pair outside the map raises KeyError."""
 
-    def __init__(self, mrrg: Mrrg, pairs, k: int):
+    def __init__(self, mrrg: Mrrg, nmap: NeighborMap, k: int):
         self._mrrg = mrrg
+        self._near = nmap.neighbors
         self._k = k
-        self._routes: dict = dict.fromkeys(pairs)
+        self._routes: dict = {}
         # sink id -> its distance table, for every sink read so far
         self._dists: dict[int, dict[int, int]] = {}
 
     def __getitem__(self, pair):
-        routes = self._routes[pair]
+        routes = self._routes.get(pair)
         if routes is None:
+            if pair not in self:
+                raise KeyError(pair)
             routes = self._routes[pair] = _routes_for(
                 self._mrrg, pair, self._k, self._dists)
         return routes
 
-    def get(self, pair, default=None):
-        return self[pair] if pair in self._routes else default
-
     def __contains__(self, pair) -> bool:
-        return pair in self._routes
+        u, v = pair
+        return v in self._near.get(u, ())
 
     def __iter__(self):
-        return iter(self._routes)
+        for u in sorted(self._near):
+            for v in self._near[u]:
+                yield u, v
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return sum(map(len, self._near.values()))
 
 
 @dataclass(frozen=True)
 class PathCache:
     """Routes for the FU pairs a neighbor map lists, each list sorted and
-    <= k long. paths is read-only; build_path_cache's view finds a
-    pair's routes when the pair is first read."""
+    <= k long. paths is a read-only view of the map that finds a
+    pair's routes when the pair is first read; get gives () for a pair
+    outside the map."""
 
     k: int
     paths: Mapping[tuple[NodeKey, NodeKey], tuple[RoutePath, ...]]
@@ -185,15 +190,14 @@ class PathCache:
 
 def build_path_cache(mrrg: Mrrg, nmap: NeighborMap,
                      k: int = DEFAULT_K) -> PathCache:
-    """Routes for every (source, neighbor) pair in the map, in the map's
-    order, each equal to k_shortest_paths for that pair. Building lists
-    the pairs only: a pair's routes are found when it is first read,
-    from the MRRG's route table where an earlier read left them deep
-    enough, so a pair with an endpoint that is no unit raises when
-    read. A cache built for some neighbor count serves any smaller
-    count too, since shrinking the target only drops pairs.
+    """Routes for every (source, neighbor) pair in the map, in
+    sorted-source order, each equal to k_shortest_paths for that pair.
+    Building costs O(1): the cache reads its pairs from the map, and a
+    pair's routes are found when it is first read, from the MRRG's
+    route table where an earlier read left them deep enough, so a pair
+    with an endpoint that is no unit raises when read. A cache built
+    for some neighbor count serves any smaller count too, since
+    shrinking the target only drops pairs.
     """
     _check_k(k)
-    pairs = [(src, dst) for src in sorted(nmap.neighbors)
-             for dst in nmap.neighbors[src]]
-    return PathCache(k, _LazyRoutes(mrrg, pairs, k))
+    return PathCache(k, _LazyRoutes(mrrg, nmap, k))

@@ -131,13 +131,14 @@ def all_simple_paths(mrrg, u, v):
     """Every simple path from FU u to FU v whose interior vertices are
     routing nodes. For u == v, cycles through u (length >= 1). Exhaustive
     recursion; intended for small graphs."""
-    return simple_paths_from(mrrg, u).get(v, [])
+    return simple_paths_from(mrrg, u, v).get(v, [])
 
 
-def simple_paths_from(mrrg, u):
+def simple_paths_from(mrrg, u, sink=None):
     """all_simple_paths from u to every FU, by sink, in one walk: the
     walk through routing nodes does not depend on the sink, which only
-    decides where a path is recorded."""
+    decides where a path is recorded. Given a sink, only the paths that
+    end there are recorded, so a large fabric keeps only those."""
     fus = {k for k in mrrg.nodes if mrrg.is_fu(k)}
     paths = {}
     seen = {u}
@@ -146,7 +147,8 @@ def simple_paths_from(mrrg, u):
         for m in mrrg.fanout(n):
             if m in fus:
                 # an FU ends a path and is never expanded through
-                paths.setdefault(m, []).append((u, *acc, m))
+                if sink is None or m == sink:
+                    paths.setdefault(m, []).append((u, *acc, m))
                 continue
             if m in seen:
                 continue

@@ -1,5 +1,6 @@
-"""Staged driver checks: routes built on demand give the same routing
-searches as the full neighbourhood cache, the screen search yields the
+"""Staged driver checks: each target routes its placements through one
+path cache per depth over its full neighbourhood, the screen search
+yields the
 placements brute force finds, the routing search decides as the brute-force
 product of cached routes does, verdicts of the driver and of the
 combined model agree with brute force, reports are stable, and the
@@ -206,6 +207,12 @@ def _of(events, kind):
     return [event[1:] for event in events if event[0] == kind]
 
 
+def _caches(nn):
+    """The cache events of a target whose neighbour map was asked for:
+    one SHALLOW_PATHS-deep and one DEFAULT_K-deep cache, in that order."""
+    return [("cache", nn, SHALLOW_PATHS, ANY), ("cache", nn, DEFAULT_K, ANY)]
+
+
 def _run(kernel, family, ii, schedule, seed=1):
     out = map_dfg(parse_dfg(KERNELS[kernel]), fabric(family, ii), schedule,
                   LIMITS, seed=seed)
@@ -259,12 +266,15 @@ def test_neighbourhood_check_refutes_before_the_screen(monkeypatch):
     assert (out.status, [(a.nn, a.screen, a.placements_tried)
                          for a in out.attempts]) == (
         MAPPED, [(1, INFEASIBLE, 0), (2, INFEASIBLE, 0), (4, FEASIBLE, 1)])
+    # the routing check reads NN 4's shallow cache
+    shallow = _of(events, "cache")[-2][-1]
     assert events == [
-        ("nmap", 1), ("screen", 1, ANY), ("screened", 1, (INFEASIBLE, 1)),
-        ("nmap", 2), ("screen", 2, ANY), ("screened", 2, (INFEASIBLE, 1)),
-        ("nmap", 4), ("screen", 4, ANY), ("yield", 4, ANY),
-        ("cache", 4, SHALLOW_PATHS, ANY),
-        ("route", 4, SHALLOW_PATHS, ANY, (FEASIBLE, ANY, ANY), ANY)]
+        ("nmap", 1), *_caches(1), ("screen", 1, ANY),
+        ("screened", 1, (INFEASIBLE, 1)),
+        ("nmap", 2), *_caches(2), ("screen", 2, ANY),
+        ("screened", 2, (INFEASIBLE, 1)),
+        ("nmap", 4), *_caches(4), ("screen", 4, ANY), ("yield", 4, ANY),
+        ("route", 4, SHALLOW_PATHS, ANY, (FEASIBLE, ANY, ANY), shallow)]
 
 
 # two chains, one of 2 adds and one of 5, on 2x2 ADRES at II 2, NN 2:
@@ -290,7 +300,7 @@ def test_matching_after_the_cut_refutes(monkeypatch):
     assert [(a.nn, a.screen, a.placements_tried) for a in out.attempts] == [
         (2, INFEASIBLE, 0)]
     # the mapper's screen search ends there too
-    assert events == [("nmap", 2), ("screen", 2, ANY),
+    assert events == [("nmap", 2), *_caches(2), ("screen", 2, ANY),
                       ("screened", 2, (INFEASIBLE, 1))]
 
 
@@ -420,59 +430,56 @@ def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
     assert out.status == MAPPED
     assert [(a.nn, a.screen, a.routed) for a in out.attempts] == attempts
 
-    # the reference reads a full-neighbourhood cache as deep as the
-    # recorded check's
-    full = {}
-
-    def full_cache(nn, k):
-        if (nn, k) not in full:
-            full[nn, k] = build_path_cache(mrrg, build_neighbor_map(mrrg, nn),
-                                           k)
-        return full[nn, k]
-
     checked = []
     for nn, k, pairs, found, cache in _of(events, "route"):
-        ref = full_cache(nn, k)
-        assert found == route_search(pairs, ref, SolveConfig(time_limit=60))
+        # each check reads a cache over its target's full neighbourhood
+        near = build_neighbor_map(mrrg, nn).neighbors
+        assert set(cache.paths) == {(u, v) for u in near for v in near[u]}
         blocked = must_cross_blocks(pairs, cache)
-        assert blocked == must_cross_blocks(pairs, ref)
-        if blocked:
-            # refuted at the search's root node
-            assert found == (INFEASIBLE, None, 1)
+        # refuted at the search's root node exactly when the must-cross
+        # check names a block
+        assert bool(blocked) == (found == (INFEASIBLE, None, 1))
         checked.append((nn, k, "must_cross" if blocked else "search"))
     assert checked == SAME_MODELS_BUILT[kernel]
 
 
-@pytest.mark.parametrize("kernel,spec,ii,schedule,placements,deepened", [
-    ("fan3", ArchSpec("adres", 4, 4), 2, SCHEDULE, 20, 0),
-    (*SAME_MODELS[0][:5], 1),
-    (*DEEP_CASE, 1),
-], ids=["fan3", "tree5", "diamond"])
+@pytest.mark.parametrize("kernel,spec,ii,schedule,placements,seed,tried,"
+                         "deepened", [
+    ("fan3", ArchSpec("adres", 4, 4), 2, SCHEDULE, 20, 1, {2: 1}, 0),
+    (*SAME_MODELS[0][:5], SAME_MODELS_SEED["tree5"], {2: 1, 4: 1}, 1),
+    (*DEEP_CASE, SAME_MODELS_SEED["diamond"], {8: 1}, 1),
+    ("chain5", ArchSpec("adres", 2, 2), 2, SCHEDULE, 20, 4, {8: 6}, 5),
+], ids=["fan3", "tree5", "diamond", "chain5-adres"])
 def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
-                      deepened):
-    # each placement the screen search yields gets a SHALLOW_PATHS-deep
-    # cache over just its own pairs, read by its first routing check, and
-    # a DEFAULT_K-deep cache over the same pairs, with its routing check
-    # right after it, only when that first check is proven infeasible
+                      seed, tried, deepened):
+    # each target whose neighbour map is asked for builds one
+    # SHALLOW_PATHS-deep and one DEFAULT_K-deep cache over that map, right
+    # after it, however many placements it tries. Each placement the
+    # screen search yields gets a routing check over the shallow cache,
+    # and one over the deep cache right after it only when that first
+    # check is proven infeasible
     events = _record(monkeypatch)
     dfg = parse_dfg(KERNELS[kernel])
     out = map_dfg(dfg, build_mrrg(spec, ii), schedule,
-                  MapLimits(placement_limit=placements),
-                  seed=SAME_MODELS_SEED.get(kernel, 1))
+                  MapLimits(placement_limit=placements), seed=seed)
     assert out.status == MAPPED
 
+    # (NN, cache depth) -> the target's cache
+    caches = {}
+    for i, event in enumerate(events):
+        if event[0] == "nmap":
+            nn = event[1]
+            assert events[i + 1:i + 3] == _caches(nn)
+            caches.update(((nn, k), cache) for _, _, k, cache
+                          in events[i + 1:i + 3])
+    assert len(_of(events, "cache")) == len(caches)
     # (NN, cache depth, placement, verdict) of each routing check
     checks = []
     for i, event in enumerate(events):
-        if event[0] != "cache":
+        if event[0] != "route":
             continue
-        _, nn, k, cache = event
-        # the routing search reads the cache right after its build
-        kind, route_nn, route_k, pairs, found, route_cache = events[i + 1]
-        assert (kind, route_nn, route_k, route_cache) == ("route", nn, k,
-                                                          cache)
-        assert set(cache.paths) == set(pairs)
-        verdict = found[0]
+        _, nn, k, pairs, found, cache = event
+        assert cache is caches[nn, k]
         if k == SHALLOW_PATHS:
             # a placement just yielded
             kind, yield_nn, place = events[i - 1]
@@ -482,21 +489,20 @@ def test_cache_depths(monkeypatch, kernel, spec, ii, schedule, placements,
             # before, was a proof
             assert k == DEFAULT_K
             assert events[i - 1][0] == "route"
-            assert checks[-1][1:] == (SHALLOW_PATHS, place, INFEASIBLE)
+            assert checks[-1] == (nn, SHALLOW_PATHS, place, INFEASIBLE)
         assert set(pairs) == {(place[o], place[p])
                               for o, p in dfg.point_edges()}
-        checks.append((nn, k, place, verdict))
+        checks.append((nn, k, place, found[0]))
     # and every proof on shallow routes is deepened
     shallow = [c for c in checks if c[1] == SHALLOW_PATHS]
     deep = len(checks) - len(shallow)
     assert deep == sum(1 for c in shallow if c[3] == INFEASIBLE)
-    tried = {}
+    counts = {}
     for nn, *_ in shallow:
-        tried[nn] = tried.get(nn, 0) + 1
-    assert tried == {a.nn: a.placements_tried for a in out.attempts
-                     if a.screen == "feasible"}
-    assert tried
-    assert deep == deepened
+        counts[nn] = counts.get(nn, 0) + 1
+    assert counts == {a.nn: a.placements_tried for a in out.attempts
+                      if a.screen == "feasible"}
+    assert (counts, deep) == (tried, deepened)
 
 
 def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
@@ -533,10 +539,10 @@ def test_deep_stage_routes_what_shallow_cannot(monkeypatch):
 
 def test_shallow_timeout_does_not_deepen(monkeypatch):
     # a timeout proves nothing: it ends that placement, as a routing
-    # timeout always has, and no DEFAULT_K cache is built; and since no
-    # placement was proven unroutable, the run timed out rather than
-    # found the kernel unmappable. The placement limit bounds the
-    # placements tried.
+    # timeout always has, and the target's DEFAULT_K cache is never
+    # read; and since no placement was proven unroutable, the run timed
+    # out rather than found the kernel unmappable. The placement limit
+    # bounds the placements tried.
     _Clock(monkeypatch)
     events = _record(monkeypatch, route_search=_answers(TIMEOUT))
     kernel, spec, ii, schedule, _ = DEEP_CASE
@@ -546,17 +552,18 @@ def test_shallow_timeout_does_not_deepen(monkeypatch):
     assert (out.status, [(a.nn, a.screen, a.placements_tried, a.routed)
                          for a in out.attempts]) == (
         TIMED_OUT, [(8, FEASIBLE, 2, False)])
-    assert [k for _, k, _ in _of(events, "cache")] == [SHALLOW_PATHS,
-                                                        SHALLOW_PATHS]
-    assert [k for _, k, *_ in _of(events, "route")] == [SHALLOW_PATHS,
-                                                         SHALLOW_PATHS]
+    assert events[:3] == [("nmap", 8), *_caches(8)]
+    shallow = events[1][-1]
+    assert [(k, cache) for _, k, *_, cache in _of(events, "route")] == [
+        (SHALLOW_PATHS, shallow), (SHALLOW_PATHS, shallow)]
 
 
-def test_first_placement_that_routes_builds_only_its_own_cache(monkeypatch):
+def test_first_placement_that_routes_reads_only_its_own_pairs(monkeypatch):
     # join's screen search at NN 4 yields a first placement that routes
-    # on its own SHALLOW_PATHS cache: that cache and one routing search
-    # are all that run past the screen, no model is built, and the
-    # mapping places what the search placed
+    # on the target's SHALLOW_PATHS cache: one routing search is all that
+    # runs past the screen, it enumerates routes for the placement's own
+    # pairs alone, no model is built, and the mapping places what the
+    # search placed
     events = _record(monkeypatch)
     dfg, mrrg = parse_dfg(KERNELS["join"]), fabric("adres", 2)
     out = map_dfg(dfg, mrrg, SCHEDULE, LIMITS, seed=1)
@@ -569,12 +576,15 @@ def test_first_placement_that_routes_builds_only_its_own_cache(monkeypatch):
         (SHALLOW_PATHS, FEASIBLE)]
     [(nn, place)] = _of(events, "yield")
     assert out.solution.placement == place
-    caches = [cache for *_, cache in _of(events, "cache")]
-    assert [(c.k, set(c.paths)) for c in caches] == [
-        (SHALLOW_PATHS, {(place[o], place[p]) for o, p in dfg.point_edges()})]
-    assert set(caches[0].paths) < {
-        (u, v) for _, u, _, v in neighbor_domain(
-            dfg, mrrg, build_neighbor_map(mrrg, nn))}
+    assert [(nn, k) for nn, k, _ in _of(events, "cache")] == [
+        (2, SHALLOW_PATHS), (2, DEFAULT_K), (4, SHALLOW_PATHS), (4, DEFAULT_K)]
+    # the graph's route table holds every pair any cache enumerated,
+    # at the depth it was enumerated at
+    own = {(place[o], place[p]) for o, p in dfg.point_edges()}
+    assert {pair: k for pair, (k, _) in mrrg.route_table.items()} == (
+        dict.fromkeys(own, SHALLOW_PATHS))
+    assert own < {(u, v) for _, u, _, v in neighbor_domain(
+        dfg, mrrg, build_neighbor_map(mrrg, nn))}
 
 
 # CANDIDATE_MISS, and chain5 on 2x2 ADRES at II 2, seed 4, which maps at

@@ -189,6 +189,22 @@ def test_matches_exhaustive_enumeration_on_random_graphs():
                 assert [p.vertices for p in ps] == every[a, b][:k]
 
 
+def test_sink_only_walk_keeps_the_full_walks_list():
+    # brute force asks for one sink's paths at a time; the walk that
+    # records only those gives that sink's list of the walk recording
+    # every sink, in the same order
+    rng = random.Random(21)
+    for _ in range(50):
+        m, _ = rand_graph(rng)
+        fus = fu_nodes(m)
+        for a in fus:
+            every = simple_paths_from(m, a)
+            for b in fus:
+                only = simple_paths_from(m, a, b)
+                assert only == ({b: every[b]} if b in every else {})
+                assert all_simple_paths(m, a, b) == every.get(b, [])
+
+
 def test_cache_on_ortho_grid():
     m = build_mrrg(ArchSpec("ortho", 3, 3), ii=1)
     nmap = build_neighbor_map(m, 4)
@@ -251,8 +267,10 @@ def test_empty_neighbor_map_gives_empty_cache():
 
 
 def test_cache_enumerates_a_pair_when_first_read(monkeypatch):
-    # a full-NN cache lists every pair of the map and enumerates none;
-    # a pair's routes are enumerated when it is first read, with one
+    # a full-NN cache lists every pair of the map, in sorted-driver
+    # order whatever the map's own order, and enumerates none; a pair
+    # outside the map is not in the cache and is never enumerated; a
+    # pair's routes are enumerated when it is first read, with one
     # distance table per sink read, and kept
     spec = ArchSpec("hycube", 2, 2)
     m = build_mrrg(spec, ii=1)
@@ -276,6 +294,16 @@ def test_cache_enumerates_a_pair_when_first_read(monkeypatch):
     pairs = [(a, b) for a in sorted(nmap.neighbors) for b in nmap[a]]
     assert list(cache.paths) == pairs and len(cache.paths) == len(pairs)
     assert all(pair in cache.paths for pair in pairs)
+    backwards = NeighborMap(nmap.target_nn,
+                            dict(reversed(nmap.neighbors.items())))
+    assert list(backwards.neighbors) != sorted(nmap.neighbors)
+    assert list(build_path_cache(m, backwards, DEFAULT_K).paths) == pairs
+    fus = fu_nodes(m)
+    outside = next((a, b) for a in fus for b in fus if b not in nmap[a])
+    assert outside not in cache.paths
+    with pytest.raises(KeyError):
+        cache.paths[outside]
+    assert cache.get(outside) == ()
     assert enumerated == tables == []
     pair = pairs[len(pairs) // 2]
     routes = cache[pair]
