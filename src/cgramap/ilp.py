@@ -22,13 +22,16 @@ The numbering is that of a formulation with a variable per placed DFG
 edge (o, u, p, v), equal to f[o,u] * f[p,v] as con2 places each op once;
 con3 and con5 project it out, and with it that formulation's con4.
 
-The mapper builds no model. It searches con1-3 without one
+The mapper builds no model. It searches con1-3 without one, with
+con5-6 over the cached routes at must-cross strength
 (screen_placements, over each operation's units, kept arc-consistent
-and matchable onto distinct units), and con5-6 over a placement's
-cached routes likewise (route_search, over each connection's routes,
-from must_cross_blocks's fixpoint). Both are one depth-first loop,
-_depth_first; each search gives it only its root node, its propagation
-and its value order.
+and matchable onto distinct units, each connection whose ends are
+fixed keeping the routes that cross no vertex another connection must
+cross), and then con5-6 in full over a placement's routes likewise
+(route_search, over each connection's routes, from the fixpoint the
+screen's leaf holds). Both are one depth-first loop, _depth_first;
+each search gives it only its root node, its propagation and its value
+order.
 
 build_variant builds the one model, combined (con1-3, con5-6), over the
 neighbour map and the path cache; the benchmark's exact workload and
@@ -302,48 +305,91 @@ def _depth_first(root, settle, values, cfg, limit):
             stack.pop()
 
 
-def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg):
-    """Yield each placement that meets con1-con3 once, as op -> unit, by
-    _depth_first over the units each operation may take, maintaining
-    arc consistency (Sabin & Freuder, CP 1994) and the matching test
-    (_settle); the subgraph matching of LAD (Solnon, AIJ 2010) works
-    alike. Ties go to more DFG edges through the operation, then to
-    declaration order. Each operation tries its units in sorted order,
-    shuffled once by random.Random(cfg.seed). cfg is a
-    solver.SolveConfig whose time_limit and solution_limit bound the
-    search; returns _depth_first's (status, nodes).
+def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg,
+                      cache: PathCache):
+    """Yield each placement that meets con1-con3 and leaves every
+    connection a cached route at must-cross strength, once, as
+    (op -> unit, leaf). The search is _depth_first over the units each
+    operation may take, maintaining arc consistency (Sabin & Freuder,
+    CP 1994) and the matching test (_settle); the subgraph matching of
+    LAD (Solnon, AIJ 2010) works alike. Ties go to more DFG edges
+    through the operation, then to declaration order. Each operation
+    tries its units in sorted order, shuffled once by
+    random.Random(cfg.seed). cfg is a solver.SolveConfig whose
+    time_limit and solution_limit bound the search; returns
+    _depth_first's (status, nodes).
 
-    The same placements are the 0/1 solutions of the combined model's
-    con1-con3 rows. Forbidden partial assignments (a routing failure's
-    core cut, the rotations of a placement) would enter as a settle
-    that fails a node assigning one in full."""
+    A node also holds routes, each connection whose two ends have one
+    unit with its cached routes, and their claims. A connection joins
+    once its ends are fixed, without the routes through a vertex another
+    driver claims, and must-cross (_cross) runs from the connections
+    that joined; the node fails when one is left with no route. A leaf
+    is the pruned (routes, claims), in pair order: route_search's root
+    for the placement.
+
+    So the search is exact over con1-con3 with con5-con6 at must-cross
+    strength over the cache: it prunes no placement that some choice of
+    one cached route per connection routes, and yields none that
+    must-cross refutes; route_search from the leaf decides the rest. An
+    infeasible end holds only relative to the cache. Forbidden partial
+    assignments (a routing failure's core cut, the rotations of a
+    placement) would enter as a settle that fails a node assigning one
+    in full."""
     units, through = _domains(dfg, mrrg, nmap)
     rng = random.Random(cfg.seed)
     order = {}
     for o, us in units.items():
         order[o] = sorted(us)
         rng.shuffle(order[o])
+    edges = dfg.point_edges()
+    # pair -> its cached routes as (interior, route), read once a search
+    read: dict[tuple[NodeKey, NodeKey], tuple] = {}
+
+    def settle(node, changed):
+        domains, routes, claims = node
+        if not _settle(domains, nmap.others, through, changed):
+            return False
+        fresh = []
+        for o, p in edges:
+            us, vs = domains[o], domains[p]
+            if len(us) == 1 == len(vs):
+                pair = (*us, *vs)
+                if pair in routes:
+                    continue
+                if pair not in read:
+                    read[pair] = _entries(pair, cache)
+                own = {pair[0]}
+                taken = {n for n, ds in claims.items() if ds != own}
+                routes[pair] = tuple(entry for entry in read[pair]
+                                     if taken.isdisjoint(entry[0]))
+                fresh.append(pair)
+        return not fresh or _cross(routes, claims, fresh)
+
     busy = sorted(units, key=lambda o: -len(through[o]))  # stable
     search = _depth_first(
-        ({o: units[o] for o in busy},),
-        lambda node, changed: _settle(node[0], nmap.others, through,
-                                      changed),
+        ({o: units[o] for o in busy}, {}, {}), settle,
         lambda node, o: [{u} for u in order[o] if u in node[0][o]],
         cfg, cfg.solution_limit)
     while True:
         try:
-            (leaf,), _ = next(search)
+            (leaf, routes, claims), _ = next(search)
         except StopIteration as end:
             return end.value
-        yield {o: next(iter(leaf[o])) for o in units}
+        yield ({o: next(iter(leaf[o])) for o in units},
+               ({pair: routes[pair] for pair in sorted(routes)}, claims))
 
 
-def _route_domains(pairs, cache: PathCache):
-    """The root node of a routing check: each connection of pairs, in
-    sorted order, with its cached routes in cache order, each as
-    (interior, route)."""
-    return {pair: tuple((rp.interior(), rp) for rp in cache.get(pair))
-            for pair in sorted(set(pairs))}
+def _entries(pair, cache: PathCache) -> tuple:
+    """A connection's cached routes in cache order, each as (interior,
+    route): the values the routing searches branch on."""
+    return tuple((rp.interior(), rp) for rp in cache.get(pair))
+
+
+def route_root(pairs, cache: PathCache) -> tuple[dict, dict]:
+    """The root node of a routing check from the cache alone: each
+    connection of pairs, in sorted order, with its cached routes, and
+    no claims."""
+    return {pair: _entries(pair, cache) for pair in sorted(set(pairs))}, {}
 
 
 def _cross(routes, claims, changed, blocked=None) -> bool:
@@ -407,29 +453,29 @@ def must_cross_blocks(pairs, cache: PathCache
     blocked its routes; empty when it proves nothing. A connection must
     cross every interior vertex all its routes share, and by con6 no
     other driver's route may then cross that vertex, so such routes are
-    dropped, until nothing more is (_cross). This is route_search's
-    root node. Relative to the cache, like the search."""
-    routes = _route_domains(pairs, cache)
+    dropped, until nothing more is (_cross). This is how route_search
+    settles route_root's node. Relative to the cache, like the search."""
+    routes, claims = route_root(pairs, cache)
     blocked: dict[tuple, set] = {pair: set() for pair in routes}
-    _cross(routes, {}, list(routes), blocked)
+    _cross(routes, claims, list(routes), blocked)
     return {pair: tuple(sorted(blocked[pair]))
             for pair, rps in routes.items() if not rps}
 
 
-def route_search(pairs, cache: PathCache, cfg):
-    """Pick one cached route per (driver unit, sink unit) pair of a
-    placement so that no routing vertex carries two drivers' signals
-    (con5 and con6 over the cache), by _depth_first over each
-    connection's routes, in pair order and cache order (shortest first,
-    ties to the vertex sequence), propagating must_cross_blocks's
-    fixpoint (_cross) at every node. No seed enters; of cfg, a
-    solver.SolveConfig, only time_limit is read. Returns (status,
-    routes, nodes): routes is {pair: route} when feasible, else None.
-    Exact over the cache: feasible exactly when some product of one
-    cached route per pair meets con6."""
+def route_search(root, cfg):
+    """Pick one route per connection of root, a (routes, claims) node
+    from route_root or a screen_placements leaf, so that no routing
+    vertex carries two drivers' signals (con5 and con6 over the cache),
+    by _depth_first over each connection's routes, in pair order and
+    cache order (shortest first, ties to the vertex sequence),
+    propagating must_cross_blocks's fixpoint (_cross) at every node,
+    the root included. No seed enters; of cfg, a solver.SolveConfig,
+    only time_limit is read. Returns (status, routes, nodes): routes is
+    {pair: route} when feasible, else None. Exact over the routes root
+    holds: feasible exactly when some product of one route per pair
+    meets con6 and the claims."""
     search = _depth_first(
-        (_route_domains(pairs, cache), {}),
-        lambda node, changed: _cross(*node, changed),
+        root, lambda node, changed: _cross(*node, changed),
         lambda node, pair: [(entry,) for entry in node[0][pair]], cfg, 1)
     try:
         (routes, _), nodes = next(search)

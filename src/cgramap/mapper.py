@@ -3,16 +3,20 @@
 For each neighbour-count target in the schedule, a matching of
 operations onto distinct compatible units (con1-con2, which do not
 depend on NN) may refute the target before its neighbour map is asked
-for. Otherwise the screen searches the placements that meet con1-con3
-(ilp.screen_placements): a depth-first search over each operation's
-units that keeps them arc-consistent with the neighbour map and
-matchable onto distinct units at every node, from its root node on.
-Each placement the search yields gets a routing check, a search for
-one cached route per connection with no vertex carrying two signals
-(ilp.route_search): over SHALLOW_PATHS routes per connection first,
-and over DEFAULT_K routes only when those are proven too few. The
-first routable placement wins; growing the neighbourhood only happens
-when the cheap stages say the current one cannot work.
+for. Otherwise the target builds one path cache of SHALLOW_PATHS routes
+per pair of its neighbour map, and the screen searches the placements
+that meet con1-con3 and leave every connection a cached route at
+must-cross strength (ilp.screen_placements): a depth-first search over
+each operation's units that keeps them arc-consistent with the
+neighbour map and matchable onto distinct units, and the routes of each
+connection whose ends are fixed consistent with the vertices every
+other connection must cross, at every node from its root node on. Each
+placement the search yields gets one routing check, a search for one
+cached route per connection with no vertex carrying two signals
+(ilp.route_search), which starts from the routes and claims the
+screen's leaf left. The first routable placement wins; growing the
+neighbourhood only happens when the cheap stages say the current one
+cannot work.
 
 This deviates from the paper, which stages its models as screen, then
 relaxed placement (con5, and con6 at more than one signal per vertex,
@@ -21,24 +25,13 @@ model, at 2 signals per vertex over SHALLOW_PATHS routes, excluded no
 placement that its enumeration reached, and neither the screen nor the
 routing stage is solved from a 0/1 model: the screen's placements and
 each placement's routes are searched directly, each exact over what it
-searches.
+searches. Both read the target's one cache, so a screen infeasible and
+a routing infeasible hold relative to its SHALLOW_PATHS routes.
 
 Every stage takes its time limit as it starts: min(cap, time left
 before the map deadline), floored at 1 ms. MapLimits.solve_time caps
 each routing search; the screen search has no cap and runs to the
 deadline.
-
-Each target builds one path cache of SHALLOW_PATHS routes per pair of
-its neighbour map and one of DEFAULT_K, which all its placements share.
-Each placement tried is checked over the shallow cache, and only when
-that check is proven infeasible, over the deep one; the reported
-routing comes from the cache that routed. A shallow list is the prefix
-of a deep one: what routes on SHALLOW_PATHS routes also routes on
-DEFAULT_K, and the verdicts are those of one deep cache. The routing
-search's root node is ilp.must_cross_blocks's check, which refutes most
-infeasible checks in well under a millisecond from the vertices every
-cached route of a connection crosses; every node below it propagates
-the same rule.
 
 Neighbour maps and routes are derived once per MRRG and kept on it (see
 the neighbors and paths modules), so every target, placement and call
@@ -59,7 +52,7 @@ from .dfg import Dfg, is_int
 from .ilp import placeable, route_search, screen_placements
 from .mrrg import FU, ArchSpec, Mrrg, NodeKey, build_mrrg
 from .neighbors import build_neighbor_map
-from .paths import DEFAULT_K, PathCache, RoutePath, build_path_cache
+from .paths import RoutePath, build_path_cache
 from .solver import SolveConfig
 # unused: perfbench's tracing wraps them here until ROADMAP item 11
 from .ilp import build_variant  # noqa: F401
@@ -71,8 +64,8 @@ TIMED_OUT = "timed_out"
 
 GENERIC_SCHEDULE = tuple(range(4, 25, 2))
 
-# routes per connection in the cache each placement's first routing
-# check reads
+# routes per connection in the cache each target's screen and routing
+# checks read
 SHALLOW_PATHS = 3
 
 
@@ -101,7 +94,10 @@ class NnAttempt:
     once its search yields a placement, infeasible when the search, or
     the unit matching before it, proves that none exists, and timeout
     when the deadline came first; placements_tried counts the distinct
-    placements the search yielded."""
+    placements the search yielded. A screen infeasible holds relative
+    to the target's SHALLOW_PATHS cache: no placement leaves every
+    connection a cached route at must-cross strength, though one may
+    route over longer routes."""
 
     nn: int
     screen: str
@@ -184,37 +180,34 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
 
     A target the unit matching refutes never asks for its neighbour
     map, and returns what an infeasible screen does. Otherwise the
-    screen search runs, and its status is feasible once it yields a
-    placement, else the status it ends with: infeasible when its root
-    node or its exhausted tree proves there is no placement. Which
-    placement comes first depends on the seed, through the search's
-    value order. A routing check that ends past the deadline ends the
-    target."""
+    target builds one SHALLOW_PATHS cache, the screen search runs over
+    it, and its status is feasible once it yields a placement, else the
+    status it ends with: infeasible when its root node or its exhausted
+    tree proves that no placement passes must-cross over the cache,
+    which holds only relative to the cache. Which placement comes first
+    depends on the seed, through the search's value order. Each
+    placement gets one routing check, from the screen's leaf; one that
+    ends past the deadline ends the target."""
     if not placeable(dfg, mrrg):
         return "infeasible", 0, None, False
     nmap = build_neighbor_map(mrrg, nn)
-    caches = [build_path_cache(mrrg, nmap, k)
-              for k in (SHALLOW_PATHS, DEFAULT_K)]
+    cache = build_path_cache(mrrg, nmap, SHALLOW_PATHS)
     placements = screen_placements(
         dfg, mrrg, nmap,
-        _config(deadline, seed=seed, solutions=limits.placement_limit))
+        _config(deadline, seed=seed, solutions=limits.placement_limit),
+        cache)
     tried, timed_out = 0, False
     while True:
         try:
-            placement = next(placements)
+            placement, leaf = next(placements)
         except StopIteration as stop:
             # an empty stream ends with the search's verdict; its status
             # is None only at the placement limit, after a yield
             screened = stop.value[0] if not tried else "feasible"
             return screened, tried, None, timed_out
         tried += 1
-        for cache in caches:
-            status, routing = _route(dfg, cache, placement, deadline,
-                                     limits.solve_time)
-            # only a proof of unroutability on SHALLOW_PATHS routes moves
-            # on: DEFAULT_K may hold more
-            if status != "infeasible":
-                break
+        status, routing = _route(dfg, placement, leaf, deadline,
+                                 limits.solve_time)
         if routing is not None:
             return ("feasible", tried, MappingSolution(placement, routing, nn),
                     timed_out)
@@ -223,18 +216,15 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
             return "feasible", tried, None, timed_out
 
 
-def _route(dfg: Dfg, cache: PathCache, placement: dict[str, NodeKey],
-           deadline: float, cap: float):
-    """The routing check of one placement over the cache.k routes the
-    target's cache holds for each of its (driver unit, sink unit) pairs,
-    decided by ilp.route_search within min(cap, time left): its status
-    and, when feasible, each driver's routes, one per DFG edge it
-    drives, sorted by vertex sequence. The search's root node is
-    ilp.must_cross_blocks's check, which refutes most infeasible checks
-    there; no model is built."""
-    pairs = sorted({(placement[o], placement[p])
-                    for o, p in dfg.point_edges()})
-    status, chosen, _ = route_search(pairs, cache, _config(deadline, cap))
+def _route(dfg: Dfg, placement: dict[str, NodeKey], leaf, deadline: float,
+           cap: float):
+    """The routing check of one placement, decided by ilp.route_search
+    within min(cap, time left) from the screen's leaf: the placement's
+    (driver unit, sink unit) pairs with the cached routes must-cross
+    left them. Its status and, when feasible, each driver's routes, one
+    per DFG edge it drives, sorted by vertex sequence; no model is
+    built."""
+    status, chosen, _ = route_search(leaf, _config(deadline, cap))
     if status != "feasible":
         return status, None
     routing: dict[str, list[RoutePath]] = {}

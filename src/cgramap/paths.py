@@ -34,8 +34,6 @@ from .dfg import is_int
 from .mrrg import IdView, Mrrg, NodeKey
 from .neighbors import NeighborMap
 
-DEFAULT_K = 20
-
 
 @dataclass(frozen=True)
 class RoutePath:
@@ -76,7 +74,7 @@ def _check_k(k) -> None:
 
 
 def k_shortest_paths(mrrg: Mrrg, u: NodeKey, v: NodeKey,
-                     k: int = DEFAULT_K) -> tuple[RoutePath, ...]:
+                     k: int) -> tuple[RoutePath, ...]:
     """The k shortest simple routes from FU u to FU v, by hop count.
 
     Equal lengths tie-break on the vertex sequence, so the result is a
@@ -188,8 +186,7 @@ class PathCache:
         return self.paths.get(pair, ())
 
 
-def build_path_cache(mrrg: Mrrg, nmap: NeighborMap,
-                     k: int = DEFAULT_K) -> PathCache:
+def build_path_cache(mrrg: Mrrg, nmap: NeighborMap, k: int) -> PathCache:
     """Routes for every (source, neighbor) pair in the map, in
     sorted-source order, each equal to k_shortest_paths for that pair.
     Building costs O(1): the cache reads its pairs from the map, and a

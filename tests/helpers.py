@@ -1,7 +1,8 @@
 """Reference oracles for the test suite, a runner for checks that need
-a fresh interpreter, the kernels, with placements of one of them, that
-more than one test module reads, a probe of the screen search's root
-node, the screen rows of a combined model, and a generator drain.
+a fresh interpreter, the kernels, with placements of one of them, and
+a cache depth past the mapper's, that more than one test module reads,
+a probe of the screen search's root node, the screen rows of a combined
+model, and a generator drain.
 
 Every oracle is written against the documented semantics only and stays
 independent of the package's search and model-building code paths: plain
@@ -25,6 +26,9 @@ TREE5 = ("op a add\nop b add\nop c add\nop d add\nop e add\n"
          "edge a -> b:0\nedge b -> c:0, d:0\nedge c -> e:0\n")
 JOIN = "op a add\nop b add\nop c add\nedge a -> c:0\nedge b -> c:1\n"
 LDST = "op ld load\nop st store\nedge ld -> st:0\n"
+# routes per pair in the deep caches tests check the searches over: many
+# pairs of a 4x4 fabric have more, many of a 2x2 one fewer
+DEEP = 20
 # 12 ops: four loads, each squared, the squares summed pairwise into one
 # stored value
 FIR4 = "".join(f"op x{i} load\nop m{i} mul\n" for i in range(4)) + (
@@ -32,8 +36,10 @@ FIR4 = "".join(f"op x{i} load\nop m{i} mul\n" for i in range(4)) + (
     + "".join(f"edge x{i} -> m{i}:0, m{i}:1\n" for i in range(4))
     + "edge m0 -> a0:0\nedge m1 -> a0:1\nedge m2 -> a1:0\n"
     "edge m3 -> a1:1\nedge a0 -> a2:0\nedge a1 -> a2:1\nedge a2 -> st:0\n")
-# the first placement of fir4's NN-10 screen search on 4x4 HyCUBE at II 2
-# under seed 1: a1 and a2 share PE 0_1 in consecutive contexts
+# a placement of fir4 that meets con1-con3 at NN 10 on 4x4 HyCUBE at II
+# 2, and that must-cross refutes: a1 and a2 share PE 0_1 in consecutive
+# contexts. The NN-10 screen search at seed 1 yields it first over
+# routes that cross no vertex, and prunes it over SHALLOW_PATHS routes
 FIR4_HYCUBE_PLACEMENT = {
     "a0": ("pe_1_1.alu", 0), "a1": ("pe_0_1.alu", 0), "a2": ("pe_0_1.alu", 1),
     "m0": ("pe_1_2.alu", 1), "m1": ("pe_1_1.alu", 1), "m2": ("pe_0_0.alu", 1),
@@ -212,15 +218,17 @@ def drain(stream):
             return items, stop.value
 
 
-def refuted_at_root(dfg, mrrg, nmap) -> bool:
-    """Whether the screen search ends at its root node with no placement:
-    arc consistency and the unit matching over the neighbour map prove,
+def refuted_at_root(dfg, mrrg, nmap, cache) -> bool:
+    """Whether the screen search over the cache ends at its root node
+    with no placement: arc consistency, the unit matching and must-cross
+    over the routes of the connections whose ends the root fixes prove,
     before any branch, that none exists. Not an oracle: it runs the
     package's search."""
     from cgramap.ilp import screen_placements
     from cgramap.solver import INFEASIBLE, SolveConfig
 
-    _, end = drain(screen_placements(dfg, mrrg, nmap, SolveConfig(seed=1)))
+    _, end = drain(screen_placements(dfg, mrrg, nmap, SolveConfig(seed=1),
+                                     cache))
     return end == (INFEASIBLE, 1)
 
 

@@ -11,15 +11,14 @@ from cgramap.ilp import (IlpModel, InfeasibleModel, VarId,
                          add_fu_exclusivity, add_implication, add_must_map,
                          add_path_exclusivity, audit, build_variant,
                          declare_f, fvar, must_cross_blocks, pvar,
-                         route_search, screen_placements, yvar)
+                         route_root, route_search, screen_placements, yvar)
 from cgramap.mapper import SHALLOW_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg, compatible_nodes, fu_nodes
 from cgramap.neighbors import NeighborMap, build_neighbor_map
-from cgramap.paths import (DEFAULT_K, PathCache, RoutePath,
-                           build_path_cache)
+from cgramap.paths import PathCache, RoutePath, build_path_cache
 
-from helpers import (ACC, DIAMOND, FAN3, FIR4, FIR4_HYCUBE_PLACEMENT, SUM4,
-                     routable, satisfies, screen_of)
+from helpers import (ACC, DEEP, DIAMOND, FAN3, FIR4, FIR4_HYCUBE_PLACEMENT,
+                     SUM4, routable, satisfies, screen_of)
 
 EXPR_TEXT = """\
 # a = b * (c + d)
@@ -223,14 +222,14 @@ def test_path_models_are_pinned():
     # a rewrite of the builders must give the same combined models: the
     # same variables in the same order, the same rows with the same
     # terms in the same order, and the same domain. Each is built over
-    # SHALLOW_PATHS and DEFAULT_K routes
+    # SHALLOW_PATHS and DEEP routes
     h = hashlib.sha256()
     built = 0
     for text, spec, ii, nns in PINNED_MODELS:
         dfg, m = parse_dfg(text), build_mrrg(spec, ii)
         for nn in nns:
             nmap = build_neighbor_map(m, nn or len(fu_nodes(m)))
-            for k in (SHALLOW_PATHS, DEFAULT_K):
+            for k in (SHALLOW_PATHS, DEEP):
                 model = build_variant("combined", dfg, m, nmap,
                                       build_path_cache(m, nmap, k))
                 h.update(repr((model.variables, model.constraints,
@@ -524,13 +523,13 @@ def test_zero_ops_zero_rows():
     assert model.constraints == []
 
 
-@pytest.mark.parametrize("k", [SHALLOW_PATHS, DEFAULT_K])
+@pytest.mark.parametrize("k", [SHALLOW_PATHS, DEEP])
 def test_must_cross_refutes_fir4_on_hycube(k):
     # every route of a1 -> a2 and of a2 -> st leaves through PE 0_1's
     # output at context 1, and those are two drivers, so no route of
     # either survives: no product of one cached route per connection
     # routes. The brute force that checks it runs on SHALLOW_PATHS
-    # routes only, in milliseconds; at DEFAULT_K it ran 150 s unfinished
+    # routes only, in milliseconds; at DEEP it ran 150 s unfinished
     dfg, m = parse_dfg(FIR4), build_mrrg(ArchSpec("hycube", 4, 4), 2)
     place = FIR4_HYCUBE_PLACEMENT
     pairs = [(place[o], place[p]) for o, p in dfg.point_edges()]
@@ -583,12 +582,13 @@ def test_route_search_refutes_past_its_root():
     paths = cache.paths
     cfg = solver.SolveConfig(time_limit=10)
     assert must_cross_blocks(three, cache) == {}
-    assert route_search(three, cache, cfg) == ("infeasible", None, 3)
-    assert route_search(three[:2], cache, cfg) == (
+    assert route_search(route_root(three, cache), cfg) == (
+        "infeasible", None, 3)
+    assert route_search(route_root(three[:2], cache), cfg) == (
         "feasible", {(a, b): paths[a, b][0], (c, d): paths[c, d][1]}, 2)
     # a connection the cache holds no route for fails the root node
     assert must_cross_blocks([(a, b), (b, a)], cache) == {(b, a): ()}
-    assert route_search([(a, b), (b, a)], cache, cfg) == (
+    assert route_search(route_root([(a, b), (b, a)], cache), cfg) == (
         "infeasible", None, 1)
 
 
@@ -600,7 +600,8 @@ def test_route_search_reads_the_clock_at_every_node(monkeypatch):
     monkeypatch.setattr("cgramap.ilp.time",
                         SimpleNamespace(monotonic=lambda: next(reads)))
     three, cache = three_drivers()
-    assert route_search(three, cache, solver.SolveConfig(time_limit=2)) == (
+    assert route_search(route_root(three, cache),
+                        solver.SolveConfig(time_limit=2)) == (
         "timeout", None, 3)
 
 
@@ -613,7 +614,8 @@ def test_screen_search_reads_the_clock_at_every_node(monkeypatch):
     monkeypatch.setattr("cgramap.ilp.time",
                         SimpleNamespace(monotonic=lambda: next(reads)))
     stream = screen_placements(dfg, mrrg, nmap,
-                               solver.SolveConfig(seed=1, time_limit=2))
+                               solver.SolveConfig(seed=1, time_limit=2),
+                               build_path_cache(mrrg, nmap, SHALLOW_PATHS))
     with pytest.raises(StopIteration) as stop:
         next(stream)
     assert stop.value.value == ("timeout", 3)

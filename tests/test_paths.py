@@ -8,10 +8,11 @@ from cgramap.mapper import SHALLOW_PATHS
 from cgramap.mrrg import (FU, ROUTE, ArchSpec, Mrrg, MrrgNode, build_mrrg,
                           fu_nodes)
 from cgramap.neighbors import NeighborMap, build_neighbor_map
-from cgramap.paths import (DEFAULT_K, RoutePath, build_path_cache,
-                           is_valid_path, k_shortest_paths)
+from cgramap.paths import (RoutePath, build_path_cache, is_valid_path,
+                           k_shortest_paths)
 
-from helpers import all_simple_paths, simple_paths_from, under_hash_seeds
+from helpers import (DEEP, all_simple_paths, simple_paths_from,
+                     under_hash_seeds)
 
 
 def mk_graph(fus, routes, edges, ii=1):
@@ -245,14 +246,13 @@ def test_cache_determinism_and_reuse():
 
 @pytest.mark.parametrize("family", ["adres", "hycube"])
 def test_shallow_cache_is_prefix_of_deep_one(family):
-    # map_dfg routes each placement over a SHALLOW_PATHS-deep cache
-    # first and over a DEFAULT_K-deep one only when that is proven
-    # infeasible; what routes on the shallow routes routes on the deep
-    # ones only because the shallow list is the deep list's prefix
+    # a shallow cache's list is the prefix of a deep one's: what routes
+    # on the shallow routes routes on the deep ones, and the route table
+    # serves a shallow read from a deeper enumeration
     m = build_mrrg(ArchSpec(family, 4, 4), ii=2)
     nmap = build_neighbor_map(m, 8)
     shallow = build_path_cache(m, nmap, SHALLOW_PATHS)
-    deep = build_path_cache(m, nmap, DEFAULT_K)
+    deep = build_path_cache(m, nmap, DEEP)
     assert list(shallow.paths) == list(deep.paths)
     assert any(len(ps) > SHALLOW_PATHS for ps in deep.paths.values())
     for pair, ps in deep.paths.items():
@@ -290,14 +290,14 @@ def test_cache_enumerates_a_pair_when_first_read(monkeypatch):
 
     monkeypatch.setattr(paths, "_routes", counting_routes)
     monkeypatch.setattr(m.ids, "hop_dists", counting_dists)
-    cache = build_path_cache(m, nmap, DEFAULT_K)
+    cache = build_path_cache(m, nmap, DEEP)
     pairs = [(a, b) for a in sorted(nmap.neighbors) for b in nmap[a]]
     assert list(cache.paths) == pairs and len(cache.paths) == len(pairs)
     assert all(pair in cache.paths for pair in pairs)
     backwards = NeighborMap(nmap.target_nn,
                             dict(reversed(nmap.neighbors.items())))
     assert list(backwards.neighbors) != sorted(nmap.neighbors)
-    assert list(build_path_cache(m, backwards, DEFAULT_K).paths) == pairs
+    assert list(build_path_cache(m, backwards, DEEP).paths) == pairs
     fus = fu_nodes(m)
     outside = next((a, b) for a in fus for b in fus if b not in nmap[a])
     assert outside not in cache.paths
@@ -312,7 +312,7 @@ def test_cache_enumerates_a_pair_when_first_read(monkeypatch):
     assert enumerated == [pair]
     fresh = build_mrrg(spec, ii=1)
     assert dict(cache.paths) == {
-        (a, b): k_shortest_paths(fresh, a, b) for a, b in pairs}
+        (a, b): k_shortest_paths(fresh, a, b, DEEP) for a, b in pairs}
     assert sorted(enumerated) == sorted(pairs)
     assert sorted(tables) == sorted({(m.ids.index[b],) for _, b in pairs})
 
@@ -355,8 +355,8 @@ def test_routes_are_kept_per_mrrg(monkeypatch, depths):
             assert k_shortest_paths(m, *pair, k) == ps
         previous = caches[k] = cache
     # both kinds of list occur: cut at the depth asked, and complete
-    deepest = caches[DEFAULT_K].paths.values()
-    assert any(len(ps) == DEFAULT_K for ps in deepest)
+    deepest = caches[DEEP].paths.values()
+    assert any(len(ps) == DEEP for ps in deepest)
     assert any(0 < len(ps) < SHALLOW_PATHS for ps in deepest)
 
 

@@ -1,12 +1,13 @@
 """Property tests: the DFG and architecture text formats read back what
 they write, a target the unit matching or the screen search's root node
-refutes has no placement, a routing check the must-cross rule refutes
-has no routing, the routing search finds a routing exactly when one
-exists, and neighbour maps and routes commute with the context rotation.
-Derandomized with few examples, so they run in a couple of seconds and
-give the same cases on every run."""
+refutes has no placement that routes over its cache, a routing check
+the must-cross rule refutes has no routing, the routing search finds a
+routing exactly when one exists, and neighbour maps and routes commute
+with the context rotation. Derandomized with few examples, so they run
+in a couple of seconds and give the same cases on every run."""
 
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 
@@ -17,13 +18,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from cgramap.dfg import (OPCODES, Dfg, Edge, Operation,  # noqa: E402
                          parse_dfg, serialize_dfg)
 from cgramap.ilp import (must_cross_blocks, placeable,  # noqa: E402
-                         route_search, screen_placements)
+                         route_root, route_search)
+from cgramap.mapper import SHALLOW_PATHS  # noqa: E402
 from cgramap.mrrg import (ArchError, ArchSpec, build_mrrg,  # noqa: E402
                           parse_arch, serialize_arch)
 from cgramap.neighbors import build_neighbor_map  # noqa: E402
-from cgramap.paths import DEFAULT_K, build_path_cache  # noqa: E402
+from cgramap.paths import build_path_cache  # noqa: E402
 from cgramap.solver import FEASIBLE, INFEASIBLE, SolveConfig  # noqa: E402
-from helpers import (brute_force_mappable, placements,  # noqa: E402
+from helpers import (DEEP, brute_force_mappable, placements,  # noqa: E402
                      refuted_at_root, routable)
 
 PROFILE = settings(derandomize=True, database=None, deadline=None,
@@ -89,46 +91,61 @@ def tiny_mrrg(family, rows, cols, ii):
     return build_mrrg(ArchSpec(family, rows, cols), ii)
 
 
+# a cache depth no pair of a fabric of up to 50 vertices reaches, so that
+# a cache built at it holds every route
+EVERY = 10 ** 6
+
+
+def _pairs(dfg, place):
+    return {(place[o], place[p]) for o, p in dfg.point_edges()}
+
+
 @settings(PROFILE, max_examples=100)
 @given(dfgs(), st.sampled_from(TINY))
 def test_refuted_target_has_no_placement(dfg, fabric):
     # a refusal, by the unit matching or at the screen search's root
-    # node, is a proof: brute force finds no placement that meets the
-    # screen it stands for; at the full neighbourhood, which holds every
-    # unit a route reaches, no mapping exists either (checked by brute
-    # force where it is quick: up to 4 ops on fabrics of up to 50
-    # vertices)
+    # node over a SHALLOW_PATHS cache, is a proof: brute force finds no
+    # placement that meets the screen's con1-con3 and routes over the
+    # cache. At the full neighbourhood, which holds every unit a route
+    # reaches, over a cache that holds every route, no mapping exists
+    # either (checked by brute force where it is quick: up to 4 ops on
+    # fabrics of up to 50 vertices, whose pairs have at most a few
+    # thousand routes)
     mrrg = tiny_mrrg(*fabric)
     full = len(mrrg.fus)
     for nn in (1, 2, 4, 8, full):
         nmap = build_neighbor_map(mrrg, nn)
-        if placeable(dfg, mrrg) and not refuted_at_root(dfg, mrrg, nmap):
+        cache = build_path_cache(mrrg, nmap, SHALLOW_PATHS)
+        if (placeable(dfg, mrrg)
+                and not refuted_at_root(dfg, mrrg, nmap, cache)):
             continue
-        assert next(placements(dfg, mrrg, nmap), None) is None, nn
-    if (len(dfg.operations) <= 4 and len(mrrg.nodes) <= 50
-            and refuted_at_root(dfg, mrrg, build_neighbor_map(mrrg, full))):
-        assert not brute_force_mappable(dfg, mrrg)
+        assert not any(routable(_pairs(dfg, place), cache)
+                       for place in placements(dfg, mrrg, nmap)), nn
+    if len(dfg.operations) <= 4 and len(mrrg.nodes) <= 50:
+        nmap = build_neighbor_map(mrrg, full)
+        if refuted_at_root(dfg, mrrg, nmap,
+                           build_path_cache(mrrg, nmap, EVERY)):
+            assert not brute_force_mappable(dfg, mrrg)
 
 
 @settings(PROFILE, max_examples=60)
-@given(dfgs(), st.sampled_from(TINY), st.sampled_from((2, 4, 8)),
-       st.integers(0, 3))
-def test_must_cross_refutes_only_unroutable_placements(dfg, fabric, nn,
-                                                        seed):
+@given(dfgs(), st.sampled_from(TINY), st.sampled_from((2, 4, 8)))
+def test_must_cross_refutes_only_unroutable_placements(dfg, fabric, nn):
     # the routing search is infeasible exactly when no choice of one
     # cached route per pair works, and a must-cross refutation, the
     # search's root node, is a proof of that.
-    # Up to three placements of the screen search per case, each over 1,
-    # 3 and 20 routes per pair; one route per pair makes every interior
-    # vertex one to cross, so refutations are common there
+    # Up to three placements brute force finds per case, routable or
+    # not, each over 1, 3 and 20 routes per pair; one route per pair
+    # makes every interior vertex one to cross, so refutations are
+    # common there
     mrrg = tiny_mrrg(*fabric)
     nmap = build_neighbor_map(mrrg, nn)
-    for place in screen_placements(dfg, mrrg, nmap,
-                                   SolveConfig(seed, 10, 3)):
-        pairs = {(place[o], place[p]) for o, p in dfg.point_edges()}
-        for k in (1, 3, DEFAULT_K):
+    for place in islice(placements(dfg, mrrg, nmap), 3):
+        pairs = _pairs(dfg, place)
+        for k in (1, 3, DEEP):
             cache = build_path_cache(mrrg, nmap, k)
-            status, _, nodes = route_search(pairs, cache, SolveConfig(1, 10))
+            status, _, nodes = route_search(route_root(pairs, cache),
+                                            SolveConfig(1, 10))
             assert status == (FEASIBLE if routable(pairs, cache)
                               else INFEASIBLE)
             if must_cross_blocks(pairs, cache):
@@ -163,7 +180,7 @@ def test_path_cache_commutes_with_context_rotation(fam, ii):
     def rotate(key):
         return key[0], (key[1] + 1) % ii
 
-    cache = build_path_cache(m, build_neighbor_map(m, 4), DEFAULT_K)
+    cache = build_path_cache(m, build_neighbor_map(m, 4), DEEP)
     for (u, v), routes in cache.paths.items():
         assert [rp.vertices for rp in cache[rotate(u), rotate(v)]] == [
             tuple(map(rotate, rp.vertices)) for rp in routes]

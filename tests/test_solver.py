@@ -14,11 +14,11 @@ from cgramap.ilp import (IlpModel, LinearConstraint, VarId, add_implication,
 from cgramap.mapper import SHALLOW_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg
 from cgramap.neighbors import build_neighbor_map
-from cgramap.paths import DEFAULT_K, build_path_cache
+from cgramap.paths import build_path_cache
 from cgramap.solver import (SolveConfig, check_assignment,
                             enumerate_solutions, solve)
-from helpers import (ACC, DIAMOND, FAN3, JOIN, LDST, SUM4, TREE5, drain,
-                     exhaustive, satisfies, screen_of)
+from helpers import (ACC, DEEP, DIAMOND, FAN3, JOIN, LDST, SUM4, TREE5,
+                     drain, exhaustive, satisfies, screen_of)
 
 
 def mk_model(names, rows, cls="f"):
@@ -661,7 +661,7 @@ def test_placement_screen_steady_across_seeds():
 
 
 @pytest.mark.parametrize("kernel,size,nn,k", [
-    (ACC, 2, None, DEFAULT_K), (JOIN, 2, None, DEFAULT_K),
+    (ACC, 2, None, DEEP), (JOIN, 2, None, DEEP),
     (LDST_INC, 4, 4, SHALLOW_PATHS)], ids=["acc", "join", "ldst"])
 def test_combined_search_steady_across_seeds(kernel, size, nn, k):
     # full neighbourhood on 2x2 ADRES at II 2: under a placement that
