@@ -31,7 +31,8 @@ cross), and then con5-6 in full over a placement's routes likewise
 (route_search, over each connection's routes, from the fixpoint the
 screen's leaf holds). Both are one depth-first loop, _depth_first;
 each search gives it only its root node, its propagation and its value
-order.
+order, and ends only when its tree is exhausted or its time is out: a
+caller stops reading once it has the leaves it needs.
 
 build_variant builds the one model, combined (con1-3, con5-6), over the
 neighbour map and the path cache; the benchmark's exact workload and
@@ -264,7 +265,7 @@ def _settle(units, near, through, changed) -> bool:
             return _matched(units)
 
 
-def _depth_first(root, settle, values, cfg, limit):
+def _depth_first(root, settle, values, cfg):
     """Depth-first search that propagates every node. A node is a tuple
     of dicts, the first mapping each variable to its values left;
     settle(node, changed) propagates it in place from the variables in
@@ -274,10 +275,11 @@ def _depth_first(root, settle, values, cfg, limit):
     order: each child, a copy, gives it the next singleton of
     values(node, variable). Yields each leaf, where every variable has
     one value, with the nodes so far, and reads the clock at every
-    node. Returns (status, nodes): status None after limit leaves,
-    infeasible once the tree is exhausted, timeout past cfg.time_limit."""
+    node; the caller stops reading once it has the leaves it needs.
+    Returns (status, nodes): infeasible once the tree is exhausted,
+    timeout past cfg.time_limit."""
     deadline = time.monotonic() + cfg.time_limit
-    nodes = yields = 0
+    nodes = 0
     # (node, variable branched on, its singletons not yet tried there)
     stack: list[tuple[tuple, object, list]] = []
     node, changed = root, list(root[0])
@@ -292,9 +294,6 @@ def _depth_first(root, settle, values, cfg, limit):
                 stack.append((node, var, values(node, var)[::-1]))
             else:
                 yield node, nodes
-                yields += 1
-                if yields == limit:
-                    return None, nodes
         if not stack:
             return "infeasible", nodes
         parent, var, left = stack[-1]
@@ -309,15 +308,17 @@ def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg,
                       cache: PathCache):
     """Yield each placement that meets con1-con3 and leaves every
     connection a cached route at must-cross strength, once, as
-    (op -> unit, leaf). The search is _depth_first over the units each
-    operation may take, maintaining arc consistency (Sabin & Freuder,
-    CP 1994) and the matching test (_settle); the subgraph matching of
-    LAD (Solnon, AIJ 2010) works alike. Ties go to more DFG edges
-    through the operation, then to declaration order. Each operation
-    tries its units in sorted order, shuffled once by
-    random.Random(cfg.seed). cfg is a solver.SolveConfig whose
-    time_limit and solution_limit bound the search; returns
-    _depth_first's (status, nodes).
+    (op -> unit, leaf, nodes), nodes being the search's node count so
+    far. The search is _depth_first over the units each operation may
+    take, maintaining arc consistency (Sabin & Freuder, CP 1994) and
+    the matching test (_settle); the subgraph matching of LAD (Solnon,
+    AIJ 2010) works alike. Ties go to more DFG edges through the
+    operation, then to declaration order. Each operation tries its
+    units in sorted order, shuffled once by random.Random(cfg.seed).
+    cfg is a solver.SolveConfig whose time_limit bounds the search. The
+    stream ends only when the tree is exhausted or the time is out,
+    returning _depth_first's (status, nodes); a caller that needs fewer
+    placements stops reading.
 
     A node also holds routes, each connection whose two ends have one
     unit with its cached routes, and their claims. A connection joins
@@ -368,15 +369,15 @@ def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg,
     busy = sorted(units, key=lambda o: -len(through[o]))  # stable
     search = _depth_first(
         ({o: units[o] for o in busy}, {}, {}), settle,
-        lambda node, o: [{u} for u in order[o] if u in node[0][o]],
-        cfg, cfg.solution_limit)
+        lambda node, o: [{u} for u in order[o] if u in node[0][o]], cfg)
     while True:
         try:
-            (leaf, routes, claims), _ = next(search)
+            (leaf, routes, claims), nodes = next(search)
         except StopIteration as end:
             return end.value
         yield ({o: next(iter(leaf[o])) for o in units},
-               ({pair: routes[pair] for pair in sorted(routes)}, claims))
+               ({pair: routes[pair] for pair in sorted(routes)}, claims),
+               nodes)
 
 
 def _entries(pair, cache: PathCache) -> tuple:
@@ -476,7 +477,7 @@ def route_search(root, cfg):
     meets con6 and the claims."""
     search = _depth_first(
         root, lambda node, changed: _cross(*node, changed),
-        lambda node, pair: [(entry,) for entry in node[0][pair]], cfg, 1)
+        lambda node, pair: [(entry,) for entry in node[0][pair]], cfg)
     try:
         (routes, _), nodes = next(search)
     except StopIteration as end:

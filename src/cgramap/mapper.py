@@ -71,9 +71,9 @@ SHALLOW_PATHS = 3
 
 @dataclass(frozen=True)
 class MapLimits:
-    """placement_limit caps the placements the screen search yields per
-    target, solve_time each routing search; the screen search runs to
-    the total_time deadline."""
+    """placement_limit caps the placements a target tries, solve_time
+    each routing search; the screen search runs to the total_time
+    deadline."""
 
     placement_limit: int = 100
     solve_time: float = 120.0
@@ -163,12 +163,12 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
                       tuple(attempts))
 
 
-def _config(deadline: float, cap: float = math.inf, seed: int = 0,
-            solutions: int = 1) -> SolveConfig:
+def _config(deadline: float, cap: float = math.inf,
+            seed: int = 0) -> SolveConfig:
     """A stage's solver settings, taken as the stage starts: its time
     limit is min(cap, time left), floored at 1 ms."""
     left = min(cap, deadline - time.monotonic())
-    return SolveConfig(seed, max(left, 0.001), solutions)
+    return SolveConfig(seed, max(left, 0.001))
 
 
 def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
@@ -187,22 +187,21 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
     which holds only relative to the cache. Which placement comes first
     depends on the seed, through the search's value order. Each
     placement gets one routing check, from the screen's leaf; one that
-    ends past the deadline ends the target."""
+    ends past the deadline ends the target, and so does the
+    placement_limit-th, after which the screen is not read again: no
+    search counts the placements it yields."""
     if not placeable(dfg, mrrg):
         return "infeasible", 0, None, False
     nmap = build_neighbor_map(mrrg, nn)
     cache = build_path_cache(mrrg, nmap, SHALLOW_PATHS)
-    placements = screen_placements(
-        dfg, mrrg, nmap,
-        _config(deadline, seed=seed, solutions=limits.placement_limit),
-        cache)
+    placements = screen_placements(dfg, mrrg, nmap,
+                                   _config(deadline, seed=seed), cache)
     tried, timed_out = 0, False
     while True:
         try:
-            placement, leaf = next(placements)
+            placement, leaf, _ = next(placements)
         except StopIteration as stop:
-            # an empty stream ends with the search's verdict; its status
-            # is None only at the placement limit, after a yield
+            # an empty stream ends with the search's verdict
             screened = stop.value[0] if not tried else "feasible"
             return screened, tried, None, timed_out
         tried += 1
@@ -212,7 +211,7 @@ def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
             return ("feasible", tried, MappingSolution(placement, routing, nn),
                     timed_out)
         timed_out = timed_out or status == "timeout"
-        if time.monotonic() >= deadline:
+        if tried == limits.placement_limit or time.monotonic() >= deadline:
             return "feasible", tried, None, timed_out
 
 

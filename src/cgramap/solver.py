@@ -62,7 +62,8 @@ and the cuts, and yields it; to go on past it, one row the leaf violates
 joins the live search (the no-good cut over the placement variables when
 enumerating) and the search resumes above the deepest decision that row
 depends on, so no subtree is explored twice and leaves come in the order
-separate searches with all cuts so far would find them.
+separate searches with all cuts so far would find them, until the tree
+is exhausted or the deadline passes: solve reads the first.
 
 The clock is read at every search node, so a time limit holds to within
 one node's propagation.
@@ -85,9 +86,11 @@ TIMEOUT = "timeout"
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """A search's seed and time limit; how many leaves it yields is up
+    to its caller, which stops reading."""
+
     seed: int = 0
     time_limit: float = 60.0
-    solution_limit: int = 1
 
     def __post_init__(self):
         # random.Random(None) would seed from the OS
@@ -98,8 +101,6 @@ class SolveConfig:
                  or isinstance(self.time_limit, float))
                 and self.time_limit > 0):
             raise ValueError("time limit must be a positive number")
-        if not (is_int(self.solution_limit) and self.solution_limit >= 1):
-            raise ValueError("solution limit must be an int of at least 1")
 
 
 @dataclass(frozen=True)
@@ -441,31 +442,27 @@ def _branch_order(variables, seed):
 
 
 def solve(model, cfg: SolveConfig) -> SolveResult:
-    """Decide the model exactly: its first leaf, or the proof that there
-    is none; deterministic for a fixed (model, seed)."""
-    t0 = time.monotonic()
-    search = _Search(model)
-    leaves = search.leaves(cfg.seed, t0 + cfg.time_limit)
+    """Decide the model exactly: the first result enumerate_solutions
+    yields, or the one its stream returns (infeasible or timeout, with
+    no assignment); deterministic for a fixed (model, seed)."""
+    results = enumerate_solutions(model, cfg)
     try:
-        status, assignment = FEASIBLE, next(leaves)
+        return next(results)
     except StopIteration as stop:
-        status, assignment = stop.value, None
-    return SolveResult(status, assignment, search.nodes,
-                       time.monotonic() - t0)
+        return stop.value
 
 
 def enumerate_solutions(model, cfg: SolveConfig):
-    """Yield feasible results, excluding each one's placement (its f
-    variables) before continuing; each result counts the nodes and
-    seconds since the previous one. Ends after solution_limit
-    yields (returning None), on exhaustion, or at the deadline;
-    infeasible models yield an empty stream."""
+    """Yield a feasible result per leaf, excluding each one's placement
+    (its f variables) before continuing; each result counts the nodes
+    and seconds since the previous one. Ends only on exhaustion or at
+    the deadline, returning an infeasible or timeout result counted
+    likewise; a caller that needs fewer leaves stops reading."""
     since = time.monotonic()
     search = _Search(model)
     leaves = search.leaves(cfg.seed, since + cfg.time_limit)
-    placements = [v for v in model.variables if v.cls == "f"]
     counted, cut = 0, None
-    for _ in range(cfg.solution_limit):
+    while True:
         try:
             assignment = leaves.send(cut)
         except StopIteration as stop:
@@ -478,7 +475,7 @@ def enumerate_solutions(model, cfg: SolveConfig):
         # sum(ones) - sum(zeros) <= |ones| - 1 excludes exactly this
         # placement; leaving the zeros out would also exclude every
         # placement that switches on more of them
-        terms = tuple((1 if assignment[v] else -1, v) for v in placements)
+        terms = tuple((1 if x else -1, v) for v, x in assignment.items()
+                      if v.cls == "f")
         cut = LinearConstraint(terms, "<=", sum(c > 0 for c, _ in terms) - 1,
                                "cut")
-    return None

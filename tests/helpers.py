@@ -227,9 +227,12 @@ def refuted_at_root(dfg, mrrg, nmap, cache) -> bool:
     from cgramap.ilp import screen_placements
     from cgramap.solver import INFEASIBLE, SolveConfig
 
-    _, end = drain(screen_placements(dfg, mrrg, nmap, SolveConfig(seed=1),
-                                     cache))
-    return end == (INFEASIBLE, 1)
+    # one read: a stream that yields a placement was not refuted there
+    try:
+        next(screen_placements(dfg, mrrg, nmap, SolveConfig(seed=1), cache))
+    except StopIteration as end:
+        return end.value == (INFEASIBLE, 1)
+    return False
 
 
 def screen_of(model):

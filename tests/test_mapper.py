@@ -65,14 +65,13 @@ SCHEDULE = (2, 4, 8, 16)
     lambda: SolveConfig(seed=None),
     lambda: SolveConfig(seed=1.5),
     lambda: SolveConfig(seed="a"),
-    lambda: SolveConfig(solution_limit=True),
     lambda: MapLimits(placement_limit=True),
     lambda: SolveConfig(time_limit=True),
     lambda: MapLimits(solve_time=True),
     lambda: MapLimits(total_time=True),
 ], ids=["solve_config", "solve_time", "total_time", "solve_config_str",
         "solve_time_str", "total_time_none", "seed_none", "seed_float",
-        "seed_str", "solution_limit_bool", "placement_limit_bool",
+        "seed_str", "placement_limit_bool",
         "time_limit_bool", "solve_time_bool", "total_time_bool"])
 def test_nan_time_limit_rejected(make):
     # NaN compares false against everything, so a deadline made from it
@@ -84,7 +83,8 @@ def test_nan_time_limit_rejected(make):
 
 
 def test_non_int_counts_rejected():
-    # a float would reach the screen search's solution limit or the report
+    # a float would never equal the count of placements tried, which
+    # ends a target at the cap, and would reach the report
     with pytest.raises(ValueError, match="placement limit"):
         MapLimits(placement_limit=2.5)
     dfg, mrrg = parse_dfg(KERNELS["chain2"]), fabric("ortho", 1)
@@ -189,12 +189,12 @@ def _record(monkeypatch, **stages):
         stream = run["screen_placements"](dfg, mrrg, nmap, cfg, cache)
         while True:
             try:
-                placement, leaf = next(stream)
+                placement, leaf, nodes = next(stream)
             except StopIteration as stop:
                 events.append(("screened", nn, stop.value))
                 return stop.value
             events.append(("yield", nn, placement, leaf))
-            yield placement, leaf
+            yield placement, leaf, nodes
 
     def cache_of(mrrg, nmap, k):
         cache = run["build_path_cache"](mrrg, nmap, k)
@@ -512,9 +512,8 @@ def test_screen_prunes_what_must_cross_refutes(monkeypatch):
     for paths in out.solution.routing.values():
         for rp in paths:
             assert rp in shallow[rp.vertices[0], rp.vertices[-1]]
-    cfg = SolveConfig(seed=SAME_MODELS_SEED[kernel], time_limit=60,
-                      solution_limit=10 ** 6)
-    assert place not in [yielded for yielded, _ in screen_placements(
+    cfg = SolveConfig(seed=SAME_MODELS_SEED[kernel], time_limit=60)
+    assert place not in [yielded for yielded, _, _ in screen_placements(
         dfg, mrrg, nmap, cfg, shallow)]
 
 
@@ -581,24 +580,29 @@ def test_each_placement_is_routed_once_per_depth(monkeypatch, kernel, family,
         for nn, first in firsts.items())
 
 
-@pytest.mark.parametrize("status,verdict", [(TIMEOUT, TIMED_OUT),
-                                            (INFEASIBLE, NOT_MAPPABLE)])
+@pytest.mark.parametrize("status,verdict,limit", [
+    (TIMEOUT, TIMED_OUT, 2), (INFEASIBLE, NOT_MAPPABLE, 2),
+    (INFEASIBLE, NOT_MAPPABLE, 3)],
+    ids=["timeout-timed_out", "infeasible-not_mappable", "placement_limit"])
 def test_screen_placement_timeout_reads_timed_out(monkeypatch, status,
-                                                  verdict):
+                                                  verdict, limit):
     # every routing check answers status, one check per placement. A
     # timeout proves nothing: it ends that placement, as a proof does,
     # and the search goes on to the next, up to the placement limit; no
     # placement having been proven unroutable, the run timed out rather
     # than found the kernel unmappable. Proofs at every placement leave
-    # it unmappable at the last target
+    # it unmappable at the last target. The cap has one home, the
+    # mapper: the screen search has more placements, and its stream is
+    # not read past the last one tried, so it never ends
     _Clock(monkeypatch)
     events = _record(monkeypatch, route_search=_answers(status))
     out = map_dfg(parse_dfg(KERNELS["chain2"]), fabric("ortho", 1), (2,),
-                  dataclasses.replace(LIMITS, placement_limit=2), seed=1)
+                  dataclasses.replace(LIMITS, placement_limit=limit), seed=1)
     assert (out.status, [(a.nn, a.screen, a.placements_tried, a.routed)
                          for a in out.attempts]) == (
-        verdict, [(2, FEASIBLE, 2, False)])
-    assert [nn for nn, *_ in _of(events, "route")] == [2, 2]
+        verdict, [(2, FEASIBLE, limit, False)])
+    assert [nn for nn, *_ in _of(events, "route")] == [2] * limit
+    assert _of(events, "screened") == []
 
 
 # (family, II, kernel, brute-force verdict). Brute force takes seconds or
@@ -667,7 +671,7 @@ def test_screen_search_matches_the_0_1_screen(family, ii, kernel, mappable):
     # per pair makes every interior vertex one to cross, so must-cross
     # prunes most there
     dfg, mrrg = parse_dfg(KERNELS[kernel]), fabric(family, ii)
-    cfg = SolveConfig(seed=1, time_limit=60, solution_limit=10 ** 6)
+    cfg = SolveConfig(seed=1, time_limit=60)
     for nn in SCHEDULE:
         nmap = build_neighbor_map(mrrg, nn)
         for k in (1, SHALLOW_PATHS):
@@ -676,13 +680,13 @@ def test_screen_search_matches_the_0_1_screen(family, ii, kernel, mappable):
                 screen_placements(dfg, mrrg, nmap, cfg, cache))
             assert status == INFEASIBLE
             assert sorted(tuple(sorted(place.items()))
-                          for place, _ in found) == sorted(
+                          for place, _, _ in found) == sorted(
                 tuple(sorted(place.items()))
                 for place in placements(dfg, mrrg, nmap)
                 if routable({(place[o], place[p])
                              for o, p in dfg.point_edges()}, cache))
             assert all(route_search(leaf, cfg)[0] == FEASIBLE
-                       for _, leaf in found)
+                       for _, leaf, _ in found)
 
 
 def test_screen_search_node_counts_are_pinned():
@@ -696,7 +700,7 @@ def test_screen_search_node_counts_are_pinned():
     nmap = build_neighbor_map(mrrg, 4)
     cache = build_path_cache(mrrg, nmap, SHALLOW_PATHS)
     assert not refuted_at_root(dfg, mrrg, nmap, cache)
-    cfg = SolveConfig(seed=1, time_limit=60, solution_limit=1)
+    cfg = SolveConfig(seed=1, time_limit=60)
     assert drain(screen_placements(dfg, mrrg, nmap, cfg, cache)) == (
         [], (INFEASIBLE, 7))
     # and the first placements of fir4's NN-10 screen on 4x4 HyCUBE at
@@ -707,10 +711,10 @@ def test_screen_search_node_counts_are_pinned():
     cache = build_path_cache(mrrg, nmap, SHALLOW_PATHS)
     firsts = []
     for seed, count in zip((1, 2, 3), (26, 12, 12)):
-        cfg = SolveConfig(seed=seed, time_limit=60, solution_limit=1)
-        [(first, leaf)], end = drain(
+        cfg = SolveConfig(seed=seed, time_limit=60)
+        first, leaf, nodes = next(
             screen_placements(dfg, mrrg, nmap, cfg, cache))
-        assert end == (None, count), seed
+        assert nodes == count, seed
         assert route_search(leaf, cfg)[0] == FEASIBLE
         firsts.append(first)
     assert FIR4_HYCUBE_PLACEMENT not in firsts
@@ -731,9 +735,9 @@ def test_deep_screen_node_counts_are_pinned(nn, counts):
     nmap = build_neighbor_map(mrrg, nn)
     cache = build_path_cache(mrrg, nmap, SHALLOW_PATHS)
     for seed, count in zip((1, 2, 3), counts):
-        cfg = SolveConfig(seed=seed, time_limit=10, solution_limit=1)
-        [_], end = drain(screen_placements(dfg, mrrg, nmap, cfg, cache))
-        assert end == (None, count), seed
+        cfg = SolveConfig(seed=seed, time_limit=10)
+        *_, nodes = next(screen_placements(dfg, mrrg, nmap, cfg, cache))
+        assert nodes == count, seed
 
 
 @pytest.mark.parametrize("family,ii,kernel,mappable", AGREEMENT)

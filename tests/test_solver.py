@@ -1,7 +1,7 @@
 """Search, enumeration and independent-MILP checks."""
 
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -149,11 +149,6 @@ def test_malformed_row_is_rejected_before_the_root_check(terms, relation,
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(time_limit=0)
-    with pytest.raises(ValueError):
-        SolveConfig(solution_limit=0)
-    # a float limit would reach range() inside enumerate_solutions
-    with pytest.raises(ValueError, match="solution limit"):
-        SolveConfig(solution_limit=2.5)
 
 
 def _fixpoint(model, fixes, search_class=solver._Search):
@@ -222,7 +217,7 @@ def test_random_agreement_with_exhaustive():
             on = [v for v, b in zip(model.variables, bits) if b]
             if satisfies(model.constraints, on):
                 want.add(tuple(v in on for v in proj))
-        cfg = SolveConfig(seed=trial % 5, solution_limit=2 ** len(proj) + 1)
+        cfg = SolveConfig(seed=trial % 5)
         results, final = drain(enumerate_solutions(model, cfg))
         got = [tuple(r.assignment[v] == 1 for v in proj) for r in results]
         assert len(got) == len(set(got)), f"trial {trial}"
@@ -573,10 +568,9 @@ def test_pinned_node_counts():
     got = [(r.status, r.nodes) for r in
            (solve(tree5_combined(4), SolveConfig(seed=s)) for s in (2, 3))]
     assert got == [("feasible", 98), ("feasible", 90)]
-    sols = enumerate_solutions(tree5_combined(2),
-                               SolveConfig(seed=3, solution_limit=4))
+    sols = enumerate_solutions(tree5_combined(2), SolveConfig(seed=3))
     # each count covers only the nodes since the previous placement
-    assert [r.nodes for r in sols] == [71, 55, 60, 75]
+    assert [r.nodes for r in islice(sols, 4)] == [71, 55, 60, 75]
     # the fan3 baseline of the exact benchmark, where the search places
     # the operations and marks each signal's routing nodes
     fan3 = baselines()["fan3 baseline, 2x2 ortho"]
@@ -598,8 +592,7 @@ def test_pinned_node_counts():
                         [([(1, "p0"), (1, "p1")], ">=", 1),
                          ([(-1, "p1"), (1, "f0")], ">=", 0)],
                         cls={"p0": "p", "p1": "p", "f0": "f"})
-    results, final = drain(enumerate_solutions(
-        model, SolveConfig(seed=3, solution_limit=8)))
+    results, final = drain(enumerate_solutions(model, SolveConfig(seed=3)))
     assert ([r.nodes for r in results], final.status, final.nodes) == (
         [2, 1], "infeasible", 0)
 
@@ -608,10 +601,10 @@ def test_pinned_node_counts():
 def test_enumeration_order_matches_fresh_solves(nn):
     # a cut joins the live search at a leaf; the leaves must come in the
     # order that solving from the root, with every earlier cut as an
-    # ordinary row, finds them
+    # ordinary row, finds them. tree5 has 4 placements at NN 2, all
+    # read; at NN 4 the first 20 of its 152 are
     model = tree5_combined(nn)
-    results, final = drain(enumerate_solutions(
-        model, SolveConfig(seed=3, solution_limit=20)))
+    stream = enumerate_solutions(model, SolveConfig(seed=3))
     rows = list(model.constraints)
 
     def fresh_solve():
@@ -619,15 +612,21 @@ def test_enumeration_order_matches_fresh_solves(nn):
                                 constraints=list(rows))
         return solve(fresh, SolveConfig(seed=3))
 
-    for res in results:
+    for res in islice(stream, {2: 4, 4: 20}[nn]):
         assert fresh_solve().assignment == res.assignment, len(rows)
         terms = tuple((1 if res.assignment[v] else -1, v)
                       for v in model.variables if v.cls == "f")
         rows.append(LinearConstraint(terms, "<=",
                                      sum(c > 0 for c, _ in terms) - 1, "cut"))
-    if final is not None:
-        assert final.status == fresh_solve().status == "infeasible"
-    assert len(results) == {2: 4, 4: 20}[nn]
+    # so does the read after them: the next leaf, or the proof that
+    # there is none
+    try:
+        res = next(stream)
+    except StopIteration as stop:
+        res = stop.value
+    fresh = fresh_solve()
+    assert (res.status, res.assignment) == (fresh.status, fresh.assignment)
+    assert res.status == {2: "infeasible", 4: "feasible"}[nn]
 
 
 def test_enumeration_exhausts_placements():
@@ -635,7 +634,7 @@ def test_enumeration_exhausts_placements():
     # proves there is no other
     model = tree5_combined(4)
     for seed in (2, 3):
-        cfg = SolveConfig(seed=seed, time_limit=10, solution_limit=1000)
+        cfg = SolveConfig(seed=seed, time_limit=10)
         results, final = drain(enumerate_solutions(model, cfg))
         placed = {frozenset(v for v, b in r.assignment.items()
                             if v.cls == "f" and b) for r in results}
@@ -685,7 +684,7 @@ def test_enumerate_two_placements():
                          [([(1, "f1"), (1, "f2")], "=", 1)])
     free = model.add_var(VarId("p", ("n", 0)))
     rows_before = list(model.constraints)
-    sols = list(enumerate_solutions(model, SolveConfig(solution_limit=8)))
+    sols = list(enumerate_solutions(model, SolveConfig()))
     assert len(sols) == 2
     picks = {tuple(sorted(v.idx for v in model.variables
                           if v.cls == "f" and s.assignment[v] == 1))
@@ -696,12 +695,15 @@ def test_enumerate_two_placements():
 
 
 def test_enumerate_limits_and_empty():
+    # the stream ends only once exhausted: both placements, then the
+    # proof that there is no third; an infeasible model yields nothing
     model, _ = mk_model(["f1", "f2"],
                         [([(1, "f1"), (1, "f2")], "=", 1)])
-    assert len(list(enumerate_solutions(model, SolveConfig()))) == 1
+    results, final = drain(enumerate_solutions(model, SolveConfig()))
+    assert (len(results), final.status) == (2, "infeasible")
     dead, _ = mk_model(["x"], [([(1, "x")], "=", 1),
                                ([(1, "x")], "<=", 0)])
-    assert list(enumerate_solutions(dead, SolveConfig(solution_limit=5))) == []
+    assert list(enumerate_solutions(dead, SolveConfig())) == []
 
 
 def test_enumerate_oversubscribed_yields_nothing():
@@ -709,8 +711,7 @@ def test_enumerate_oversubscribed_yields_nothing():
     five_add = build_baseline(parse_dfg(FIVE_ADD),
                               build_mrrg(ArchSpec("ortho", 2, 2), 1))
     for model in (_pigeonhole(12, 11), five_add):
-        results, final = drain(enumerate_solutions(
-            model, SolveConfig(solution_limit=8)))
+        results, final = drain(enumerate_solutions(model, SolveConfig()))
         assert (results, final.status, final.nodes) == ([], "infeasible", 0)
 
 
@@ -720,7 +721,7 @@ def test_enumerate_projection_classes():
     f1 = model.add_var(VarId("f", ("a",)))
     model.add_var(VarId("p", ("n", 0)))
     model.add_constraint([(1, f1)], "=", 1, "row")
-    on_f = list(enumerate_solutions(model, SolveConfig(solution_limit=8)))
+    on_f = list(enumerate_solutions(model, SolveConfig()))
     assert len(on_f) == 1
 
 
