@@ -8,14 +8,14 @@ before) with ValueError, normalises it to sum(c_i x_i) <= b over
 variable indices (an = row to two) and records whether it is a choice
 group or an at-most-one row. The model builder leaves these checks to
 this pass, which takes any object with variables and constraints. Every
-normalised row, the model's and each cut added during the search, enters
-through add_row, which sets its slack and width and the variables that
-spend it. A row's slack is b minus the smallest value its fixed and free
-terms can still take, and a negative slack is a conflict. Free variables
-whose coefficient exceeds the slack are forced; a row whose slack is at
-least its width, its widest coefficient, can do neither, so a fix queues
-only the rows it leaves below their width (the watch rule of Chai &
-Kuehlmann, DAC 2003).
+normalised row enters through add_row as the model is read, before the
+first fix; add_row sets its slack and width and the variables that
+spend it. A row's slack is b minus the smallest value its fixed and
+free terms can still take, and a negative slack is a conflict. Free
+variables whose coefficient exceeds the slack are forced; a row whose
+slack is at least its width, its widest coefficient, can do neither, so
+a fix queues only the rows it leaves below their width (the watch rule
+of Chai & Kuehlmann, DAC 2003).
 
 The search branches on choices first. A choice group is a row that
 needs at least one of its variables (all coefficients 1), such as an
@@ -57,13 +57,11 @@ refutation a proof. It runs at the root only: below the root it refuted
 no node of the benchmark's exact models, so each further check would be
 spent.
 
-The search re-checks each leaf against the normalised rows, the model's
-and the cuts, and yields it; to go on past it, one row the leaf violates
-joins the live search (the no-good cut over the placement variables when
-enumerating) and the search resumes above the deepest decision that row
-depends on, so no subtree is explored twice and leaves come in the order
-separate searches with all cuts so far would find them, until the tree
-is exhausted or the deadline passes: solve reads the first.
+On conflict the search backtracks chronologically: it undoes to the
+deepest decision with a value left and flips it. The search ends at its
+first leaf, re-checked against the normalised rows, or once the tree is
+exhausted. Enumeration is a loop of such searches, each over the
+model's rows and a no-good cut per placement found before.
 
 The clock is read at every search node, so a time limit holds to within
 one node's propagation.
@@ -75,6 +73,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .dfg import is_int
 from .ilp import LinearConstraint, _matched
@@ -86,8 +85,9 @@ TIMEOUT = "timeout"
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """A search's seed and time limit; how many leaves it yields is up
-    to its caller, which stops reading."""
+    """A search's seed and time limit. A solve stops at its first leaf;
+    an enumeration runs solves until its caller stops reading, the
+    time limit covering them all."""
 
     seed: int = 0
     time_limit: float = 60.0
@@ -152,14 +152,13 @@ class _Search:
         # the rows that allow at most one of their variables (normalised
         # rhs 1, every coefficient 1), which the root's matching reads
         self.at_most_one: list[int] = []
-        # every row a leaf's failed re-check is worded from: the model's
-        # and the cuts
-        self.rows = list(model.constraints)
+        # the rows a leaf's failed re-check is worded from
+        self.constraints = model.constraints
         # at each variable index, the last row whose terms held it
         last = [-1] * len(self.vars)
         # a row's <= half, and the >= half of a >= or = row negated,
         # enter through add_row
-        for r, con in enumerate(self.rows):
+        for r, con in enumerate(self.constraints):
             relation = con.relation
             if relation not in ("<=", ">=", "="):
                 raise ValueError(f"bad relation {relation!r}")
@@ -191,13 +190,12 @@ class _Search:
                     self.at_most_one.append(row)
 
     def add_row(self, terms, rhs) -> int:
-        """Add sum(c x) <= rhs with its slack under the current fixes,
-        queued if that is below its width; a fixed term counts c*val and
-        a free one min(c, 0), as undo_to assumes."""
+        """Add sum(c x) <= rhs before any fix, queued if its slack is
+        below its width; each term is free and counts min(c, 0), as
+        undo_to assumes."""
         row = len(self.coefs)
         self.coefs.append(terms)
         self.rhs.append(rhs)
-        val = self.val
         spends = self.spends
         slack, width = rhs, 0
         # fixing to 1 uses up the slack of a positive coefficient, fixing
@@ -207,14 +205,11 @@ class _Search:
                 spends[2 * i + 1] += (row, c)
                 if c > width:
                     width = c
-                if val[i] == 1:
-                    slack -= c
             elif c < 0:
                 spends[2 * i] += (row, -c)
                 if -c > width:
                     width = -c
-                if val[i] != 0:
-                    slack -= c
+                slack -= c
         self.slack.append(slack)
         self.width.append(width)
         if slack < width:
@@ -319,12 +314,10 @@ class _Search:
         # and rows in place of operations and units
         return not _matched(choices)
 
-    def leaves(self, seed, deadline):
-        """Yield the assignment at each leaf. The caller sends back a
-        row the leaf violates, over placement (f) variables only; it
-        joins the search, which resumes at the deepest untried
-        decision above which the cut has slack. Returns INFEASIBLE once
-        the tree is exhausted, or TIMEOUT."""
+    def run(self, seed, deadline) -> tuple[str, dict | None]:
+        """Search for one leaf: (FEASIBLE, its assignment), or
+        (INFEASIBLE, None) once the tree is exhausted, or (TIMEOUT,
+        None)."""
         order = _branch_order(self.vars, seed)
         rank = [0] * len(order)
         for at, i in enumerate(order):
@@ -342,14 +335,14 @@ class _Search:
         root = True
         while True:
             if time.monotonic() > deadline:
-                return TIMEOUT
+                return TIMEOUT, None
             conflict = self.propagate()
             # Hall's check runs once, on the root's fixpoint, before the
             # first decision
             if root:
                 root = False
                 if conflict is None and self.overcommitted():
-                    return INFEASIBLE
+                    return INFEASIBLE, None
             if conflict is None:
                 # a node below a cursor decision has every group settled
                 # too: fixing more variables never reopens one
@@ -365,8 +358,7 @@ class _Search:
                 if pos < len(order):
                     free = order[pos]
                     # a dominating 0 is recorded with its other value
-                    # tried: it is final, as cuts name only f variables,
-                    # which are tried at 1 first
+                    # tried: it is final
                     done = int(not first[free]
                                and self.zero_dominates(free))
                     stack.append((free, first[free], pos, done,
@@ -378,27 +370,23 @@ class _Search:
                 rhs = self.rhs
                 for row, terms in enumerate(self.coefs):
                     if sum(c * val[j] for c, j in terms) > rhs[row]:
-                        bad = check_assignment(self.rows, assignment)
+                        bad = check_assignment(self.constraints, assignment)
                         raise AssertionError(
                             f"solution fails re-check: {bad[0]}")
-                cut = yield assignment
-                self.rows.append(cut)
-                conflict = self.add_row(
-                    [(c, self.index[v]) for c, v in cut.terms], cut.rhs)
-            # every decision the conflict row stays violated without is
-            # popped with both its branches; order[:pos] at a decision was
-            # fixed below its trail mark, so undoing to the mark keeps it
+                return FEASIBLE, assignment
+            # back to the deepest decision with a value left, whose other
+            # value is tried; order[:pos] at a decision was fixed below
+            # its trail mark, so undoing to the mark keeps it
             while stack:
                 var, value, pos, tried, mark, grouped = stack.pop()
-                self.undo_to(mark)
-                if tried == 0 and self.slack[conflict] >= 0:
-                    stack.append((var, value, pos, 1, mark, grouped))
-                    self.nodes += 1
-                    self.fix(var, 1 - value)
-                    self.queue.append(conflict)
+                if not tried:
                     break
             else:
-                return INFEASIBLE
+                return INFEASIBLE, None
+            self.undo_to(mark)
+            stack.append((var, value, pos, 1, mark, grouped))
+            self.nodes += 1
+            self.fix(var, 1 - value)
 
 
 def _open_choice(groups, val):
@@ -442,40 +430,38 @@ def _branch_order(variables, seed):
 
 
 def solve(model, cfg: SolveConfig) -> SolveResult:
-    """Decide the model exactly: the first result enumerate_solutions
-    yields, or the one its stream returns (infeasible or timeout, with
-    no assignment); deterministic for a fixed (model, seed)."""
-    results = enumerate_solutions(model, cfg)
-    try:
-        return next(results)
-    except StopIteration as stop:
-        return stop.value
+    """Decide the model exactly: its first leaf, or infeasible or
+    timeout with no assignment; deterministic for a fixed (model,
+    seed)."""
+    start = time.monotonic()
+    search = _Search(model)
+    status, assignment = search.run(cfg.seed, start + cfg.time_limit)
+    return SolveResult(status, assignment, search.nodes,
+                       time.monotonic() - start)
 
 
 def enumerate_solutions(model, cfg: SolveConfig):
-    """Yield a feasible result per leaf, excluding each one's placement
-    (its f variables) before continuing; each result counts the nodes
-    and seconds since the previous one. Ends only on exhaustion or at
-    the deadline, returning an infeasible or timeout result counted
-    likewise; a caller that needs fewer leaves stops reading."""
-    since = time.monotonic()
-    search = _Search(model)
-    leaves = search.leaves(cfg.seed, since + cfg.time_limit)
-    counted, cut = 0, None
+    """Yield a feasible result per distinct placement (the f variables
+    at 1), each one solve of the model's rows and a no-good cut per
+    placement yielded before, with that solve's nodes and seconds. Each
+    solve's time limit is what is left of cfg's, floored at 1 ms. Ends
+    only on exhaustion or at the deadline, returning the last solve's
+    infeasible or timeout result; a caller that needs fewer placements
+    stops reading."""
+    deadline = time.monotonic() + cfg.time_limit
+    rows = list(model.constraints)
     while True:
-        try:
-            assignment = leaves.send(cut)
-        except StopIteration as stop:
-            return SolveResult(stop.value, None, search.nodes - counted,
-                               time.monotonic() - since)
-        now = time.monotonic()
-        yield SolveResult(FEASIBLE, assignment, search.nodes - counted,
-                          now - since)
-        counted, since = search.nodes, now
+        left = max(deadline - time.monotonic(), 0.001)
+        res = solve(SimpleNamespace(variables=model.variables,
+                                    constraints=rows),
+                    SolveConfig(cfg.seed, left))
+        if res.status != FEASIBLE:
+            return res
+        yield res
         # sum(ones) - sum(zeros) <= |ones| - 1 excludes exactly this
         # placement; leaving the zeros out would also exclude every
         # placement that switches on more of them
-        terms = tuple((1 if x else -1, v) for v, x in assignment.items()
-                      if v.cls == "f")
-        cut = LinearConstraint(terms, "<=", sum(c > 0 for c, _ in terms) - 1,
-                               "cut")
+        terms = tuple((1 if x else -1, v)
+                      for v, x in res.assignment.items() if v.cls == "f")
+        rows.append(LinearConstraint(
+            terms, "<=", sum(c > 0 for c, _ in terms) - 1, "cut"))

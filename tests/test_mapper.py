@@ -315,6 +315,32 @@ def test_matching_after_the_cut_refutes(monkeypatch):
     assert events == [*_opened(2), ("screened", 2, (INFEASIBLE, 1))]
 
 
+def test_must_cross_refuses_at_the_root():
+    # acc on 1x3 HyCUBE at II 1, NN 8 has one placement that meets
+    # con1-con3, ld on mem_0 and acc on pe_0_0's ALU. With one or two
+    # cached routes per pair, every route of both its connections, one
+    # driven by mem_0 and one by the ALU, enters pe_0_0 through its xa
+    # input, so must-cross refutes it, and with it the target, at the
+    # screen search's root node; with SHALLOW_PATHS routes it routes
+    dfg = parse_dfg(ACC)
+    mrrg = build_mrrg(ArchSpec("hycube", 1, 3), 1)
+    nmap = build_neighbor_map(mrrg, 8)
+    [place] = placements(dfg, mrrg, nmap)
+    assert place == {"ld": ("mem_0", 0), "acc": ("pe_0_0.alu", 0)}
+    pairs = {(place[o], place[p]) for o, p in dfg.point_edges()}
+    crossed = (("pe_0_0.in_xa", 0), ("xb_0_0.to_pxa", 0))
+    for k, blocked in ((1, (("pe_0_0.a", 0), *crossed)), (2, crossed)):
+        cache = build_path_cache(mrrg, nmap, k)
+        assert refuted_at_root(dfg, mrrg, nmap, cache), k
+        assert not routable(pairs, cache), k
+        assert must_cross_blocks(pairs, cache) == dict.fromkeys(
+            pairs, blocked), k
+    cache = build_path_cache(mrrg, nmap, SHALLOW_PATHS)
+    assert not refuted_at_root(dfg, mrrg, nmap, cache)
+    assert routable(pairs, cache)
+    assert must_cross_blocks(pairs, cache) == {}
+
+
 def test_screen_timeout_ends_the_run(monkeypatch):
     # a screen search that times out before its first placement
     _Clock(monkeypatch)
