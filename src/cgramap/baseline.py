@@ -23,7 +23,7 @@ from collections import deque
 
 from .dfg import Dfg
 from .ilp import (IlpModel, VarId, add_fu_exclusivity, add_implication,
-                  add_must_map, declare_f)
+                  add_must_map, declare_f, gc_paused)
 from .mrrg import Mrrg, NodeKey, fu_nodes, hop_dists
 from .paths import RoutePath
 
@@ -36,6 +36,7 @@ def rvar(driver: str, n: NodeKey, layer: int) -> VarId:
     return VarId("r", (driver, n, layer))
 
 
+@gc_paused
 def build_baseline(dfg: Dfg, mrrg: Mrrg) -> IlpModel:
     """Model whose solutions are exactly the valid mappings, up to the
     hop budget: longer detours than lmax per signal are out of scope.

@@ -36,10 +36,13 @@ caller stops reading once it has the leaves it needs.
 
 build_variant builds the one model, combined (con1-3, con5-6), over the
 neighbour map and the path cache; the benchmark's exact workload and
-the tests solve it. Variables and rows are named tuples, which are
-built and hashed without Python code. A row keeps its terms in the
-order its builder lists them; the solver's one read of the rows, not
-the model, rejects a variable repeated within one.
+the tests solve it. Variables and rows are named tuples: building one
+runs the __new__ that namedtuple generates in Python, while hashing,
+comparing and looking one up run natively. A row keeps its terms in
+the order its builder lists them; the solver's one read of the rows,
+not the model, rejects a variable repeated within one. Building a model
+and solving one run with the cyclic garbage collector paused
+(gc_paused).
 
 Each implication group is one row, M being its number of summed terms,
 in place of M rows x - g <= 0: the two forms admit the same 0/1 points
@@ -50,6 +53,8 @@ an LP relaxation the aggregated row is the weaker, big-M form.
 
 from __future__ import annotations
 
+import functools
+import gc
 import random
 import time
 from typing import NamedTuple
@@ -70,10 +75,35 @@ class InfeasibleModel(Exception):
         self.reason = reason
 
 
+def gc_paused(func):
+    """Wrap func to run with the cyclic garbage collector disabled,
+    enabling it again in a finally block only if it was on when func was
+    entered. A model build and the solver's read of the rows allocate
+    containers by the hundred thousand on a 4x4 fabric, which live until
+    the call returns, and each collection would walk them again. This
+    relies on func making no reference cycles: reference counting then
+    frees all its garbage, so pausing the collector delays none. func
+    must not be a generator function, whose body runs after the wrapper
+    has returned."""
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 class VarId(NamedTuple):
     """A model variable: its class letter and the tuple naming it. As a
-    tuple it hashes as hash((cls, idx)), orders by (cls, idx) and is
-    built, compared and looked up without running Python code."""
+    tuple it hashes as hash((cls, idx)) and orders by (cls, idx), and
+    hashing, comparing and looking one up run no Python code; building
+    one runs the __new__ that namedtuple generates in Python."""
 
     cls: str
     idx: tuple
@@ -227,18 +257,23 @@ def _matched(units) -> bool:
     its own: the all-different test (Regin, AAAI 1994), by augmenting
     paths."""
     host: dict[NodeKey, str] = {}
+    return all(_augment(o, units, host, set()) for o in units)
 
-    def augment(o, seen):
-        for u in units[o]:
-            if u in seen:
-                continue
-            seen.add(u)
-            if u not in host or augment(host[u], seen):
-                host[u] = o
-                return True
-        return False
 
-    return all(augment(o, set()) for o in units)
+def _augment(o, units, host, seen) -> bool:
+    """Whether an augmenting path from o through units not in seen gives
+    o one of units[o], moving the operations on its way; host (unit ->
+    operation) records the matching. Not a closure in _matched: a
+    recursive closure is a reference cycle that only the cyclic
+    collector frees."""
+    for u in units[o]:
+        if u in seen:
+            continue
+        seen.add(u)
+        if u not in host or _augment(host[u], units, host, seen):
+            host[u] = o
+            return True
+    return False
 
 
 def _settle(units, near, through, changed) -> bool:
@@ -578,6 +613,7 @@ def add_path_exclusivity(model: IlpModel, cache: PathCache) -> None:
         model.add_constraint(ys, "<=", 1, "con6")
 
 
+@gc_paused
 def build_variant(variant: str, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
                   cache: PathCache, *,
                   paths_per_connection: int | None = None) -> IlpModel:

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .dfg import is_int
-from .ilp import LinearConstraint, _matched
+from .ilp import LinearConstraint, _matched, gc_paused
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -429,6 +429,7 @@ def _branch_order(variables, seed):
     return order
 
 
+@gc_paused
 def solve(model, cfg: SolveConfig) -> SolveResult:
     """Decide the model exactly: its first leaf, or infeasible or
     timeout with no assignment; deterministic for a fixed (model,

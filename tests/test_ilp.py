@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from itertools import combinations, product
@@ -6,12 +7,14 @@ from types import SimpleNamespace
 import pytest
 
 from cgramap import solver
-from cgramap.dfg import parse_dfg
+from cgramap.baseline import build_baseline
+from cgramap.dfg import Dfg, Operation, parse_dfg
 from cgramap.ilp import (IlpModel, InfeasibleModel, VarId,
                          add_fu_exclusivity, add_implication, add_must_map,
                          add_path_exclusivity, audit, build_variant,
-                         declare_f, fvar, must_cross_blocks, pvar,
-                         route_root, route_search, screen_placements, yvar)
+                         declare_f, fvar, must_cross_blocks, placeable,
+                         pvar, route_root, route_search, screen_placements,
+                         yvar)
 from cgramap.mapper import SHALLOW_PATHS
 from cgramap.mrrg import ArchSpec, build_mrrg, compatible_nodes, fu_nodes
 from cgramap.neighbors import NeighborMap, build_neighbor_map
@@ -688,3 +691,78 @@ def test_stats_shape(inst):
     assert any(l.startswith("variables total=") for l in lines)
     assert any(l.startswith("constraints total=") for l in lines)
     assert "con6=" in text
+
+
+def _collections(run):
+    """The generations of the collections the cyclic collector starts
+    while run() runs, from empty generations at a threshold of 100
+    containers: more than a wrapper allocates before it pauses the
+    collector, far fewer than a model build."""
+    assert gc.isenabled()
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.callbacks.append(record)
+    gc.set_threshold(100)
+    try:
+        run()
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(record)
+    return starts
+
+
+def test_model_builds_and_solves_start_no_collection(inst, combined):
+    dfg, m, nmap, cache = inst
+    # the recorder sees the collections plain Python code starts
+    assert _collections(lambda: [[] for _ in range(1000)])
+    assert _collections(lambda: build_baseline(dfg, m)) == []
+    assert _collections(
+        lambda: build_variant("combined", dfg, m, nmap, cache)) == []
+    cfg = solver.SolveConfig()
+    assert _collections(lambda: solver.solve(combined, cfg)) == []
+
+
+def test_paused_collector_is_restored(inst, combined):
+    dfg, m, nmap, cache = inst
+    malformed = IlpModel("combined")
+    malformed.add_constraint([(1, malformed.add_var(fvar("a", ("u", 0))))],
+                             "<", 1, "t")
+    unplaceable = Dfg([Operation("a", "frob")], [])
+    cfg = solver.SolveConfig()
+    for on in (True, False):
+        if not on:
+            gc.disable()
+        try:
+            assert solver.solve(combined, cfg).status == "feasible"
+            assert gc.isenabled() is on
+            assert build_baseline(dfg, m).variables
+            assert gc.isenabled() is on
+            with pytest.raises(ValueError, match="bad relation"):
+                solver.solve(malformed, cfg)
+            assert gc.isenabled() is on
+            with pytest.raises(InfeasibleModel, match="a has no"):
+                build_variant("combined", unplaceable, m, nmap, cache)
+            assert gc.isenabled() is on
+        finally:
+            gc.enable()
+
+
+def test_matching_leaves_no_reference_cycle(inst, combined):
+    # with the collector paused around the solver, a cycle left by
+    # placeable's or the root check's matching would outlive the call
+    dfg, m, _, _ = inst
+    gc.collect()
+    gc.disable()
+    try:
+        assert placeable(dfg, m)
+        assert solver.solve(combined, solver.SolveConfig()).nodes
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
