@@ -63,36 +63,39 @@ def build_baseline(dfg: Dfg, mrrg: Mrrg) -> IlpModel:
         model.metadata[f"lmax!{driver}"] = lmax
         # the driver's window: marks[n][layer] is the mark of node n there
         marks: dict[NodeKey, dict[int, VarId]] = {}
+        # the driver's usage var of each node in its window
+        zs: dict[NodeKey, VarId] = {}
         for n in sorted(spans):
             if spans[n] <= lmax:
-                model.add_var(zvar(driver, n))
+                zs[n] = model.add_var(zvar(driver, n))
                 marks[n] = {layer: model.add_var(rvar(driver, n, layer))
                             for layer in range(fwd[n], lmax - bwd[n] + 1)}
 
         for n, layers in marks.items():
-            z = zvar(driver, n)
+            z = zs[n]
             users.setdefault(n, []).append(z)
             add_implication(model, layers.values(), z, "usage")
             model.add_constraint([(1, z)] + [(-1, r) for r in layers.values()],
                                  "<=", 0, "reach")
-            fanout = set(mrrg.fanout(n))
+            fanin, fanout = mrrg.fanin(n), mrrg.fanout(n)
             fed = [(-1, f) for vs in sinks.values() for v, f in vs.items()
                    if v in fanout]
+            # the marks of the node's fanin and fanout, read once a node
+            below = [marks[m] for m in fanin if m in marks]
+            above = [marks[m] for m in fanout if m in marks]
             for layer, r in layers.items():
-                back = [(-1, marks[m][layer - 1]) for m in mrrg.fanin(n)
-                        if layer - 1 in marks.get(m, ())]
+                back = [(-1, ms[layer - 1]) for ms in below
+                        if layer - 1 in ms]
                 if layer == 1:
-                    back += [(-1, units[u]) for u in mrrg.fanin(n)
-                             if u in units]
+                    back += [(-1, units[u]) for u in fanin if u in units]
                 model.add_constraint([(1, r)] + back, "<=", 0, "back")
-                ahead = [(-1, marks[m][layer + 1]) for m in mrrg.fanout(n)
-                         if layer + 1 in marks.get(m, ())]
+                ahead = [(-1, ms[layer + 1]) for ms in above
+                         if layer + 1 in ms]
                 model.add_constraint([(1, r)] + ahead + fed, "<=", 0, "fwd")
 
         for sink, vs in sinks.items():
             for v, f in vs.items():
-                arrive = [(-1, zvar(driver, n)) for n in mrrg.fanin(v)
-                          if n in marks]
+                arrive = [(-1, zs[n]) for n in mrrg.fanin(v) if n in zs]
                 if sink != driver:
                     arrive += [(-1, units[u]) for u in mrrg.fanin(v)
                                if u in units and u != v]

@@ -1,22 +1,22 @@
 """Staged mapping driver.
 
-For each neighbour-count target in the schedule, a matching of
-operations onto distinct compatible units (con1-con2, which do not
-depend on NN) may refute the target before its neighbour map is asked
-for. Otherwise the target builds one path cache of SHALLOW_PATHS routes
-per pair of its neighbour map, and the screen searches the placements
-that meet con1-con3 and leave every connection a cached route at
-must-cross strength (ilp.screen_placements): a depth-first search over
-each operation's units that keeps them arc-consistent with the
-neighbour map and matchable onto distinct units, and the routes of each
-connection whose ends are fixed consistent with the vertices every
-other connection must cross, at every node from its root node on. Each
-placement the search yields gets one routing check, a search for one
-cached route per connection with no vertex carrying two signals
-(ilp.route_search), which starts from the routes and claims the
-screen's leaf left. The first routable placement wins; growing the
-neighbourhood only happens when the cheap stages say the current one
-cannot work.
+A matching of operations onto distinct compatible units (con1-con2,
+which do not depend on NN) runs once per call; when it fails, every
+neighbour-count target in the schedule is refuted without asking for
+its neighbour map. Otherwise each target builds one path cache of
+SHALLOW_PATHS routes per pair of its neighbour map, and the screen
+searches the placements that meet con1-con3 and leave every connection
+a cached route at must-cross strength (ilp.screen_placements): a
+depth-first search over each operation's units that keeps them
+arc-consistent with the neighbour map and matchable onto distinct
+units, and the routes of each connection whose ends are fixed
+consistent with the vertices every other connection must cross, at
+every node from its root node on. Each placement the search yields
+gets one routing check, a search for one cached route per connection
+with no vertex carrying two signals (ilp.route_search), which starts
+from the routes and claims the screen's leaf left. The first routable
+placement wins; growing the neighbourhood only happens when the cheap
+stages say the current one cannot work.
 
 This deviates from the paper, which stages its models as screen, then
 relaxed placement (con5, and con6 at more than one signal per vertex,
@@ -137,6 +137,8 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
     if not is_int(seed):
         raise ValueError(f"seed must be an int, got {seed!r}")
     deadline = time.monotonic() + limits.total_time
+    # con1-con2 do not depend on NN: one matching serves every target
+    matched = placeable(dfg, mrrg)
     attempts: list[NnAttempt] = []
     gave_up = False
     for nn in sched:
@@ -144,7 +146,7 @@ def map_dfg(dfg: Dfg, mrrg: Mrrg, schedule=GENERIC_SCHEDULE,
         if start >= deadline:
             return MapOutcome(TIMED_OUT, None, tuple(attempts))
         screen, tried, solution, timed_out = _attempt(
-            dfg, mrrg, nn, limits, seed, deadline)
+            dfg, mrrg, nn, limits, seed, deadline, matched)
         gave_up = gave_up or timed_out
         now = time.monotonic()
         attempts.append(NnAttempt(nn, screen, tried, solution is not None,
@@ -172,25 +174,26 @@ def _config(deadline: float, cap: float = math.inf,
 
 
 def _attempt(dfg: Dfg, mrrg: Mrrg, nn: int, limits: MapLimits, seed: int,
-             deadline: float
+             deadline: float, matched: bool
              ) -> tuple[str, int, MappingSolution | None, bool]:
     """One target: the screen's status, the number of placements tried,
     the first one that routes, if any, and whether some routing check
     timed out.
 
-    A target the unit matching refutes never asks for its neighbour
-    map, and returns what an infeasible screen does. Otherwise the
-    target builds one SHALLOW_PATHS cache, the screen search runs over
-    it, and its status is feasible once it yields a placement, else the
-    status it ends with: infeasible when its root node or its exhausted
-    tree proves that no placement passes must-cross over the cache,
-    which holds only relative to the cache. Which placement comes first
-    depends on the seed, through the search's value order. Each
-    placement gets one routing check, from the screen's leaf; one that
-    ends past the deadline ends the target, and so does the
-    placement_limit-th, after which the screen is not read again: no
-    search counts the placements it yields."""
-    if not placeable(dfg, mrrg):
+    matched is the unit matching's verdict, placeable(dfg, mrrg), which
+    map_dfg tests once for all its targets. When it is False the target
+    never asks for its neighbour map, and returns what an infeasible
+    screen does. Otherwise the target builds one SHALLOW_PATHS cache,
+    the screen search runs over it, and its status is feasible once it
+    yields a placement, else the status it ends with: infeasible when
+    its root node or its exhausted tree proves that no placement passes
+    must-cross over the cache, which holds only relative to the cache.
+    Which placement comes first depends on the seed, through the
+    search's value order. Each placement gets one routing check, from
+    the screen's leaf; one that ends past the deadline ends the target,
+    and so does the placement_limit-th, after which the screen is not
+    read again: no search counts the placements it yields."""
+    if not matched:
         return "infeasible", 0, None, False
     nmap = build_neighbor_map(mrrg, nn)
     cache = build_path_cache(mrrg, nmap, SHALLOW_PATHS)

@@ -7,15 +7,16 @@ variable repeated within the row; a twice-declared variable is rejected
 before) with ValueError, normalises it to sum(c_i x_i) <= b over
 variable indices (an = row to two) and records whether it is a choice
 group or an at-most-one row. The model builder leaves these checks to
-this pass, which takes any object with variables and constraints. Every
-normalised row enters through add_row as the model is read, before the
-first fix; add_row sets its slack and width and the variables that
-spend it. A row's slack is b minus the smallest value its fixed and
-free terms can still take, and a negative slack is a conflict. Free
-variables whose coefficient exceeds the slack are forced; a row whose
-slack is at least its width, its widest coefficient, can do neither, so
-a fix queues only the rows it leaves below their width (the watch rule
-of Chai & Kuehlmann, DAC 2003).
+this pass, which takes any object with variables and constraints. Then
+Hall's check (below) runs on the rows as read, and unless it refutes
+the model, add_row watches every normalised row before the first fix:
+it sets the row's slack and width and the variables that spend it. A
+row's slack is b minus the smallest value its fixed and free terms can
+still take, and a negative slack is a conflict. Free variables whose
+coefficient exceeds the slack are forced; a row whose slack is at least
+its width, its widest coefficient, can do neither, so a fix queues only
+the rows it leaves below their width (the watch rule of Chai &
+Kuehlmann, DAC 2003).
 
 The search branches on choices first. A choice group is a row that
 needs at least one of its variables (all coefficients 1), such as an
@@ -39,23 +40,25 @@ branch when it dominates, each row where it uses up slack holding
 whatever its free terms take: any leaf with the variable at 1 is then a
 leaf at 0.
 
-Before the first decision, on the root's fixpoint, the search tests
-Hall's condition, as an LP bound would refute an over-subscribed model
-(five operations on four units, n + 1 pigeons in n holes) where
-branching takes exponential time (Haken, TCS 1985). An at-most-one row
-is a normalised row with rhs 1 and every coefficient 1, such as a
-unit's con1 row over the operations it fits. Each open choice group
-that shares no variable with another group must match onto its own
-at-most-one row of one of its free members, by augmenting paths; only
-rows that hold a variable outside the group count, and a group with a
-free member in no such row is left out. A leaf sets some member of each
-such group to 1, a distinct variable per group, and no row holds two of
-them, so the leaf gives the matching: when a group stays unmatched
-there is no leaf, and the search ends infeasible at 0 nodes. The check
+Once every row is read and checked, before any watch list is built,
+the search tests Hall's condition, as an LP bound would refute an
+over-subscribed model (five operations on four units, n + 1 pigeons in
+n holes) where branching takes exponential time (Haken, TCS 1985). An
+at-most-one row is a normalised row with rhs 1 and every coefficient 1,
+such as a unit's con1 row over the operations it fits; each variable's
+such rows are found from their terms. Each choice group that shares no
+variable with another group must match onto its own at-most-one row of
+one of its members, by augmenting paths; only rows that hold a variable
+outside the group count, and a group with a member in no such row is
+left out. A leaf sets some member of each such group to 1, a distinct
+variable per group, and no row holds two of them, so the leaf gives the
+matching: when a group stays unmatched there is no leaf, and the search
+ends infeasible at 0 nodes, having paid for the read alone. The check
 drops rows and groups, so it is a relaxation of the model and its
-refutation a proof. It runs at the root only: below the root it refuted
-no node of the benchmark's exact models, so each further check would be
-spent.
+refutation a proof. It runs once, on the model as declared: on the
+root's fixpoint it refuted none of 750 random models that it left open
+before the first fix, and below the root no node of the benchmark's
+exact models, so each further check would be spent.
 
 On conflict the search backtracks chronologically: it undoes to the
 deepest decision with a value left and flips it. The search ends at its
@@ -132,32 +135,35 @@ class _Search:
             raise ValueError("duplicate variable declaration")
         self.val = [-1] * len(self.vars)
         # per normalised row sum(c x) <= rhs: its (c, variable index)
-        # terms, its rhs and its slack under the current fixes
+        # terms and its rhs
         self.coefs: list[list[tuple[int, int]]] = []
         self.rhs: list[int] = []
+        # the watch lists, which add_row builds unless the matching
+        # refutes the model as read. Per row, its slack under the current
+        # fixes
         self.slack: list[int] = []
         # per row, its widest |coefficient|: a row with at least that much
         # slack can neither force a variable nor conflict
         self.width: list[int] = []
         # at 2 * i + value, the rows where variable i at that value uses
         # up slack, flat as row, amount, row, amount, ...
-        self.spends: list[list[int]] = [[] for _ in range(2 * len(self.vars))]
-        self.trail: list[int] = []
+        self.spends: list[list[int]] = []
         self.queue: deque[int] = deque()
+        self.trail: list[int] = []
         self.nodes = 0
         # the choices the search branches on first, in row order: the
         # variable indices of each row that needs at least one of its
         # variables (relation >= or =, rhs at least 1, every coefficient 1)
         self.groups: list[list[int]] = []
         # the rows that allow at most one of their variables (normalised
-        # rhs 1, every coefficient 1), which the root's matching reads
+        # rhs 1, every coefficient 1), which the matching reads
         self.at_most_one: list[int] = []
         # the rows a leaf's failed re-check is worded from
         self.constraints = model.constraints
+        coefs, rhs_of = self.coefs, self.rhs
         # at each variable index, the last row whose terms held it
         last = [-1] * len(self.vars)
-        # a row's <= half, and the >= half of a >= or = row negated,
-        # enter through add_row
+        # a row's <= half, and the >= half of a >= or = row negated
         for r, con in enumerate(self.constraints):
             relation = con.relation
             if relation not in ("<=", ">=", "="):
@@ -179,28 +185,35 @@ class _Search:
             if type(rhs) is not int and not is_int(rhs):
                 raise ValueError(f"non-integer right-hand side {rhs!r}")
             if relation != ">=":
-                row = self.add_row(terms, rhs)
                 if rhs == 1 and terms and all(c == 1 for c, _ in terms):
-                    self.at_most_one.append(row)
+                    self.at_most_one.append(len(coefs))
+                coefs.append(terms)
+                rhs_of.append(rhs)
             if relation != "<=":
-                row = self.add_row([(-c, i) for c, i in terms], -rhs)
                 if rhs >= 1 and terms and all(c == 1 for c, _ in terms):
                     self.groups.append([i for _, i in terms])
                 elif rhs == -1 and terms and all(c == -1 for c, _ in terms):
-                    self.at_most_one.append(row)
+                    self.at_most_one.append(len(coefs))
+                coefs.append([(-c, i) for c, i in terms])
+                rhs_of.append(-rhs)
+        # Hall's check on the model as declared decides it at 0 nodes,
+        # before any watch list is built, when it finds no leaf
+        self.refuted = self.overcommitted()
+        if not self.refuted:
+            self.spends = [[] for _ in range(2 * len(self.vars))]
+            for row in range(len(coefs)):
+                self.add_row(row)
 
-    def add_row(self, terms, rhs) -> int:
-        """Add sum(c x) <= rhs before any fix, queued if its slack is
-        below its width; each term is free and counts min(c, 0), as
-        undo_to assumes."""
-        row = len(self.coefs)
-        self.coefs.append(terms)
-        self.rhs.append(rhs)
+    def add_row(self, row):
+        """Watch normalised row `row`, the next one unwatched, before any
+        fix: set its slack and width and the variables that spend it,
+        and queue it if its slack is below its width. Each term is free
+        and counts min(c, 0), as undo_to assumes."""
         spends = self.spends
-        slack, width = rhs, 0
+        slack, width = self.rhs[row], 0
         # fixing to 1 uses up the slack of a positive coefficient, fixing
         # to 0 that of a negative one
-        for c, i in terms:
+        for c, i in self.coefs[row]:
             if c > 0:
                 spends[2 * i + 1] += (row, c)
                 if c > width:
@@ -214,7 +227,6 @@ class _Search:
         self.width.append(width)
         if slack < width:
             self.queue.append(row)
-        return row
 
     def fix(self, i, value):
         self.val[i] = value
@@ -271,33 +283,38 @@ class _Search:
                    for row, _ in zip(spend, spend))
 
     def overcommitted(self) -> bool:
-        """Hall's condition on the current fixpoint: whether some choice
-        groups need more shared at-most-one rows than they can reach.
-        Each open group that counts (it shares no variable with another
-        group, and every free member lies in some shared row) must match
-        onto its own shared at-most-one row of one of its free members;
-        a shared row holds a variable outside the group. True when a
-        group is left unmatched, which proves the model has no leaf."""
+        """Hall's condition under the current fixes, which the read
+        tests before any: whether some choice groups need more shared
+        at-most-one rows than they can reach. Each open group that
+        counts (it shares no variable with another group, and every free
+        member lies in some shared row) must match onto its own shared
+        at-most-one row of one of its free members; a shared row holds a
+        variable outside the group. Each variable's at-most-one rows are
+        found from their normalised terms, so no watch list is read.
+        True when a group is left unmatched, which proves the model has
+        no leaf."""
         val = self.val
         coefs = self.coefs
-        spends = self.spends
-        amo = set(self.at_most_one)
         held = [0] * len(val)
         for members in self.groups:
-            for i in set(members):
+            for i in members:
                 held[i] += 1
+        # the at-most-one rows of each variable in exactly one group
+        rows_of: dict[int, list[int]] = {}
+        for r in self.at_most_one:
+            for _, i in coefs[r]:
+                if held[i] == 1:
+                    rows_of.setdefault(i, []).append(r)
         # per counted group, the shared rows of its free members
         choices = {}
         for g, members in enumerate(self.groups):
-            distinct = set(members)
-            if any(held[i] > 1 or val[i] == 1 for i in distinct):
+            if any(held[i] > 1 or val[i] == 1 for i in members):
                 continue
             # how many terms of each at-most-one row the group holds
             inside: dict[int, int] = {}
             free_rows = []
-            for i in distinct:
-                spend = spends[2 * i + 1]
-                rows = [r for r in spend[::2] if r in amo]
+            for i in members:
+                rows = rows_of.get(i, ())
                 for r in rows:
                     inside[r] = inside.get(r, 0) + 1
                 if val[i] < 0:
@@ -316,8 +333,10 @@ class _Search:
 
     def run(self, seed, deadline) -> tuple[str, dict | None]:
         """Search for one leaf: (FEASIBLE, its assignment), or
-        (INFEASIBLE, None) once the tree is exhausted, or (TIMEOUT,
-        None)."""
+        (INFEASIBLE, None) once the tree is exhausted or at 0 nodes when
+        the read's matching refuted the model, or (TIMEOUT, None)."""
+        if self.refuted:
+            return INFEASIBLE, None
         order = _branch_order(self.vars, seed)
         rank = [0] * len(order)
         for at, i in enumerate(order):
@@ -332,18 +351,10 @@ class _Search:
         # (decision variable, value tried first, cursor pos, 1 once the
         # other value is on, trail mark, 1 if taken from a choice group)
         stack: list[tuple[int, int, int, int, int, int]] = []
-        root = True
         while True:
             if time.monotonic() > deadline:
                 return TIMEOUT, None
-            conflict = self.propagate()
-            # Hall's check runs once, on the root's fixpoint, before the
-            # first decision
-            if root:
-                root = False
-                if conflict is None and self.overcommitted():
-                    return INFEASIBLE, None
-            if conflict is None:
+            if self.propagate() is None:
                 # a node below a cursor decision has every group settled
                 # too: fixing more variables never reopens one
                 chosen = _open_choice(groups, val) if (

@@ -269,6 +269,27 @@ def test_unit_matching_refutes_before_the_neighbour_map(monkeypatch):
     assert events == []
 
 
+def test_unit_matching_runs_once_per_call(monkeypatch):
+    # con1-con2 do not depend on NN, so one matching serves every target
+    # of a call: stores3 is refuted at each of its targets, and loop's
+    # first two targets fail their screens before the third maps
+    calls = []
+
+    def counted(dfg, mrrg):
+        calls.append(dfg)
+        return placeable(dfg, mrrg)
+
+    monkeypatch.setattr(mapper, "placeable", counted)
+    for kernel, family, schedule, status in (
+            ("stores3", "adres", SCHEDULE, NOT_MAPPABLE),
+            ("loop", "ortho", (1, 2, 4), MAPPED)):
+        calls.clear()
+        dfg = parse_dfg(KERNELS[kernel])
+        out = map_dfg(dfg, fabric(family, 1), schedule, LIMITS, seed=1)
+        assert (out.status, len(out.attempts)) == (status, len(schedule))
+        assert calls == [dfg], kernel
+
+
 def test_neighbourhood_check_refutes_before_the_screen(monkeypatch):
     # on 2x2 ortho at II 1 no ALU is its own neighbour at NN 1 or 2, so
     # the loop edge has no unit there and the screen search ends at its

@@ -132,8 +132,9 @@ def test_malformed_rejected():
     ids=["bool", "undeclared", "relation"])
 def test_malformed_row_is_rejected_before_the_root_check(terms, relation,
                                                          words):
-    # the clique pigeonhole the root's matching refutes, with one
-    # malformed row after its own: the read rejects it first
+    # the clique pigeonhole the read's matching refutes, with one
+    # malformed row after its own: the read rejects it before the
+    # matching runs
     model = _pigeonhole(12, 11)
     by_name = {"ghost": VarId("f", ("ghost",))}
     by_name.update(("".join(v.idx), v) for v in model.variables)
@@ -226,7 +227,7 @@ def test_random_agreement_with_exhaustive():
 
 
 def hall_model(rng):
-    """A small model for the root's matching: 2 or 3 units and up to 4
+    """A small model for the read's matching: 2 or 3 units and up to 4
     groups, at least one per unit, each with a variable for each of 2 or
     more of the units; each group's row needs at least one of them, and
     each unit's at-most-one row, in either normalised form, holds all or
@@ -275,9 +276,13 @@ def test_root_matching_refutes_only_infeasible_models():
         model = hall_model(rng)
         feasible = exhaustive(model)
         search = solver._Search(model)
-        if search.propagate() is None and search.overcommitted():
+        if search.refuted:
             refuted += 1
             assert not feasible, f"trial {trial}"
+        elif search.propagate() is None:
+            # the matching on the root's fixpoint refutes no model that
+            # the read's matching, before any fix, leaves open
+            assert not search.overcommitted(), f"trial {trial}"
         res = solve(model, SolveConfig(seed=trial % 5))
         assert (res.status == "feasible") == feasible, f"trial {trial}"
     # enough refutations that a rule left out of the check shows here
@@ -296,10 +301,10 @@ def _agreement_models():
 
 def _read_by_rows(model):
     """A reference for _Search's one-pass read: each row normalised to
-    sum(c x) <= rhs and added with add_row to a search over no rows, the
-    choice groups picked by their rule (relation >= or =, rhs at least
-    1, every coefficient 1), and the normalised rows with rhs 1 and
-    every coefficient 1 as the at-most-one rows."""
+    sum(c x) <= rhs, appended to a search over no rows and watched with
+    add_row, the choice groups picked by their rule (relation >= or =,
+    rhs at least 1, every coefficient 1), and the normalised rows with
+    rhs 1 and every coefficient 1 as the at-most-one rows."""
     search = solver._Search(SimpleNamespace(variables=model.variables,
                                             constraints=[]))
     groups, at_most_one = [], []
@@ -311,7 +316,10 @@ def _read_by_rows(model):
         if con.relation != "<=":
             halves.append(([(-c, i) for c, i in terms], -con.rhs))
         for half, rhs in halves:
-            row = search.add_row(half, rhs)
+            row = len(search.coefs)
+            search.coefs.append(half)
+            search.rhs.append(rhs)
+            search.add_row(row)
             if rhs == 1 and half and all(c == 1 for c, _ in half):
                 at_most_one.append(row)
         if (con.relation != "<=" and con.rhs >= 1 and terms
@@ -320,23 +328,31 @@ def _read_by_rows(model):
     return search, groups, at_most_one
 
 
-def _read_state(search):
-    return (search.coefs, search.rhs, search.slack, search.width,
-            search.spends, list(search.queue))
+def _watch_lists(search):
+    return (search.slack, search.width, search.spends, list(search.queue))
 
 
 def test_one_pass_read_matches_rows_added_one_by_one():
+    # the ldst baseline and five_add's are models the read's matching
+    # refutes: they are read in full and hold no watch list
     five_add = build_baseline(parse_dfg(FIVE_ADD),
                               build_mrrg(ArchSpec("ortho", 2, 2), 1))
     screen, shapes = sum4_screen(), baselines()
     models = _agreement_models() + [tree5_combined(4), diamond_one_route(),
                                     screen, *shapes.values(), five_add]
+    refuted = 0
     for n, model in enumerate(models):
         read = solver._Search(model)
         reference, groups, at_most_one = _read_by_rows(model)
-        assert _read_state(read) == _read_state(reference), n
+        assert (read.coefs, read.rhs) == (reference.coefs, reference.rhs), n
         assert read.groups == groups, n
         assert read.at_most_one == at_most_one, n
+        if read.refuted:
+            refuted += 1
+            assert _watch_lists(read) == ([], [], [], []), n
+        else:
+            assert _watch_lists(read) == _watch_lists(reference), n
+    assert refuted == 2
     # the groups are the con2 rows, one per operation, of the screen and
     # of a baseline, whose routing rows need no choice of one
     assert len(solver._Search(screen).groups) == 4
@@ -465,8 +481,29 @@ def _pigeonhole(pigeons, holes, pairwise=False):
     return model
 
 
+def test_matching_refutation_is_decided_by_the_read():
+    # twelve pigeons in eleven clique holes, and five adds on the four
+    # ALUs of 2x2 ortho: the matching on the model as read refutes both,
+    # so the search builds no watch list and solves at 0 nodes
+    five_add = build_baseline(parse_dfg(FIVE_ADD),
+                              build_mrrg(ArchSpec("ortho", 2, 2), 1))
+    for model in (_pigeonhole(12, 11), five_add):
+        search = solver._Search(model)
+        assert search.refuted
+        assert (search.spends, list(search.queue)) == ([], [])
+        assert (search.slack, search.width) == ([], [])
+        assert search.run(0, float("inf")) == ("infeasible", None)
+        assert search.nodes == 0
+        res = solve(model, SolveConfig())
+        assert (res.status, res.assignment, res.nodes) == (
+            "infeasible", None, 0)
+    # the pairwise holes, which the matching cannot refute, are watched
+    search = solver._Search(_pigeonhole(12, 11, pairwise=True))
+    assert not search.refuted and search.spends
+
+
 def test_pigeonhole_and_timeout():
-    # the root's matching refutes the clique form outright; the pairwise
+    # the read's matching refutes the clique form outright; the pairwise
     # form, whose every pigeon reaches a hole row of its own, it cannot,
     # and the search branches through it
     for pairwise in (False, True):
@@ -558,8 +595,8 @@ def test_pinned_node_counts():
     got = [(r.status, r.nodes) for r in
            (solve(five_add, SolveConfig(seed=s)) for s in (2, 3))]
     # five adds on four ALUs, and six pigeons in five clique holes: the
-    # root's matching refutes both before any decision (46 and 238 nodes
-    # without it). The pairwise holes it cannot refute
+    # read's matching refutes both before any watch list is built (46
+    # and 238 nodes without it). The pairwise holes it cannot refute
     assert got == [("infeasible", 0), ("infeasible", 0)]
     res = solve(_pigeonhole(6, 5), SolveConfig(seed=2))
     assert (res.status, res.nodes) == ("infeasible", 0)
@@ -696,7 +733,7 @@ def test_enumerate_limits_and_empty():
 
 
 def test_enumerate_oversubscribed_yields_nothing():
-    # the root's matching ends the stream before the first leaf
+    # the read's matching ends the stream before the first leaf
     five_add = build_baseline(parse_dfg(FIVE_ADD),
                               build_mrrg(ArchSpec("ortho", 2, 2), 1))
     for model in (_pigeonhole(12, 11), five_add):
@@ -766,7 +803,7 @@ def test_scipy_crosscheck():
     for name, model in shaped.items():
         ours = solve(model, SolveConfig())
         assert (ours.status == "feasible") == theirs[name], name
-    # what the root's matching refutes, HiGHS must prove infeasible: the
+    # what the read's matching refutes, HiGHS must prove infeasible: the
     # clique pigeonholes, and the random models of the soundness test
     for n in range(2, 12):
         assert solve(_pigeonhole(n + 1, n), SolveConfig()).nodes == 0, n
@@ -774,6 +811,5 @@ def test_scipy_crosscheck():
     rng = random.Random(20261019)
     for trial in range(400):
         model = hall_model(rng)
-        search = solver._Search(model)
-        if search.propagate() is None and search.overcommitted():
+        if solver._Search(model).refuted:
             assert not highs_feasible(model), f"trial {trial}"
