@@ -28,21 +28,21 @@ con5-6 over the cached routes at must-cross strength
 and matchable onto distinct units, each connection whose ends are
 fixed keeping the routes that cross no vertex another connection must
 cross), and then con5-6 in full over a placement's routes likewise
-(route_search, over each connection's routes, from the fixpoint the
-screen's leaf holds). Both are one depth-first loop, _depth_first;
-each search gives it only its root node, its propagation and its value
-order, and ends only when its tree is exhausted or its time is out: a
-caller stops reading once it has the leaves it needs.
+(route_search, over each connection's cached RoutePaths, from the
+fixpoint the screen's leaf holds). Both are one depth-first loop,
+_depth_first; each search gives it only its root node, its propagation
+and its value order, and ends only when its tree is exhausted or its
+time is out: a caller stops reading once it has the leaves it needs.
 
 build_variant builds the one model, combined (con1-3, con5-6), over the
 neighbour map and the path cache; the benchmark's exact workload and
 the tests solve it. Variables and rows are named tuples: building one
 runs the __new__ that namedtuple generates in Python, while hashing,
-comparing and looking one up run natively. A row keeps its terms in
-the order its builder lists them; the solver's one read of the rows,
-not the model, rejects a variable repeated within one. Building a model
-and solving one run with the cyclic garbage collector paused
-(gc_paused).
+comparing and looking one up run natively. A model keeps variables
+and row terms as its builders give them; the solver's one read of the
+model rejects a variable declared twice or repeated within a row.
+Building a model and solving one run with the cyclic garbage collector
+paused (gc_paused).
 
 Each implication group is one row, M being its number of summed terms,
 in place of M rows x - g <= 0: the two forms admit the same 0/1 points
@@ -137,16 +137,14 @@ class IlpModel:
         self.variant = variant
         self.metadata = dict(metadata)
         self.variables: list[VarId] = []
-        self._declared: dict[VarId, int] = {}
         self.constraints: list[LinearConstraint] = []
         # the placements (o, u, p, v) the rows allow each DFG edge (o, p);
         # empty for a model build_variant did not build
         self.domain: tuple[tuple[str, NodeKey, str, NodeKey], ...] = ()
 
     def add_var(self, var: VarId) -> VarId:
-        if var not in self._declared:
-            self._declared[var] = len(self.variables)
-            self.variables.append(var)
+        """Append var as given: the solver's read rejects a repeat."""
+        self.variables.append(var)
         return var
 
     def add_constraint(self, terms, relation: str, rhs: int, tag: str) -> None:
@@ -356,12 +354,12 @@ def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg,
     placements stops reading.
 
     A node also holds routes, each connection whose two ends have one
-    unit with its cached routes, and their claims. A connection joins
-    once its ends are fixed, without the routes through a vertex another
-    driver claims, and must-cross (_cross) runs from the connections
-    that joined; the node fails when one is left with no route. A leaf
-    is the pruned (routes, claims), in pair order: route_search's root
-    for the placement.
+    unit with its cached RoutePaths, and their claims. A connection
+    joins once its ends are fixed, keeping the routes whose interior
+    crosses no vertex another driver claims, and must-cross (_cross)
+    runs from the connections that joined; the node fails when one is
+    left with no route. A leaf is the pruned (routes, claims), in pair
+    order: route_search's root for the placement.
 
     So the search is exact over con1-con3 with con5-con6 at must-cross
     strength over the cache: it prunes no placement that some choice of
@@ -378,8 +376,6 @@ def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg,
         order[o] = sorted(us)
         rng.shuffle(order[o])
     edges = dfg.point_edges()
-    # pair -> its cached routes as (interior, route), read once a search
-    read: dict[tuple[NodeKey, NodeKey], tuple] = {}
 
     def settle(node, changed):
         domains, routes, claims = node
@@ -392,12 +388,10 @@ def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg,
                 pair = (*us, *vs)
                 if pair in routes:
                     continue
-                if pair not in read:
-                    read[pair] = _entries(pair, cache)
                 own = {pair[0]}
                 taken = {n for n, ds in claims.items() if ds != own}
-                routes[pair] = tuple(entry for entry in read[pair]
-                                     if taken.isdisjoint(entry[0]))
+                routes[pair] = tuple(rp for rp in cache.get(pair)
+                                     if taken.isdisjoint(rp.interior))
                 fresh.append(pair)
         return not fresh or _cross(routes, claims, fresh)
 
@@ -415,27 +409,21 @@ def screen_placements(dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap, cfg,
                nodes)
 
 
-def _entries(pair, cache: PathCache) -> tuple:
-    """A connection's cached routes in cache order, each as (interior,
-    route): the values the routing searches branch on."""
-    return tuple((rp.interior(), rp) for rp in cache.get(pair))
-
-
 def route_root(pairs, cache: PathCache) -> tuple[dict, dict]:
     """The root node of a routing check from the cache alone: each
-    connection of pairs, in sorted order, with its cached routes, and
-    no claims."""
-    return {pair: _entries(pair, cache) for pair in sorted(set(pairs))}, {}
+    connection of pairs, in sorted order, with the cache's own tuple of
+    its RoutePaths, and no claims."""
+    return {pair: cache.get(pair) for pair in sorted(set(pairs))}, {}
 
 
 def _cross(routes, claims, changed, blocked=None) -> bool:
     """Propagate must-cross to its fixpoint, in rounds. Each round, each
-    connection in changed (whose routes were cut) claims for its driver
-    the interior vertices all its routes share; then every route that
-    crosses a vertex claimed by another driver is dropped, and the
+    connection in changed (whose RoutePaths were cut) claims for its
+    driver the interior vertices all its routes share; then every route
+    crossing a vertex claimed by another driver is dropped, and the
     connections that lost routes are the next round's changed. A route
     kept so far crosses no vertex another driver claimed, so only the
-    vertices claimed this round are tested. Route lists and claims
+    vertices claimed this round are tested. Route tuples and claims
     (vertex -> drivers) are replaced, not edited, so a copy that shares
     them stays intact.
 
@@ -452,7 +440,8 @@ def _cross(routes, claims, changed, blocked=None) -> bool:
             if not rps:
                 continue
             u = pair[0]
-            for n in set(rps[0][0]).intersection(*(i for i, _ in rps[1:])):
+            for n in set(rps[0].interior).intersection(
+                    *(rp.interior for rp in rps[1:])):
                 have = claims.get(n, frozenset())
                 if u not in have:
                     claims[n] = have | {u}
@@ -465,15 +454,15 @@ def _cross(routes, claims, changed, blocked=None) -> bool:
             if u not in taken:
                 own = {u}
                 taken[u] = {n for n in fresh if claims[n] != own}
-            keep = tuple(entry for entry in rps
-                         if taken[u].isdisjoint(entry[0]))
+            keep = tuple(rp for rp in rps
+                         if taken[u].isdisjoint(rp.interior))
             if len(keep) == len(rps):
                 continue
             if blocked is not None:
                 own = {u}
                 blocked[pair].update(
-                    n for inner, _ in rps if not taken[u].isdisjoint(inner)
-                    for n in inner if n in claims and claims[n] != own)
+                    n for rp in rps if not taken[u].isdisjoint(rp.interior)
+                    for n in rp.interior if n in claims and claims[n] != own)
             elif not keep:
                 return False
             routes[pair] = keep
@@ -507,17 +496,17 @@ def route_search(root, cfg):
     propagating must_cross_blocks's fixpoint (_cross) at every node,
     the root included. No seed enters; of cfg, a solver.SolveConfig,
     only time_limit is read. Returns (status, routes, nodes): routes is
-    {pair: route} when feasible, else None. Exact over the routes root
+    {pair: RoutePath} when feasible, else None. Exact over the routes root
     holds: feasible exactly when some product of one route per pair
     meets con6 and the claims."""
     search = _depth_first(
         root, lambda node, changed: _cross(*node, changed),
-        lambda node, pair: [(entry,) for entry in node[0][pair]], cfg)
+        lambda node, pair: [(rp,) for rp in node[0][pair]], cfg)
     try:
         (routes, _), nodes = next(search)
     except StopIteration as end:
         return end.value[0], None, end.value[1]
-    return "feasible", {pair: rps[0][1] for pair, rps in routes.items()}, nodes
+    return "feasible", {pair: rps[0] for pair, rps in routes.items()}, nodes
 
 
 def declare_p(model: IlpModel, cache: PathCache, pairs) -> None:
@@ -580,19 +569,6 @@ def add_path_required(model: IlpModel, cache: PathCache, f_of) -> None:
         model.add_constraint(terms, "<=", int(o != p), "con5")
 
 
-def _interior_buckets(model: IlpModel, cache: PathCache):
-    # vertex -> driver unit -> path vars of that driver whose interior
-    # crosses the vertex
-    buckets: dict[NodeKey, dict[NodeKey, list[VarId]]] = {}
-    for var in model.variables:
-        if var.cls != "p":
-            continue
-        u, v, q = var.idx
-        for n in cache[(u, v)][q].interior():
-            buckets.setdefault(n, {}).setdefault(u, []).append(var)
-    return buckets
-
-
 def add_path_exclusivity(model: IlpModel, cache: PathCache) -> None:
     """At most one signal (driver unit) per routing vertex. For each
     vertex n crossed by paths of more than one driver: one y[n,u] per
@@ -600,7 +576,13 @@ def add_path_exclusivity(model: IlpModel, cache: PathCache) -> None:
     M the number of those paths, and sum_u y[n,u] <= 1. This admits
     exactly the path sets in which no two paths of distinct drivers
     share an interior vertex; paths of one driver may share one."""
-    buckets = _interior_buckets(model, cache)
+    # vertex -> driver unit -> that driver's path vars whose interior has it
+    buckets: dict[NodeKey, dict[NodeKey, list[VarId]]] = {}
+    for var in model.variables:
+        if var.cls == "p":
+            u, v, q = var.idx
+            for n in cache[(u, v)][q].interior:
+                buckets.setdefault(n, {}).setdefault(u, []).append(var)
     for n in sorted(buckets):
         by_driver = buckets[n]
         if len(by_driver) <= 1:
@@ -663,7 +645,7 @@ def audit(model: IlpModel, dfg: Dfg, mrrg: Mrrg, nmap: NeighborMap,
             if q >= len(cache.get((u, v))):
                 problems.append(f"p out of domain: {var}")
             else:
-                crossed.update((n, u) for n in cache[(u, v)][q].interior())
+                crossed.update((n, u) for n in cache[(u, v)][q].interior)
         elif var.cls == "y":
             ys.append(var)
         else:

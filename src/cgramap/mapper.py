@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .dfg import Dfg, is_int
@@ -121,12 +122,11 @@ class MapOutcome:
 
 
 def _check_schedule(schedule) -> tuple[int, ...]:
-    sched = tuple(schedule)
-    if not sched:
-        raise ValueError("schedule is empty")
-    if (not all(map(is_int, sched)) or sched[0] < 1
+    sched = tuple(schedule) if isinstance(schedule, Iterable) else ()
+    if (not sched or not all(map(is_int, sched)) or sched[0] < 1
             or any(b <= a for a, b in zip(sched, sched[1:]))):
-        raise ValueError("schedule must be strictly increasing positive ints")
+        raise ValueError(f"schedule must be a non-empty iterable of strictly "
+                         f"increasing positive ints, got {schedule!r}")
     return sched
 
 
@@ -236,14 +236,23 @@ def _route(dfg: Dfg, placement: dict[str, NodeKey], leaf, deadline: float,
                     for o, paths in sorted(routing.items())}
 
 
+def _is_key(x) -> bool:
+    return (isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], str)
+            and is_int(x[1]))
+
+
 def validate_mapping(dfg: Dfg, mrrg: Mrrg, sol: MappingSolution) -> list[str]:
     """Check a solution by direct graph traversal, sharing nothing with
-    the models that produced it."""
+    the models; a unit or vertex that is no (str, int) key is a problem."""
     problems = []
     ops = dfg.ops_by_id
+    placement = {o: u for o, u in sol.placement.items() if _is_key(u)}
     for op_id, unit in sorted(sol.placement.items()):
         if op_id not in ops:
             problems.append(f"placement names unknown op {op_id}")
+            continue
+        if op_id not in placement:
+            problems.append(f"{op_id} placed on malformed unit {unit!r}")
             continue
         node = mrrg.nodes.get(unit)
         if node is None:
@@ -254,7 +263,7 @@ def validate_mapping(dfg: Dfg, mrrg: Mrrg, sol: MappingSolution) -> list[str]:
             problems.append(f"{op_id} ({ops[op_id].opcode}) placed on "
                             f"incompatible unit {unit}")
     hosts: dict[NodeKey, list[str]] = {}
-    for op_id, unit in sol.placement.items():
+    for op_id, unit in placement.items():
         hosts.setdefault(unit, []).append(op_id)
     for unit, residents in sorted(hosts.items()):
         if len(residents) > 1:
@@ -272,6 +281,10 @@ def validate_mapping(dfg: Dfg, mrrg: Mrrg, sol: MappingSolution) -> list[str]:
             if len(rp.vertices) < 2:
                 problems.append(f"path for {driver} has fewer than 2 "
                                 f"vertices")
+                continue
+            if not all(map(_is_key, rp.vertices)):
+                problems.append(f"path for {driver} has a malformed vertex "
+                                f"in {rp.vertices!r}")
                 continue
             if rp.vertices[0] != sol.placement[driver]:
                 problems.append(f"path for {driver} starts at "
@@ -297,16 +310,16 @@ def validate_mapping(dfg: Dfg, mrrg: Mrrg, sol: MappingSolution) -> list[str]:
                 problems.append(f"path for {driver} repeats a vertex")
 
     for o, p in dfg.point_edges():
-        if o not in sol.placement or p not in sol.placement:
+        if o not in placement or p not in placement:
             continue
-        if (sol.placement[o], sol.placement[p]) not in routed:
+        if (placement[o], placement[p]) not in routed:
             problems.append(f"no route for {o} -> {p}")
 
     seen: dict[NodeKey, str] = {}
     for driver in sorted(sol.routing):
-        interiors = set()
-        for rp in sol.routing[driver]:
-            interiors.update(rp.vertices[1:-1])
+        interiors = {n for rp in sol.routing[driver]
+                     if all(map(_is_key, rp.vertices))
+                     for n in rp.vertices[1:-1]}
         for n in sorted(interiors):
             other = seen.get(n)
             if other is not None and other != driver:

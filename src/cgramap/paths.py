@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dfg import is_int
 from .mrrg import IdView, Mrrg, NodeKey
@@ -37,14 +37,18 @@ from .neighbors import NeighborMap
 
 @dataclass(frozen=True)
 class RoutePath:
-    """One cycle-free route; vertices include both endpoints."""
+    """One cycle-free route; vertices include both endpoints. interior,
+    vertices[1:-1], is sliced once, for the searches; ==, hash and repr
+    leave it out."""
 
     driver: NodeKey
     sink: NodeKey
     vertices: tuple[NodeKey, ...]
+    interior: tuple[NodeKey, ...] = field(init=False, repr=False,
+                                          compare=False)
 
-    def interior(self) -> tuple[NodeKey, ...]:
-        return self.vertices[1:-1]
+    def __post_init__(self):
+        object.__setattr__(self, "interior", self.vertices[1:-1])
 
     def __len__(self) -> int:
         return len(self.vertices) - 1

@@ -1,13 +1,13 @@
 """Exact 0/1 search over the model rows.
 
-One depth-first search with incremental slack propagation. It reads each
-model row once: one pass rejects a malformed row (a bad relation, a
-non-int coefficient or right-hand side, an undeclared variable, a
-variable repeated within the row; a twice-declared variable is rejected
-before) with ValueError, normalises it to sum(c_i x_i) <= b over
-variable indices (an = row to two) and records whether it is a choice
-group or an at-most-one row. The model builder leaves these checks to
-this pass, which takes any object with variables and constraints. Then
+One depth-first search with incremental slack propagation. It reads the
+model once: one pass rejects a twice-declared variable and a malformed
+row (a bad relation, a non-int coefficient or right-hand side, an
+undeclared variable, a variable repeated within the row) with
+ValueError, normalises each row to sum(c_i x_i) <= b over variable
+indices (an = row to two) and records whether it is a choice group or
+an at-most-one row. The model builder leaves these checks to this
+read, which takes any object with variables and constraints. Then
 Hall's check (below) runs on the rows as read, and unless it refutes
 the model, add_row watches every normalised row before the first fix:
 it sets the row's slack and width and the variables that spend it. A

@@ -297,9 +297,9 @@ def routable(pairs, cache) -> bool:
             return True
         u = pairs[i][0]
         for rp in cache.get(pairs[i]):
-            if all(owner.get(n, u) == u for n in rp.interior()):
+            if all(owner.get(n, u) == u for n in rp.vertices[1:-1]):
                 if extend(i + 1, {**owner,
-                                  **{n: u for n in rp.interior()}}):
+                                  **{n: u for n in rp.vertices[1:-1]}}):
                     return True
         return False
 

@@ -46,6 +46,7 @@ def _pinned_fabrics():
                                       route_through=route_through), ii)
 
 
+@pytest.mark.pin
 def test_baseline_model_is_pinned():
     # a rewrite of the builder must give the same model: the same
     # variables in the same order, the same rows with the same terms in

@@ -173,7 +173,7 @@ def test_exact_con6_admits_exactly_the_pairwise_sets(inst, combined):
     interior, seats = {}, {}
     for pv in pvars:
         u, v, q = pv.idx
-        interior[pv] = frozenset(cache[(u, v)][q].interior())
+        interior[pv] = frozenset(cache[(u, v)][q].interior)
         seats[pv] = {}
         for y in claims.get(pv, ()):
             for r in row_of.get(y, ()):
@@ -221,6 +221,7 @@ PINNED_MODELS = [(SUM4, ArchSpec("adres", 2, 2), 2, (4, 8, None)),
                  (FAN3, ArchSpec("ortho", 2, 3), 1, (None,))]
 
 
+@pytest.mark.pin
 def test_path_models_are_pinned():
     # a rewrite of the builders must give the same combined models: the
     # same variables in the same order, the same rows with the same
@@ -656,7 +657,7 @@ def test_audit_flags_stray_signal_and_duplicate_con6(inst, shallow):
     # route's interior vertex, so no signal claims one
     out, unit = ("pe_2_0.out", 0), ("pe_0_0.alu", 0)
     crossing = {v.idx[0] for v in model.variables if v.cls == "p"
-                and out in shallow[v.idx[:2]][v.idx[2]].interior()}
+                and out in shallow[v.idx[:2]][v.idx[2]].interior}
     assert crossing and unit not in crossing
     strays = [model.add_var(yvar(out, unit)),
               model.add_var(yvar(("pe_1_1.alu", 0), unit))]

@@ -88,9 +88,13 @@ def test_non_int_counts_rejected():
     with pytest.raises(ValueError, match="placement limit"):
         MapLimits(placement_limit=2.5)
     dfg, mrrg = parse_dfg(KERNELS["chain2"]), fabric("ortho", 1)
-    for schedule in [(4.5,), (2, 4.0), (True,)]:
+    # None and 5 are no iterable: tuple() raised a bare TypeError
+    for schedule in [(4.5,), (2, 4.0), (True,), None, 5]:
         with pytest.raises(ValueError, match="positive ints"):
             map_dfg(dfg, mrrg, schedule, LIMITS, seed=1)
+        with pytest.raises(ValueError, match="positive ints"):
+            characterize(ArchSpec("ortho", 2, 2), [1], [("chain2", dfg)],
+                         schedule, LIMITS)
     for seed in [None, 1.5, "a", True]:
         with pytest.raises(ValueError, match="seed must be an int"):
             map_dfg(dfg, mrrg, SCHEDULE, LIMITS, seed=seed)
@@ -336,6 +340,7 @@ def test_matching_after_the_cut_refutes(monkeypatch):
     assert events == [*_opened(2), ("screened", 2, (INFEASIBLE, 1))]
 
 
+@pytest.mark.pin
 def test_must_cross_refuses_at_the_root():
     # acc on 1x3 HyCUBE at II 1, NN 8 has one placement that meets
     # con1-con3, ld on mem_0 and acc on pe_0_0's ALU. With one or two
@@ -482,8 +487,8 @@ def test_models_match_full_neighbourhood_cache(monkeypatch, kernel, spec, ii,
         cache = caches[nn]
         assert must_cross_blocks(root[0], cache) == {}
         assert found[0] == FEASIBLE and found[2] > 1
-        for pair, entries in root[0].items():
-            assert {rp for _, rp in entries} <= set(cache[pair])
+        for pair, rps in root[0].items():
+            assert set(rps) <= set(cache[pair])
     assert [nn for nn, *_ in _of(events, "route")] == [
         a.nn for a in out.attempts if a.routed]
 
@@ -709,6 +714,7 @@ def test_agreement_with_brute_force(family, ii, kernel, mappable):
 
 
 @pytest.mark.parametrize("family,ii,kernel,mappable", AGREEMENT)
+@pytest.mark.pin
 def test_screen_search_matches_the_0_1_screen(family, ii, kernel, mappable):
     # at every target of the schedule, over caches of 1 and of
     # SHALLOW_PATHS routes per pair, the screen search yields each
@@ -736,6 +742,7 @@ def test_screen_search_matches_the_0_1_screen(family, ii, kernel, mappable):
                        for _, leaf, _ in found)
 
 
+@pytest.mark.pin
 def test_screen_search_node_counts_are_pinned():
     # fir4's NN-4 screen on 4x4 ADRES at II 2 passes the search's root
     # node and takes a 0/1 solve of its con1-con3 rows 9k-10k nodes to
@@ -770,6 +777,7 @@ def test_screen_search_node_counts_are_pinned():
 
 @pytest.mark.parametrize("nn,counts", [(20, [15, 17, 15]),
                                        (24, [17, 16, 16])])
+@pytest.mark.pin
 def test_deep_screen_node_counts_are_pinned(nn, counts):
     # nodes to the first placement of fir4's deep screens on 4x4 HyCUBE
     # at II 2, seeds 1-3, over SHALLOW_PATHS routes. A unit that is its
@@ -788,6 +796,7 @@ def test_deep_screen_node_counts_are_pinned(nn, counts):
 
 
 @pytest.mark.parametrize("family,ii,kernel,mappable", AGREEMENT)
+@pytest.mark.pin
 def test_route_search_matches_the_routing_model(family, ii, kernel,
                                                 mappable):
     # on each of the first 20 placements brute force finds at every
@@ -817,6 +826,7 @@ def test_route_search_matches_the_routing_model(family, ii, kernel,
 @pytest.mark.parametrize("k,chosen", [
     (SHALLOW_PATHS, [0, 0, 0, 0, 1, 1, 2, 1, 0, 2, 2]),
     (DEEP, [0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 3])])
+@pytest.mark.pin
 def test_route_search_node_counts_are_pinned(k, chosen):
     # fir4 on 4x4 HyCUBE at II 2, NN 10: FIR4_HYCUBE_PLACEMENT is refuted
     # at the search's root node, the must-cross check, and
@@ -893,6 +903,7 @@ def test_validate_mapping_reports_malformed_solutions():
     cut = "no route for b -> c"
     wire, const = ("pe_1_0.reg", 0), ("pe_1_0.const", 0)
     stray = ("pe_0_0.out", 0)
+    listed = (b, ["pe_0_1.out", 0], *_pe("1_1.in_w", "1_1.b", "1_1.alu"))
     cases = [
         (placed(zz=("pe_1_0.alu", 0)), ["placement names unknown op zz"]),
         (placed(c=gone), [f"c placed on missing node {gone}", cut]),
@@ -917,6 +928,13 @@ def test_validate_mapping_reports_malformed_solutions():
             *good.routing["b"], RoutePath(b, stray, (*_pe(
                 "0_1.alu", "0_1.out", "0_0.in_n", "0_0.bypass"), stray)))}),
          [f"path for b ends at {stray}, off a function unit"]),
+        # units and vertices in the list form outcome_to_dict writes, and
+        # a unit named by its str alone: each raised TypeError when hashed
+        # or sorted
+        (placed(c=list(c)), [f"c placed on malformed unit {list(c)!r}"]),
+        (placed(c=c[0]), [f"c placed on malformed unit {c[0]!r}"]),
+        (routed(*listed),
+         [f"path for b has a malformed vertex in {listed!r}", cut]),
     ]
     for bad, problems in cases:
         assert validate_mapping(dfg, mrrg, bad) == problems
@@ -990,6 +1008,7 @@ def outcomes_digest(routing: bool = True) -> str:
         json.dumps(reports, sort_keys=True).encode()).hexdigest()
 
 
+@pytest.mark.pin
 def test_outcomes_digest_is_pinned():
     # statuses, attempts (NN, screen status, placements tried, routed)
     # and mappings of 288 runs. A change that is meant to keep every
@@ -999,6 +1018,7 @@ def test_outcomes_digest_is_pinned():
         "fb51b9070500f7f1428a2bb30abf018b7434f265c38ef773dcb54c889fbb44c7")
 
 
+@pytest.mark.pin
 def test_outcome_verdicts_digest_is_pinned():
     # the same 288 runs with each mapping's routes dropped: statuses,
     # attempts and placements. A change that picks other routes for the

@@ -231,6 +231,7 @@ def _identity_fabrics():
             yield ArchSpec(fam, 4, 4), ii
 
 
+@pytest.mark.pin
 def test_mrrg_identity_is_pinned():
     # vertex names feed every sorted unit order and the routes' tie-break,
     # so a generator change must leave each graph exactly as it was: same

@@ -101,9 +101,18 @@ def test_is_valid_path_rejects_each_fault():
                  [("a", "x"), ("x", "b"), ("x", "y"), ("y", "x"),
                   ("y", "a"), ("x", "c"), ("c", "y")])
     a, b, c, x, y = (("a", 0), ("b", 0), ("c", 0), ("x", 0), ("y", 0))
-    assert is_valid_path(m, RoutePath(a, b, (a, x, b)))
+    route, cycle = RoutePath(a, b, (a, x, b)), RoutePath(a, a, (a, x, y, a))
+    assert is_valid_path(m, route)
     # a cycle's driver is its sink, and that shared endpoint is no repeat
-    assert is_valid_path(m, RoutePath(a, a, (a, x, y, a)))
+    assert is_valid_path(m, cycle)
+    # interior is derived from vertices, the vertices between the two
+    # endpoints, so equality, hashing and repr leave it out
+    assert (route.interior, cycle.interior) == ((x,), (x, y))
+    for rp in (route, cycle):
+        assert rp.interior == rp.vertices[1:-1]
+        twin = RoutePath(rp.driver, rp.sink, rp.vertices)
+        assert twin == rp and hash(twin) == hash(rp)
+        assert "interior" not in repr(rp)
     bad = {"one vertex": RoutePath(a, a, (a,)),
            "last vertex not the sink": RoutePath(a, b, (a, x, c)),
            "first vertex not the driver": RoutePath(c, b, (a, x, b)),

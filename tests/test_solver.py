@@ -106,18 +106,21 @@ def test_malformed_rejected():
     cases += [(model(rows=[LinearConstraint(((1, v),), "<=", rhs, "t")]),
                "right-hand side") for rhs in (float("nan"), "1", None, 0.5)]
 
-    # IlpModel.add_constraint takes each of these rows as given: the
-    # solver's one read of the rows is what rejects them
-    def built(terms, relation):
+    # IlpModel.add_var and add_constraint take each of these declarations
+    # and rows as given: the solver's one read is what rejects them
+    def built(terms, relation, variables=(v,)):
         ilp = IlpModel("combined")
-        ilp.add_var(v)
+        for var in variables:
+            ilp.add_var(var)
         ilp.add_constraint(terms, relation, 1, "t")
         return ilp
 
     cases += [(built([(1, ghost)], "<="), "row references undeclared"),
               (built([(1, v)], "<"), "bad relation '<'"),
               (built([(1, v), (1, v)], "<="),
-               "duplicate variable .* in a row")]
+               "duplicate variable .* in a row"),
+              (built([(1, v)], "<=", variables=(v, w, v)),
+               "duplicate variable declaration")]
     # enumerate_solutions is a generator: it raises on the first next()
     for run in (solve, lambda m, cfg: next(enumerate_solutions(m, cfg))):
         for bad, words in cases:
@@ -267,6 +270,7 @@ def hall_model(rng):
     return mk_model(names, rows)[0]
 
 
+@pytest.mark.pin
 def test_root_matching_refutes_only_infeasible_models():
     # the matching drops rows and groups, so a model it refutes has no
     # solution; stdlib only, so it runs without the optional packages
@@ -481,6 +485,7 @@ def _pigeonhole(pigeons, holes, pairwise=False):
     return model
 
 
+@pytest.mark.pin
 def test_matching_refutation_is_decided_by_the_read():
     # twelve pigeons in eleven clique holes, and five adds on the four
     # ALUs of 2x2 ortho: the matching on the model as read refutes both,
@@ -587,6 +592,7 @@ def baselines():
                 FAN3, ArchSpec("ortho", 1, 4, route_through=False))}
 
 
+@pytest.mark.pin
 def test_pinned_node_counts():
     # any change to the decision order or to what propagation forces
     # shows up here rather than as a silent runtime shift
